@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ import yaml
 from . import bounds, io, verify
 from .fields import (CouplingDistribution, alloy_model, ball_plateau_field,
                      checkerboard_field, constant_field, identity_field,
-                     sampled_field, scalar_field, tent_minorant)
+                     sampled_field, scalar_field)
 from .lattice import (ScalarField, as_scalar_field,
                       equidistributed_sequence, make_grid)
 from .operators import assemble
@@ -145,7 +146,6 @@ def _dist_from(cfg_node: dict) -> CouplingDistribution:
 # --------------------------------------------------------------------------
 
 def _run_eigensolve(cfg: dict) -> verify.CheckReport:
-    t0 = time.perf_counter()
     grid = _build_grid(cfg)
     field = _build_field(cfg, grid)
     k = int(_get(cfg, "check.k", 3))
@@ -167,7 +167,6 @@ def _run_eigensolve(cfg: dict) -> verify.CheckReport:
         if rel > 1e-10:
             rep.status = "fail"
             rep.notes.append("eigenvalues deviate from the closed-form stencil values")
-    rep.walltime = time.perf_counter() - t0
     return rep
 
 
@@ -220,8 +219,7 @@ def _run_projector_ucp(cfg: dict) -> verify.CheckReport:
     grid = _build_grid(cfg)
     field = _build_field(cfg, grid)
     seq = _build_sequence(cfg, grid)
-    consts = bounds.ConstantsConfig(**{**_build_constants(cfg).snapshot(),
-                                       "delta": seq.delta, "d": grid.d})
+    consts = replace(_build_constants(cfg), delta=seq.delta, d=grid.d)
     lam = _get(cfg, "check.lam")
     lam = bounds.kappa_family(consts).kappa_prime if lam is None else float(lam)
     spec = _spectrum_upto(grid, field, lam)
@@ -323,18 +321,15 @@ def _run_neumann_trend(cfg: dict) -> verify.CheckReport:
 
 
 def _run_constants(cfg: dict) -> verify.CheckReport:
-    t0 = time.perf_counter()
     consts = _build_constants(cfg)
     report = bounds.constants_report(consts, delta_plus=_get(cfg, "check.delta_plus"))
     again = report.recompute()
     identical = report.to_dict() == again.to_dict()
-    rep = verify.CheckReport(
+    return verify.CheckReport(
         name="constants", statement="formula table re-evaluates bit-identically",
         status="pass" if identical else "fail",
         observed={"entries": {k: v.value for k, v in report.entries.items()}},
         inputs={"config": consts.snapshot()})
-    rep.walltime = time.perf_counter() - t0
-    return rep
 
 
 _EXPERIMENTS = {

@@ -157,9 +157,7 @@ def sampled_field(grid: Grid, generator: Callable, theta_lip: float | None = Non
 
 def scalar_field(grid: Grid, a: Callable, theta_lip: float | None = None) -> MatrixField:
     """Convenience wrapper: scalar coefficient a(x) times the identity."""
-    def gen(pts):
-        return np.asarray(a(pts), dtype=float)
-    return sampled_field(grid, gen, theta_lip=theta_lip)
+    return sampled_field(grid, a, theta_lip=theta_lip)
 
 
 def checkerboard_field(grid: Grid, low: float = 1.0, high: float = 2.0, axis: int = 0) -> MatrixField:
@@ -367,7 +365,6 @@ class AlloySample:
     omega: np.ndarray
     v: ScalarField
     field: MatrixField
-    seed_entropy: object
 
 
 def sample_alloy(model: AlloyModel, seed) -> AlloySample:
@@ -392,7 +389,7 @@ def sample_alloy(model: AlloyModel, seed) -> AlloySample:
         dir_ok=model.base.dir_ok,
         notes=model.base.notes + ("alloy sample",),
     )
-    return AlloySample(omega=omega, v=v, field=field, seed_entropy=seed)
+    return AlloySample(omega=omega, v=v, field=field)
 
 
 def ball_plateau_field(seq: EquidistributedSeq, inner: float | None = None,

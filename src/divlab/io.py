@@ -1,4 +1,4 @@
-"""Flat-text serialization: field dumps, operator COO dumps, result tables."""
+"""Serialization: flat-text field dumps and JSON reports."""
 from __future__ import annotations
 
 import json
@@ -7,9 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from .fields import MatrixField, _build
-from .lattice import Grid, make_grid
-from .operators import DiscreteOperator
-from .spectral import LiftingCurve, Spectrum
+from .lattice import make_grid
 
 
 def save_field(field: MatrixField, path) -> None:
@@ -31,33 +29,6 @@ def load_field(path, bc: str = "dirichlet") -> MatrixField:
     cells = flat.reshape(grid.cells_shape + (d, d))
     return _build(grid, cells, theta_lip=None, lip_provenance="none",
                   notes=(f"loaded from {Path(path).name}",))
-
-
-def save_operator_coo(op: DiscreteOperator, path) -> None:
-    coo = op.matrix.tocoo()
-    with open(path, "w") as fh:
-        fh.write(f"# {op.dim} {op.dim} {coo.nnz}\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {float(v)!r}\n")
-
-
-def save_spectrum_table(spec: Spectrum, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("index\teigenvalue\tresidual\n")
-        for i in range(spec.k):
-            fh.write(f"{i}\t{float(spec.energies[i])!r}\t{float(spec.residuals[i])!r}\n")
-
-
-def save_curve_table(curve: LiftingCurve, path) -> None:
-    """Columns: index, t, eigenvalue, hf_value, residual, degenerate flag."""
-    with open(path, "w") as fh:
-        fh.write("index\tt\teigenvalue\thf_value\tresidual\tdegenerate\n")
-        for row, n in enumerate(curve.indices):
-            for it, t in enumerate(curve.ts):
-                fh.write(f"{n}\t{float(t)!r}\t{float(curve.energies[row, it])!r}\t"
-                         f"{float(curve.hf_values[row, it])!r}\t"
-                         f"{float(curve.residuals[row, it])!r}\t"
-                         f"{int(curve.degenerate[row, it])}\n")
 
 
 def save_report_json(report, path) -> None:

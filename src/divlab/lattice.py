@@ -222,22 +222,10 @@ class EquidistributedSeq:
     def d(self) -> int:
         return self.centers.shape[1]
 
-    @property
-    def cells_per_axis(self) -> int:
-        return int(round(self.L / self.G))
 
-    def cell_lower_corners(self) -> np.ndarray:
-        k = self.cells_per_axis
-        multi = np.indices((k,) * self.d).reshape(self.d, -1).T
-        return -self.L / 2.0 + self.G * multi
-
-
-def _validate_centers(L, G, delta, centers) -> None:
-    k = int(round(L / G))
-    multi = np.indices((k,) * centers.shape[1]).reshape(centers.shape[1], -1).T
-    cell_mid = -L / 2.0 + G * (multi + 0.5)
+def _validate_centers(L, G, delta, centers, multi, mid) -> None:
     margin = G / 2.0 - delta
-    off = np.abs(centers - cell_mid)
+    off = np.abs(centers - mid)
     bad = np.any(off > margin + 1e-12, axis=1)
     if np.any(bad):
         j = int(np.argmax(bad))
@@ -281,7 +269,7 @@ def equidistributed_sequence(grid: Grid, G: float, delta: float, mode: str = "mi
             raise ValueError(f"expected {k ** d} centers of dimension {d}, got shape {pts.shape}")
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    _validate_centers(grid.L, G, delta, pts)
+    _validate_centers(grid.L, G, delta, pts, multi, mid)
     return EquidistributedSeq(L=grid.L, G=float(G), delta=float(delta), centers=pts)
 
 

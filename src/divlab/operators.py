@@ -112,9 +112,6 @@ class DiscreteOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def matvec(self, u: np.ndarray) -> np.ndarray:
-        return self.matrix @ u
-
     def form(self, u, v=None) -> float:
         """Value of the quadratic/bilinear form with h^d mass weights."""
         u = np.asarray(u, dtype=float).ravel()

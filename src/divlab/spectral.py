@@ -39,13 +39,6 @@ class Spectrum:
     def indices_below(self, threshold: float) -> np.ndarray:
         return np.nonzero(self.energies < threshold)[0]
 
-    def indices_in(self, lo: float, hi: float, open_ends: bool = True) -> np.ndarray:
-        if open_ends:
-            sel = (self.energies > lo) & (self.energies < hi)
-        else:
-            sel = (self.energies >= lo) & (self.energies <= hi)
-        return np.nonzero(sel)[0]
-
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     for j in range(vectors.shape[1]):
@@ -61,58 +54,26 @@ def _matrix_scale(mat: sp.csr_matrix) -> float:
     return float(abs(mat).sum(axis=1).max())
 
 
-def eigensolve(op: DiscreteOperator, k: int | None = None,
-               interval: tuple[float, float] | None = None,
-               rtol: float = 1e-9) -> Spectrum:
-    """Lowest-k eigenpairs, or every pair inside a closed interval.
+def eigensolve(op: DiscreteOperator, k: int, rtol: float = 1e-9) -> Spectrum:
+    """Lowest-k eigenpairs.
 
     Dense symmetric solve below the size cutoff, shift-invert Lanczos above,
     with a fixed start vector so results are reproducible.  Unconverged pairs
     raise instead of being returned, and eigenvector signs follow the
     first-significant-component-positive convention.
     """
-    if k is None and interval is None:
-        raise ValueError("need an eigenpair count k or an interval")
     dim = op.dim
-    if k is not None and not (1 <= k <= dim):
+    if not (1 <= k <= dim):
         raise ValueError(f"k must lie in 1..{dim}, got {k}")
-    if interval is not None and interval[0] > interval[1]:
-        raise ValueError(f"empty interval {interval}")
 
-    use_dense = dim <= _DENSE_CUTOFF or (k is not None and k > dim - 2)
-    if use_dense:
+    complete = dim <= _DENSE_CUTOFF or k > dim - 2
+    if complete:
         evals, evecs = scipy.linalg.eigh(op.dense())
-        complete = True
     else:
-        kk = k
-        if interval is not None:
-            # grow the block until the interval is exhausted
-            kk = 16
-            while True:
-                evals, evecs = _eigsh_lowest(op, min(kk, dim - 2))
-                if evals[-1] > interval[1] or kk >= dim - 2:
-                    break
-                kk *= 2
-            complete = False
-        else:
-            evals, evecs = _eigsh_lowest(op, kk)
-            complete = False
+        evals, evecs = _eigsh_lowest(op, k)
         order = np.argsort(evals)
         evals, evecs = evals[order], evecs[:, order]
-    if use_dense:
-        complete = True
-
-    if interval is not None:
-        lo, hi = interval
-        sel = (evals >= lo) & (evals <= hi)
-        if not use_dense:
-            sel &= np.arange(evals.size) < evals.size  # already sorted
-        evals, evecs = evals[sel], evecs[:, sel]
-        if evals.size == 0:
-            return Spectrum(grid=op.grid, energies=evals, vectors=evecs[:, :0] / op.grid.h ** (op.grid.d / 2),
-                            residuals=evals.copy(), complete=use_dense)
-    elif k is not None:
-        evals, evecs = evals[:k], evecs[:, :k]
+    evals, evecs = evals[:k], evecs[:, :k]
 
     resid = np.linalg.norm(op.matrix @ evecs - evecs * evals[None, :], axis=0)
     scale = _matrix_scale(op.matrix)

@@ -12,8 +12,7 @@ refinement studies are the authoritative criterion whenever that slack binds.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 import scipy.integrate
@@ -36,7 +35,11 @@ DEFAULT_DISC_SLACK = 10.0  # multiplies h in the relative slack term
 
 @dataclass
 class CheckReport:
-    """Outcome of one verification run: sides, margin, provenance, status."""
+    """Outcome of one verification run: sides, margin, provenance, status.
+
+    `walltime` is set by the runner (`cli.execute`) and stays 0.0 when a
+    check is called directly.
+    """
 
     name: str
     statement: str
@@ -108,7 +111,6 @@ def reverse_caccioppoli_check(grid: Grid, field: MatrixField, energy: float,
                               disc_slack: float = DEFAULT_DISC_SLACK) -> CheckReport:
     """Gradient mass on B(x0, 2r) dominates the lower-bound constant times the
     function mass on B(x0, r), for eigenvalues above e_min."""
-    t0 = time.perf_counter()
     x0 = np.asarray(x0, dtype=float).reshape(grid.d)
     if np.any(np.abs(x0) + 2 * r > grid.L / 2 + 1e-12):
         raise ValueError(f"B({tuple(x0)}, {2 * r}) is not contained in the cube")
@@ -120,7 +122,6 @@ def reverse_caccioppoli_check(grid: Grid, field: MatrixField, energy: float,
         status="skipped", inputs=inputs)
     if energy <= e_min:
         rep.notes.append(f"eigenvalue {energy} <= e_min {e_min}: hypothesis not met, skipped")
-        rep.walltime = time.perf_counter() - t0
         return rep
     lhs = subset_norm2(discrete_gradient(grid, psi), ball(grid, x0, 2 * r))
     const = bounds.c_gradient(r, e_min, field.theta_plus).value
@@ -128,7 +129,6 @@ def reverse_caccioppoli_check(grid: Grid, field: MatrixField, energy: float,
     rep.lhs, rep.rhs = lhs, rhs
     rep.observed = {"constant": const, "theta_plus": field.theta_plus}
     rep.status = "pass" if _pass_with_slack(lhs, rhs, grid, tol, disc_slack) else "fail"
-    rep.walltime = time.perf_counter() - t0
     return rep
 
 
@@ -154,12 +154,11 @@ def ucp_function_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
     gate delta <= delta0/2 is recorded; set clamp_delta to substitute
     min(delta, delta0) into the constant instead.
     """
-    t0 = time.perf_counter()
     if grid.bc != "dirichlet":
         raise ValueError("function-level bound is stated for Dirichlet grids")
     _require_field_hypotheses(field, need_lip=True, need_dir=True)
     vb = cfg.e_max if v_bound is None else float(v_bound)
-    cfg = bounds.ConstantsConfig(**{**cfg.snapshot(), "delta": seq.delta})
+    cfg = replace(cfg, delta=seq.delta)
     consts = bounds.c_sfucp_family(cfg, v_sup=vb, clamp_delta=clamp_delta)
     mask = ball_mask(grid, seq)
     idx = [i for i in range(spectrum.k) if abs(spectrum.energies[i]) <= vb]
@@ -173,7 +172,6 @@ def ucp_function_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
     if not idx:
         rep.notes.append("no eigenvalues within the potential bound: vacuous")
         rep.status = "pass"
-        rep.walltime = time.perf_counter() - t0
         return rep
     masses = np.array([subset_norm2(spectrum.vectors[:, i], mask) for i in idx])
     rep.lhs = float(masses.min())
@@ -189,7 +187,6 @@ def ucp_function_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
         rep.notes.append("delta exceeds delta0/2; constant evaluated at raw delta "
                          "(set clamp_delta for the min(delta, delta0) variant)")
     rep.status = "pass" if _pass_with_slack(rep.lhs, rep.rhs, grid, tol, disc_slack) else "fail"
-    rep.walltime = time.perf_counter() - t0
     return rep
 
 
@@ -206,8 +203,7 @@ def ucp_gradient_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
     'neumann' (d >= 3, Neumann grid, window top <= kappa_neumann).
     A negative control skips the positive-energy gate and is expected to fail.
     """
-    t0 = time.perf_counter()
-    cfg = bounds.ConstantsConfig(**{**cfg.snapshot(), "delta": seq.delta, "d": grid.d})
+    cfg = replace(cfg, delta=seq.delta, d=grid.d)
     low = bounds.kappa_family(cfg)
     if variant == "lipschitz":
         if grid.bc != "dirichlet":
@@ -251,7 +247,6 @@ def ucp_gradient_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
     if not idx:
         rep.notes.append("no eigenvalues in the window: vacuous")
         rep.status = "pass"
-        rep.walltime = time.perf_counter() - t0
         return rep
     mask = ball_mask(grid, seq)
     masses = np.array([subset_norm2(discrete_gradient(grid, spectrum.vectors[:, i]), mask)
@@ -265,7 +260,6 @@ def ucp_gradient_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
         "energies": [float(spectrum.energies[i]) for i in idx],
     }
     rep.status = "pass" if _pass_with_slack(rep.lhs, rep.rhs, grid, tol, disc_slack) else "fail"
-    rep.walltime = time.perf_counter() - t0
     return rep
 
 
@@ -279,8 +273,7 @@ def projector_ucp_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
     mask quadratic form (independent of the sampling); seeded random span
     elements provide the Monte Carlo cross-check.
     """
-    t0 = time.perf_counter()
-    cfg = bounds.ConstantsConfig(**{**cfg.snapshot(), "delta": seq.delta, "d": grid.d})
+    cfg = replace(cfg, delta=seq.delta, d=grid.d)
     kp = bounds.kappa_family(cfg).kappa_prime
     if lam > kp + 1e-12:
         raise ValueError(f"lam = {lam} exceeds kappa_prime = {kp}")
@@ -296,7 +289,6 @@ def projector_ucp_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
         rep.notes.append("no eigenvalues below lam: vacuous (flagged)")
         rep.status = "pass"
         rep.observed = {"kappa_prime": kp, "span_dim": 0}
-        rep.walltime = time.perf_counter() - t0
         return rep
     mask = ball_mask(grid, seq)
     vecs = spectrum.vectors[:, idx]
@@ -313,7 +305,6 @@ def projector_ucp_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
                     "exact_min": exact_min, "mc_min": mc_min,
                     "mc_vs_exact_rel": abs(mc_min - exact_min) / exact_min}
     rep.status = "pass" if _pass_with_slack(exact_min, kp, grid, tol, disc_slack) else "fail"
-    rep.walltime = time.perf_counter() - t0
     return rep
 
 
@@ -329,15 +320,13 @@ def lifting_check(curve: LiftingCurve, cfg: ConstantsConfig,
     derivatives against centered finite differences of the rows (Simpson
     average, skipping samples flagged as degenerate).
     """
-    t0 = time.perf_counter()
     if variant not in _LIFT_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; pick one of {_LIFT_VARIANTS}")
     grid = curve.grid
     w_sup = curve.w.sup if curve.w.sup is not None else float(np.max(curve.w.on_full_nodes(grid)))
     w_lip = curve.w.lip if curve.w.lip is not None else cfg.w_lip
-    cfg = bounds.ConstantsConfig(**{**cfg.snapshot(), "delta": seq.delta, "d": grid.d,
-                                    "t_max": float(curve.ts[-1]),
-                                    "w_sup": float(w_sup), "w_lip": float(w_lip)})
+    cfg = replace(cfg, delta=seq.delta, d=grid.d, t_max=float(curve.ts[-1]),
+                  w_sup=float(w_sup), w_lip=float(w_lip))
     lift = bounds.c_evl_family(cfg)
     low = bounds.kappa_family(cfg)
     window_top = cfg.e_max
@@ -389,7 +378,6 @@ def lifting_check(curve: LiftingCurve, cfg: ConstantsConfig,
     if not in_window:
         rep.notes.append("no rows stay inside the window on [0, T]: vacuous")
         rep.status = "pass"
-        rep.walltime = time.perf_counter() - t0
         return rep
 
     margins, mono_ok, slope_ok, hf_devs = [], True, True, []
@@ -429,7 +417,6 @@ def lifting_check(curve: LiftingCurve, cfg: ConstantsConfig,
     if not hf_ok:
         rep.notes.append("form-derivative / finite-difference cross-check exceeded tolerance")
     rep.status = "pass" if cond else "fail"
-    rep.walltime = time.perf_counter() - t0
     return rep
 
 
@@ -437,7 +424,6 @@ def pi_singular_check(dist, phi, a: float, b: float, eps: float, *,
                       grid_points: int = 4001) -> CheckReport:
     """Averaged increment of a smooth monotone function under the coupling law
     stays below the modulus of continuity times the total increment."""
-    t0 = time.perf_counter()
     if eps <= 0:
         raise ValueError("eps must be positive")
     if not (a < 0 <= dist.support_max < b):
@@ -456,7 +442,7 @@ def pi_singular_check(dist, phi, a: float, b: float, eps: float, *,
         lhs = phi(dist.m + eps) - phi(dist.m)
     s = dist.modulus(eps)
     rhs = s * (phi(b + eps) - phi(a))
-    rep = CheckReport(
+    return CheckReport(
         name="pi_singular",
         statement="int Phi(l+eps) - Phi(l) dmu <= s(eps) (Phi(b+eps) - Phi(a))",
         status="pass" if lhs <= rhs * (1.0 + 1e-9) else "fail",
@@ -464,8 +450,6 @@ def pi_singular_check(dist, phi, a: float, b: float, eps: float, *,
         observed={"modulus": s},
         inputs={"dist": {"kind": dist.kind, "m": dist.m, "p": dist.p},
                 "a": a, "b": b, "eps": eps})
-    rep.walltime = time.perf_counter() - t0
-    return rep
 
 
 def weyl_check(grids, field_factory, e_plus: float, *,
@@ -475,7 +459,6 @@ def weyl_check(grids, field_factory, e_plus: float, *,
     With weyl_constant=None the run calibrates it as the max observed
     count / L^d ratio (recorded with provenance 'empirical').
     """
-    t0 = time.perf_counter()
     ratios, counts = [], []
     for grid in grids:
         field = field_factory(grid)
@@ -485,7 +468,7 @@ def weyl_check(grids, field_factory, e_plus: float, *,
         ratios.append(c / grid.L**grid.d)
     calibrated = max(ratios)
     limit = calibrated if weyl_constant is None else float(weyl_constant)
-    rep = CheckReport(
+    return CheckReport(
         name="weyl",
         statement="count(E <= E_plus) <= C_weyl L^d across the cube sweep",
         status="pass" if all(r <= limit * (1 + 1e-12) for r in ratios) else "fail",
@@ -494,8 +477,6 @@ def weyl_check(grids, field_factory, e_plus: float, *,
                   "calibrated_weyl_constant": float(calibrated),
                   "provenance": "empirical" if weyl_constant is None else "configured"},
         inputs={"grids": [_grid_info(g) for g in grids], "e_plus": e_plus})
-    rep.walltime = time.perf_counter() - t0
-    return rep
 
 
 def scaling_check(field_src: MatrixField, G: float, seq: EquidistributedSeq,
@@ -504,7 +485,6 @@ def scaling_check(field_src: MatrixField, G: float, seq: EquidistributedSeq,
     """Pull a cube of side G*L back to side L and verify the three scaling facts:
     eigenvalues match after multiplying by G^2, masked gradient norms match
     through the G^{d-2} identity, and the mapped centers stay equidistributed."""
-    t0 = time.perf_counter()
     src = field_src.grid
     if seq.G != G or seq.L != src.L:
         raise ValueError("sequence must be (G, delta)-equidistributed on the source cube")
@@ -535,7 +515,7 @@ def scaling_check(field_src: MatrixField, G: float, seq: EquidistributedSeq,
         grad_rels.append(abs(lhs - rhs) / abs(lhs))
 
     ok = bool(np.all(eig_rel <= eig_rtol) and np.all(np.array(grad_rels) <= grad_rtol))
-    rep = CheckReport(
+    return CheckReport(
         name="scaling",
         statement="eig(target) = G^2 eig(source) and masked gradient norms agree via G^{d-2}",
         status="pass" if ok else "fail",
@@ -545,8 +525,6 @@ def scaling_check(field_src: MatrixField, G: float, seq: EquidistributedSeq,
                   "factor": factor, "subsample_stride": m},
         inputs={"source_grid": _grid_info(src), "target_grid": _grid_info(tgt),
                 "field": field_src.content_hash(), "seq": _seq_info(seq), "k": k})
-    rep.walltime = time.perf_counter() - t0
-    return rep
 
 
 def mollification_convergence(field: MatrixField, eps: float, ells, k: int, *,
@@ -556,7 +534,6 @@ def mollification_convergence(field: MatrixField, eps: float, ells, k: int, *,
     Pass requires the per-eigenvalue deviation to be non-increasing over the
     tail of the ell sweep and below rtol (relative) at the largest ell.
     """
-    t0 = time.perf_counter()
     ells = sorted(int(l) for l in ells)
     grid = field.grid
     base = eigensolve(assemble(grid, field), k=k)
@@ -571,7 +548,7 @@ def mollification_convergence(field: MatrixField, eps: float, ells, k: int, *,
     rel_final = float((devs[-1] / np.abs(base.energies)).max())
     tail = devs[len(ells) // 2:]
     trend_ok = bool(np.all(np.diff(tail, axis=0) <= 1e-12 + 0.05 * tail[:-1]))
-    rep = CheckReport(
+    return CheckReport(
         name="mollification",
         statement="eigenvalues of the smoothed operators converge to the rough ones",
         status="pass" if (rel_final <= rtol and trend_ok) else "fail",
@@ -581,16 +558,13 @@ def mollification_convergence(field: MatrixField, eps: float, ells, k: int, *,
                   "ellipticity": ellip, "tail_non_increasing": trend_ok},
         inputs={"grid": _grid_info(grid), "field": field.content_hash(),
                 "eps": eps, "k": k})
-    rep.walltime = time.perf_counter() - t0
-    return rep
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo averaged eigenvalue counting
 # ---------------------------------------------------------------------------
 
-def _wegner_one_sample(model: AlloyModel, grid: Grid, seed, e_center: float,
-                       eps_levels, want_spectrum: bool):
+def _wegner_one_sample(model: AlloyModel, grid: Grid, seed, e_center: float, eps_levels):
     sample = sample_alloy(model, seed)
     op = assemble(grid, sample.field)
     counts = []
@@ -598,10 +572,7 @@ def _wegner_one_sample(model: AlloyModel, grid: Grid, seed, e_center: float,
         hi = count_eigenvalues(op, e_center + eps)
         lo = count_eigenvalues(op, e_center - eps)
         counts.append(hi - lo)
-    energies = None
-    if want_spectrum:
-        energies = eigensolve(op, k=op.dim).energies
-    return counts, energies
+    return counts, eigensolve(op, k=op.dim).energies
 
 
 def wegner_mc(model: AlloyModel, grid: Grid, e_center: float, eps: float,
@@ -616,7 +587,6 @@ def wegner_mc(model: AlloyModel, grid: Grid, e_center: float, eps: float,
     fraction of samples.  Also reports the fitted scaling exponent of the
     mean over the eps sweep.
     """
-    t0 = time.perf_counter()
     if variant not in ("bounded_w", "lipschitz"):
         raise ValueError(f"unknown variant {variant!r}")
     if not (cfg.e_min <= e_center - 3 * eps and e_center + 3 * eps <= cfg.e_max):
@@ -629,11 +599,8 @@ def wegner_mc(model: AlloyModel, grid: Grid, e_center: float, eps: float,
 
     m_sup = model.dist.support_max
     w_all = single_site_sum(model)
-    lift_cfg = ConstantsConfig(**{
-        **cfg.snapshot(), "d": grid.d, "delta": model.delta_minus,
-        "t_max": eps + m_sup + 1.0, "w_sup": w_all.sup,
-        "w_lip": w_all.lip if w_all.lip is not None else 0.0,
-    })
+    lift_cfg = replace(cfg, d=grid.d, delta=model.delta_minus, t_max=eps + m_sup + 1.0,
+                       w_sup=w_all.sup, w_lip=w_all.lip if w_all.lip is not None else 0.0)
     lifts = bounds.c_evl_family(lift_cfg)
     lifting_constant = lifts.bounded_w if variant == "bounded_w" else lifts.standard
     cw = bounds.c_wegner(lift_cfg, lifting_constant, model.delta_plus)
@@ -652,8 +619,7 @@ def wegner_mc(model: AlloyModel, grid: Grid, e_center: float, eps: float,
     for i, child in enumerate(children):
         try:
             cs, energies = _wegner_one_sample(
-                model, grid, np.random.default_rng(child), e_center, eps_levels,
-                want_spectrum=True)
+                model, grid, np.random.default_rng(child), e_center, eps_levels)
         except Exception:  # solver breakdown counts as an exclusion
             failures += 1
             continue
@@ -713,7 +679,6 @@ def wegner_mc(model: AlloyModel, grid: Grid, e_center: float, eps: float,
         rep.notes.append(note)
     if n_samples < 100:
         rep.notes.append(f"low statistical power: only {n_samples} samples")
-    rep.walltime = time.perf_counter() - t0
     return rep
 
 
@@ -722,7 +687,6 @@ def neumann_gradient_decay_trend(d: int, sides, n_per_side: int, delta: float, *
     """Negative-control trend: on growing Neumann cubes the smallest positive
     eigenvalue sinks toward zero and the observed gradient-mass ratio of its
     eigenfunction decreases with the side length."""
-    t0 = time.perf_counter()
     from .fields import identity_field
 
     ratios, energies = [], []
@@ -734,7 +698,7 @@ def neumann_gradient_decay_trend(d: int, sides, n_per_side: int, delta: float, *
         ratios.append(subset_norm2(discrete_gradient(grid, psi), ball_mask(grid, seq)))
         energies.append(e)
     decreasing = bool(np.all(np.diff(ratios) < 0))
-    rep = CheckReport(
+    return CheckReport(
         name="neumann_gradient_decay_trend",
         statement="observed gradient-mass ratio decreases as the Neumann cube grows",
         status="pass" if decreasing else "fail",
@@ -742,5 +706,3 @@ def neumann_gradient_decay_trend(d: int, sides, n_per_side: int, delta: float, *
         observed={"sides": list(sides), "ratios": [float(r) for r in ratios],
                   "energies": [float(e) for e in energies]},
         inputs={"d": d, "n_per_side": n_per_side, "delta": delta})
-    rep.walltime = time.perf_counter() - t0
-    return rep

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import yaml
 
-from divlab import cli
+import divlab as dl
+from divlab import cli, verify
 
 
 def _read_reports(outdir):
@@ -80,6 +81,16 @@ class TestSingleRuns:
             d1, d2 = r1[name], r2[name]
             d1.pop("walltime"), d2.pop("walltime")
             assert d1 == d2
+
+    def test_walltime_is_set_by_the_runner_only(self):
+        dist = {"kind": "uniform", "m": 1.0}
+        rep = cli.execute({"experiment": "pi_singular", "check": {"dist": dist}})
+        assert rep.walltime > 0
+        direct = verify.pi_singular_check(dl.CouplingDistribution("uniform", 1.0),
+                                          lambda x: np.asarray(x, dtype=float),
+                                          a=-0.1, b=1.1, eps=0.1)
+        assert direct.status == rep.status == "pass"
+        assert direct.walltime == 0.0
 
 
 class TestSuites:

@@ -24,44 +24,3 @@ def test_field_roundtrip_1d(tmp_path):
     loaded = io.load_field(path, bc="neumann")
     assert loaded.grid.bc == "neumann"
     assert np.allclose(loaded.cells, f.cells)
-
-
-def test_operator_coo_dump(tmp_path):
-    g = dl.make_grid(1, 1, 6)
-    op = dl.assemble(g, dl.identity_field(g))
-    path = tmp_path / "op.coo"
-    io.save_operator_coo(op, path)
-    lines = path.read_text().strip().splitlines()
-    dim, _, nnz = (int(x) for x in lines[0].lstrip("# ").split())
-    assert dim == op.dim and nnz == len(lines) - 1
-    rebuilt = np.zeros((dim, dim))
-    for line in lines[1:]:
-        r, c, v = line.split()
-        rebuilt[int(r), int(c)] = float(v)
-    assert np.array_equal(rebuilt, op.dense())
-
-
-def test_spectrum_table(tmp_path):
-    g = dl.make_grid(1, 1, 16)
-    spec = dl.eigensolve(dl.assemble(g, dl.identity_field(g)), k=3)
-    path = tmp_path / "spec.tsv"
-    io.save_spectrum_table(spec, path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0].split("\t") == ["index", "eigenvalue", "residual"]
-    assert len(rows) == 4
-    assert float(rows[1].split("\t")[1]) == spec.energies[0]
-
-
-def test_curve_table(tmp_path):
-    g = dl.make_grid(1, 1, 16)
-    curve = dl.lifting_curve(g, dl.identity_field(g), 1.0, 1.0, 3, [0, 1])
-    path = tmp_path / "curve.tsv"
-    io.save_curve_table(curve, path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0].split("\t") == ["index", "t", "eigenvalue", "hf_value",
-                                   "residual", "degenerate"]
-    assert len(rows) == 1 + 2 * 3
-    cols = rows[1].split("\t")
-    assert int(cols[0]) == 0 and float(cols[1]) == 0.0
-    assert float(cols[2]) == curve.energies[0, 0]
-    assert float(cols[4]) >= 0.0
