@@ -12,7 +12,8 @@ from .fields import (AlloyModel, AlloySample, CouplingDistribution, MatrixField,
                      tent_minorant)
 from .operators import DiscreteOperator, assemble, perturbation_operator, rescale
 from .spectral import (EigensolveError, LiftingCurve, Spectrum, count_eigenvalues,
-                       eigensolve, hf_derivative, lifting_curve, projector_sample)
+                       eigensolve, hf_derivative, lifting_curve, projector_sample,
+                       window_eigenvalues)
 from .bounds import (ConstantsConfig, ConstantsReport, c_evl_family, c_gradient,
                      c_sfucp_family, c_wegner, constants_report, delta0,
                      kappa_family)

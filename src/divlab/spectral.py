@@ -1,4 +1,4 @@
-"""Eigenpairs, inertia-based eigenvalue counting, lifting curves, form derivatives."""
+"""Eigenpairs, inertia-based eigenvalue counting, window solves, lifting curves, form derivatives."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -12,6 +12,8 @@ from .lattice import Grid, ScalarField, as_scalar_field, discrete_gradient
 from .operators import DiscreteOperator, assemble, edge_coefficients, perturbation_operator
 
 _DENSE_CUTOFF = 1400
+_MIN_SLAB = 16  # unknowns per inertia slab; one-node slabs make 1D counts Python-bound
+_RTOL = 1e-9
 _V0_SEED = 20210 + 4  # fixed Lanczos start vector seed: deterministic, symmetry-free
 
 
@@ -54,7 +56,22 @@ def _matrix_scale(mat: sp.csr_matrix) -> float:
     return float(abs(mat).sum(axis=1).max())
 
 
-def eigensolve(op: DiscreteOperator, k: int, rtol: float = 1e-9) -> Spectrum:
+def _checked_residuals(op: DiscreteOperator, evals: np.ndarray, evecs: np.ndarray,
+                       rtol: float) -> np.ndarray:
+    """Residual norms of the pairs; raises when one misses rtol (1 + |E|) + 100 eps ||H||."""
+    resid = np.linalg.norm(op.matrix @ evecs - evecs * evals[None, :], axis=0)
+    scale = _matrix_scale(op.matrix)
+    tol = rtol * (1.0 + np.abs(evals)) + 100 * np.finfo(float).eps * scale
+    bad = resid > tol
+    if np.any(bad):
+        worst = int(np.argmax(resid / tol))
+        raise EigensolveError(
+            f"{int(bad.sum())} eigenpairs unconverged; worst residual {resid[worst]:.3e} "
+            f"for eigenvalue {evals[worst]:.6g} (tolerance {tol[worst]:.3e})")
+    return resid
+
+
+def eigensolve(op: DiscreteOperator, k: int, rtol: float = _RTOL) -> Spectrum:
     """Lowest-k eigenpairs.
 
     Dense symmetric solve below the size cutoff, shift-invert Lanczos above,
@@ -70,76 +87,121 @@ def eigensolve(op: DiscreteOperator, k: int, rtol: float = 1e-9) -> Spectrum:
     if complete:
         evals, evecs = scipy.linalg.eigh(op.dense())
     else:
-        evals, evecs = _eigsh_lowest(op, k)
+        evals, evecs = _eigsh(op, k, sigma=0.0 if op.grid.bc == "dirichlet" else -0.05)
         order = np.argsort(evals)
         evals, evecs = evals[order], evecs[:, order]
     evals, evecs = evals[:k], evecs[:, :k]
 
-    resid = np.linalg.norm(op.matrix @ evecs - evecs * evals[None, :], axis=0)
-    scale = _matrix_scale(op.matrix)
-    tol = rtol * (1.0 + np.abs(evals)) + 100 * np.finfo(float).eps * scale
-    bad = resid > tol
-    if np.any(bad):
-        worst = int(np.argmax(resid / tol))
-        raise EigensolveError(
-            f"{int(bad.sum())} eigenpairs unconverged; worst residual {resid[worst]:.3e} "
-            f"for eigenvalue {evals[worst]:.6g} (tolerance {tol[worst]:.3e})")
-
+    resid = _checked_residuals(op, evals, evecs, rtol)
     vectors = _fix_signs(evecs / op.grid.h ** (op.grid.d / 2.0))
     return Spectrum(grid=op.grid, energies=evals, vectors=vectors,
                     residuals=resid, complete=complete)
 
 
-def _eigsh_lowest(op: DiscreteOperator, k: int):
+def _eigsh(op: DiscreteOperator, k: int, sigma: float):
+    """The k eigenpairs nearest sigma by shift-invert Lanczos, ascending."""
     rng = np.random.default_rng(_V0_SEED)
     v0 = rng.standard_normal(op.dim)
-    sigma = 0.0 if op.grid.bc == "dirichlet" else -0.05
     try:
         evals, evecs = spla.eigsh(op.matrix, k=k, sigma=sigma, which="LM", v0=v0,
                                   maxiter=max(1000, 20 * k))
-    except spla.ArpackNoConvergence as exc:
-        raise EigensolveError(f"shift-invert Lanczos failed to converge: {exc}") from exc
+    except RuntimeError as exc:  # no convergence, or H - sigma exactly singular
+        raise EigensolveError(f"shift-invert Lanczos failed: {exc}") from exc
     order = np.argsort(evals)
     return evals[order], evecs[:, order]
 
 
-def _block_eigenvalues(dmat: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the (1x1 / 2x2) block diagonal factor of an LDL^T factorization."""
-    n = dmat.shape[0]
-    out = np.empty(n)
-    i = 0
-    while i < n:
-        if i + 1 < n and (dmat[i + 1, i] != 0.0 or dmat[i, i + 1] != 0.0):
-            a, c = dmat[i, i], dmat[i + 1, i + 1]
-            b = dmat[i + 1, i] if dmat[i + 1, i] != 0.0 else dmat[i, i + 1]
-            mid = 0.5 * (a + c)
-            rad = np.hypot(0.5 * (a - c), b)
-            out[i], out[i + 1] = mid - rad, mid + rad
-            i += 2
-        else:
-            out[i] = dmat[i, i]
-            i += 1
-    return out
+def window_eigenvalues(op: DiscreteOperator, lo: float, hi: float, expected: int) -> np.ndarray:
+    """Eigenvalues in (lo, hi], certified complete by an inertia count.
+
+    Shift-invert Lanczos at the window midpoint returns the `expected + 2`
+    eigenvalues nearest to it; their vectors serve only the certificate.  Raises
+    EigensolveError unless every residual meets the `eigensolve` tolerance, the
+    Ritz vectors are orthonormal (so no eigenvalue is a ghost copy of another),
+    and exactly `expected` Ritz values fall in the window; with `expected` taken
+    from `count_eigenvalues`, a missed or spurious eigenvalue cannot pass.
+    """
+    if not lo < hi:
+        raise ValueError(f"empty window ({lo}, {hi}]")
+    if expected < 0:
+        raise ValueError(f"expected must be nonnegative, got {expected}")
+    k = expected + 2
+    if k >= op.dim:  # ARPACK needs k < dim
+        evals, evecs = scipy.linalg.eigh(op.dense())
+    else:
+        evals, evecs = _eigsh(op, k, sigma=0.5 * (lo + hi))
+    _checked_residuals(op, evals, evecs, _RTOL)
+    if np.abs(evecs.T @ evecs - np.eye(evals.size)).max() > 1e-8:
+        raise EigensolveError("Ritz vectors are not orthonormal: ghost eigenvalue copies")
+    inside = evals[(evals > lo) & (evals <= hi)]
+    if inside.size != expected:
+        raise EigensolveError(f"{inside.size} Ritz values in ({lo:.6g}, {hi:.6g}], "
+                              f"inertia counts {expected}")
+    return inside
 
 
-def count_eigenvalues(op: DiscreteOperator, energy: float, return_flag: bool = False):
+def _slab_blocks(op: DiscreteOperator):
+    """H as a block tridiagonal matrix over slabs of whole axis-0 layers.
+
+    Returns the dense diagonal slab blocks (the last one zero-padded), the
+    layer-by-layer couplings `coup[i] = H[first layer of slab i, last layer of
+    slab i-1]`, the layer size, and the largest off-diagonal magnitude.
+    """
+    layer = op.dim // op.grid.unknown_shape[0]
+    size = layer * -(-_MIN_SLAB // layer)
+    n_slabs = -(-op.dim // size)
+    coo = op.matrix.tocoo()
+    coo.sum_duplicates()
+    r, c, v = coo.row, coo.col, coo.data
+    if np.any(np.abs(r // layer - c // layer) > 1):
+        raise ValueError("operator couples axis-0 layers that are not adjacent")
+    sr, sc = r // size, c // size
+    diag = np.zeros((n_slabs, size, size))
+    same = sr == sc
+    diag[sr[same], r[same] % size, c[same] % size] = v[same]
+    low = sr == sc + 1
+    coup = np.zeros((n_slabs, layer, layer))
+    coup[sr[low], r[low] % size, c[low] % size - (size - layer)] = v[low]
+    return diag, coup, layer, float(np.abs(v[r != c]).max(initial=0.0))
+
+
+def count_eigenvalues(op: DiscreteOperator, energy, return_flag: bool = False):
     """Number of eigenvalues <= energy via the inertia of H - E, independent of eigensolve.
 
-    A symmetric indefinite factorization gives the signs (Sylvester); block
-    eigenvalues within 1e-12 of zero (relative to the matrix scale) flag the
-    count as boundary-ambiguous.
+    Lexicographic node order makes H - E block tridiagonal over slabs of
+    axis-0 layers, so its inertia is the sum of the inertias of the Schur
+    complements S_i = D_i - C_i S_{i-1}^{-1} C_i^T (Haynsworth).  Slabs hold
+    whole layers and at least _MIN_SLAB unknowns.  Schur eigenvalues within
+    1e-12 of zero (relative to max |H - E|) count as <= E, flag the count as
+    boundary-ambiguous, and are inverted with that sign.
+
+    `energy` may be a scalar or a sequence; a sequence is counted in one
+    batched pass and gives arrays of counts (and flags).
     """
-    if op.dim > 8000:
-        raise ValueError("inertia counting is limited to 8000 unknowns; refine in pieces")
-    a = op.dense() - energy * np.eye(op.dim)
-    _, dmat, _ = scipy.linalg.ldl(a, lower=True)
-    evs = _block_eigenvalues(dmat)
-    scale = max(1.0, float(np.abs(a).max()))
-    near_zero = np.abs(evs) <= 1e-12 * scale
-    count = int(np.count_nonzero((evs < 0) | near_zero))
-    if return_flag:
-        return count, bool(near_zero.any())
-    return count
+    energies = np.atleast_1d(np.asarray(energy, dtype=float))
+    diag, coup, layer, off_max = _slab_blocks(op)
+    n_slabs, size = diag.shape[:2]
+    last = op.dim - (n_slabs - 1) * size
+    diag_shift = np.abs(op.matrix.diagonal()[None, :] - energies[:, None]).max(axis=1)
+    tol = 1e-12 * np.maximum(max(1.0, off_max), diag_shift)[:, None]
+    counts = np.zeros(energies.size, dtype=int)
+    flags = np.zeros(energies.size, dtype=bool)
+    inv_tail = None  # last-layer block of S_{i-1}^{-1}, per energy
+    for i in range(n_slabs):
+        b = size if i + 1 < n_slabs else last
+        s = np.repeat(diag[i, None, :b, :b], energies.size, axis=0)
+        s[:, np.arange(b), np.arange(b)] -= energies[:, None]
+        if i:
+            s[:, :layer, :layer] -= coup[i] @ inv_tail @ coup[i].T
+        lam, vec = np.linalg.eigh(s)
+        near = np.abs(lam) <= tol
+        counts += np.count_nonzero((lam < 0) | near, axis=1)
+        flags |= near.any(axis=1)
+        tail = vec[:, -layer:, :]
+        inv_tail = (tail / np.where(near, -tol, lam)[:, None, :]) @ tail.transpose(0, 2, 1)
+    if np.ndim(energy) == 0:
+        counts, flags = int(counts[0]), bool(flags[0])
+    return (counts, flags) if return_flag else counts
 
 
 def _edge_weight_arrays(grid: Grid, w_cells: np.ndarray) -> list[np.ndarray]:

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import divlab as dl
+from divlab import spectral
 from divlab.operators import perturbation_operator
 from divlab.spectral import EigensolveError
 
@@ -15,6 +17,49 @@ def _dirichlet_stencil_energies(L, n, d, k):
     for _ in range(d - 1):
         mesh = np.add.outer(mesh, per_axis).ravel()
     return np.sort(mesh)[:k]
+
+
+def _block_eigenvalues(dmat):
+    """Eigenvalues of the (1x1 / 2x2) block diagonal factor of an LDL^T factorization."""
+    n = dmat.shape[0]
+    out = np.empty(n)
+    i = 0
+    while i < n:
+        if i + 1 < n and (dmat[i + 1, i] != 0.0 or dmat[i, i + 1] != 0.0):
+            a, c = dmat[i, i], dmat[i + 1, i + 1]
+            b = dmat[i + 1, i] if dmat[i + 1, i] != 0.0 else dmat[i, i + 1]
+            mid = 0.5 * (a + c)
+            rad = np.hypot(0.5 * (a - c), b)
+            out[i], out[i + 1] = mid - rad, mid + rad
+            i += 2
+        else:
+            out[i] = dmat[i, i]
+            i += 1
+    return out
+
+
+def _dense_ldl_count(op, energy):
+    """Oracle: inertia of the dense H - E from one Bunch-Kaufman LDL^T factorization."""
+    a = op.dense() - energy * np.eye(op.dim)
+    _, dmat, _ = scipy.linalg.ldl(a, lower=True)
+    evs = _block_eigenvalues(dmat)
+    near_zero = np.abs(evs) <= 1e-12 * max(1.0, float(np.abs(a).max()))
+    return int(np.count_nonzero((evs < 0) | near_zero)), bool(near_zero.any())
+
+
+def _offdiag_field(g):
+    # c(x) in [-0.4, 0.4] keeps I + c (ones - I) positive definite for d <= 3
+    def gen(p):
+        c = 0.4 * np.sin(2 * np.pi * p[:, 0] / g.L)
+        return np.eye(g.d) + c[:, None, None] * (np.ones((g.d, g.d)) - np.eye(g.d))
+    return dl.sampled_field(g, gen)
+
+
+def _alloy_field(base, seed):
+    seq = dl.equidistributed_sequence(base.grid, 1.0, 0.2)
+    model = dl.alloy_model(base, seq, c_minus=1.0, c_plus=2.0, delta_plus=0.45,
+                           dist=dl.CouplingDistribution("uniform", 2.0))
+    return dl.sample_alloy(model, seed).field
 
 
 class TestEigensolve:
@@ -100,6 +145,55 @@ class TestCountEigenvalues:
         _, unflagged = dl.count_eigenvalues(op, e2 + 1.0, return_flag=True)
         assert not unflagged
 
+    # (d, L, n_per_side, bc, field): unknowns per axis-0 layer and per slab vary, and
+    # several node counts are not a multiple of the slab size (63 = 3*16 + 15,
+    # 18 = 16 + 2, 81 = 4*18 + 9)
+    @pytest.mark.parametrize("d, L, n, bc, kind", [
+        (1, 2, 32, "dirichlet", "alloy"),
+        (1, 1, 17, "neumann", "alloy"),
+        (2, 1, 10, "dirichlet", "offdiag"),
+        (2, 1, 10, "dirichlet", "alloy-offdiag"),
+        (2, 1, 7, "neumann", "alloy"),
+        (3, 1, 6, "dirichlet", "alloy-offdiag"),
+        (3, 1, 3, "neumann", "offdiag"),
+    ])
+    def test_slab_counts_match_dense_ldl(self, d, L, n, bc, kind):
+        g = dl.make_grid(d, L, n, bc=bc)
+        base = _offdiag_field(g) if "offdiag" in kind else dl.identity_field(g)
+        field = _alloy_field(base, 5) if "alloy" in kind else base
+        op = dl.assemble(g, field)
+        rng = np.random.default_rng(d * 100 + n)
+        energies = rng.uniform(0.0, 1.1 * np.abs(op.dense()).sum(axis=1).max(), size=6)
+        counts, flags = dl.count_eigenvalues(op, energies, return_flag=True)
+        oracle = [_dense_ldl_count(op, e) for e in energies]
+        assert counts.tolist() == [c for c, _ in oracle]
+        assert flags.tolist() == [f for _, f in oracle]
+        assert [dl.count_eigenvalues(op, e) for e in energies] == counts.tolist()
+
+    def test_singular_schur_block_is_flagged_and_counted(self):
+        # E at an eigenvalue of the first 16-node slab makes S_0 singular while
+        # H - E is not: the count stays exact and is flagged, not shifted
+        g = dl.make_grid(1, 1, 34)
+        op = dl.assemble(g, dl.scalar_field(g, lambda p: 1 + 0.5 * np.sin(3 * p[:, 0])))
+        exact = np.linalg.eigvalsh(op.dense())
+        for e in np.linalg.eigvalsh(op.dense()[:16, :16])[[0, 7, 15]]:
+            count, flagged = dl.count_eigenvalues(op, e, return_flag=True)
+            assert flagged
+            assert np.abs(exact - e).min() > 1e-6 * exact.max()
+            assert count == int(np.count_nonzero(exact <= e))
+
+    def test_no_size_cap(self):
+        # 95 x 95 = 9025 unknowns, over the former dense limit of 8000
+        g = dl.make_grid(2, 4, 24)
+        op = dl.assemble(g, dl.identity_field(g))
+        assert op.dim == 9025
+        exact = _dirichlet_stencil_energies(4, 24, 2, op.dim)
+        levels = np.unique(exact.round(9))
+        mids = 0.5 * (levels[:-1] + levels[1:])
+        energies = mids[[0, 40, 400, 2000, len(mids) - 1]]
+        expected = [int(np.count_nonzero(exact <= e)) for e in energies]
+        assert dl.count_eigenvalues(op, energies).tolist() == expected
+
     def test_matches_eigensolve_on_varied_fields(self):
         rng = np.random.default_rng(10)
         g = dl.make_grid(1, 2, 24)
@@ -110,6 +204,51 @@ class TestCountEigenvalues:
             spec = dl.eigensolve(op, k=op.dim)
             for e in rng.uniform(0, 40, size=4):
                 assert dl.count_eigenvalues(op, e) == int(np.sum(spec.energies <= e))
+
+
+class TestWindowEigenvalues:
+    def _op(self):
+        g = dl.make_grid(2, 1, 12)
+        return dl.assemble(g, _alloy_field(_offdiag_field(g), 3))
+
+    def test_matches_full_eigensolve_in_window(self):
+        op = self._op()
+        full = dl.eigensolve(op, k=op.dim).energies
+        for lo, hi in ((20.0, 80.0), (150.0, 160.0), (0.0, 5.0)):
+            expected = dl.count_eigenvalues(op, hi) - dl.count_eigenvalues(op, lo)
+            got = dl.window_eigenvalues(op, lo, hi, expected)
+            want = full[(full > lo) & (full <= hi)]
+            assert got.size == want.size == expected
+            assert np.abs(got - want).max(initial=0.0) <= 1e-9 * max(1.0, abs(hi))
+
+    def test_wrong_expected_count_raises(self):
+        op = self._op()
+        lo, hi = 20.0, 80.0
+        expected = dl.count_eigenvalues(op, hi) - dl.count_eigenvalues(op, lo)
+        assert expected > 0
+        for wrong in (expected - 1, expected + 1):
+            with pytest.raises(EigensolveError, match="Ritz values"):
+                dl.window_eigenvalues(op, lo, hi, wrong)
+
+    def test_ghost_copy_raises(self, monkeypatch):
+        # a Lanczos ghost: one window eigenpair returned twice, another one missed,
+        # so residuals and the count both look right
+        op = self._op()
+        lo, hi = 20.0, 80.0
+        evals, evecs = np.linalg.eigh(op.dense())
+        inside = np.nonzero((evals > lo) & (evals <= hi))[0]
+        assert inside.size >= 2
+        pick = np.r_[inside[0], inside[0], inside[2:], inside[-1] + 1, inside[-1] + 2]
+        monkeypatch.setattr(spectral, "_eigsh", lambda *a, **kw: (evals[pick], evecs[:, pick]))
+        with pytest.raises(EigensolveError, match="orthonormal"):
+            dl.window_eigenvalues(op, lo, hi, inside.size)
+
+    def test_whole_spectrum_on_a_small_operator(self):
+        g = dl.make_grid(1, 1, 6)
+        op = dl.assemble(g, dl.identity_field(g))
+        exact = _dirichlet_stencil_energies(1, 6, 1, op.dim)
+        got = dl.window_eigenvalues(op, 0.0, 1e3, op.dim)
+        assert np.abs(got - exact).max() <= 1e-9 * exact.max()
 
 
 class TestMonotonicity:

@@ -6,6 +6,7 @@ import pytest
 import divlab as dl
 from divlab import bounds, verify
 from divlab.bounds import ConstantsConfig
+from divlab.spectral import EigensolveError
 
 
 def _sine_setup(n=48, L=2, delta=0.25):
@@ -243,6 +244,36 @@ class TestWegner:
         assert rep.observed["smear_chain_fraction"] == 1.0
         assert rep.observed["crosscheck_agreement"] == 1.0
         assert rep.lhs <= rep.rhs
+
+    def test_config_error_in_a_sample_propagates(self, monkeypatch):
+        g, model = self._model(dl.CouplingDistribution("uniform", 2.0))
+        cfg = ConstantsConfig(e_min=1.0, e_max=30.0)
+
+        def misconfigured(*args, **kwargs):
+            raise ValueError("misconfigured window")
+
+        monkeypatch.setattr(verify, "window_eigenvalues", misconfigured)
+        with pytest.raises(ValueError, match="misconfigured window"):
+            verify.wegner_mc(model, g, 12.5, 0.5, 5, 0, cfg)
+
+    def test_solver_breakdown_is_an_exclusion(self, monkeypatch):
+        g, model = self._model(dl.CouplingDistribution("uniform", 2.0))
+        cfg = ConstantsConfig(e_min=1.0, e_max=30.0)
+        calls = []
+        window = verify.window_eigenvalues
+
+        def first_call_breaks(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise EigensolveError("shift-invert Lanczos failed")
+            return window(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "window_eigenvalues", first_call_breaks)
+        rep = verify.wegner_mc(model, g, 12.5, 0.5, 20, 0, cfg)
+        assert rep.observed["failures"] == 1
+        assert rep.observed["crosscheck_agreement"] == 1.0
+        assert rep.status == "fail"
+        assert "1 sample failures exceed the 1% budget" in rep.notes
 
     def test_window_precondition(self):
         g, model = self._model(dl.CouplingDistribution("uniform", 1.0))
