@@ -152,21 +152,19 @@ def c_evl_family(cfg: ConstantsConfig) -> LiftingConstants:
     tp_t = cfg.theta_plus + cfg.t_max * cfg.w_sup
     exp_e = _ucp_exponent(cfg, ep)
 
-    standard = dl * dl * em**2 / (2.0 * tp_t * (8.0 * tp_t + dl * dl * em)) \
-        * (dl / 2.0) ** exp_e
+    grad_t = c_gradient(dl, em, tp_t).value
+    standard = grad_t * (dl / 2.0) ** exp_e
 
     dh = dl / 2.0
-    bounded = dh * dh * em**2 / (2.0 * tp_t * (8.0 * tp_t + dh * dh * em)) \
-        * (dh / 2.0) ** exp_e
+    bounded = c_gradient(dh, em, tp_t).value * (dh / 2.0) ** exp_e
 
-    low = dl * dl * em**2 / (4.0 * cfg.theta_plus * (8.0 * cfg.theta_plus + dl * dl * em)) \
+    low = 0.5 * c_gradient(dl, em, cfg.theta_plus).value \
         * (dl / 2.0) ** (cfg.m_exponent * (1.0 + cfg.theta_minus ** (-2.0 / 3.0)))
 
-    elementary = em / (cfg.theta_plus + cfg.t_max * cfg.w_sup)
+    elementary = em / tp_t
 
-    scaled = dl * dl * em**2 / (2.0 * tp_t * (8.0 * tp_t + dl * dl * em)) \
-        * (dl / (2.0 * cfg.G)) ** (
-            cfg.n_exponent * (1.0 + cfg.G ** (4.0 / 3.0) * ep ** (2.0 / 3.0)))
+    scaled = grad_t * (dl / (2.0 * cfg.G)) ** (
+        cfg.n_exponent * (1.0 + cfg.G ** (4.0 / 3.0) * ep ** (2.0 / 3.0)))
 
     return LiftingConstants(standard=standard, bounded_w=bounded, low_energy=low,
                             elementary_slope=elementary, scaled=scaled)
@@ -202,7 +200,7 @@ def kappa_family(cfg: ConstantsConfig) -> LowEnergyConstants:
     kp = _kappa_prime(cfg, dl)
     kap = _kappa_prime(cfg, dl / 2.0)
     m_exp = cfg.m_exponent * (1.0 + cfg.theta_minus ** (-2.0 / 3.0))
-    pref = dl * dl * cfg.e_min**2 / (2.0 * cfg.theta_plus * (8.0 * cfg.theta_plus + dl * dl * cfg.e_min))
+    pref = c_gradient(dl, cfg.e_min, cfg.theta_plus).value
     grad_low = 0.5 * pref * (dl / 2.0) ** m_exp
 
     g = cfg.G
@@ -212,7 +210,7 @@ def kappa_family(cfg: ConstantsConfig) -> LowEnergyConstants:
     if cfg.d >= 3:
         kn = cfg.neumann_prefactor * cfg.theta_minus * (dl / 2.0) ** (cfg.d - 2)
         nf = _neumann_function_constant(cfg, dl)
-        ng = c_gradient(dl, cfg.e_min, cfg.theta_plus).value * _neumann_function_constant(cfg, dl / 2.0)
+        ng = pref * _neumann_function_constant(cfg, dl / 2.0)
         supported = True
     else:
         kn = nf = ng = None

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 from scipy import ndimage
 
-from .lattice import EquidistributedSeq, Grid, ScalarField, ball_mask
+from .lattice import EquidistributedSeq, Grid, ScalarField, ball_mask, site_sq_distances
 
 
 class EllipticityError(ValueError):
@@ -52,12 +52,8 @@ class MatrixField:
         return hashlib.sha256(head + payload.tobytes()).hexdigest()[:16]
 
 
-def _cells_as_batch(cells: np.ndarray, d: int) -> np.ndarray:
-    return cells.reshape(-1, d, d)
-
-
 def _eig_range(cells: np.ndarray, d: int) -> tuple[float, float, int, int]:
-    evals = np.linalg.eigvalsh(_cells_as_batch(cells, d))
+    evals = np.linalg.eigvalsh(cells.reshape(-1, d, d))
     mins = evals[:, 0]
     maxs = evals[:, -1]
     return float(mins.min()), float(maxs.max()), int(mins.argmin()), int(maxs.argmax())
@@ -341,20 +337,20 @@ def alloy_model(base: MatrixField, seq: EquidistributedSeq, *, c_minus: float = 
                       dist=dist or CouplingDistribution("uniform", 1.0))
 
 
-def _bump_matrix(model: AlloyModel, pts: np.ndarray) -> np.ndarray:
-    """(n_points, n_sites) array of single-site bump values."""
-    centers = model.seq.centers
-    rho = np.sqrt(((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2))
+def _site_bumps(model: AlloyModel, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bump values of the sites near each point and those sites' indices, per point."""
+    d2, idx = site_sq_distances(model.seq, pts, model.delta_plus)
+    rho = np.sqrt(d2)
     if model.bump == "indicator":
-        return model.c_minus * (rho < model.delta_minus)
+        return model.c_minus * (rho < model.delta_minus), idx
     ramp = (model.delta_plus - rho) / (model.delta_plus - model.delta_minus)
-    return model.c_minus * np.clip(ramp, 0.0, 1.0)
+    return model.c_minus * np.clip(ramp, 0.0, 1.0), idx
 
 
 def single_site_sum(model: AlloyModel) -> ScalarField:
     """Sum of all single-site bumps (the perturbation direction for a unit shift)."""
     def fn(pts):
-        return _bump_matrix(model, pts).sum(axis=1)
+        return _site_bumps(model, pts)[0].sum(axis=1)
     ov = (2.0 + 2.0 * model.delta_plus) ** model.base.grid.d
     return ScalarField(fn=fn, name="sum of site bumps", lip=model.bump_lip(),
                        sup=model.c_plus * ov)
@@ -373,7 +369,8 @@ def sample_alloy(model: AlloyModel, seed) -> AlloySample:
     omega = model.dist.sample(rng, len(model.seq.centers))
 
     def fn(pts):
-        return _bump_matrix(model, pts) @ omega
+        values, idx = _site_bumps(model, pts)
+        return (values * omega[idx]).sum(axis=1)
 
     v = ScalarField(fn=fn, name="alloy perturbation", sup=model.v_sup_bound)
     grid = model.base.grid
@@ -403,10 +400,9 @@ def ball_plateau_field(seq: EquidistributedSeq, inner: float | None = None,
     outer = 2.0 * inner if outer is None else float(outer)
     if not (0 < inner < outer):
         raise ValueError("need 0 < inner < outer")
-    centers = seq.centers
 
     def fn(pts):
-        rho = np.sqrt(((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2))
+        rho = np.sqrt(site_sq_distances(seq, pts, outer)[0])
         return np.clip((outer - rho) / (outer - inner), 0.0, 1.0).max(axis=1)
 
     return ScalarField(fn=fn, name=f"ball plateau (inner={inner}, outer={outer})",
@@ -432,13 +428,7 @@ def tent_minorant(w: ScalarField, seq: EquidistributedSeq, grid: Grid) -> Scalar
         j = int(np.argmax(deficit))
         pt = nodes[inside][j]
         raise ValueError(f"w must dominate the ball-union indicator; w({tuple(pt)}) < 1")
-    centers = seq.centers
-
-    def fn(pts):
-        rho = np.sqrt(((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2))
-        return np.clip(2.0 - rho / dhat, 0.0, 1.0).max(axis=1)
-
-    return ScalarField(fn=fn, name=f"tent minorant (dhat={dhat})", lip=1.0 / dhat, sup=1.0)
+    return replace(ball_plateau_field(seq, dhat, seq.delta), name=f"tent minorant (dhat={dhat})")
 
 
 def modulus_of_continuity(model_or_dist, eps: float) -> float:

@@ -303,15 +303,24 @@ class SubsetMask:
         return m.reshape(self.grid.face_shape(axis))
 
 
-def _ball_union_fn(centers: np.ndarray, radius: float):
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    r2 = radius * radius
+def site_sq_distances(seq: EquidistributedSeq, pts, reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """Squared distances d2 and indices idx of the sites near each point, shape (n_points, (2m+1)^d).
 
-    def fn(pts):
-        d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        return d2.min(axis=1) < r2
-
-    return fn
+    The sites are those of the G-cells within m = ceil(reach / G) cells of the point's own cell
+    along every axis; cells outside the cube give d2 = inf.  Each site lies inside its own cell,
+    so every site within `reach` of a point, inside the cube or not, is listed.
+    """
+    pts = np.asarray(pts, dtype=float)
+    k = int(round(seq.L / seq.G))
+    m = math.ceil(reach / seq.G)
+    own = np.floor((pts + seq.L / 2.0) / seq.G).astype(int)
+    offsets = np.indices((2 * m + 1,) * seq.d).reshape(seq.d, -1).T - m
+    cells = own[:, None, :] + offsets[None, :, :]
+    outside = np.any((cells < 0) | (cells >= k), axis=-1)
+    idx = np.ravel_multi_index(tuple(np.moveaxis(np.clip(cells, 0, k - 1), -1, 0)), (k,) * seq.d)
+    d2 = ((pts[:, None, :] - seq.centers[idx]) ** 2).sum(axis=-1)
+    d2[outside] = np.inf
+    return d2, idx
 
 
 def ball_mask(grid: Grid, seq: EquidistributedSeq, radius: float | None = None) -> SubsetMask:
@@ -325,13 +334,13 @@ def ball_mask(grid: Grid, seq: EquidistributedSeq, radius: float | None = None) 
     r = seq.delta if radius is None else float(radius)
     if not (0 < r <= seq.delta):
         raise ValueError(f"radius must lie in (0, {seq.delta}], got {r}")
-    return SubsetMask(grid=grid, fn=_ball_union_fn(seq.centers, r),
+    return SubsetMask(grid=grid, fn=lambda pts: site_sq_distances(seq, pts, r)[0].min(axis=1) < r * r,
                       label=f"balls(delta={r}, n={len(seq.centers)})")
 
 
 def ball(grid: Grid, x0, r: float) -> SubsetMask:
     x0 = np.asarray(x0, dtype=float).reshape(grid.d)
-    return SubsetMask(grid=grid, fn=_ball_union_fn(x0[None, :], r), label=f"ball({tuple(x0)}, {r})")
+    return SubsetMask(grid=grid, fn=lambda p: ((p - x0) ** 2).sum(axis=1) < r * r, label=f"ball({tuple(x0)}, {r})")
 
 
 def full_mask(grid: Grid) -> SubsetMask:

@@ -43,13 +43,12 @@ class Spectrum:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        big = np.abs(col) > 1e-8 * np.abs(col).max()
-        first = int(np.argmax(big))
-        if col[first] < 0:
-            vectors[:, j] = -col
-    return vectors
+    """Flip, in place, each column whose first entry above 1e-8 of its max magnitude is negative."""
+    # no |V| temporary: a dim x k copy would raise the eigensolve's peak memory
+    thr = 1e-8 * np.maximum(vectors.max(axis=0), -vectors.min(axis=0))
+    first = np.argmax((vectors > thr) | (vectors < -thr), axis=0)
+    flip = vectors[first, np.arange(vectors.shape[1])] < 0
+    return np.negative(vectors, out=vectors, where=flip)
 
 
 def _matrix_scale(mat: sp.csr_matrix) -> float:

@@ -593,6 +593,8 @@ def wegner_mc(model: AlloyModel, grid: Grid, e_center: float, eps: float,
     """
     if variant not in ("bounded_w", "lipschitz"):
         raise ValueError(f"unknown variant {variant!r}")
+    if n_samples < 2:
+        raise ValueError(f"need n_samples >= 2 for a mean and its standard error, got {n_samples}")
     if not (cfg.e_min <= e_center - 3 * eps and e_center + 3 * eps <= cfg.e_max):
         raise ValueError(f"[E-3eps, E+3eps] must lie inside [{cfg.e_min}, {cfg.e_max}]")
     if model.c_minus < 1.0:

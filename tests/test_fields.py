@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divlab as dl
-from divlab.fields import EllipticityError
+from divlab.fields import EllipticityError, _site_bumps
 
 
 class TestConstantField:
@@ -203,13 +203,27 @@ class TestAlloy:
             model = _simple_model(bump=bump)
             g = model.base.grid
             pts = g.full_node_points
-            from divlab.fields import _bump_matrix
-            u = _bump_matrix(model, pts)
+            values, idx = _site_bumps(model, pts)
+            u = np.zeros((len(pts), len(model.seq.centers)))
+            np.add.at(u, (np.arange(len(pts))[:, None], idx), values)
             rho = np.abs(pts[:, 0:1] - model.seq.centers.T)
             lower = model.c_minus * (rho < model.delta_minus)
             upper = model.c_plus * (rho < model.delta_plus)
             assert np.all(u >= lower - 1e-12)
             assert np.all(u <= upper + 1e-12)
+
+    def test_potential_matches_all_pairs_bumps(self):
+        g = dl.make_grid(2, 4, 8)
+        seq = dl.equidistributed_sequence(g, 1.0, 0.2, mode="random", seed=3)
+        model = dl.alloy_model(dl.identity_field(g), seq, c_minus=1.0, c_plus=2.0,
+                               delta_plus=1.2)
+        sample = dl.sample_alloy(model, 4)
+        pts = np.concatenate([g.full_node_points, g.cell_centers])
+        rho = np.sqrt(((pts[:, None, :] - seq.centers[None, :, :]) ** 2).sum(axis=2))
+        bumps = model.c_minus * np.clip((model.delta_plus - rho)
+                                        / (model.delta_plus - model.delta_minus), 0.0, 1.0)
+        assert np.max(np.abs(sample.v(pts) - bumps @ sample.omega)) <= 1e-14
+        assert np.max(np.abs(dl.single_site_sum(model)(pts) - bumps.sum(axis=1))) <= 1e-14
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)

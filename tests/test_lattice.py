@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divlab as dl
-from divlab.lattice import smoothstep
+from divlab.lattice import site_sq_distances, smoothstep
 
 
 class TestGrid:
@@ -111,6 +111,59 @@ class TestBallMask:
         assert small.measure <= dl.ball_mask(g, seq).measure
         with pytest.raises(ValueError):
             dl.ball_mask(g, seq, radius=0.4)
+
+
+def _all_pairs_d2(pts, centers):
+    """Oracle: squared distance from every point to every site."""
+    return ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+
+
+def _cell_local_seq(d, L, G, centres):
+    g = dl.make_grid(d, L, 4)
+    delta = 0.3 * G
+    rng = np.random.default_rng(100 * d + 10 * L + int(G))
+    if centres == "random":
+        return g, dl.equidistributed_sequence(g, G, delta, mode="random", seed=rng)
+    mid = dl.equidistributed_sequence(g, G, delta).centers
+    corner = mid + (G / 2 - delta) * rng.choice([-1.0, 1.0], size=mid.shape)
+    return g, dl.equidistributed_sequence(g, G, delta, mode="explicit", centers=corner)
+
+
+class TestSiteSqDistances:
+    @pytest.mark.parametrize("centres", ["random", "margin"])
+    @pytest.mark.parametrize("L, G", [(2, 1.0), (3, 1.0), (4, 2.0), (2, 2.0)])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_lookup_and_ball_masks_match_all_pairs(self, d, L, G, centres):
+        g, seq = _cell_local_seq(d, L, G, centres)
+        rng = np.random.default_rng(d)
+        outside = rng.uniform(-L / 2 - 1.5 * G, L / 2 + 1.5 * G, size=(40, d))
+        outside[:, 0] = np.where(outside[:, 0] < 0, -L / 2 - 0.3, L / 2 + 0.3)
+        point_sets = [g.full_node_points, g.cell_centers, outside] \
+            + [g.face_points(k) for k in range(d)]
+        for reach in (seq.delta, 2 * seq.delta, seq.delta + 0.45 * G, 1.3 * G):
+            m = math.ceil(reach / G)
+            for pts in point_sets:
+                d2, idx = site_sq_distances(seq, pts, reach)
+                assert d2.shape == idx.shape == (len(pts), (2 * m + 1) ** d)
+                oracle = _all_pairs_d2(pts, seq.centers)
+                rows = np.broadcast_to(np.arange(len(pts))[:, None], idx.shape)
+                listed = np.isfinite(d2)
+                hits = np.zeros(oracle.shape, dtype=int)
+                np.add.at(hits, (rows[listed], idx[listed]), 1)
+                assert hits.max(initial=0) <= 1
+                assert np.array_equal(d2[listed], oracle[rows[listed], idx[listed]])
+                near = oracle <= reach * reach
+                assert np.all(hits[near] == 1)
+        for r in (seq.delta, seq.delta / 2):
+            mask = dl.ball_mask(g, seq, radius=r)
+
+            def in_balls(pts):
+                return _all_pairs_d2(pts, seq.centers).min(axis=1) < r * r
+
+            assert np.array_equal(mask.full_node_mask.ravel(), in_balls(g.full_node_points))
+            assert np.array_equal(mask.node_mask, in_balls(g.node_points))
+            for k in range(d):
+                assert np.array_equal(mask.face_mask(k).ravel(), in_balls(g.face_points(k)))
 
 
 class TestCutoff:

@@ -281,6 +281,13 @@ class TestWegner:
         with pytest.raises(ValueError, match="inside"):
             verify.wegner_mc(model, g, 1.5, 0.5, 10, 0, cfg)
 
+    @pytest.mark.parametrize("n_samples", [0, 1])
+    def test_fewer_than_two_samples_rejected(self, n_samples):
+        g, model = self._model(dl.CouplingDistribution("uniform", 2.0))
+        cfg = ConstantsConfig(e_min=1.0, e_max=30.0)
+        with pytest.raises(ValueError, match="n_samples >= 2"):
+            verify.wegner_mc(model, g, 12.5, 0.5, n_samples, 0, cfg)
+
     def test_weak_sites_rejected_for_bound(self):
         g = dl.make_grid(1, 2, 24)
         seq = dl.equidistributed_sequence(g, 1.0, 0.2)
