@@ -224,15 +224,13 @@ def kappa_family(cfg: ConstantsConfig) -> LowEnergyConstants:
                               neumann_gradient_constant=ng)
 
 
-def c_wegner(cfg: ConstantsConfig, lifting_constant: float, delta_plus: float,
-             weyl_constant: float | None = None) -> float:
+def c_wegner(cfg: ConstantsConfig, lifting_constant: float, delta_plus: float) -> float:
     """Averaged eigenvalue-count bound prefactor C_weyl (2 + delta_plus)^d (4 / lifting)."""
     if lifting_constant <= 0:
         raise ValueError("lifting constant must be positive")
     if delta_plus <= 0:
         raise ValueError("delta_plus must be positive")
-    cw = cfg.weyl_constant if weyl_constant is None else float(weyl_constant)
-    return cw * (2.0 + delta_plus) ** cfg.d * (4.0 / lifting_constant)
+    return cfg.weyl_constant * (2.0 + delta_plus) ** cfg.d * (4.0 / lifting_constant)
 
 
 @dataclass(frozen=True)

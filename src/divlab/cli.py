@@ -24,7 +24,7 @@ import yaml
 from . import bounds, io, verify
 from .fields import (CouplingDistribution, alloy_model, ball_plateau_field,
                      checkerboard_field, constant_field, identity_field,
-                     sampled_field, scalar_field)
+                     sampled_field)
 from .lattice import (ScalarField, as_scalar_field,
                       equidistributed_sequence, make_grid)
 from .operators import assemble
@@ -69,8 +69,8 @@ def _build_field(cfg: dict, grid):
         if not (0 <= amp < 1):
             raise ConfigError("field.amplitude: need 0 <= amplitude < 1 for ellipticity")
         om = 2 * math.pi * freq / grid.L
-        return scalar_field(grid, lambda p: 1.0 + amp * np.sin(om * p[:, 0]),
-                            theta_lip=amp * om)
+        return sampled_field(grid, lambda p: 1.0 + amp * np.sin(om * p[:, 0]),
+                             theta_lip=amp * om)
     if kind == "checkerboard":
         return checkerboard_field(grid, float(f.get("low", 1.0)),
                                   float(f.get("high", 2.0)), int(f.get("axis", 0)))
@@ -183,9 +183,9 @@ def _run_reverse_caccioppoli(cfg: dict) -> verify.CheckReport:
         e_min=float(_get(cfg, "check.e_min", 1.0)))
 
 
-def _spectrum_upto(grid, field, top: float, k0: int = 8):
+def _spectrum_upto(grid, field, top: float):
     op = assemble(grid, field)
-    k = min(k0, op.dim)
+    k = min(8, op.dim)
     while True:
         spec = eigensolve(op, k=k)
         if spec.energies[-1] > top or k >= op.dim:
@@ -534,16 +534,13 @@ _SUITES = {
 
 
 def suite_configs(name: str, samples: int | None = None) -> list[dict]:
-    if name == "all":
-        runs = []
-        for key, fn in _SUITES.items():
-            runs.extend(fn(samples) if key == "wegner" and samples else fn())
-        return runs
-    if name not in _SUITES:
+    if name != "all" and name not in _SUITES:
         raise ConfigError(f"suite: unknown name {name!r}; valid: {sorted(_SUITES) + ['all']}")
-    if name == "wegner" and samples:
-        return _SUITES[name](samples)
-    return _SUITES[name]()
+    runs = []
+    for key, fn in _SUITES.items():
+        if name in ("all", key):
+            runs.extend(fn(samples) if key == "wegner" and samples else fn())
+    return runs
 
 
 def suite(name: str, output_dir="out", workers: int = 1, samples: int | None = None,

@@ -151,11 +151,6 @@ def sampled_field(grid: Grid, generator: Callable, theta_lip: float | None = Non
                   lip_provenance="empirical")
 
 
-def scalar_field(grid: Grid, a: Callable, theta_lip: float | None = None) -> MatrixField:
-    """Convenience wrapper: scalar coefficient a(x) times the identity."""
-    return sampled_field(grid, a, theta_lip=theta_lip)
-
-
 def checkerboard_field(grid: Grid, low: float = 1.0, high: float = 2.0, axis: int = 0) -> MatrixField:
     """Discontinuous two-valued field: `low` where x_axis < 0, `high` where x_axis >= 0."""
     def gen(pts):

@@ -56,10 +56,6 @@ class Grid:
         return (self.cells_per_side,) * self.d
 
     @property
-    def n_cells(self) -> int:
-        return self.cells_per_side**self.d
-
-    @property
     def unknown_shape(self) -> tuple[int, ...]:
         n = self.cells_per_side
         if self.bc == DIRICHLET:
@@ -298,9 +294,14 @@ class SubsetMask:
     def measure(self) -> float:
         return float(self.grid.h**self.grid.d * np.count_nonzero(self.full_node_mask))
 
+    @cached_property
+    def _face_masks(self) -> tuple[np.ndarray, ...]:
+        g = self.grid
+        return tuple(np.asarray(self.fn(g.face_points(k)), dtype=bool).reshape(g.face_shape(k))
+                     for k in range(g.d))
+
     def face_mask(self, axis: int) -> np.ndarray:
-        m = np.asarray(self.fn(self.grid.face_points(axis)), dtype=bool)
-        return m.reshape(self.grid.face_shape(axis))
+        return self._face_masks[axis]
 
 
 def site_sq_distances(seq: EquidistributedSeq, pts, reach: float) -> tuple[np.ndarray, np.ndarray]:

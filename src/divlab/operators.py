@@ -148,8 +148,7 @@ def perturbation_operator(grid: Grid, w) -> sp.csr_matrix:
     return (_stiffness(grid, cells) / grid.h**grid.d).tocsr()
 
 
-def rescale(field: MatrixField, G: float, target_n_per_side: int,
-            bc: str | None = None) -> tuple[MatrixField, float]:
+def rescale(field: MatrixField, G: float, target_n_per_side: int) -> tuple[MatrixField, float]:
     """Pull a field on the cube of side G*L back to the unit-scaled cube of side L.
 
     The map x -> G x must send target cell centers to source cell centers,
@@ -171,7 +170,7 @@ def rescale(field: MatrixField, G: float, target_n_per_side: int,
         raise ValueError(
             f"incompatible resolutions: G*n_src/n_tgt = {m_exact} must be an odd integer "
             "so cell centers map to cell centers")
-    grid_t = make_grid(src.d, L_tgt, int(target_n_per_side), bc or src.bc)
+    grid_t = make_grid(src.d, L_tgt, int(target_n_per_side), src.bc)
     idx = (m - 1) // 2 + m * np.arange(grid_t.cells_per_side)
     take = np.ix_(*([idx] * src.d))
     cells = field.cells[take].copy()

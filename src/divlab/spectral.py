@@ -14,6 +14,7 @@ from .operators import DiscreteOperator, assemble, edge_coefficients, perturbati
 _DENSE_CUTOFF = 1400
 _MIN_SLAB = 16  # unknowns per inertia slab; one-node slabs make 1D counts Python-bound
 _RTOL = 1e-9
+_GAP_RTOL = 1e-8  # relative eigenvalue gap below which a lifting sample is degenerate
 _V0_SEED = 20210 + 4  # fixed Lanczos start vector seed: deterministic, symmetry-free
 
 
@@ -55,12 +56,11 @@ def _matrix_scale(mat: sp.csr_matrix) -> float:
     return float(abs(mat).sum(axis=1).max())
 
 
-def _checked_residuals(op: DiscreteOperator, evals: np.ndarray, evecs: np.ndarray,
-                       rtol: float) -> np.ndarray:
-    """Residual norms of the pairs; raises when one misses rtol (1 + |E|) + 100 eps ||H||."""
+def _checked_residuals(op: DiscreteOperator, evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
+    """Residual norms of the pairs; raises when one misses _RTOL (1 + |E|) + 100 eps ||H||."""
     resid = np.linalg.norm(op.matrix @ evecs - evecs * evals[None, :], axis=0)
     scale = _matrix_scale(op.matrix)
-    tol = rtol * (1.0 + np.abs(evals)) + 100 * np.finfo(float).eps * scale
+    tol = _RTOL * (1.0 + np.abs(evals)) + 100 * np.finfo(float).eps * scale
     bad = resid > tol
     if np.any(bad):
         worst = int(np.argmax(resid / tol))
@@ -70,7 +70,7 @@ def _checked_residuals(op: DiscreteOperator, evals: np.ndarray, evecs: np.ndarra
     return resid
 
 
-def eigensolve(op: DiscreteOperator, k: int, rtol: float = _RTOL) -> Spectrum:
+def eigensolve(op: DiscreteOperator, k: int) -> Spectrum:
     """Lowest-k eigenpairs.
 
     Dense symmetric solve below the size cutoff, shift-invert Lanczos above,
@@ -91,7 +91,7 @@ def eigensolve(op: DiscreteOperator, k: int, rtol: float = _RTOL) -> Spectrum:
         evals, evecs = evals[order], evecs[:, order]
     evals, evecs = evals[:k], evecs[:, :k]
 
-    resid = _checked_residuals(op, evals, evecs, rtol)
+    resid = _checked_residuals(op, evals, evecs)
     vectors = _fix_signs(evecs / op.grid.h ** (op.grid.d / 2.0))
     return Spectrum(grid=op.grid, energies=evals, vectors=vectors,
                     residuals=resid, complete=complete)
@@ -129,7 +129,7 @@ def window_eigenvalues(op: DiscreteOperator, lo: float, hi: float, expected: int
         evals, evecs = scipy.linalg.eigh(op.dense())
     else:
         evals, evecs = _eigsh(op, k, sigma=0.5 * (lo + hi))
-    _checked_residuals(op, evals, evecs, _RTOL)
+    _checked_residuals(op, evals, evecs)
     if np.abs(evecs.T @ evecs - np.eye(evals.size)).max() > 1e-8:
         raise EigensolveError("Ritz vectors are not orthonormal: ghost eigenvalue copies")
     inside = evals[(evals > lo) & (evals <= hi)]
@@ -252,8 +252,7 @@ class LiftingCurve:
     field_hash: str
 
 
-def lifting_curve(grid: Grid, field, w, t_max: float, t_steps: int,
-                  indices, *, rtol: float = 1e-9, gap_rtol: float = 1e-8) -> LiftingCurve:
+def lifting_curve(grid: Grid, field, w, t_max: float, t_steps: int, indices) -> LiftingCurve:
     """Eigensolve along an equispaced t grid and record exact form derivatives."""
     if t_max <= 0:
         raise ValueError("t_max must be positive")
@@ -278,7 +277,7 @@ def lifting_curve(grid: Grid, field, w, t_max: float, t_steps: int,
     degenerate = np.zeros(energies.shape, dtype=bool)
 
     for it, t in enumerate(ts):
-        spec = eigensolve(base.shifted(pert, float(t)), k=k, rtol=rtol)
+        spec = eigensolve(base.shifted(pert, float(t)), k=k)
         for row, n in enumerate(indices):
             if n >= spec.k:
                 raise ValueError(f"index {n} out of range for spectrum of size {spec.k}")
@@ -291,7 +290,7 @@ def lifting_curve(grid: Grid, field, w, t_max: float, t_steps: int,
                 gap = min(gap, e - spec.energies[n - 1])
             if n + 1 < spec.k:
                 gap = min(gap, spec.energies[n + 1] - e)
-            degenerate[row, it] = gap < gap_rtol * max(1.0, abs(e))
+            degenerate[row, it] = gap < _GAP_RTOL * max(1.0, abs(e))
 
     w_min = float(np.min(w.on_full_nodes(grid)))
     fh = field.content_hash()

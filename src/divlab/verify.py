@@ -5,9 +5,10 @@ closed-form constant from `bounds`, records full input provenance, and is a
 pure function of (inputs, seeds).  Negative controls are ordinary checks whose
 reports carry expected_failure=True; a suite treats their failure as success.
 
-Inequality checks allow a relative discretization slack of
-tol + disc_slack * h (defaults 1e-6 and 10 h) on top of the exact comparison;
-refinement studies are the authoritative criterion whenever that slack binds.
+Inequality checks allow a fixed relative discretization slack of
+DEFAULT_TOL + DEFAULT_DISC_SLACK * h (1e-6 + 10 h) on top of the exact
+comparison; refinement studies are the authoritative criterion whenever that
+slack binds.
 """
 from __future__ import annotations
 
@@ -31,6 +32,10 @@ from .spectral import (EigensolveError, LiftingCurve, Spectrum, count_eigenvalue
 
 DEFAULT_TOL = 1e-6
 DEFAULT_DISC_SLACK = 10.0  # multiplies h in the relative slack term
+_HF_RTOL = 1e-3  # form derivative vs centered finite difference, relative
+_PHI_GRID_POINTS = 4001  # monotonicity probe of phi on [a, b + eps]
+_EPS_FACTORS = (1.0, 0.5, 0.25)  # Wegner eps sweep, as multiples of eps
+_EXPONENT_BAND = (0.7, 1.3)  # accepted fitted exponent of the mean count in eps
 
 
 @dataclass
@@ -100,15 +105,12 @@ def _seq_info(seq: EquidistributedSeq) -> dict:
     return {"G": seq.G, "delta": seq.delta, "n_sites": len(seq.centers)}
 
 
-def _pass_with_slack(lhs: float, rhs: float, grid: Grid, tol: float,
-                     disc_slack: float) -> bool:
-    return lhs >= rhs * (1.0 - tol - disc_slack * grid.h)
+def _pass_with_slack(lhs: float, rhs: float, grid: Grid) -> bool:
+    return lhs >= rhs * (1.0 - DEFAULT_TOL - DEFAULT_DISC_SLACK * grid.h)
 
 
 def reverse_caccioppoli_check(grid: Grid, field: MatrixField, energy: float,
-                              psi: np.ndarray, x0, r: float, e_min: float, *,
-                              tol: float = DEFAULT_TOL,
-                              disc_slack: float = DEFAULT_DISC_SLACK) -> CheckReport:
+                              psi: np.ndarray, x0, r: float, e_min: float) -> CheckReport:
     """Gradient mass on B(x0, 2r) dominates the lower-bound constant times the
     function mass on B(x0, r), for eigenvalues above e_min."""
     x0 = np.asarray(x0, dtype=float).reshape(grid.d)
@@ -128,7 +130,7 @@ def reverse_caccioppoli_check(grid: Grid, field: MatrixField, energy: float,
     rhs = const * subset_norm2(psi, ball(grid, x0, r))
     rep.lhs, rep.rhs = lhs, rhs
     rep.observed = {"constant": const, "theta_plus": field.theta_plus}
-    rep.status = "pass" if _pass_with_slack(lhs, rhs, grid, tol, disc_slack) else "fail"
+    rep.status = "pass" if _pass_with_slack(lhs, rhs, grid) else "fail"
     return rep
 
 
@@ -144,9 +146,7 @@ def _require_field_hypotheses(field: MatrixField, need_lip: bool, need_dir: bool
 
 def ucp_function_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
                        seq: EquidistributedSeq, cfg: ConstantsConfig, *,
-                       v_bound: float | None = None, clamp_delta: bool = False,
-                       tol: float = DEFAULT_TOL,
-                       disc_slack: float = DEFAULT_DISC_SLACK) -> CheckReport:
+                       v_bound: float | None = None, clamp_delta: bool = False) -> CheckReport:
     """Eigenfunction mass on the ball union dominates the function-level constant.
 
     Applies to every eigenfunction with |E| <= v_bound (the constant is
@@ -186,15 +186,13 @@ def ucp_function_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
     if not rep.observed["delta_within_gate"] and not clamp_delta:
         rep.notes.append("delta exceeds delta0/2; constant evaluated at raw delta "
                          "(set clamp_delta for the min(delta, delta0) variant)")
-    rep.status = "pass" if _pass_with_slack(rep.lhs, rep.rhs, grid, tol, disc_slack) else "fail"
+    rep.status = "pass" if _pass_with_slack(rep.lhs, rep.rhs, grid) else "fail"
     return rep
 
 
 def ucp_gradient_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
                        seq: EquidistributedSeq, cfg: ConstantsConfig, *,
-                       variant: str = "lipschitz", clamp_delta: bool = False,
-                       negative_control: bool = False, tol: float = DEFAULT_TOL,
-                       disc_slack: float = DEFAULT_DISC_SLACK) -> CheckReport:
+                       variant: str = "lipschitz", negative_control: bool = False) -> CheckReport:
     """Gradient mass of in-window eigenfunctions on the ball union dominates the
     applicable constant.
 
@@ -209,8 +207,7 @@ def ucp_gradient_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
         if grid.bc != "dirichlet":
             raise ValueError("the Lipschitz-field variant is stated for Dirichlet grids")
         _require_field_hypotheses(field, need_lip=True, need_dir=True)
-        consts = bounds.c_sfucp_family(cfg, clamp_delta=clamp_delta)
-        rhs = consts.gradient_constant
+        rhs = bounds.c_sfucp_family(cfg).gradient_constant
         window_top = cfg.e_max
     elif variant == "low_energy":
         # a negative control deliberately runs outside the stated hypotheses
@@ -259,14 +256,13 @@ def ucp_gradient_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
         "window_top": float(window_top),
         "energies": [float(spectrum.energies[i]) for i in idx],
     }
-    rep.status = "pass" if _pass_with_slack(rep.lhs, rep.rhs, grid, tol, disc_slack) else "fail"
+    rep.status = "pass" if _pass_with_slack(rep.lhs, rep.rhs, grid) else "fail"
     return rep
 
 
 def projector_ucp_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
                         seq: EquidistributedSeq, lam: float, n_samples: int,
-                        seed, cfg: ConstantsConfig, *, tol: float = DEFAULT_TOL,
-                        disc_slack: float = DEFAULT_DISC_SLACK) -> CheckReport:
+                        seed, cfg: ConstantsConfig) -> CheckReport:
     """Mass on the ball union of every state in the span below lam stays >= kappa_prime.
 
     The exact minimum comes from the smallest eigenvalue of the span-compressed
@@ -304,7 +300,7 @@ def projector_ucp_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
     rep.observed = {"kappa_prime": kp, "span_dim": int(idx.size),
                     "exact_min": exact_min, "mc_min": mc_min,
                     "mc_vs_exact_rel": abs(mc_min - exact_min) / exact_min}
-    rep.status = "pass" if _pass_with_slack(exact_min, kp, grid, tol, disc_slack) else "fail"
+    rep.status = "pass" if _pass_with_slack(exact_min, kp, grid) else "fail"
     return rep
 
 
@@ -312,8 +308,7 @@ _LIFT_VARIANTS = ("standard", "bounded_w", "low_energy", "neumann", "elementary"
 
 
 def lifting_check(curve: LiftingCurve, cfg: ConstantsConfig,
-                  seq: EquidistributedSeq, *, variant: str = "standard",
-                  tol: float = DEFAULT_TOL, hf_rtol: float = 1e-3) -> CheckReport:
+                  seq: EquidistributedSeq, *, variant: str = "standard") -> CheckReport:
     """Every in-window eigenvalue row grows at least linearly with the variant's slope.
 
     Also asserts row monotonicity and cross-checks the recorded form
@@ -393,7 +388,7 @@ def lifting_check(curve: LiftingCurve, cfg: ConstantsConfig,
             slopes = (e[2:] - e[:-2]) / (ts[2:] - ts[:-2])
             active = e[mid] >= cfg.e_min
             good = ~curve.degenerate[row, mid]
-            if np.any(slopes[active & good] < const * (1.0 - tol)):
+            if np.any(slopes[active & good] < const * (1.0 - DEFAULT_TOL)):
                 slope_ok = False
         # centered-difference vs recorded form derivative (Simpson average)
         for i in range(1, len(ts) - 1):
@@ -412,23 +407,22 @@ def lifting_check(curve: LiftingCurve, cfg: ConstantsConfig,
         "monotone": mono_ok,
         "hf_fd_max_rel_dev": max(hf_devs) if hf_devs else None,
     })
-    hf_ok = (not hf_devs) or max(hf_devs) <= hf_rtol
-    cond = worst >= -tol * max(1.0, abs(const)) and mono_ok and slope_ok and hf_ok
+    hf_ok = (not hf_devs) or max(hf_devs) <= _HF_RTOL
+    cond = worst >= -DEFAULT_TOL * max(1.0, abs(const)) and mono_ok and slope_ok and hf_ok
     if not hf_ok:
         rep.notes.append("form-derivative / finite-difference cross-check exceeded tolerance")
     rep.status = "pass" if cond else "fail"
     return rep
 
 
-def pi_singular_check(dist, phi, a: float, b: float, eps: float, *,
-                      grid_points: int = 4001) -> CheckReport:
+def pi_singular_check(dist, phi, a: float, b: float, eps: float) -> CheckReport:
     """Averaged increment of a smooth monotone function under the coupling law
     stays below the modulus of continuity times the total increment."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     if not (a < 0 <= dist.support_max < b):
         raise ValueError(f"support [0, {dist.support_max}] must lie strictly inside ({a}, {b})")
-    xs = np.linspace(a, b + eps, grid_points)
+    xs = np.linspace(a, b + eps, _PHI_GRID_POINTS)
     vals = np.asarray(phi(xs), dtype=float)
     if np.any(np.diff(vals) < -1e-12 * max(1.0, np.abs(vals).max())):
         raise ValueError("phi must be non-decreasing on [a, b + eps]")
@@ -581,8 +575,7 @@ def _wegner_one_sample(model: AlloyModel, grid: Grid, seed, e_center: float, eps
 
 def wegner_mc(model: AlloyModel, grid: Grid, e_center: float, eps: float,
               n_samples: int, seed: int, cfg: ConstantsConfig, *,
-              variant: str = "bounded_w", eps_factors=(1.0, 0.5, 0.25),
-              exponent_band: tuple[float, float] = (0.7, 1.3)) -> CheckReport:
+              variant: str = "bounded_w") -> CheckReport:
     """Empirical mean eigenvalue count in [E-eps, E+eps] against the averaged bound.
 
     Counting goes through matrix inertia; a window eigensolve on
@@ -613,7 +606,7 @@ def wegner_mc(model: AlloyModel, grid: Grid, e_center: float, eps: float,
     s_eps = modulus_of_continuity(model, eps)
     rhs = cw * s_eps * float(grid.L) ** (2 * grid.d)
 
-    eps_levels = [eps * f for f in eps_factors]
+    eps_levels = [eps * f for f in _EPS_FACTORS]
     ss = np.random.SeedSequence(seed)
     children = ss.spawn(n_samples)
     counts = np.zeros((n_samples, len(eps_levels)), dtype=int)
@@ -652,7 +645,7 @@ def wegner_mc(model: AlloyModel, grid: Grid, e_center: float, eps: float,
         slope = np.polyfit(np.log(np.array(eps_levels)[pos]), np.log(means[pos]), 1)[0]
     else:
         slope = math.nan
-    exponent_ok = (not math.isnan(slope)) and exponent_band[0] <= slope <= exponent_band[1]
+    exponent_ok = (not math.isnan(slope)) and _EXPONENT_BAND[0] <= slope <= _EXPONENT_BAND[1]
 
     ok = (means[0] <= rhs) and smear_ok == good and cross_ok == good and failures <= 0.01 * n_samples
     rep = CheckReport(
@@ -686,8 +679,7 @@ def wegner_mc(model: AlloyModel, grid: Grid, e_center: float, eps: float,
     return rep
 
 
-def neumann_gradient_decay_trend(d: int, sides, n_per_side: int, delta: float, *,
-                                 eig_index: int = 1) -> CheckReport:
+def neumann_gradient_decay_trend(d: int, sides, n_per_side: int, delta: float) -> CheckReport:
     """Negative-control trend: on growing Neumann cubes the smallest positive
     eigenvalue sinks toward zero and the observed gradient-mass ratio of its
     eigenfunction decreases with the side length."""
@@ -697,8 +689,8 @@ def neumann_gradient_decay_trend(d: int, sides, n_per_side: int, delta: float, *
     for L in sides:
         grid = Grid(d=d, L=int(L), n_per_side=n_per_side, bc="neumann")
         seq = equidistributed_sequence(grid, 1.0, delta)
-        spec = eigensolve(assemble(grid, identity_field(grid)), k=eig_index + 1)
-        e, psi = spec.pair(eig_index)
+        spec = eigensolve(assemble(grid, identity_field(grid)), k=2)
+        e, psi = spec.pair(1)  # index 0 is the constant zero mode
         ratios.append(subset_norm2(discrete_gradient(grid, psi), ball_mask(grid, seq)))
         energies.append(e)
     decreasing = bool(np.all(np.diff(ratios) < 0))

@@ -65,7 +65,7 @@ def test_criterion_02_hellmann_feynman():
         tau = 1e-4
         cases = []
         g1 = dl.make_grid(1, 2, 48)
-        f1 = dl.scalar_field(g1, lambda p: 1 + 0.5 * np.sin(np.pi * p[:, 0]))
+        f1 = dl.sampled_field(g1, lambda p: 1 + 0.5 * np.sin(np.pi * p[:, 0]))
         seq1 = dl.equidistributed_sequence(g1, 1.0, 0.3)
         cases.append((g1, f1, dl.ball_plateau_field(seq1)))
         g2 = dl.make_grid(1, 1, 64)
@@ -110,7 +110,7 @@ def _revcacc_battery(n_1d, n_2d):
     # masked quadrature endpoints are exact and margins converge cleanly
     margins = []
     g = dl.make_grid(1, 2, n_1d)
-    fields = [dl.scalar_field(g, lambda p: 1 + 0.5 * np.sin(np.pi * p[:, 0])),
+    fields = [dl.sampled_field(g, lambda p: 1 + 0.5 * np.sin(np.pi * p[:, 0])),
               dl.constant_field(g, np.array([[2.0]]))]
     for f in fields:
         spec = dl.eigensolve(dl.assemble(g, f), k=4)
@@ -151,11 +151,11 @@ def test_criterion_04_gradient_ucp():
         for L in (1, 2):
             g = dl.make_grid(1, L, 48)
             fields = [
-                dl.scalar_field(g, lambda p: 1 + 0.5 * np.sin(np.pi * p[:, 0]),
-                                theta_lip=0.5 * np.pi),
+                dl.sampled_field(g, lambda p: 1 + 0.5 * np.sin(np.pi * p[:, 0]),
+                                 theta_lip=0.5 * np.pi),
                 dl.constant_field(g, np.array([[2.0]])),
-                dl.scalar_field(g, lambda p: 1.5 + 0.25 * np.cos(np.pi * p[:, 0] / L),
-                                theta_lip=0.25 * np.pi / L),
+                dl.sampled_field(g, lambda p: 1.5 + 0.25 * np.cos(np.pi * p[:, 0] / L),
+                                 theta_lip=0.25 * np.pi / L),
             ]
             for f in fields:
                 spec = dl.eigensolve(dl.assemble(g, f), k=8)
@@ -238,7 +238,7 @@ def test_criterion_05_projector_uncertainty():
             if kind == "checkerboard":
                 f = dl.checkerboard_field(g)
             elif kind == "sine":
-                f = dl.scalar_field(g, lambda p: 1 + 0.5 * np.sin(2 * np.pi * p[:, 0] / L))
+                f = dl.sampled_field(g, lambda p: 1 + 0.5 * np.sin(2 * np.pi * p[:, 0] / L))
             else:
                 f = dl.identity_field(g)
             seq = dl.equidistributed_sequence(g, 1.0, delta)
@@ -267,8 +267,8 @@ def test_criterion_06_eigenvalue_lifting():
         for d, L, n, kind, delta in configs:
             g = dl.make_grid(d, L, n)
             if kind == "sine":
-                f = dl.scalar_field(g, lambda p: 1 + 0.5 * np.sin(np.pi * p[:, 0]),
-                                    theta_lip=0.5 * np.pi)
+                f = dl.sampled_field(g, lambda p: 1 + 0.5 * np.sin(np.pi * p[:, 0]),
+                                     theta_lip=0.5 * np.pi)
             elif kind == "const2":
                 f = dl.constant_field(g, 2.0 * np.eye(d))
             elif kind == "identity":
@@ -303,7 +303,7 @@ def test_criterion_06_eigenvalue_lifting():
         for kind in ("identity", "sine"):
             g = dl.make_grid(1, 2, 48)
             f = dl.identity_field(g) if kind == "identity" else \
-                dl.scalar_field(g, lambda p: 1 + 0.5 * np.sin(np.pi * p[:, 0]))
+                dl.sampled_field(g, lambda p: 1 + 0.5 * np.sin(np.pi * p[:, 0]))
             seq = dl.equidistributed_sequence(g, 1.0, 0.3)
             plateau = dl.ball_plateau_field(seq)
             w1 = dl.ScalarField(fn=lambda p: 1.0 + plateau(p), name="1 + plateau",
@@ -343,13 +343,13 @@ def test_criterion_08_scaling():
     with _Criterion(8, "coordinate scaling identities", 120):
         for d, L_src in ((1, 4), (2, 2)):
             g = dl.make_grid(d, L_src, 48)
-            f = dl.scalar_field(g, lambda p: 1 + 0.5 * np.sin(np.pi * p[:, 0] / 2))
+            f = dl.sampled_field(g, lambda p: 1 + 0.5 * np.sin(np.pi * p[:, 0] / 2))
             seq = dl.equidistributed_sequence(g, 2.0, 0.75)
             rep = verify.scaling_check(f, 2.0, seq, 32, eig_rtol=0.02, grad_rtol=0.02)
             assert rep.status == "pass", (d, 32, rep.observed)
         for d, L_src in ((1, 4), (2, 2)):
             g = dl.make_grid(d, L_src, 96)
-            f = dl.scalar_field(g, lambda p: 1 + 0.5 * np.sin(np.pi * p[:, 0] / 2))
+            f = dl.sampled_field(g, lambda p: 1 + 0.5 * np.sin(np.pi * p[:, 0] / 2))
             seq = dl.equidistributed_sequence(g, 2.0, 0.75)
             rep = verify.scaling_check(f, 2.0, seq, 64, eig_rtol=0.005, grad_rtol=0.005)
             assert rep.status == "pass", (d, 64, rep.observed)

@@ -102,6 +102,8 @@ class TestSuites:
         configs = cli.suite_configs("wegner", samples=10)
         wegner_runs = [c for c in configs if c["experiment"] == "wegner"]
         assert all(c["check"]["n_samples"] == 10 for c in wegner_runs)
+        all_wegner = [c for c in cli.suite_configs("all", samples=10) if c["experiment"] == "wegner"]
+        assert all_wegner and all(c["check"]["n_samples"] == 10 for c in all_wegner)
         rep = cli.execute(wegner_runs[0])
         assert any("low" in n for n in rep.notes)
 

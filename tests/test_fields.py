@@ -40,7 +40,7 @@ class TestConstantField:
 class TestSampledField:
     def test_sine_ellipticity_scan(self):
         g = dl.make_grid(1, 1, 256)
-        f = dl.scalar_field(g, lambda p: 1 + 0.5 * np.sin(2 * np.pi * p[:, 0]))
+        f = dl.sampled_field(g, lambda p: 1 + 0.5 * np.sin(2 * np.pi * p[:, 0]))
         assert f.theta_minus == pytest.approx(0.5, abs=1e-3)
         assert f.theta_plus == pytest.approx(1.5, abs=1e-3)
 
@@ -78,7 +78,7 @@ class TestChecks:
     def test_lipschitz_values(self):
         g = dl.make_grid(1, 1, 64)
         assert dl.check_lipschitz(dl.identity_field(g)) == 0.0
-        lin = dl.scalar_field(g, lambda p: 2.0 + p[:, 0])
+        lin = dl.sampled_field(g, lambda p: 2.0 + p[:, 0])
         assert dl.check_lipschitz(lin) == pytest.approx(1.0, rel=1e-12)
         cb = dl.checkerboard_field(g)
         assert dl.check_lipschitz(cb) == pytest.approx(1.0 / g.h, rel=1e-12)
@@ -110,7 +110,7 @@ class TestMollify:
     def test_constant_field_fixed_in_interior(self):
         # beyond 1/ell of the cube boundary the kernel sees only the constant
         g = dl.make_grid(1, 1, 64)
-        f = dl.scalar_field(g, lambda p: np.full(p.shape[0], 2.0))
+        f = dl.sampled_field(g, lambda p: np.full(p.shape[0], 2.0))
         ell = 8
         smooth = dl.mollify(f, ell=ell, eps=0.5)
         centers = g.cell_centers[:, 0]
@@ -312,6 +312,6 @@ def test_field_hash_deterministic_and_sensitive():
     g = dl.make_grid(1, 1, 16)
     f1 = dl.identity_field(g)
     f2 = dl.identity_field(g)
-    f3 = dl.scalar_field(g, lambda p: np.full(p.shape[0], 2.0))
+    f3 = dl.sampled_field(g, lambda p: np.full(p.shape[0], 2.0))
     assert f1.content_hash() == f2.content_hash()
     assert f1.content_hash() != f3.content_hash()

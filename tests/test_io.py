@@ -18,7 +18,7 @@ def test_field_roundtrip(tmp_path):
 
 def test_field_roundtrip_1d(tmp_path):
     g = dl.make_grid(1, 2, 8)
-    f = dl.scalar_field(g, lambda p: 1 + 0.5 * np.sin(np.pi * p[:, 0]))
+    f = dl.sampled_field(g, lambda p: 1 + 0.5 * np.sin(np.pi * p[:, 0]))
     path = tmp_path / "f.txt"
     io.save_field(f, path)
     loaded = io.load_field(path, bc="neumann")

@@ -252,6 +252,20 @@ class TestSubsetNorm2:
         grad = dl.discrete_gradient(g, u)
         assert dl.subset_norm2(grad, dl.full_mask(g)) == pytest.approx(grad.norm2(), rel=1e-14)
 
+    def test_face_masks_are_evaluated_once_per_axis(self):
+        g = dl.make_grid(2, 1, 9)
+        calls = []
+
+        def fn(pts):
+            calls.append(pts.shape[0])
+            return pts[:, 0] < 0.1
+
+        mask = dl.SubsetMask(grid=g, fn=fn)
+        grad = dl.discrete_gradient(g, np.random.default_rng(2).standard_normal(g.n_nodes))
+        first = dl.subset_norm2(grad, mask)
+        assert dl.subset_norm2(grad, mask) == first
+        assert calls == [math.prod(g.face_shape(k)) for k in range(g.d)]
+
 
 class TestSmoothSwitch:
     def test_plateaus_and_center(self):

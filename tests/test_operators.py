@@ -131,7 +131,7 @@ class TestAssembly:
 class TestRescale:
     def test_identity_scale(self):
         g = dl.make_grid(1, 2, 16)
-        f = dl.scalar_field(g, lambda p: 1 + 0.25 * np.cos(np.pi * p[:, 0]))
+        f = dl.sampled_field(g, lambda p: 1 + 0.25 * np.cos(np.pi * p[:, 0]))
         out, factor = dl.rescale(f, 1.0, 16)
         assert factor == 1.0
         assert np.array_equal(out.cells, f.cells)
@@ -139,7 +139,7 @@ class TestRescale:
     def test_relabel_gives_exact_eigenvalue_factor(self):
         # m = 1: same cells, operators differ exactly by G^2
         g = dl.make_grid(1, 2, 16)
-        f = dl.scalar_field(g, lambda p: 1 + 0.25 * np.cos(np.pi * p[:, 0]))
+        f = dl.sampled_field(g, lambda p: 1 + 0.25 * np.cos(np.pi * p[:, 0]))
         out, factor = dl.rescale(f, 2.0, 32)
         assert factor == 4.0
         h_src = dl.assemble(g, f).dense()
@@ -155,13 +155,13 @@ class TestRescale:
 
     def test_lipschitz_constant_scales(self):
         g = dl.make_grid(1, 3, 12)
-        f = dl.scalar_field(g, lambda p: 2.0 + 0.1 * p[:, 0], theta_lip=0.1)
+        f = dl.sampled_field(g, lambda p: 2.0 + 0.1 * p[:, 0], theta_lip=0.1)
         out, _ = dl.rescale(f, 3.0, 12)
         assert out.theta_lip == pytest.approx(0.3)
 
     def test_composition(self):
         g = dl.make_grid(1, 4, 8)
-        f = dl.scalar_field(g, lambda p: 1 + 0.1 * np.sin(p[:, 0]))
+        f = dl.sampled_field(g, lambda p: 1 + 0.1 * np.sin(p[:, 0]))
         once, f1 = dl.rescale(f, 2.0, 16)
         twice, f2 = dl.rescale(once, 2.0, 32)
         direct, fd = dl.rescale(f, 4.0, 32)

@@ -93,7 +93,7 @@ class TestEigensolve:
 
     def test_normalization_orthogonality_residuals(self):
         g = dl.make_grid(1, 2, 48)
-        f = dl.scalar_field(g, lambda p: 1 + 0.5 * np.sin(np.pi * p[:, 0]))
+        f = dl.sampled_field(g, lambda p: 1 + 0.5 * np.sin(np.pi * p[:, 0]))
         spec = dl.eigensolve(dl.assemble(g, f), k=6)
         gram = spec.vectors.T @ spec.vectors * g.h**g.d
         assert np.abs(np.diag(gram) - 1.0).max() < 1e-10
@@ -174,7 +174,7 @@ class TestCountEigenvalues:
         # E at an eigenvalue of the first 16-node slab makes S_0 singular while
         # H - E is not: the count stays exact and is flagged, not shifted
         g = dl.make_grid(1, 1, 34)
-        op = dl.assemble(g, dl.scalar_field(g, lambda p: 1 + 0.5 * np.sin(3 * p[:, 0])))
+        op = dl.assemble(g, dl.sampled_field(g, lambda p: 1 + 0.5 * np.sin(3 * p[:, 0])))
         exact = np.linalg.eigvalsh(op.dense())
         for e in np.linalg.eigvalsh(op.dense()[:16, :16])[[0, 7, 15]]:
             count, flagged = dl.count_eigenvalues(op, e, return_flag=True)
@@ -199,7 +199,7 @@ class TestCountEigenvalues:
         g = dl.make_grid(1, 2, 24)
         for _ in range(5):
             c = 1.0 + rng.random()
-            f = dl.scalar_field(g, lambda p, c=c: c + 0.3 * np.sin(2 * np.pi * p[:, 0]))
+            f = dl.sampled_field(g, lambda p, c=c: c + 0.3 * np.sin(2 * np.pi * p[:, 0]))
             op = dl.assemble(g, f)
             spec = dl.eigensolve(op, k=op.dim)
             for e in rng.uniform(0, 40, size=4):
@@ -254,7 +254,7 @@ class TestWindowEigenvalues:
 class TestMonotonicity:
     def test_eigenvalues_monotone_in_field(self):
         g = dl.make_grid(1, 2, 24)
-        f1 = dl.scalar_field(g, lambda p: 1 + 0.2 * np.sin(np.pi * p[:, 0]))
+        f1 = dl.sampled_field(g, lambda p: 1 + 0.2 * np.sin(np.pi * p[:, 0]))
         bump = dl.cutoff(g, [0.3], 0.2)
         f2 = dl.sampled_field(g, lambda p: (1 + 0.2 * np.sin(np.pi * p[:, 0])) + 0.7 * bump(p))
         e1 = dl.eigensolve(dl.assemble(g, f1), k=6).energies
@@ -286,7 +286,7 @@ class TestLiftingCurve:
 
     def test_rows_nondecreasing_for_nonnegative_w(self):
         g = dl.make_grid(1, 2, 32)
-        f = dl.scalar_field(g, lambda p: 1 + 0.4 * np.sin(np.pi * p[:, 0]))
+        f = dl.sampled_field(g, lambda p: 1 + 0.4 * np.sin(np.pi * p[:, 0]))
         seq = dl.equidistributed_sequence(g, 1.0, 0.3)
         curve = dl.lifting_curve(g, f, dl.ball_plateau_field(seq), 1.0, 6, [0, 1, 2])
         assert np.all(np.diff(curve.energies, axis=1) >= -1e-11)
@@ -304,7 +304,7 @@ class TestHellmannFeynman:
 
     def test_matches_central_difference(self):
         g = dl.make_grid(1, 2, 32)
-        f = dl.scalar_field(g, lambda p: 1 + 0.5 * np.sin(np.pi * p[:, 0]))
+        f = dl.sampled_field(g, lambda p: 1 + 0.5 * np.sin(np.pi * p[:, 0]))
         seq = dl.equidistributed_sequence(g, 1.0, 0.3)
         w = dl.ball_plateau_field(seq)
         base = dl.assemble(g, f)

@@ -11,11 +11,19 @@ from divlab.spectral import EigensolveError
 
 def _sine_setup(n=48, L=2, delta=0.25):
     g = dl.make_grid(1, L, n)
-    f = dl.scalar_field(g, lambda p: 1 + 0.5 * np.sin(np.pi * p[:, 0]))
+    f = dl.sampled_field(g, lambda p: 1 + 0.5 * np.sin(np.pi * p[:, 0]))
     seq = dl.equidistributed_sequence(g, 1.0, delta)
     spec = dl.eigensolve(dl.assemble(g, f), k=8)
     cfg = ConstantsConfig(e_min=1.0, e_max=30.0, theta_minus=0.5, theta_plus=1.5)
     return g, f, seq, spec, cfg
+
+
+def test_fixed_slack_boundary():
+    g = dl.make_grid(1, 2, 48)
+    rhs = 3.0
+    edge = rhs * (1.0 - verify.DEFAULT_TOL - verify.DEFAULT_DISC_SLACK * g.h)
+    assert verify._pass_with_slack(edge, rhs, g)
+    assert not verify._pass_with_slack(np.nextafter(edge, 0.0), rhs, g)
 
 
 class TestReverseCaccioppoli:
@@ -375,7 +383,7 @@ class TestWeyl:
 class TestScaling:
     def test_aligned_midpoint_case(self):
         g = dl.make_grid(1, 4, 48)
-        f = dl.scalar_field(g, lambda p: 1 + 0.5 * np.sin(np.pi * p[:, 0] / 2))
+        f = dl.sampled_field(g, lambda p: 1 + 0.5 * np.sin(np.pi * p[:, 0] / 2))
         seq = dl.equidistributed_sequence(g, 2.0, 0.75)
         rep = verify.scaling_check(f, 2.0, seq, 32)
         assert rep.status == "pass"
@@ -423,7 +431,7 @@ class TestMollificationConvergence:
     def test_subcell_kernel_is_exact(self):
         # support radius below the spacing: the kernel is a single cell
         g = dl.make_grid(1, 1, 32)
-        f = dl.scalar_field(g, lambda p: 2.0 + 0.5 * np.sin(2 * np.pi * p[:, 0]))
+        f = dl.sampled_field(g, lambda p: 2.0 + 0.5 * np.sin(2 * np.pi * p[:, 0]))
         rep = verify.mollification_convergence(f, 0.25, [64, 128], 3)
         devs = np.array(rep.observed["deviations"])
         assert np.all(devs == 0.0)
