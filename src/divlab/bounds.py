@@ -8,7 +8,7 @@ are plainly labeled as configuration, not derived values.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 
 
 @dataclass(frozen=True)

@@ -110,9 +110,7 @@ def _build_constants(cfg: dict) -> bounds.ConstantsConfig:
     try:
         out = bounds.ConstantsConfig(**c)
         out.validate()
-    except TypeError as exc:
-        raise ConfigError(f"constants: {exc}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"constants: {exc}") from exc
     return out
 
@@ -130,8 +128,7 @@ def _build_w(cfg: dict, grid, seq):
         if seq is None:
             raise ConfigError("check.w: tent perturbation needs a sequence")
         tent = ball_plateau_field(seq)
-        return ScalarField(fn=lambda pts: 1.0 + tent(pts), name="1 + ball plateau",
-                           lip=tent.lip, sup=2.0)
+        return ScalarField(fn=lambda pts: 1.0 + tent(pts), lip=tent.lip, sup=2.0)
     raise ConfigError(f"check.w.kind: unknown recipe {kind!r}")
 
 
@@ -422,18 +419,13 @@ def run(configs, output_dir, workers: int = 1, args=None) -> int:
 def _suite_ucp() -> list[dict]:
     runs = []
     for delta in (0.2, 0.3):
-        runs.append({"experiment": "ucp_function", "label": f"sine-d{delta}",
-                     "grid": {"d": 1, "L": 2, "n_per_side": 48},
-                     "field": {"kind": "sine"},
-                     "sequence": {"G": 1.0, "delta": delta},
-                     "constants": {"e_min": 1.0, "e_max": 30.0, "theta_plus": 1.5,
-                                   "theta_minus": 0.5}})
-        runs.append({"experiment": "ucp_gradient", "label": f"sine-d{delta}",
-                     "grid": {"d": 1, "L": 2, "n_per_side": 48},
-                     "field": {"kind": "sine"},
-                     "sequence": {"G": 1.0, "delta": delta},
-                     "constants": {"e_min": 1.0, "e_max": 30.0, "theta_plus": 1.5,
-                                   "theta_minus": 0.5}})
+        for experiment in ("ucp_function", "ucp_gradient"):
+            runs.append({"experiment": experiment, "label": f"sine-d{delta}",
+                         "grid": {"d": 1, "L": 2, "n_per_side": 48},
+                         "field": {"kind": "sine"},
+                         "sequence": {"G": 1.0, "delta": delta},
+                         "constants": {"e_min": 1.0, "e_max": 30.0, "theta_plus": 1.5,
+                                       "theta_minus": 0.5}})
     runs.append({"experiment": "ucp_gradient", "label": "checkerboard-low-energy",
                  "grid": {"d": 1, "L": 24, "n_per_side": 16},
                  "field": {"kind": "checkerboard"},

@@ -1,8 +1,8 @@
 """Coefficient matrix fields: construction, certification, mollification, random alloys.
 
 A MatrixField stores one symmetric d x d matrix per grid cell (piecewise
-constant interpretation) together with certified ellipticity bounds and,
-where available, a Lipschitz constant.  Random alloy perturbations add a
+constant interpretation) together with its ellipticity bounds and, where
+available, a Lipschitz constant.  Random alloy perturbations add a
 nonnegative multiple of the identity built from localized single-site bumps
 with independent couplings.
 """
@@ -25,12 +25,11 @@ class EllipticityError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class MatrixField:
-    """Cell-sampled symmetric coefficient field with certified metadata.
+    """Cell-sampled symmetric coefficient field with its bounds.
 
     theta_minus / theta_plus bound the cell-matrix eigenvalues from below and
-    above.  theta_lip is None when no Lipschitz constant is certified;
-    lip_provenance records how the stored value was obtained
-    ('exact' | 'empirical' | 'none').
+    above.  theta_lip is None when the field has no Lipschitz constant; each
+    constructor says whether its value is exact or an adjacent-difference estimate.
     """
 
     grid: Grid
@@ -38,9 +37,6 @@ class MatrixField:
     theta_minus: float
     theta_plus: float
     theta_lip: float | None
-    lip_provenance: str
-    dir_ok: bool
-    notes: tuple[str, ...] = ()
 
     @property
     def d(self) -> int:
@@ -93,15 +89,10 @@ def _dir_violations(grid: Grid, cells: np.ndarray) -> list[tuple[int, ...]]:
     return [tuple(int(i) for i in idx) for idx in np.argwhere(bad)]
 
 
-def _build(grid: Grid, cells: np.ndarray, theta_lip, lip_provenance, notes=()) -> MatrixField:
+def _build(grid: Grid, cells: np.ndarray, theta_lip) -> MatrixField:
     tmin, tmax, _, _ = _eig_range(cells, grid.d)
-    return MatrixField(
-        grid=grid, cells=cells,
-        theta_minus=tmin, theta_plus=tmax,
-        theta_lip=theta_lip, lip_provenance=lip_provenance,
-        dir_ok=not _dir_violations(grid, cells),
-        notes=tuple(notes),
-    )
+    return MatrixField(grid=grid, cells=cells, theta_minus=tmin, theta_plus=tmax,
+                       theta_lip=theta_lip)
 
 
 def constant_field(grid: Grid, matrix) -> MatrixField:
@@ -115,7 +106,7 @@ def constant_field(grid: Grid, matrix) -> MatrixField:
     if evals[0] <= 0:
         raise EllipticityError(f"matrix is not positive definite (min eigenvalue {evals[0]})")
     cells = np.broadcast_to(m, grid.cells_shape + (grid.d, grid.d)).copy()
-    return _build(grid, cells, theta_lip=0.0, lip_provenance="exact")
+    return _build(grid, cells, theta_lip=0.0)
 
 
 def identity_field(grid: Grid) -> MatrixField:
@@ -128,7 +119,7 @@ def sampled_field(grid: Grid, generator: Callable, theta_lip: float | None = Non
     The generator maps a point array (m, d) to matrices (m, d, d) or to
     scalars (m,), the latter meaning a(x) * Id.  Asymmetric output is rejected
     at the first offending cell.  Unless the caller certifies theta_lip, an
-    empirical adjacent-difference estimate is stored (labeled as such).
+    empirical adjacent-difference estimate is stored.
     """
     pts = grid.cell_centers
     out = np.asarray(generator(pts), dtype=float)
@@ -145,19 +136,16 @@ def sampled_field(grid: Grid, generator: Callable, theta_lip: float | None = Non
         idx = np.unravel_index(flat, grid.cells_shape)
         raise ValueError(f"generator output is asymmetric at cell {idx}")
     cells = mats.reshape(grid.cells_shape + (grid.d, grid.d))
-    if theta_lip is not None:
-        return _build(grid, cells, theta_lip=float(theta_lip), lip_provenance="exact")
-    return _build(grid, cells, theta_lip=_lipschitz_estimate(grid, cells),
-                  lip_provenance="empirical")
+    if theta_lip is None:
+        return _build(grid, cells, theta_lip=_lipschitz_estimate(grid, cells))
+    return _build(grid, cells, theta_lip=float(theta_lip))
 
 
 def checkerboard_field(grid: Grid, low: float = 1.0, high: float = 2.0, axis: int = 0) -> MatrixField:
     """Discontinuous two-valued field: `low` where x_axis < 0, `high` where x_axis >= 0."""
     def gen(pts):
         return np.where(pts[:, axis] < 0, low, high)
-    f = sampled_field(grid, gen)
-    return replace(f, theta_lip=None, lip_provenance="none",
-                   notes=f.notes + ("discontinuous: no Lipschitz constant",))
+    return replace(sampled_field(grid, gen), theta_lip=None)
 
 
 def check_ellipticity(field: MatrixField) -> tuple[float, float]:
@@ -183,9 +171,6 @@ def check_dir_condition(field: MatrixField) -> tuple[bool, list[tuple[int, ...]]
 def _bump_profile(t):
     t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
     return (1.0 - t) ** 2 * (1.0 + 2.0 * t)
-
-
-_BUMP_MAX_SLOPE = 1.5  # max |d/dt (1-t)^2 (1+2t)| on [0, 1], attained at t = 1/2
 
 
 def _mollifier_kernel(grid: Grid, ell: int) -> np.ndarray:
@@ -223,13 +208,9 @@ def mollify(field: MatrixField, ell: int, eps: float) -> MatrixField:
             out[..., j, k] = conv
             out[..., k, j] = conv
     cells = out + base
-    lip_emp = _lipschitz_estimate(grid, cells)
-    l1 = grid.h**d * np.abs(shifted).sum(axis=tuple(range(d)))
-    lip_bound = float(ell ** (d + 1) * _BUMP_MAX_SLOPE * l1.max())
-    mf = _build(grid, cells, theta_lip=lip_emp, lip_provenance="empirical",
-                notes=field.notes + (f"mollified: ell={ell}, eps={eps}, lip bound {lip_bound:.6g}",))
-    # certified by construction, tighter than the scanned values
-    return replace(mf, theta_minus=field.theta_minus - eps, theta_plus=field.theta_plus)
+    # the bounds are certified by construction and tighter than a scan of the cells
+    return MatrixField(grid=grid, cells=cells, theta_minus=field.theta_minus - eps,
+                       theta_plus=field.theta_plus, theta_lip=_lipschitz_estimate(grid, cells))
 
 
 @dataclass(frozen=True)
@@ -347,8 +328,7 @@ def single_site_sum(model: AlloyModel) -> ScalarField:
     def fn(pts):
         return _site_bumps(model, pts)[0].sum(axis=1)
     ov = (2.0 + 2.0 * model.delta_plus) ** model.base.grid.d
-    return ScalarField(fn=fn, name="sum of site bumps", lip=model.bump_lip(),
-                       sup=model.c_plus * ov)
+    return ScalarField(fn=fn, lip=model.bump_lip(), sup=model.c_plus * ov)
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,7 +339,7 @@ class AlloySample:
 
 
 def sample_alloy(model: AlloyModel, seed) -> AlloySample:
-    """Draw couplings and return (omega, V, A + V Id) with conservative metadata."""
+    """Draw couplings and return (omega, V, A + V Id) with conservative bounds."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     omega = model.dist.sample(rng, len(model.seq.centers))
 
@@ -367,7 +347,7 @@ def sample_alloy(model: AlloyModel, seed) -> AlloySample:
         values, idx = _site_bumps(model, pts)
         return (values * omega[idx]).sum(axis=1)
 
-    v = ScalarField(fn=fn, name="alloy perturbation", sup=model.v_sup_bound)
+    v = ScalarField(fn=fn, sup=model.v_sup_bound)
     grid = model.base.grid
     vcells = v.on_cells(grid).reshape(grid.cells_shape)
     eye = np.eye(grid.d)
@@ -377,9 +357,6 @@ def sample_alloy(model: AlloyModel, seed) -> AlloySample:
         theta_minus=model.base.theta_minus,
         theta_plus=model.base.theta_plus + model.v_sup_bound,
         theta_lip=_lipschitz_estimate(grid, cells),
-        lip_provenance="empirical",
-        dir_ok=model.base.dir_ok,
-        notes=model.base.notes + ("alloy sample",),
     )
     return AlloySample(omega=omega, v=v, field=field)
 
@@ -400,8 +377,7 @@ def ball_plateau_field(seq: EquidistributedSeq, inner: float | None = None,
         rho = np.sqrt(site_sq_distances(seq, pts, outer)[0])
         return np.clip((outer - rho) / (outer - inner), 0.0, 1.0).max(axis=1)
 
-    return ScalarField(fn=fn, name=f"ball plateau (inner={inner}, outer={outer})",
-                       lip=1.0 / (outer - inner), sup=1.0)
+    return ScalarField(fn=fn, lip=1.0 / (outer - inner), sup=1.0)
 
 
 def tent_minorant(w: ScalarField, seq: EquidistributedSeq, grid: Grid) -> ScalarField:
@@ -423,7 +399,7 @@ def tent_minorant(w: ScalarField, seq: EquidistributedSeq, grid: Grid) -> Scalar
         j = int(np.argmax(deficit))
         pt = nodes[inside][j]
         raise ValueError(f"w must dominate the ball-union indicator; w({tuple(pt)}) < 1")
-    return replace(ball_plateau_field(seq, dhat, seq.delta), name=f"tent minorant (dhat={dhat})")
+    return ball_plateau_field(seq, dhat, seq.delta)
 
 
 def modulus_of_continuity(model_or_dist, eps: float) -> float:

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import numpy as np
 
@@ -27,8 +26,7 @@ def load_field(path, bc: str = "dirichlet") -> MatrixField:
     flat = np.loadtxt(path)
     flat = np.atleast_2d(flat)
     cells = flat.reshape(grid.cells_shape + (d, d))
-    return _build(grid, cells, theta_lip=None, lip_provenance="none",
-                  notes=(f"loaded from {Path(path).name}",))
+    return _build(grid, cells, theta_lip=None)
 
 
 def save_report_json(report, path) -> None:

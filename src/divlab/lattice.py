@@ -150,7 +150,6 @@ class ScalarField:
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
-    name: str = ""
     lip: float | None = None
     sup: float | None = None
 
@@ -171,14 +170,13 @@ class ScalarField:
         return self(grid.cell_centers)
 
 
-def as_scalar_field(obj, name: str = "") -> ScalarField:
+def as_scalar_field(obj) -> ScalarField:
     if isinstance(obj, ScalarField):
         return obj
     if callable(obj):
-        return ScalarField(fn=obj, name=name)
+        return ScalarField(fn=obj)
     value = float(obj)
-    return ScalarField(fn=lambda pts: np.full(pts.shape[0], value), name=name or f"const({value})",
-                       lip=0.0, sup=abs(value))
+    return ScalarField(fn=lambda pts: np.full(pts.shape[0], value), lip=0.0, sup=abs(value))
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,7 +278,6 @@ class SubsetMask:
 
     grid: Grid
     fn: Callable[[np.ndarray], np.ndarray]
-    label: str = ""
 
     @cached_property
     def full_node_mask(self) -> np.ndarray:
@@ -335,17 +332,16 @@ def ball_mask(grid: Grid, seq: EquidistributedSeq, radius: float | None = None) 
     r = seq.delta if radius is None else float(radius)
     if not (0 < r <= seq.delta):
         raise ValueError(f"radius must lie in (0, {seq.delta}], got {r}")
-    return SubsetMask(grid=grid, fn=lambda pts: site_sq_distances(seq, pts, r)[0].min(axis=1) < r * r,
-                      label=f"balls(delta={r}, n={len(seq.centers)})")
+    return SubsetMask(grid=grid, fn=lambda pts: site_sq_distances(seq, pts, r)[0].min(axis=1) < r * r)
 
 
 def ball(grid: Grid, x0, r: float) -> SubsetMask:
     x0 = np.asarray(x0, dtype=float).reshape(grid.d)
-    return SubsetMask(grid=grid, fn=lambda p: ((p - x0) ** 2).sum(axis=1) < r * r, label=f"ball({tuple(x0)}, {r})")
+    return SubsetMask(grid=grid, fn=lambda p: ((p - x0) ** 2).sum(axis=1) < r * r)
 
 
 def full_mask(grid: Grid) -> SubsetMask:
-    return SubsetMask(grid=grid, fn=lambda pts: np.ones(pts.shape[0], dtype=bool), label="full")
+    return SubsetMask(grid=grid, fn=lambda pts: np.ones(pts.shape[0], dtype=bool))
 
 
 def subset_norm2(x, mask: SubsetMask) -> float:
@@ -380,7 +376,7 @@ def cutoff(grid: Grid, x0, r: float) -> ScalarField:
         rho = np.sqrt(((pts - x0) ** 2).sum(axis=1))
         return smoothstep((2 * r - rho) / r)
 
-    return ScalarField(fn=fn, name=f"cutoff(x0={tuple(x0)}, r={r})", lip=1.5 / r, sup=1.0)
+    return ScalarField(fn=fn, lip=1.5 / r, sup=1.0)
 
 
 def smooth_switch(values, epsilon: float, shift: float = 0.0):

@@ -105,7 +105,6 @@ class DiscreteOperator:
     """Sparse symmetric realization H = K / h^d acting on unknown-node vectors."""
 
     grid: Grid
-    field: MatrixField | None
     matrix: sp.csr_matrix
 
     @property
@@ -122,8 +121,7 @@ class DiscreteOperator:
         return self.matrix.toarray()
 
     def shifted(self, other: sp.csr_matrix, t: float) -> "DiscreteOperator":
-        return DiscreteOperator(grid=self.grid, field=None,
-                                matrix=(self.matrix + t * other).tocsr())
+        return DiscreteOperator(grid=self.grid, matrix=(self.matrix + t * other).tocsr())
 
 
 def assemble(grid: Grid, field: MatrixField) -> DiscreteOperator:
@@ -132,7 +130,7 @@ def assemble(grid: Grid, field: MatrixField) -> DiscreteOperator:
     if field.theta_minus <= 0:
         raise EllipticityError(f"field is not uniformly elliptic (theta_minus={field.theta_minus})")
     mat = _stiffness(grid, field.cells) / grid.h**grid.d
-    return DiscreteOperator(grid=grid, field=field, matrix=mat.tocsr())
+    return DiscreteOperator(grid=grid, matrix=mat.tocsr())
 
 
 def perturbation_operator(grid: Grid, w) -> sp.csr_matrix:
@@ -178,8 +176,5 @@ def rescale(field: MatrixField, G: float, target_n_per_side: int) -> tuple[Matri
         grid=grid_t, cells=cells,
         theta_minus=field.theta_minus, theta_plus=field.theta_plus,
         theta_lip=None if field.theta_lip is None else G * field.theta_lip,
-        lip_provenance=field.lip_provenance,
-        dir_ok=field.dir_ok,
-        notes=field.notes + (f"rescaled by G={G} onto n={target_n_per_side}",),
     )
     return out, float(G) ** 2

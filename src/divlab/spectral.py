@@ -26,7 +26,6 @@ class EigensolveError(RuntimeError):
 class Spectrum:
     """Ascending eigenvalues with h^d-orthonormal eigenvectors and their residuals."""
 
-    grid: Grid
     energies: np.ndarray
     vectors: np.ndarray
     residuals: np.ndarray
@@ -87,14 +86,11 @@ def eigensolve(op: DiscreteOperator, k: int) -> Spectrum:
         evals, evecs = scipy.linalg.eigh(op.dense())
     else:
         evals, evecs = _eigsh(op, k, sigma=0.0 if op.grid.bc == "dirichlet" else -0.05)
-        order = np.argsort(evals)
-        evals, evecs = evals[order], evecs[:, order]
     evals, evecs = evals[:k], evecs[:, :k]
 
     resid = _checked_residuals(op, evals, evecs)
     vectors = _fix_signs(evecs / op.grid.h ** (op.grid.d / 2.0))
-    return Spectrum(grid=op.grid, energies=evals, vectors=vectors,
-                    residuals=resid, complete=complete)
+    return Spectrum(energies=evals, vectors=vectors, residuals=resid, complete=complete)
 
 
 def _eigsh(op: DiscreteOperator, k: int, sigma: float):
@@ -245,7 +241,6 @@ class LiftingCurve:
     indices: tuple[int, ...]
     energies: np.ndarray      # (len(indices), len(ts))
     hf_values: np.ndarray     # same shape; exact form derivative at each sample
-    residuals: np.ndarray     # same shape; eigenpair residuals
     degenerate: np.ndarray    # bool, same shape
     w: ScalarField
     w_min_nodes: float
@@ -273,7 +268,6 @@ def lifting_curve(grid: Grid, field, w, t_max: float, t_steps: int, indices) -> 
     ts = np.linspace(0.0, t_max, t_steps)
     energies = np.empty((len(indices), t_steps))
     hf_values = np.empty_like(energies)
-    residuals = np.empty_like(energies)
     degenerate = np.zeros(energies.shape, dtype=bool)
 
     for it, t in enumerate(ts):
@@ -284,7 +278,6 @@ def lifting_curve(grid: Grid, field, w, t_max: float, t_steps: int, indices) -> 
             e, psi = spec.pair(n)
             energies[row, it] = e
             hf_values[row, it] = _hf_from_weights(grid, psi, weights)
-            residuals[row, it] = spec.residuals[n]
             gap = np.inf
             if n > 0:
                 gap = min(gap, e - spec.energies[n - 1])
@@ -295,7 +288,7 @@ def lifting_curve(grid: Grid, field, w, t_max: float, t_steps: int, indices) -> 
     w_min = float(np.min(w.on_full_nodes(grid)))
     fh = field.content_hash()
     return LiftingCurve(grid=grid, ts=ts, indices=indices, energies=energies,
-                        hf_values=hf_values, residuals=residuals, degenerate=degenerate,
+                        hf_values=hf_values, degenerate=degenerate,
                         w=w, w_min_nodes=w_min, field_hash=fh)
 
 

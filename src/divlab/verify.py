@@ -308,7 +308,7 @@ _LIFT_VARIANTS = ("standard", "bounded_w", "low_energy", "neumann", "elementary"
 
 
 def lifting_check(curve: LiftingCurve, cfg: ConstantsConfig,
-                  seq: EquidistributedSeq, *, variant: str = "standard") -> CheckReport:
+                  seq: EquidistributedSeq, *, variant: str) -> CheckReport:
     """Every in-window eigenvalue row grows at least linearly with the variant's slope.
 
     Also asserts row monotonicity and cross-checks the recorded form

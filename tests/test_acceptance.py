@@ -306,8 +306,7 @@ def test_criterion_06_eigenvalue_lifting():
                 dl.sampled_field(g, lambda p: 1 + 0.5 * np.sin(np.pi * p[:, 0]))
             seq = dl.equidistributed_sequence(g, 1.0, 0.3)
             plateau = dl.ball_plateau_field(seq)
-            w1 = dl.ScalarField(fn=lambda p: 1.0 + plateau(p), name="1 + plateau",
-                                lip=plateau.lip, sup=2.0)
+            w1 = dl.ScalarField(fn=lambda p: 1.0 + plateau(p), lip=plateau.lip, sup=2.0)
             curve = dl.lifting_curve(g, f, w1, t_max=1.0, t_steps=7, indices=[0, 1])
             cfg = ConstantsConfig(e_min=0.5, e_max=80.0, theta_minus=f.theta_minus,
                                   theta_plus=f.theta_plus)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,3 +145,27 @@ class TestMain:
         cfg_file = tmp_path / "cfg.yaml"
         cfg_file.write_text(yaml.safe_dump({"experiment": "bogus"}))
         assert cli.main(["run", str(cfg_file), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_suite_all_equals_bench_reference(tmp_path):
+    """`divlab suite all --seed 0` reproduces the committed reference reports exactly.
+
+    BLAS runs on one thread: a threaded reduction can move the last bits of a
+    float (the 2D scaling check's eigenvalue error does).  The reference file
+    is only read.
+    """
+    reference = json.loads((Path(__file__).resolve().parents[1] / "bench" / "reference"
+                            / "suite_all.json").read_text())
+    env = {k: v for k, v in os.environ.items() if not k.startswith("DIVLAB_")}
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    src = str(Path(dl.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    subprocess.run([sys.executable, "-m", "divlab.cli", "suite", "all", "--seed", "0",
+                    "--out", str(tmp_path)], env=env, check=True, capture_output=True)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert reference["seed"] == 0
+    assert [m["name"] for m in manifest] == [r["name"] for r in reference["reports"]]
+    for m, ref in zip(manifest, reference["reports"]):
+        rep = json.loads((tmp_path / m["file"]).read_text())
+        del rep["walltime"]
+        assert rep == ref, m["name"]

@@ -14,7 +14,7 @@ class TestConstantField:
         g = dl.make_grid(2, 1, 4)
         f = dl.constant_field(g, np.eye(2))
         assert (f.theta_minus, f.theta_plus) == (1.0, 1.0)
-        assert f.theta_lip == 0.0 and f.dir_ok
+        assert f.theta_lip == 0.0 and dl.check_dir_condition(f)[0]
 
     def test_diagonal_eigenvalues(self):
         g = dl.make_grid(2, 1, 4)
@@ -34,7 +34,7 @@ class TestConstantField:
     def test_offdiagonal_breaks_dir_flag(self):
         g = dl.make_grid(2, 1, 4)
         f = dl.constant_field(g, np.array([[2.0, 0.5], [0.5, 2.0]]))
-        assert not f.dir_ok
+        assert not dl.check_dir_condition(f)[0]
 
 
 class TestSampledField:
@@ -48,7 +48,7 @@ class TestSampledField:
         g = dl.make_grid(1, 1, 32)
         f = dl.checkerboard_field(g, 1.0, 2.0)
         assert (f.theta_minus, f.theta_plus) == (1.0, 2.0)
-        assert f.theta_lip is None and f.lip_provenance == "none"
+        assert f.theta_lip is None
 
     def test_constant_generator_matches_constant_field(self):
         g = dl.make_grid(2, 1, 5)

@@ -115,7 +115,7 @@ class TestAssembly:
             dl.assemble(other, dl.identity_field(g))
         f = dl.identity_field(g)
         broken = dl.MatrixField(grid=g, cells=f.cells, theta_minus=0.0, theta_plus=1.0,
-                                theta_lip=0.0, lip_provenance="exact", dir_ok=True)
+                                theta_lip=0.0)
         with pytest.raises(EllipticityError):
             dl.assemble(g, broken)
 

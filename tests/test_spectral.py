@@ -280,7 +280,7 @@ class TestLiftingCurve:
     def test_left_half_slope_matches_halved_energy(self):
         # psi1 = sqrt(2) cos(pi x): the left half carries half the gradient energy
         g = dl.make_grid(1, 1, 64)
-        w = dl.ScalarField(fn=lambda p: (p[:, 0] < 0).astype(float), name="left")
+        w = dl.ScalarField(fn=lambda p: (p[:, 0] < 0).astype(float))
         curve = dl.lifting_curve(g, dl.identity_field(g), w, 1e-3, 2, [0])
         assert curve.hf_values[0, 0] == pytest.approx(math.pi**2 / 2, rel=0.05)
 
