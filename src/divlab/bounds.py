@@ -19,6 +19,7 @@ class ConstantsConfig:
     and low-energy constants; neumann_a/b/c and neumann_prefactor enter the
     Neumann estimates; weyl_constant bounds eigenvalue counts per volume.
     None of these five families is pinned by theory - they are configuration.
+    Construction (and `dataclasses.replace`) rejects an inconsistent set.
     """
 
     d: int = 1
@@ -45,7 +46,7 @@ class ConstantsConfig:
     def theta_ellip(self) -> float:
         return max(1.0 / self.theta_minus, self.theta_plus)
 
-    def validate(self) -> "ConstantsConfig":
+    def __post_init__(self):
         if self.d < 1:
             raise ValueError("dimension must be positive")
         if not (0 < self.theta_minus <= self.theta_plus):
@@ -64,7 +65,6 @@ class ConstantsConfig:
                      "neumann_c", "neumann_prefactor", "weyl_constant"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        return self
 
     def snapshot(self) -> dict:
         return asdict(self)
@@ -122,7 +122,6 @@ def c_sfucp_family(cfg: ConstantsConfig, v_sup: float | None = None,
     the double-ball bound at r = de by (de/2)^{N (1 + E_max^{2/3})}; the
     scaled variant uses (de/2G)^{N (1 + G^{4/3} E_max^{2/3})}.
     """
-    cfg.validate()
     v = cfg.e_max if v_sup is None else float(v_sup)
     d0 = delta0(cfg, G=1.0)
     de = min(cfg.delta, d0) if clamp_delta else cfg.delta
@@ -147,7 +146,6 @@ class LiftingConstants:
 
 def c_evl_family(cfg: ConstantsConfig) -> LiftingConstants:
     """Linear-in-t eigenvalue lifting slopes for each hypothesis set."""
-    cfg.validate()
     dl, em, ep = cfg.delta, cfg.e_min, cfg.e_max
     tp_t = cfg.theta_plus + cfg.t_max * cfg.w_sup
     exp_e = _ucp_exponent(cfg, ep)
@@ -195,7 +193,6 @@ def _neumann_function_constant(cfg: ConstantsConfig, dl: float) -> float:
 
 def kappa_family(cfg: ConstantsConfig) -> LowEnergyConstants:
     """Low-energy thresholds and constants, Dirichlet and (for d >= 3) Neumann."""
-    cfg.validate()
     dl = cfg.delta
     kp = _kappa_prime(cfg, dl)
     kap = _kappa_prime(cfg, dl / 2.0)
@@ -261,7 +258,6 @@ class ConstantsReport:
 
 def constants_report(cfg: ConstantsConfig, v_sup: float | None = None,
                      delta_plus: float | None = None) -> ConstantsReport:
-    cfg.validate()
     ucp = c_sfucp_family(cfg, v_sup=v_sup)
     evl = c_evl_family(cfg)
     low = kappa_family(cfg)

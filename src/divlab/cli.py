@@ -1,10 +1,13 @@
 """Configuration-driven experiment runner with reproducible, machine-readable output.
 
-A run is a pure function of its config: the resolved config (defaults
-materialized) is archived next to the reports, and re-running it reproduces
-every numeric field bit-identically.  Suites bundle curated desk-scale
-configs per topic; negative controls declare `expect: fail` so the suite
-exit status treats their failure as success.
+A run is a pure function of its config and the command-line flags: the
+resolved config is archived next to the reports, and re-running it
+reproduces every numeric field bit-identically.  `_resolve` fills in only
+`seed` and `expect`; every other default belongs to the function it
+configures, and a runner forwards a key only when the config sets it.
+Suites bundle curated desk-scale configs per topic; negative controls
+declare `expect: fail` so the suite exit status treats their failure as
+success.
 """
 from __future__ import annotations
 
@@ -12,7 +15,6 @@ import argparse
 import concurrent.futures
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import replace
@@ -46,11 +48,20 @@ def _get(cfg: dict, path: str, default=None, required: bool = False):
     return node
 
 
+def _given(node, **casts) -> dict:
+    """Keyword arguments for the keys `node` sets (not null), each through its cast.
+
+    A key the config leaves out is not passed, so the callee's default applies.
+    """
+    node = node if isinstance(node, dict) else {}
+    return {k: cast(node[k]) for k, cast in casts.items() if node.get(k) is not None}
+
+
 def _build_grid(cfg: dict):
     g = _get(cfg, "grid", {}) or {}
     try:
         return make_grid(int(g.get("d", 1)), int(g.get("L", 1)),
-                         int(g.get("n_per_side", 32)), g.get("bc", "dirichlet"))
+                         int(g.get("n_per_side", 32)), **_given(g, bc=str))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
@@ -72,8 +83,7 @@ def _build_field(cfg: dict, grid):
         return sampled_field(grid, lambda p: 1.0 + amp * np.sin(om * p[:, 0]),
                              theta_lip=amp * om)
     if kind == "checkerboard":
-        return checkerboard_field(grid, float(f.get("low", 1.0)),
-                                  float(f.get("high", 2.0)), int(f.get("axis", 0)))
+        return checkerboard_field(grid, **_given(f, low=float, high=float, axis=int))
     if kind == "anisotropic":
         # diagonal field with distinct smooth axis coefficients
         base = float(f.get("base", 1.0))
@@ -98,9 +108,8 @@ def _build_sequence(cfg: dict, grid):
     if delta is None:
         raise ConfigError("sequence.delta: required for this experiment")
     try:
-        return equidistributed_sequence(
-            grid, G, float(delta), mode=s.get("mode", "midpoint"),
-            seed=s.get("seed"), centers=s.get("centers"))
+        return equidistributed_sequence(grid, G, float(delta), seed=s.get("seed"),
+                                        centers=s.get("centers"), **_given(s, mode=str))
     except ValueError as exc:
         raise ConfigError(f"sequence: {exc}") from exc
 
@@ -108,25 +117,25 @@ def _build_sequence(cfg: dict, grid):
 def _build_constants(cfg: dict) -> bounds.ConstantsConfig:
     c = dict(_get(cfg, "constants", {}) or {})
     try:
-        out = bounds.ConstantsConfig(**c)
-        out.validate()
+        return bounds.ConstantsConfig(**c)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"constants: {exc}") from exc
-    return out
 
 
-def _build_w(cfg: dict, grid, seq):
+def _build_balls(cfg: dict):
+    """Grid, field, ball sequence and constants: the inputs of a ball-union check."""
+    grid = _build_grid(cfg)
+    return grid, _build_field(cfg, grid), _build_sequence(cfg, grid), _build_constants(cfg)
+
+
+def _build_w(cfg: dict, seq):
     w = _get(cfg, "check.w", {"kind": "tent"}) or {}
     kind = w.get("kind", "tent")
     if kind == "tent":
-        if seq is None:
-            raise ConfigError("check.w: tent perturbation needs a sequence")
         return ball_plateau_field(seq)
     if kind == "constant":
         return as_scalar_field(float(w.get("value", 1.0)))
     if kind == "tent_plus_one":
-        if seq is None:
-            raise ConfigError("check.w: tent perturbation needs a sequence")
         tent = ball_plateau_field(seq)
         return ScalarField(fn=lambda pts: 1.0 + tent(pts), lip=tent.lip, sup=2.0)
     raise ConfigError(f"check.w.kind: unknown recipe {kind!r}")
@@ -135,7 +144,7 @@ def _build_w(cfg: dict, grid, seq):
 def _dist_from(cfg_node: dict) -> CouplingDistribution:
     node = cfg_node or {}
     return CouplingDistribution(node.get("kind", "uniform"), float(node.get("m", 1.0)),
-                                float(node.get("p", 0.5)))
+                                **_given(node, p=float))
 
 
 # --------------------------------------------------------------------------
@@ -191,32 +200,23 @@ def _spectrum_upto(grid, field, top: float):
 
 
 def _run_ucp_function(cfg: dict) -> verify.CheckReport:
-    grid = _build_grid(cfg)
-    field = _build_field(cfg, grid)
-    seq = _build_sequence(cfg, grid)
-    consts = _build_constants(cfg)
+    grid, field, seq, consts = _build_balls(cfg)
     spec = _spectrum_upto(grid, field, consts.e_max)
     return verify.ucp_function_check(grid, field, spec, seq, consts,
-                                     clamp_delta=bool(_get(cfg, "check.clamp_delta", False)))
+                                     **_given(_get(cfg, "check"), clamp_delta=bool))
 
 
 def _run_ucp_gradient(cfg: dict) -> verify.CheckReport:
-    grid = _build_grid(cfg)
-    field = _build_field(cfg, grid)
-    seq = _build_sequence(cfg, grid)
-    consts = _build_constants(cfg)
+    grid, field, seq, consts = _build_balls(cfg)
     spec = _spectrum_upto(grid, field, consts.e_max)
     return verify.ucp_gradient_check(
         grid, field, spec, seq, consts,
-        variant=_get(cfg, "check.variant", "lipschitz"),
-        negative_control=bool(_get(cfg, "check.negative_control", False)))
+        **_given(_get(cfg, "check"), variant=str, negative_control=bool))
 
 
 def _run_projector_ucp(cfg: dict) -> verify.CheckReport:
-    grid = _build_grid(cfg)
-    field = _build_field(cfg, grid)
-    seq = _build_sequence(cfg, grid)
-    consts = replace(_build_constants(cfg), delta=seq.delta, d=grid.d)
+    grid, field, seq, consts = _build_balls(cfg)
+    consts = replace(consts, delta=seq.delta, d=grid.d)
     lam = _get(cfg, "check.lam")
     lam = bounds.kappa_family(consts).kappa_prime if lam is None else float(lam)
     spec = _spectrum_upto(grid, field, lam)
@@ -227,12 +227,8 @@ def _run_projector_ucp(cfg: dict) -> verify.CheckReport:
 
 
 def _run_lifting(cfg: dict) -> verify.CheckReport:
-    grid = _build_grid(cfg)
-    field = _build_field(cfg, grid)
-    seq = _build_sequence(cfg, grid)
-    consts = _build_constants(cfg)
-    w = _build_w(cfg, grid, seq)
-    curve = lifting_curve(grid, field, w,
+    grid, field, seq, consts = _build_balls(cfg)
+    curve = lifting_curve(grid, field, _build_w(cfg, seq),
                           t_max=float(_get(cfg, "check.t_max", 1.0)),
                           t_steps=int(_get(cfg, "check.t_steps", 7)),
                           indices=_get(cfg, "check.indices", [0, 1]))
@@ -241,24 +237,16 @@ def _run_lifting(cfg: dict) -> verify.CheckReport:
 
 
 def _run_wegner(cfg: dict) -> verify.CheckReport:
-    grid = _build_grid(cfg)
-    field = _build_field(cfg, grid)
-    seq = _build_sequence(cfg, grid)
-    consts = _build_constants(cfg)
-    model = alloy_model(
-        field, seq,
-        c_minus=float(_get(cfg, "check.c_minus", 1.0)),
-        c_plus=float(_get(cfg, "check.c_plus", 2.0)),
-        delta_plus=_get(cfg, "check.delta_plus"),
-        bump=_get(cfg, "check.bump", "plateau"),
-        dist=_dist_from(_get(cfg, "check.dist")))
+    grid, field, seq, consts = _build_balls(cfg)
+    check = _get(cfg, "check")
+    model = alloy_model(field, seq, **_given(check, c_minus=float, c_plus=float,
+                                             delta_plus=float, bump=str, dist=_dist_from))
     return verify.wegner_mc(
         model, grid,
         e_center=float(_get(cfg, "check.e_center", required=True)),
         eps=float(_get(cfg, "check.eps", 0.1)),
         n_samples=int(_get(cfg, "check.n_samples", 200)),
-        seed=int(_get(cfg, "seed", 0)), cfg=consts,
-        variant=_get(cfg, "check.variant", "bounded_w"))
+        seed=int(_get(cfg, "seed", 0)), cfg=consts, **_given(check, variant=str))
 
 
 def _run_pi_singular(cfg: dict) -> verify.CheckReport:
@@ -283,21 +271,19 @@ def _run_weyl(cfg: dict) -> verify.CheckReport:
     field_cfg = {"field": _get(cfg, "field", {"kind": "identity"})}
     return verify.weyl_check(grids, lambda g: _build_field(field_cfg, g),
                              e_plus=float(_get(cfg, "check.e_plus", 100.0)),
-                             weyl_constant=_get(cfg, "check.weyl_constant"))
+                             **_given(_get(cfg, "check"), weyl_constant=float))
 
 
 def _run_scaling(cfg: dict) -> verify.CheckReport:
     grid = _build_grid(cfg)  # source grid, side G*L
     field = _build_field(cfg, grid)
+    check = _get(cfg, "check")
     G = float(_get(cfg, "check.G", 2.0))
     seq = equidistributed_sequence(grid, G, float(_get(cfg, "check.delta", 0.75)),
-                                   mode=_get(cfg, "check.mode", "midpoint"),
-                                   seed=_get(cfg, "seed"))
+                                   seed=_get(cfg, "seed"), **_given(check, mode=str))
     return verify.scaling_check(field, G, seq,
                                 target_n_per_side=int(_get(cfg, "check.target_n", required=True)),
-                                k=int(_get(cfg, "check.k", 1)),
-                                eig_rtol=float(_get(cfg, "check.eig_rtol", 0.02)),
-                                grad_rtol=float(_get(cfg, "check.grad_rtol", 0.02)))
+                                **_given(check, k=int, eig_rtol=float, grad_rtol=float))
 
 
 def _run_mollification(cfg: dict) -> verify.CheckReport:
@@ -306,8 +292,7 @@ def _run_mollification(cfg: dict) -> verify.CheckReport:
     return verify.mollification_convergence(
         field, eps=float(_get(cfg, "check.eps", 0.25)),
         ells=_get(cfg, "check.ells", [4, 8, 16, 32]),
-        k=int(_get(cfg, "check.k", 3)),
-        rtol=float(_get(cfg, "check.rtol", 0.01)))
+        k=int(_get(cfg, "check.k", 3)), **_given(_get(cfg, "check"), rtol=float))
 
 
 def _run_neumann_trend(cfg: dict) -> verify.CheckReport:
@@ -362,24 +347,23 @@ def execute(config: dict) -> verify.CheckReport:
     return report
 
 
-def _resolve(config: dict, args=None) -> dict:
+def _resolve(config: dict, seed: int | None = None, resolution_mult: float = 1.0) -> dict:
     out = json.loads(json.dumps(config))  # deep copy, normalized types
     out.setdefault("seed", 1234)
     out.setdefault("expect", "pass")
-    if args is not None:
-        if args.seed is not None:
-            out["seed"] = args.seed
-        mult = args.resolution_mult
-        if mult and mult != 1 and "grid" in out:
-            out["grid"]["n_per_side"] = int(out["grid"].get("n_per_side", 32) * mult)
+    if seed is not None:
+        out["seed"] = seed
+    if resolution_mult and resolution_mult != 1 and "grid" in out:
+        out["grid"]["n_per_side"] = int(out["grid"].get("n_per_side", 32) * resolution_mult)
     return out
 
 
-def run(configs, output_dir, workers: int = 1, args=None) -> int:
+def run(configs, output_dir, workers: int = 1, seed: int | None = None,
+        resolution_mult: float = 1.0) -> int:
     """Run a list of experiment configs, write reports and a summary, return exit status."""
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    resolved = [_resolve(c, args) for c in configs]
+    resolved = [_resolve(c, seed, resolution_mult) for c in configs]
     with open(outdir / "resolved_config.yaml", "w") as fh:
         yaml.safe_dump({"runs": resolved}, fh, sort_keys=True)
 
@@ -536,9 +520,10 @@ def suite_configs(name: str, samples: int | None = None) -> list[dict]:
 
 
 def suite(name: str, output_dir="out", workers: int = 1, samples: int | None = None,
-          args=None) -> int:
+          seed: int | None = None, resolution_mult: float = 1.0) -> int:
     t0 = time.time()
-    status = run(suite_configs(name, samples), output_dir, workers=workers, args=args)
+    status = run(suite_configs(name, samples), output_dir, workers=workers, seed=seed,
+                 resolution_mult=resolution_mult)
     elapsed = time.time() - t0
     if elapsed > 1800:
         print(f"warning: suite runtime {elapsed:.0f}s exceeds the 30 minute budget",
@@ -556,29 +541,24 @@ def main(argv=None) -> int:
     p_run.add_argument("config", type=Path)
     p_suite = sub.add_parser("suite", help="run a curated suite")
     p_suite.add_argument("name", choices=sorted(_SUITES) + ["all"])
-    p_suite.add_argument("--samples", type=int,
-                         default=int(os.environ.get("DIVLAB_SAMPLES", 0)) or None,
-                         help="override Monte Carlo sample counts")
+    p_suite.add_argument("--samples", type=int, help="override Monte Carlo sample counts")
     for p in (p_run, p_suite):
-        p.add_argument("--out", type=Path,
-                       default=Path(os.environ.get("DIVLAB_OUTPUT", "out")))
-        p.add_argument("--seed", type=int,
-                       default=int(os.environ["DIVLAB_SEED"]) if "DIVLAB_SEED" in os.environ else None)
-        p.add_argument("--workers", type=int,
-                       default=int(os.environ.get("DIVLAB_WORKERS", "1")))
-        p.add_argument("--resolution-mult", type=float,
-                       default=float(os.environ.get("DIVLAB_RESOLUTION_MULT", "1")))
+        p.add_argument("--out", type=Path, default=Path("out"))
+        p.add_argument("--seed", type=int)
+        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--resolution-mult", type=float, default=1.0)
 
     args = parser.parse_args(argv)
+    flags = {"workers": args.workers, "seed": args.seed,
+             "resolution_mult": args.resolution_mult}
     try:
         if args.command == "run":
             with open(args.config) as fh:
                 loaded = yaml.safe_load(fh)
             configs = loaded["runs"] if isinstance(loaded, dict) and "runs" in loaded \
                 else [loaded] if isinstance(loaded, dict) else loaded
-            return run(configs, args.out, workers=args.workers, args=args)
-        return suite(args.name, args.out, workers=args.workers, samples=args.samples,
-                     args=args)
+            return run(configs, args.out, **flags)
+        return suite(args.name, args.out, samples=args.samples, **flags)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

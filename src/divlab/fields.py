@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -143,9 +143,9 @@ def sampled_field(grid: Grid, generator: Callable, theta_lip: float | None = Non
 
 def checkerboard_field(grid: Grid, low: float = 1.0, high: float = 2.0, axis: int = 0) -> MatrixField:
     """Discontinuous two-valued field: `low` where x_axis < 0, `high` where x_axis >= 0."""
-    def gen(pts):
-        return np.where(pts[:, axis] < 0, low, high)
-    return replace(sampled_field(grid, gen), theta_lip=None)
+    a = np.where(grid.cell_centers[:, axis] < 0, float(low), float(high))
+    cells = (a[:, None, None] * np.eye(grid.d)).reshape(grid.cells_shape + (grid.d, grid.d))
+    return _build(grid, cells, theta_lip=None)
 
 
 def check_ellipticity(field: MatrixField) -> tuple[float, float]:
@@ -356,7 +356,7 @@ def sample_alloy(model: AlloyModel, seed) -> AlloySample:
         grid=grid, cells=cells,
         theta_minus=model.base.theta_minus,
         theta_plus=model.base.theta_plus + model.v_sup_bound,
-        theta_lip=_lipschitz_estimate(grid, cells),
+        theta_lip=None,  # assembly reads only the cells and theta_minus
     )
     return AlloySample(omega=omega, v=v, field=field)
 

@@ -243,7 +243,6 @@ class LiftingCurve:
     hf_values: np.ndarray     # same shape; exact form derivative at each sample
     degenerate: np.ndarray    # bool, same shape
     w: ScalarField
-    w_min_nodes: float
     field_hash: str
 
 
@@ -285,11 +284,9 @@ def lifting_curve(grid: Grid, field, w, t_max: float, t_steps: int, indices) -> 
                 gap = min(gap, spec.energies[n + 1] - e)
             degenerate[row, it] = gap < _GAP_RTOL * max(1.0, abs(e))
 
-    w_min = float(np.min(w.on_full_nodes(grid)))
-    fh = field.content_hash()
     return LiftingCurve(grid=grid, ts=ts, indices=indices, energies=energies,
                         hf_values=hf_values, degenerate=degenerate,
-                        w=w, w_min_nodes=w_min, field_hash=fh)
+                        w=w, field_hash=field.content_hash())
 
 
 def projector_sample(spectrum: Spectrum, interval: tuple[float, float], seed,

@@ -158,7 +158,7 @@ def ucp_function_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
         raise ValueError("function-level bound is stated for Dirichlet grids")
     _require_field_hypotheses(field, need_lip=True, need_dir=True)
     vb = cfg.e_max if v_bound is None else float(v_bound)
-    cfg = replace(cfg, delta=seq.delta)
+    cfg = replace(cfg, delta=seq.delta, d=grid.d)
     consts = bounds.c_sfucp_family(cfg, v_sup=vb, clamp_delta=clamp_delta)
     mask = ball_mask(grid, seq)
     idx = [i for i in range(spectrum.k) if abs(spectrum.energies[i]) <= vb]
@@ -318,7 +318,8 @@ def lifting_check(curve: LiftingCurve, cfg: ConstantsConfig,
     if variant not in _LIFT_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; pick one of {_LIFT_VARIANTS}")
     grid = curve.grid
-    w_sup = curve.w.sup if curve.w.sup is not None else float(np.max(curve.w.on_full_nodes(grid)))
+    w_nodes = curve.w.on_full_nodes(grid)
+    w_sup = curve.w.sup if curve.w.sup is not None else float(np.max(w_nodes))
     w_lip = curve.w.lip if curve.w.lip is not None else cfg.w_lip
     cfg = replace(cfg, delta=seq.delta, d=grid.d, t_max=float(curve.ts[-1]),
                   w_sup=float(w_sup), w_lip=float(w_lip))
@@ -326,7 +327,7 @@ def lifting_check(curve: LiftingCurve, cfg: ConstantsConfig,
     low = bounds.kappa_family(cfg)
     window_top = cfg.e_max
     if variant == "elementary":
-        if curve.w_min_nodes < 1.0 - 1e-12:
+        if w_nodes.min() < 1.0 - 1e-12:
             raise ValueError("elementary slope bound needs w >= 1 on the whole cube")
         const = lift.elementary_slope
     elif variant == "standard":
@@ -348,7 +349,7 @@ def lifting_check(curve: LiftingCurve, cfg: ConstantsConfig,
 
     if variant != "elementary":
         inside = ball_mask(grid, seq).full_node_mask.ravel()
-        w_on_balls = curve.w.on_full_nodes(grid)[inside]
+        w_on_balls = w_nodes[inside]
         if w_on_balls.size and w_on_balls.min() < 1.0 - 1e-12:
             raise ValueError("w must dominate the ball-union indicator")
 

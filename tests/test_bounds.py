@@ -220,8 +220,8 @@ class TestConstantsReport:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            cfg(e_min=2.0, e_max=1.0).validate()
+            cfg(e_min=2.0, e_max=1.0)
         with pytest.raises(ValueError):
-            cfg(theta_minus=-1.0).validate()
+            cfg(theta_minus=-1.0)
         with pytest.raises(ValueError):
-            cfg(n_exponent=0.0).validate()
+            cfg(n_exponent=0.0)

@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 import divlab as dl
-from divlab import cli, verify
+from divlab import cli, io, verify
 
 
 def _read_reports(outdir):
@@ -118,6 +118,91 @@ class TestSuites:
         assert cli.suite("mollify", tmp_path) == 0
 
 
+class TestWorkers:
+    def test_process_pool_matches_serial(self, tmp_path):
+        configs = [{"experiment": "eigensolve", "grid": {"d": 1, "L": 1, "n_per_side": 16}},
+                   {"experiment": "pi_singular", "check": {"dist": {"kind": "uniform", "m": 1.0}}}]
+        assert cli.run(configs, tmp_path / "serial", workers=1) == 0
+        assert cli.run(configs, tmp_path / "pool", workers=2) == 0
+        serial, pool = _read_reports(tmp_path / "serial"), _read_reports(tmp_path / "pool")
+        assert list(serial) == list(pool) == ["eigensolve", "pi_singular"]
+        for name in serial:
+            serial[name].pop("walltime"), pool[name].pop("walltime")
+            assert serial[name] == pool[name]
+
+
+_MATRIX = [[2.0, 0.5], [0.5, 1.0]]
+
+
+def _anisotropic_cells(p):
+    """diag(1 + cos(2 pi x / L) / 4, 2 + cos(2 pi y / L) / 4) on L = 2."""
+    out = np.zeros((p.shape[0], 2, 2))
+    for k in range(2):
+        out[:, k, k] = k + 1 + 0.25 * np.cos(np.pi * p[:, k])
+    return out
+
+
+def _field_run(field):
+    return {"experiment": "eigensolve", "grid": {"d": 2, "L": 2, "n_per_side": 8},
+            "field": field, "check": {"k": 3}}
+
+
+def _lifting_run(w, variant):
+    return {"experiment": "lifting", "grid": {"d": 1, "L": 2, "n_per_side": 24},
+            "field": {"kind": "identity"}, "sequence": {"G": 1.0, "delta": 0.3},
+            "check": {"variant": variant, "w": w, "t_steps": 5},
+            "constants": {"e_min": 1.0, "e_max": 60.0}}
+
+
+_RECIPES = {
+    "field-constant": (_field_run({"kind": "constant", "matrix": _MATRIX}),
+                       lambda rep, g: rep.inputs["field"] == dl.constant_field(
+                           g, _MATRIX).content_hash()),
+    "field-anisotropic": (_field_run({"kind": "anisotropic"}),
+                          lambda rep, g: rep.inputs["field"] == dl.sampled_field(
+                              g, _anisotropic_cells).content_hash()),
+    "field-file": (_field_run({"kind": "file"}),
+                   lambda rep, g: rep.inputs["field"] == dl.checkerboard_field(
+                       g).content_hash()),
+    "w-constant": (_lifting_run({"kind": "constant", "value": 1.0}, "elementary"),
+                   lambda rep, g: rep.inputs["config"]["w_sup"] == 1.0),
+    "w-tent_plus_one": (_lifting_run({"kind": "tent_plus_one"}, "bounded_w"),
+                        lambda rep, g: rep.inputs["config"]["w_sup"] == 2.0),
+    "phi-softplus": ({"experiment": "pi_singular",
+                      "check": {"dist": {"kind": "uniform", "m": 1.0}, "phi": "softplus"}},
+                     lambda rep, g: 0.0 < rep.lhs < 0.1),  # softplus' < 1: below the linear eps
+}
+
+
+@pytest.mark.parametrize("recipe", sorted(_RECIPES))
+def test_recipe_without_a_suite_run(tmp_path, recipe):
+    config, holds = _RECIPES[recipe]
+    config = json.loads(json.dumps(config))
+    grid = dl.make_grid(2, 2, 8)
+    if recipe == "field-file":
+        config["field"]["path"] = str(tmp_path / "field.txt")
+        io.save_field(dl.checkerboard_field(grid), config["field"]["path"])
+    rep = cli.execute(config)
+    assert rep.status == "pass"
+    assert holds(rep, grid)
+
+
+class TestForwardedKeys:
+    _SCALING = {"experiment": "scaling", "grid": {"d": 1, "L": 4, "n_per_side": 48},
+                "field": {"kind": "sine"}, "check": {"target_n": 32}}
+
+    def test_set_key_reaches_the_callee(self):
+        config = json.loads(json.dumps(self._SCALING))
+        config["check"]["eig_rtol"] = 0.5
+        assert cli.execute(config).rhs == 0.5
+
+    def test_absent_key_gets_the_callee_default(self):
+        assert cli.execute(self._SCALING).rhs == 0.02
+
+    def test_null_key_counts_as_absent(self):
+        assert cli._given({"p": None, "q": "1.5"}, p=float, q=float, r=int) == {"q": 1.5}
+
+
 class TestMain:
     def test_run_command(self, tmp_path):
         cfg_file = tmp_path / "cfg.yaml"
@@ -140,6 +225,22 @@ class TestMain:
                          "--resolution-mult", "2"]) == 0
         resolved = yaml.safe_load((out / "resolved_config.yaml").read_text())
         assert resolved["runs"][0]["grid"]["n_per_side"] == 32
+
+    def test_environment_does_not_reach_a_run(self, tmp_path, monkeypatch):
+        for name in ("SEED", "OUTPUT", "WORKERS", "RESOLUTION_MULT", "SAMPLES"):
+            monkeypatch.setenv(f"DIVLAB_{name}", "7")
+        cfg_file = tmp_path / "cfg.yaml"
+        cfg_file.write_text(yaml.safe_dump({
+            "experiment": "eigensolve", "seed": 3,
+            "grid": {"d": 1, "L": 1, "n_per_side": 16}}))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg_file), "--out", str(out)]) == 0
+        resolved = yaml.safe_load((out / "resolved_config.yaml").read_text())["runs"][0]
+        assert resolved["seed"] == 3 and resolved["grid"]["n_per_side"] == 16
+        monkeypatch.setenv("DIVLAB_SEED", "abc")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
 
     def test_config_error_exit_code(self, tmp_path):
         cfg_file = tmp_path / "cfg.yaml"

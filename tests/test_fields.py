@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divlab as dl
+from divlab import fields
 from divlab.fields import EllipticityError, _site_bumps
 
 
@@ -240,6 +241,21 @@ class TestAlloy:
         sample = dl.sample_alloy(model, 5)
         assert sample.field.theta_minus == model.base.theta_minus
         assert sample.field.theta_plus == model.base.theta_plus + model.v_sup_bound
+
+    def test_checkerboard_and_alloy_sample_skip_the_lipschitz_scan(self, monkeypatch):
+        def scan(*_):
+            raise AssertionError("adjacent-difference scan ran")
+
+        monkeypatch.setattr(fields, "_lipschitz_estimate", scan)
+        g = dl.make_grid(2, 2, 8)
+        cb = dl.checkerboard_field(g, 1.0, 3.0, axis=1)
+        assert cb.theta_lip is None and (cb.theta_minus, cb.theta_plus) == (1.0, 3.0)
+        assert np.array_equal(cb.cells[:, :, 0, 1], np.zeros(g.cells_shape))
+        low = g.cell_centers[:, 1].reshape(g.cells_shape) < 0
+        assert np.array_equal(cb.cells[..., 0, 0], np.where(low, 1.0, 3.0))
+        assert np.array_equal(cb.cells[..., 1, 1], cb.cells[..., 0, 0])
+        sample = dl.sample_alloy(_simple_model(), 0)
+        assert sample.field.theta_lip is None
 
     def test_validation(self):
         g = dl.make_grid(1, 2, 16)

@@ -76,6 +76,20 @@ class TestUcpFunction:
         with pytest.raises(ValueError, match="Lipschitz"):
             verify.ucp_function_check(g, cb, spec, seq, cfg)
 
+    def test_constants_use_the_grid_dimension(self):
+        g = dl.make_grid(2, 2, 8)
+        f = dl.sampled_field(g, lambda p: 1 + 0.5 * np.sin(np.pi * p[:, 0]),
+                             theta_lip=0.5 * np.pi)
+        seq = dl.equidistributed_sequence(g, 1.0, 0.3)
+        spec = dl.eigensolve(dl.assemble(g, f), k=4)
+        cfg = ConstantsConfig(e_min=1.0, e_max=30.0, theta_minus=0.5, theta_plus=1.5)
+        rep = verify.ucp_function_check(g, f, spec, seq, cfg)
+        assert rep.inputs["config"]["d"] == 2
+        at_d2 = ConstantsConfig(**{**cfg.snapshot(), "d": 2, "delta": 0.3})
+        assert rep.observed["delta0"] == bounds.delta0(at_d2, G=1.0)
+        grad = verify.ucp_gradient_check(g, f, spec, seq, cfg)
+        assert grad.inputs["config"] == rep.inputs["config"]
+
 
 class TestUcpGradient:
     def test_lipschitz_variant_passes(self):
