@@ -7,9 +7,8 @@ from .lattice import (DIRICHLET, NEUMANN, EquidistributedSeq, FaceField, Grid,
 from .fields import (AlloyModel, AlloySample, CouplingDistribution, MatrixField,
                      alloy_model, ball_plateau_field, check_dir_condition, check_ellipticity,
                      check_lipschitz, checkerboard_field, constant_field,
-                     identity_field, modulus_of_continuity, mollify,
-                     sample_alloy, sampled_field, single_site_sum,
-                     tent_minorant)
+                     identity_field, mollify, sample_alloy, sampled_field,
+                     single_site_sum, tent_minorant)
 from .operators import DiscreteOperator, assemble, perturbation_operator, rescale
 from .spectral import (EigensolveError, LiftingCurve, Spectrum, count_eigenvalues,
                        eigensolve, hf_derivative, lifting_curve, projector_sample,

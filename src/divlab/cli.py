@@ -30,7 +30,7 @@ from .fields import (CouplingDistribution, alloy_model, ball_plateau_field,
 from .lattice import (ScalarField, as_scalar_field,
                       equidistributed_sequence, make_grid)
 from .operators import assemble
-from .spectral import eigensolve, lifting_curve
+from .spectral import EigensolveError, count_eigenvalues, eigensolve, lifting_curve
 
 
 class ConfigError(ValueError):
@@ -107,8 +107,9 @@ def _build_sequence(cfg: dict, grid):
     delta = s.get("delta")
     if delta is None:
         raise ConfigError("sequence.delta: required for this experiment")
+    seed = s["seed"] if s.get("seed") is not None else _get(cfg, "seed")
     try:
-        return equidistributed_sequence(grid, G, float(delta), seed=s.get("seed"),
+        return equidistributed_sequence(grid, G, float(delta), seed=seed,
                                         centers=s.get("centers"), **_given(s, mode=str))
     except ValueError as exc:
         raise ConfigError(f"sequence: {exc}") from exc
@@ -190,13 +191,14 @@ def _run_reverse_caccioppoli(cfg: dict) -> verify.CheckReport:
 
 
 def _spectrum_upto(grid, field, top: float):
+    """Every eigenpair <= top and the next one; the inertia count sizes and certifies the solve."""
     op = assemble(grid, field)
-    k = min(8, op.dim)
-    while True:
-        spec = eigensolve(op, k=k)
-        if spec.energies[-1] > top or k >= op.dim:
-            return spec
-        k = min(2 * k, op.dim)
+    below = count_eigenvalues(op, top)
+    spec = eigensolve(op, k=min(below + 1, op.dim))
+    found = int(np.count_nonzero(spec.energies <= top))
+    if found != below:
+        raise EigensolveError(f"{found} solved eigenvalues <= {top:.6g}, inertia counts {below}")
+    return spec
 
 
 def _run_ucp_function(cfg: dict) -> verify.CheckReport:
@@ -353,7 +355,9 @@ def _resolve(config: dict, seed: int | None = None, resolution_mult: float = 1.0
     out.setdefault("expect", "pass")
     if seed is not None:
         out["seed"] = seed
-    if resolution_mult and resolution_mult != 1 and "grid" in out:
+    if not resolution_mult > 0:
+        raise ConfigError(f"--resolution-mult: must be positive, got {resolution_mult}")
+    if resolution_mult != 1 and "grid" in out:
         out["grid"]["n_per_side"] = int(out["grid"].get("n_per_side", 32) * resolution_mult)
     return out
 

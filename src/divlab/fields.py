@@ -400,8 +400,3 @@ def tent_minorant(w: ScalarField, seq: EquidistributedSeq, grid: Grid) -> Scalar
         pt = nodes[inside][j]
         raise ValueError(f"w must dominate the ball-union indicator; w({tuple(pt)}) < 1")
     return ball_plateau_field(seq, dhat, seq.delta)
-
-
-def modulus_of_continuity(model_or_dist, eps: float) -> float:
-    dist = model_or_dist.dist if isinstance(model_or_dist, AlloyModel) else model_or_dist
-    return dist.modulus(eps)

@@ -21,8 +21,7 @@ import scipy.integrate
 from . import bounds
 from .bounds import ConstantsConfig
 from .fields import (AlloyModel, MatrixField, check_dir_condition,
-                     check_ellipticity, modulus_of_continuity, mollify,
-                     sample_alloy, single_site_sum)
+                     check_ellipticity, mollify, sample_alloy, single_site_sum)
 from .lattice import (EquidistributedSeq, Grid, ball, ball_mask,
                       discrete_gradient, equidistributed_sequence, smooth_switch,
                       subset_norm2)
@@ -604,7 +603,7 @@ def wegner_mc(model: AlloyModel, grid: Grid, e_center: float, eps: float,
     lifts = bounds.c_evl_family(lift_cfg)
     lifting_constant = lifts.bounded_w if variant == "bounded_w" else lifts.standard
     cw = bounds.c_wegner(lift_cfg, lifting_constant, model.delta_plus)
-    s_eps = modulus_of_continuity(model, eps)
+    s_eps = model.dist.modulus(eps)
     rhs = cw * s_eps * float(grid.L) ** (2 * grid.d)
 
     eps_levels = [eps * f for f in _EPS_FACTORS]

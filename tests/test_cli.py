@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import yaml
 
 import divlab as dl
@@ -85,6 +86,22 @@ class TestSingleRuns:
             d1, d2 = r1[name], r2[name]
             d1.pop("walltime"), d2.pop("walltime")
             assert d1 == d2
+
+    def test_random_centres_follow_the_run_seed(self):
+        config = {"experiment": "ucp_gradient",
+                  "grid": {"d": 1, "L": 2, "n_per_side": 24},
+                  "field": {"kind": "sine"},
+                  "sequence": {"G": 1.0, "delta": 0.2, "mode": "random"},
+                  "constants": {"e_min": 1.0, "e_max": 30.0}}
+        resolved = cli._resolve(config, seed=5)
+        first, again = cli.execute(resolved).to_dict(), cli.execute(resolved).to_dict()
+        first.pop("walltime"), again.pop("walltime")
+        assert first == again
+        grid = cli._build_grid(resolved)
+        centres = [cli._build_sequence(cli._resolve(config, seed=s), grid).centers
+                   for s in (5, 5, 6)]
+        assert np.array_equal(centres[0], centres[1])
+        assert not np.array_equal(centres[0], centres[2])
 
     def test_walltime_is_set_by_the_runner_only(self):
         dist = {"kind": "uniform", "m": 1.0}
@@ -226,6 +243,17 @@ class TestMain:
         resolved = yaml.safe_load((out / "resolved_config.yaml").read_text())
         assert resolved["runs"][0]["grid"]["n_per_side"] == 32
 
+    @pytest.mark.parametrize("mult", ["0", "-1"])
+    def test_nonpositive_resolution_multiplier_rejected(self, tmp_path, mult):
+        cfg_file = tmp_path / "cfg.yaml"
+        cfg_file.write_text(yaml.safe_dump({
+            "experiment": "eigensolve",
+            "grid": {"d": 1, "L": 1, "n_per_side": 16}}))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg_file), "--out", str(out),
+                         "--resolution-mult", mult]) == 2
+        assert not (out / "summary.tsv").exists()
+
     def test_environment_does_not_reach_a_run(self, tmp_path, monkeypatch):
         for name in ("SEED", "OUTPUT", "WORKERS", "RESOLUTION_MULT", "SAMPLES"):
             monkeypatch.setenv(f"DIVLAB_{name}", "7")
@@ -246,6 +274,50 @@ class TestMain:
         cfg_file = tmp_path / "cfg.yaml"
         cfg_file.write_text(yaml.safe_dump({"experiment": "bogus"}))
         assert cli.main(["run", str(cfg_file), "--out", str(tmp_path / "o")]) == 2
+
+
+class TestSpectrumUpto:
+    """Threshold spectra are sized and certified by the inertia count."""
+
+    @staticmethod
+    def _sine(d, L, n, bc="dirichlet"):
+        grid = dl.make_grid(d, L, n, bc)
+        return grid, cli._build_field({"field": {"kind": "sine"}}, grid)
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_lanczos_size_matches_count_and_dense(self, bc):
+        grid, field = self._sine(2, 2, 20, bc)  # 1521 / 1681 unknowns: Lanczos path
+        op = dl.assemble(grid, field)
+        top = 60.0
+        spec = cli._spectrum_upto(grid, field, top)
+        below = dl.count_eigenvalues(op, top)
+        assert not spec.complete and below > 8
+        assert spec.k == below + 1
+        assert np.count_nonzero(spec.energies <= top) == below
+        assert spec.energies[-1] > top
+        dense = scipy.linalg.eigvalsh(op.dense())[:spec.k]
+        assert np.abs(spec.energies - dense).max() <= 1e-10
+        if bc == "neumann":  # the constant zero mode is counted and returned
+            assert abs(spec.energies[0]) < 1e-10
+
+    def test_dropped_pair_raises(self, monkeypatch):
+        grid, field = self._sine(1, 2, 24)
+        solve = cli.eigensolve
+
+        def drop_first(op, k):
+            spec = solve(op, k)
+            return dl.Spectrum(energies=spec.energies[1:], vectors=spec.vectors[:, 1:],
+                               residuals=spec.residuals[1:], complete=spec.complete)
+
+        monkeypatch.setattr(cli, "eigensolve", drop_first)
+        with pytest.raises(dl.EigensolveError, match="inertia counts"):
+            cli._spectrum_upto(grid, field, 30.0)
+
+    def test_top_above_the_spectrum_returns_every_pair(self):
+        grid, field = self._sine(1, 2, 24)
+        op = dl.assemble(grid, field)
+        spec = cli._spectrum_upto(grid, field, 1e6)
+        assert spec.k == op.dim == dl.count_eigenvalues(op, 1e6)
 
 
 def test_suite_all_equals_bench_reference(tmp_path):

@@ -299,10 +299,10 @@ class TestTentMinorant:
 
 class TestModulus:
     def test_values(self):
-        assert dl.modulus_of_continuity(dl.CouplingDistribution("uniform", 1.0), 0.1) == 0.1
-        assert dl.modulus_of_continuity(dl.CouplingDistribution("uniform", 2.0), 5.0) == 1.0
-        assert dl.modulus_of_continuity(dl.CouplingDistribution("bernoulli", 1.0, p=0.5), 0.1) == 0.5
-        assert dl.modulus_of_continuity(dl.CouplingDistribution("point", 0.3), 0.0) == 1.0
+        assert dl.CouplingDistribution("uniform", 1.0).modulus(0.1) == 0.1
+        assert dl.CouplingDistribution("uniform", 2.0).modulus(5.0) == 1.0
+        assert dl.CouplingDistribution("bernoulli", 1.0, p=0.5).modulus(0.1) == 0.5
+        assert dl.CouplingDistribution("point", 0.3).modulus(0.0) == 1.0
 
     @given(st.floats(0, 3), st.floats(0, 3))
     @settings(max_examples=40, deadline=None)
