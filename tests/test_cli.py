@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -102,6 +103,19 @@ class TestSingleRuns:
                    for s in (5, 5, 6)]
         assert np.array_equal(centres[0], centres[1])
         assert not np.array_equal(centres[0], centres[2])
+
+    def test_unresolved_random_centres_draw_with_seed_zero(self):
+        # a config that skips `_resolve` (no top-level seed) must not draw from OS entropy
+        config = {"experiment": "ucp_gradient",
+                  "grid": {"d": 1, "L": 2, "n_per_side": 24},
+                  "field": {"kind": "sine"},
+                  "sequence": {"G": 1.0, "delta": 0.2, "mode": "random"},
+                  "constants": {"e_min": 1.0, "e_max": 30.0}}
+        first, again = cli.execute(config).to_dict(), cli.execute(config).to_dict()
+        seeded = cli.execute({**config, "seed": 0}).to_dict()
+        for rep in (first, again, seeded):
+            rep.pop("walltime")
+        assert first == again == seeded
 
     def test_walltime_is_set_by_the_runner_only(self):
         dist = {"kind": "uniform", "m": 1.0}
@@ -320,25 +334,54 @@ class TestSpectrumUpto:
         assert spec.k == op.dim == dl.count_eigenvalues(op, 1e6)
 
 
-def test_suite_all_equals_bench_reference(tmp_path):
-    """`divlab suite all --seed 0` reproduces the committed reference reports exactly.
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
-    BLAS runs on one thread: a threaded reduction can move the last bits of a
-    float (the 2D scaling check's eigenvalue error does).  The reference file
-    is only read.
+
+def _reports_and_bench_reference(tmp_path, workload, cli_args):
+    """Run `python -m divlab.cli *cli_args --out tmp_path` with BLAS on one thread and
+    pair every report, minus `walltime`, with its entry in `bench/reference/<workload>.json`.
+
+    A threaded BLAS reduction can move the last bits of a float (the 2D scaling
+    check's eigenvalue error does).  The reference file is only read.
     """
-    reference = json.loads((Path(__file__).resolve().parents[1] / "bench" / "reference"
-                            / "suite_all.json").read_text())
+    reference = json.loads((BENCH_DIR / "reference" / f"{workload}.json").read_text())
     env = {k: v for k, v in os.environ.items() if not k.startswith("DIVLAB_")}
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     src = str(Path(dl.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    subprocess.run([sys.executable, "-m", "divlab.cli", "suite", "all", "--seed", "0",
-                    "--out", str(tmp_path)], env=env, check=True, capture_output=True)
+    subprocess.run([sys.executable, "-m", "divlab.cli", *cli_args, "--out", str(tmp_path)],
+                   env=env, check=True, capture_output=True)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert reference["seed"] == 0
     assert [m["name"] for m in manifest] == [r["name"] for r in reference["reports"]]
-    for m, ref in zip(manifest, reference["reports"]):
-        rep = json.loads((tmp_path / m["file"]).read_text())
+    reports = [json.loads((tmp_path / m["file"]).read_text()) for m in manifest]
+    for rep in reports:
         del rep["walltime"]
-        assert rep == ref, m["name"]
+    return list(zip(reports, reference["reports"]))
+
+
+def test_suite_all_equals_bench_reference(tmp_path):
+    """`divlab suite all --seed 0` reproduces the committed reference reports exactly."""
+    for rep, ref in _reports_and_bench_reference(tmp_path, "suite_all",
+                                                 ["suite", "all", "--seed", "0"]):
+        assert rep == ref, rep["name"]
+
+
+@pytest.mark.parametrize("workload", ["wegner_mc", "ucp_2d"])
+def test_d2_d3_workloads_match_bench_reference(tmp_path, workload):
+    """The seed-0 `wegner_mc` (sparse inertia counts at d = 2 and 3) and `ucp_2d`
+    (a d = 2 threshold spectrum) workload configs reproduce their reference reports.
+
+    Compared as the bench compares them: integers and strings exactly, floats
+    within `FLOAT_RTOL`.  The ucp_2d reference was written when threshold
+    spectra came from a 64-pair solve, so its energies differ from today's
+    one-solve spectrum in the last bits.
+    """
+    spec = importlib.util.spec_from_file_location("bench_workload", BENCH_DIR / "workload.py")
+    bench_workload = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_workload)
+    config = tmp_path / "runs.yaml"
+    config.write_text(yaml.safe_dump({"runs": bench_workload.WORKLOADS[workload](0)}))
+    for rep, ref in _reports_and_bench_reference(tmp_path / "out", workload,
+                                                 ["run", str(config)]):
+        assert bench_workload.compare(rep, ref) == [], rep["name"]

@@ -1,8 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 import divlab as dl
 from divlab import spectral
@@ -60,6 +63,46 @@ def _alloy_field(base, seed):
     model = dl.alloy_model(base, seq, c_minus=1.0, c_plus=2.0, delta_plus=0.45,
                            dist=dl.CouplingDistribution("uniform", 2.0))
     return dl.sample_alloy(model, seed).field
+
+
+# (d, L, n_per_side, bc, field): unknowns per axis-0 layer and per slab vary, and
+# several node counts are not a multiple of the slab size (63 = 3*16 + 15,
+# 18 = 16 + 2, 81 = 4*18 + 9)
+COUNT_MATRICES = [
+    (1, 2, 32, "dirichlet", "alloy"),
+    (1, 1, 17, "neumann", "alloy"),
+    (2, 1, 10, "dirichlet", "offdiag"),
+    (2, 1, 10, "dirichlet", "alloy-offdiag"),
+    (2, 1, 7, "neumann", "alloy"),
+    (3, 1, 6, "dirichlet", "alloy-offdiag"),
+    (3, 1, 3, "neumann", "offdiag"),
+]
+
+
+def _count_matrix(d, L, n, bc, kind):
+    """One COUNT_MATRICES operator, six energies across its spectrum, and their dense
+    LDL^T (count, flag) pairs."""
+    g = dl.make_grid(d, L, n, bc=bc)
+    base = _offdiag_field(g) if "offdiag" in kind else dl.identity_field(g)
+    field = _alloy_field(base, 5) if "alloy" in kind else base
+    op = dl.assemble(g, field)
+    rng = np.random.default_rng(d * 100 + n)
+    energies = rng.uniform(0.0, 1.1 * np.abs(op.dense()).sum(axis=1).max(), size=6)
+    return op, energies, [_dense_ldl_count(op, e) for e in energies]
+
+
+def _ldl_count(op, energy):
+    """The sparse path's count at one energy, or None when a certificate fails."""
+    tol = spectral._zero_tol(op, np.array([energy]))[0]
+    rhs = np.random.default_rng(spectral._RHS_SEED).standard_normal(op.dim)
+    return spectral._ldl_count(op.matrix.tocsc(), op.matrix.diagonal(), energy, tol, rhs)
+
+
+def _superlu(op, energy):
+    """The factorization `_ldl_count` certifies, for checking a test's premise."""
+    a = (op.matrix - energy * scipy.sparse.identity(op.dim, format="csr")).tocsc()
+    return scipy.sparse.linalg.splu(a, permc_spec="COLAMD", diag_pivot_thresh=0,
+                                    options={"SymmetricMode": True})
 
 
 class TestEigensolve:
@@ -145,18 +188,7 @@ class TestCountEigenvalues:
         _, unflagged = dl.count_eigenvalues(op, e2 + 1.0, return_flag=True)
         assert not unflagged
 
-    # (d, L, n_per_side, bc, field): unknowns per axis-0 layer and per slab vary, and
-    # several node counts are not a multiple of the slab size (63 = 3*16 + 15,
-    # 18 = 16 + 2, 81 = 4*18 + 9)
-    @pytest.mark.parametrize("d, L, n, bc, kind", [
-        (1, 2, 32, "dirichlet", "alloy"),
-        (1, 1, 17, "neumann", "alloy"),
-        (2, 1, 10, "dirichlet", "offdiag"),
-        (2, 1, 10, "dirichlet", "alloy-offdiag"),
-        (2, 1, 7, "neumann", "alloy"),
-        (3, 1, 6, "dirichlet", "alloy-offdiag"),
-        (3, 1, 3, "neumann", "offdiag"),
-    ])
+    @pytest.mark.parametrize("d, L, n, bc, kind", COUNT_MATRICES)
     def test_slab_counts_match_dense_ldl(self, d, L, n, bc, kind):
         g = dl.make_grid(d, L, n, bc=bc)
         base = _offdiag_field(g) if "offdiag" in kind else dl.identity_field(g)
@@ -169,6 +201,70 @@ class TestCountEigenvalues:
         assert counts.tolist() == [c for c, _ in oracle]
         assert flags.tolist() == [f for _, f in oracle]
         assert [dl.count_eigenvalues(op, e) for e in energies] == counts.tolist()
+
+    @pytest.mark.parametrize("d, L, n, bc, kind", COUNT_MATRICES)
+    def test_slab_path_matches_dense_ldl(self, d, L, n, bc, kind):
+        op, energies, oracle = _count_matrix(d, L, n, bc, kind)
+        counts, flags = spectral.slab_count_eigenvalues(op, energies, return_flag=True)
+        assert counts.tolist() == [c for c, _ in oracle]
+        assert flags.tolist() == [f for _, f in oracle]
+
+    @pytest.mark.parametrize("d, L, n, bc, kind", COUNT_MATRICES)
+    def test_sparse_path_matches_dense_ldl_without_fallback(self, d, L, n, bc, kind):
+        op, energies, oracle = _count_matrix(d, L, n, bc, kind)
+        assert not any(f for _, f in oracle)
+        assert [_ldl_count(op, e) for e in energies] == [c for c, _ in oracle]
+
+    def test_forced_certificate_failure_returns_the_slab_count_and_flag(self, monkeypatch):
+        # every factorization reports an off-diagonal pivot, so every energy falls back
+        g = dl.make_grid(2, 1, 10)
+        op = dl.assemble(g, _alloy_field(_offdiag_field(g), 5))
+        energies = np.r_[np.linalg.eigvalsh(op.dense())[7], 50.0, 200.0]
+        splu = scipy.sparse.linalg.splu
+
+        def off_diagonal_pivots(a, **kw):
+            lu = splu(a, **kw)
+            return SimpleNamespace(perm_r=lu.perm_r[::-1], perm_c=lu.perm_c, U=lu.U,
+                                   solve=lu.solve)
+
+        monkeypatch.setattr(spectral.spla, "splu", off_diagonal_pivots)
+        counts, flags = dl.count_eigenvalues(op, energies, return_flag=True)
+        slab = spectral.slab_count_eigenvalues(op, energies, return_flag=True)
+        assert counts.tolist() == slab[0].tolist()
+        assert flags.tolist() == slab[1].tolist() == [True, False, False]
+
+    def test_energy_at_a_2d_eigenvalue_falls_back_and_is_flagged(self):
+        g = dl.make_grid(2, 1, 10)
+        op = dl.assemble(g, _alloy_field(dl.identity_field(g), 5))
+        energies = np.linalg.eigvalsh(op.dense())[[0, 1, 10, 40]]
+        assert [_ldl_count(op, e) for e in energies] == [None] * 4  # a pivot near zero
+        counts, flags = dl.count_eigenvalues(op, energies, return_flag=True)
+        slab = spectral.slab_count_eigenvalues(op, energies, return_flag=True)
+        assert counts.tolist() == slab[0].tolist() == [1, 2, 11, 41]
+        assert flags.all() and slab[1].all()
+
+    def test_off_diagonal_pivot_falls_back(self):
+        # E = H_00 zeroes the first pivot of the COLAMD order, so SuperLU swaps rows:
+        # a stable LU, but not an LDL^T, so diag(U) carries no inertia
+        g = dl.make_grid(2, 1, 10)
+        op = dl.assemble(g, _alloy_field(dl.identity_field(g), 5))
+        e = op.matrix.diagonal()[0]
+        lu = _superlu(op, e)
+        assert lu.perm_c[0] == 0 and not np.array_equal(lu.perm_r, lu.perm_c)
+        assert _ldl_count(op, e) is None
+        assert dl.count_eigenvalues(op, e) == _dense_ldl_count(op, e)[0]
+
+    def test_unstable_factorization_falls_back(self):
+        # a first pivot of relative size 1e-9 clears the near-zero tolerance, but the
+        # element growth it causes shows in the backward error of the solve
+        g = dl.make_grid(2, 1, 10)
+        op = dl.assemble(g, _alloy_field(dl.identity_field(g), 5))
+        e = op.matrix.diagonal()[0] * (1 - 1e-9)
+        lu = _superlu(op, e)
+        assert lu.perm_c[0] == 0 and np.array_equal(lu.perm_r, lu.perm_c)
+        assert np.abs(lu.U.diagonal()).min() > spectral._zero_tol(op, np.array([e]))[0]
+        assert _ldl_count(op, e) is None
+        assert dl.count_eigenvalues(op, e) == _dense_ldl_count(op, e)[0]
 
     def test_singular_schur_block_is_flagged_and_counted(self):
         # E at an eigenvalue of the first 16-node slab makes S_0 singular while
