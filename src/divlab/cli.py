@@ -203,11 +203,11 @@ def _run_reverse_caccioppoli(cfg: dict) -> verify.CheckReport:
 def _spectrum_upto(grid, field, top: float):
     """Every eigenpair <= top and the next one; the inertia count sizes and certifies the solve.
 
-    The count is the slab one at every d.  A sparse count frees SuperLU blocks of
-    the size the shift-invert solve allocates next; glibc's dynamic mmap
-    threshold then serves that solve from the heap and keeps it resident, which
-    raised the peak RSS of the ucp_2d bench workload (d = 2, dim 16129) from 137
-    to 158 MB.
+    The count is the slab one at every d (scalar Sturm pivots for d = 1).  A
+    sparse count frees SuperLU blocks of the size the shift-invert solve
+    allocates next; glibc's dynamic mmap threshold then serves that solve from
+    the heap and keeps it resident, which raised the peak RSS of the ucp_2d
+    bench workload (d = 2, dim 16129) from 137 to 158 MB.
     """
     op = assemble(grid, field)
     below = slab_count_eigenvalues(op, top)

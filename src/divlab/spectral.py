@@ -12,7 +12,7 @@ from .lattice import Grid, ScalarField, as_scalar_field, discrete_gradient
 from .operators import DiscreteOperator, assemble, edge_coefficients, perturbation_operator
 
 _DENSE_CUTOFF = 1400
-_MIN_SLAB = 16  # unknowns per inertia slab; one-node slabs make 1D counts Python-bound
+_MIN_SLAB = 16  # unknowns per inertia slab of a d >= 2 grid whose axis-0 layers are small
 _RTOL = 1e-9
 _ZERO_RTOL = 1e-12  # relative size at or below which an inertia pivot counts as zero
 # A sparse LDL^T without pivoting is only as stable as its element growth allows.
@@ -118,22 +118,34 @@ def _eigsh(op: DiscreteOperator, k: int, sigma: float):
 def window_eigenvalues(op: DiscreteOperator, lo: float, hi: float, expected: int) -> np.ndarray:
     """Eigenvalues in (lo, hi], certified complete by an inertia count.
 
-    Shift-invert Lanczos at the window midpoint returns the `expected + 2`
-    eigenvalues nearest to it; their vectors serve only the certificate.  Raises
+    The `expected + 2` eigenpairs nearest the window midpoint are taken from
+    shift-invert Lanczos there or, for d = 1 up to _DENSE_CUTOFF unknowns, from
+    all the pairs that LAPACK's divide and conquer (`dstevd`) returns for the
+    tridiagonal H; their vectors serve only the certificate.  Raises
     EigensolveError unless every residual meets the `eigensolve` tolerance, the
-    Ritz vectors are orthonormal (so no eigenvalue is a ghost copy of another),
-    and exactly `expected` Ritz values fall in the window; with `expected` taken
+    vectors are orthonormal (so no eigenvalue is a ghost copy of another), and
+    exactly `expected` of the values fall in the window; with `expected` taken
     from `count_eigenvalues`, a missed or spurious eigenvalue cannot pass.
+    Divide and conquer forms no LDL^T of H - E (it splits H by rank-one tears,
+    solves secular equations and leaves the small blocks to implicit QL/QR), so
+    the 1D window and the 1D count share no factorization.
     """
     if not lo < hi:
         raise ValueError(f"empty window ({lo}, {hi}]")
     if expected < 0:
         raise ValueError(f"expected must be nonnegative, got {expected}")
-    k = expected + 2
-    if k >= op.dim:  # ARPACK needs k < dim
+    k, mid = expected + 2, 0.5 * (lo + hi)
+    if op.grid.d == 1 and op.dim <= _DENSE_CUTOFF:  # dstevd stores all n^2 vector entries
+        diag, off = _tridiagonal(op)
+        evals, evecs, info = scipy.linalg.lapack.dstevd(diag, off if off.size else np.zeros(1))
+        if info:
+            raise EigensolveError(f"dstevd failed with info = {info}")
+        near = np.sort(np.argsort(np.abs(evals - mid))[:k])
+        evals, evecs = evals[near], evecs[:, near]
+    elif k >= op.dim:  # ARPACK needs k < dim
         evals, evecs = scipy.linalg.eigh(op.dense())
     else:
-        evals, evecs = _eigsh(op, k, sigma=0.5 * (lo + hi))
+        evals, evecs = _eigsh(op, k, sigma=mid)
     _checked_residuals(op, evals, evecs)
     if np.abs(evecs.T @ evecs - np.eye(evals.size)).max() > 1e-8:
         raise EigensolveError("Ritz vectors are not orthonormal: ghost eigenvalue copies")
@@ -179,6 +191,34 @@ def _slab_blocks(op: DiscreteOperator):
     return diag, coup, layer
 
 
+def _tridiagonal(op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal and first off-diagonal of H; raises unless H is tridiagonal."""
+    mat = op.matrix
+    rows = np.repeat(np.arange(op.dim), np.diff(mat.indptr))
+    if np.any((np.abs(mat.indices - rows) > 1) & (mat.data != 0)):
+        raise ValueError("operator has entries off the three central diagonals")
+    return mat.diagonal(), mat.diagonal(1)
+
+
+def _pivot_counts(op: DiscreteOperator, energies: np.ndarray, tol: np.ndarray):
+    """The slab recursion with one-node slabs: the Sturm pivots of tridiagonal H - E,
+    p_0 = a_0 - E and p_i = (a_i - E) - b_{i-1}^2 / p_{i-1}, in Python floats."""
+    diag, off = _tridiagonal(op)
+    a, b2 = diag.tolist(), [0.0] + (off * off).tolist()
+    counts, flags = [], []
+    for e, t in zip(energies.tolist(), tol.tolist()):
+        count, flag, q = 0, False, 1.0
+        for ai, bi2 in zip(a, b2):
+            p = (ai - e) - bi2 / q
+            if abs(p) <= t:
+                count, flag, q = count + 1, True, -t
+            else:
+                count, q = count + (p < 0), p
+        counts.append(count)
+        flags.append(flag)
+    return np.array(counts, dtype=int), np.array(flags, dtype=bool)
+
+
 def _as_requested(energy, counts: np.ndarray, flags: np.ndarray, return_flag: bool):
     if np.ndim(energy) == 0:
         counts, flags = int(counts[0]), bool(flags[0])
@@ -191,15 +231,20 @@ def slab_count_eigenvalues(op: DiscreteOperator, energy, return_flag: bool = Fal
     Lexicographic node order makes H - E block tridiagonal over slabs of axis-0
     layers, so its inertia is the sum of the inertias of the Schur complements
     S_i = D_i - C_i S_{i-1}^{-1} C_i^T (Haynsworth).  Slabs hold whole layers and
-    at least _MIN_SLAB unknowns; all energies go through one batched pass.  Schur
-    eigenvalues within _ZERO_RTOL of zero (relative to max |H - E|) count as
-    <= E, flag the count as boundary-ambiguous, and are inverted with that sign.
+    at least _MIN_SLAB unknowns; all energies go through one batched pass.  When
+    a layer is one node (d = 1), H is tridiagonal and every slab is one node:
+    the recursion is then scalar Sturm pivots, one energy at a time
+    (`_pivot_counts`).  Schur eigenvalues or pivots within _ZERO_RTOL of zero
+    (relative to max |H - E|) count as <= E, flag the count as
+    boundary-ambiguous, and are inverted with that sign.
     """
     energies = np.atleast_1d(np.asarray(energy, dtype=float))
+    tol = _zero_tol(op, energies)[:, None]
+    if op.dim == op.grid.unknown_shape[0]:
+        return _as_requested(energy, *_pivot_counts(op, energies, tol[:, 0]), return_flag)
     diag, coup, layer = _slab_blocks(op)
     n_slabs, size = diag.shape[:2]
     last = op.dim - (n_slabs - 1) * size
-    tol = _zero_tol(op, energies)[:, None]
     counts = np.zeros(energies.size, dtype=int)
     flags = np.zeros(energies.size, dtype=bool)
     inv_tail = None  # last-layer block of S_{i-1}^{-1}, per energy
@@ -257,15 +302,17 @@ def count_eigenvalues(op: DiscreteOperator, energy, return_flag: bool = False):
     solve.  A certified count is never flagged; an eigenvalue closer to E than
     that backward error (about _BACKWARD_ERR_EPS eps ||H - E||) may be counted
     on either side of it.  An energy that fails a certificate, and every
-    energy for d = 1 (a few dozen unknowns, where the dense slabs beat
-    SuperLU), is counted by `slab_count_eigenvalues`, whose flag marks a count
-    as boundary-ambiguous.
+    energy for d = 1, is counted by `slab_count_eigenvalues`, whose flag marks
+    a count as boundary-ambiguous; for d = 1 that is the scalar Sturm
+    recursion on the tridiagonal H (Kahan: its negative-pivot count is
+    backward stable).
 
     The count stays independent of the eigenvalues it certifies.  It factors
     H - E at the count energies with diagonal pivots; `eigensolve` and
     `window_eigenvalues` factor H - sigma inside ARPACK, at their fixed shift or
     at the window midpoint, with partial pivoting.  The Wegner edges E +- 3 eps
     and E +- eps_j are never the midpoint E, so no matrix is factored by both.
+    The 1D window solve (`dstevd`, divide and conquer) factors no H - E at all.
 
     `energy` may be a scalar or a sequence; a sequence gives arrays of counts
     (and flags).

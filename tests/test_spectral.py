@@ -9,7 +9,7 @@ import scipy.sparse.linalg
 
 import divlab as dl
 from divlab import spectral
-from divlab.operators import perturbation_operator
+from divlab.operators import DiscreteOperator, perturbation_operator
 from divlab.spectral import EigensolveError
 
 
@@ -278,6 +278,44 @@ class TestCountEigenvalues:
             assert np.abs(exact - e).min() > 1e-6 * exact.max()
             assert count == int(np.count_nonzero(exact <= e))
 
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_1d_scalar_pivots_match_dense_ldl(self, bc):
+        g = dl.make_grid(1, 2, 32, bc=bc)
+        for seed in range(4):
+            op = dl.assemble(g, _alloy_field(dl.identity_field(g), seed))
+            top = 1.1 * np.abs(op.dense()).sum(axis=1).max()
+            energies = np.random.default_rng(seed).uniform(0.0, top, size=8)
+            counts, flags = dl.count_eigenvalues(op, energies, return_flag=True)
+            oracle = [_dense_ldl_count(op, e) for e in energies]
+            assert counts.tolist() == [c for c, _ in oracle]
+            assert flags.tolist() == [f for _, f in oracle]
+            assert not flags.any()
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_1d_zero_pivots_are_flagged_and_counted(self, bc):
+        # E = H_00 makes the first pivot exactly zero; an eigenvalue of a leading
+        # principal block makes a later one zero; H - E itself stays regular
+        g = dl.make_grid(1, 2, 32, bc=bc)
+        op = dl.assemble(g, _alloy_field(dl.identity_field(g), 7))
+        dense = op.dense()
+        exact = np.linalg.eigvalsh(dense)
+        block = np.linalg.eigvalsh(dense[:21, :21])[[0, 10, 20]]
+        for e in np.r_[dense[0, 0], block]:
+            count, flagged = dl.count_eigenvalues(op, e, return_flag=True)
+            assert flagged
+            assert np.abs(exact - e).min() > 1e-6 * exact.max()
+            assert count == int(np.count_nonzero(exact <= e)) == _dense_ldl_count(op, e)[0]
+
+    def test_1d_operator_must_be_tridiagonal(self):
+        g = dl.make_grid(1, 1, 8)
+        mat = dl.assemble(g, dl.identity_field(g)).matrix.tolil()
+        mat[0, 2] = mat[2, 0] = -1.0
+        op = DiscreteOperator(grid=g, matrix=mat.tocsr())
+        with pytest.raises(ValueError, match="three central diagonals"):
+            dl.count_eigenvalues(op, 10.0)
+        with pytest.raises(ValueError, match="three central diagonals"):
+            dl.window_eigenvalues(op, 0.0, 100.0, 1)
+
     def test_no_size_cap(self):
         # 95 x 95 = 9025 unknowns, over the former dense limit of 8000
         g = dl.make_grid(2, 4, 24)
@@ -338,6 +376,51 @@ class TestWindowEigenvalues:
         monkeypatch.setattr(spectral, "_eigsh", lambda *a, **kw: (evals[pick], evecs[:, pick]))
         with pytest.raises(EigensolveError, match="orthonormal"):
             dl.window_eigenvalues(op, lo, hi, inside.size)
+
+    def _op_1d(self):
+        g = dl.make_grid(1, 2, 32)
+        return dl.assemble(g, _alloy_field(dl.identity_field(g), 3))
+
+    def test_1d_matches_dense_eigh_in_window(self):
+        op = self._op_1d()
+        full = np.linalg.eigvalsh(op.dense())
+        for lo, hi in ((20.0, 200.0), (3000.0, 3100.0), (0.0, 5.0), (0.0, 1e5)):
+            expected = dl.count_eigenvalues(op, hi) - dl.count_eigenvalues(op, lo)
+            got = dl.window_eigenvalues(op, lo, hi, expected)
+            want = full[(full > lo) & (full <= hi)]
+            assert got.size == want.size == expected
+            assert np.abs(got - want).max(initial=0.0) <= 1e-9 * max(1.0, abs(hi))
+
+    def test_1d_wrong_expected_count_raises(self):
+        op = self._op_1d()
+        lo, hi = 20.0, 200.0
+        expected = dl.count_eigenvalues(op, hi) - dl.count_eigenvalues(op, lo)
+        assert expected > 0
+        for wrong in (expected - 1, expected + 1):
+            with pytest.raises(EigensolveError, match="Ritz values"):
+                dl.window_eigenvalues(op, lo, hi, wrong)
+
+    def test_1d_solver_failure_raises(self, monkeypatch):
+        op = self._op_1d()
+        dstevd = scipy.linalg.lapack.dstevd
+        monkeypatch.setattr(scipy.linalg.lapack, "dstevd",
+                            lambda d, e: (*dstevd(d, e)[:2], 3))
+        with pytest.raises(EigensolveError, match="dstevd"):
+            dl.window_eigenvalues(op, 20.0, 200.0, 2)
+
+    def test_1d_ghost_copy_raises(self, monkeypatch):
+        # one window eigenpair in place of its neighbour: residuals and the count
+        # both look right, only orthonormality catches it
+        op = self._op_1d()
+        lo, hi = 20.0, 200.0
+        expected = dl.count_eigenvalues(op, hi) - dl.count_eigenvalues(op, lo)
+        evals, evecs, _ = scipy.linalg.lapack.dstevd(op.matrix.diagonal(), op.matrix.diagonal(1))
+        inside = np.nonzero((evals > lo) & (evals <= hi))[0]
+        assert inside.size == expected >= 2
+        evals[inside[1]], evecs[:, inside[1]] = evals[inside[0]], evecs[:, inside[0]]
+        monkeypatch.setattr(scipy.linalg.lapack, "dstevd", lambda d, e: (evals, evecs, 0))
+        with pytest.raises(EigensolveError, match="orthonormal"):
+            dl.window_eigenvalues(op, lo, hi, expected)
 
     def test_whole_spectrum_on_a_small_operator(self):
         g = dl.make_grid(1, 1, 6)

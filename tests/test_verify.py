@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import divlab as dl
-from divlab import bounds, verify
+from divlab import bounds, spectral, verify
 from divlab.bounds import ConstantsConfig
 from divlab.spectral import EigensolveError
 
@@ -296,6 +296,20 @@ class TestWegner:
         assert rep.observed["crosscheck_agreement"] == 1.0
         assert rep.status == "fail"
         assert "1 sample failures exceed the 1% budget" in rep.notes
+
+    def test_1d_samples_need_neither_lanczos_nor_dense_eigh(self, monkeypatch):
+        # d = 1 samples are counted by scalar pivots and solved by dstevd
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a 1D Wegner sample called a d >= 2 solver")
+
+        monkeypatch.setattr(spectral, "_eigsh", forbidden)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        g, model = self._model(dl.CouplingDistribution("uniform", 2.0))
+        cfg = ConstantsConfig(e_min=1.0, e_max=30.0)
+        rep = verify.wegner_mc(model, g, 12.5, 0.5, 10, 0, cfg)
+        assert rep.observed["failures"] == 0
+        assert rep.observed["crosscheck_agreement"] == 1.0
+        assert rep.status == "pass"
 
     def test_window_precondition(self):
         g, model = self._model(dl.CouplingDistribution("uniform", 1.0))
