@@ -107,7 +107,7 @@ def _build_field(cfg: dict, grid):
 
         return sampled_field(grid, gen, theta_lip=2 * math.pi * amp / grid.L)
     if kind == "file":
-        return io.load_field(f["path"], bc=grid.bc)
+        return io.load_field(_get(cfg, "field.path", required=True), bc=grid.bc)
     raise ConfigError(f"field.kind: unknown recipe {kind!r}")
 
 
@@ -356,7 +356,12 @@ def execute(config: dict) -> verify.CheckReport:
     if kind not in _EXPERIMENTS:
         raise ConfigError(f"experiment: unknown kind {kind!r}; valid: {sorted(_EXPERIMENTS)}")
     t0 = time.perf_counter()
-    report = _EXPERIMENTS[kind](config)
+    try:
+        report = _EXPERIMENTS[kind](config)
+    except (ConfigError, np.linalg.LinAlgError):  # a LinAlgError is a solver breakdown
+        raise
+    except ValueError as exc:  # the experiment rejected an input of the config
+        raise ConfigError(f"{kind}: {exc}") from exc
     report.walltime = time.perf_counter() - t0
     if _get(config, "expect", "pass") == "fail":
         report.expected_failure = True

@@ -200,32 +200,30 @@ def _tridiagonal(op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray]:
     return mat.diagonal(), mat.diagonal(1)
 
 
-def _pivot_counts(op: DiscreteOperator, energies: np.ndarray, tol: np.ndarray):
+def _pivot_counts(op: DiscreteOperator, energies: np.ndarray, tol: np.ndarray) -> np.ndarray:
     """The slab recursion with one-node slabs: the Sturm pivots of tridiagonal H - E,
     p_0 = a_0 - E and p_i = (a_i - E) - b_{i-1}^2 / p_{i-1}, in Python floats."""
     diag, off = _tridiagonal(op)
     a, b2 = diag.tolist(), [0.0] + (off * off).tolist()
-    counts, flags = [], []
+    counts = []
     for e, t in zip(energies.tolist(), tol.tolist()):
-        count, flag, q = 0, False, 1.0
+        count, q = 0, 1.0
         for ai, bi2 in zip(a, b2):
             p = (ai - e) - bi2 / q
             if abs(p) <= t:
-                count, flag, q = count + 1, True, -t
+                count, q = count + 1, -t
             else:
                 count, q = count + (p < 0), p
         counts.append(count)
-        flags.append(flag)
-    return np.array(counts, dtype=int), np.array(flags, dtype=bool)
+    return np.array(counts, dtype=int)
 
 
-def _as_requested(energy, counts: np.ndarray, flags: np.ndarray, return_flag: bool):
-    if np.ndim(energy) == 0:
-        counts, flags = int(counts[0]), bool(flags[0])
-    return (counts, flags) if return_flag else counts
+def _as_requested(energy, counts: np.ndarray):
+    """An int for a scalar energy, the count array for a sequence."""
+    return int(counts[0]) if np.ndim(energy) == 0 else counts
 
 
-def slab_count_eigenvalues(op: DiscreteOperator, energy, return_flag: bool = False):
+def slab_count_eigenvalues(op: DiscreteOperator, energy):
     """`count_eigenvalues` by the slab Schur recursion alone, at any d.
 
     Lexicographic node order makes H - E block tridiagonal over slabs of axis-0
@@ -235,18 +233,17 @@ def slab_count_eigenvalues(op: DiscreteOperator, energy, return_flag: bool = Fal
     a layer is one node (d = 1), H is tridiagonal and every slab is one node:
     the recursion is then scalar Sturm pivots, one energy at a time
     (`_pivot_counts`).  Schur eigenvalues or pivots within _ZERO_RTOL of zero
-    (relative to max |H - E|) count as <= E, flag the count as
-    boundary-ambiguous, and are inverted with that sign.
+    (relative to max |H - E|) count as <= E; the recursion goes on with -tol
+    in their place.
     """
     energies = np.atleast_1d(np.asarray(energy, dtype=float))
     tol = _zero_tol(op, energies)[:, None]
     if op.dim == op.grid.unknown_shape[0]:
-        return _as_requested(energy, *_pivot_counts(op, energies, tol[:, 0]), return_flag)
+        return _as_requested(energy, _pivot_counts(op, energies, tol[:, 0]))
     diag, coup, layer = _slab_blocks(op)
     n_slabs, size = diag.shape[:2]
     last = op.dim - (n_slabs - 1) * size
     counts = np.zeros(energies.size, dtype=int)
-    flags = np.zeros(energies.size, dtype=bool)
     inv_tail = None  # last-layer block of S_{i-1}^{-1}, per energy
     for i in range(n_slabs):
         b = size if i + 1 < n_slabs else last
@@ -257,10 +254,9 @@ def slab_count_eigenvalues(op: DiscreteOperator, energy, return_flag: bool = Fal
         lam, vec = np.linalg.eigh(s)
         near = np.abs(lam) <= tol
         counts += np.count_nonzero((lam < 0) | near, axis=1)
-        flags |= near.any(axis=1)
         tail = vec[:, -layer:, :]
         inv_tail = (tail / np.where(near, -tol, lam)[:, None, :]) @ tail.transpose(0, 2, 1)
-    return _as_requested(energy, counts, flags, return_flag)
+    return _as_requested(energy, counts)
 
 
 def _ldl_count(mat: sp.csc_matrix, diag: np.ndarray, energy: float, tol: float,
@@ -293,19 +289,17 @@ def _ldl_count(mat: sp.csc_matrix, diag: np.ndarray, energy: float, tol: float,
     return int(np.count_nonzero(pivots < 0))
 
 
-def count_eigenvalues(op: DiscreteOperator, energy, return_flag: bool = False):
+def count_eigenvalues(op: DiscreteOperator, energy):
     """Number of eigenvalues <= energy via the inertia of H - E, independent of eigensolve.
 
     For d >= 2 each energy is counted by one certified sparse LDL^T (`_ldl_count`):
     no off-diagonal pivot, no pivot within the near-zero tolerance of the slab
     path, and a backward error within _BACKWARD_ERR_EPS eps on a fixed-seed
-    solve.  A certified count is never flagged; an eigenvalue closer to E than
-    that backward error (about _BACKWARD_ERR_EPS eps ||H - E||) may be counted
-    on either side of it.  An energy that fails a certificate, and every
-    energy for d = 1, is counted by `slab_count_eigenvalues`, whose flag marks
-    a count as boundary-ambiguous; for d = 1 that is the scalar Sturm
-    recursion on the tridiagonal H (Kahan: its negative-pivot count is
-    backward stable).
+    solve.  An eigenvalue closer to E than that backward error (about
+    _BACKWARD_ERR_EPS eps ||H - E||) may be counted on either side of it.  An
+    energy that fails a certificate, and every energy for d = 1, is counted by
+    `slab_count_eigenvalues`; for d = 1 that is the scalar Sturm recursion on
+    the tridiagonal H (Kahan: its negative-pivot count is backward stable).
 
     The count stays independent of the eigenvalues it certifies.  It factors
     H - E at the count energies with diagonal pivots; `eigensolve` and
@@ -314,12 +308,10 @@ def count_eigenvalues(op: DiscreteOperator, energy, return_flag: bool = False):
     and E +- eps_j are never the midpoint E, so no matrix is factored by both.
     The 1D window solve (`dstevd`, divide and conquer) factors no H - E at all.
 
-    `energy` may be a scalar or a sequence; a sequence gives arrays of counts
-    (and flags).
+    `energy` may be a scalar (an int count) or a sequence (an int array).
     """
     energies = np.atleast_1d(np.asarray(energy, dtype=float))
     counts = np.zeros(energies.size, dtype=int)
-    flags = np.zeros(energies.size, dtype=bool)
     slab = np.ones(energies.size, dtype=bool)
     if op.grid.d >= 2:
         mat, diag = op.matrix.tocsc(), op.matrix.diagonal()
@@ -330,8 +322,8 @@ def count_eigenvalues(op: DiscreteOperator, energy, return_flag: bool = False):
             if c is not None:
                 counts[j], slab[j] = c, False
     if slab.any():
-        counts[slab], flags[slab] = slab_count_eigenvalues(op, energies[slab], return_flag=True)
-    return _as_requested(energy, counts, flags, return_flag)
+        counts[slab] = slab_count_eigenvalues(op, energies[slab])
+    return _as_requested(energy, counts)
 
 
 def _edge_weight_arrays(grid: Grid, w_cells: np.ndarray) -> list[np.ndarray]:

@@ -47,7 +47,7 @@ class CheckReport:
 
     name: str
     statement: str
-    status: str                    # 'pass' | 'fail' | 'skipped'
+    status: str                    # 'pass' | 'fail' | 'skipped' | 'error' (no comparison made)
     lhs: float | None = None
     rhs: float | None = None
     expected_failure: bool = False
@@ -634,8 +634,22 @@ def wegner_mc(model: AlloyModel, grid: Grid, e_center: float, eps: float,
         if direct == cs[0]:
             cross_ok += 1
 
-    note = f"{failures} sample failures exceed the 1% budget" if failures > 0.01 * n_samples else None
     good = int(valid.sum())
+    rep = CheckReport(
+        name=f"wegner_mc[{variant}]",
+        statement="mean count in [E-eps, E+eps] <= C_w s(eps) L^{2d}; smearing chain per sample",
+        status="error", rhs=float(rhs), observed={"failures": failures},
+        inputs={"grid": _grid_info(grid), "field": model.base.content_hash(),
+                "seq": _seq_info(model.seq), "e_center": e_center, "eps": eps,
+                "n_samples": n_samples, "seed": seed, "variant": variant,
+                "config": lift_cfg.snapshot()})
+    if failures > 0.01 * n_samples:
+        rep.notes.append(f"{failures} sample failures exceed the 1% budget")
+    if n_samples < 100:
+        rep.notes.append(f"low statistical power: only {n_samples} samples")
+    if good < 2:
+        rep.notes.append(f"{good} valid samples: a mean and its standard error need 2")
+        return rep
     means = counts[valid].mean(axis=0)
     stderr = counts[valid, 0].std(ddof=1) / math.sqrt(good)
 
@@ -648,34 +662,22 @@ def wegner_mc(model: AlloyModel, grid: Grid, e_center: float, eps: float,
     exponent_ok = (not math.isnan(slope)) and _EXPONENT_BAND[0] <= slope <= _EXPONENT_BAND[1]
 
     ok = (means[0] <= rhs) and smear_ok == good and cross_ok == good and failures <= 0.01 * n_samples
-    rep = CheckReport(
-        name=f"wegner_mc[{variant}]",
-        statement="mean count in [E-eps, E+eps] <= C_w s(eps) L^{2d}; smearing chain per sample",
-        status="pass" if ok else "fail",
-        lhs=float(means[0]), rhs=float(rhs),
-        observed={
-            "means": [float(x) for x in means],
-            "eps_levels": [float(x) for x in eps_levels],
-            "stderr": float(stderr),
-            "fitted_exponent": None if math.isnan(slope) else float(slope),
-            "exponent_in_band": bool(exponent_ok),
-            "smear_chain_fraction": smear_ok / max(good, 1),
-            "crosscheck_agreement": cross_ok / max(good, 1),
-            "wegner_constant": float(cw),
-            "lifting_constant": float(lifting_constant),
-            "modulus": float(s_eps),
-            "mean_per_volume": float(means[0] / grid.L**grid.d),
-            "mean_per_volume_sq": float(means[0] / grid.L**(2 * grid.d)),
-            "failures": failures,
-        },
-        inputs={"grid": _grid_info(grid), "field": model.base.content_hash(),
-                "seq": _seq_info(model.seq), "e_center": e_center, "eps": eps,
-                "n_samples": n_samples, "seed": seed, "variant": variant,
-                "config": lift_cfg.snapshot()})
-    if note:
-        rep.notes.append(note)
-    if n_samples < 100:
-        rep.notes.append(f"low statistical power: only {n_samples} samples")
+    rep.status, rep.lhs = "pass" if ok else "fail", float(means[0])
+    rep.observed = {
+        "means": [float(x) for x in means],
+        "eps_levels": [float(x) for x in eps_levels],
+        "stderr": float(stderr),
+        "fitted_exponent": None if math.isnan(slope) else float(slope),
+        "exponent_in_band": bool(exponent_ok),
+        "smear_chain_fraction": smear_ok / good,
+        "crosscheck_agreement": cross_ok / good,
+        "wegner_constant": float(cw),
+        "lifting_constant": float(lifting_constant),
+        "modulus": float(s_eps),
+        "mean_per_volume": float(means[0] / grid.L**grid.d),
+        "mean_per_volume_sq": float(means[0] / grid.L**(2 * grid.d)),
+        "failures": failures,
+    }
     return rep
 
 

@@ -218,6 +218,11 @@ def test_recipe_without_a_suite_run(tmp_path, recipe):
     assert holds(rep, grid)
 
 
+def test_file_recipe_without_a_path_is_a_config_error():
+    with pytest.raises(cli.ConfigError, match="field.path: required field is missing"):
+        cli.execute(_field_run({"kind": "file"}))
+
+
 class TestForwardedKeys:
     _SCALING = {"experiment": "scaling", "grid": {"d": 1, "L": 4, "n_per_side": 48},
                 "field": {"kind": "sine"}, "check": {"target_n": 32}}
@@ -288,6 +293,23 @@ class TestMain:
         cfg_file = tmp_path / "cfg.yaml"
         cfg_file.write_text(yaml.safe_dump({"experiment": "bogus"}))
         assert cli.main(["run", str(cfg_file), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("config, message", [
+        ({"experiment": "wegner", "grid": {"d": 1, "L": 2, "n_per_side": 16},
+          "sequence": {"G": 1.0, "delta": 0.2},
+          "check": {"e_center": 12.5, "eps": 0.5, "n_samples": 1},
+          "constants": {"e_min": 1.0, "e_max": 30.0}},
+         "wegner: need n_samples >= 2"),
+        ({"experiment": "ucp_gradient", "grid": {"d": 1, "L": 2, "n_per_side": 16},
+          "sequence": {"G": 1.0, "delta": 0.45}, "check": {"variant": "low_energy"},
+          "constants": {"e_min": 0.005, "e_max": 30.0}},
+         "ucp_gradient: window top 30.0 exceeds kappa"),
+    ], ids=["wegner-one-sample", "low-energy-above-kappa"])
+    def test_rejected_check_input_is_a_config_error(self, tmp_path, capsys, config, message):
+        cfg_file = tmp_path / "cfg.yaml"
+        cfg_file.write_text(yaml.safe_dump(config))
+        assert cli.main(["run", str(cfg_file), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
 
 
 class TestSpectrumUpto:

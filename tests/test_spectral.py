@@ -41,13 +41,18 @@ def _block_eigenvalues(dmat):
     return out
 
 
-def _dense_ldl_count(op, energy):
-    """Oracle: inertia of the dense H - E from one Bunch-Kaufman LDL^T factorization."""
+def _dense_ldl_pivots(op, energy):
+    """Eigenvalues of the block pivots of one dense Bunch-Kaufman LDL^T of H - E, and
+    the magnitude at or below which the oracle takes one as zero."""
     a = op.dense() - energy * np.eye(op.dim)
     _, dmat, _ = scipy.linalg.ldl(a, lower=True)
-    evs = _block_eigenvalues(dmat)
-    near_zero = np.abs(evs) <= 1e-12 * max(1.0, float(np.abs(a).max()))
-    return int(np.count_nonzero((evs < 0) | near_zero)), bool(near_zero.any())
+    return _block_eigenvalues(dmat), 1e-12 * max(1.0, float(np.abs(a).max()))
+
+
+def _dense_ldl_count(op, energy):
+    """Oracle: inertia of the dense H - E, near-zero pivots counted as <= E."""
+    evs, tol = _dense_ldl_pivots(op, energy)
+    return int(np.count_nonzero((evs < 0) | (np.abs(evs) <= tol)))
 
 
 def _offdiag_field(g):
@@ -81,7 +86,7 @@ COUNT_MATRICES = [
 
 def _count_matrix(d, L, n, bc, kind):
     """One COUNT_MATRICES operator, six energies across its spectrum, and their dense
-    LDL^T (count, flag) pairs."""
+    LDL^T counts."""
     g = dl.make_grid(d, L, n, bc=bc)
     base = _offdiag_field(g) if "offdiag" in kind else dl.identity_field(g)
     field = _alloy_field(base, 5) if "alloy" in kind else base
@@ -178,15 +183,12 @@ class TestCountEigenvalues:
         assert dl.count_eigenvalues(op, 5.0) == 0
         assert dl.count_eigenvalues(op, 1e9) == op.dim
 
-    def test_boundary_flag(self):
+    def test_energy_at_an_eigenvalue_counts_it(self):
         g = dl.make_grid(1, 1, 16)
         op = dl.assemble(g, dl.identity_field(g))
         e2 = dl.eigensolve(op, k=2).energies[1]
-        count, flagged = dl.count_eigenvalues(op, e2, return_flag=True)
-        assert flagged
-        assert count == 2
-        _, unflagged = dl.count_eigenvalues(op, e2 + 1.0, return_flag=True)
-        assert not unflagged
+        assert dl.count_eigenvalues(op, e2) == 2
+        assert dl.count_eigenvalues(op, e2 + 1.0) == 2
 
     @pytest.mark.parametrize("d, L, n, bc, kind", COUNT_MATRICES)
     def test_slab_counts_match_dense_ldl(self, d, L, n, bc, kind):
@@ -196,26 +198,24 @@ class TestCountEigenvalues:
         op = dl.assemble(g, field)
         rng = np.random.default_rng(d * 100 + n)
         energies = rng.uniform(0.0, 1.1 * np.abs(op.dense()).sum(axis=1).max(), size=6)
-        counts, flags = dl.count_eigenvalues(op, energies, return_flag=True)
-        oracle = [_dense_ldl_count(op, e) for e in energies]
-        assert counts.tolist() == [c for c, _ in oracle]
-        assert flags.tolist() == [f for _, f in oracle]
+        counts = dl.count_eigenvalues(op, energies)
+        assert counts.tolist() == [_dense_ldl_count(op, e) for e in energies]
         assert [dl.count_eigenvalues(op, e) for e in energies] == counts.tolist()
 
     @pytest.mark.parametrize("d, L, n, bc, kind", COUNT_MATRICES)
     def test_slab_path_matches_dense_ldl(self, d, L, n, bc, kind):
         op, energies, oracle = _count_matrix(d, L, n, bc, kind)
-        counts, flags = spectral.slab_count_eigenvalues(op, energies, return_flag=True)
-        assert counts.tolist() == [c for c, _ in oracle]
-        assert flags.tolist() == [f for _, f in oracle]
+        assert spectral.slab_count_eigenvalues(op, energies).tolist() == oracle
 
     @pytest.mark.parametrize("d, L, n, bc, kind", COUNT_MATRICES)
     def test_sparse_path_matches_dense_ldl_without_fallback(self, d, L, n, bc, kind):
         op, energies, oracle = _count_matrix(d, L, n, bc, kind)
-        assert not any(f for _, f in oracle)
-        assert [_ldl_count(op, e) for e in energies] == [c for c, _ in oracle]
+        for e in energies:  # premise: no oracle pivot is near zero
+            evs, tol = _dense_ldl_pivots(op, e)
+            assert np.abs(evs).min() > tol
+        assert [_ldl_count(op, e) for e in energies] == oracle
 
-    def test_forced_certificate_failure_returns_the_slab_count_and_flag(self, monkeypatch):
+    def test_forced_certificate_failure_returns_the_slab_count(self, monkeypatch):
         # every factorization reports an off-diagonal pivot, so every energy falls back
         g = dl.make_grid(2, 1, 10)
         op = dl.assemble(g, _alloy_field(_offdiag_field(g), 5))
@@ -228,20 +228,17 @@ class TestCountEigenvalues:
                                    solve=lu.solve)
 
         monkeypatch.setattr(spectral.spla, "splu", off_diagonal_pivots)
-        counts, flags = dl.count_eigenvalues(op, energies, return_flag=True)
-        slab = spectral.slab_count_eigenvalues(op, energies, return_flag=True)
-        assert counts.tolist() == slab[0].tolist()
-        assert flags.tolist() == slab[1].tolist() == [True, False, False]
+        counts = dl.count_eigenvalues(op, energies)
+        assert counts.tolist() == spectral.slab_count_eigenvalues(op, energies).tolist()
 
-    def test_energy_at_a_2d_eigenvalue_falls_back_and_is_flagged(self):
+    def test_energy_at_a_2d_eigenvalue_falls_back(self):
         g = dl.make_grid(2, 1, 10)
         op = dl.assemble(g, _alloy_field(dl.identity_field(g), 5))
         energies = np.linalg.eigvalsh(op.dense())[[0, 1, 10, 40]]
         assert [_ldl_count(op, e) for e in energies] == [None] * 4  # a pivot near zero
-        counts, flags = dl.count_eigenvalues(op, energies, return_flag=True)
-        slab = spectral.slab_count_eigenvalues(op, energies, return_flag=True)
-        assert counts.tolist() == slab[0].tolist() == [1, 2, 11, 41]
-        assert flags.all() and slab[1].all()
+        counts = dl.count_eigenvalues(op, energies)
+        slab = spectral.slab_count_eigenvalues(op, energies)
+        assert counts.tolist() == slab.tolist() == [1, 2, 11, 41]
 
     def test_off_diagonal_pivot_falls_back(self):
         # E = H_00 zeroes the first pivot of the COLAMD order, so SuperLU swaps rows:
@@ -252,7 +249,7 @@ class TestCountEigenvalues:
         lu = _superlu(op, e)
         assert lu.perm_c[0] == 0 and not np.array_equal(lu.perm_r, lu.perm_c)
         assert _ldl_count(op, e) is None
-        assert dl.count_eigenvalues(op, e) == _dense_ldl_count(op, e)[0]
+        assert dl.count_eigenvalues(op, e) == _dense_ldl_count(op, e)
 
     def test_unstable_factorization_falls_back(self):
         # a first pivot of relative size 1e-9 clears the near-zero tolerance, but the
@@ -264,19 +261,17 @@ class TestCountEigenvalues:
         assert lu.perm_c[0] == 0 and np.array_equal(lu.perm_r, lu.perm_c)
         assert np.abs(lu.U.diagonal()).min() > spectral._zero_tol(op, np.array([e]))[0]
         assert _ldl_count(op, e) is None
-        assert dl.count_eigenvalues(op, e) == _dense_ldl_count(op, e)[0]
+        assert dl.count_eigenvalues(op, e) == _dense_ldl_count(op, e)
 
-    def test_singular_schur_block_is_flagged_and_counted(self):
+    def test_singular_schur_block_is_counted(self):
         # E at an eigenvalue of the first 16-node slab makes S_0 singular while
-        # H - E is not: the count stays exact and is flagged, not shifted
+        # H - E is not: the count stays exact, not shifted
         g = dl.make_grid(1, 1, 34)
         op = dl.assemble(g, dl.sampled_field(g, lambda p: 1 + 0.5 * np.sin(3 * p[:, 0])))
         exact = np.linalg.eigvalsh(op.dense())
         for e in np.linalg.eigvalsh(op.dense()[:16, :16])[[0, 7, 15]]:
-            count, flagged = dl.count_eigenvalues(op, e, return_flag=True)
-            assert flagged
             assert np.abs(exact - e).min() > 1e-6 * exact.max()
-            assert count == int(np.count_nonzero(exact <= e))
+            assert dl.count_eigenvalues(op, e) == int(np.count_nonzero(exact <= e))
 
     @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
     def test_1d_scalar_pivots_match_dense_ldl(self, bc):
@@ -285,14 +280,11 @@ class TestCountEigenvalues:
             op = dl.assemble(g, _alloy_field(dl.identity_field(g), seed))
             top = 1.1 * np.abs(op.dense()).sum(axis=1).max()
             energies = np.random.default_rng(seed).uniform(0.0, top, size=8)
-            counts, flags = dl.count_eigenvalues(op, energies, return_flag=True)
-            oracle = [_dense_ldl_count(op, e) for e in energies]
-            assert counts.tolist() == [c for c, _ in oracle]
-            assert flags.tolist() == [f for _, f in oracle]
-            assert not flags.any()
+            counts = dl.count_eigenvalues(op, energies)
+            assert counts.tolist() == [_dense_ldl_count(op, e) for e in energies]
 
     @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
-    def test_1d_zero_pivots_are_flagged_and_counted(self, bc):
+    def test_1d_zero_pivots_are_counted(self, bc):
         # E = H_00 makes the first pivot exactly zero; an eigenvalue of a leading
         # principal block makes a later one zero; H - E itself stays regular
         g = dl.make_grid(1, 2, 32, bc=bc)
@@ -301,10 +293,9 @@ class TestCountEigenvalues:
         exact = np.linalg.eigvalsh(dense)
         block = np.linalg.eigvalsh(dense[:21, :21])[[0, 10, 20]]
         for e in np.r_[dense[0, 0], block]:
-            count, flagged = dl.count_eigenvalues(op, e, return_flag=True)
-            assert flagged
             assert np.abs(exact - e).min() > 1e-6 * exact.max()
-            assert count == int(np.count_nonzero(exact <= e)) == _dense_ldl_count(op, e)[0]
+            count = dl.count_eigenvalues(op, e)
+            assert count == int(np.count_nonzero(exact <= e)) == _dense_ldl_count(op, e)
 
     def test_1d_operator_must_be_tridiagonal(self):
         g = dl.make_grid(1, 1, 8)

@@ -297,6 +297,27 @@ class TestWegner:
         assert rep.status == "fail"
         assert "1 sample failures exceed the 1% budget" in rep.notes
 
+    @pytest.mark.parametrize("n_broken", [20, 19])
+    def test_fewer_than_two_valid_samples_is_an_error(self, monkeypatch, n_broken):
+        # pytest errors on RuntimeWarning, so no mean of an empty slice is taken
+        g, model = self._model(dl.CouplingDistribution("uniform", 2.0))
+        cfg = ConstantsConfig(e_min=1.0, e_max=30.0)
+        calls = []
+        window = verify.window_eigenvalues
+
+        def breaks(*args, **kwargs):
+            calls.append(1)
+            if len(calls) <= n_broken:
+                raise EigensolveError("shift-invert Lanczos failed")
+            return window(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "window_eigenvalues", breaks)
+        rep = verify.wegner_mc(model, g, 12.5, 0.5, 20, 0, cfg)
+        assert rep.status == "error" and not rep.ok
+        assert rep.lhs is None and rep.margin is None
+        assert rep.observed["failures"] == n_broken
+        assert f"{20 - n_broken} valid samples: a mean and its standard error need 2" in rep.notes
+
     def test_1d_samples_need_neither_lanczos_nor_dense_eigh(self, monkeypatch):
         # d = 1 samples are counted by scalar pivots and solved by dstevd
         def forbidden(*args, **kwargs):
