@@ -162,6 +162,15 @@ def _dist_from(cfg_node: dict) -> CouplingDistribution:
 # experiment dispatch
 # --------------------------------------------------------------------------
 
+def _reads(*keys):
+    """Declare the `check` keys a runner reads; `execute` rejects any other key."""
+    def mark(runner):
+        runner.check_keys = frozenset(keys)
+        return runner
+    return mark
+
+
+@_reads("k")
 def _run_eigensolve(cfg: dict) -> verify.CheckReport:
     grid = _build_grid(cfg)
     field = _build_field(cfg, grid)
@@ -187,6 +196,7 @@ def _run_eigensolve(cfg: dict) -> verify.CheckReport:
     return rep
 
 
+@_reads("index", "x0", "r", "e_min")
 def _run_reverse_caccioppoli(cfg: dict) -> verify.CheckReport:
     grid = _build_grid(cfg)
     field = _build_field(cfg, grid)
@@ -203,11 +213,14 @@ def _run_reverse_caccioppoli(cfg: dict) -> verify.CheckReport:
 def _spectrum_upto(grid, field, top: float):
     """Every eigenpair <= top and the next one; the inertia count sizes and certifies the solve.
 
-    The count is the slab one at every d (scalar Sturm pivots for d = 1).  A
-    sparse count frees SuperLU blocks of the size the shift-invert solve
-    allocates next; glibc's dynamic mmap threshold then serves that solve from
-    the heap and keeps it resident, which raised the peak RSS of the ucp_2d
-    bench workload (d = 2, dim 16129) from 137 to 158 MB.
+    The count is the slab one at every d (scalar Sturm pivots for d = 1).  The
+    sparse count would raise peak RSS.  The bench's `workload.probe()` frees
+    about 16 MB of numpy temporaries before divlab runs, which raises glibc's
+    dynamic mmap threshold; the SuperLU storage of a sparse count, and the `lu.L` / `lu.U`
+    copies that reading `lu.U` builds (8 MB at dim 16129), then stay in the
+    heap.  After a sparse count RSS stood at 113.7 MB against 90.9 MB after
+    the slab count, and the peak RSS of the ucp_2d bench workload (d = 2,
+    dim 16129) rose from 137-141 to 152-153 MB.
     """
     op = assemble(grid, field)
     below = slab_count_eigenvalues(op, top)
@@ -218,6 +231,7 @@ def _spectrum_upto(grid, field, top: float):
     return spec
 
 
+@_reads("clamp_delta")
 def _run_ucp_function(cfg: dict) -> verify.CheckReport:
     grid, field, seq, consts = _build_balls(cfg)
     spec = _spectrum_upto(grid, field, consts.e_max)
@@ -225,6 +239,7 @@ def _run_ucp_function(cfg: dict) -> verify.CheckReport:
                                      **_given(_get(cfg, "check"), clamp_delta=bool))
 
 
+@_reads("variant", "negative_control")
 def _run_ucp_gradient(cfg: dict) -> verify.CheckReport:
     grid, field, seq, consts = _build_balls(cfg)
     spec = _spectrum_upto(grid, field, consts.e_max)
@@ -233,6 +248,7 @@ def _run_ucp_gradient(cfg: dict) -> verify.CheckReport:
         **_given(_get(cfg, "check"), variant=str, negative_control=bool))
 
 
+@_reads("lam", "n_samples")
 def _run_projector_ucp(cfg: dict) -> verify.CheckReport:
     grid, field, seq, consts = _build_balls(cfg)
     consts = replace(consts, delta=seq.delta, d=grid.d)
@@ -245,6 +261,7 @@ def _run_projector_ucp(cfg: dict) -> verify.CheckReport:
         seed=_run_seed(cfg), cfg=consts)
 
 
+@_reads("w", "t_max", "t_steps", "indices", "variant")
 def _run_lifting(cfg: dict) -> verify.CheckReport:
     grid, field, seq, consts = _build_balls(cfg)
     curve = lifting_curve(grid, field, _build_w(cfg, seq),
@@ -255,6 +272,8 @@ def _run_lifting(cfg: dict) -> verify.CheckReport:
                                 variant=_get(cfg, "check.variant", "bounded_w"))
 
 
+@_reads("c_minus", "c_plus", "delta_plus", "bump", "dist", "e_center", "eps",
+        "n_samples", "variant")
 def _run_wegner(cfg: dict) -> verify.CheckReport:
     grid, field, seq, consts = _build_balls(cfg)
     check = _get(cfg, "check")
@@ -268,6 +287,7 @@ def _run_wegner(cfg: dict) -> verify.CheckReport:
         seed=_run_seed(cfg), cfg=consts, **_given(check, variant=str))
 
 
+@_reads("dist", "phi", "a", "b", "eps")
 def _run_pi_singular(cfg: dict) -> verify.CheckReport:
     dist = _dist_from(_get(cfg, "check.dist"))
     phi_kind = _get(cfg, "check.phi", "linear")
@@ -283,6 +303,7 @@ def _run_pi_singular(cfg: dict) -> verify.CheckReport:
                                     eps=float(_get(cfg, "check.eps", 0.1)))
 
 
+@_reads("sides", "e_plus", "weyl_constant")
 def _run_weyl(cfg: dict) -> verify.CheckReport:
     base = _build_grid(cfg)
     sides = [int(x) for x in _get(cfg, "check.sides", [1, 2, 4])]
@@ -293,6 +314,7 @@ def _run_weyl(cfg: dict) -> verify.CheckReport:
                              **_given(_get(cfg, "check"), weyl_constant=float))
 
 
+@_reads("G", "delta", "mode", "target_n", "k", "eig_rtol", "grad_rtol")
 def _run_scaling(cfg: dict) -> verify.CheckReport:
     grid = _build_grid(cfg)  # source grid, side G*L
     field = _build_field(cfg, grid)
@@ -305,6 +327,7 @@ def _run_scaling(cfg: dict) -> verify.CheckReport:
                                 **_given(check, k=int, eig_rtol=float, grad_rtol=float))
 
 
+@_reads("eps", "ells", "k", "rtol")
 def _run_mollification(cfg: dict) -> verify.CheckReport:
     grid = _build_grid(cfg)
     field = _build_field(cfg, grid)
@@ -314,6 +337,7 @@ def _run_mollification(cfg: dict) -> verify.CheckReport:
         k=int(_get(cfg, "check.k", 3)), **_given(_get(cfg, "check"), rtol=float))
 
 
+@_reads("sides", "delta")
 def _run_neumann_trend(cfg: dict) -> verify.CheckReport:
     grid = _build_grid(cfg)
     return verify.neumann_gradient_decay_trend(
@@ -321,6 +345,7 @@ def _run_neumann_trend(cfg: dict) -> verify.CheckReport:
         delta=float(_get(cfg, "check.delta", 0.3)))
 
 
+@_reads("delta_plus")
 def _run_constants(cfg: dict) -> verify.CheckReport:
     consts = _build_constants(cfg)
     report = bounds.constants_report(consts, delta_plus=_get(cfg, "check.delta_plus"))
@@ -355,9 +380,16 @@ def execute(config: dict) -> verify.CheckReport:
     kind = _get(config, "experiment", required=True)
     if kind not in _EXPERIMENTS:
         raise ConfigError(f"experiment: unknown kind {kind!r}; valid: {sorted(_EXPERIMENTS)}")
+    runner = _EXPERIMENTS[kind]
+    check = _get(config, "check") or {}
+    if not isinstance(check, dict):
+        raise ConfigError("check: must be a mapping of keys to values")
+    unknown = sorted(set(check) - runner.check_keys)
+    if unknown:
+        raise ConfigError(f"check.{unknown[0]}: unknown key; valid: {sorted(runner.check_keys)}")
     t0 = time.perf_counter()
     try:
-        report = _EXPERIMENTS[kind](config)
+        report = runner(config)
     except (ConfigError, np.linalg.LinAlgError):  # a LinAlgError is a solver breakdown
         raise
     except ValueError as exc:  # the experiment rejected an input of the config

@@ -16,11 +16,11 @@ _MIN_SLAB = 16  # unknowns per inertia slab of a d >= 2 grid whose axis-0 layers
 _RTOL = 1e-9
 _ZERO_RTOL = 1e-12  # relative size at or below which an inertia pivot counts as zero
 # A sparse LDL^T without pivoting is only as stable as its element growth allows.
-# On alloy samples of dims 961 to 16129 the solves of certified factorizations
-# left normwise backward errors of at most 1.1e4 eps (growth ||L||U|| / ||H - E||
-# up to 1e5).  A first pivot of relative size 1e-9, which clears the near-zero
-# tolerance, left 7e6 eps.  1e5 eps sits ten times above the first and seventy
-# times below the second.
+# In the minimum-degree order of `_ldl_count`, the solves of certified
+# factorizations at 2480 Wegner edge energies of alloy samples (d = 2 and 3, dims
+# 961 to 16129) left normwise backward errors of at most 2.0e4 eps.  A first pivot
+# of relative size 1e-9, which clears the near-zero tolerance, left 1.5e7 eps.
+# 1e5 eps sits five times above the first and 150 times below the second.
 _BACKWARD_ERR_EPS = 1e5
 _RHS_SEED = 20210 + 9  # fixed right-hand side of the backward error check
 _GAP_RTOL = 1e-8  # relative eigenvalue gap below which a lifting sample is degenerate
@@ -264,17 +264,20 @@ def _ldl_count(mat: sp.csc_matrix, diag: np.ndarray, energy: float, tol: float,
     """Number of negative pivots of a certified sparse LDL^T of H - E, or None.
 
     `mat` is H in CSC form and is not modified.  SuperLU with diagonal pivots
-    only and a symmetric COLAMD order factors P (H - E) P^T = L D L^T with
-    D = diag(U) when it takes no off-diagonal pivot (perm_r == perm_c); by
-    Sylvester's law of inertia the count is then the number of negative
-    pivots.  None when that fails, when a pivot lies within `tol` of zero, or
-    when solving against `rhs` leaves a normwise backward error above
-    _BACKWARD_ERR_EPS eps.
+    only and a symmetric multiple minimum degree order (MMD on the pattern of
+    H + H^T, Liu 1985) factors P (H - E) P^T = L D L^T with D = diag(U) when it
+    takes no off-diagonal pivot (perm_r == perm_c); by Sylvester's law of
+    inertia the count is then the number of negative pivots.  None when that
+    fails, when a pivot lies within `tol` of zero, or when solving against
+    `rhs` leaves a normwise backward error above _BACKWARD_ERR_EPS eps.  The
+    order reads only the pattern of H, so it is the same at every energy; it
+    leaves about half the L + U fill of COLAMD (3.3M against 6.8M entries at
+    d = 3, dim 12167).
     """
     a = mat.copy()
     a.setdiag(diag - energy)  # every diagonal entry is stored: no structural insert
     try:
-        lu = spla.splu(a, permc_spec="COLAMD", diag_pivot_thresh=0,
+        lu = spla.splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
                        options={"SymmetricMode": True})
     except RuntimeError:  # an exactly zero pivot
         return None
@@ -292,8 +295,9 @@ def _ldl_count(mat: sp.csc_matrix, diag: np.ndarray, energy: float, tol: float,
 def count_eigenvalues(op: DiscreteOperator, energy):
     """Number of eigenvalues <= energy via the inertia of H - E, independent of eigensolve.
 
-    For d >= 2 each energy is counted by one certified sparse LDL^T (`_ldl_count`):
-    no off-diagonal pivot, no pivot within the near-zero tolerance of the slab
+    For d >= 2 each energy is counted by one certified sparse LDL^T of H - E
+    (`_ldl_count`: a multiple minimum degree order and diagonal pivots): no
+    off-diagonal pivot, no pivot within the near-zero tolerance of the slab
     path, and a backward error within _BACKWARD_ERR_EPS eps on a fixed-seed
     solve.  An eigenvalue closer to E than that backward error (about
     _BACKWARD_ERR_EPS eps ||H - E||) may be counted on either side of it.  An
@@ -302,11 +306,14 @@ def count_eigenvalues(op: DiscreteOperator, energy):
     the tridiagonal H (Kahan: its negative-pivot count is backward stable).
 
     The count stays independent of the eigenvalues it certifies.  It factors
-    H - E at the count energies with diagonal pivots; `eigensolve` and
-    `window_eigenvalues` factor H - sigma inside ARPACK, at their fixed shift or
-    at the window midpoint, with partial pivoting.  The Wegner edges E +- 3 eps
-    and E +- eps_j are never the midpoint E, so no matrix is factored by both.
-    The 1D window solve (`dstevd`, divide and conquer) factors no H - E at all.
+    H - E at the count energies in a minimum-degree order with diagonal pivots;
+    `eigensolve` and `window_eigenvalues` factor H - sigma inside ARPACK, at
+    their fixed shift or at the window midpoint, in scipy's default COLAMD
+    order with partial pivoting.  An ordering only permutes the rows and
+    columns of the matrix it factors and never changes which matrix that is.
+    The Wegner edges E +- 3 eps and E +- eps_j are never the midpoint E, so no
+    matrix is factored by both.  The 1D window solve (`dstevd`, divide and
+    conquer) factors no H - E at all.
 
     `energy` may be a scalar (an int count) or a sequence (an int array).
     """

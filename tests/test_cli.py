@@ -304,7 +304,20 @@ class TestMain:
           "sequence": {"G": 1.0, "delta": 0.45}, "check": {"variant": "low_energy"},
           "constants": {"e_min": 0.005, "e_max": 30.0}},
          "ucp_gradient: window top 30.0 exceeds kappa"),
-    ], ids=["wegner-one-sample", "low-energy-above-kappa"])
+        ({"experiment": "wegner", "grid": {"d": 1, "L": 2, "n_per_side": 16},
+          "sequence": {"G": 1.0, "delta": 0.2},
+          "check": {"e_center": 12.5, "eps": 0.5, "n_sample": 500},
+          "constants": {"e_min": 1.0, "e_max": 30.0}},
+         "check.n_sample: unknown key; valid: ['bump', 'c_minus', 'c_plus', 'delta_plus', "
+         "'dist', 'e_center', 'eps', 'n_samples', 'variant']"),
+        ({"experiment": "lifting", "grid": {"d": 1, "L": 2, "n_per_side": 16},
+          "sequence": {"G": 1.0, "delta": 0.3},
+          "check": {"t_step": 5}, "constants": {"e_min": 1.0, "e_max": 60.0}},
+         "check.t_step: unknown key; valid: ['indices', 't_max', 't_steps', 'variant', 'w']"),
+        ({"experiment": "eigensolve", "check": [3]},
+         "check: must be a mapping of keys to values"),
+    ], ids=["wegner-one-sample", "low-energy-above-kappa", "wegner-unknown-key",
+            "lifting-unknown-key", "check-not-a-mapping"])
     def test_rejected_check_input_is_a_config_error(self, tmp_path, capsys, config, message):
         cfg_file = tmp_path / "cfg.yaml"
         cfg_file.write_text(yaml.safe_dump(config))

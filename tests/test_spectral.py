@@ -4,7 +4,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 import scipy.sparse.linalg
 
 import divlab as dl
@@ -13,13 +12,18 @@ from divlab.operators import DiscreteOperator, perturbation_operator
 from divlab.spectral import EigensolveError
 
 
-def _dirichlet_stencil_energies(L, n, d, k):
-    h = 1.0 / n
-    per_axis = 4 / h**2 * np.sin(np.arange(1, L * n) * math.pi * h / (2 * L)) ** 2
+def _laplacian_energies(d, L, n, bc):
+    """Every eigenvalue of the identity-field operator, in closed form: the sums over
+    axes of (2 - 2 cos(pi j / M)) / h^2, with j = 1..N-1 and M = N under Dirichlet
+    conditions and j = 0..N and M = N + 1 under Neumann conditions (N = L n cells
+    per side)."""
+    cells = L * n
+    j, m = (np.arange(1, cells), cells) if bc == "dirichlet" else (np.arange(cells + 1), cells + 1)
+    per_axis = (2 - 2 * np.cos(np.pi * j / m)) * n**2
     mesh = per_axis
     for _ in range(d - 1):
         mesh = np.add.outer(mesh, per_axis).ravel()
-    return np.sort(mesh)[:k]
+    return np.sort(mesh)
 
 
 def _block_eigenvalues(dmat):
@@ -105,22 +109,29 @@ def _ldl_count(op, energy):
 
 def _superlu(op, energy):
     """The factorization `_ldl_count` certifies, for checking a test's premise."""
-    a = (op.matrix - energy * scipy.sparse.identity(op.dim, format="csr")).tocsc()
-    return scipy.sparse.linalg.splu(a, permc_spec="COLAMD", diag_pivot_thresh=0,
+    a = op.matrix.tocsc()
+    a.setdiag(op.matrix.diagonal() - energy)
+    return scipy.sparse.linalg.splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
                                     options={"SymmetricMode": True})
+
+
+def _first_pivot(op):
+    """The node the order of `_ldl_count` eliminates first; the order reads only
+    the pattern of H, so it is the same at every energy."""
+    return int(np.flatnonzero(_superlu(op, 0.0).perm_c == 0)[0])
 
 
 class TestEigensolve:
     def test_1d_closed_form(self):
         g = dl.make_grid(1, 1, 64)
         spec = dl.eigensolve(dl.assemble(g, dl.identity_field(g)), k=5)
-        exact = _dirichlet_stencil_energies(1, 64, 1, 5)
+        exact = _laplacian_energies(1, 1, 64, "dirichlet")[:5]
         assert np.abs(spec.energies - exact).max() / exact.max() < 1e-12
 
     def test_2d_closed_form_small(self):
         g = dl.make_grid(2, 1, 12)
         spec = dl.eigensolve(dl.assemble(g, dl.identity_field(g)), k=6)
-        exact = _dirichlet_stencil_energies(1, 12, 2, 6)
+        exact = _laplacian_energies(2, 1, 12, "dirichlet")[:6]
         assert np.abs(spec.energies - exact).max() / exact.max() < 1e-12
 
     def test_continuum_limit(self):
@@ -155,7 +166,7 @@ class TestEigensolve:
         s2 = dl.eigensolve(op, k=4)
         assert np.array_equal(s1.energies, s2.energies)
         assert np.array_equal(s1.vectors, s2.vectors)
-        exact = _dirichlet_stencil_energies(1, 48, 2, 4)
+        exact = _laplacian_energies(2, 1, 48, "dirichlet")[:4]
         assert np.abs(s1.energies - exact).max() / exact.max() < 1e-10
 
     def test_bad_arguments(self):
@@ -231,6 +242,57 @@ class TestCountEigenvalues:
         counts = dl.count_eigenvalues(op, energies)
         assert counts.tolist() == spectral.slab_count_eigenvalues(op, energies).tolist()
 
+    @pytest.mark.parametrize("d, L, n, bc", [(2, 1, 6, "dirichlet"), (2, 2, 5, "neumann"),
+                                             (3, 1, 4, "dirichlet"), (3, 1, 4, "neumann")])
+    def test_closed_form_matches_dense(self, d, L, n, bc):
+        g = dl.make_grid(d, L, n, bc=bc)
+        dense = np.linalg.eigvalsh(dl.assemble(g, dl.identity_field(g)).dense())
+        exact = _laplacian_energies(d, L, n, bc)
+        assert np.abs(exact - dense).max() <= 1e-14 * dense.max()
+
+    # (L, n, bc, counts at E = 30 and 100, smallest distance from E to the spectrum):
+    # 3D sizes a dense oracle cannot reach, the Neumann one with its zero mode
+    @pytest.mark.parametrize("L, n, bc, expected, gap", [
+        (2, 8, "dirichlet", [11, 105], 0.031),   # dim 3375
+        (2, 8, "neumann", [51, 247], 0.0048),    # dim 4913
+        (2, 12, "dirichlet", [11, 96], 0.56),    # dim 12167
+    ])
+    def test_sparse_count_matches_closed_form_in_3d(self, monkeypatch, L, n, bc, expected,
+                                                    gap):
+        g = dl.make_grid(3, L, n, bc=bc)
+        op = dl.assemble(g, dl.identity_field(g))
+        exact = _laplacian_energies(3, L, n, bc)
+        energies = np.array([30.0, 100.0])
+        assert exact.size == op.dim
+        assert [int(np.count_nonzero(exact <= e)) for e in energies] == expected
+        # premise: every eigenvalue lies far outside the backward-error radius of E
+        dist = np.abs(exact[:, None] - energies).min()
+        assert dist == pytest.approx(gap, rel=0.05)
+        radius = spectral._BACKWARD_ERR_EPS * np.finfo(float).eps * abs(op.matrix).sum(1).max()
+        assert dist > 1e4 * radius
+
+        def no_fallback(op, energy):
+            raise AssertionError(f"energies {energy} fell back to the slab count")
+
+        monkeypatch.setattr(spectral, "slab_count_eigenvalues", no_fallback)
+        assert dl.count_eigenvalues(op, energies).tolist() == expected
+
+    def test_count_order_is_minimum_degree_with_diagonal_pivots(self, monkeypatch):
+        calls, splu = [], spectral.spla.splu
+
+        def recording(a, **kw):
+            calls.append(kw)
+            return splu(a, **kw)
+
+        monkeypatch.setattr(spectral.spla, "splu", recording)
+        for d in (2, 3):
+            g = dl.make_grid(d, 1, 6)
+            dl.count_eigenvalues(dl.assemble(g, dl.identity_field(g)), [10.0, 100.0])
+        assert len(calls) == 4
+        for kw in calls:
+            assert kw["permc_spec"] == "MMD_AT_PLUS_A" and kw["diag_pivot_thresh"] == 0
+            assert kw["options"] == {"SymmetricMode": True}
+
     def test_energy_at_a_2d_eigenvalue_falls_back(self):
         g = dl.make_grid(2, 1, 10)
         op = dl.assemble(g, _alloy_field(dl.identity_field(g), 5))
@@ -241,13 +303,14 @@ class TestCountEigenvalues:
         assert counts.tolist() == slab.tolist() == [1, 2, 11, 41]
 
     def test_off_diagonal_pivot_falls_back(self):
-        # E = H_00 zeroes the first pivot of the COLAMD order, so SuperLU swaps rows:
-        # a stable LU, but not an LDL^T, so diag(U) carries no inertia
+        # E = H_ff zeroes the first pivot f of the minimum-degree order, so SuperLU
+        # swaps rows: a stable LU, but not an LDL^T, so diag(U) carries no inertia
         g = dl.make_grid(2, 1, 10)
         op = dl.assemble(g, _alloy_field(dl.identity_field(g), 5))
-        e = op.matrix.diagonal()[0]
+        first = _first_pivot(op)
+        e = op.matrix.diagonal()[first]
         lu = _superlu(op, e)
-        assert lu.perm_c[0] == 0 and not np.array_equal(lu.perm_r, lu.perm_c)
+        assert lu.perm_c[first] == 0 and not np.array_equal(lu.perm_r, lu.perm_c)
         assert _ldl_count(op, e) is None
         assert dl.count_eigenvalues(op, e) == _dense_ldl_count(op, e)
 
@@ -256,9 +319,10 @@ class TestCountEigenvalues:
         # element growth it causes shows in the backward error of the solve
         g = dl.make_grid(2, 1, 10)
         op = dl.assemble(g, _alloy_field(dl.identity_field(g), 5))
-        e = op.matrix.diagonal()[0] * (1 - 1e-9)
+        first = _first_pivot(op)
+        e = op.matrix.diagonal()[first] * (1 - 1e-9)
         lu = _superlu(op, e)
-        assert lu.perm_c[0] == 0 and np.array_equal(lu.perm_r, lu.perm_c)
+        assert lu.perm_c[first] == 0 and np.array_equal(lu.perm_r, lu.perm_c)
         assert np.abs(lu.U.diagonal()).min() > spectral._zero_tol(op, np.array([e]))[0]
         assert _ldl_count(op, e) is None
         assert dl.count_eigenvalues(op, e) == _dense_ldl_count(op, e)
@@ -312,7 +376,7 @@ class TestCountEigenvalues:
         g = dl.make_grid(2, 4, 24)
         op = dl.assemble(g, dl.identity_field(g))
         assert op.dim == 9025
-        exact = _dirichlet_stencil_energies(4, 24, 2, op.dim)
+        exact = _laplacian_energies(2, 4, 24, "dirichlet")
         levels = np.unique(exact.round(9))
         mids = 0.5 * (levels[:-1] + levels[1:])
         energies = mids[[0, 40, 400, 2000, len(mids) - 1]]
@@ -416,7 +480,7 @@ class TestWindowEigenvalues:
     def test_whole_spectrum_on_a_small_operator(self):
         g = dl.make_grid(1, 1, 6)
         op = dl.assemble(g, dl.identity_field(g))
-        exact = _dirichlet_stencil_energies(1, 6, 1, op.dim)
+        exact = _laplacian_energies(1, 1, 6, "dirichlet")
         got = dl.window_eigenvalues(op, 0.0, 1e3, op.dim)
         assert np.abs(got - exact).max() <= 1e-9 * exact.max()
 
