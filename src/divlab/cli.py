@@ -38,13 +38,27 @@ class ConfigError(ValueError):
 
 
 def _get(cfg: dict, path: str, default=None, required: bool = False):
+    """The value at dotted `path`; a key that is absent or null gives `default`."""
     node = cfg
     for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            if required:
-                raise ConfigError(f"{path}: required field is missing")
-            return default
-        node = node[part]
+        node = node.get(part) if isinstance(node, dict) else None
+    if node is None and required:
+        raise ConfigError(f"{path}: required field is missing")
+    return default if node is None else node
+
+
+def _block(node, path: str, keys) -> dict:
+    """`node`, the config block at `path` ("" for a whole run), as a mapping; {} when null.
+
+    A value that is not a mapping, or a key outside `keys`, is a ConfigError.
+    """
+    if node is None:
+        return {}
+    if not isinstance(node, dict):
+        raise ConfigError(f"{path or 'run'}: must be a mapping of keys to values")
+    unknown = sorted(set(node) - set(keys), key=str)
+    if unknown:
+        raise ConfigError(f"{path}.{unknown[0]}: unknown key; valid: {sorted(keys)}".lstrip("."))
     return node
 
 
@@ -54,8 +68,7 @@ def _run_seed(cfg: dict) -> int:
     `run` and `suite` always set one (`_resolve`); a config passed straight to
     `execute` may not, and must still draw the same numbers every time.
     """
-    seed = _get(cfg, "seed")
-    return 0 if seed is None else int(seed)
+    return int(_get(cfg, "seed", 0))
 
 
 def _given(node, **casts) -> dict:
@@ -68,17 +81,25 @@ def _given(node, **casts) -> dict:
 
 
 def _build_grid(cfg: dict):
-    g = _get(cfg, "grid", {}) or {}
+    g = _block(_get(cfg, "grid"), "grid", ("d", "L", "n_per_side", "bc"))
     try:
-        return make_grid(int(g.get("d", 1)), int(g.get("L", 1)),
-                         int(g.get("n_per_side", 32)), **_given(g, bc=str))
-    except (ValueError, TypeError) as exc:
+        return make_grid(_get(cfg, "grid.d", 1), _get(cfg, "grid.L", 1),
+                         _get(cfg, "grid.n_per_side", 32), **_given(g, bc=str))
+    except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
 
+# the keys each `field.kind` recipe reads besides `kind`
+_FIELD_KEYS = {"identity": (), "constant": ("matrix",), "sine": ("amplitude", "frequency"),
+               "checkerboard": ("low", "high", "axis"), "anisotropic": ("base", "amplitude"),
+               "file": ("path",)}
+
+
 def _build_field(cfg: dict, grid):
-    f = _get(cfg, "field", {}) or {}
-    kind = f.get("kind", "identity")
+    kind = _get(cfg, "field.kind", "identity")
+    if not isinstance(kind, str) or kind not in _FIELD_KEYS:
+        raise ConfigError(f"field.kind: unknown recipe {kind!r}; valid: {sorted(_FIELD_KEYS)}")
+    f = _block(_get(cfg, "field"), "field", ("kind", *_FIELD_KEYS[kind]))
     if kind == "identity":
         return identity_field(grid)
     if kind == "constant":
@@ -106,29 +127,23 @@ def _build_field(cfg: dict, grid):
             return out
 
         return sampled_field(grid, gen, theta_lip=2 * math.pi * amp / grid.L)
-    if kind == "file":
-        return io.load_field(_get(cfg, "field.path", required=True), bc=grid.bc)
-    raise ConfigError(f"field.kind: unknown recipe {kind!r}")
+    return io.load_field(_get(cfg, "field.path", required=True), bc=grid.bc)
 
 
 def _build_sequence(cfg: dict, grid):
-    s = _get(cfg, "sequence", {}) or {}
-    G = float(s.get("G", 1.0))
-    delta = s.get("delta")
-    if delta is None:
-        raise ConfigError("sequence.delta: required for this experiment")
-    seed = s["seed"] if s.get("seed") is not None else _run_seed(cfg)
+    s = _block(_get(cfg, "sequence"), "sequence", ("G", "delta", "mode", "seed", "centers"))
+    delta = float(_get(cfg, "sequence.delta", required=True))
     try:
-        return equidistributed_sequence(grid, G, float(delta), seed=seed,
+        return equidistributed_sequence(grid, float(_get(cfg, "sequence.G", 1.0)), delta,
+                                        seed=_get(cfg, "sequence.seed", _run_seed(cfg)),
                                         centers=s.get("centers"), **_given(s, mode=str))
     except ValueError as exc:
         raise ConfigError(f"sequence: {exc}") from exc
 
 
 def _build_constants(cfg: dict) -> bounds.ConstantsConfig:
-    c = dict(_get(cfg, "constants", {}) or {})
     try:
-        return bounds.ConstantsConfig(**c)
+        return bounds.ConstantsConfig(**_get(cfg, "constants", {}))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"constants: {exc}") from exc
 
@@ -140,7 +155,7 @@ def _build_balls(cfg: dict):
 
 
 def _build_w(cfg: dict, seq):
-    w = _get(cfg, "check.w", {"kind": "tent"}) or {}
+    w = _block(_get(cfg, "check.w"), "check.w", ("kind", "value"))
     kind = w.get("kind", "tent")
     if kind == "tent":
         return ball_plateau_field(seq)
@@ -152,8 +167,8 @@ def _build_w(cfg: dict, seq):
     raise ConfigError(f"check.w.kind: unknown recipe {kind!r}")
 
 
-def _dist_from(cfg_node: dict) -> CouplingDistribution:
-    node = cfg_node or {}
+def _dist_from(node) -> CouplingDistribution:
+    node = _block(node, "check.dist", ("kind", "m", "p"))
     return CouplingDistribution(node.get("kind", "uniform"), float(node.get("m", 1.0)),
                                 **_given(node, p=float))
 
@@ -162,15 +177,18 @@ def _dist_from(cfg_node: dict) -> CouplingDistribution:
 # experiment dispatch
 # --------------------------------------------------------------------------
 
-def _reads(*keys):
-    """Declare the `check` keys a runner reads; `execute` rejects any other key."""
-    def mark(runner):
-        runner.check_keys = frozenset(keys)
+_EXPERIMENTS: dict = {}  # experiment name -> (runner, the `check` keys it reads)
+
+
+def _experiment(name: str, *check_keys: str):
+    """Register a runner as experiment `name`; `execute` rejects any other `check` key."""
+    def register(runner):
+        _EXPERIMENTS[name] = (runner, check_keys)
         return runner
-    return mark
+    return register
 
 
-@_reads("k")
+@_experiment("eigensolve", "k")
 def _run_eigensolve(cfg: dict) -> verify.CheckReport:
     grid = _build_grid(cfg)
     field = _build_field(cfg, grid)
@@ -196,7 +214,7 @@ def _run_eigensolve(cfg: dict) -> verify.CheckReport:
     return rep
 
 
-@_reads("index", "x0", "r", "e_min")
+@_experiment("reverse_caccioppoli", "index", "x0", "r", "e_min")
 def _run_reverse_caccioppoli(cfg: dict) -> verify.CheckReport:
     grid = _build_grid(cfg)
     field = _build_field(cfg, grid)
@@ -231,7 +249,7 @@ def _spectrum_upto(grid, field, top: float):
     return spec
 
 
-@_reads("clamp_delta")
+@_experiment("ucp_function", "clamp_delta")
 def _run_ucp_function(cfg: dict) -> verify.CheckReport:
     grid, field, seq, consts = _build_balls(cfg)
     spec = _spectrum_upto(grid, field, consts.e_max)
@@ -239,7 +257,7 @@ def _run_ucp_function(cfg: dict) -> verify.CheckReport:
                                      **_given(_get(cfg, "check"), clamp_delta=bool))
 
 
-@_reads("variant", "negative_control")
+@_experiment("ucp_gradient", "variant", "negative_control")
 def _run_ucp_gradient(cfg: dict) -> verify.CheckReport:
     grid, field, seq, consts = _build_balls(cfg)
     spec = _spectrum_upto(grid, field, consts.e_max)
@@ -248,7 +266,7 @@ def _run_ucp_gradient(cfg: dict) -> verify.CheckReport:
         **_given(_get(cfg, "check"), variant=str, negative_control=bool))
 
 
-@_reads("lam", "n_samples")
+@_experiment("projector_ucp", "lam", "n_samples")
 def _run_projector_ucp(cfg: dict) -> verify.CheckReport:
     grid, field, seq, consts = _build_balls(cfg)
     consts = replace(consts, delta=seq.delta, d=grid.d)
@@ -261,7 +279,7 @@ def _run_projector_ucp(cfg: dict) -> verify.CheckReport:
         seed=_run_seed(cfg), cfg=consts)
 
 
-@_reads("w", "t_max", "t_steps", "indices", "variant")
+@_experiment("lifting", "w", "t_max", "t_steps", "indices", "variant")
 def _run_lifting(cfg: dict) -> verify.CheckReport:
     grid, field, seq, consts = _build_balls(cfg)
     curve = lifting_curve(grid, field, _build_w(cfg, seq),
@@ -272,8 +290,8 @@ def _run_lifting(cfg: dict) -> verify.CheckReport:
                                 variant=_get(cfg, "check.variant", "bounded_w"))
 
 
-@_reads("c_minus", "c_plus", "delta_plus", "bump", "dist", "e_center", "eps",
-        "n_samples", "variant")
+@_experiment("wegner", "c_minus", "c_plus", "delta_plus", "bump", "dist", "e_center",
+             "eps", "n_samples", "variant")
 def _run_wegner(cfg: dict) -> verify.CheckReport:
     grid, field, seq, consts = _build_balls(cfg)
     check = _get(cfg, "check")
@@ -287,7 +305,7 @@ def _run_wegner(cfg: dict) -> verify.CheckReport:
         seed=_run_seed(cfg), cfg=consts, **_given(check, variant=str))
 
 
-@_reads("dist", "phi", "a", "b", "eps")
+@_experiment("pi_singular", "dist", "phi", "a", "b", "eps")
 def _run_pi_singular(cfg: dict) -> verify.CheckReport:
     dist = _dist_from(_get(cfg, "check.dist"))
     phi_kind = _get(cfg, "check.phi", "linear")
@@ -303,18 +321,17 @@ def _run_pi_singular(cfg: dict) -> verify.CheckReport:
                                     eps=float(_get(cfg, "check.eps", 0.1)))
 
 
-@_reads("sides", "e_plus", "weyl_constant")
+@_experiment("weyl", "sides", "e_plus", "weyl_constant")
 def _run_weyl(cfg: dict) -> verify.CheckReport:
     base = _build_grid(cfg)
-    sides = [int(x) for x in _get(cfg, "check.sides", [1, 2, 4])]
-    grids = [make_grid(base.d, L, base.n_per_side, base.bc) for L in sides]
-    field_cfg = {"field": _get(cfg, "field", {"kind": "identity"})}
-    return verify.weyl_check(grids, lambda g: _build_field(field_cfg, g),
+    grids = [make_grid(base.d, L, base.n_per_side, base.bc)
+             for L in _get(cfg, "check.sides", [1, 2, 4])]
+    return verify.weyl_check(grids, lambda g: _build_field(cfg, g),
                              e_plus=float(_get(cfg, "check.e_plus", 100.0)),
                              **_given(_get(cfg, "check"), weyl_constant=float))
 
 
-@_reads("G", "delta", "mode", "target_n", "k", "eig_rtol", "grad_rtol")
+@_experiment("scaling", "G", "delta", "mode", "target_n", "k", "eig_rtol", "grad_rtol")
 def _run_scaling(cfg: dict) -> verify.CheckReport:
     grid = _build_grid(cfg)  # source grid, side G*L
     field = _build_field(cfg, grid)
@@ -327,7 +344,7 @@ def _run_scaling(cfg: dict) -> verify.CheckReport:
                                 **_given(check, k=int, eig_rtol=float, grad_rtol=float))
 
 
-@_reads("eps", "ells", "k", "rtol")
+@_experiment("mollification", "eps", "ells", "k", "rtol")
 def _run_mollification(cfg: dict) -> verify.CheckReport:
     grid = _build_grid(cfg)
     field = _build_field(cfg, grid)
@@ -337,7 +354,7 @@ def _run_mollification(cfg: dict) -> verify.CheckReport:
         k=int(_get(cfg, "check.k", 3)), **_given(_get(cfg, "check"), rtol=float))
 
 
-@_reads("sides", "delta")
+@_experiment("neumann_trend", "sides", "delta")
 def _run_neumann_trend(cfg: dict) -> verify.CheckReport:
     grid = _build_grid(cfg)
     return verify.neumann_gradient_decay_trend(
@@ -345,7 +362,7 @@ def _run_neumann_trend(cfg: dict) -> verify.CheckReport:
         delta=float(_get(cfg, "check.delta", 0.3)))
 
 
-@_reads("delta_plus")
+@_experiment("constants", "delta_plus")
 def _run_constants(cfg: dict) -> verify.CheckReport:
     consts = _build_constants(cfg)
     report = bounds.constants_report(consts, delta_plus=_get(cfg, "check.delta_plus"))
@@ -358,35 +375,18 @@ def _run_constants(cfg: dict) -> verify.CheckReport:
         inputs={"config": consts.snapshot()})
 
 
-_EXPERIMENTS = {
-    "eigensolve": _run_eigensolve,
-    "reverse_caccioppoli": _run_reverse_caccioppoli,
-    "ucp_function": _run_ucp_function,
-    "ucp_gradient": _run_ucp_gradient,
-    "projector_ucp": _run_projector_ucp,
-    "lifting": _run_lifting,
-    "wegner": _run_wegner,
-    "pi_singular": _run_pi_singular,
-    "weyl": _run_weyl,
-    "scaling": _run_scaling,
-    "mollification": _run_mollification,
-    "neumann_trend": _run_neumann_trend,
-    "constants": _run_constants,
-}
+# the keys of a run config; the builder that reads a block checks its keys
+_RUN_KEYS = "experiment label seed expect grid field sequence check constants".split()
 
 
 def execute(config: dict) -> verify.CheckReport:
     """Run one experiment config and return its report (no files written)."""
+    config = _block(config, "", _RUN_KEYS)
     kind = _get(config, "experiment", required=True)
-    if kind not in _EXPERIMENTS:
+    if not isinstance(kind, str) or kind not in _EXPERIMENTS:
         raise ConfigError(f"experiment: unknown kind {kind!r}; valid: {sorted(_EXPERIMENTS)}")
-    runner = _EXPERIMENTS[kind]
-    check = _get(config, "check") or {}
-    if not isinstance(check, dict):
-        raise ConfigError("check: must be a mapping of keys to values")
-    unknown = sorted(set(check) - runner.check_keys)
-    if unknown:
-        raise ConfigError(f"check.{unknown[0]}: unknown key; valid: {sorted(runner.check_keys)}")
+    runner, check_keys = _EXPERIMENTS[kind]
+    _block(_get(config, "check"), "check", check_keys)
     t0 = time.perf_counter()
     try:
         report = runner(config)
@@ -404,7 +404,7 @@ def execute(config: dict) -> verify.CheckReport:
 
 
 def _resolve(config: dict, seed: int | None = None, resolution_mult: float = 1.0) -> dict:
-    out = json.loads(json.dumps(config))  # deep copy, normalized types
+    out = json.loads(json.dumps(_block(config, "", _RUN_KEYS)))  # deep copy, normalized types
     out.setdefault("seed", 1234)
     out.setdefault("expect", "pass")
     if seed is not None:
@@ -412,7 +412,8 @@ def _resolve(config: dict, seed: int | None = None, resolution_mult: float = 1.0
     if not resolution_mult > 0:
         raise ConfigError(f"--resolution-mult: must be positive, got {resolution_mult}")
     if resolution_mult != 1 and "grid" in out:
-        out["grid"]["n_per_side"] = int(out["grid"].get("n_per_side", 32) * resolution_mult)
+        n_per_side = int(_build_grid(out).n_per_side * resolution_mult)
+        out["grid"] = {**(out["grid"] or {}), "n_per_side": n_per_side}
     return out
 
 
@@ -613,9 +614,9 @@ def main(argv=None) -> int:
         if args.command == "run":
             with open(args.config) as fh:
                 loaded = yaml.safe_load(fh)
-            configs = loaded["runs"] if isinstance(loaded, dict) and "runs" in loaded \
-                else [loaded] if isinstance(loaded, dict) else loaded
-            return run(configs, args.out, **flags)
+            if isinstance(loaded, dict) and "runs" in loaded:
+                loaded = _block(loaded, "", ("runs",))["runs"]
+            return run(loaded if isinstance(loaded, list) else [loaded], args.out, **flags)
         return suite(args.name, args.out, samples=args.samples, **flags)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

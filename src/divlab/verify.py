@@ -20,11 +20,11 @@ import scipy.integrate
 
 from . import bounds
 from .bounds import ConstantsConfig
-from .fields import (AlloyModel, MatrixField, check_dir_condition,
-                     check_ellipticity, mollify, sample_alloy, single_site_sum)
+from .fields import (AlloyModel, MatrixField, check_dir_condition, check_ellipticity,
+                     identity_field, mollify, sample_alloy, single_site_sum)
 from .lattice import (EquidistributedSeq, Grid, ball, ball_mask,
-                      discrete_gradient, equidistributed_sequence, smooth_switch,
-                      subset_norm2)
+                      discrete_gradient, equidistributed_sequence, make_grid,
+                      smooth_switch, subset_norm2)
 from .operators import assemble, rescale
 from .spectral import (EigensolveError, LiftingCurve, Spectrum, count_eigenvalues,
                        eigensolve, projector_sample, window_eigenvalues)
@@ -685,11 +685,9 @@ def neumann_gradient_decay_trend(d: int, sides, n_per_side: int, delta: float) -
     """Negative-control trend: on growing Neumann cubes the smallest positive
     eigenvalue sinks toward zero and the observed gradient-mass ratio of its
     eigenfunction decreases with the side length."""
-    from .fields import identity_field
-
     ratios, energies = [], []
     for L in sides:
-        grid = Grid(d=d, L=int(L), n_per_side=n_per_side, bc="neumann")
+        grid = make_grid(d, L, n_per_side, "neumann")
         seq = equidistributed_sequence(grid, 1.0, delta)
         spec = eigensolve(assemble(grid, identity_field(grid)), k=2)
         e, psi = spec.pair(1)  # index 0 is the constant zero mode

@@ -316,11 +316,54 @@ class TestMain:
          "check.t_step: unknown key; valid: ['indices', 't_max', 't_steps', 'variant', 'w']"),
         ({"experiment": "eigensolve", "check": [3]},
          "check: must be a mapping of keys to values"),
+        ({"experiment": "eigensolve", "grids": {"d": 1, "L": 1, "n_per_side": 16}},
+         "grids: unknown key; valid: ['check', 'constants', 'expect', 'experiment', 'field', "
+         "'grid', 'label', 'seed', 'sequence']"),
+        ({"experiment": "eigensolve", "grid": {"d": 1, "L": 1, "n_per_sid": 64}},
+         "grid.n_per_sid: unknown key; valid: ['L', 'bc', 'd', 'n_per_side']"),
+        ({"experiment": "eigensolve", "grid": {"d": 1, "L": 1, "n_per_side": 16},
+          "field": {"kind": "sine", "amplitud": 0.9}},
+         "field.amplitud: unknown key; valid: ['amplitude', 'frequency', 'kind']"),
+        ({"experiment": "eigensolve", "grid": {"d": 1, "L": 1, "n_per_side": 16},
+          "field": {"kind": "sine", "matrix": [[1]]}},
+         "field.matrix: unknown key; valid: ['amplitude', 'frequency', 'kind']"),
+        ({"experiment": "ucp_function", "grid": {"d": 1, "L": 2, "n_per_side": 16},
+          "sequence": {"G": 1.0, "delta": 0.3, "mod": "random"},
+          "constants": {"e_min": 1.0, "e_max": 30.0}},
+         "sequence.mod: unknown key; valid: ['G', 'centers', 'delta', 'mode', 'seed']"),
+        ({"experiment": "lifting", "grid": {"d": 1, "L": 2, "n_per_side": 16},
+          "sequence": {"G": 1.0, "delta": 0.3},
+          "check": {"w": 5}, "constants": {"e_min": 1.0, "e_max": 60.0}},
+         "check.w: must be a mapping of keys to values"),
+        ({"experiment": "pi_singular", "check": {"dist": {"mm": 3}}},
+         "check.dist.mm: unknown key; valid: ['kind', 'm', 'p']"),
+        ({"experiment": "eigensolve", "grid": {"d": 1, "L": 1, "n_per_side": 16}, "field": 3},
+         "field: must be a mapping of keys to values"),
+        ({"experiment": "eigensolve", "grid": {"d": 1, "L": 2.5, "n_per_side": 16}},
+         "grid: side length must be a positive integer, got 2.5"),
+        ({"experiment": "weyl", "grid": {"d": 1, "L": 1, "n_per_side": 16},
+          "check": {"sides": [1.5, 2]}},
+         "weyl: side length must be a positive integer, got 1.5"),
     ], ids=["wegner-one-sample", "low-energy-above-kappa", "wegner-unknown-key",
-            "lifting-unknown-key", "check-not-a-mapping"])
+            "lifting-unknown-key", "check-not-a-mapping", "unknown-top-level-block",
+            "grid-unknown-key", "field-unknown-key", "field-key-of-another-recipe",
+            "sequence-unknown-key", "check-w-not-a-mapping", "check-dist-unknown-key",
+            "field-not-a-mapping", "fractional-grid-side", "fractional-weyl-side"])
     def test_rejected_check_input_is_a_config_error(self, tmp_path, capsys, config, message):
         cfg_file = tmp_path / "cfg.yaml"
         cfg_file.write_text(yaml.safe_dump(config))
+        assert cli.main(["run", str(cfg_file), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("3", "run: must be a mapping of keys to values"),
+        ("- 3", "run: must be a mapping of keys to values"),
+        ("runs: [3]", "run: must be a mapping of keys to values"),
+        ("", "experiment: required field is missing"),
+    ], ids=["scalar", "list-of-scalars", "runs-entry-scalar", "empty"])
+    def test_non_mapping_run_is_a_config_error(self, tmp_path, capsys, text, message):
+        cfg_file = tmp_path / "cfg.yaml"
+        cfg_file.write_text(text)
         assert cli.main(["run", str(cfg_file), "--out", str(tmp_path / "o")]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
 
