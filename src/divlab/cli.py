@@ -2,12 +2,13 @@
 
 A run is a pure function of its config and the command-line flags: the
 resolved config is archived next to the reports, and re-running it
-reproduces every numeric field bit-identically.  `_resolve` fills in only
-`seed` and `expect`; every other default belongs to the function it
-configures, and a runner forwards a key only when the config sets it.
-Suites bundle curated desk-scale configs per topic; negative controls
-declare `expect: fail` so the suite exit status treats their failure as
-success.
+reproduces every numeric field bit-identically.  `_block` reads every
+config block: each key is declared once with its cast, and a null key
+counts as absent.  `_resolve` fills in only `seed` and `expect`; every other
+default is a keyword default of the runner or recipe that reads the key, or
+of the function it forwards the key to.  Suites bundle curated desk-scale
+configs per topic; negative controls declare `expect: fail` so the suite
+exit status treats their failure as success.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,113 +38,131 @@ class ConfigError(ValueError):
     """Validation failure with the offending field path in the message."""
 
 
-def _get(cfg: dict, path: str, default=None, required: bool = False):
-    """The value at dotted `path`; a key that is absent or null gives `default`."""
-    node = cfg
-    for part in path.split("."):
-        node = node.get(part) if isinstance(node, dict) else None
-    if node is None and required:
-        raise ConfigError(f"{path}: required field is missing")
-    return default if node is None else node
+def _block(node, path: str, /, **casts) -> dict:
+    """The keys the config block at `path` ("" for a whole run) sets, each through its cast.
 
-
-def _block(node, path: str, keys) -> dict:
-    """`node`, the config block at `path` ("" for a whole run), as a mapping; {} when null.
-
-    A value that is not a mapping, or a key outside `keys`, is a ConfigError.
-    """
+    A null block or key counts as absent, so its reader's default applies.  A
+    non-mapping block, a key outside `casts`, or a value its cast rejects is a
+    ConfigError naming `<path>.<key>`."""
     if node is None:
         return {}
     if not isinstance(node, dict):
         raise ConfigError(f"{path or 'run'}: must be a mapping of keys to values")
-    unknown = sorted(set(node) - set(keys), key=str)
+    unknown = sorted(set(node) - set(casts), key=str)
     if unknown:
-        raise ConfigError(f"{path}.{unknown[0]}: unknown key; valid: {sorted(keys)}".lstrip("."))
-    return node
+        raise ConfigError(f"{path}.{unknown[0]}: unknown key; valid: {sorted(casts)}".lstrip("."))
+    out = {}
+    for key, value in node.items():
+        try:
+            if value is not None:
+                out[key] = casts[key](value)
+        except ConfigError:  # from a nested block, already named
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}.{key}: {exc}".lstrip(".")) from exc
+    return out
+
+
+def _only(ok, what: str):
+    """The cast that passes a value `ok` accepts and rejects any other as not `what`."""
+    def cast(value):
+        if not ok(value):
+            raise ValueError(f"must be {what}, got {value!r}")
+        return value
+    return cast
+
+
+_int = _only(lambda v: type(v) is int, "an integer")
+_bool = _only(lambda v: type(v) is bool, "a boolean")
+_list = _only(lambda v: type(v) is list, "a list")
+_expect = _only(lambda v: v in ("pass", "fail"), "'pass' or 'fail'")
+_raw = _only(lambda v: True, "")  # a nested block, or a value its callee checks
+
+
+def _need(value, path: str):
+    """`value`, which a config must set at `path`."""
+    if value is None:
+        raise ConfigError(f"{path}: required field is missing")
+    return value
 
 
 def _run_seed(cfg: dict) -> int:
-    """The seed of every draw of a run: the config's `seed`, or 0 when it sets none.
-
-    `run` and `suite` always set one (`_resolve`); a config passed straight to
-    `execute` may not, and must still draw the same numbers every time.
-    """
-    return int(_get(cfg, "seed", 0))
+    """The seed of every draw of a run: `seed`, or 0 for a config that skipped `_resolve`
+    (passed straight to `execute`), which must still draw the same numbers every time."""
+    return cfg.get("seed", 0)
 
 
-def _given(node, **casts) -> dict:
-    """Keyword arguments for the keys `node` sets (not null), each through its cast.
-
-    A key the config leaves out is not passed, so the callee's default applies.
-    """
-    node = node if isinstance(node, dict) else {}
-    return {k: cast(node[k]) for k, cast in casts.items() if node.get(k) is not None}
+def _take(keys: dict, *names) -> dict:
+    """Remove the `names` that `keys` sets and return them, for a second callee."""
+    return {name: keys.pop(name) for name in names if name in keys}
 
 
 def _build_grid(cfg: dict):
-    g = _block(_get(cfg, "grid"), "grid", ("d", "L", "n_per_side", "bc"))
+    # make_grid checks that L and n_per_side are positive integers
+    g = _block(cfg.get("grid"), "grid", d=_int, L=_raw, n_per_side=_raw, bc=str)
     try:
-        return make_grid(_get(cfg, "grid.d", 1), _get(cfg, "grid.L", 1),
-                         _get(cfg, "grid.n_per_side", 32), **_given(g, bc=str))
+        return make_grid(**{"d": 1, "L": 1, "n_per_side": 32, **g})
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
 
-# the keys each `field.kind` recipe reads besides `kind`
-_FIELD_KEYS = {"identity": (), "constant": ("matrix",), "sine": ("amplitude", "frequency"),
-               "checkerboard": ("low", "high", "axis"), "anisotropic": ("base", "amplitude"),
-               "file": ("path",)}
+def _sine_field(grid, amplitude: float = 0.5, frequency: float = 1.0):
+    if not (0 <= amplitude < 1):
+        raise ConfigError("field.amplitude: need 0 <= amplitude < 1 for ellipticity")
+    om = 2 * math.pi * frequency / grid.L
+    return sampled_field(grid, lambda p: 1.0 + amplitude * np.sin(om * p[:, 0]),
+                         theta_lip=amplitude * om)
+
+
+def _anisotropic_field(grid, base: float = 1.0, amplitude: float = 0.25):
+    """A diagonal field with distinct smooth axis coefficients."""
+    def gen(pts):
+        out = np.zeros((pts.shape[0], grid.d, grid.d))
+        for k in range(grid.d):
+            out[:, k, k] = base * (k + 1) + amplitude * np.cos(2 * math.pi * pts[:, k] / grid.L)
+        return out
+    return sampled_field(grid, gen, theta_lip=2 * math.pi * amplitude / grid.L)
+
+
+def _file_field(grid, path: str | None = None):
+    return io.load_field(_need(path, "field.path"), bc=grid.bc)
+
+
+# each `field.kind` recipe: its builder and the keys it reads besides `kind`
+_FIELDS = {"identity": (identity_field, {}),
+           "constant": (constant_field, {"matrix": _list}),
+           "sine": (_sine_field, {"amplitude": float, "frequency": float}),
+           "checkerboard": (checkerboard_field, {"low": float, "high": float, "axis": _int}),
+           "anisotropic": (_anisotropic_field, {"base": float, "amplitude": float}),
+           "file": (_file_field, {"path": str})}
 
 
 def _build_field(cfg: dict, grid):
-    kind = _get(cfg, "field.kind", "identity")
-    if not isinstance(kind, str) or kind not in _FIELD_KEYS:
-        raise ConfigError(f"field.kind: unknown recipe {kind!r}; valid: {sorted(_FIELD_KEYS)}")
-    f = _block(_get(cfg, "field"), "field", ("kind", *_FIELD_KEYS[kind]))
-    if kind == "identity":
-        return identity_field(grid)
-    if kind == "constant":
-        matrix = np.asarray(f.get("matrix", np.eye(grid.d).tolist()), dtype=float)
-        return constant_field(grid, matrix)
-    if kind == "sine":
-        amp = float(f.get("amplitude", 0.5))
-        freq = float(f.get("frequency", 1.0))
-        if not (0 <= amp < 1):
-            raise ConfigError("field.amplitude: need 0 <= amplitude < 1 for ellipticity")
-        om = 2 * math.pi * freq / grid.L
-        return sampled_field(grid, lambda p: 1.0 + amp * np.sin(om * p[:, 0]),
-                             theta_lip=amp * om)
-    if kind == "checkerboard":
-        return checkerboard_field(grid, **_given(f, low=float, high=float, axis=int))
-    if kind == "anisotropic":
-        # diagonal field with distinct smooth axis coefficients
-        base = float(f.get("base", 1.0))
-        amp = float(f.get("amplitude", 0.25))
-
-        def gen(pts):
-            out = np.zeros((pts.shape[0], grid.d, grid.d))
-            for k in range(grid.d):
-                out[:, k, k] = base * (k + 1) + amp * np.cos(2 * math.pi * pts[:, k] / grid.L)
-            return out
-
-        return sampled_field(grid, gen, theta_lip=2 * math.pi * amp / grid.L)
-    return io.load_field(_get(cfg, "field.path", required=True), bc=grid.bc)
+    node = cfg.get("field")
+    kind = node.get("kind") if isinstance(node, dict) else None
+    kind = "identity" if kind is None else kind
+    if not isinstance(kind, str) or kind not in _FIELDS:
+        raise ConfigError(f"field.kind: unknown recipe {kind!r}; valid: {sorted(_FIELDS)}")
+    recipe, casts = _FIELDS[kind]
+    keys = _block(node, "field", kind=str, **casts)
+    return recipe(grid, **{k: v for k, v in keys.items() if k != "kind"})
 
 
 def _build_sequence(cfg: dict, grid):
-    s = _block(_get(cfg, "sequence"), "sequence", ("G", "delta", "mode", "seed", "centers"))
-    delta = float(_get(cfg, "sequence.delta", required=True))
+    s = _block(cfg.get("sequence"), "sequence",
+               G=float, delta=float, mode=str, seed=_int, centers=_list)
+    _need(s.get("delta"), "sequence.delta")
     try:
-        return equidistributed_sequence(grid, float(_get(cfg, "sequence.G", 1.0)), delta,
-                                        seed=_get(cfg, "sequence.seed", _run_seed(cfg)),
-                                        centers=s.get("centers"), **_given(s, mode=str))
+        return equidistributed_sequence(grid, **{"G": 1.0, "seed": _run_seed(cfg), **s})
     except ValueError as exc:
         raise ConfigError(f"sequence: {exc}") from exc
 
 
 def _build_constants(cfg: dict) -> bounds.ConstantsConfig:
+    names = (f.name for f in fields(bounds.ConstantsConfig))  # which checks the values itself
+    keys = _block(cfg.get("constants"), "constants", **dict.fromkeys(names, _raw))
     try:
-        return bounds.ConstantsConfig(**_get(cfg, "constants", {}))
+        return bounds.ConstantsConfig(**keys)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"constants: {exc}") from exc
 
@@ -154,52 +173,51 @@ def _build_balls(cfg: dict):
     return grid, _build_field(cfg, grid), _build_sequence(cfg, grid), _build_constants(cfg)
 
 
-def _build_w(cfg: dict, seq):
-    w = _block(_get(cfg, "check.w"), "check.w", ("kind", "value"))
-    kind = w.get("kind", "tent")
+def _build_w(seq, kind: str = "tent", value: float = 1.0):
     if kind == "tent":
         return ball_plateau_field(seq)
     if kind == "constant":
-        return as_scalar_field(float(w.get("value", 1.0)))
+        return as_scalar_field(value)
     if kind == "tent_plus_one":
         tent = ball_plateau_field(seq)
         return ScalarField(fn=lambda pts: 1.0 + tent(pts), lip=tent.lip, sup=2.0)
     raise ConfigError(f"check.w.kind: unknown recipe {kind!r}")
 
 
-def _dist_from(node) -> CouplingDistribution:
-    node = _block(node, "check.dist", ("kind", "m", "p"))
-    return CouplingDistribution(node.get("kind", "uniform"), float(node.get("m", 1.0)),
-                                **_given(node, p=float))
+def _coupling(node) -> CouplingDistribution:
+    """The law of `check.dist`; uniform on [0, 1] when the block is absent."""
+    law = _block(node, "check.dist", kind=str, m=float, p=float)
+    return CouplingDistribution(**{"kind": "uniform", "m": 1.0, **law})
 
 
 # --------------------------------------------------------------------------
 # experiment dispatch
 # --------------------------------------------------------------------------
 
-_EXPERIMENTS: dict = {}  # experiment name -> (runner, the `check` keys it reads)
+_EXPERIMENTS: dict = {}  # experiment name -> (runner, the casts of the `check` keys it reads)
 
 
-def _experiment(name: str, *check_keys: str):
-    """Register a runner as experiment `name`; `execute` rejects any other `check` key."""
+def _experiment(name: str, **check_casts):
+    """Register a runner as experiment `name`; `execute` passes it the `check` keys a config
+    sets, each through its cast in `check_casts`, and rejects any other key."""
     def register(runner):
-        _EXPERIMENTS[name] = (runner, check_keys)
+        _EXPERIMENTS[name] = (runner, check_casts)
         return runner
     return register
 
 
-@_experiment("eigensolve", "k")
-def _run_eigensolve(cfg: dict) -> verify.CheckReport:
+@_experiment("eigensolve", k=_int)
+def _run_eigensolve(cfg: dict, k: int = 3) -> verify.CheckReport:
     grid = _build_grid(cfg)
     field = _build_field(cfg, grid)
-    k = int(_get(cfg, "check.k", 3))
     spec = eigensolve(assemble(grid, field), k=k)
     rep = verify.CheckReport(
         name="eigensolve", statement="lowest eigenpairs converge to residual tolerance",
         status="pass", lhs=float(spec.residuals.max()), rhs=1e-9,
         observed={"energies": spec.energies.tolist(), "residuals": spec.residuals.tolist()},
         inputs={"grid": verify._grid_info(grid), "field": field.content_hash(), "k": k})
-    if (_get(cfg, "field.kind", "identity") == "identity") and grid.bc == "dirichlet":
+    # every cell eigenvalue 1: the identity field, whose stencil eigenvalues are closed-form
+    if field.theta_minus == field.theta_plus == 1.0 and grid.bc == "dirichlet":
         h, L = grid.h, grid.L
         per_axis = 4 / h**2 * np.sin(np.arange(1, grid.cells_per_side) * math.pi * h / (2 * L))**2
         mesh = per_axis
@@ -214,18 +232,14 @@ def _run_eigensolve(cfg: dict) -> verify.CheckReport:
     return rep
 
 
-@_experiment("reverse_caccioppoli", "index", "x0", "r", "e_min")
-def _run_reverse_caccioppoli(cfg: dict) -> verify.CheckReport:
+@_experiment("reverse_caccioppoli", index=_int, x0=_list, r=float, e_min=float)
+def _run_reverse_caccioppoli(cfg: dict, index: int = 0, x0: list | None = None,
+                             r: float = 0.2, e_min: float = 1.0) -> verify.CheckReport:
     grid = _build_grid(cfg)
     field = _build_field(cfg, grid)
-    n = int(_get(cfg, "check.index", 0))
-    spec = eigensolve(assemble(grid, field), k=n + 1)
-    e, psi = spec.pair(n)
+    e, psi = eigensolve(assemble(grid, field), k=index + 1).pair(index)
     return verify.reverse_caccioppoli_check(
-        grid, field, e, psi,
-        x0=_get(cfg, "check.x0", [0.0] * grid.d),
-        r=float(_get(cfg, "check.r", 0.2)),
-        e_min=float(_get(cfg, "check.e_min", 1.0)))
+        grid, field, e, psi, x0=[0.0] * grid.d if x0 is None else x0, r=r, e_min=e_min)
 
 
 def _spectrum_upto(grid, field, top: float):
@@ -249,123 +263,99 @@ def _spectrum_upto(grid, field, top: float):
     return spec
 
 
-@_experiment("ucp_function", "clamp_delta")
-def _run_ucp_function(cfg: dict) -> verify.CheckReport:
+@_experiment("ucp_function", clamp_delta=_bool)
+def _run_ucp_function(cfg: dict, **keys) -> verify.CheckReport:
     grid, field, seq, consts = _build_balls(cfg)
     spec = _spectrum_upto(grid, field, consts.e_max)
-    return verify.ucp_function_check(grid, field, spec, seq, consts,
-                                     **_given(_get(cfg, "check"), clamp_delta=bool))
+    return verify.ucp_function_check(grid, field, spec, seq, consts, **keys)
 
 
-@_experiment("ucp_gradient", "variant", "negative_control")
-def _run_ucp_gradient(cfg: dict) -> verify.CheckReport:
+@_experiment("ucp_gradient", variant=str, negative_control=_bool)
+def _run_ucp_gradient(cfg: dict, **keys) -> verify.CheckReport:
     grid, field, seq, consts = _build_balls(cfg)
     spec = _spectrum_upto(grid, field, consts.e_max)
-    return verify.ucp_gradient_check(
-        grid, field, spec, seq, consts,
-        **_given(_get(cfg, "check"), variant=str, negative_control=bool))
+    return verify.ucp_gradient_check(grid, field, spec, seq, consts, **keys)
 
 
-@_experiment("projector_ucp", "lam", "n_samples")
-def _run_projector_ucp(cfg: dict) -> verify.CheckReport:
+@_experiment("projector_ucp", lam=float, n_samples=_int)
+def _run_projector_ucp(cfg: dict, lam: float | None = None,
+                       n_samples: int = 200) -> verify.CheckReport:
     grid, field, seq, consts = _build_balls(cfg)
     consts = replace(consts, delta=seq.delta, d=grid.d)
-    lam = _get(cfg, "check.lam")
-    lam = bounds.kappa_family(consts).kappa_prime if lam is None else float(lam)
+    lam = bounds.kappa_family(consts).kappa_prime if lam is None else lam
     spec = _spectrum_upto(grid, field, lam)
-    return verify.projector_ucp_check(
-        grid, field, spec, seq, lam,
-        n_samples=int(_get(cfg, "check.n_samples", 200)),
-        seed=_run_seed(cfg), cfg=consts)
+    return verify.projector_ucp_check(grid, field, spec, seq, lam, n_samples=n_samples,
+                                      seed=_run_seed(cfg), cfg=consts)
 
 
-@_experiment("lifting", "w", "t_max", "t_steps", "indices", "variant")
-def _run_lifting(cfg: dict) -> verify.CheckReport:
+@_experiment("lifting", w=lambda node: _block(node, "check.w", kind=str, value=float),
+             t_max=float, t_steps=_int, indices=_list, variant=str)
+def _run_lifting(cfg: dict, w: dict | None = None, t_max: float = 1.0, t_steps: int = 7,
+                 indices=(0, 1), variant: str = "bounded_w") -> verify.CheckReport:
     grid, field, seq, consts = _build_balls(cfg)
-    curve = lifting_curve(grid, field, _build_w(cfg, seq),
-                          t_max=float(_get(cfg, "check.t_max", 1.0)),
-                          t_steps=int(_get(cfg, "check.t_steps", 7)),
-                          indices=_get(cfg, "check.indices", [0, 1]))
-    return verify.lifting_check(curve, consts, seq,
-                                variant=_get(cfg, "check.variant", "bounded_w"))
+    curve = lifting_curve(grid, field, _build_w(seq, **(w or {})),
+                          t_max=t_max, t_steps=t_steps, indices=indices)
+    return verify.lifting_check(curve, consts, seq, variant=variant)
 
 
-@_experiment("wegner", "c_minus", "c_plus", "delta_plus", "bump", "dist", "e_center",
-             "eps", "n_samples", "variant")
-def _run_wegner(cfg: dict) -> verify.CheckReport:
+@_experiment("wegner", c_minus=float, c_plus=float, delta_plus=float, bump=str, dist=_coupling,
+             e_center=float, eps=float, n_samples=_int, variant=str)
+def _run_wegner(cfg: dict, e_center: float | None = None, eps: float = 0.1,
+                n_samples: int = 200, **keys) -> verify.CheckReport:
     grid, field, seq, consts = _build_balls(cfg)
-    check = _get(cfg, "check")
-    model = alloy_model(field, seq, **_given(check, c_minus=float, c_plus=float,
-                                             delta_plus=float, bump=str, dist=_dist_from))
-    return verify.wegner_mc(
-        model, grid,
-        e_center=float(_get(cfg, "check.e_center", required=True)),
-        eps=float(_get(cfg, "check.eps", 0.1)),
-        n_samples=int(_get(cfg, "check.n_samples", 200)),
-        seed=_run_seed(cfg), cfg=consts, **_given(check, variant=str))
+    mc_keys = _take(keys, "variant")  # the rest configure the alloy model
+    return verify.wegner_mc(alloy_model(field, seq, **keys), grid,
+                            e_center=_need(e_center, "check.e_center"), eps=eps,
+                            n_samples=n_samples, seed=_run_seed(cfg), cfg=consts, **mc_keys)
 
 
-@_experiment("pi_singular", "dist", "phi", "a", "b", "eps")
-def _run_pi_singular(cfg: dict) -> verify.CheckReport:
-    dist = _dist_from(_get(cfg, "check.dist"))
-    phi_kind = _get(cfg, "check.phi", "linear")
-    if phi_kind == "linear":
-        phi = lambda x: np.asarray(x, dtype=float)
-    elif phi_kind == "softplus":
-        phi = lambda x: np.logaddexp(0.0, np.asarray(x, dtype=float))
+@_experiment("pi_singular", dist=_coupling, phi=str, a=float, b=float, eps=float)
+def _run_pi_singular(cfg: dict, dist=_coupling(None), phi: str = "linear", a: float = -0.1,
+                     b: float | None = None, eps: float = 0.1) -> verify.CheckReport:
+    if phi == "linear":
+        fn = lambda x: np.asarray(x, dtype=float)
+    elif phi == "softplus":
+        fn = lambda x: np.logaddexp(0.0, np.asarray(x, dtype=float))
     else:
-        raise ConfigError(f"check.phi: unknown recipe {phi_kind!r}")
-    return verify.pi_singular_check(dist, phi,
-                                    a=float(_get(cfg, "check.a", -0.1)),
-                                    b=float(_get(cfg, "check.b", dist.m + 0.1)),
-                                    eps=float(_get(cfg, "check.eps", 0.1)))
+        raise ConfigError(f"check.phi: unknown recipe {phi!r}")
+    return verify.pi_singular_check(dist, fn, a=a, b=dist.m + 0.1 if b is None else b, eps=eps)
 
 
-@_experiment("weyl", "sides", "e_plus", "weyl_constant")
-def _run_weyl(cfg: dict) -> verify.CheckReport:
+@_experiment("weyl", sides=_list, e_plus=float, weyl_constant=float)
+def _run_weyl(cfg: dict, sides=(1, 2, 4), e_plus: float = 100.0, **keys) -> verify.CheckReport:
     base = _build_grid(cfg)
-    grids = [make_grid(base.d, L, base.n_per_side, base.bc)
-             for L in _get(cfg, "check.sides", [1, 2, 4])]
-    return verify.weyl_check(grids, lambda g: _build_field(cfg, g),
-                             e_plus=float(_get(cfg, "check.e_plus", 100.0)),
-                             **_given(_get(cfg, "check"), weyl_constant=float))
+    grids = [make_grid(base.d, L, base.n_per_side, base.bc) for L in sides]
+    return verify.weyl_check(grids, lambda g: _build_field(cfg, g), e_plus=e_plus, **keys)
 
 
-@_experiment("scaling", "G", "delta", "mode", "target_n", "k", "eig_rtol", "grad_rtol")
-def _run_scaling(cfg: dict) -> verify.CheckReport:
+@_experiment("scaling", G=float, delta=float, mode=str, target_n=_int, k=_int,
+             eig_rtol=float, grad_rtol=float)
+def _run_scaling(cfg: dict, G: float = 2.0, delta: float = 0.75, target_n: int | None = None,
+                 **keys) -> verify.CheckReport:
     grid = _build_grid(cfg)  # source grid, side G*L
     field = _build_field(cfg, grid)
-    check = _get(cfg, "check")
-    G = float(_get(cfg, "check.G", 2.0))
-    seq = equidistributed_sequence(grid, G, float(_get(cfg, "check.delta", 0.75)),
-                                   seed=_run_seed(cfg), **_given(check, mode=str))
+    seq = equidistributed_sequence(grid, G, delta, seed=_run_seed(cfg), **_take(keys, "mode"))
     return verify.scaling_check(field, G, seq,
-                                target_n_per_side=int(_get(cfg, "check.target_n", required=True)),
-                                **_given(check, k=int, eig_rtol=float, grad_rtol=float))
+                                target_n_per_side=_need(target_n, "check.target_n"), **keys)
 
 
-@_experiment("mollification", "eps", "ells", "k", "rtol")
-def _run_mollification(cfg: dict) -> verify.CheckReport:
+@_experiment("mollification", eps=float, ells=_list, k=_int, rtol=float)
+def _run_mollification(cfg: dict, eps: float = 0.25, ells=(4, 8, 16, 32), k: int = 3,
+                       **keys) -> verify.CheckReport:
+    field = _build_field(cfg, _build_grid(cfg))
+    return verify.mollification_convergence(field, eps=eps, ells=ells, k=k, **keys)
+
+
+@_experiment("neumann_trend", sides=_list, delta=float)
+def _run_neumann_trend(cfg: dict, sides=(1, 2, 4), delta: float = 0.3) -> verify.CheckReport:
     grid = _build_grid(cfg)
-    field = _build_field(cfg, grid)
-    return verify.mollification_convergence(
-        field, eps=float(_get(cfg, "check.eps", 0.25)),
-        ells=_get(cfg, "check.ells", [4, 8, 16, 32]),
-        k=int(_get(cfg, "check.k", 3)), **_given(_get(cfg, "check"), rtol=float))
+    return verify.neumann_gradient_decay_trend(grid.d, sides, grid.n_per_side, delta=delta)
 
 
-@_experiment("neumann_trend", "sides", "delta")
-def _run_neumann_trend(cfg: dict) -> verify.CheckReport:
-    grid = _build_grid(cfg)
-    return verify.neumann_gradient_decay_trend(
-        grid.d, _get(cfg, "check.sides", [1, 2, 4]), grid.n_per_side,
-        delta=float(_get(cfg, "check.delta", 0.3)))
-
-
-@_experiment("constants", "delta_plus")
-def _run_constants(cfg: dict) -> verify.CheckReport:
+@_experiment("constants", delta_plus=float)
+def _run_constants(cfg: dict, **keys) -> verify.CheckReport:
     consts = _build_constants(cfg)
-    report = bounds.constants_report(consts, delta_plus=_get(cfg, "check.delta_plus"))
+    report = bounds.constants_report(consts, **keys)
     again = report.recompute()
     identical = report.to_dict() == again.to_dict()
     return verify.CheckReport(
@@ -375,45 +365,44 @@ def _run_constants(cfg: dict) -> verify.CheckReport:
         inputs={"config": consts.snapshot()})
 
 
-# the keys of a run config; the builder that reads a block checks its keys
-_RUN_KEYS = "experiment label seed expect grid field sequence check constants".split()
+# the keys of a run config; each nested block is checked by the builder that reads it
+_RUN_KEYS = {"experiment": _only(_EXPERIMENTS.__contains__, f"one of {sorted(_EXPERIMENTS)}"),
+             "label": str, "seed": _int, "expect": _expect, "grid": _raw, "field": _raw,
+             "sequence": _raw, "check": _raw, "constants": _raw}
 
 
 def execute(config: dict) -> verify.CheckReport:
     """Run one experiment config and return its report (no files written)."""
-    config = _block(config, "", _RUN_KEYS)
-    kind = _get(config, "experiment", required=True)
-    if not isinstance(kind, str) or kind not in _EXPERIMENTS:
-        raise ConfigError(f"experiment: unknown kind {kind!r}; valid: {sorted(_EXPERIMENTS)}")
-    runner, check_keys = _EXPERIMENTS[kind]
-    _block(_get(config, "check"), "check", check_keys)
+    config = _block(config, "", **_RUN_KEYS)
+    kind = _need(config.get("experiment"), "experiment")
+    runner, check_casts = _EXPERIMENTS[kind]
+    check = _block(config.get("check"), "check", **check_casts)
     t0 = time.perf_counter()
     try:
-        report = runner(config)
+        report = runner(config, **check)
     except (ConfigError, np.linalg.LinAlgError):  # a LinAlgError is a solver breakdown
         raise
     except ValueError as exc:  # the experiment rejected an input of the config
         raise ConfigError(f"{kind}: {exc}") from exc
     report.walltime = time.perf_counter() - t0
-    if _get(config, "expect", "pass") == "fail":
+    if config.get("expect") == "fail":
         report.expected_failure = True
-    label = _get(config, "label")
+    label = config.get("label")
     if label:
         report.name = f"{report.name}:{label}"
     return report
 
 
 def _resolve(config: dict, seed: int | None = None, resolution_mult: float = 1.0) -> dict:
-    out = json.loads(json.dumps(_block(config, "", _RUN_KEYS)))  # deep copy, normalized types
-    out.setdefault("seed", 1234)
-    out.setdefault("expect", "pass")
+    out = {"seed": 1234, "expect": "pass", **_block(config, "", **_RUN_KEYS)}
+    out = json.loads(json.dumps(out))  # deep copy, normalized types
     if seed is not None:
         out["seed"] = seed
     if not resolution_mult > 0:
         raise ConfigError(f"--resolution-mult: must be positive, got {resolution_mult}")
     if resolution_mult != 1 and "grid" in out:
         n_per_side = int(_build_grid(out).n_per_side * resolution_mult)
-        out["grid"] = {**(out["grid"] or {}), "n_per_side": n_per_side}
+        out["grid"] = {**out["grid"], "n_per_side": n_per_side}
     return out
 
 
@@ -615,7 +604,7 @@ def main(argv=None) -> int:
             with open(args.config) as fh:
                 loaded = yaml.safe_load(fh)
             if isinstance(loaded, dict) and "runs" in loaded:
-                loaded = _block(loaded, "", ("runs",))["runs"]
+                loaded = _block(loaded, "", runs=_list).get("runs")
             return run(loaded if isinstance(loaded, list) else [loaded], args.out, **flags)
         return suite(args.name, args.out, samples=args.samples, **flags)
     except ConfigError as exc:

@@ -95,9 +95,10 @@ def _build(grid: Grid, cells: np.ndarray, theta_lip) -> MatrixField:
                        theta_lip=theta_lip)
 
 
-def constant_field(grid: Grid, matrix) -> MatrixField:
-    """Spatially constant field; rejects non-symmetric or non-positive-definite input."""
-    m = np.asarray(matrix, dtype=float)
+def constant_field(grid: Grid, matrix=None) -> MatrixField:
+    """Spatially constant field, the identity by default; rejects non-symmetric or
+    non-positive-definite input."""
+    m = np.eye(grid.d) if matrix is None else np.asarray(matrix, dtype=float)
     if m.shape != (grid.d, grid.d):
         raise ValueError(f"matrix must be {grid.d}x{grid.d}, got shape {m.shape}")
     if not np.array_equal(m, m.T):
@@ -110,7 +111,7 @@ def constant_field(grid: Grid, matrix) -> MatrixField:
 
 
 def identity_field(grid: Grid) -> MatrixField:
-    return constant_field(grid, np.eye(grid.d))
+    return constant_field(grid)
 
 
 def sampled_field(grid: Grid, generator: Callable, theta_lip: float | None = None) -> MatrixField:

@@ -132,9 +132,10 @@ class Grid:
 def make_grid(d: int, L: int, n_per_side: int, bc: str = DIRICHLET) -> Grid:
     if d not in (1, 2, 3):
         raise ValueError(f"dimension {d} not supported (need 1, 2 or 3)")
-    if not isinstance(L, (int, np.integer)) or L < 1:
+    if isinstance(L, bool) or not isinstance(L, (int, np.integer)) or L < 1:
         raise ValueError(f"side length must be a positive integer, got {L!r}")
-    if not isinstance(n_per_side, (int, np.integer)) or n_per_side < 2:
+    if (isinstance(n_per_side, bool) or not isinstance(n_per_side, (int, np.integer))
+            or n_per_side < 2):
         raise ValueError(f"n_per_side must be an integer >= 2, got {n_per_side!r}")
     if bc not in (DIRICHLET, NEUMANN):
         raise ValueError(f"unknown boundary condition {bc!r}")

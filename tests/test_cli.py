@@ -236,7 +236,28 @@ class TestForwardedKeys:
         assert cli.execute(self._SCALING).rhs == 0.02
 
     def test_null_key_counts_as_absent(self):
-        assert cli._given({"p": None, "q": "1.5"}, p=float, q=float, r=int) == {"q": 1.5}
+        assert cli._block({"p": None, "q": "1.5"}, "b", p=float, q=float, r=cli._int) == {"q": 1.5}
+
+    _NULLS = {
+        "field.amplitude": {"experiment": "eigensolve", "grid": {"d": 1, "L": 1, "n_per_side": 16},
+                            "field": {"kind": "sine", "amplitude": None}},
+        "check.w.value": _lifting_run({"kind": "constant", "value": None}, "elementary"),
+        "check.dist.m": {"experiment": "pi_singular",
+                         "check": {"dist": {"kind": "uniform", "m": None}}},
+        "constants.e_max": {"experiment": "constants", "constants": {"e_max": None}},
+    }
+
+    @pytest.mark.parametrize("key", sorted(_NULLS))
+    def test_null_value_runs_the_default(self, key):
+        *blocks, last = key.split(".")
+        absent = json.loads(json.dumps(self._NULLS[key]))
+        node = absent
+        for block in blocks:
+            node = node[block]
+        del node[last]
+        with_null, without = cli.execute(self._NULLS[key]).to_dict(), cli.execute(absent).to_dict()
+        with_null.pop("walltime"), without.pop("walltime")
+        assert with_null == without
 
 
 class TestMain:
@@ -344,16 +365,54 @@ class TestMain:
         ({"experiment": "weyl", "grid": {"d": 1, "L": 1, "n_per_side": 16},
           "check": {"sides": [1.5, 2]}},
          "weyl: side length must be a positive integer, got 1.5"),
+        ({"experiment": "eigensolve", "check": {"k": 2.5}},
+         "check.k: must be an integer, got 2.5"),
+        ({"experiment": "eigensolve", "field": {"kind": "checkerboard", "axis": 0.7}},
+         "field.axis: must be an integer, got 0.7"),
+        ({"experiment": "wegner", "grid": {"d": 1, "L": 2, "n_per_side": 16},
+          "sequence": {"G": 1.0, "delta": 0.2},
+          "check": {"e_center": 12.5, "eps": 0.5, "n_samples": 2.9},
+          "constants": {"e_min": 1.0, "e_max": 30.0}},
+         "check.n_samples: must be an integer, got 2.9"),
+        ({"experiment": "ucp_gradient", "grid": {"d": 1, "L": 2, "n_per_side": 16},
+          "sequence": {"G": 1.0, "delta": 0.3}, "check": {"negative_control": "false"},
+          "constants": {"e_min": 1.0, "e_max": 30.0}},
+         "check.negative_control: must be a boolean, got 'false'"),
+        ({"experiment": "lifting", "grid": {"d": 1, "L": 2, "n_per_side": 16},
+          "sequence": {"G": 1.0, "delta": 0.3},
+          "check": {"indices": 3}, "constants": {"e_min": 1.0, "e_max": 60.0}},
+         "check.indices: must be a list, got 3"),
+        ({"experiment": "weyl", "check": {"sides": 3}}, "check.sides: must be a list, got 3"),
+        ({"experiment": "neumann_trend", "check": {"sides": 3}},
+         "check.sides: must be a list, got 3"),
+        ({"experiment": "mollification", "check": {"ells": 4}},
+         "check.ells: must be a list, got 4"),
+        ({"experiment": "eigensolve", "seed": 2.5}, "seed: must be an integer, got 2.5"),
+        ({"experiment": "ucp_function", "grid": {"d": 1, "L": 2, "n_per_side": 16},
+          "sequence": {"G": 1.0, "delta": 0.3, "mode": "random", "seed": 2.5},
+          "constants": {"e_min": 1.0, "e_max": 30.0}},
+         "sequence.seed: must be an integer, got 2.5"),
+        ({"experiment": "eigensolve", "expect": "fial"},
+         "expect: must be 'pass' or 'fail', got 'fial'"),
     ], ids=["wegner-one-sample", "low-energy-above-kappa", "wegner-unknown-key",
             "lifting-unknown-key", "check-not-a-mapping", "unknown-top-level-block",
             "grid-unknown-key", "field-unknown-key", "field-key-of-another-recipe",
             "sequence-unknown-key", "check-w-not-a-mapping", "check-dist-unknown-key",
-            "field-not-a-mapping", "fractional-grid-side", "fractional-weyl-side"])
+            "field-not-a-mapping", "fractional-grid-side", "fractional-weyl-side",
+            "fractional-eigensolve-k", "fractional-checkerboard-axis",
+            "fractional-wegner-samples", "string-negative-control", "scalar-lifting-indices",
+            "scalar-weyl-sides", "scalar-neumann-trend-sides", "scalar-mollification-ells",
+            "fractional-seed", "fractional-sequence-seed", "misspelled-expect"])
     def test_rejected_check_input_is_a_config_error(self, tmp_path, capsys, config, message):
         cfg_file = tmp_path / "cfg.yaml"
         cfg_file.write_text(yaml.safe_dump(config))
         assert cli.main(["run", str(cfg_file), "--out", str(tmp_path / "o")]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
+
+    def test_readme_example_config_runs(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+        assert cli.execute(yaml.safe_load(example)).ok
 
     @pytest.mark.parametrize("text, message", [
         ("3", "run: must be a mapping of keys to values"),
