@@ -9,7 +9,8 @@ from .fields import (AlloyModel, AlloySample, CouplingDistribution, MatrixField,
                      check_lipschitz, checkerboard_field, constant_field,
                      identity_field, mollify, sample_alloy, sampled_field,
                      single_site_sum, tent_minorant)
-from .operators import DiscreteOperator, assemble, perturbation_operator, rescale
+from .operators import (AlloyOperators, DiscreteOperator, alloy_operators, assemble,
+                        perturbation_operator, rescale)
 from .spectral import (EigensolveError, LiftingCurve, Spectrum, count_eigenvalues,
                        eigensolve, hf_derivative, lifting_curve, projector_sample,
                        window_eigenvalues)

@@ -73,10 +73,17 @@ def _only(ok, what: str):
 
 
 _int = _only(lambda v: type(v) is int, "an integer")
+_text = _only(lambda v: type(v) is str, "a string")
 _bool = _only(lambda v: type(v) is bool, "a boolean")
 _list = _only(lambda v: type(v) is list, "a list")
 _expect = _only(lambda v: v in ("pass", "fail"), "'pass' or 'fail'")
 _raw = _only(lambda v: True, "")  # a nested block, or a value its callee checks
+_number = _only(lambda v: type(v) in (int, float), "a real number")
+
+
+def _real(value) -> float:
+    """An int or a float, as a float; a bool or a numeric string is rejected."""
+    return float(_number(value))
 
 
 def _need(value, path: str):
@@ -99,7 +106,7 @@ def _take(keys: dict, *names) -> dict:
 
 def _build_grid(cfg: dict):
     # make_grid checks that L and n_per_side are positive integers
-    g = _block(cfg.get("grid"), "grid", d=_int, L=_raw, n_per_side=_raw, bc=str)
+    g = _block(cfg.get("grid"), "grid", d=_int, L=_raw, n_per_side=_raw, bc=_text)
     try:
         return make_grid(**{"d": 1, "L": 1, "n_per_side": 32, **g})
     except ValueError as exc:
@@ -131,10 +138,10 @@ def _file_field(grid, path: str | None = None):
 # each `field.kind` recipe: its builder and the keys it reads besides `kind`
 _FIELDS = {"identity": (identity_field, {}),
            "constant": (constant_field, {"matrix": _list}),
-           "sine": (_sine_field, {"amplitude": float, "frequency": float}),
-           "checkerboard": (checkerboard_field, {"low": float, "high": float, "axis": _int}),
-           "anisotropic": (_anisotropic_field, {"base": float, "amplitude": float}),
-           "file": (_file_field, {"path": str})}
+           "sine": (_sine_field, {"amplitude": _real, "frequency": _real}),
+           "checkerboard": (checkerboard_field, {"low": _real, "high": _real, "axis": _int}),
+           "anisotropic": (_anisotropic_field, {"base": _real, "amplitude": _real}),
+           "file": (_file_field, {"path": _text})}
 
 
 def _build_field(cfg: dict, grid):
@@ -144,13 +151,13 @@ def _build_field(cfg: dict, grid):
     if not isinstance(kind, str) or kind not in _FIELDS:
         raise ConfigError(f"field.kind: unknown recipe {kind!r}; valid: {sorted(_FIELDS)}")
     recipe, casts = _FIELDS[kind]
-    keys = _block(node, "field", kind=str, **casts)
+    keys = _block(node, "field", kind=_text, **casts)
     return recipe(grid, **{k: v for k, v in keys.items() if k != "kind"})
 
 
 def _build_sequence(cfg: dict, grid):
     s = _block(cfg.get("sequence"), "sequence",
-               G=float, delta=float, mode=str, seed=_int, centers=_list)
+               G=_real, delta=_real, mode=_text, seed=_int, centers=_list)
     _need(s.get("delta"), "sequence.delta")
     try:
         return equidistributed_sequence(grid, **{"G": 1.0, "seed": _run_seed(cfg), **s})
@@ -159,8 +166,9 @@ def _build_sequence(cfg: dict, grid):
 
 
 def _build_constants(cfg: dict) -> bounds.ConstantsConfig:
-    names = (f.name for f in fields(bounds.ConstantsConfig))  # which checks the values itself
-    keys = _block(cfg.get("constants"), "constants", **dict.fromkeys(names, _raw))
+    # each field through the cast of its declared type; ConstantsConfig checks the ranges
+    casts = {f.name: _int if f.type == "int" else _real for f in fields(bounds.ConstantsConfig)}
+    keys = _block(cfg.get("constants"), "constants", **casts)
     try:
         return bounds.ConstantsConfig(**keys)
     except (TypeError, ValueError) as exc:
@@ -186,7 +194,7 @@ def _build_w(seq, kind: str = "tent", value: float = 1.0):
 
 def _coupling(node) -> CouplingDistribution:
     """The law of `check.dist`; uniform on [0, 1] when the block is absent."""
-    law = _block(node, "check.dist", kind=str, m=float, p=float)
+    law = _block(node, "check.dist", kind=_text, m=_real, p=_real)
     return CouplingDistribution(**{"kind": "uniform", "m": 1.0, **law})
 
 
@@ -232,7 +240,7 @@ def _run_eigensolve(cfg: dict, k: int = 3) -> verify.CheckReport:
     return rep
 
 
-@_experiment("reverse_caccioppoli", index=_int, x0=_list, r=float, e_min=float)
+@_experiment("reverse_caccioppoli", index=_int, x0=_list, r=_real, e_min=_real)
 def _run_reverse_caccioppoli(cfg: dict, index: int = 0, x0: list | None = None,
                              r: float = 0.2, e_min: float = 1.0) -> verify.CheckReport:
     grid = _build_grid(cfg)
@@ -270,14 +278,14 @@ def _run_ucp_function(cfg: dict, **keys) -> verify.CheckReport:
     return verify.ucp_function_check(grid, field, spec, seq, consts, **keys)
 
 
-@_experiment("ucp_gradient", variant=str, negative_control=_bool)
+@_experiment("ucp_gradient", variant=_text, negative_control=_bool)
 def _run_ucp_gradient(cfg: dict, **keys) -> verify.CheckReport:
     grid, field, seq, consts = _build_balls(cfg)
     spec = _spectrum_upto(grid, field, consts.e_max)
     return verify.ucp_gradient_check(grid, field, spec, seq, consts, **keys)
 
 
-@_experiment("projector_ucp", lam=float, n_samples=_int)
+@_experiment("projector_ucp", lam=_real, n_samples=_int)
 def _run_projector_ucp(cfg: dict, lam: float | None = None,
                        n_samples: int = 200) -> verify.CheckReport:
     grid, field, seq, consts = _build_balls(cfg)
@@ -288,8 +296,8 @@ def _run_projector_ucp(cfg: dict, lam: float | None = None,
                                       seed=_run_seed(cfg), cfg=consts)
 
 
-@_experiment("lifting", w=lambda node: _block(node, "check.w", kind=str, value=float),
-             t_max=float, t_steps=_int, indices=_list, variant=str)
+@_experiment("lifting", w=lambda node: _block(node, "check.w", kind=_text, value=_real),
+             t_max=_real, t_steps=_int, indices=_list, variant=_text)
 def _run_lifting(cfg: dict, w: dict | None = None, t_max: float = 1.0, t_steps: int = 7,
                  indices=(0, 1), variant: str = "bounded_w") -> verify.CheckReport:
     grid, field, seq, consts = _build_balls(cfg)
@@ -298,8 +306,8 @@ def _run_lifting(cfg: dict, w: dict | None = None, t_max: float = 1.0, t_steps: 
     return verify.lifting_check(curve, consts, seq, variant=variant)
 
 
-@_experiment("wegner", c_minus=float, c_plus=float, delta_plus=float, bump=str, dist=_coupling,
-             e_center=float, eps=float, n_samples=_int, variant=str)
+@_experiment("wegner", c_minus=_real, c_plus=_real, delta_plus=_real, bump=_text, dist=_coupling,
+             e_center=_real, eps=_real, n_samples=_int, variant=_text)
 def _run_wegner(cfg: dict, e_center: float | None = None, eps: float = 0.1,
                 n_samples: int = 200, **keys) -> verify.CheckReport:
     grid, field, seq, consts = _build_balls(cfg)
@@ -309,7 +317,7 @@ def _run_wegner(cfg: dict, e_center: float | None = None, eps: float = 0.1,
                             n_samples=n_samples, seed=_run_seed(cfg), cfg=consts, **mc_keys)
 
 
-@_experiment("pi_singular", dist=_coupling, phi=str, a=float, b=float, eps=float)
+@_experiment("pi_singular", dist=_coupling, phi=_text, a=_real, b=_real, eps=_real)
 def _run_pi_singular(cfg: dict, dist=_coupling(None), phi: str = "linear", a: float = -0.1,
                      b: float | None = None, eps: float = 0.1) -> verify.CheckReport:
     if phi == "linear":
@@ -321,15 +329,15 @@ def _run_pi_singular(cfg: dict, dist=_coupling(None), phi: str = "linear", a: fl
     return verify.pi_singular_check(dist, fn, a=a, b=dist.m + 0.1 if b is None else b, eps=eps)
 
 
-@_experiment("weyl", sides=_list, e_plus=float, weyl_constant=float)
+@_experiment("weyl", sides=_list, e_plus=_real, weyl_constant=_real)
 def _run_weyl(cfg: dict, sides=(1, 2, 4), e_plus: float = 100.0, **keys) -> verify.CheckReport:
     base = _build_grid(cfg)
     grids = [make_grid(base.d, L, base.n_per_side, base.bc) for L in sides]
     return verify.weyl_check(grids, lambda g: _build_field(cfg, g), e_plus=e_plus, **keys)
 
 
-@_experiment("scaling", G=float, delta=float, mode=str, target_n=_int, k=_int,
-             eig_rtol=float, grad_rtol=float)
+@_experiment("scaling", G=_real, delta=_real, mode=_text, target_n=_int, k=_int,
+             eig_rtol=_real, grad_rtol=_real)
 def _run_scaling(cfg: dict, G: float = 2.0, delta: float = 0.75, target_n: int | None = None,
                  **keys) -> verify.CheckReport:
     grid = _build_grid(cfg)  # source grid, side G*L
@@ -339,20 +347,20 @@ def _run_scaling(cfg: dict, G: float = 2.0, delta: float = 0.75, target_n: int |
                                 target_n_per_side=_need(target_n, "check.target_n"), **keys)
 
 
-@_experiment("mollification", eps=float, ells=_list, k=_int, rtol=float)
+@_experiment("mollification", eps=_real, ells=_list, k=_int, rtol=_real)
 def _run_mollification(cfg: dict, eps: float = 0.25, ells=(4, 8, 16, 32), k: int = 3,
                        **keys) -> verify.CheckReport:
     field = _build_field(cfg, _build_grid(cfg))
     return verify.mollification_convergence(field, eps=eps, ells=ells, k=k, **keys)
 
 
-@_experiment("neumann_trend", sides=_list, delta=float)
+@_experiment("neumann_trend", sides=_list, delta=_real)
 def _run_neumann_trend(cfg: dict, sides=(1, 2, 4), delta: float = 0.3) -> verify.CheckReport:
     grid = _build_grid(cfg)
     return verify.neumann_gradient_decay_trend(grid.d, sides, grid.n_per_side, delta=delta)
 
 
-@_experiment("constants", delta_plus=float)
+@_experiment("constants", delta_plus=_real)
 def _run_constants(cfg: dict, **keys) -> verify.CheckReport:
     consts = _build_constants(cfg)
     report = bounds.constants_report(consts, **keys)
@@ -367,7 +375,7 @@ def _run_constants(cfg: dict, **keys) -> verify.CheckReport:
 
 # the keys of a run config; each nested block is checked by the builder that reads it
 _RUN_KEYS = {"experiment": _only(_EXPERIMENTS.__contains__, f"one of {sorted(_EXPERIMENTS)}"),
-             "label": str, "seed": _int, "expect": _expect, "grid": _raw, "field": _raw,
+             "label": _text, "seed": _int, "expect": _expect, "grid": _raw, "field": _raw,
              "sequence": _raw, "check": _raw, "constants": _raw}
 
 

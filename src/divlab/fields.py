@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -294,6 +295,11 @@ class AlloyModel:
             return None
         return self.c_minus / (self.delta_plus - self.delta_minus)
 
+    @cached_property
+    def cell_bumps(self) -> tuple[np.ndarray, np.ndarray]:
+        """`_site_bumps` at the base grid's cell centers, looked up once per model."""
+        return _site_bumps(self, self.base.grid.cell_centers)
+
 
 def alloy_model(base: MatrixField, seq: EquidistributedSeq, *, c_minus: float = 1.0,
                 c_plus: float = 2.0, delta_plus: float | None = None, bump: str = "plateau",
@@ -334,32 +340,38 @@ def single_site_sum(model: AlloyModel) -> ScalarField:
 
 @dataclass(frozen=True, eq=False)
 class AlloySample:
+    """One draw of the couplings omega of a model; V and A + V Id follow from it on
+    first use (a Wegner sample reads only omega)."""
+
+    model: AlloyModel
     omega: np.ndarray
-    v: ScalarField
-    field: MatrixField
+
+    @cached_property
+    def v(self) -> ScalarField:
+        """V = sum_s omega_s u_s, evaluable at any points."""
+        def fn(pts):
+            values, idx = _site_bumps(self.model, pts)
+            return (values * self.omega[idx]).sum(axis=1)
+        return ScalarField(fn=fn, sup=self.model.v_sup_bound)
+
+    @cached_property
+    def field(self) -> MatrixField:
+        """A + V Id with conservative bounds; V at the cell centers from the model's table."""
+        model, grid = self.model, self.model.base.grid
+        values, idx = model.cell_bumps
+        vcells = (values * self.omega[idx]).sum(axis=1).reshape(grid.cells_shape)
+        return MatrixField(
+            grid=grid, cells=model.base.cells + vcells[..., None, None] * np.eye(grid.d),
+            theta_minus=model.base.theta_minus,
+            theta_plus=model.base.theta_plus + model.v_sup_bound,
+            theta_lip=None,  # assembly reads only the cells and theta_minus
+        )
 
 
 def sample_alloy(model: AlloyModel, seed) -> AlloySample:
-    """Draw couplings and return (omega, V, A + V Id) with conservative bounds."""
+    """Draw the couplings of one sample."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    omega = model.dist.sample(rng, len(model.seq.centers))
-
-    def fn(pts):
-        values, idx = _site_bumps(model, pts)
-        return (values * omega[idx]).sum(axis=1)
-
-    v = ScalarField(fn=fn, sup=model.v_sup_bound)
-    grid = model.base.grid
-    vcells = v.on_cells(grid).reshape(grid.cells_shape)
-    eye = np.eye(grid.d)
-    cells = model.base.cells + vcells[..., None, None] * eye
-    field = MatrixField(
-        grid=grid, cells=cells,
-        theta_minus=model.base.theta_minus,
-        theta_plus=model.base.theta_plus + model.v_sup_bound,
-        theta_lip=None,  # assembly reads only the cells and theta_minus
-    )
-    return AlloySample(omega=omega, v=v, field=field)
+    return AlloySample(model=model, omega=model.dist.sample(rng, len(model.seq.centers)))
 
 
 def ball_plateau_field(seq: EquidistributedSeq, inner: float | None = None,

@@ -10,16 +10,22 @@ cellwise ellipticity bounds to the discrete form without slack:
     theta_minus * |grad u|^2  <=  u^T K u  <=  theta_plus * |grad u|^2
 
 with |grad u|^2 the uniform h^d-weighted squared face-gradient norm.
+
+By that linearity the operator of an alloy sample A + sum_s omega_s u_s Id is
+H_0 + sum_s omega_s H_s, with H_0 the operator of A and H_s that of u_s Id;
+`alloy_operators` assembles these once per model, so a sample costs one sparse
+matrix-vector product.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
 
-from .fields import EllipticityError, MatrixField
+from .fields import AlloyModel, EllipticityError, MatrixField
 from .lattice import Grid, as_scalar_field, make_grid
 
 
@@ -40,7 +46,12 @@ def edge_coefficients(grid: Grid, cells_scalar: np.ndarray, axis: int) -> np.nda
     return abar
 
 
-def _stiffness(grid: Grid, cells: np.ndarray) -> sp.csr_matrix:
+def _triplets(grid: Grid, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, column and value of every stencil term over all (n + 1)^d nodes.
+
+    The values are linear in `cells`; the rows and columns depend only on the
+    grid and on which off-diagonal entries of `cells` are nonzero anywhere.
+    """
     d, h, n = grid.d, grid.h, grid.cells_per_side
     lin = np.arange((n + 1) ** d).reshape(grid.full_shape)
     hd = h**d
@@ -87,15 +98,25 @@ def _stiffness(grid: Grid, cells: np.ndarray) -> sp.csr_matrix:
                         if coef:
                             add(nodes[p], nodes[q], wgt * coef)
 
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(lin.size, lin.size),
-    ).tocsr()
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def _unknown_nodes(grid: Grid) -> np.ndarray:
+    """The full-node index of each unknown, in unknown order."""
+    lin = np.arange((grid.cells_per_side + 1) ** grid.d).reshape(grid.full_shape)
+    if grid.bc == "dirichlet":
+        lin = lin[tuple(slice(1, -1) for _ in range(grid.d))]
+    return lin.ravel()
+
+
+def _stiffness(grid: Grid, cells: np.ndarray) -> sp.csr_matrix:
+    rows, cols, vals = _triplets(grid, cells)
+    size = (grid.cells_per_side + 1) ** grid.d
+    mat = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
     mat = 0.5 * (mat + mat.T)
 
     if grid.bc == "dirichlet":
-        inner = tuple(slice(1, -1) for _ in range(d))
-        keep = lin[inner].ravel()
+        keep = _unknown_nodes(grid)
         mat = mat[keep][:, keep]
     return mat.tocsr()
 
@@ -123,6 +144,15 @@ class DiscreteOperator:
     def shifted(self, other: sp.csr_matrix, t: float) -> "DiscreteOperator":
         return DiscreteOperator(grid=self.grid, matrix=(self.matrix + t * other).tocsr())
 
+    @cached_property
+    def tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
+        """The diagonal and first off-diagonal of H; raises unless H is tridiagonal."""
+        mat = self.matrix
+        rows = np.repeat(np.arange(self.dim), np.diff(mat.indptr))
+        if np.any((np.abs(mat.indices - rows) > 1) & (mat.data != 0)):
+            raise ValueError("operator has entries off the three central diagonals")
+        return mat.diagonal(), mat.diagonal(1)
+
 
 def assemble(grid: Grid, field: MatrixField) -> DiscreteOperator:
     if field.grid != grid:
@@ -131,6 +161,11 @@ def assemble(grid: Grid, field: MatrixField) -> DiscreteOperator:
         raise EllipticityError(f"field is not uniformly elliptic (theta_minus={field.theta_minus})")
     mat = _stiffness(grid, field.cells) / grid.h**grid.d
     return DiscreteOperator(grid=grid, matrix=mat.tocsr())
+
+
+def _scalar_cells(grid: Grid, wc: np.ndarray) -> np.ndarray:
+    """The cell matrices of the field w * Id from the cell values of w."""
+    return wc.reshape(grid.cells_shape)[..., None, None] * np.eye(grid.d)
 
 
 def perturbation_operator(grid: Grid, w) -> sp.csr_matrix:
@@ -142,8 +177,62 @@ def perturbation_operator(grid: Grid, w) -> sp.csr_matrix:
     wc = w.on_cells(grid)
     if np.any(wc < -1e-12):
         raise ValueError("perturbation w must be nonnegative")
-    cells = wc.reshape(grid.cells_shape)[..., None, None] * np.eye(grid.d)
-    return (_stiffness(grid, cells) / grid.h**grid.d).tocsr()
+    return (_stiffness(grid, _scalar_cells(grid, wc)) / grid.h**grid.d).tocsr()
+
+
+@dataclass(frozen=True, eq=False)
+class AlloyOperators:
+    """The operators H(omega) = H_0 + sum_s omega_s H_s of an alloy model's samples.
+
+    `sites` holds each H_s on H_0's CSR pattern: row p, column s is the entry of
+    H_s at H_0's stored entry p.  Every H(omega) has exactly that pattern: its
+    diagonal and axis-neighbour entries are those of A + V Id with V >= 0 and
+    theta_minus > 0, so none vanishes, and V adds nothing elsewhere.
+    """
+
+    base: DiscreteOperator
+    sites: sp.csr_matrix
+
+    def at(self, omega: np.ndarray) -> DiscreteOperator:
+        """H(omega), the sample operator for the couplings omega."""
+        m = self.base.matrix
+        mat = sp.csr_matrix((m.data + self.sites @ omega, m.indices, m.indptr), shape=m.shape)
+        return DiscreteOperator(grid=self.base.grid, matrix=mat)
+
+
+def alloy_operators(grid: Grid, model: AlloyModel) -> AlloyOperators:
+    """H_0 = assemble(grid, model.base) and one H_s per site: the operator of the
+    site's bump at the cell centers (`model.cell_bumps`) times Id.
+
+    H_s sums the stencil terms of `_stiffness` for that field, symmetrized and over
+    h^d as there, straight into H_0's entries: it is exactly symmetric, and its
+    entries may differ from `perturbation_operator`'s in the last bits.
+    """
+    base = assemble(grid, model.base)
+    mat, nnz = base.matrix, base.matrix.nnz
+    # one plus the position of each stored entry among H_0's, and of its transpose
+    # (H_0's pattern is symmetric and canonical, so its transpose lists the same entries)
+    lookup = sp.csr_matrix((np.arange(1, nnz + 1), mat.indices, mat.indptr), shape=mat.shape)
+    transposed = lookup.T.tocsr().data - 1
+    unknown = np.full((grid.cells_per_side + 1) ** grid.d, -1)
+    unknown[_unknown_nodes(grid)] = np.arange(base.dim)
+    values, idx = model.cell_bumps
+    n_cells = values.shape[0]
+    r, c, _ = _triplets(grid, _scalar_cells(grid, np.zeros(n_cells)))
+    r, c = unknown[r], unknown[c]
+    kept = (r >= 0) & (c >= 0)
+    at = np.asarray(lookup[r[kept], c[kept]]).ravel() - 1
+    if np.any(at < 0):
+        raise ValueError("a site operator has entries outside the base pattern")
+    cell = np.repeat(np.arange(n_cells), idx.shape[1])
+    columns = []
+    for s in range(len(model.seq.centers)):
+        on = idx.ravel() == s
+        bump = np.bincount(cell[on], values.ravel()[on], n_cells)
+        summed = np.bincount(at, _triplets(grid, _scalar_cells(grid, bump))[2][kept], nnz)
+        h_s = 0.5 * (summed + summed[transposed]) / grid.h**grid.d
+        columns.append(sp.csc_matrix(h_s[:, None]))
+    return AlloyOperators(base=base, sites=sp.hstack(columns, format="csr"))
 
 
 def rescale(field: MatrixField, G: float, target_n_per_side: int) -> tuple[MatrixField, float]:

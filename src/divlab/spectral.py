@@ -136,7 +136,7 @@ def window_eigenvalues(op: DiscreteOperator, lo: float, hi: float, expected: int
         raise ValueError(f"expected must be nonnegative, got {expected}")
     k, mid = expected + 2, 0.5 * (lo + hi)
     if op.grid.d == 1 and op.dim <= _DENSE_CUTOFF:  # dstevd stores all n^2 vector entries
-        diag, off = _tridiagonal(op)
+        diag, off = op.tridiagonal
         evals, evecs, info = scipy.linalg.lapack.dstevd(diag, off if off.size else np.zeros(1))
         if info:
             raise EigensolveError(f"dstevd failed with info = {info}")
@@ -159,9 +159,12 @@ def window_eigenvalues(op: DiscreteOperator, lo: float, hi: float, expected: int
 def _zero_tol(op: DiscreteOperator, energies: np.ndarray) -> np.ndarray:
     """Per energy, the magnitude at or below which a pivot of H - E counts as zero:
     _ZERO_RTOL times the larger of max(1, max off-diagonal |H|) and max |diag(H - E)|."""
-    coo = op.matrix.tocoo()
-    coo.sum_duplicates()
-    off_max = float(np.abs(coo.data[coo.row != coo.col]).max(initial=0.0))
+    mat = op.matrix
+    if not mat.has_canonical_format:  # a duplicate entry counts by its sum
+        mat = mat.copy()
+        mat.sum_duplicates()
+    rows = np.repeat(np.arange(op.dim), np.diff(mat.indptr))
+    off_max = float(np.abs(mat.data[mat.indices != rows]).max(initial=0.0))
     diag_shift = np.abs(op.matrix.diagonal()[None, :] - energies[:, None]).max(axis=1)
     return _ZERO_RTOL * np.maximum(max(1.0, off_max), diag_shift)
 
@@ -191,19 +194,10 @@ def _slab_blocks(op: DiscreteOperator):
     return diag, coup, layer
 
 
-def _tridiagonal(op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray]:
-    """The diagonal and first off-diagonal of H; raises unless H is tridiagonal."""
-    mat = op.matrix
-    rows = np.repeat(np.arange(op.dim), np.diff(mat.indptr))
-    if np.any((np.abs(mat.indices - rows) > 1) & (mat.data != 0)):
-        raise ValueError("operator has entries off the three central diagonals")
-    return mat.diagonal(), mat.diagonal(1)
-
-
 def _pivot_counts(op: DiscreteOperator, energies: np.ndarray, tol: np.ndarray) -> np.ndarray:
     """The slab recursion with one-node slabs: the Sturm pivots of tridiagonal H - E,
     p_0 = a_0 - E and p_i = (a_i - E) - b_{i-1}^2 / p_{i-1}, in Python floats."""
-    diag, off = _tridiagonal(op)
+    diag, off = op.tridiagonal
     a, b2 = diag.tolist(), [0.0] + (off * off).tolist()
     counts = []
     for e, t in zip(energies.tolist(), tol.tolist()):
@@ -386,6 +380,8 @@ def lifting_curve(grid: Grid, field, w, t_max: float, t_steps: int, indices) -> 
         raise ValueError("t_max must be positive")
     if t_steps < 2:
         raise ValueError("need at least two t samples")
+    if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in indices):
+        raise ValueError(f"indices must be integers, got {list(indices)!r}")
     indices = tuple(int(i) for i in indices)
     if not indices or min(indices) < 0:
         raise ValueError("indices must be nonnegative")

@@ -25,7 +25,7 @@ from .fields import (AlloyModel, MatrixField, check_dir_condition, check_ellipti
 from .lattice import (EquidistributedSeq, Grid, ball, ball_mask,
                       discrete_gradient, equidistributed_sequence, make_grid,
                       smooth_switch, subset_norm2)
-from .operators import assemble, rescale
+from .operators import AlloyOperators, alloy_operators, assemble, rescale
 from .spectral import (EigensolveError, LiftingCurve, Spectrum, count_eigenvalues,
                        eigensolve, projector_sample, window_eigenvalues)
 
@@ -528,6 +528,8 @@ def mollification_convergence(field: MatrixField, eps: float, ells, k: int, *,
     Pass requires the per-eigenvalue deviation to be non-increasing over the
     tail of the ell sweep and below rtol (relative) at the largest ell.
     """
+    if any(isinstance(l, bool) or not isinstance(l, (int, np.integer)) for l in ells):
+        raise ValueError(f"ells must be integers, got {list(ells)!r}")
     ells = sorted(int(l) for l in ells)
     grid = field.grid
     base = eigensolve(assemble(grid, field), k=k)
@@ -558,13 +560,12 @@ def mollification_convergence(field: MatrixField, eps: float, ells, k: int, *,
 # Monte Carlo averaged eigenvalue counting
 # ---------------------------------------------------------------------------
 
-def _wegner_one_sample(model: AlloyModel, grid: Grid, seed, e_center: float, eps: float,
-                       eps_levels):
+def _wegner_one_sample(model: AlloyModel, ops: AlloyOperators, seed, e_center: float,
+                       eps: float, eps_levels):
     """Counts in (E - eps_j, E + eps_j] by inertia, and the eigenvalues in
     (E - 3 eps, E + 3 eps], the support of the smearing chain, by a window
     solve certified against the inertia count of that window."""
-    sample = sample_alloy(model, seed)
-    op = assemble(grid, sample.field)
+    op = ops.at(sample_alloy(model, seed).omega)
     edges = [e_center - 3 * eps, e_center + 3 * eps]
     for e in eps_levels:
         edges += [e_center - e, e_center + e]
@@ -582,7 +583,9 @@ def wegner_mc(model: AlloyModel, grid: Grid, e_center: float, eps: float,
     (E-3eps, E+3eps], certified complete by the inertia count of that window,
     provides the per-sample smearing-chain verification and the exact
     cross-check on every sample.  Also reports the fitted scaling exponent of
-    the mean over the eps sweep.
+    the mean over the eps sweep.  Each sample draws its couplings with
+    `sample_alloy`; its operator H_0 + sum_s omega_s H_s comes from the model's
+    `alloy_operators`, assembled once per call.
     """
     if variant not in ("bounded_w", "lipschitz"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -607,6 +610,7 @@ def wegner_mc(model: AlloyModel, grid: Grid, e_center: float, eps: float,
     rhs = cw * s_eps * float(grid.L) ** (2 * grid.d)
 
     eps_levels = [eps * f for f in _EPS_FACTORS]
+    ops = alloy_operators(grid, model)
     ss = np.random.SeedSequence(seed)
     children = ss.spawn(n_samples)
     counts = np.zeros((n_samples, len(eps_levels)), dtype=int)
@@ -617,7 +621,7 @@ def wegner_mc(model: AlloyModel, grid: Grid, e_center: float, eps: float,
     for i, child in enumerate(children):
         try:
             cs, energies = _wegner_one_sample(
-                model, grid, np.random.default_rng(child), e_center, eps, eps_levels)
+                model, ops, np.random.default_rng(child), e_center, eps, eps_levels)
         except (EigensolveError, np.linalg.LinAlgError):  # solver breakdown: exclusion
             failures += 1
             continue

@@ -235,6 +235,10 @@ class TestForwardedKeys:
     def test_absent_key_gets_the_callee_default(self):
         assert cli.execute(self._SCALING).rhs == 0.02
 
+    def test_real_key_takes_an_int_as_a_float(self):
+        out = cli._block({"x": 2, "y": 0.5}, "b", x=cli._real, y=cli._real)
+        assert out == {"x": 2.0, "y": 0.5} and type(out["x"]) is float
+
     def test_null_key_counts_as_absent(self):
         assert cli._block({"p": None, "q": "1.5"}, "b", p=float, q=float, r=cli._int) == {"q": 1.5}
 
@@ -394,6 +398,36 @@ class TestMain:
          "sequence.seed: must be an integer, got 2.5"),
         ({"experiment": "eigensolve", "expect": "fial"},
          "expect: must be 'pass' or 'fail', got 'fial'"),
+        ({"experiment": "pi_singular", "check": {"eps": True}},
+         "check.eps: must be a real number, got True"),
+        ({"experiment": "pi_singular", "check": {"eps": "0.1"}},
+         "check.eps: must be a real number, got '0.1'"),
+        ({"experiment": "pi_singular", "check": {"dist": {"kind": "uniform", "m": True}}},
+         "check.dist.m: must be a real number, got True"),
+        ({"experiment": "pi_singular", "check": {"dist": {"kind": "uniform", "m": "2"}}},
+         "check.dist.m: must be a real number, got '2'"),
+        ({"experiment": "constants", "constants": {"e_min": True}},
+         "constants.e_min: must be a real number, got True"),
+        ({"experiment": "constants", "constants": {"d": 2.0}},
+         "constants.d: must be an integer, got 2.0"),
+        ({"experiment": "eigensolve", "grid": {"d": 1, "L": 1, "n_per_side": 16, "bc": True}},
+         "grid.bc: must be a string, got True"),
+        ({"experiment": "pi_singular", "check": {"phi": 1}}, "check.phi: must be a string, got 1"),
+        ({"experiment": "eigensolve", "label": 7}, "label: must be a string, got 7"),
+        ({"experiment": "lifting", "grid": {"d": 1, "L": 2, "n_per_side": 16},
+          "sequence": {"G": 1.0, "delta": 0.3},
+          "check": {"indices": [1.5, 0.2]}, "constants": {"e_min": 1.0, "e_max": 60.0}},
+         "lifting: indices must be integers, got [1.5, 0.2]"),
+        ({"experiment": "lifting", "grid": {"d": 1, "L": 2, "n_per_side": 16},
+          "sequence": {"G": 1.0, "delta": 0.3},
+          "check": {"indices": [True, 1]}, "constants": {"e_min": 1.0, "e_max": 60.0}},
+         "lifting: indices must be integers, got [True, 1]"),
+        ({"experiment": "mollification", "grid": {"d": 1, "L": 1, "n_per_side": 64},
+          "field": {"kind": "checkerboard"}, "check": {"ells": [4.7, 8.9]}},
+         "mollification: ells must be integers, got [4.7, 8.9]"),
+        ({"experiment": "mollification", "grid": {"d": 1, "L": 1, "n_per_side": 64},
+          "field": {"kind": "checkerboard"}, "check": {"ells": [False, 8]}},
+         "mollification: ells must be integers, got [False, 8]"),
     ], ids=["wegner-one-sample", "low-energy-above-kappa", "wegner-unknown-key",
             "lifting-unknown-key", "check-not-a-mapping", "unknown-top-level-block",
             "grid-unknown-key", "field-unknown-key", "field-key-of-another-recipe",
@@ -402,7 +436,11 @@ class TestMain:
             "fractional-eigensolve-k", "fractional-checkerboard-axis",
             "fractional-wegner-samples", "string-negative-control", "scalar-lifting-indices",
             "scalar-weyl-sides", "scalar-neumann-trend-sides", "scalar-mollification-ells",
-            "fractional-seed", "fractional-sequence-seed", "misspelled-expect"])
+            "fractional-seed", "fractional-sequence-seed", "misspelled-expect",
+            "bool-real", "string-real", "bool-nested-real", "string-nested-real",
+            "bool-constant", "fractional-constants-d", "bool-text", "number-text",
+            "number-label", "fractional-lifting-indices", "bool-lifting-indices",
+            "fractional-mollification-ells", "bool-mollification-ells"])
     def test_rejected_check_input_is_a_config_error(self, tmp_path, capsys, config, message):
         cfg_file = tmp_path / "cfg.yaml"
         cfg_file.write_text(yaml.safe_dump(config))

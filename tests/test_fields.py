@@ -226,6 +226,24 @@ class TestAlloy:
         assert np.max(np.abs(sample.v(pts) - bumps @ sample.omega)) <= 1e-14
         assert np.max(np.abs(dl.single_site_sum(model)(pts) - bumps.sum(axis=1))) <= 1e-14
 
+    def test_site_table_is_looked_up_once_and_gives_v_on_the_cells(self, monkeypatch):
+        g = dl.make_grid(2, 2, 8)
+        seq = dl.equidistributed_sequence(g, 1.0, 0.2, mode="random", seed=5)
+        model = dl.alloy_model(dl.identity_field(g), seq, delta_plus=0.45)
+        values, idx = _site_bumps(model, g.cell_centers)
+        assert np.array_equal(model.cell_bumps[0], values)
+        assert np.array_equal(model.cell_bumps[1], idx)
+        lookups = []
+        lookup = fields.site_sq_distances
+        monkeypatch.setattr(fields, "site_sq_distances",
+                            lambda *a: lookups.append(1) or lookup(*a))
+        for seed in range(3):
+            sample = dl.sample_alloy(model, seed)
+            v = sample.v.on_cells(g).reshape(g.cells_shape)  # the lookup at the cell centers
+            assert np.array_equal(sample.field.cells,
+                                  model.base.cells + v[..., None, None] * np.eye(2))
+        assert len(lookups) == 3  # once per v.on_cells above, never inside sample_alloy
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_sample_nonnegative_and_sup_bounded(self, seed):

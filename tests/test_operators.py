@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -175,3 +177,104 @@ class TestRescale:
             dl.rescale(f, 2.0, 16)  # m = 2, cell centers land on source nodes
         with pytest.raises(ValueError):
             dl.rescale(f, 3.0, 16)  # G does not divide L
+
+
+def _alloy_case(d, bc, base, bump, law):
+    """A small alloy model: L = 2, unit sites with delta = 0.2 and delta_plus = 0.45."""
+    n = {1: 16, 2: 6, 3: 3}[d]
+    g = dl.make_grid(d, 2, n, bc)
+    if base == "identity":
+        field = dl.identity_field(g)
+    elif base == "sine":
+        field = dl.sampled_field(g, lambda p: 1.0 + 0.5 * np.sin(np.pi * p[:, 0]))
+    else:  # a constant off-diagonal coupling (a constant scalar for d = 1)
+        field = dl.constant_field(g, np.eye(d) + 0.3 * (np.ones((d, d)) - np.eye(d)) + 0.5 * (d == 1))
+    seq = dl.equidistributed_sequence(g, 1.0, 0.2, mode="random", seed=d)
+    return dl.alloy_model(field, seq, delta_plus=0.45, bump=bump,
+                          dist=dl.CouplingDistribution(law, 2.0))
+
+
+# every d, boundary condition and base field, with bump shape and law alternating
+_ALLOY_CASES = [(d, bc, base, ("plateau", "indicator")[i % 2], ("uniform", "bernoulli")[i // 2 % 2])
+                for i, (d, bc, base) in enumerate(product((1, 2, 3), ("dirichlet", "neumann"),
+                                                          ("identity", "sine", "offdiagonal")))]
+
+
+def _site_bump_table(model):
+    """Dense (cells, sites) matrix of the single-site bumps at the cell centers."""
+    values, idx = model.cell_bumps
+    out = np.zeros((values.shape[0], len(model.seq.centers)))
+    np.add.at(out, (np.arange(values.shape[0])[:, None], idx), values)
+    return out
+
+
+def _cell_lookup(g, pts, cell_values):
+    """The cell values at points that are the grid's cell centers, in their order."""
+    assert np.array_equal(pts, g.cell_centers)
+    return cell_values
+
+
+class TestAlloyOperators:
+    @pytest.mark.parametrize("d, bc, base, bump, law", _ALLOY_CASES)
+    def test_sample_operator_matches_assembly(self, d, bc, base, bump, law):
+        model = _alloy_case(d, bc, base, bump, law)
+        g = model.base.grid
+        ops = dl.alloy_operators(g, model)
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            sample = dl.sample_alloy(model, rng)
+            want = dl.assemble(g, sample.field)
+            got = ops.at(sample.omega)
+            assert np.array_equal(got.matrix.indptr, want.matrix.indptr)
+            assert np.array_equal(got.matrix.indices, want.matrix.indices)
+            assert abs(got.matrix - got.matrix.T).max() == 0.0
+            scale = np.abs(want.matrix.data).max()
+            assert np.abs(got.matrix.data - want.matrix.data).max() <= 1e-14 * scale
+            # a window around the 4th to 8th eigenvalues, its edges in spectral gaps
+            ev = np.linalg.eigvalsh(want.dense())
+            lo, hi = 0.5 * (ev[2] + ev[3]), 0.5 * (ev[7] + ev[8])
+            edges = [lo, 0.5 * (lo + hi), hi]
+            counts = dl.count_eigenvalues(got, edges)
+            assert np.array_equal(counts, dl.count_eigenvalues(want, edges))
+            expected = int(counts[2] - counts[0])
+            np.testing.assert_allclose(dl.window_eigenvalues(got, lo, hi, expected),
+                                       dl.window_eigenvalues(want, lo, hi, expected),
+                                       rtol=1e-12, atol=0)
+
+    def test_the_pattern_is_the_base_pattern_for_every_draw(self):
+        # Bernoulli couplings vanish on some sites: no entry of H(omega) may vanish with them
+        model = _alloy_case(2, "dirichlet", "offdiagonal", "plateau", "bernoulli")
+        g = model.base.grid
+        ops = dl.alloy_operators(g, model)
+        n_sites = len(model.seq.centers)
+        bumps = _site_bump_table(model)
+        for omega in [np.zeros(n_sites), *2.0 * np.eye(n_sites)]:
+            cells = model.base.cells + (bumps @ omega).reshape(g.cells_shape)[..., None, None] \
+                * np.eye(g.d)
+            field = dl.MatrixField(grid=g, cells=cells, theta_minus=model.base.theta_minus,
+                                   theta_plus=np.inf, theta_lip=None)
+            want, got = dl.assemble(g, field).matrix, ops.at(omega).matrix
+            assert np.array_equal(got.indptr, ops.base.matrix.indptr)
+            assert np.array_equal(got.indices, ops.base.matrix.indices)
+            assert np.array_equal(want.indptr, got.indptr)
+            assert np.array_equal(want.indices, got.indices)
+            assert np.all(got.data != 0)
+        assert np.array_equal(ops.at(np.zeros(n_sites)).matrix.data, ops.base.matrix.data)
+
+    def test_site_columns_are_the_site_operators(self):
+        model = _alloy_case(2, "neumann", "sine", "plateau", "uniform")
+        g = model.base.grid
+        ops = dl.alloy_operators(g, model)
+        bumps = _site_bump_table(model)
+        for s in range(bumps.shape[1]):
+            h_s = perturbation_operator(g, lambda p, s=s: _cell_lookup(g, p, bumps[:, s]))
+            on_pattern = ops.base.matrix.copy()
+            on_pattern.data = ops.sites[:, [s]].toarray().ravel()
+            assert abs(on_pattern - h_s).max() <= 1e-14 * abs(h_s).max()
+            assert abs(on_pattern - on_pattern.T).max() == 0.0  # exactly symmetric
+
+    def test_grid_mismatch_rejected(self):
+        model = _alloy_case(1, "dirichlet", "identity", "plateau", "uniform")
+        with pytest.raises(ValueError, match="different grid"):
+            dl.alloy_operators(dl.make_grid(1, 2, 8), model)
+

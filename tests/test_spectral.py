@@ -371,6 +371,38 @@ class TestCountEigenvalues:
         with pytest.raises(ValueError, match="three central diagonals"):
             dl.window_eigenvalues(op, 0.0, 100.0, 1)
 
+    def test_a_1d_sample_reads_its_bands_once(self, monkeypatch):
+        # the count and the window of one operator share one tridiagonal extraction
+        g = dl.make_grid(1, 2, 24)
+        op = dl.assemble(g, _alloy_field(dl.identity_field(g), 3))
+        prop = DiscreteOperator.__dict__["tridiagonal"]
+        calls = []
+        read = prop.func
+        monkeypatch.setattr(prop, "func", lambda self: calls.append(1) or read(self))
+        c = dl.count_eigenvalues(op, [5.0, 40.0])
+        dl.window_eigenvalues(op, 5.0, 40.0, int(c[1] - c[0]))
+        assert len(calls) == 1
+
+    def test_zero_tolerance_reads_the_csr_arrays(self):
+        # the off-diagonal maximum straight from CSR equals the one after sum_duplicates,
+        # also for a matrix with duplicate entries
+        g = dl.make_grid(2, 1, 6)
+        op = dl.assemble(g, _offdiag_field(g))
+        m, end = op.matrix, op.matrix.indptr[1]  # row 0's last entry is off the diagonal
+        dup = DiscreteOperator(grid=g, matrix=scipy.sparse.csr_matrix(
+            (np.insert(m.data, end, 1e3 * np.abs(m.data).max()),  # its sum sets off_max
+             np.insert(m.indices, end, m.indices[end - 1]),
+             np.r_[0, m.indptr[1:] + 1]), shape=m.shape))
+        assert not dup.matrix.has_canonical_format
+        energies = np.array([0.0, 3.0, 1e4])
+        for o in (op, dup):
+            ref = o.matrix.tocoo()
+            ref.sum_duplicates()
+            off_max = np.abs(ref.data[ref.row != ref.col]).max()
+            shift = np.abs(ref.tocsr().diagonal()[None, :] - energies[:, None]).max(axis=1)
+            want = spectral._ZERO_RTOL * np.maximum(max(1.0, off_max), shift)
+            assert np.array_equal(spectral._zero_tol(o, energies), want)
+
     def test_no_size_cap(self):
         # 95 x 95 = 9025 unknowns, over the former dense limit of 8000
         g = dl.make_grid(2, 4, 24)
@@ -517,6 +549,12 @@ class TestLiftingCurve:
         w = dl.ScalarField(fn=lambda p: (p[:, 0] < 0).astype(float))
         curve = dl.lifting_curve(g, dl.identity_field(g), w, 1e-3, 2, [0])
         assert curve.hf_values[0, 0] == pytest.approx(math.pi**2 / 2, rel=0.05)
+
+    @pytest.mark.parametrize("indices", [[1.5, 0.2], [True, 1], ["1"]])
+    def test_non_integer_indices_rejected(self, indices):
+        g = dl.make_grid(1, 1, 16)
+        with pytest.raises(ValueError, match="indices must be integers"):
+            dl.lifting_curve(g, dl.identity_field(g), 1.0, 1.0, 3, indices)
 
     def test_rows_nondecreasing_for_nonnegative_w(self):
         g = dl.make_grid(1, 2, 32)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import divlab as dl
-from divlab import bounds, spectral, verify
+from divlab import bounds, operators, spectral, verify
 from divlab.bounds import ConstantsConfig
 from divlab.spectral import EigensolveError
 
@@ -332,6 +332,25 @@ class TestWegner:
         assert rep.observed["crosscheck_agreement"] == 1.0
         assert rep.status == "pass"
 
+    def test_one_assembly_per_model_and_one_draw_per_sample(self, monkeypatch):
+        # each sample's operator is H_0 + sum_s omega_s H_s: no per-sample assembly
+        g, model = self._model(dl.CouplingDistribution("uniform", 2.0))
+        cfg = ConstantsConfig(e_min=1.0, e_max=30.0)
+        calls = {"assemble": 0, "sample_alloy": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for mod in (operators, verify):
+            monkeypatch.setattr(mod, "assemble", counted("assemble", dl.assemble))
+        monkeypatch.setattr(verify, "sample_alloy", counted("sample_alloy", dl.sample_alloy))
+        rep = verify.wegner_mc(model, g, 12.5, 0.5, 20, 0, cfg)
+        assert rep.observed["failures"] == 0
+        assert calls == {"assemble": 1, "sample_alloy": 20}
+
     def test_window_precondition(self):
         g, model = self._model(dl.CouplingDistribution("uniform", 1.0))
         cfg = ConstantsConfig(e_min=1.0, e_max=2.0)
@@ -489,6 +508,12 @@ class TestMollificationConvergence:
         g = dl.make_grid(1, 1, 32)
         with pytest.raises(ValueError):
             verify.mollification_convergence(dl.identity_field(g), 1.5, [2, 4], 2)
+
+    @pytest.mark.parametrize("ells", [[4.7, 8.9], [True, 4], [4, "8"]])
+    def test_non_integer_ells_rejected(self, ells):
+        g = dl.make_grid(1, 1, 32)
+        with pytest.raises(ValueError, match="ells must be integers"):
+            verify.mollification_convergence(dl.checkerboard_field(g), 0.25, ells, 2)
 
 
 def test_neumann_trend_decreases():
