@@ -60,8 +60,20 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return np.negative(vectors, out=vectors, where=flip)
 
 
-def _matrix_scale(mat: sp.csr_matrix) -> float:
-    return float(abs(mat).sum(axis=1).max())
+def _canonical(mat: sp.csr_matrix | sp.csc_matrix):
+    """`mat`, or a copy with sorted indices and summed duplicates when it lacks them."""
+    if not mat.has_canonical_format:  # a duplicate entry counts by its sum
+        mat = mat.copy()
+        mat.sum_duplicates()
+    return mat
+
+
+def _matrix_scale(mat: sp.csr_matrix | sp.csc_matrix) -> float:
+    """max_i sum_j |mat_ij| over the compressed axis (||H||_inf of a CSR matrix),
+    read from the compressed arrays: `abs(mat).sum(axis=1).max()` without a new matrix."""
+    mat = _canonical(mat)
+    nonempty = np.flatnonzero(np.diff(mat.indptr))  # reduceat gives no 0 for an empty row
+    return float(np.add.reduceat(np.abs(mat.data), mat.indptr[nonempty]).max(initial=0.0))
 
 
 def _checked_residuals(op: DiscreteOperator, evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
@@ -119,29 +131,36 @@ def window_eigenvalues(op: DiscreteOperator, lo: float, hi: float, expected: int
     """Eigenvalues in (lo, hi], certified complete by an inertia count.
 
     The `expected + 2` eigenpairs nearest the window midpoint are taken from
-    shift-invert Lanczos there or, for d = 1 up to _DENSE_CUTOFF unknowns, from
-    all the pairs that LAPACK's divide and conquer (`dstevd`) returns for the
-    tridiagonal H; their vectors serve only the certificate.  Raises
-    EigensolveError unless every residual meets the `eigensolve` tolerance, the
-    vectors are orthonormal (so no eigenvalue is a ghost copy of another), and
-    exactly `expected` of the values fall in the window; with `expected` taken
-    from `count_eigenvalues`, a missed or spurious eigenvalue cannot pass.
-    Divide and conquer forms no LDL^T of H - E (it splits H by rank-one tears,
-    solves secular equations and leaves the small blocks to implicit QL/QR), so
-    the 1D window and the 1D count share no factorization.
+    shift-invert Lanczos there or, for d = 1, from the tridiagonal H: every
+    eigenvalue from LAPACK's root-free QL/QR (`dsterf`, values only), then
+    vectors for the kept values alone by inverse iteration (`dstein`), so a
+    1D window stores n (expected + 2) vector entries, not n^2.  The vectors
+    serve only the certificate.  Raises EigensolveError unless every residual
+    meets the `eigensolve` tolerance, the vectors are orthonormal (so no
+    eigenvalue is a ghost copy of another), and exactly `expected` of the
+    values fall in the window; with `expected` taken from `count_eigenvalues`,
+    a missed or spurious eigenvalue cannot pass.  The 1D window shares no
+    factorization with the 1D count: `dsterf` forms no LDL^T, and `dstein`
+    factors T - lambda with partial pivoting only at computed eigenvalues,
+    never at a count edge.
     """
     if not lo < hi:
         raise ValueError(f"empty window ({lo}, {hi}]")
     if expected < 0:
         raise ValueError(f"expected must be nonnegative, got {expected}")
     k, mid = expected + 2, 0.5 * (lo + hi)
-    if op.grid.d == 1 and op.dim <= _DENSE_CUTOFF:  # dstevd stores all n^2 vector entries
+    if op.grid.d == 1:
         diag, off = op.tridiagonal
-        evals, evecs, info = scipy.linalg.lapack.dstevd(diag, off if off.size else np.zeros(1))
+        off = off if off.size else np.zeros(1)  # the wrappers want n - 1 >= 1 entries
+        evals, info = scipy.linalg.lapack.dsterf(diag, off)
         if info:
-            raise EigensolveError(f"dstevd failed with info = {info}")
-        near = np.sort(np.argsort(np.abs(evals - mid))[:k])
-        evals, evecs = evals[near], evecs[:, near]
+            raise EigensolveError(f"dsterf failed with info = {info}")
+        evals = evals[np.sort(np.argsort(np.abs(evals - mid))[:k])]
+        n = diag.size  # one block: iblock = 1 for every value, isplit = [n]
+        evecs, info = scipy.linalg.lapack.dstein(diag, off, evals, np.ones(n, np.int32),
+                                                 np.full(n, n, np.int32))
+        if info:
+            raise EigensolveError(f"dstein failed with info = {info}")
     elif k >= op.dim:  # ARPACK needs k < dim
         evals, evecs = scipy.linalg.eigh(op.dense())
     else:
@@ -159,10 +178,7 @@ def window_eigenvalues(op: DiscreteOperator, lo: float, hi: float, expected: int
 def _zero_tol(op: DiscreteOperator, energies: np.ndarray) -> np.ndarray:
     """Per energy, the magnitude at or below which a pivot of H - E counts as zero:
     _ZERO_RTOL times the larger of max(1, max off-diagonal |H|) and max |diag(H - E)|."""
-    mat = op.matrix
-    if not mat.has_canonical_format:  # a duplicate entry counts by its sum
-        mat = mat.copy()
-        mat.sum_duplicates()
+    mat = _canonical(op.matrix)
     rows = np.repeat(np.arange(op.dim), np.diff(mat.indptr))
     off_max = float(np.abs(mat.data[mat.indices != rows]).max(initial=0.0))
     diag_shift = np.abs(op.matrix.diagonal()[None, :] - energies[:, None]).max(axis=1)
@@ -279,7 +295,7 @@ def _ldl_count(mat: sp.csc_matrix, diag: np.ndarray, energy: float, tol: float,
     if not np.array_equal(lu.perm_r, lu.perm_c) or np.abs(pivots).min() <= tol:
         return None
     x = lu.solve(rhs)
-    norm = float(abs(a).sum(axis=0).max())  # ||H - E||_inf of the symmetric matrix
+    norm = _matrix_scale(a)  # ||H - E||_inf of the symmetric matrix
     eta = np.abs(rhs - a @ x).max() / (norm * np.abs(x).max() + np.abs(rhs).max())
     if not eta <= _BACKWARD_ERR_EPS * np.finfo(float).eps:
         return None
@@ -306,8 +322,9 @@ def count_eigenvalues(op: DiscreteOperator, energy):
     order with partial pivoting.  An ordering only permutes the rows and
     columns of the matrix it factors and never changes which matrix that is.
     The Wegner edges E +- 3 eps and E +- eps_j are never the midpoint E, so no
-    matrix is factored by both.  The 1D window solve (`dstevd`, divide and
-    conquer) factors no H - E at all.
+    matrix is factored by both.  The 1D window solve takes its values from
+    `dsterf` (root-free QL/QR, no LDL^T) and factors T - lambda in `dstein`
+    only at those computed eigenvalues, with partial pivoting.
 
     `energy` may be a scalar (an int count) or a sequence (an int array).
     """

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import divlab as dl
 from divlab import spectral
@@ -176,6 +178,25 @@ class TestEigensolve:
             dl.eigensolve(op, k=0)
         with pytest.raises(ValueError):
             dl.eigensolve(op, k=100)
+
+    @given(st.integers(1, 6), st.integers(1, 6), st.booleans(),
+           st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.floats(-1e3, 1e3)),
+                    max_size=24))
+    @settings(max_examples=200, deadline=None)
+    def test_matrix_scale_reads_the_compressed_arrays(self, rows, cols, csc, entries):
+        # empty rows or columns (where reduceat repeats a neighbour's entry) and
+        # duplicate, unsorted entries (which count by their sum) included
+        major, minor = (cols, rows) if csc else (rows, cols)
+        lines = np.array([i % major for i, _, _ in entries], dtype=int)
+        order = np.argsort(lines, kind="stable")  # within a line, the drawn order
+        indices = np.array([j % minor for _, j, _ in entries], dtype=int)[order]
+        data = np.array([v for _, _, v in entries], dtype=float)[order]
+        indptr = np.r_[0, np.cumsum(np.bincount(lines, minlength=major))]
+        fmt = scipy.sparse.csc_matrix if csc else scipy.sparse.csr_matrix
+        mat = fmt((data, indices, indptr), shape=(rows, cols))
+        got = spectral._matrix_scale(mat)
+        assert np.array_equal(mat.data, data) and np.array_equal(mat.indices, indices)
+        assert got == float(abs(mat).sum(axis=0 if csc else 1).max())
 
     def test_sign_convention(self):
         g = dl.make_grid(1, 1, 32)
@@ -489,10 +510,16 @@ class TestWindowEigenvalues:
 
     def test_1d_solver_failure_raises(self, monkeypatch):
         op = self._op_1d()
-        dstevd = scipy.linalg.lapack.dstevd
-        monkeypatch.setattr(scipy.linalg.lapack, "dstevd",
-                            lambda d, e: (*dstevd(d, e)[:2], 3))
-        with pytest.raises(EigensolveError, match="dstevd"):
+        dsterf = scipy.linalg.lapack.dsterf
+        monkeypatch.setattr(scipy.linalg.lapack, "dsterf", lambda d, e: (dsterf(d, e)[0], 3))
+        with pytest.raises(EigensolveError, match="dsterf"):
+            dl.window_eigenvalues(op, 20.0, 200.0, 2)
+
+    def test_1d_inverse_iteration_failure_raises(self, monkeypatch):
+        op = self._op_1d()
+        dstein = scipy.linalg.lapack.dstein
+        monkeypatch.setattr(scipy.linalg.lapack, "dstein", lambda *a: (dstein(*a)[0], 1))
+        with pytest.raises(EigensolveError, match="dstein"):
             dl.window_eigenvalues(op, 20.0, 200.0, 2)
 
     def test_1d_ghost_copy_raises(self, monkeypatch):
@@ -501,13 +528,52 @@ class TestWindowEigenvalues:
         op = self._op_1d()
         lo, hi = 20.0, 200.0
         expected = dl.count_eigenvalues(op, hi) - dl.count_eigenvalues(op, lo)
-        evals, evecs, _ = scipy.linalg.lapack.dstevd(op.matrix.diagonal(), op.matrix.diagonal(1))
+        lapack = scipy.linalg.lapack
+        dstein = lapack.dstein
+        evals, _ = lapack.dsterf(op.matrix.diagonal(), op.matrix.diagonal(1))
         inside = np.nonzero((evals > lo) & (evals <= hi))[0]
         assert inside.size == expected >= 2
-        evals[inside[1]], evecs[:, inside[1]] = evals[inside[0]], evecs[:, inside[0]]
-        monkeypatch.setattr(scipy.linalg.lapack, "dstevd", lambda d, e: (evals, evecs, 0))
+        evals[inside[1]] = evals[inside[0]]
+
+        def ghost(d, e, w, iblock, isplit):  # both copies of the value get its one vector
+            values, copy_of = np.unique(w, return_inverse=True)
+            z, info = dstein(d, e, values, iblock, isplit)
+            return z[:, copy_of], info
+
+        monkeypatch.setattr(lapack, "dsterf", lambda d, e: (evals.copy(), 0))
+        monkeypatch.setattr(lapack, "dstein", ghost)
         with pytest.raises(EigensolveError, match="orthonormal"):
             dl.window_eigenvalues(op, lo, hi, expected)
+
+    def test_1d_above_the_dense_cutoff(self, monkeypatch):
+        # one 1D route at every size: 2047 unknowns, no Lanczos
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a 1D window called shift-invert Lanczos")
+
+        monkeypatch.setattr(spectral, "_eigsh", forbidden)
+        g = dl.make_grid(1, 8, 256)
+        op = dl.assemble(g, _alloy_field(dl.identity_field(g), 3))
+        assert op.dim == 2047 > spectral._DENSE_CUTOFF
+        full = np.linalg.eigvalsh(op.dense())
+        for lo, hi in ((20.0, 200.0), (1e5, 1.02e5)):
+            expected = dl.count_eigenvalues(op, hi) - dl.count_eigenvalues(op, lo)
+            got = dl.window_eigenvalues(op, lo, hi, expected)
+            want = full[(full > lo) & (full <= hi)]
+            assert got.size == want.size == expected > 0
+            assert np.abs(got - want).max() <= 1e-12 * hi
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_1d_fewer_unknowns_than_pairs(self, n):
+        # dims 1, 2 and 3: expected + 2 exceeds the dimension, and at dim 1 the
+        # off-diagonal is empty
+        g = dl.make_grid(1, 1, n)
+        op = dl.assemble(g, dl.identity_field(g))
+        exact = _laplacian_energies(1, 1, n, "dirichlet")
+        assert op.dim == n - 1
+        for lo, hi, want in ((0.0, 1e3, exact), (0.0, 1.5 * exact[0], exact[:1])):
+            got = dl.window_eigenvalues(op, lo, hi, want.size)
+            assert got.size == want.size
+            assert np.abs(got - want).max() <= 1e-12 * exact.max()
 
     def test_whole_spectrum_on_a_small_operator(self):
         g = dl.make_grid(1, 1, 6)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import divlab as dl
 from divlab import bounds, operators, spectral, verify
@@ -319,12 +320,14 @@ class TestWegner:
         assert f"{20 - n_broken} valid samples: a mean and its standard error need 2" in rep.notes
 
     def test_1d_samples_need_neither_lanczos_nor_dense_eigh(self, monkeypatch):
-        # d = 1 samples are counted by scalar pivots and solved by dstevd
+        # d = 1 samples are counted by scalar pivots and solved by dsterf + dstein,
+        # which never build the full eigenvector set
         def forbidden(*args, **kwargs):
-            raise AssertionError("a 1D Wegner sample called a d >= 2 solver")
+            raise AssertionError("a 1D Wegner sample called a d >= 2 or full-spectrum solver")
 
         monkeypatch.setattr(spectral, "_eigsh", forbidden)
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        monkeypatch.setattr(scipy.linalg.lapack, "dstevd", forbidden)
         g, model = self._model(dl.CouplingDistribution("uniform", 2.0))
         cfg = ConstantsConfig(e_min=1.0, e_max=30.0)
         rep = verify.wegner_mc(model, g, 12.5, 0.5, 10, 0, cfg)
