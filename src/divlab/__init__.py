@@ -3,12 +3,11 @@
 from .lattice import (DIRICHLET, NEUMANN, EquidistributedSeq, FaceField, Grid,
                       ScalarField, SubsetMask, as_scalar_field, ball, ball_mask,
                       cutoff, discrete_gradient, equidistributed_sequence,
-                      full_mask, make_grid, smooth_switch, subset_norm2)
+                      make_grid, smooth_switch, subset_norm2)
 from .fields import (AlloyModel, AlloySample, CouplingDistribution, MatrixField,
                      alloy_model, ball_plateau_field, check_dir_condition, check_ellipticity,
-                     check_lipschitz, checkerboard_field, constant_field,
-                     identity_field, mollify, sample_alloy, sampled_field,
-                     single_site_sum, tent_minorant)
+                     checkerboard_field, constant_field, identity_field, mollify,
+                     sample_alloy, sampled_field, single_site_sum, tent_minorant)
 from .operators import (AlloyOperators, DiscreteOperator, alloy_operators, assemble,
                         perturbation_operator, rescale)
 from .spectral import (EigensolveError, LiftingCurve, Spectrum, count_eigenvalues,

@@ -83,21 +83,11 @@ def delta0(cfg: ConstantsConfig, G: float | None = None) -> float:
     return 2.0 * g / denom
 
 
-@dataclass(frozen=True)
-class GradientLowerBound:
-    value: float
-    upper_cap: float       # the value never exceeds e_min / (2 theta_plus)
-    small_r_floor: float   # quadratic-in-r lower bound, valid for r <= 1
-
-
-def c_gradient(r: float, e_min: float, theta_plus: float) -> GradientLowerBound:
+def c_gradient(r: float, e_min: float, theta_plus: float) -> float:
     """Double-ball gradient lower-bound constant r^2 E^2 / (2 t+ (8 t+ + r^2 E))."""
     if r <= 0 or e_min <= 0 or theta_plus <= 0:
         raise ValueError("r, e_min and theta_plus must be positive")
-    value = r * r * e_min**2 / (2.0 * theta_plus * (8.0 * theta_plus + r * r * e_min))
-    cap = e_min / (2.0 * theta_plus)
-    floor = e_min**2 * r * r / (2.0 * theta_plus * (8.0 * theta_plus + e_min))
-    return GradientLowerBound(value=value, upper_cap=cap, small_r_floor=floor)
+    return r * r * e_min**2 / (2.0 * theta_plus * (8.0 * theta_plus + r * r * e_min))
 
 
 def _ucp_exponent(cfg: ConstantsConfig, v_sup: float) -> float:
@@ -126,7 +116,7 @@ def c_sfucp_family(cfg: ConstantsConfig, v_sup: float | None = None,
     d0 = delta0(cfg, G=1.0)
     de = min(cfg.delta, d0) if clamp_delta else cfg.delta
     func = de ** _ucp_exponent(cfg, v)
-    pref = c_gradient(de, cfg.e_min, cfg.theta_plus).value
+    pref = c_gradient(de, cfg.e_min, cfg.theta_plus)
     grad = pref * (de / 2.0) ** _ucp_exponent(cfg, cfg.e_max)
     grad_scaled = pref * (de / (2.0 * cfg.G)) ** (
         cfg.n_exponent * (1.0 + cfg.G ** (4.0 / 3.0) * cfg.e_max ** (2.0 / 3.0)))
@@ -150,13 +140,13 @@ def c_evl_family(cfg: ConstantsConfig) -> LiftingConstants:
     tp_t = cfg.theta_plus + cfg.t_max * cfg.w_sup
     exp_e = _ucp_exponent(cfg, ep)
 
-    grad_t = c_gradient(dl, em, tp_t).value
+    grad_t = c_gradient(dl, em, tp_t)
     standard = grad_t * (dl / 2.0) ** exp_e
 
     dh = dl / 2.0
-    bounded = c_gradient(dh, em, tp_t).value * (dh / 2.0) ** exp_e
+    bounded = c_gradient(dh, em, tp_t) * (dh / 2.0) ** exp_e
 
-    low = 0.5 * c_gradient(dl, em, cfg.theta_plus).value \
+    low = 0.5 * c_gradient(dl, em, cfg.theta_plus) \
         * (dl / 2.0) ** (cfg.m_exponent * (1.0 + cfg.theta_minus ** (-2.0 / 3.0)))
 
     elementary = em / tp_t
@@ -197,7 +187,7 @@ def kappa_family(cfg: ConstantsConfig) -> LowEnergyConstants:
     kp = _kappa_prime(cfg, dl)
     kap = _kappa_prime(cfg, dl / 2.0)
     m_exp = cfg.m_exponent * (1.0 + cfg.theta_minus ** (-2.0 / 3.0))
-    pref = c_gradient(dl, cfg.e_min, cfg.theta_plus).value
+    pref = c_gradient(dl, cfg.e_min, cfg.theta_plus)
     grad_low = 0.5 * pref * (dl / 2.0) ** m_exp
 
     g = cfg.G
@@ -264,7 +254,7 @@ def constants_report(cfg: ConstantsConfig, v_sup: float | None = None,
     grad = c_gradient(cfg.delta, cfg.e_min, cfg.theta_plus)
     entries: dict[str, ConstantEntry] = {
         "delta0": ConstantEntry(delta0(cfg), "2G/(330 d e^2 te^{11/2} (te+1)^{5/3} (G lip+1))", "formula"),
-        "gradient_lower_bound": ConstantEntry(grad.value, "r^2 E^2/(2 t+ (8 t+ + r^2 E)), r=delta", "formula"),
+        "gradient_lower_bound": ConstantEntry(grad, "r^2 E^2/(2 t+ (8 t+ + r^2 E)), r=delta", "formula"),
         "ucp_function": ConstantEntry(ucp.function_constant, "de^{N(1+|V|^{2/3})}", "formula"),
         "ucp_gradient": ConstantEntry(ucp.gradient_constant, "C_grad(de) (de/2)^{N(1+E+^{2/3})}", "formula"),
         "ucp_gradient_scaled": ConstantEntry(ucp.gradient_constant_scaled,

@@ -159,10 +159,6 @@ def check_ellipticity(field: MatrixField) -> tuple[float, float]:
     return tmin, tmax
 
 
-def check_lipschitz(field: MatrixField) -> float:
-    return _lipschitz_estimate(field.grid, field.cells)
-
-
 def check_dir_condition(field: MatrixField) -> tuple[bool, list[tuple[int, ...]]]:
     """Off-diagonal entries must vanish on the boundary layer of cells."""
     bad = _dir_violations(field.grid, field.cells)
@@ -237,10 +233,6 @@ class CouplingDistribution:
         if not (0 <= self.p <= 1):
             raise ValueError("bernoulli weight must lie in [0, 1]")
 
-    @property
-    def support_max(self) -> float:
-        return self.m
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.kind == "uniform":
             return rng.uniform(0.0, self.m, size=size)
@@ -288,7 +280,7 @@ class AlloyModel:
     def v_sup_bound(self) -> float:
         """Conservative sup bound m (2 + delta_plus)^d c_plus for any coupling draw."""
         d = self.base.grid.d
-        return self.dist.support_max * (2.0 + self.delta_plus) ** d * self.c_plus
+        return self.dist.m * (2.0 + self.delta_plus) ** d * self.c_plus
 
     def bump_lip(self) -> float | None:
         if self.bump != "plateau":

@@ -123,11 +123,6 @@ class Grid:
             return full[inner].ravel().copy()
         return full.ravel().copy()
 
-    def norm2(self, u) -> float:
-        """Squared discrete L2 norm, uniform h^d weights over unknown nodes."""
-        u = np.asarray(u, dtype=float).ravel()
-        return float(self.h**self.d * np.dot(u, u))
-
 
 def make_grid(d: int, L: int, n_per_side: int, bc: str = DIRICHLET) -> Grid:
     if d not in (1, 2, 3):
@@ -161,9 +156,6 @@ class ScalarField:
         out = np.asarray(self.fn(pts), dtype=float)
         return out.reshape(pts.shape[0])
 
-    def on_nodes(self, grid: Grid) -> np.ndarray:
-        return self(grid.node_points)
-
     def on_full_nodes(self, grid: Grid) -> np.ndarray:
         return self(grid.full_node_points)
 
@@ -186,10 +178,6 @@ class FaceField:
 
     grid: Grid
     comps: tuple[np.ndarray, ...]
-
-    def norm2(self) -> float:
-        h = self.grid.h
-        return float(h**self.grid.d * sum(np.sum(c * c) for c in self.comps))
 
 
 def discrete_gradient(grid: Grid, u) -> FaceField:
@@ -273,8 +261,7 @@ class SubsetMask:
     """Node-sampled membership in a subset of the cube.
 
     A node belongs iff its coordinates do; face fields are masked by their
-    face midpoint.  `measure` is the h^d-weighted count of member nodes of
-    the full lattice.
+    face midpoint.
     """
 
     grid: Grid
@@ -287,10 +274,6 @@ class SubsetMask:
     @cached_property
     def node_mask(self) -> np.ndarray:
         return np.asarray(self.fn(self.grid.node_points), dtype=bool).ravel()
-
-    @cached_property
-    def measure(self) -> float:
-        return float(self.grid.h**self.grid.d * np.count_nonzero(self.full_node_mask))
 
     @cached_property
     def _face_masks(self) -> tuple[np.ndarray, ...]:
@@ -339,10 +322,6 @@ def ball_mask(grid: Grid, seq: EquidistributedSeq, radius: float | None = None) 
 def ball(grid: Grid, x0, r: float) -> SubsetMask:
     x0 = np.asarray(x0, dtype=float).reshape(grid.d)
     return SubsetMask(grid=grid, fn=lambda p: ((p - x0) ** 2).sum(axis=1) < r * r)
-
-
-def full_mask(grid: Grid) -> SubsetMask:
-    return SubsetMask(grid=grid, fn=lambda pts: np.ones(pts.shape[0], dtype=bool))
 
 
 def subset_norm2(x, mask: SubsetMask) -> float:

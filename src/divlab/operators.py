@@ -132,12 +132,6 @@ class DiscreteOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def form(self, u, v=None) -> float:
-        """Value of the quadratic/bilinear form with h^d mass weights."""
-        u = np.asarray(u, dtype=float).ravel()
-        v = u if v is None else np.asarray(v, dtype=float).ravel()
-        return float(self.grid.h**self.grid.d * (u @ (self.matrix @ v)))
-
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
 

@@ -47,9 +47,6 @@ class Spectrum:
     def pair(self, i: int) -> tuple[float, np.ndarray]:
         return float(self.energies[i]), self.vectors[:, i]
 
-    def indices_below(self, threshold: float) -> np.ndarray:
-        return np.nonzero(self.energies < threshold)[0]
-
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip, in place, each column whose first entry above 1e-8 of its max magnitude is negative."""
@@ -344,31 +341,22 @@ def count_eigenvalues(op: DiscreteOperator, energy):
     return _as_requested(energy, counts)
 
 
-def _edge_weight_arrays(grid: Grid, w_cells: np.ndarray) -> list[np.ndarray]:
-    shaped = w_cells.reshape(grid.cells_shape)
-    return [edge_coefficients(grid, shaped, k) for k in range(grid.d)]
+def hf_derivative(grid: Grid, psi: np.ndarray, w) -> float:
+    """Derivative in t of a simple eigenvalue of H(A + t w Id), from its eigenvector.
 
-
-def hf_derivative(op: DiscreteOperator, energy: float, psi: np.ndarray, w) -> float:
-    """Derivative of the eigenvalue along t |-> A + t w Id at a simple eigenpair.
-
-    Equals the discrete integral of w |grad psi|^2 with w averaged from cells
-    to faces exactly as the assembly does, so the value is the exact slope of
-    the affine-in-t quadratic form.
+    `psi` holds the eigenvector's unknown-node values on `grid`, h^d-normalized
+    as `eigensolve` returns them; `w` is a nonnegative scalar field, callable or
+    constant.  The value is the discrete integral of w |grad psi|^2, with w
+    averaged from cells to faces exactly as the assembly does: the exact slope
+    of the affine-in-t quadratic form.  It reads neither A nor t.
     """
-    w = as_scalar_field(w)
-    grid = op.grid
-    wc = w.on_cells(grid)
+    wc = as_scalar_field(w).on_cells(grid).reshape(grid.cells_shape)
     if np.any(wc < -1e-12):
         raise ValueError("w must be nonnegative")
-    return _hf_from_weights(grid, psi, _edge_weight_arrays(grid, wc))
-
-
-def _hf_from_weights(grid: Grid, psi: np.ndarray, weights: list[np.ndarray]) -> float:
     g = discrete_gradient(grid, psi)
     total = 0.0
     for k in range(grid.d):
-        total += float(np.sum(weights[k] * g.comps[k] ** 2))
+        total += float(np.sum(edge_coefficients(grid, wc, k) * g.comps[k] ** 2))
     return grid.h**grid.d * total
 
 
@@ -392,7 +380,7 @@ class LiftingCurve:
 
 
 def lifting_curve(grid: Grid, field, w, t_max: float, t_steps: int, indices) -> LiftingCurve:
-    """Eigensolve along an equispaced t grid and record exact form derivatives."""
+    """Eigensolve along an equispaced t grid and record each pair's `hf_derivative`."""
     if t_max <= 0:
         raise ValueError("t_max must be positive")
     if t_steps < 2:
@@ -403,12 +391,8 @@ def lifting_curve(grid: Grid, field, w, t_max: float, t_steps: int, indices) -> 
     if not indices or min(indices) < 0:
         raise ValueError("indices must be nonnegative")
     w = as_scalar_field(w)
-    wc = w.on_cells(grid)
-    if np.any(wc < -1e-12):
-        raise ValueError("w must be nonnegative")
     base = assemble(grid, field)
     pert = perturbation_operator(grid, w)
-    weights = _edge_weight_arrays(grid, wc)
 
     k = min(max(indices) + 2, base.dim)
     ts = np.linspace(0.0, t_max, t_steps)
@@ -423,7 +407,7 @@ def lifting_curve(grid: Grid, field, w, t_max: float, t_steps: int, indices) -> 
                 raise ValueError(f"index {n} out of range for spectrum of size {spec.k}")
             e, psi = spec.pair(n)
             energies[row, it] = e
-            hf_values[row, it] = _hf_from_weights(grid, psi, weights)
+            hf_values[row, it] = hf_derivative(grid, psi, w)
             gap = np.inf
             if n > 0:
                 gap = min(gap, e - spec.energies[n - 1])
@@ -438,7 +422,8 @@ def lifting_curve(grid: Grid, field, w, t_max: float, t_steps: int, indices) -> 
 
 def projector_sample(spectrum: Spectrum, interval: tuple[float, float], seed,
                      n_samples: int = 1) -> np.ndarray:
-    """Seeded random unit vectors in the span of eigenvectors with energy in `interval`."""
+    """Seeded random unit vectors in the span of eigenvectors with energy in `interval`,
+    one per column: shape (dim, n_samples)."""
     lo, hi = interval
     idx = np.nonzero((spectrum.energies >= lo) & (spectrum.energies <= hi))[0]
     if idx.size == 0:
@@ -446,5 +431,4 @@ def projector_sample(spectrum: Spectrum, interval: tuple[float, float], seed,
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     coeff = rng.standard_normal((idx.size, n_samples))
     coeff /= np.linalg.norm(coeff, axis=0, keepdims=True)
-    out = spectrum.vectors[:, idx] @ coeff
-    return out[:, 0] if n_samples == 1 else out
+    return spectrum.vectors[:, idx] @ coeff

@@ -108,6 +108,13 @@ def _pass_with_slack(lhs: float, rhs: float, grid: Grid) -> bool:
     return lhs >= rhs * (1.0 - DEFAULT_TOL - DEFAULT_DISC_SLACK * grid.h)
 
 
+def _require_no_zero_mode(grid: Grid) -> None:
+    """Relative eigenvalue errors need nonzero eigenvalues from index 0 up."""
+    if grid.bc == "neumann":
+        raise ValueError("the lowest eigenvalue of a Neumann grid is 0 (the constant mode), "
+                         "where relative eigenvalue errors are undefined")
+
+
 def reverse_caccioppoli_check(grid: Grid, field: MatrixField, energy: float,
                               psi: np.ndarray, x0, r: float, e_min: float) -> CheckReport:
     """Gradient mass on B(x0, 2r) dominates the lower-bound constant times the
@@ -125,7 +132,7 @@ def reverse_caccioppoli_check(grid: Grid, field: MatrixField, energy: float,
         rep.notes.append(f"eigenvalue {energy} <= e_min {e_min}: hypothesis not met, skipped")
         return rep
     lhs = subset_norm2(discrete_gradient(grid, psi), ball(grid, x0, 2 * r))
-    const = bounds.c_gradient(r, e_min, field.theta_plus).value
+    const = bounds.c_gradient(r, e_min, field.theta_plus)
     rhs = const * subset_norm2(psi, ball(grid, x0, r))
     rep.lhs, rep.rhs = lhs, rhs
     rep.observed = {"constant": const, "theta_plus": field.theta_plus}
@@ -145,28 +152,27 @@ def _require_field_hypotheses(field: MatrixField, need_lip: bool, need_dir: bool
 
 def ucp_function_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
                        seq: EquidistributedSeq, cfg: ConstantsConfig, *,
-                       v_bound: float | None = None, clamp_delta: bool = False) -> CheckReport:
+                       clamp_delta: bool = False) -> CheckReport:
     """Eigenfunction mass on the ball union dominates the function-level constant.
 
-    Applies to every eigenfunction with |E| <= v_bound (the constant is
-    evaluated with that bound as the potential sup).  The admissible-radius
-    gate delta <= delta0/2 is recorded; set clamp_delta to substitute
-    min(delta, delta0) into the constant instead.
+    Applies to every eigenfunction with |E| <= cfg.e_max, the bound that the
+    constant takes as the potential sup (recorded as `inputs.v_bound`).  The
+    admissible-radius gate delta <= delta0/2 is recorded; set clamp_delta to
+    substitute min(delta, delta0) into the constant instead.
     """
     if grid.bc != "dirichlet":
         raise ValueError("function-level bound is stated for Dirichlet grids")
     _require_field_hypotheses(field, need_lip=True, need_dir=True)
-    vb = cfg.e_max if v_bound is None else float(v_bound)
     cfg = replace(cfg, delta=seq.delta, d=grid.d)
-    consts = bounds.c_sfucp_family(cfg, v_sup=vb, clamp_delta=clamp_delta)
+    consts = bounds.c_sfucp_family(cfg, clamp_delta=clamp_delta)
     mask = ball_mask(grid, seq)
-    idx = [i for i in range(spectrum.k) if abs(spectrum.energies[i]) <= vb]
+    idx = [i for i in range(spectrum.k) if abs(spectrum.energies[i]) <= cfg.e_max]
     rep = CheckReport(
         name="ucp_function",
         statement="|psi|^2_{S} >= C_ucp |psi|^2 for eigenfunctions with |E| <= sup V",
         status="skipped",
         inputs={"grid": _grid_info(grid), "field": field.content_hash(),
-                "seq": _seq_info(seq), "v_bound": vb, "config": cfg.snapshot(),
+                "seq": _seq_info(seq), "v_bound": cfg.e_max, "config": cfg.snapshot(),
                 "clamp_delta": clamp_delta})
     if not idx:
         rep.notes.append("no eigenvalues within the potential bound: vacuous")
@@ -279,7 +285,7 @@ def projector_ucp_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
         inputs={"grid": _grid_info(grid), "field": field.content_hash(),
                 "seq": _seq_info(seq), "lam": lam, "n_samples": n_samples,
                 "seed": seed, "config": cfg.snapshot()})
-    idx = spectrum.indices_below(lam)
+    idx = np.nonzero(spectrum.energies < lam)[0]
     if idx.size == 0:
         rep.notes.append("no eigenvalues below lam: vacuous (flagged)")
         rep.status = "pass"
@@ -292,7 +298,6 @@ def projector_ucp_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
     exact_min = float(np.linalg.eigvalsh(compressed)[0])
     samples = projector_sample(spectrum, (-math.inf, float(spectrum.energies[idx[-1]])),
                                seed, n_samples=n_samples)
-    samples = samples.reshape(grid.n_nodes, -1)
     mc = np.array([subset_norm2(samples[:, j], mask) for j in range(samples.shape[1])])
     mc_min = float(mc.min())
     rep.lhs, rep.rhs = exact_min, kp
@@ -420,8 +425,8 @@ def pi_singular_check(dist, phi, a: float, b: float, eps: float) -> CheckReport:
     stays below the modulus of continuity times the total increment."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if not (a < 0 <= dist.support_max < b):
-        raise ValueError(f"support [0, {dist.support_max}] must lie strictly inside ({a}, {b})")
+    if not (a < 0 <= dist.m < b):
+        raise ValueError(f"support [0, {dist.m}] must lie strictly inside ({a}, {b})")
     xs = np.linspace(a, b + eps, _PHI_GRID_POINTS)
     vals = np.asarray(phi(xs), dtype=float)
     if np.any(np.diff(vals) < -1e-12 * max(1.0, np.abs(vals).max())):
@@ -480,6 +485,7 @@ def scaling_check(field_src: MatrixField, G: float, seq: EquidistributedSeq,
     eigenvalues match after multiplying by G^2, masked gradient norms match
     through the G^{d-2} identity, and the mapped centers stay equidistributed."""
     src = field_src.grid
+    _require_no_zero_mode(src)
     if seq.G != G or seq.L != src.L:
         raise ValueError("sequence must be (G, delta)-equidistributed on the source cube")
     field_tgt, factor = rescale(field_src, G, target_n_per_side)
@@ -532,6 +538,7 @@ def mollification_convergence(field: MatrixField, eps: float, ells, k: int, *,
         raise ValueError(f"ells must be integers, got {list(ells)!r}")
     ells = sorted(int(l) for l in ells)
     grid = field.grid
+    _require_no_zero_mode(grid)
     base = eigensolve(assemble(grid, field), k=k)
     devs = []
     ellip = []
@@ -599,7 +606,7 @@ def wegner_mc(model: AlloyModel, grid: Grid, e_center: float, eps: float,
     if variant == "lipschitz" and model.bump_lip() is None:
         raise ValueError("lipschitz variant needs Lipschitz single-site bumps")
 
-    m_sup = model.dist.support_max
+    m_sup = model.dist.m
     w_all = single_site_sum(model)
     lift_cfg = replace(cfg, d=grid.d, delta=model.delta_minus, t_max=eps + m_sup + 1.0,
                        w_sup=w_all.sup, w_lip=w_all.lip if w_all.lip is not None else 0.0)

@@ -31,24 +31,22 @@ class TestDelta0:
 
 class TestGradientConstant:
     def test_reference_value(self):
-        got = bounds.c_gradient(1.0, 1.0, 1.0)
-        assert got.value == pytest.approx(1.0 / 18.0, rel=1e-14)
+        assert bounds.c_gradient(1.0, 1.0, 1.0) == pytest.approx(1.0 / 18.0, rel=1e-14)
 
     def test_capped_by_energy_over_ellipticity(self):
         for r in np.linspace(0.01, 10, 40):
             for e in (0.5, 1.0, 7.0):
-                g = bounds.c_gradient(r, e, 1.3)
-                assert g.value <= g.upper_cap + 1e-15
-                assert g.upper_cap == pytest.approx(e / 2.6, rel=1e-14)
+                assert bounds.c_gradient(r, e, 1.3) <= e / (2 * 1.3) + 1e-15
 
     def test_small_r_floor(self):
+        # quadratic in r for r <= 1: r^2 E^2 / (2 t+ (8 t+ + E))
         for r in np.linspace(0.01, 1.0, 25):
-            g = bounds.c_gradient(r, 2.0, 1.5)
-            assert g.small_r_floor <= g.value + 1e-15
+            floor = 2.0**2 * r * r / (2 * 1.5 * (8 * 1.5 + 2.0))
+            assert floor <= bounds.c_gradient(r, 2.0, 1.5) + 1e-15
 
     def test_quadratic_vanishing(self):
-        v1 = bounds.c_gradient(1e-3, 1.0, 1.0).value
-        v2 = bounds.c_gradient(2e-3, 1.0, 1.0).value
+        v1 = bounds.c_gradient(1e-3, 1.0, 1.0)
+        v2 = bounds.c_gradient(2e-3, 1.0, 1.0)
         assert v2 / v1 == pytest.approx(4.0, rel=1e-4)
 
     def test_positivity_validation(self):
@@ -130,7 +128,7 @@ class TestLiftingConstants:
         # low-energy slope = half the double-ball constant times kappa-prime exponent part
         c = cfg(delta=0.4, e_min=0.01, e_max=0.02, theta_minus=1.0, theta_plus=2.0)
         lift = bounds.c_evl_family(c)
-        pref = bounds.c_gradient(0.4, 0.01, 2.0).value
+        pref = bounds.c_gradient(0.4, 0.01, 2.0)
         expected = 0.5 * pref * (0.2) ** (1.0 * (1.0 + 1.0))
         assert lift.low_energy == pytest.approx(expected, rel=1e-13)
 
@@ -166,7 +164,7 @@ class TestKappaFamily:
                 theta_plus=2.0)
         low = bounds.kappa_family(c)
         half = bounds.kappa_family(ConstantsConfig(**{**c.snapshot(), "delta": 0.2}))
-        grad = bounds.c_gradient(0.4, 0.05, 2.0).value
+        grad = bounds.c_gradient(0.4, 0.05, 2.0)
         assert low.neumann_gradient_constant == pytest.approx(
             grad * half.neumann_function_constant, rel=1e-13)
 

@@ -428,6 +428,14 @@ class TestMain:
         ({"experiment": "mollification", "grid": {"d": 1, "L": 1, "n_per_side": 64},
           "field": {"kind": "checkerboard"}, "check": {"ells": [False, 8]}},
          "mollification: ells must be integers, got [False, 8]"),
+        # relative eigenvalue errors are undefined at the Neumann constant mode's 0
+        ({"experiment": "scaling", "grid": {"d": 1, "L": 4, "n_per_side": 48, "bc": "neumann"},
+          "field": {"kind": "sine"}, "check": {"target_n": 32}},
+         "scaling: the lowest eigenvalue of a Neumann grid is 0 (the constant mode)"),
+        ({"experiment": "mollification",
+          "grid": {"d": 1, "L": 1, "n_per_side": 64, "bc": "neumann"},
+          "field": {"kind": "checkerboard"}},
+         "mollification: the lowest eigenvalue of a Neumann grid is 0 (the constant mode)"),
     ], ids=["wegner-one-sample", "low-energy-above-kappa", "wegner-unknown-key",
             "lifting-unknown-key", "check-not-a-mapping", "unknown-top-level-block",
             "grid-unknown-key", "field-unknown-key", "field-key-of-another-recipe",
@@ -440,7 +448,8 @@ class TestMain:
             "bool-real", "string-real", "bool-nested-real", "string-nested-real",
             "bool-constant", "fractional-constants-d", "bool-text", "number-text",
             "number-label", "fractional-lifting-indices", "bool-lifting-indices",
-            "fractional-mollification-ells", "bool-mollification-ells"])
+            "fractional-mollification-ells", "bool-mollification-ells",
+            "neumann-scaling-zero-mode", "neumann-mollification-zero-mode"])
     def test_rejected_check_input_is_a_config_error(self, tmp_path, capsys, config, message):
         cfg_file = tmp_path / "cfg.yaml"
         cfg_file.write_text(yaml.safe_dump(config))

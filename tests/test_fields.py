@@ -78,11 +78,14 @@ class TestChecks:
 
     def test_lipschitz_values(self):
         g = dl.make_grid(1, 1, 64)
-        assert dl.check_lipschitz(dl.identity_field(g)) == 0.0
+        def lip(f):
+            return fields._lipschitz_estimate(f.grid, f.cells)
+
+        assert lip(dl.identity_field(g)) == 0.0
         lin = dl.sampled_field(g, lambda p: 2.0 + p[:, 0])
-        assert dl.check_lipschitz(lin) == pytest.approx(1.0, rel=1e-12)
+        assert lip(lin) == pytest.approx(1.0, rel=1e-12)
         cb = dl.checkerboard_field(g)
-        assert dl.check_lipschitz(cb) == pytest.approx(1.0 / g.h, rel=1e-12)
+        assert lip(cb) == pytest.approx(1.0 / g.h, rel=1e-12)
 
     def test_dir_condition(self):
         g = dl.make_grid(2, 1, 6)
@@ -251,7 +254,7 @@ class TestAlloy:
         sample = dl.sample_alloy(model, seed)
         vals = sample.v(model.base.grid.full_node_points)
         assert np.all(vals >= 0.0)
-        bound = model.dist.support_max * (2 + model.delta_plus) ** 1 * model.c_plus
+        bound = model.dist.m * (2 + model.delta_plus) ** 1 * model.c_plus
         assert np.all(vals <= bound + 1e-12)
 
     def test_metadata_conservative(self):
@@ -305,7 +308,7 @@ class TestTentMinorant:
         tv = tent(pts)
         assert np.all(w(pts) >= tv - 1e-12)
         assert np.all(tv[inner] >= 1.0 - 1e-12)
-        grad = dl.discrete_gradient(g, tent.on_nodes(g))
+        grad = dl.discrete_gradient(g, tent(g.node_points))
         assert max(np.abs(c).max() for c in grad.comps) <= 1.0 / dhat + 1e-9
 
     def test_precondition_violation_reported(self):

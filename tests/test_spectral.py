@@ -616,6 +616,17 @@ class TestLiftingCurve:
         curve = dl.lifting_curve(g, dl.identity_field(g), w, 1e-3, 2, [0])
         assert curve.hf_values[0, 0] == pytest.approx(math.pi**2 / 2, rel=0.05)
 
+    def test_records_hf_derivative(self):
+        g = dl.make_grid(1, 2, 32)
+        f = dl.sampled_field(g, lambda p: 1 + 0.4 * np.sin(np.pi * p[:, 0]))
+        w = dl.ball_plateau_field(dl.equidistributed_sequence(g, 1.0, 0.3))
+        curve = dl.lifting_curve(g, f, w, 1.0, 3, [0, 2])
+        base, pert = dl.assemble(g, f), perturbation_operator(g, w)
+        for it, t in enumerate(curve.ts):
+            spec = dl.eigensolve(base.shifted(pert, float(t)), k=4)
+            for row, n in enumerate(curve.indices):
+                assert curve.hf_values[row, it] == dl.hf_derivative(g, spec.pair(n)[1], w)
+
     @pytest.mark.parametrize("indices", [[1.5, 0.2], [True, 1], ["1"]])
     def test_non_integer_indices_rejected(self, indices):
         g = dl.make_grid(1, 1, 16)
@@ -637,8 +648,8 @@ class TestHellmannFeynman:
         spec = dl.eigensolve(op, k=3)
         for i in range(3):
             e, psi = spec.pair(i)
-            assert dl.hf_derivative(op, e, psi, 1.0) == pytest.approx(e, rel=1e-12)
-            assert dl.hf_derivative(op, e, psi, 0.0) == 0.0
+            assert dl.hf_derivative(g, psi, 1.0) == pytest.approx(e, rel=1e-12)
+            assert dl.hf_derivative(g, psi, 0.0) == 0.0
 
     def test_matches_central_difference(self):
         g = dl.make_grid(1, 2, 32)
@@ -652,7 +663,7 @@ class TestHellmannFeynman:
         spec = dl.eigensolve(op_t, k=3)
         for i in range(3):
             e, psi = spec.pair(i)
-            hf = dl.hf_derivative(op_t, e, psi, w)
+            hf = dl.hf_derivative(g, psi, w)
             ep = dl.eigensolve(base.shifted(pert, t + tau), k=3).energies[i]
             em = dl.eigensolve(base.shifted(pert, t - tau), k=3).energies[i]
             fd = (ep - em) / (2 * tau)
@@ -667,10 +678,11 @@ class TestHellmannFeynman:
         pert = perturbation_operator(g, w)
         rng = np.random.default_rng(4)
         u = rng.standard_normal(g.n_nodes)
-        f0 = base.form(u)
+        f0 = g.h * (u @ (base.matrix @ u))
         slope = g.h * (u @ (pert @ u))
         for t in (0.1, 0.7, 2.3):
-            assert base.shifted(pert, t).form(u) == pytest.approx(f0 + t * slope, rel=1e-13)
+            form = g.h * (u @ (base.shifted(pert, t).matrix @ u))
+            assert form == pytest.approx(f0 + t * slope, rel=1e-13)
 
     def test_rayleigh_identity(self):
         g = dl.make_grid(2, 1, 10)
@@ -679,14 +691,15 @@ class TestHellmannFeynman:
         spec = dl.eigensolve(op, k=4)
         for i in range(4):
             e, psi = spec.pair(i)
-            assert op.form(psi) == pytest.approx(e * g.norm2(psi), rel=1e-10)
+            form = g.h**g.d * psi @ (op.matrix @ psi)
+            assert form == pytest.approx(e * g.h**g.d * psi @ psi, rel=1e-10)
 
 
 class TestProjectorSample:
     def test_one_dimensional_span(self):
         g = dl.make_grid(1, 1, 32)
         spec = dl.eigensolve(dl.assemble(g, dl.identity_field(g)), k=3)
-        psi = dl.projector_sample(spec, (spec.energies[0] - 1, spec.energies[0] + 1), 0)
+        psi = dl.projector_sample(spec, (spec.energies[0] - 1, spec.energies[0] + 1), 0)[:, 0]
         overlap = abs(psi @ spec.vectors[:, 0]) * g.h
         assert overlap == pytest.approx(1.0, abs=1e-10)
 
@@ -695,6 +708,12 @@ class TestProjectorSample:
         spec = dl.eigensolve(dl.assemble(g, dl.identity_field(g)), k=3)
         with pytest.raises(ValueError):
             dl.projector_sample(spec, (1e6, 2e6), 0)
+
+    def test_one_sample_is_a_column(self):
+        g = dl.make_grid(1, 1, 32)
+        spec = dl.eigensolve(dl.assemble(g, dl.identity_field(g)), k=3)
+        out = dl.projector_sample(spec, (0.0, 1e9), 7, n_samples=1)
+        assert out.shape == (g.n_nodes, 1)
 
     def test_samples_unit_norm(self):
         g = dl.make_grid(1, 1, 32)

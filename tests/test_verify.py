@@ -68,7 +68,8 @@ class TestUcpFunction:
 
     def test_vacuous_when_bound_below_spectrum(self):
         g, f, seq, spec, cfg = _sine_setup()
-        rep = verify.ucp_function_check(g, f, spec, seq, cfg, v_bound=0.01)
+        cfg = ConstantsConfig(e_min=0.001, e_max=0.01, theta_minus=0.5, theta_plus=1.5)
+        rep = verify.ucp_function_check(g, f, spec, seq, cfg)
         assert rep.status == "pass" and "vacuous" in rep.notes[0]
 
     def test_needs_lipschitz_certificate(self):
@@ -195,7 +196,7 @@ class TestProjectorUcp:
         cfg = ConstantsConfig(e_min=0.001, e_max=0.05, theta_minus=1.0, theta_plus=2.0,
                               delta=0.45)
         spec = dl.eigensolve(dl.assemble(g, f), k=4)
-        idx = spec.indices_below(0.1)
+        idx = np.nonzero(spec.energies < 0.1)[0]
         vecs = spec.vectors[:, idx]
         compressed = vecs.T @ vecs * g.h
         assert np.linalg.eigvalsh(compressed)[0] == pytest.approx(1.0, abs=1e-10)
