@@ -193,6 +193,23 @@ class AlloyOperators:
         mat = sp.csr_matrix((m.data + self.sites @ omega, m.indices, m.indptr), shape=m.shape)
         return DiscreteOperator(grid=self.base.grid, matrix=mat)
 
+    def bands(self, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The diagonals (dim, samples) and first off-diagonals (dim - 1, samples) of
+        the tridiagonal H(omega) of each column of `omegas` (sites x samples).
+
+        One product H_0.data + K @ omegas, read at H_0's band positions; column j
+        equals `at(omegas[:, j]).tridiagonal` bit for bit.  Only H_0's pattern is
+        checked, since every H(omega) has it.
+        """
+        m, dim = self.base.matrix, self.base.dim
+        self.base.tridiagonal  # raises unless H_0 is tridiagonal
+        rows = np.repeat(np.arange(dim), np.diff(m.indptr))
+        data = m.data[:, None] + self.sites @ omegas
+        diag, off = data[m.indices == rows], data[m.indices == rows + 1]
+        if diag.shape[0] != dim or off.shape[0] != dim - 1:
+            raise ValueError("H_0 does not store each band entry exactly once")
+        return diag, off
+
 
 def alloy_operators(grid: Grid, model: AlloyModel) -> AlloyOperators:
     """H_0 = assemble(grid, model.base) and one H_s per site: the operator of the

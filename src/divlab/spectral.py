@@ -73,10 +73,8 @@ def _matrix_scale(mat: sp.csr_matrix | sp.csc_matrix) -> float:
     return float(np.add.reduceat(np.abs(mat.data), mat.indptr[nonempty]).max(initial=0.0))
 
 
-def _checked_residuals(op: DiscreteOperator, evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
-    """Residual norms of the pairs; raises when one misses _RTOL (1 + |E|) + 100 eps ||H||."""
-    resid = np.linalg.norm(op.matrix @ evecs - evecs * evals[None, :], axis=0)
-    scale = _matrix_scale(op.matrix)
+def _check_residuals(resid: np.ndarray, scale: float, evals: np.ndarray) -> np.ndarray:
+    """`resid`, unless a residual misses _RTOL (1 + |E|) + 100 eps ||H|| (then raises)."""
     tol = _RTOL * (1.0 + np.abs(evals)) + 100 * np.finfo(float).eps * scale
     bad = resid > tol
     if np.any(bad):
@@ -85,6 +83,12 @@ def _checked_residuals(op: DiscreteOperator, evals: np.ndarray, evecs: np.ndarra
             f"{int(bad.sum())} eigenpairs unconverged; worst residual {resid[worst]:.3e} "
             f"for eigenvalue {evals[worst]:.6g} (tolerance {tol[worst]:.3e})")
     return resid
+
+
+def _checked_residuals(op: DiscreteOperator, evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
+    """Residual norms of the pairs; raises when one misses _RTOL (1 + |E|) + 100 eps ||H||."""
+    resid = np.linalg.norm(op.matrix @ evecs - evecs * evals[None, :], axis=0)
+    return _check_residuals(resid, _matrix_scale(op.matrix), evals)
 
 
 def eigensolve(op: DiscreteOperator, k: int) -> Spectrum:
@@ -124,45 +128,17 @@ def _eigsh(op: DiscreteOperator, k: int, sigma: float):
     return evals[order], evecs[:, order]
 
 
-def window_eigenvalues(op: DiscreteOperator, lo: float, hi: float, expected: int) -> np.ndarray:
-    """Eigenvalues in (lo, hi], certified complete by an inertia count.
-
-    The `expected + 2` eigenpairs nearest the window midpoint are taken from
-    shift-invert Lanczos there or, for d = 1, from the tridiagonal H: every
-    eigenvalue from LAPACK's root-free QL/QR (`dsterf`, values only), then
-    vectors for the kept values alone by inverse iteration (`dstein`), so a
-    1D window stores n (expected + 2) vector entries, not n^2.  The vectors
-    serve only the certificate.  Raises EigensolveError unless every residual
-    meets the `eigensolve` tolerance, the vectors are orthonormal (so no
-    eigenvalue is a ghost copy of another), and exactly `expected` of the
-    values fall in the window; with `expected` taken from `count_eigenvalues`,
-    a missed or spurious eigenvalue cannot pass.  The 1D window shares no
-    factorization with the 1D count: `dsterf` forms no LDL^T, and `dstein`
-    factors T - lambda with partial pivoting only at computed eigenvalues,
-    never at a count edge.
-    """
+def _check_window(lo: float, hi: float, expected: int) -> None:
     if not lo < hi:
         raise ValueError(f"empty window ({lo}, {hi}]")
     if expected < 0:
         raise ValueError(f"expected must be nonnegative, got {expected}")
-    k, mid = expected + 2, 0.5 * (lo + hi)
-    if op.grid.d == 1:
-        diag, off = op.tridiagonal
-        off = off if off.size else np.zeros(1)  # the wrappers want n - 1 >= 1 entries
-        evals, info = scipy.linalg.lapack.dsterf(diag, off)
-        if info:
-            raise EigensolveError(f"dsterf failed with info = {info}")
-        evals = evals[np.sort(np.argsort(np.abs(evals - mid))[:k])]
-        n = diag.size  # one block: iblock = 1 for every value, isplit = [n]
-        evecs, info = scipy.linalg.lapack.dstein(diag, off, evals, np.ones(n, np.int32),
-                                                 np.full(n, n, np.int32))
-        if info:
-            raise EigensolveError(f"dstein failed with info = {info}")
-    elif k >= op.dim:  # ARPACK needs k < dim
-        evals, evecs = scipy.linalg.eigh(op.dense())
-    else:
-        evals, evecs = _eigsh(op, k, sigma=mid)
-    _checked_residuals(op, evals, evecs)
+
+
+def _certified_window(evals: np.ndarray, evecs: np.ndarray, lo: float, hi: float,
+                      expected: int) -> np.ndarray:
+    """The values in (lo, hi] of residual-checked pairs, unless the vectors are not
+    orthonormal or the window holds other than `expected` values (then raises)."""
     if np.abs(evecs.T @ evecs - np.eye(evals.size)).max() > 1e-8:
         raise EigensolveError("Ritz vectors are not orthonormal: ghost eigenvalue copies")
     inside = evals[(evals > lo) & (evals <= hi)]
@@ -172,14 +148,86 @@ def window_eigenvalues(op: DiscreteOperator, lo: float, hi: float, expected: int
     return inside
 
 
+def window_eigenvalues(op: DiscreteOperator, lo: float, hi: float, expected: int) -> np.ndarray:
+    """Eigenvalues in (lo, hi], certified complete by an inertia count.
+
+    The `expected + 2` eigenpairs nearest the window midpoint are taken from
+    shift-invert Lanczos there or, for d = 1, from the bands of the tridiagonal
+    H (`tridiagonal_window`).  The vectors serve only the certificate.  Raises
+    EigensolveError unless every residual meets the `eigensolve` tolerance,
+    the vectors are orthonormal (so no eigenvalue is a ghost copy of another),
+    and exactly `expected` of the values fall in the window; with `expected`
+    taken from `count_eigenvalues`, a missed or spurious eigenvalue cannot pass.
+    """
+    if op.grid.d == 1:
+        return tridiagonal_window(*op.tridiagonal, lo, hi, expected)
+    _check_window(lo, hi, expected)
+    k, mid = expected + 2, 0.5 * (lo + hi)
+    if k >= op.dim:  # ARPACK needs k < dim
+        evals, evecs = scipy.linalg.eigh(op.dense())
+    else:
+        evals, evecs = _eigsh(op, k, sigma=mid)
+    _checked_residuals(op, evals, evecs)
+    return _certified_window(evals, evecs, lo, hi, expected)
+
+
+def tridiagonal_window(diag: np.ndarray, off: np.ndarray, lo: float, hi: float,
+                       expected: int) -> np.ndarray:
+    """`window_eigenvalues` of the symmetric tridiagonal H with these bands.
+
+    Every eigenvalue comes from LAPACK's root-free QL/QR (`dsterf`, values
+    only), then vectors for the `expected + 2` values nearest the window
+    midpoint alone by inverse iteration (`dstein`), so a window stores
+    n (expected + 2) vector entries, not n^2.  The residuals, the scale
+    ||H||_inf and so the three certificates are those of `window_eigenvalues`
+    on the CSR operator, bit for bit: the band product sums each row's terms
+    in CSR column order, and the row sums of |H| group as `np.add.reduceat`
+    does.  The window shares no factorization with the count:
+    `dsterf` forms no LDL^T, and `dstein` factors T - lambda with partial
+    pivoting only at computed eigenvalues, never at a count edge.
+    """
+    _check_window(lo, hi, expected)
+    k, mid = expected + 2, 0.5 * (lo + hi)
+    e = off if off.size else np.zeros(1)  # the wrappers want n - 1 >= 1 entries
+    evals, info = scipy.linalg.lapack.dsterf(diag, e)
+    if info:
+        raise EigensolveError(f"dsterf failed with info = {info}")
+    evals = evals[np.sort(np.argsort(np.abs(evals - mid))[:k])]
+    n = diag.size  # one block: iblock = 1 for every value, isplit = [n]
+    evecs, info = scipy.linalg.lapack.dstein(diag, e, evals, np.ones(n, np.int32),
+                                             np.full(n, n, np.int32))
+    if info:
+        raise EigensolveError(f"dstein failed with info = {info}")
+    prod = diag[:, None] * evecs
+    prod[1:] += off[:, None] * evecs[:-1]
+    prod[:-1] += off[:, None] * evecs[1:]
+    resid = np.linalg.norm(prod - evecs * evals[None, :], axis=0)
+    row_sums = np.abs(diag)  # |H_{i,i-1}| + (|H_ii| + |H_{i,i+1}|), as in `_matrix_scale`
+    row_sums[:-1] += np.abs(off)
+    row_sums[1:] += np.abs(off)
+    _check_residuals(resid, float(row_sums.max()), evals)
+    return _certified_window(evals, evecs, lo, hi, expected)
+
+
 def _zero_tol(op: DiscreteOperator, energies: np.ndarray) -> np.ndarray:
-    """Per energy, the magnitude at or below which a pivot of H - E counts as zero:
-    _ZERO_RTOL times the larger of max(1, max off-diagonal |H|) and max |diag(H - E)|."""
+    """Per energy, the magnitude at or below which a pivot of H - E counts as zero
+    (`_pivot_tol` with the largest stored off-diagonal |H|)."""
     mat = _canonical(op.matrix)
     rows = np.repeat(np.arange(op.dim), np.diff(mat.indptr))
-    off_max = float(np.abs(mat.data[mat.indices != rows]).max(initial=0.0))
-    diag_shift = np.abs(op.matrix.diagonal()[None, :] - energies[:, None]).max(axis=1)
-    return _ZERO_RTOL * np.maximum(max(1.0, off_max), diag_shift)
+    off_max = np.abs(mat.data[mat.indices != rows]).max(initial=0.0)
+    return _pivot_tol(off_max, op.matrix.diagonal(), energies)
+
+
+def _pivot_tol(off_max, diag: np.ndarray, energies: np.ndarray) -> np.ndarray:
+    """_ZERO_RTOL times the larger of max(1, off_max) and max_i |diag_i - E|, per energy.
+
+    A 2-D `diag` holds one matrix per column and `off_max` one value per column;
+    the result is then (columns, energies).  fl(d - E) is monotone in d, so the
+    largest |diag_i - E| is that of the smallest or the largest diagonal entry.
+    """
+    lo, hi = diag.min(axis=0)[..., None], diag.max(axis=0)[..., None]
+    shift = np.maximum(np.abs(lo - energies), np.abs(hi - energies))
+    return _ZERO_RTOL * np.maximum(np.maximum(1.0, off_max)[..., None], shift)
 
 
 def _slab_blocks(op: DiscreteOperator):
@@ -207,22 +255,31 @@ def _slab_blocks(op: DiscreteOperator):
     return diag, coup, layer
 
 
-def _pivot_counts(op: DiscreteOperator, energies: np.ndarray, tol: np.ndarray) -> np.ndarray:
-    """The slab recursion with one-node slabs: the Sturm pivots of tridiagonal H - E,
-    p_0 = a_0 - E and p_i = (a_i - E) - b_{i-1}^2 / p_{i-1}, in Python floats."""
-    diag, off = op.tridiagonal
-    a, b2 = diag.tolist(), [0.0] + (off * off).tolist()
-    counts = []
-    for e, t in zip(energies.tolist(), tol.tolist()):
-        count, q = 0, 1.0
-        for ai, bi2 in zip(a, b2):
-            p = (ai - e) - bi2 / q
-            if abs(p) <= t:
-                count, q = count + 1, -t
-            else:
-                count, q = count + (p < 0), p
-        counts.append(count)
-    return np.array(counts, dtype=int)
+def tridiagonal_counts(diag: np.ndarray, off: np.ndarray, energies) -> np.ndarray:
+    """Eigenvalues <= E of symmetric tridiagonal matrices, for every (matrix, E) pair.
+
+    Column j of `diag` (n, m) and of `off` (n - 1, m) holds the bands of matrix
+    j; the result is an int array (m, energies).  One Sturm sweep over the node
+    axis carries every pair: p_0 = a_0 - E and p_i = (a_i - E) - b_{i-1}^2 / p_{i-1},
+    and the count is the number of negative pivots (Kahan: backward stable).  A
+    pivot within the zero tolerance of its pair (`_pivot_tol`, per matrix and
+    energy) counts as <= E, and the sweep goes on with -tol in its place.  The
+    tolerance reads the off-diagonal maximum from `off`, which for a symmetric H
+    is `_zero_tol`'s maximum over every stored off-diagonal entry.
+    """
+    energies = np.asarray(energies, dtype=float)
+    tol = _pivot_tol(np.abs(off).max(axis=0, initial=0.0), diag, energies)
+    b2 = off * off
+    count = np.zeros(tol.shape, dtype=int)
+    q = np.ones(tol.shape)
+    for i in range(diag.shape[0]):
+        p = diag[i, :, None] - energies
+        if i:
+            p -= b2[i - 1, :, None] / q
+        zero = np.abs(p) <= tol
+        count += (p < 0) | zero
+        q = np.where(zero, -tol, p)
+    return count
 
 
 def _as_requested(energy, counts: np.ndarray):
@@ -238,15 +295,17 @@ def slab_count_eigenvalues(op: DiscreteOperator, energy):
     S_i = D_i - C_i S_{i-1}^{-1} C_i^T (Haynsworth).  Slabs hold whole layers and
     at least _MIN_SLAB unknowns; all energies go through one batched pass.  When
     a layer is one node (d = 1), H is tridiagonal and every slab is one node:
-    the recursion is then scalar Sturm pivots, one energy at a time
-    (`_pivot_counts`).  Schur eigenvalues or pivots within _ZERO_RTOL of zero
+    the recursion is then scalar Sturm pivots (`tridiagonal_counts`, one
+    column).  Schur eigenvalues or pivots within _ZERO_RTOL of zero
     (relative to max |H - E|) count as <= E; the recursion goes on with -tol
     in their place.
     """
     energies = np.atleast_1d(np.asarray(energy, dtype=float))
-    tol = _zero_tol(op, energies)[:, None]
     if op.dim == op.grid.unknown_shape[0]:
-        return _as_requested(energy, _pivot_counts(op, energies, tol[:, 0]))
+        diag, off = op.tridiagonal
+        counts = tridiagonal_counts(diag[:, None], off[:, None], energies)[0]
+        return _as_requested(energy, counts)
+    tol = _zero_tol(op, energies)[:, None]
     diag, coup, layer = _slab_blocks(op)
     n_slabs, size = diag.shape[:2]
     last = op.dim - (n_slabs - 1) * size

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 import divlab as dl
 from divlab import fields
@@ -160,6 +165,35 @@ class TestMollify:
                 for ell in (2, 4, 8, 16)]
         assert devs[-1] == 0.0
         assert all(a >= b - 1e-15 for a, b in zip(devs, devs[1:]))
+
+    @pytest.mark.parametrize("d, n, ells", [(1, 64, (2, 3, 8, 32)), (2, 16, (2, 5, 16)),
+                                            (3, 6, (2, 4))])
+    def test_equals_ndimage_convolution(self, d, n, ells):
+        # the shifted-sum convolution reproduces ndimage.convolve bit for bit, so
+        # mollified fields are those of the ndimage implementation
+        g = dl.make_grid(d, 2, n)
+        rng = np.random.default_rng(d)
+        f = dl.sampled_field(g, lambda p: np.eye(d) * (1.5 + np.sin(3 * p[:, :1, None]))
+                             + 0.2 * np.cos(p.sum(axis=1))[:, None, None] * (1 - np.eye(d)))
+        for ell in ells:
+            kern = fields._mollifier_kernel(g, ell)
+            arr = rng.standard_normal(g.cells_shape) * 10.0 ** rng.uniform(-3, 3, g.cells_shape)
+            want = ndimage.convolve(arr, kern, mode="constant", cval=0.0)
+            assert np.array_equal(fields._convolve(arr, kern).view(np.int64), want.view(np.int64))
+            base = (f.theta_minus - 0.1) * np.eye(d)
+            cells = f.cells - base
+            for j in range(d):
+                for k in range(d):
+                    cells[..., j, k] = ndimage.convolve(cells[..., j, k], kern, mode="constant")
+            assert np.array_equal(dl.mollify(f, ell, 0.1).cells, cells + base)
+
+    def test_import_leaves_ndimage_unloaded(self):
+        code = ("import sys, divlab, divlab.cli, divlab.io; "
+                "assert 'scipy.ndimage' not in sys.modules, 'scipy.ndimage was imported'")
+        src = str(Path(dl.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
     def test_eps_window_enforced(self):
         g = dl.make_grid(1, 1, 32)

@@ -448,6 +448,93 @@ class TestCountEigenvalues:
                 assert dl.count_eigenvalues(op, e) == int(np.sum(spec.energies <= e))
 
 
+_LAWS = {"uniform": dl.CouplingDistribution("uniform", 2.0),
+         "bernoulli": dl.CouplingDistribution("bernoulli", 2.0, 0.5)}
+
+
+def _alloy_batch(bc, law, n_samples, n_per_side=32):
+    """The operators of a 1D alloy model and a batch of its couplings (sites x samples)."""
+    g = dl.make_grid(1, 2, n_per_side, bc=bc)
+    seq = dl.equidistributed_sequence(g, 1.0, 0.2)
+    model = dl.alloy_model(dl.identity_field(g), seq, c_minus=1.0, c_plus=2.0,
+                           delta_plus=0.45, dist=law)
+    rng = np.random.default_rng(5)
+    omegas = np.column_stack([dl.sample_alloy(model, rng).omega for _ in range(n_samples)])
+    return dl.alloy_operators(g, model), omegas
+
+
+def _scalar_sturm(diag, off, energy, tol):
+    """Reference for the batched sweep: the Sturm count of the tridiagonal H - E in
+    Python floats, one pivot at a time, and the last pivot."""
+    count, q = 0, 1.0
+    for a, b2 in zip(diag.tolist(), [0.0] + (off * off).tolist()):
+        p = (a - energy) - b2 / q
+        if abs(p) <= tol:
+            count, q = count + 1, -tol
+        else:
+            count, q = count + (p < 0), p
+    return count, p
+
+
+class TestTridiagonalCounts:
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("law", sorted(_LAWS))
+    def test_batch_equals_per_operator_counts_and_oracle(self, bc, law):
+        ops, omegas = _alloy_batch(bc, _LAWS[law], n_samples=8)
+        samples = [ops.at(w) for w in omegas.T]
+        # per sample, energies that zero a pivot: H_00 the first one, eigenvalues of a
+        # leading block a later one; each is a generic energy for the other samples
+        energies = []
+        for op in samples:
+            dense = op.dense()
+            energies += [dense[0, 0], *np.linalg.eigvalsh(dense[:21, :21])[[0, 10, 20]]]
+        top = max(np.abs(op.dense()).sum(axis=1).max() for op in samples)
+        energies = np.r_[energies, np.random.default_rng(3).uniform(0.0, 1.1 * top, 6)]
+        diag, off = ops.bands(omegas)
+        got = spectral.tridiagonal_counts(diag, off, energies)
+        assert got.shape == (len(samples), energies.size)
+        clear = 0
+        for j, op in enumerate(samples):
+            assert np.array_equal(diag[:, j], op.tridiagonal[0])
+            assert np.array_equal(off[:, j], op.tridiagonal[1])
+            assert np.array_equal(got[j], dl.count_eigenvalues(op, energies))
+            tols = spectral._zero_tol(op, energies)
+            assert got[j].tolist() == [_scalar_sturm(diag[:, j], off[:, j], e, t)[0]
+                                       for e, t in zip(energies.tolist(), tols.tolist())]
+            # the oracles where no eigenvalue is near E (all-zero Bernoulli couplings
+            # leave the free Laplacian, which has H_00 as an eigenvalue)
+            exact = np.linalg.eigvalsh(op.dense())
+            far = np.abs(exact[:, None] - energies).min(axis=0) > 1e-9 * exact.max()
+            clear += far[4 * j:4 * j + 4].sum()
+            assert got[j, far].tolist() == [_dense_ldl_count(op, e) for e in energies[far]]
+            assert got[j, far].tolist() == [int(np.sum(exact <= e)) for e in energies[far]]
+        assert clear >= 2 * len(samples)  # most zero-pivot energies are checked
+
+    def test_each_matrix_has_its_own_zero_tolerance(self):
+        # E just below an eigenvalue of matrix 0 leaves its last Sturm pivot positive,
+        # between its own zero tolerance and that of matrix 1 (couplings 1e6 times
+        # larger): only matrix 0's own tolerance keeps that eigenvalue out of the count
+        ops, omegas = _alloy_batch("dirichlet", _LAWS["uniform"], n_samples=1, n_per_side=8)
+        omegas = np.c_[omegas, 1e6 * omegas]
+        diag, off = ops.bands(omegas)
+        op = ops.at(omegas[:, 0])
+        exact = np.linalg.eigvalsh(op.dense())
+        lam = exact[exact.size // 2]
+        tol = spectral._zero_tol(op, np.array([lam]))[0]
+        lo, hi = lam - 1e-3, lam  # the last pivot falls from large to ~0 over (lo, hi]
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            pivot = _scalar_sturm(diag[:, 0], off[:, 0], mid, 0.0)[1]
+            lo, hi = (mid, hi) if pivot > 100 * tol else (lo, mid)
+        e = lo
+        pivot = _scalar_sturm(diag[:, 0], off[:, 0], e, 0.0)[1]
+        tols = spectral._pivot_tol(np.abs(off).max(axis=0), diag, np.array([e]))[:, 0]
+        assert tols[0] < pivot <= tols[1]
+        assert lam - e > 1e-6 * tol
+        got = spectral.tridiagonal_counts(diag, off, [e])[0, 0]
+        assert got == dl.count_eigenvalues(op, e) == int(np.count_nonzero(exact <= e))
+
+
 class TestWindowEigenvalues:
     def _op(self):
         g = dl.make_grid(2, 1, 12)

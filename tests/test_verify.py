@@ -276,7 +276,7 @@ class TestWegner:
         def misconfigured(*args, **kwargs):
             raise ValueError("misconfigured window")
 
-        monkeypatch.setattr(verify, "window_eigenvalues", misconfigured)
+        monkeypatch.setattr(verify, "tridiagonal_window", misconfigured)
         with pytest.raises(ValueError, match="misconfigured window"):
             verify.wegner_mc(model, g, 12.5, 0.5, 5, 0, cfg)
 
@@ -284,7 +284,7 @@ class TestWegner:
         g, model = self._model(dl.CouplingDistribution("uniform", 2.0))
         cfg = ConstantsConfig(e_min=1.0, e_max=30.0)
         calls = []
-        window = verify.window_eigenvalues
+        window = verify.tridiagonal_window
 
         def first_call_breaks(*args, **kwargs):
             calls.append(1)
@@ -292,7 +292,7 @@ class TestWegner:
                 raise EigensolveError("shift-invert Lanczos failed")
             return window(*args, **kwargs)
 
-        monkeypatch.setattr(verify, "window_eigenvalues", first_call_breaks)
+        monkeypatch.setattr(verify, "tridiagonal_window", first_call_breaks)
         rep = verify.wegner_mc(model, g, 12.5, 0.5, 20, 0, cfg)
         assert rep.observed["failures"] == 1
         assert rep.observed["crosscheck_agreement"] == 1.0
@@ -305,7 +305,7 @@ class TestWegner:
         g, model = self._model(dl.CouplingDistribution("uniform", 2.0))
         cfg = ConstantsConfig(e_min=1.0, e_max=30.0)
         calls = []
-        window = verify.window_eigenvalues
+        window = verify.tridiagonal_window
 
         def breaks(*args, **kwargs):
             calls.append(1)
@@ -313,7 +313,7 @@ class TestWegner:
                 raise EigensolveError("shift-invert Lanczos failed")
             return window(*args, **kwargs)
 
-        monkeypatch.setattr(verify, "window_eigenvalues", breaks)
+        monkeypatch.setattr(verify, "tridiagonal_window", breaks)
         rep = verify.wegner_mc(model, g, 12.5, 0.5, 20, 0, cfg)
         assert rep.status == "error" and not rep.ok
         assert rep.lhs is None and rep.margin is None
@@ -354,6 +354,58 @@ class TestWegner:
         rep = verify.wegner_mc(model, g, 12.5, 0.5, 20, 0, cfg)
         assert rep.observed["failures"] == 0
         assert calls == {"assemble": 1, "sample_alloy": 20}
+
+    @pytest.mark.parametrize("law", [dl.CouplingDistribution("uniform", 2.0),
+                                     dl.CouplingDistribution("bernoulli", 2.0, 0.5)],
+                             ids=["uniform", "bernoulli"])
+    def test_1d_samples_form_no_sample_operator(self, monkeypatch, law):
+        # every 1D sample is counted and solved from its bands; its counts and window
+        # are those of the per-operator API on H(omega)
+        g, model = self._model(law)
+        edges = np.array([11.0, 14.0, 12.0, 13.0, 12.25, 12.75, 12.375, 12.625])
+        children = np.random.SeedSequence(4).spawn(12)
+        ops = dl.alloy_operators(g, model)
+        want = []
+        for child in children:
+            op = ops.at(dl.sample_alloy(model, np.random.default_rng(child)).omega)
+            c = dl.count_eigenvalues(op, edges)
+            want.append((c, dl.window_eigenvalues(op, edges[0], edges[1], int(c[1] - c[0]))))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a 1D Wegner sample went through the per-operator path")
+
+        monkeypatch.setattr(operators.AlloyOperators, "at", forbidden)
+        for name in ("count_eigenvalues", "window_eigenvalues"):
+            monkeypatch.setattr(verify, name, forbidden)
+        got = list(verify._wegner_samples(model, g, children, edges))
+        assert len(got) == len(want)
+        for (c, window), (c_want, window_want) in zip(got, want):
+            assert np.array_equal(c, c_want)
+            assert np.array_equal(window, window_want)
+        rep = verify.wegner_mc(model, g, 12.5, 0.5, 20, 0, ConstantsConfig(e_min=1.0, e_max=30.0))
+        assert rep.status == "pass" and rep.observed["failures"] == 0
+
+    def test_2d_samples_go_through_the_sample_operator(self, monkeypatch):
+        g = dl.make_grid(2, 2, 6)
+        seq = dl.equidistributed_sequence(g, 1.0, 0.2)
+        model = dl.alloy_model(dl.identity_field(g), seq, c_minus=1.0, c_plus=2.0,
+                               delta_plus=0.45, dist=dl.CouplingDistribution("uniform", 2.0))
+        calls = []
+        at = operators.AlloyOperators.at
+
+        def counted(self, omega):
+            calls.append(1)
+            return at(self, omega)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a 2D Wegner sample went through the 1D band path")
+
+        monkeypatch.setattr(operators.AlloyOperators, "at", counted)
+        for name in ("tridiagonal_counts", "tridiagonal_window"):
+            monkeypatch.setattr(verify, name, forbidden)
+        rep = verify.wegner_mc(model, g, 12.5, 0.5, 4, 0, ConstantsConfig(e_min=1.0, e_max=30.0))
+        assert rep.observed["failures"] == 0
+        assert len(calls) == 4
 
     def test_window_precondition(self):
         g, model = self._model(dl.CouplingDistribution("uniform", 1.0))
