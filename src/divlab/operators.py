@@ -15,6 +15,8 @@ By that linearity the operator of an alloy sample A + sum_s omega_s u_s Id is
 H_0 + sum_s omega_s H_s, with H_0 the operator of A and H_s that of u_s Id;
 `alloy_operators` assembles these once per model, so a sample costs one sparse
 matrix-vector product.
+Every operator is built by one rule (`_operator`) on its stencil's CSR pattern,
+so each H_s is, entry for entry, the `perturbation_operator` of u_s.
 """
 from __future__ import annotations
 
@@ -101,24 +103,48 @@ def _triplets(grid: Grid, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
-def _unknown_nodes(grid: Grid) -> np.ndarray:
-    """The full-node index of each unknown, in unknown order."""
-    lin = np.arange((grid.cells_per_side + 1) ** grid.d).reshape(grid.full_shape)
-    if grid.bc == "dirichlet":
-        lin = lin[tuple(slice(1, -1) for _ in range(grid.d))]
-    return lin.ravel()
+def _pattern(grid: Grid, rows: np.ndarray, cols: np.ndarray):
+    """The stencil's CSR pattern between the unknowns, for terms with these full-node
+    rows and columns: a matrix whose data number its entries, the entry of each term
+    (nnz for a term with a boundary node), and the entry of each entry's transpose."""
+    # each full node's index among the unknowns, -1 on a Dirichlet boundary
+    unknown = grid.embed(np.arange(1, grid.n_nodes + 1)).ravel().astype(np.int32) - 1
+    r, c = unknown[rows], unknown[cols]
+    kept = (r >= 0) & (c >= 0)
+    r, c = r[kept], c[kept]
+    pattern = sp.csr_matrix((np.ones(r.size, dtype=bool), (r, c)), shape=(grid.n_nodes,) * 2)
+    pattern.data = np.arange(pattern.nnz)
+    at = np.full(rows.size, pattern.nnz)
+    at[kept] = np.asarray(pattern[r, c]).ravel()
+    # the pattern is symmetric, so its transpose lists the same entries
+    return pattern, at, pattern.T.tocsr().data
 
 
-def _stiffness(grid: Grid, cells: np.ndarray) -> sp.csr_matrix:
+def _operator(grid: Grid, cells: np.ndarray, pattern=None) -> sp.csr_matrix:
+    """H = K / h^d of the cell matrices `cells` on `pattern`, by default their stencil's.
+
+    The stencil terms are summed per entry in `_triplets` order, then symmetrized
+    as 0.5 (K + K^T) and scaled by 1 / h^d, as scipy adds, transposes and divides.
+    A scalar field's terms are the axis terms, which `_triplets` lists first, so
+    they land where the first terms of any field's pattern on the grid do.
+    """
     rows, cols, vals = _triplets(grid, cells)
-    size = (grid.cells_per_side + 1) ** grid.d
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
-    mat = 0.5 * (mat + mat.T)
+    mat, at, transposed = _pattern(grid, rows, cols) if pattern is None else pattern
+    k = np.bincount(at[:vals.size], vals, mat.nnz + 1)[:-1]
+    data = 0.5 * (k + k[transposed]) * (1.0 / grid.h**grid.d)
+    return sp.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape)
 
-    if grid.bc == "dirichlet":
-        keep = _unknown_nodes(grid)
-        mat = mat[keep][:, keep]
-    return mat.tocsr()
+
+def _band_positions(mat: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """The positions in `mat.data` of the diagonal and of the first superdiagonal;
+    raises unless `mat` is tridiagonal and stores each band entry exactly once."""
+    offset = mat.indices - np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    if np.any((np.abs(offset) > 1) & (mat.data != 0)):
+        raise ValueError("operator has entries off the three central diagonals")
+    diag, sup = np.flatnonzero(offset == 0), np.flatnonzero(offset == 1)
+    if diag.size != mat.shape[0] or sup.size != mat.shape[0] - 1:
+        raise ValueError("operator does not store each band entry exactly once")
+    return diag, sup
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,11 +167,8 @@ class DiscreteOperator:
     @cached_property
     def tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
         """The diagonal and first off-diagonal of H; raises unless H is tridiagonal."""
-        mat = self.matrix
-        rows = np.repeat(np.arange(self.dim), np.diff(mat.indptr))
-        if np.any((np.abs(mat.indices - rows) > 1) & (mat.data != 0)):
-            raise ValueError("operator has entries off the three central diagonals")
-        return mat.diagonal(), mat.diagonal(1)
+        diag, sup = _band_positions(self.matrix)
+        return self.matrix.data[diag], self.matrix.data[sup]
 
 
 def assemble(grid: Grid, field: MatrixField) -> DiscreteOperator:
@@ -153,8 +176,7 @@ def assemble(grid: Grid, field: MatrixField) -> DiscreteOperator:
         raise ValueError("field was sampled on a different grid")
     if field.theta_minus <= 0:
         raise EllipticityError(f"field is not uniformly elliptic (theta_minus={field.theta_minus})")
-    mat = _stiffness(grid, field.cells) / grid.h**grid.d
-    return DiscreteOperator(grid=grid, matrix=mat.tocsr())
+    return DiscreteOperator(grid=grid, matrix=_operator(grid, field.cells))
 
 
 def _scalar_cells(grid: Grid, wc: np.ndarray) -> np.ndarray:
@@ -167,21 +189,18 @@ def perturbation_operator(grid: Grid, w) -> sp.csr_matrix:
 
     Not required to be elliptic; used as the derivative direction t |-> A + t w Id.
     """
-    w = as_scalar_field(w)
-    wc = w.on_cells(grid)
+    wc = as_scalar_field(w).on_cells(grid)
     if np.any(wc < -1e-12):
         raise ValueError("perturbation w must be nonnegative")
-    return (_stiffness(grid, _scalar_cells(grid, wc)) / grid.h**grid.d).tocsr()
+    return _operator(grid, _scalar_cells(grid, wc))
 
 
 @dataclass(frozen=True, eq=False)
 class AlloyOperators:
     """The operators H(omega) = H_0 + sum_s omega_s H_s of an alloy model's samples.
 
-    `sites` holds each H_s on H_0's CSR pattern: row p, column s is the entry of
-    H_s at H_0's stored entry p.  Every H(omega) has exactly that pattern: its
-    diagonal and axis-neighbour entries are those of A + V Id with V >= 0 and
-    theta_minus > 0, so none vanishes, and V adds nothing elsewhere.
+    `sites` holds each H_s on H_0's CSR pattern, the stencil's: row p, column s is
+    the entry of H_s at H_0's stored entry p.  Every H(omega) has that pattern.
     """
 
     base: DiscreteOperator
@@ -195,54 +214,26 @@ class AlloyOperators:
 
     def bands(self, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The diagonals (dim, samples) and first off-diagonals (dim - 1, samples) of
-        the tridiagonal H(omega) of each column of `omegas` (sites x samples).
-
-        One product H_0.data + K @ omegas, read at H_0's band positions; column j
-        equals `at(omegas[:, j]).tridiagonal` bit for bit.  Only H_0's pattern is
-        checked, since every H(omega) has it.
-        """
-        m, dim = self.base.matrix, self.base.dim
-        self.base.tridiagonal  # raises unless H_0 is tridiagonal
-        rows = np.repeat(np.arange(dim), np.diff(m.indptr))
-        data = m.data[:, None] + self.sites @ omegas
-        diag, off = data[m.indices == rows], data[m.indices == rows + 1]
-        if diag.shape[0] != dim or off.shape[0] != dim - 1:
-            raise ValueError("H_0 does not store each band entry exactly once")
-        return diag, off
+        the tridiagonal H(omega) of each column of `omegas` (sites x samples): one
+        product H_0.data + K @ omegas, read at the band positions of H_0, whose pattern
+        every H(omega) has.  Column j equals `at(omegas[:, j]).tridiagonal` bit for bit."""
+        diag, sup = _band_positions(self.base.matrix)
+        data = self.base.matrix.data[:, None] + self.sites @ omegas
+        return data[diag], data[sup]
 
 
 def alloy_operators(grid: Grid, model: AlloyModel) -> AlloyOperators:
-    """H_0 = assemble(grid, model.base) and one H_s per site: the operator of the
-    site's bump at the cell centers (`model.cell_bumps`) times Id.
-
-    H_s sums the stencil terms of `_stiffness` for that field, symmetrized and over
-    h^d as there, straight into H_0's entries: it is exactly symmetric, and its
-    entries may differ from `perturbation_operator`'s in the last bits.
+    """H_0 = assemble(grid, model.base) and, on H_0's pattern, one H_s per site: the
+    `perturbation_operator` of the site's bump at the cell centers (`model.cell_bumps`).
     """
     base = assemble(grid, model.base)
-    mat, nnz = base.matrix, base.matrix.nnz
-    # one plus the position of each stored entry among H_0's, and of its transpose
-    # (H_0's pattern is symmetric and canonical, so its transpose lists the same entries)
-    lookup = sp.csr_matrix((np.arange(1, nnz + 1), mat.indices, mat.indptr), shape=mat.shape)
-    transposed = lookup.T.tocsr().data - 1
-    unknown = np.full((grid.cells_per_side + 1) ** grid.d, -1)
-    unknown[_unknown_nodes(grid)] = np.arange(base.dim)
+    pattern = _pattern(grid, *_triplets(grid, model.base.cells)[:2])
     values, idx = model.cell_bumps
-    n_cells = values.shape[0]
-    r, c, _ = _triplets(grid, _scalar_cells(grid, np.zeros(n_cells)))
-    r, c = unknown[r], unknown[c]
-    kept = (r >= 0) & (c >= 0)
-    at = np.asarray(lookup[r[kept], c[kept]]).ravel() - 1
-    if np.any(at < 0):
-        raise ValueError("a site operator has entries outside the base pattern")
-    cell = np.repeat(np.arange(n_cells), idx.shape[1])
     columns = []
     for s in range(len(model.seq.centers)):
-        on = idx.ravel() == s
-        bump = np.bincount(cell[on], values.ravel()[on], n_cells)
-        summed = np.bincount(at, _triplets(grid, _scalar_cells(grid, bump))[2][kept], nnz)
-        h_s = 0.5 * (summed + summed[transposed]) / grid.h**grid.d
-        columns.append(sp.csc_matrix(h_s[:, None]))
+        bump = np.where(idx == s, values, 0.0).sum(axis=1)
+        h_s = _operator(grid, _scalar_cells(grid, bump), pattern)
+        columns.append(sp.csc_matrix(h_s.data[:, None]))
     return AlloyOperators(base=base, sites=sp.hstack(columns, format="csr"))
 
 

@@ -278,6 +278,8 @@ def projector_ucp_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
     mask quadratic form (independent of the sampling); seeded random span
     elements provide the Monte Carlo cross-check.
     """
+    if n_samples < 1:
+        raise ValueError(f"need n_samples >= 1 for the Monte Carlo cross-check, got {n_samples}")
     cfg = replace(cfg, delta=seq.delta, d=grid.d)
     kp = bounds.kappa_family(cfg).kappa_prime
     if lam > kp + 1e-12:
@@ -462,6 +464,8 @@ def weyl_check(grids, field_factory, e_plus: float, *,
     With weyl_constant=None the run calibrates it as the max observed
     count / L^d ratio (recorded with provenance 'empirical').
     """
+    if len(grids) < 1:
+        raise ValueError("need at least 1 cube side in sides, got none")
     ratios, counts = [], []
     for grid in grids:
         field = field_factory(grid)
@@ -540,6 +544,8 @@ def mollification_convergence(field: MatrixField, eps: float, ells, k: int, *,
     """
     if any(isinstance(l, bool) or not isinstance(l, (int, np.integer)) for l in ells):
         raise ValueError(f"ells must be integers, got {list(ells)!r}")
+    if len(ells) < 1:
+        raise ValueError("need at least 1 entry in ells, got none")
     ells = sorted(int(l) for l in ells)
     grid = field.grid
     _require_no_zero_mode(grid)
@@ -720,6 +726,8 @@ def neumann_gradient_decay_trend(d: int, sides, n_per_side: int, delta: float) -
     """Negative-control trend: on growing Neumann cubes the smallest positive
     eigenvalue sinks toward zero and the observed gradient-mass ratio of its
     eigenfunction decreases with the side length."""
+    if len(sides) < 2:
+        raise ValueError(f"need at least 2 cube sides in sides for a trend, got {list(sides)!r}")
     ratios, energies = [], []
     for L in sides:
         grid = make_grid(d, L, n_per_side, "neumann")

@@ -436,6 +436,21 @@ class TestMain:
           "grid": {"d": 1, "L": 1, "n_per_side": 64, "bc": "neumann"},
           "field": {"kind": "checkerboard"}},
          "mollification: the lowest eigenvalue of a Neumann grid is 0 (the constant mode)"),
+        # too few entries: each check names the key and its minimum
+        ({"experiment": "neumann_trend", "check": {"sides": []}},
+         "neumann_trend: need at least 2 cube sides in sides for a trend, got []"),
+        ({"experiment": "neumann_trend", "check": {"sides": [2]}},
+         "neumann_trend: need at least 2 cube sides in sides for a trend, got [2]"),
+        ({"experiment": "mollification", "grid": {"d": 1, "L": 1, "n_per_side": 64},
+          "field": {"kind": "checkerboard"}, "check": {"ells": []}},
+         "mollification: need at least 1 entry in ells, got none"),
+        ({"experiment": "weyl", "grid": {"d": 1, "L": 1, "n_per_side": 16},
+          "check": {"sides": []}},
+         "weyl: need at least 1 cube side in sides, got none"),
+        ({"experiment": "projector_ucp", "grid": {"d": 1, "L": 4, "n_per_side": 16},
+          "sequence": {"G": 1.0, "delta": 0.45}, "check": {"lam": 0.01, "n_samples": 0},
+          "constants": {"e_min": 0.001, "e_max": 0.05}},
+         "projector_ucp: need n_samples >= 1 for the Monte Carlo cross-check, got 0"),
     ], ids=["wegner-one-sample", "low-energy-above-kappa", "wegner-unknown-key",
             "lifting-unknown-key", "check-not-a-mapping", "unknown-top-level-block",
             "grid-unknown-key", "field-unknown-key", "field-key-of-another-recipe",
@@ -449,7 +464,9 @@ class TestMain:
             "bool-constant", "fractional-constants-d", "bool-text", "number-text",
             "number-label", "fractional-lifting-indices", "bool-lifting-indices",
             "fractional-mollification-ells", "bool-mollification-ells",
-            "neumann-scaling-zero-mode", "neumann-mollification-zero-mode"])
+            "neumann-scaling-zero-mode", "neumann-mollification-zero-mode",
+            "neumann-trend-no-sides", "neumann-trend-one-side", "mollification-no-ells",
+            "weyl-no-sides", "projector-ucp-no-samples"])
     def test_rejected_check_input_is_a_config_error(self, tmp_path, capsys, config, message):
         cfg_file = tmp_path / "cfg.yaml"
         cfg_file.write_text(yaml.safe_dump(config))

@@ -2,12 +2,13 @@ from itertools import product
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divlab as dl
 from divlab.fields import EllipticityError
-from divlab.operators import perturbation_operator
+from divlab.operators import _triplets, perturbation_operator
 
 
 def _form(op, u):
@@ -41,6 +42,10 @@ class TestAssembly:
         assert np.allclose(np.diag(H, 1), -1.0, atol=1e-14)
         assert np.allclose(np.diag(H, -1), -1.0, atol=1e-14)
         assert np.all(H[np.abs(np.subtract.outer(range(7), range(7))) > 1] == 0)
+        op = dl.assemble(g, dl.sampled_field(g, lambda p: 1.0 + p[:, 0] ** 2))
+        diag, off = op.tridiagonal
+        assert np.array_equal(diag, op.matrix.diagonal())
+        assert np.array_equal(off, op.matrix.diagonal(1))
 
     def test_2d_five_point_interior_row(self):
         g = dl.make_grid(2, 1, 6)
@@ -140,6 +145,61 @@ class TestAssembly:
             perturbation_operator(g, dl.as_scalar_field(-1.0))
 
 
+def _reference_matrix(grid, cells):
+    """The stencil operator through scipy: sum the terms, symmetrize, restrict, divide."""
+    rows, cols, vals = _triplets(grid, cells)
+    size = (grid.cells_per_side + 1) ** grid.d
+    mat = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
+    mat = 0.5 * (mat + mat.T)
+    if grid.bc == "dirichlet":
+        keep = grid.restrict(np.arange(size).reshape(grid.full_shape)).astype(int)
+        mat = mat[keep][:, keep]
+    return (mat / grid.h**grid.d).tocsr()
+
+
+def _diagonal_fields(grid):
+    yield dl.identity_field(grid)
+    yield dl.sampled_field(grid, lambda p: 1.0 + 0.5 * np.sin(np.pi * p[:, 0]))
+    yield dl.checkerboard_field(grid, 1.0, 3.0)
+
+
+class TestAssemblyOracle:
+    """`assemble` against the scipy recipe (`_reference_matrix`).  h^d is a power of
+    two only for h = 1/32, so 1/48 and 1/6 tell scaling by 1 / h^d from dividing."""
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("d, n", [(1, 32), (1, 48), (1, 6), (2, 32), (2, 48), (2, 6),
+                                      (3, 32), (3, 48), (3, 6)])
+    def test_diagonal_fields_bit_for_bit(self, d, n, bc):
+        g = dl.make_grid(d, 1 if d == 3 else 2, n, bc)
+        for f in _diagonal_fields(g):
+            got, want = dl.assemble(g, f).matrix, _reference_matrix(g, f.cells)
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data, want.data)
+        # w Id's operator keeps the stencil's pattern, with zeros off the support of w
+        # where scipy's sum drops them
+        w = dl.as_scalar_field(lambda p: np.maximum(0.0, 0.25 - np.sum(p * p, axis=1)))
+        cells = w.on_cells(g).reshape(g.cells_shape)[..., None, None] * np.eye(d)
+        got, want = perturbation_operator(g, w), _reference_matrix(g, cells)
+        assert abs(got - want).max() == 0.0
+        assert np.count_nonzero(got.data) == want.nnz
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("d, n", [(2, 32), (2, 48), (2, 6), (3, 6)])
+    def test_offdiagonal_fields_on_the_same_pattern(self, d, n, bc):
+        # rows of the mixed stencil hold many terms; scipy may sum them in another order
+        g = dl.make_grid(d, 2 if d == 2 else 1, n, bc)
+        off = np.ones((d, d)) - np.eye(d)
+        fields = [dl.constant_field(g, np.eye(d) + 0.3 * off),
+                  _random_spd_field(g, np.random.default_rng(n + d))]
+        for f in fields:
+            got, want = dl.assemble(g, f).matrix, _reference_matrix(g, f.cells)
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.abs(got.data - want.data).max() <= 1e-14 * np.abs(want.data).max()
+
+
 class TestRescale:
     def test_identity_scale(self):
         g = dl.make_grid(1, 2, 16)
@@ -189,10 +249,9 @@ class TestRescale:
             dl.rescale(f, 3.0, 16)  # G does not divide L
 
 
-def _alloy_case(d, bc, base, bump, law):
+def _alloy_case(d, bc, base, bump, law, n=None):
     """A small alloy model: L = 2, unit sites with delta = 0.2 and delta_plus = 0.45."""
-    n = {1: 16, 2: 6, 3: 3}[d]
-    g = dl.make_grid(d, 2, n, bc)
+    g = dl.make_grid(d, 2, n or {1: 16, 2: 6, 3: 3}[d], bc)
     if base == "identity":
         field = dl.identity_field(g)
     elif base == "sine":
@@ -272,16 +331,26 @@ class TestAlloyOperators:
         assert np.array_equal(ops.at(np.zeros(n_sites)).matrix.data, ops.base.matrix.data)
 
     def test_site_columns_are_the_site_operators(self):
-        model = _alloy_case(2, "neumann", "sine", "plateau", "uniform")
-        g = model.base.grid
-        ops = dl.alloy_operators(g, model)
-        bumps = _site_bump_table(model)
-        for s in range(bumps.shape[1]):
-            h_s = perturbation_operator(g, lambda p, s=s: _cell_lookup(g, p, bumps[:, s]))
-            on_pattern = ops.base.matrix.copy()
-            on_pattern.data = ops.sites[:, [s]].toarray().ravel()
-            assert abs(on_pattern - h_s).max() <= 1e-14 * abs(h_s).max()
-            assert abs(on_pattern - on_pattern.T).max() == 0.0  # exactly symmetric
+        # at h = 1/6 and 1/48, h^d is not a power of two: a site path that scaled by h^d
+        # another way than `perturbation_operator` would differ in the last bit
+        for d, bc, base, n in ((2, "neumann", "sine", None), (1, "dirichlet", "identity", 48),
+                               (3, "dirichlet", "offdiagonal", 6)):
+            model = _alloy_case(d, bc, base, "plateau", "uniform", n)
+            g = model.base.grid
+            ops = dl.alloy_operators(g, model)
+            bumps = _site_bump_table(model)
+            for s in range(bumps.shape[1]):
+                h_s = perturbation_operator(g, lambda p, s=s: _cell_lookup(g, p, bumps[:, s]))
+                on_pattern = ops.base.matrix.copy()
+                on_pattern.data = ops.sites[:, [s]].toarray().ravel()
+                assert abs(on_pattern - h_s).max() == 0.0
+                assert abs(on_pattern - on_pattern.T).max() == 0.0  # exactly symmetric
+
+    def test_bands_need_a_tridiagonal_base(self):
+        model = _alloy_case(2, "dirichlet", "identity", "plateau", "uniform")
+        ops = dl.alloy_operators(model.base.grid, model)
+        with pytest.raises(ValueError, match="three central diagonals"):
+            ops.bands(np.ones((len(model.seq.centers), 2)))
 
     def test_grid_mismatch_rejected(self):
         model = _alloy_case(1, "dirichlet", "identity", "plateau", "uniform")
