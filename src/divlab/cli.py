@@ -253,14 +253,13 @@ def _run_reverse_caccioppoli(cfg: dict, index: int = 0, x0: list | None = None,
 def _spectrum_upto(grid, field, top: float):
     """Every eigenpair <= top and the next one; the inertia count sizes and certifies the solve.
 
-    The count is the slab one at every d (scalar Sturm pivots for d = 1).  The
-    sparse count would raise peak RSS.  The bench's `workload.probe()` frees
-    about 16 MB of numpy temporaries before divlab runs, which raises glibc's
-    dynamic mmap threshold; the SuperLU storage of a sparse count, and the `lu.L` / `lu.U`
-    copies that reading `lu.U` builds (8 MB at dim 16129), then stay in the
-    heap.  After a sparse count RSS stood at 113.7 MB against 90.9 MB after
-    the slab count, and the peak RSS of the ucp_2d bench workload (d = 2,
-    dim 16129) rose from 137-141 to 152-153 MB.
+    The count is `slab_count_eigenvalues` at every d: for d >= 2 the eigenvalues
+    <= top + tol (1e-12 relative) by a backward stable LDL^T per slab, for d = 1
+    scalar Sturm pivots.  The sparse count would raise peak RSS: the bench's
+    `workload.probe()` frees about 16 MB of numpy temporaries before divlab
+    runs, which raises glibc's dynamic mmap threshold, so the SuperLU storage of
+    a sparse count stays in the heap; the peak RSS of the ucp_2d bench workload
+    (d = 2, dim 16129) rose from 137-141 to 152-153 MB.
     """
     op = assemble(grid, field)
     below = slab_count_eigenvalues(op, top)
@@ -291,6 +290,8 @@ def _run_projector_ucp(cfg: dict, lam: float | None = None,
     grid, field, seq, consts = _build_balls(cfg)
     consts = replace(consts, delta=seq.delta, d=grid.d)
     lam = bounds.kappa_family(consts).kappa_prime if lam is None else lam
+    if n_samples < 1:  # before the solve
+        raise ValueError(f"need n_samples >= 1 for the Monte Carlo cross-check, got {n_samples}")
     spec = _spectrum_upto(grid, field, lam)
     return verify.projector_ucp_check(grid, field, spec, seq, lam, n_samples=n_samples,
                                       seed=_run_seed(cfg), cfg=consts)
@@ -618,6 +619,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except (EigensolveError, np.linalg.LinAlgError) as exc:
+        print(f"solver breakdown: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -291,37 +291,47 @@ def slab_count_eigenvalues(op: DiscreteOperator, energy):
     """`count_eigenvalues` by the slab Schur recursion alone, at any d.
 
     Lexicographic node order makes H - E block tridiagonal over slabs of axis-0
-    layers, so its inertia is the sum of the inertias of the Schur complements
-    S_i = D_i - C_i S_{i-1}^{-1} C_i^T (Haynsworth).  Slabs hold whole layers and
-    at least _MIN_SLAB unknowns; all energies go through one batched pass.  When
-    a layer is one node (d = 1), H is tridiagonal and every slab is one node:
-    the recursion is then scalar Sturm pivots (`tridiagonal_counts`, one
-    column).  Schur eigenvalues or pivots within _ZERO_RTOL of zero
-    (relative to max |H - E|) count as <= E; the recursion goes on with -tol
-    in their place.
+    layers (at least _MIN_SLAB unknowns each), so its inertia is the sum of the
+    inertias of the Schur complements S_i = D_i - C_i S_{i-1}^{-1} C_i^T
+    (Haynsworth).  For d = 1 the slabs are single nodes: scalar Sturm pivots
+    (`tridiagonal_counts`, one column).  For d >= 2 the count is the number of
+    eigenvalues <= E + tol (tol: `_zero_tol`): each S_i of H - (E + tol) is
+    factored once by LAPACK's Bunch-Kaufman L D L^T (`dsytrf`) and counted by
+    the signs of D's blocks (Sylvester), and the last-layer block of its inverse
+    (`dsytri`) forms the next C S_i^{-1} C^T.  As that is backward stable, only
+    an eigenvalue within about eps (||H - E|| + max_i ||C_i S_{i-1}^{-1} C_i^T||)
+    of E + tol may land on either side.  The second term, the element growth, is
+    a worst case: unbounded as E + tol nears an eigenvalue of a leading block of
+    slabs (up to 9e10 ||H - E|| with E at the test operators' eigenvalues), yet
+    every such count was exact.  An exactly zero pivot raises EigensolveError.
     """
     energies = np.atleast_1d(np.asarray(energy, dtype=float))
     if op.dim == op.grid.unknown_shape[0]:
         diag, off = op.tridiagonal
         counts = tridiagonal_counts(diag[:, None], off[:, None], energies)[0]
         return _as_requested(energy, counts)
-    tol = _zero_tol(op, energies)[:, None]
     diag, coup, layer = _slab_blocks(op)
     n_slabs, size = diag.shape[:2]
-    last = op.dim - (n_slabs - 1) * size
     counts = np.zeros(energies.size, dtype=int)
-    inv_tail = None  # last-layer block of S_{i-1}^{-1}, per energy
-    for i in range(n_slabs):
-        b = size if i + 1 < n_slabs else last
-        s = np.repeat(diag[i, None, :b, :b], energies.size, axis=0)
-        s[:, np.arange(b), np.arange(b)] -= energies[:, None]
-        if i:
-            s[:, :layer, :layer] -= coup[i] @ inv_tail @ coup[i].T
-        lam, vec = np.linalg.eigh(s)
-        near = np.abs(lam) <= tol
-        counts += np.count_nonzero((lam < 0) | near, axis=1)
-        tail = vec[:, -layer:, :]
-        inv_tail = (tail / np.where(near, -tol, lam)[:, None, :]) @ tail.transpose(0, 2, 1)
+    lapack, blas = scipy.linalg.lapack, scipy.linalg.blas
+    for j, shift in enumerate(energies + _zero_tol(op, energies)):
+        for i in range(n_slabs):
+            b = size if i + 1 < n_slabs else op.dim - i * size
+            s = diag[i, :b, :b].copy()
+            s.flat[::b + 1] -= shift
+            if i:  # tail: the lower triangle of S_{i-1}^{-1}'s last-layer block; scipy's
+                # BLAS alone, as alternating with numpy's own OpenBLAS threads is slow
+                s[:layer, :layer] -= blas.dgemm(1.0, coup[i],
+                                                blas.dsymm(1.0, tail, coup[i].T, lower=1))
+            ldu, piv, info = lapack.dsytrf(s, lower=1, lwork=32 * b, overwrite_a=1)  # blocked
+            # a 1x1 block of D counts by its sign; a 2x2 block [[a, b], [b, c]] (a pair of
+            # negative piv entries) has ac < b^2 by Bunch-Kaufman's choice: one negative
+            d, first = ldu.diagonal(), np.flatnonzero(piv < 0)[::2]
+            if info > 0 or np.any(d[first] * d[first + 1] >= ldu[first + 1, first] ** 2):
+                raise EigensolveError(f"slab count at E = {energies[j]:.6g}: exactly zero "
+                                      f"or unsplit pivot block in slab {i}")
+            counts[j] += np.count_nonzero(d[piv > 0] < 0) + first.size
+            tail = lapack.dsytri(ldu, piv, lower=1, overwrite_a=1)[0][-layer:, -layer:]
     return _as_requested(energy, counts)
 
 
@@ -368,11 +378,13 @@ def count_eigenvalues(op: DiscreteOperator, energy):
     solve.  An eigenvalue closer to E than that backward error (about
     _BACKWARD_ERR_EPS eps ||H - E||) may be counted on either side of it.  An
     energy that fails a certificate, and every energy for d = 1, is counted by
-    `slab_count_eigenvalues`; for d = 1 that is the scalar Sturm recursion on
-    the tridiagonal H (Kahan: its negative-pivot count is backward stable).
+    `slab_count_eigenvalues`: for d >= 2 the eigenvalues <= E + tol by a Bunch-
+    Kaufman LDL^T per slab (its docstring states the ambiguity radius), for
+    d = 1 the scalar Sturm recursion (Kahan: backward stable).
 
     The count stays independent of the eigenvalues it certifies.  It factors
-    H - E at the count energies in a minimum-degree order with diagonal pivots;
+    H - E at the count energies in a minimum-degree order with diagonal
+    pivots, or H - E - tol slab by slab with Bunch-Kaufman pivots;
     `eigensolve` and `window_eigenvalues` factor H - sigma inside ARPACK, at
     their fixed shift or at the window midpoint, in scipy's default COLAMD
     order with partial pivoting.  An ordering only permutes the rows and

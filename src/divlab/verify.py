@@ -275,11 +275,9 @@ def projector_ucp_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
     """Mass on the ball union of every state in the span below lam stays >= kappa_prime.
 
     The exact minimum comes from the smallest eigenvalue of the span-compressed
-    mask quadratic form (independent of the sampling); seeded random span
-    elements provide the Monte Carlo cross-check.
+    mask quadratic form (independent of the sampling); n_samples >= 1 seeded
+    random span elements provide the Monte Carlo cross-check.
     """
-    if n_samples < 1:
-        raise ValueError(f"need n_samples >= 1 for the Monte Carlo cross-check, got {n_samples}")
     cfg = replace(cfg, delta=seq.delta, d=grid.d)
     kp = bounds.kappa_family(cfg).kappa_prime
     if lam > kp + 1e-12:

@@ -15,6 +15,10 @@ import divlab as dl
 from divlab import cli, io, verify
 
 
+def _no_solve(*args, **kwargs):
+    raise AssertionError("the run reached an eigensolve")
+
+
 def _read_reports(outdir):
     manifest = json.loads((outdir / "manifest.json").read_text())
     return {m["name"]: json.loads((outdir / m["file"]).read_text()) for m in manifest}
@@ -467,7 +471,10 @@ class TestMain:
             "neumann-scaling-zero-mode", "neumann-mollification-zero-mode",
             "neumann-trend-no-sides", "neumann-trend-one-side", "mollification-no-ells",
             "weyl-no-sides", "projector-ucp-no-samples"])
-    def test_rejected_check_input_is_a_config_error(self, tmp_path, capsys, config, message):
+    def test_rejected_check_input_is_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                                   config, message):
+        if config["experiment"] == "projector_ucp":  # rejected before the threshold solve
+            monkeypatch.setattr(cli, "_spectrum_upto", _no_solve)
         cfg_file = tmp_path / "cfg.yaml"
         cfg_file.write_text(yaml.safe_dump(config))
         assert cli.main(["run", str(cfg_file), "--out", str(tmp_path / "o")]) == 2
@@ -527,6 +534,36 @@ class TestSpectrumUpto:
         monkeypatch.setattr(cli, "eigensolve", drop_first)
         with pytest.raises(dl.EigensolveError, match="inertia counts"):
             cli._spectrum_upto(grid, field, 30.0)
+
+    # Bunch-Kaufman never leaves an exactly zero 1x1 pivot or a 2x2 block with
+    # ac >= b^2 at a regular slab; both are forced here
+    @pytest.mark.parametrize("breakdown", ["zero-pivot", "unsplit-block"])
+    def test_slab_pivot_breakdown_is_a_solver_breakdown(self, tmp_path, capsys, monkeypatch,
+                                                        breakdown):
+        dsytrf = scipy.linalg.lapack.dsytrf
+
+        def broken(a, **kw):
+            ldu, piv, info = dsytrf(a, **kw)
+            if breakdown == "zero-pivot":
+                return ldu, piv, 1
+            piv[:2] = -2  # rows 0 and 1 as a 2x2 block [[1, 0], [0, 1]]
+            ldu[0, 0], ldu[1, 1], ldu[1, 0] = 1.0, 1.0, 0.0
+            return ldu, piv, info
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dsytrf", broken)
+        monkeypatch.setattr(cli, "eigensolve", _no_solve)  # the count fails first
+        config = {"experiment": "ucp_gradient", "grid": {"d": 2, "L": 2, "n_per_side": 6},
+                  "sequence": {"G": 1.0, "delta": 0.3}, "check": {"variant": "lipschitz"},
+                  "constants": {"e_min": 1.0, "e_max": 12.0}}
+        with pytest.raises(dl.EigensolveError, match="slab count at E = 12: exactly zero "
+                                                     "or unsplit pivot block in slab 0"):
+            cli.execute(config)
+        cfg_file = tmp_path / "cfg.yaml"
+        cfg_file.write_text(yaml.safe_dump(config))
+        assert cli.main(["run", str(cfg_file), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver breakdown: slab count at E = 12:")
+        assert "Traceback" not in err
 
     def test_top_above_the_spectrum_returns_every_pair(self):
         grid, field = self._sine(1, 2, 24)

@@ -117,6 +117,25 @@ def _superlu(op, energy):
                                     options={"SymmetricMode": True})
 
 
+_CLOSED_FORM_ENERGIES = np.array([30.0, 100.0])
+
+
+def _closed_form_operator(d, L, n, bc, expected, gap):
+    """The identity-field operator, after checking its closed-form counts at
+    _CLOSED_FORM_ENERGIES and that every eigenvalue lies far outside the count
+    paths' backward-error radius of each energy."""
+    g = dl.make_grid(d, L, n, bc=bc)
+    op = dl.assemble(g, dl.identity_field(g))
+    exact = _laplacian_energies(d, L, n, bc)
+    assert exact.size == op.dim
+    assert [int(np.count_nonzero(exact <= e)) for e in _CLOSED_FORM_ENERGIES] == expected
+    dist = np.abs(exact[:, None] - _CLOSED_FORM_ENERGIES).min()
+    assert dist == pytest.approx(gap, rel=0.05)
+    radius = spectral._BACKWARD_ERR_EPS * np.finfo(float).eps * abs(op.matrix).sum(1).max()
+    assert dist > 1e4 * radius
+    return op
+
+
 def _first_pivot(op):
     """The node the order of `_ldl_count` eliminates first; the order reads only
     the pattern of H, so it is the same at every energy."""
@@ -280,23 +299,47 @@ class TestCountEigenvalues:
     ])
     def test_sparse_count_matches_closed_form_in_3d(self, monkeypatch, L, n, bc, expected,
                                                     gap):
-        g = dl.make_grid(3, L, n, bc=bc)
-        op = dl.assemble(g, dl.identity_field(g))
-        exact = _laplacian_energies(3, L, n, bc)
-        energies = np.array([30.0, 100.0])
-        assert exact.size == op.dim
-        assert [int(np.count_nonzero(exact <= e)) for e in energies] == expected
-        # premise: every eigenvalue lies far outside the backward-error radius of E
-        dist = np.abs(exact[:, None] - energies).min()
-        assert dist == pytest.approx(gap, rel=0.05)
-        radius = spectral._BACKWARD_ERR_EPS * np.finfo(float).eps * abs(op.matrix).sum(1).max()
-        assert dist > 1e4 * radius
+        op = _closed_form_operator(3, L, n, bc, expected, gap)
 
         def no_fallback(op, energy):
             raise AssertionError(f"energies {energy} fell back to the slab count")
 
         monkeypatch.setattr(spectral, "slab_count_eigenvalues", no_fallback)
-        assert dl.count_eigenvalues(op, energies).tolist() == expected
+        assert dl.count_eigenvalues(op, _CLOSED_FORM_ENERGIES).tolist() == expected
+
+    # (d, L, n, bc, counts at E = 30 and 100, smallest distance from E to the spectrum)
+    @pytest.mark.parametrize("d, L, n, bc, expected, gap", [
+        (3, 2, 8, "dirichlet", [11, 105], 0.031),   # dim 3375
+        (3, 2, 8, "neumann", [51, 247], 0.0048),    # dim 4913
+        (2, 8, 16, "dirichlet", [139, 496], 0.084),  # dim 16129, the ucp_2d grid
+    ])
+    def test_slab_count_matches_closed_form(self, d, L, n, bc, expected, gap):
+        op = _closed_form_operator(d, L, n, bc, expected, gap)
+        counts = spectral.slab_count_eigenvalues(op, _CLOSED_FORM_ENERGIES)
+        assert counts.tolist() == expected
+
+    @pytest.mark.parametrize("d, L, n, bc, kind",
+                             [m for m in COUNT_MATRICES if m[0] >= 2]
+                             + [(2, 2, 12, "dirichlet", "alloy")])  # dim 529
+    def test_slab_count_is_eigenvalues_up_to_e_plus_tol(self, monkeypatch, d, L, n, bc, kind):
+        # E at every eigenvalue and 0.1 tol below each, so E + tol lies tol or 0.9 tol
+        # above it; at some of these energies the recursion's element growth reaches
+        # 9e10 ||H - E|| (E + tol near an eigenvalue of a leading block of slabs)
+        op = _count_matrix(d, L, n, bc, kind)[0]
+        exact = np.linalg.eigvalsh(op.dense())
+        dsytrf, blocks = scipy.linalg.lapack.dsytrf, []
+
+        def recording(a, **kw):
+            ldu, piv, info = dsytrf(a, **kw)
+            blocks.append(np.count_nonzero(piv < 0) // 2)
+            return ldu, piv, info
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dsytrf", recording)
+        for energies in (exact, exact - 0.1 * spectral._zero_tol(op, exact)):
+            top = energies + spectral._zero_tol(op, energies)
+            want = np.count_nonzero(exact[None, :] <= top[:, None], axis=1)
+            assert spectral.slab_count_eigenvalues(op, energies).tolist() == want.tolist()
+        assert sum(blocks) > 0  # premise: the counts went through 2x2 pivot blocks
 
     def test_count_order_is_minimum_degree_with_diagonal_pivots(self, monkeypatch):
         calls, splu = [], spectral.spla.splu
