@@ -31,7 +31,7 @@ from .fields import (CouplingDistribution, alloy_model, ball_plateau_field,
 from .lattice import (ScalarField, as_scalar_field,
                       equidistributed_sequence, make_grid)
 from .operators import assemble
-from .spectral import EigensolveError, eigensolve, lifting_curve, slab_count_eigenvalues
+from .spectral import EigensolveError, count_eigenvalues, eigensolve, lifting_curve
 
 
 class ConfigError(ValueError):
@@ -253,16 +253,13 @@ def _run_reverse_caccioppoli(cfg: dict, index: int = 0, x0: list | None = None,
 def _spectrum_upto(grid, field, top: float):
     """Every eigenpair <= top and the next one; the inertia count sizes and certifies the solve.
 
-    The count is `slab_count_eigenvalues` at every d: for d >= 2 the eigenvalues
-    <= top + tol (1e-12 relative) by a backward stable LDL^T per slab, for d = 1
-    scalar Sturm pivots.  The sparse count would raise peak RSS: the bench's
-    `workload.probe()` frees about 16 MB of numpy temporaries before divlab
-    runs, which raises glibc's dynamic mmap threshold, so the SuperLU storage of
-    a sparse count stays in the heap; the peak RSS of the ucp_2d bench workload
-    (d = 2, dim 16129) rose from 137-141 to 152-153 MB.
+    `count_eigenvalues` counts the eigenvalues <= top + tol (1e-12 relative).  An
+    eigenvalue in (top, top + tol], or within the count's ambiguity radius of its
+    edge, can make the solved number differ from the count, which raises
+    EigensolveError.
     """
     op = assemble(grid, field)
-    below = slab_count_eigenvalues(op, top)
+    below = count_eigenvalues(op, top)
     spec = eigensolve(op, k=min(below + 1, op.dim))
     found = int(np.count_nonzero(spec.energies <= top))
     if found != below:
@@ -273,6 +270,7 @@ def _spectrum_upto(grid, field, top: float):
 @_experiment("ucp_function", clamp_delta=_bool)
 def _run_ucp_function(cfg: dict, **keys) -> verify.CheckReport:
     grid, field, seq, consts = _build_balls(cfg)
+    verify._ucp_function_hypotheses(grid, field)  # before the solve
     spec = _spectrum_upto(grid, field, consts.e_max)
     return verify.ucp_function_check(grid, field, spec, seq, consts, **keys)
 
@@ -280,6 +278,7 @@ def _run_ucp_function(cfg: dict, **keys) -> verify.CheckReport:
 @_experiment("ucp_gradient", variant=_text, negative_control=_bool)
 def _run_ucp_gradient(cfg: dict, **keys) -> verify.CheckReport:
     grid, field, seq, consts = _build_balls(cfg)
+    verify._ucp_gradient_bound(grid, field, seq, consts, **keys)  # before the solve
     spec = _spectrum_upto(grid, field, consts.e_max)
     return verify.ucp_gradient_check(grid, field, spec, seq, consts, **keys)
 
@@ -292,6 +291,7 @@ def _run_projector_ucp(cfg: dict, lam: float | None = None,
     lam = bounds.kappa_family(consts).kappa_prime if lam is None else lam
     if n_samples < 1:  # before the solve
         raise ValueError(f"need n_samples >= 1 for the Monte Carlo cross-check, got {n_samples}")
+    verify._projector_kappa_prime(grid, seq, lam, consts)  # before the solve
     spec = _spectrum_upto(grid, field, lam)
     return verify.projector_ucp_check(grid, field, spec, seq, lam, n_samples=n_samples,
                                       seed=_run_seed(cfg), cfg=consts)

@@ -15,14 +15,6 @@ _DENSE_CUTOFF = 1400
 _MIN_SLAB = 16  # unknowns per inertia slab of a d >= 2 grid whose axis-0 layers are small
 _RTOL = 1e-9
 _ZERO_RTOL = 1e-12  # relative size at or below which an inertia pivot counts as zero
-# A sparse LDL^T without pivoting is only as stable as its element growth allows.
-# In the minimum-degree order of `_ldl_count`, the solves of certified
-# factorizations at 2480 Wegner edge energies of alloy samples (d = 2 and 3, dims
-# 961 to 16129) left normwise backward errors of at most 2.0e4 eps.  A first pivot
-# of relative size 1e-9, which clears the near-zero tolerance, left 1.5e7 eps.
-# 1e5 eps sits five times above the first and 150 times below the second.
-_BACKWARD_ERR_EPS = 1e5
-_RHS_SEED = 20210 + 9  # fixed right-hand side of the backward error check
 _GAP_RTOL = 1e-8  # relative eigenvalue gap below which a lifting sample is degenerate
 _V0_SEED = 20210 + 4  # fixed Lanczos start vector seed: deterministic, symmetry-free
 
@@ -255,6 +247,13 @@ def _slab_blocks(op: DiscreteOperator):
     return diag, coup, layer
 
 
+def _coupling_diagonals(coup: np.ndarray) -> np.ndarray | None:
+    """The diagonals of the layer couplings `coup` when every coupling is diagonal
+    (every built-in field's are), else None."""
+    diagonals = np.diagonal(coup, axis1=1, axis2=2)
+    return diagonals if np.count_nonzero(coup) == np.count_nonzero(diagonals) else None
+
+
 def tridiagonal_counts(diag: np.ndarray, off: np.ndarray, energies) -> np.ndarray:
     """Eigenvalues <= E of symmetric tridiagonal matrices, for every (matrix, E) pair.
 
@@ -287,23 +286,42 @@ def _as_requested(energy, counts: np.ndarray):
     return int(counts[0]) if np.ndim(energy) == 0 else counts
 
 
-def slab_count_eigenvalues(op: DiscreteOperator, energy):
-    """`count_eigenvalues` by the slab Schur recursion alone, at any d.
+def count_eigenvalues(op: DiscreteOperator, energy):
+    """Number of eigenvalues <= E + tol via the inertia of H, independent of eigensolve.
+
+    tol is `_zero_tol` (1e-12 relative).  An eigenvalue within the ambiguity
+    radius of a count edge may be counted on either side of it; every other
+    eigenvalue is counted exactly.
 
     Lexicographic node order makes H - E block tridiagonal over slabs of axis-0
     layers (at least _MIN_SLAB unknowns each), so its inertia is the sum of the
     inertias of the Schur complements S_i = D_i - C_i S_{i-1}^{-1} C_i^T
-    (Haynsworth).  For d = 1 the slabs are single nodes: scalar Sturm pivots
-    (`tridiagonal_counts`, one column).  For d >= 2 the count is the number of
-    eigenvalues <= E + tol (tol: `_zero_tol`): each S_i of H - (E + tol) is
-    factored once by LAPACK's Bunch-Kaufman L D L^T (`dsytrf`) and counted by
-    the signs of D's blocks (Sylvester), and the last-layer block of its inverse
-    (`dsytri`) forms the next C S_i^{-1} C^T.  As that is backward stable, only
-    an eigenvalue within about eps (||H - E|| + max_i ||C_i S_{i-1}^{-1} C_i^T||)
-    of E + tol may land on either side.  The second term, the element growth, is
-    a worst case: unbounded as E + tol nears an eigenvalue of a leading block of
-    slabs (up to 9e10 ||H - E|| with E at the test operators' eigenvalues), yet
-    every such count was exact.  An exactly zero pivot raises EigensolveError.
+    (Haynsworth).  For d = 1 the slabs are single nodes: one Sturm sweep at E
+    (`tridiagonal_counts`) counts a pivot within tol of zero as <= E, as a sweep
+    at about E + tol would, and the radius is a small multiple of eps ||H - E||
+    (Kahan: backward stable).  For d >= 2 each S_i of H - (E + tol) is factored
+    once by LAPACK's Bunch-Kaufman L D L^T (`dsytrf`) and counted by the signs
+    of D's blocks (Sylvester), and the last-layer block of its inverse
+    (`dsytri`) forms the next C S_i^{-1} C^T: elementwise, c_j c_k T_jk, when
+    every coupling C_i is diagonal (every built-in field), by BLAS otherwise.
+    As that is backward stable, the radius around E + tol is about
+    eps (||H - E|| + max_i ||C_i S_{i-1}^{-1} C_i^T||).  The second term, the
+    element growth, is unbounded as E + tol nears an eigenvalue of a leading
+    block of slabs.  With E at the random test operators' eigenvalues it reached
+    9e10 ||H - E||, and every count was exact; at a double eigenvalue of a
+    symmetric field, which a leading block shares, it reached 6e12 ||H - E||,
+    and the count took one of the pair.  An exactly zero pivot raises
+    EigensolveError.
+
+    The count stays independent of the eigenvalues it certifies: it factors
+    H - (E + tol) slab by slab, while `eigensolve` and `window_eigenvalues`
+    factor H - sigma inside ARPACK, at their fixed shift or at the window
+    midpoint.  The Wegner edges E +- 3 eps and E +- eps_j are never the
+    midpoint E, so no matrix is factored by both.  The 1D window solve takes
+    its values from `dsterf` (root-free QL/QR, no LDL^T) and factors T - lambda
+    in `dstein` only at those computed eigenvalues, with partial pivoting.
+
+    `energy` may be a scalar (an int count) or a sequence (an int array).
     """
     energies = np.atleast_1d(np.asarray(energy, dtype=float))
     if op.dim == op.grid.unknown_shape[0]:
@@ -312,6 +330,7 @@ def slab_count_eigenvalues(op: DiscreteOperator, energy):
         return _as_requested(energy, counts)
     diag, coup, layer = _slab_blocks(op)
     n_slabs, size = diag.shape[:2]
+    diagonals = _coupling_diagonals(coup)
     counts = np.zeros(energies.size, dtype=int)
     lapack, blas = scipy.linalg.lapack, scipy.linalg.blas
     for j, shift in enumerate(energies + _zero_tol(op, energies)):
@@ -319,8 +338,13 @@ def slab_count_eigenvalues(op: DiscreteOperator, energy):
             b = size if i + 1 < n_slabs else op.dim - i * size
             s = diag[i, :b, :b].copy()
             s.flat[::b + 1] -= shift
-            if i:  # tail: the lower triangle of S_{i-1}^{-1}'s last-layer block; scipy's
-                # BLAS alone, as alternating with numpy's own OpenBLAS threads is slow
+            # tail T: S_{i-1}^{-1}'s last-layer block, current in its lower triangle only
+            if i and diagonals is not None:  # C_i = diag(c): C_i T C_i^T = c_j c_k T_jk; the
+                # stale upper triangle would compound through single-layer slabs
+                c = diagonals[i]
+                s[:layer, :layer] -= np.tril(tail) * np.multiply.outer(c, c)
+            elif i:  # scipy's BLAS alone, as alternating with numpy's own OpenBLAS threads
+                # is slow
                 s[:layer, :layer] -= blas.dgemm(1.0, coup[i],
                                                 blas.dsymm(1.0, tail, coup[i].T, lower=1))
             ldu, piv, info = lapack.dsytrf(s, lower=1, lwork=32 * b, overwrite_a=1)  # blocked
@@ -332,83 +356,6 @@ def slab_count_eigenvalues(op: DiscreteOperator, energy):
                                       f"or unsplit pivot block in slab {i}")
             counts[j] += np.count_nonzero(d[piv > 0] < 0) + first.size
             tail = lapack.dsytri(ldu, piv, lower=1, overwrite_a=1)[0][-layer:, -layer:]
-    return _as_requested(energy, counts)
-
-
-def _ldl_count(mat: sp.csc_matrix, diag: np.ndarray, energy: float, tol: float,
-               rhs: np.ndarray) -> int | None:
-    """Number of negative pivots of a certified sparse LDL^T of H - E, or None.
-
-    `mat` is H in CSC form and is not modified.  SuperLU with diagonal pivots
-    only and a symmetric multiple minimum degree order (MMD on the pattern of
-    H + H^T, Liu 1985) factors P (H - E) P^T = L D L^T with D = diag(U) when it
-    takes no off-diagonal pivot (perm_r == perm_c); by Sylvester's law of
-    inertia the count is then the number of negative pivots.  None when that
-    fails, when a pivot lies within `tol` of zero, or when solving against
-    `rhs` leaves a normwise backward error above _BACKWARD_ERR_EPS eps.  The
-    order reads only the pattern of H, so it is the same at every energy; it
-    leaves about half the L + U fill of COLAMD (3.3M against 6.8M entries at
-    d = 3, dim 12167).
-    """
-    a = mat.copy()
-    a.setdiag(diag - energy)  # every diagonal entry is stored: no structural insert
-    try:
-        lu = spla.splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                       options={"SymmetricMode": True})
-    except RuntimeError:  # an exactly zero pivot
-        return None
-    pivots = lu.U.diagonal()
-    if not np.array_equal(lu.perm_r, lu.perm_c) or np.abs(pivots).min() <= tol:
-        return None
-    x = lu.solve(rhs)
-    norm = _matrix_scale(a)  # ||H - E||_inf of the symmetric matrix
-    eta = np.abs(rhs - a @ x).max() / (norm * np.abs(x).max() + np.abs(rhs).max())
-    if not eta <= _BACKWARD_ERR_EPS * np.finfo(float).eps:
-        return None
-    return int(np.count_nonzero(pivots < 0))
-
-
-def count_eigenvalues(op: DiscreteOperator, energy):
-    """Number of eigenvalues <= energy via the inertia of H - E, independent of eigensolve.
-
-    For d >= 2 each energy is counted by one certified sparse LDL^T of H - E
-    (`_ldl_count`: a multiple minimum degree order and diagonal pivots): no
-    off-diagonal pivot, no pivot within the near-zero tolerance of the slab
-    path, and a backward error within _BACKWARD_ERR_EPS eps on a fixed-seed
-    solve.  An eigenvalue closer to E than that backward error (about
-    _BACKWARD_ERR_EPS eps ||H - E||) may be counted on either side of it.  An
-    energy that fails a certificate, and every energy for d = 1, is counted by
-    `slab_count_eigenvalues`: for d >= 2 the eigenvalues <= E + tol by a Bunch-
-    Kaufman LDL^T per slab (its docstring states the ambiguity radius), for
-    d = 1 the scalar Sturm recursion (Kahan: backward stable).
-
-    The count stays independent of the eigenvalues it certifies.  It factors
-    H - E at the count energies in a minimum-degree order with diagonal
-    pivots, or H - E - tol slab by slab with Bunch-Kaufman pivots;
-    `eigensolve` and `window_eigenvalues` factor H - sigma inside ARPACK, at
-    their fixed shift or at the window midpoint, in scipy's default COLAMD
-    order with partial pivoting.  An ordering only permutes the rows and
-    columns of the matrix it factors and never changes which matrix that is.
-    The Wegner edges E +- 3 eps and E +- eps_j are never the midpoint E, so no
-    matrix is factored by both.  The 1D window solve takes its values from
-    `dsterf` (root-free QL/QR, no LDL^T) and factors T - lambda in `dstein`
-    only at those computed eigenvalues, with partial pivoting.
-
-    `energy` may be a scalar (an int count) or a sequence (an int array).
-    """
-    energies = np.atleast_1d(np.asarray(energy, dtype=float))
-    counts = np.zeros(energies.size, dtype=int)
-    slab = np.ones(energies.size, dtype=bool)
-    if op.grid.d >= 2:
-        mat, diag = op.matrix.tocsc(), op.matrix.diagonal()
-        tol = _zero_tol(op, energies)
-        rhs = np.random.default_rng(_RHS_SEED).standard_normal(op.dim)
-        for j, e in enumerate(energies):
-            c = _ldl_count(mat, diag, e, tol[j], rhs)
-            if c is not None:
-                counts[j], slab[j] = c, False
-    if slab.any():
-        counts[slab] = slab_count_eigenvalues(op, energies[slab])
     return _as_requested(energy, counts)
 
 

@@ -154,6 +154,14 @@ def _require_field_hypotheses(field: MatrixField, need_lip: bool, need_dir: bool
             raise ValueError(f"off-diagonal boundary condition violated at cells {bad[:5]}")
 
 
+def _ucp_function_hypotheses(grid: Grid, field: MatrixField) -> None:
+    """Raises ValueError unless the grid and the field meet the function-level bound's
+    hypotheses; a runner calls it before the spectrum solve as well."""
+    if grid.bc != "dirichlet":
+        raise ValueError("function-level bound is stated for Dirichlet grids")
+    _require_field_hypotheses(field, need_lip=True, need_dir=True)
+
+
 def ucp_function_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
                        seq: EquidistributedSeq, cfg: ConstantsConfig, *,
                        clamp_delta: bool = False) -> CheckReport:
@@ -164,9 +172,7 @@ def ucp_function_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
     admissible-radius gate delta <= delta0/2 is recorded; set clamp_delta to
     substitute min(delta, delta0) into the constant instead.
     """
-    if grid.bc != "dirichlet":
-        raise ValueError("function-level bound is stated for Dirichlet grids")
-    _require_field_hypotheses(field, need_lip=True, need_dir=True)
+    _ucp_function_hypotheses(grid, field)
     cfg = replace(cfg, delta=seq.delta, d=grid.d)
     consts = bounds.c_sfucp_family(cfg, clamp_delta=clamp_delta)
     mask = ball_mask(grid, seq)
@@ -199,17 +205,12 @@ def ucp_function_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
     return rep
 
 
-def ucp_gradient_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
-                       seq: EquidistributedSeq, cfg: ConstantsConfig, *,
-                       variant: str = "lipschitz", negative_control: bool = False) -> CheckReport:
-    """Gradient mass of in-window eigenfunctions on the ball union dominates the
-    applicable constant.
-
-    variants: 'lipschitz' (Lipschitz + boundary-diagonal field, window
-    (e_min, e_max)); 'low_energy' (any elliptic field, window top <= kappa);
-    'neumann' (d >= 3, Neumann grid, window top <= kappa_neumann).
-    A negative control skips the positive-energy gate and is expected to fail.
-    """
+def _ucp_gradient_bound(grid: Grid, field: MatrixField, seq: EquidistributedSeq,
+                        cfg: ConstantsConfig, variant: str = "lipschitz",
+                        negative_control: bool = False):
+    """The config at the sequence's delta and d, the variant's constant and its window
+    top; raises ValueError when the grid, the field or cfg.e_max breaks the variant's
+    hypotheses.  A runner calls it before the spectrum solve as well."""
     cfg = replace(cfg, delta=seq.delta, d=grid.d)
     low = bounds.kappa_family(cfg)
     if variant == "lipschitz":
@@ -239,7 +240,22 @@ def ucp_gradient_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
             raise ValueError(f"window top {cfg.e_max} exceeds kappa_neumann = {window_top}")
     else:
         raise ValueError(f"unknown variant {variant!r}")
+    return cfg, rhs, window_top
 
+
+def ucp_gradient_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
+                       seq: EquidistributedSeq, cfg: ConstantsConfig, *,
+                       variant: str = "lipschitz", negative_control: bool = False) -> CheckReport:
+    """Gradient mass of in-window eigenfunctions on the ball union dominates the
+    applicable constant.
+
+    variants: 'lipschitz' (Lipschitz + boundary-diagonal field, window
+    (e_min, e_max)); 'low_energy' (any elliptic field, window top <= kappa);
+    'neumann' (d >= 3, Neumann grid, window top <= kappa_neumann).
+    A negative control skips the positive-energy gate and is expected to fail.
+    """
+    cfg, rhs, window_top = _ucp_gradient_bound(grid, field, seq, cfg, variant,
+                                               negative_control)
     lo = -math.inf if negative_control else cfg.e_min
     idx = [i for i in range(spectrum.k)
            if lo < spectrum.energies[i] < min(cfg.e_max, window_top) + 1e-15]
@@ -269,6 +285,17 @@ def ucp_gradient_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
     return rep
 
 
+def _projector_kappa_prime(grid: Grid, seq: EquidistributedSeq, lam: float,
+                           cfg: ConstantsConfig):
+    """The config at the sequence's delta and d and its kappa_prime; raises ValueError
+    when lam exceeds kappa_prime.  A runner calls it before the spectrum solve as well."""
+    cfg = replace(cfg, delta=seq.delta, d=grid.d)
+    kp = bounds.kappa_family(cfg).kappa_prime
+    if lam > kp + 1e-12:
+        raise ValueError(f"lam = {lam} exceeds kappa_prime = {kp}")
+    return cfg, kp
+
+
 def projector_ucp_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
                         seq: EquidistributedSeq, lam: float, n_samples: int,
                         seed, cfg: ConstantsConfig) -> CheckReport:
@@ -278,10 +305,7 @@ def projector_ucp_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
     mask quadratic form (independent of the sampling); n_samples >= 1 seeded
     random span elements provide the Monte Carlo cross-check.
     """
-    cfg = replace(cfg, delta=seq.delta, d=grid.d)
-    kp = bounds.kappa_family(cfg).kappa_prime
-    if lam > kp + 1e-12:
-        raise ValueError(f"lam = {lam} exceeds kappa_prime = {kp}")
+    cfg, kp = _projector_kappa_prime(grid, seq, lam, cfg)
     rep = CheckReport(
         name="projector_ucp",
         statement="min over span(E < lam) of |psi|^2_{S} >= kappa_prime",

@@ -455,6 +455,15 @@ class TestMain:
           "sequence": {"G": 1.0, "delta": 0.45}, "check": {"lam": 0.01, "n_samples": 0},
           "constants": {"e_min": 0.001, "e_max": 0.05}},
          "projector_ucp: need n_samples >= 1 for the Monte Carlo cross-check, got 0"),
+        ({"experiment": "projector_ucp", "grid": {"d": 1, "L": 4, "n_per_side": 16},
+          "sequence": {"G": 1.0, "delta": 0.45}, "check": {"lam": 10.0},
+          "constants": {"e_min": 0.001, "e_max": 0.05}},
+         "projector_ucp: lam = 10.0 exceeds kappa_prime = "),
+        ({"experiment": "ucp_function",
+          "grid": {"d": 1, "L": 2, "n_per_side": 16, "bc": "neumann"},
+          "field": {"kind": "sine"}, "sequence": {"G": 1.0, "delta": 0.3},
+          "constants": {"e_min": 1.0, "e_max": 30.0}},
+         "ucp_function: function-level bound is stated for Dirichlet grids"),
     ], ids=["wegner-one-sample", "low-energy-above-kappa", "wegner-unknown-key",
             "lifting-unknown-key", "check-not-a-mapping", "unknown-top-level-block",
             "grid-unknown-key", "field-unknown-key", "field-key-of-another-recipe",
@@ -470,10 +479,12 @@ class TestMain:
             "fractional-mollification-ells", "bool-mollification-ells",
             "neumann-scaling-zero-mode", "neumann-mollification-zero-mode",
             "neumann-trend-no-sides", "neumann-trend-one-side", "mollification-no-ells",
-            "weyl-no-sides", "projector-ucp-no-samples"])
+            "weyl-no-sides", "projector-ucp-no-samples", "projector-ucp-lam-above-kappa-prime",
+            "ucp-function-neumann-grid"])
     def test_rejected_check_input_is_a_config_error(self, tmp_path, capsys, monkeypatch,
                                                    config, message):
-        if config["experiment"] == "projector_ucp":  # rejected before the threshold solve
+        # a ball-union check rejects its input before the threshold solve
+        if config["experiment"] in ("ucp_function", "ucp_gradient", "projector_ucp"):
             monkeypatch.setattr(cli, "_spectrum_upto", _no_solve)
         cfg_file = tmp_path / "cfg.yaml"
         cfg_file.write_text(yaml.safe_dump(config))

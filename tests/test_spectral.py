@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -102,28 +101,14 @@ def _count_matrix(d, L, n, bc, kind):
     return op, energies, [_dense_ldl_count(op, e) for e in energies]
 
 
-def _ldl_count(op, energy):
-    """The sparse path's count at one energy, or None when a certificate fails."""
-    tol = spectral._zero_tol(op, np.array([energy]))[0]
-    rhs = np.random.default_rng(spectral._RHS_SEED).standard_normal(op.dim)
-    return spectral._ldl_count(op.matrix.tocsc(), op.matrix.diagonal(), energy, tol, rhs)
-
-
-def _superlu(op, energy):
-    """The factorization `_ldl_count` certifies, for checking a test's premise."""
-    a = op.matrix.tocsc()
-    a.setdiag(op.matrix.diagonal() - energy)
-    return scipy.sparse.linalg.splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                                    options={"SymmetricMode": True})
-
-
 _CLOSED_FORM_ENERGIES = np.array([30.0, 100.0])
 
 
 def _closed_form_operator(d, L, n, bc, expected, gap):
     """The identity-field operator, after checking its closed-form counts at
-    _CLOSED_FORM_ENERGIES and that every eigenvalue lies far outside the count
-    paths' backward-error radius of each energy."""
+    _CLOSED_FORM_ENERGIES and that every eigenvalue lies far from each energy:
+    1e9 eps ||H||, far outside the count's tol and its ambiguity radius unless
+    the element growth passes 1e8."""
     g = dl.make_grid(d, L, n, bc=bc)
     op = dl.assemble(g, dl.identity_field(g))
     exact = _laplacian_energies(d, L, n, bc)
@@ -131,15 +116,28 @@ def _closed_form_operator(d, L, n, bc, expected, gap):
     assert [int(np.count_nonzero(exact <= e)) for e in _CLOSED_FORM_ENERGIES] == expected
     dist = np.abs(exact[:, None] - _CLOSED_FORM_ENERGIES).min()
     assert dist == pytest.approx(gap, rel=0.05)
-    radius = spectral._BACKWARD_ERR_EPS * np.finfo(float).eps * abs(op.matrix).sum(1).max()
-    assert dist > 1e4 * radius
+    assert dist > 1e9 * np.finfo(float).eps * abs(op.matrix).sum(1).max()
     return op
 
 
 def _first_pivot(op):
-    """The node the order of `_ldl_count` eliminates first; the order reads only
-    the pattern of H, so it is the same at every energy."""
-    return int(np.flatnonzero(_superlu(op, 0.0).perm_c == 0)[0])
+    """The node a multiple minimum degree order of H (on the pattern of H + H^T)
+    eliminates first, at every energy: an energy H_ff puts a zero pivot first."""
+    lu = scipy.sparse.linalg.splu(op.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                  diag_pivot_thresh=0, options={"SymmetricMode": True})
+    return int(np.flatnonzero(lu.perm_c == 0)[0])
+
+
+def _recording(monkeypatch, module, name):
+    """Replace module.name by a wrapper and return the list its calls append to."""
+    calls, wrapped = [], getattr(module, name)
+
+    def record(*args, **kwargs):
+        calls.append(1)
+        return wrapped(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, record)
+    return calls
 
 
 class TestEigensolve:
@@ -254,33 +252,20 @@ class TestCountEigenvalues:
         assert [dl.count_eigenvalues(op, e) for e in energies] == counts.tolist()
 
     @pytest.mark.parametrize("d, L, n, bc, kind", COUNT_MATRICES)
-    def test_slab_path_matches_dense_ldl(self, d, L, n, bc, kind):
+    def test_slab_path_matches_dense_ldl(self, monkeypatch, d, L, n, bc, kind):
+        # the Schur update is elementwise when every layer coupling is diagonal (the
+        # identity and its alloys) and a BLAS product otherwise (off-diagonal fields)
         op, energies, oracle = _count_matrix(d, L, n, bc, kind)
-        assert spectral.slab_count_eigenvalues(op, energies).tolist() == oracle
-
-    @pytest.mark.parametrize("d, L, n, bc, kind", COUNT_MATRICES)
-    def test_sparse_path_matches_dense_ldl_without_fallback(self, d, L, n, bc, kind):
-        op, energies, oracle = _count_matrix(d, L, n, bc, kind)
-        for e in energies:  # premise: no oracle pivot is near zero
-            evs, tol = _dense_ldl_pivots(op, e)
-            assert np.abs(evs).min() > tol
-        assert [_ldl_count(op, e) for e in energies] == oracle
-
-    def test_forced_certificate_failure_returns_the_slab_count(self, monkeypatch):
-        # every factorization reports an off-diagonal pivot, so every energy falls back
-        g = dl.make_grid(2, 1, 10)
-        op = dl.assemble(g, _alloy_field(_offdiag_field(g), 5))
-        energies = np.r_[np.linalg.eigvalsh(op.dense())[7], 50.0, 200.0]
-        splu = scipy.sparse.linalg.splu
-
-        def off_diagonal_pivots(a, **kw):
-            lu = splu(a, **kw)
-            return SimpleNamespace(perm_r=lu.perm_r[::-1], perm_c=lu.perm_c, U=lu.U,
-                                   solve=lu.solve)
-
-        monkeypatch.setattr(spectral.spla, "splu", off_diagonal_pivots)
-        counts = dl.count_eigenvalues(op, energies)
-        assert counts.tolist() == spectral.slab_count_eigenvalues(op, energies).tolist()
+        calls = _recording(monkeypatch, scipy.linalg.blas, "dgemm")
+        assert dl.count_eigenvalues(op, energies).tolist() == oracle
+        if d == 1:  # a Sturm sweep: no slab, no Schur update
+            assert not calls
+            return
+        diag, coup, _ = spectral._slab_blocks(op)
+        assert diag.shape[0] > 1  # premise: a Schur update per slab after the first
+        general = spectral._coupling_diagonals(coup) is None
+        assert general == ("offdiag" in kind)
+        assert len(calls) == (energies.size * (diag.shape[0] - 1) if general else 0)
 
     @pytest.mark.parametrize("d, L, n, bc", [(2, 1, 6, "dirichlet"), (2, 2, 5, "neumann"),
                                              (3, 1, 4, "dirichlet"), (3, 1, 4, "neumann")])
@@ -299,13 +284,12 @@ class TestCountEigenvalues:
     ])
     def test_sparse_count_matches_closed_form_in_3d(self, monkeypatch, L, n, bc, expected,
                                                     gap):
+        # one energy at a time, and every Schur update elementwise: the identity
+        # field's layer couplings are diagonal, so the BLAS branch must not run
         op = _closed_form_operator(3, L, n, bc, expected, gap)
-
-        def no_fallback(op, energy):
-            raise AssertionError(f"energies {energy} fell back to the slab count")
-
-        monkeypatch.setattr(spectral, "slab_count_eigenvalues", no_fallback)
-        assert dl.count_eigenvalues(op, _CLOSED_FORM_ENERGIES).tolist() == expected
+        calls = _recording(monkeypatch, scipy.linalg.blas, "dgemm")
+        assert [dl.count_eigenvalues(op, e) for e in _CLOSED_FORM_ENERGIES] == expected
+        assert not calls
 
     # (d, L, n, bc, counts at E = 30 and 100, smallest distance from E to the spectrum)
     @pytest.mark.parametrize("d, L, n, bc, expected, gap", [
@@ -315,8 +299,7 @@ class TestCountEigenvalues:
     ])
     def test_slab_count_matches_closed_form(self, d, L, n, bc, expected, gap):
         op = _closed_form_operator(d, L, n, bc, expected, gap)
-        counts = spectral.slab_count_eigenvalues(op, _CLOSED_FORM_ENERGIES)
-        assert counts.tolist() == expected
+        assert dl.count_eigenvalues(op, _CLOSED_FORM_ENERGIES).tolist() == expected
 
     @pytest.mark.parametrize("d, L, n, bc, kind",
                              [m for m in COUNT_MATRICES if m[0] >= 2]
@@ -338,57 +321,49 @@ class TestCountEigenvalues:
         for energies in (exact, exact - 0.1 * spectral._zero_tol(op, exact)):
             top = energies + spectral._zero_tol(op, energies)
             want = np.count_nonzero(exact[None, :] <= top[:, None], axis=1)
-            assert spectral.slab_count_eigenvalues(op, energies).tolist() == want.tolist()
+            assert dl.count_eigenvalues(op, energies).tolist() == want.tolist()
         assert sum(blocks) > 0  # premise: the counts went through 2x2 pivot blocks
 
-    def test_count_order_is_minimum_degree_with_diagonal_pivots(self, monkeypatch):
-        calls, splu = [], spectral.spla.splu
-
-        def recording(a, **kw):
-            calls.append(kw)
-            return splu(a, **kw)
-
-        monkeypatch.setattr(spectral.spla, "splu", recording)
-        for d in (2, 3):
-            g = dl.make_grid(d, 1, 6)
-            dl.count_eigenvalues(dl.assemble(g, dl.identity_field(g)), [10.0, 100.0])
-        assert len(calls) == 4
-        for kw in calls:
-            assert kw["permc_spec"] == "MMD_AT_PLUS_A" and kw["diag_pivot_thresh"] == 0
-            assert kw["options"] == {"SymmetricMode": True}
+    def test_diagonal_and_general_schur_updates_agree(self, monkeypatch):
+        # E at every eigenvalue and 0.1 tol below each, as above, on a dim 529 alloy
+        g = dl.make_grid(2, 2, 12)
+        op = dl.assemble(g, _alloy_field(dl.identity_field(g), 5))
+        exact = np.linalg.eigvalsh(op.dense())
+        energies = np.r_[exact, exact - 0.1 * spectral._zero_tol(op, exact)]
+        calls = _recording(monkeypatch, scipy.linalg.blas, "dgemm")
+        diagonal = dl.count_eigenvalues(op, energies)
+        assert not calls
+        monkeypatch.setattr(spectral, "_coupling_diagonals", lambda coup: None)
+        general = dl.count_eigenvalues(op, energies)
+        assert calls  # premise: the second pass took the BLAS branch
+        assert general.tolist() == diagonal.tolist()
 
     def test_energy_at_a_2d_eigenvalue_falls_back(self):
+        # one alloy site at the centre: a symmetric field with the double eigenvalue
+        # lambda_1 = lambda_2, which a combination of the pair vanishing on the middle
+        # layer shares with a leading block of slabs, so the element growth reaches
+        # 6e12 ||H - E||; there the count takes one of the pair, the dense LDL^T both
         g = dl.make_grid(2, 1, 10)
         op = dl.assemble(g, _alloy_field(dl.identity_field(g), 5))
-        energies = np.linalg.eigvalsh(op.dense())[[0, 1, 10, 40]]
-        assert [_ldl_count(op, e) for e in energies] == [None] * 4  # a pivot near zero
+        exact = np.linalg.eigvalsh(op.dense())
+        assert exact[2] - exact[1] < 1e-12 * exact[2]
+        energies = exact[[0, 1, 10, 40]]
         counts = dl.count_eigenvalues(op, energies)
-        slab = spectral.slab_count_eigenvalues(op, energies)
-        assert counts.tolist() == slab.tolist() == [1, 2, 11, 41]
+        dense = [_dense_ldl_count(op, e) for e in energies]
+        assert counts.tolist() == [1, 2, 11, 41] and dense == [1, 3, 11, 41]
 
     def test_off_diagonal_pivot_falls_back(self):
-        # E = H_ff zeroes the first pivot f of the minimum-degree order, so SuperLU
-        # swaps rows: a stable LU, but not an LDL^T, so diag(U) carries no inertia
+        # E = H_ff: an exactly zero first pivot in a minimum-degree order of H - E
         g = dl.make_grid(2, 1, 10)
         op = dl.assemble(g, _alloy_field(dl.identity_field(g), 5))
-        first = _first_pivot(op)
-        e = op.matrix.diagonal()[first]
-        lu = _superlu(op, e)
-        assert lu.perm_c[first] == 0 and not np.array_equal(lu.perm_r, lu.perm_c)
-        assert _ldl_count(op, e) is None
+        e = op.matrix.diagonal()[_first_pivot(op)]
         assert dl.count_eigenvalues(op, e) == _dense_ldl_count(op, e)
 
     def test_unstable_factorization_falls_back(self):
-        # a first pivot of relative size 1e-9 clears the near-zero tolerance, but the
-        # element growth it causes shows in the backward error of the solve
+        # a first pivot of relative size 1e-9 in a minimum-degree order of H - E
         g = dl.make_grid(2, 1, 10)
         op = dl.assemble(g, _alloy_field(dl.identity_field(g), 5))
-        first = _first_pivot(op)
-        e = op.matrix.diagonal()[first] * (1 - 1e-9)
-        lu = _superlu(op, e)
-        assert lu.perm_c[first] == 0 and np.array_equal(lu.perm_r, lu.perm_c)
-        assert np.abs(lu.U.diagonal()).min() > spectral._zero_tol(op, np.array([e]))[0]
-        assert _ldl_count(op, e) is None
+        e = op.matrix.diagonal()[_first_pivot(op)] * (1 - 1e-9)
         assert dl.count_eigenvalues(op, e) == _dense_ldl_count(op, e)
 
     def test_singular_schur_block_is_counted(self):
