@@ -256,11 +256,12 @@ def _spectrum_upto(grid, field, top: float):
     `count_eigenvalues` counts the eigenvalues <= top + tol (1e-12 relative).  An
     eigenvalue in (top, top + tol], or within the count's ambiguity radius of its
     edge, can make the solved number differ from the count, which raises
-    EigensolveError.
+    EigensolveError.  The solve is `certified`: above the dense cutoff its
+    shift-invert factor takes the minimum-degree order.
     """
     op = assemble(grid, field)
     below = count_eigenvalues(op, top)
-    spec = eigensolve(op, k=min(below + 1, op.dim))
+    spec = eigensolve(op, k=min(below + 1, op.dim), certified=True)
     found = int(np.count_nonzero(spec.energies <= top))
     if found != below:
         raise EigensolveError(f"{found} solved eigenvalues <= {top:.6g}, inertia counts {below}")

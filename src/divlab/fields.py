@@ -287,12 +287,6 @@ class AlloyModel:
     def delta_minus(self) -> float:
         return self.seq.delta
 
-    @property
-    def v_sup_bound(self) -> float:
-        """Conservative sup bound m (2 + delta_plus)^d c_plus for any coupling draw."""
-        d = self.base.grid.d
-        return self.dist.m * (2.0 + self.delta_plus) ** d * self.c_plus
-
     def bump_lip(self) -> float | None:
         if self.bump != "plateau":
             return None
@@ -343,32 +337,11 @@ def single_site_sum(model: AlloyModel) -> ScalarField:
 
 @dataclass(frozen=True, eq=False)
 class AlloySample:
-    """One draw of the couplings omega of a model; V and A + V Id follow from it on
-    first use (a Wegner sample reads only omega)."""
+    """One draw of the couplings omega of a model; a Wegner sample's operator is
+    `AlloyOperators.at(omega)`."""
 
     model: AlloyModel
     omega: np.ndarray
-
-    @cached_property
-    def v(self) -> ScalarField:
-        """V = sum_s omega_s u_s, evaluable at any points."""
-        def fn(pts):
-            values, idx = _site_bumps(self.model, pts)
-            return (values * self.omega[idx]).sum(axis=1)
-        return ScalarField(fn=fn, sup=self.model.v_sup_bound)
-
-    @cached_property
-    def field(self) -> MatrixField:
-        """A + V Id with conservative bounds; V at the cell centers from the model's table."""
-        model, grid = self.model, self.model.base.grid
-        values, idx = model.cell_bumps
-        vcells = (values * self.omega[idx]).sum(axis=1).reshape(grid.cells_shape)
-        return MatrixField(
-            grid=grid, cells=model.base.cells + vcells[..., None, None] * np.eye(grid.d),
-            theta_minus=model.base.theta_minus,
-            theta_plus=model.base.theta_plus + model.v_sup_bound,
-            theta_lip=None,  # assembly reads only the cells and theta_minus
-        )
 
 
 def sample_alloy(model: AlloyModel, seed) -> AlloySample:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 import yaml
 
 import divlab as dl
@@ -518,12 +519,24 @@ class TestSpectrumUpto:
         return grid, cli._build_field({"field": {"kind": "sine"}}, grid)
 
     @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
-    def test_lanczos_size_matches_count_and_dense(self, bc):
+    def test_lanczos_size_matches_count_and_dense(self, monkeypatch, bc):
         grid, field = self._sine(2, 2, 20, bc)  # 1521 / 1681 unknowns: Lanczos path
         op = dl.assemble(grid, field)
         top = 60.0
+        orders, splu = [], scipy.sparse.linalg.splu
+
+        def spy(*args, **kwargs):
+            orders.append(kwargs.get("permc_spec"))
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
         spec = cli._spectrum_upto(grid, field, top)
+        assert orders == ["MMD_AT_PLUS_A"]  # one minimum-degree factor for the certified solve
         below = dl.count_eigenvalues(op, top)
+        assert orders == ["MMD_AT_PLUS_A"]  # the count factors no sparse matrix
+        plain = dl.eigensolve(op, spec.k)
+        assert orders == ["MMD_AT_PLUS_A"]  # the uncertified solve keeps ARPACK's own factor
+        assert np.abs(plain.energies - spec.energies).max() <= 1e-10
         assert not spec.complete and below > 8
         assert spec.k == below + 1
         assert np.count_nonzero(spec.energies <= top) == below
@@ -537,8 +550,8 @@ class TestSpectrumUpto:
         grid, field = self._sine(1, 2, 24)
         solve = cli.eigensolve
 
-        def drop_first(op, k):
-            spec = solve(op, k)
+        def drop_first(op, k, **kwargs):
+            spec = solve(op, k, **kwargs)
             return dl.Spectrum(energies=spec.energies[1:], vectors=spec.vectors[:, 1:],
                                residuals=spec.residuals[1:], complete=spec.complete)
 
@@ -575,6 +588,43 @@ class TestSpectrumUpto:
         err = capsys.readouterr().err
         assert err.startswith("solver breakdown: slab count at E = 12:")
         assert "Traceback" not in err
+
+    # the minimum-degree factor is built inside `_eigsh`'s try: a singular H - sigma is
+    # a solver breakdown (exit status 3, or an excluded Wegner sample), not a traceback
+    @pytest.mark.parametrize("solve", ["threshold", "window"])
+    def test_singular_factor_is_a_solver_breakdown(self, tmp_path, capsys, monkeypatch, solve):
+        calls, splu = [], scipy.sparse.linalg.splu
+
+        def singular(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("Factor is exactly singular")
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+        if solve == "threshold":  # 1521 unknowns: above the dense cutoff
+            config = {"experiment": "ucp_gradient", "grid": {"d": 2, "L": 2, "n_per_side": 20},
+                      "sequence": {"G": 1.0, "delta": 0.3}, "check": {"variant": "lipschitz"},
+                      "constants": {"e_min": 1.0, "e_max": 12.0}}
+        else:  # 121 unknowns, every window solved by shift-invert Lanczos
+            config = {"experiment": "wegner", "grid": {"d": 2, "L": 2, "n_per_side": 6},
+                      "sequence": {"G": 1.0, "delta": 0.2},
+                      "check": {"e_center": 30.0, "eps": 1.0, "n_samples": 3,
+                                "delta_plus": 0.45, "dist": {"kind": "uniform", "m": 2.0}},
+                      "constants": {"e_min": 1.0, "e_max": 33.0}}
+        cfg_file = tmp_path / "cfg.yaml"
+        cfg_file.write_text(yaml.safe_dump(config))
+        status = cli.main(["run", str(cfg_file), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if solve == "threshold":
+            assert status == 3
+            assert err.startswith("solver breakdown: shift-invert Lanczos failed: "
+                                  "Factor is exactly singular")
+        else:  # the first sample is excluded, the other two are solved
+            rep = _read_reports(tmp_path / "o")["wegner_mc[bounded_w]"]
+            assert status == 1 and rep["status"] == "fail"
+            assert rep["observed"]["failures"] == 1 and len(calls) == 3
 
     def test_top_above_the_spectrum_returns_every_pair(self):
         grid, field = self._sine(1, 2, 24)

@@ -14,6 +14,8 @@ import divlab as dl
 from divlab import fields
 from divlab.fields import EllipticityError, _site_bumps
 
+from _alloy_oracle import alloy_field, alloy_potential, v_sup_bound
+
 
 class TestConstantField:
     def test_identity_metadata(self):
@@ -218,7 +220,7 @@ class TestAlloy:
     def test_point_mass_zero_reproduces_base(self):
         model = _simple_model(dist=dl.CouplingDistribution("point", 0.0))
         sample = dl.sample_alloy(model, 0)
-        assert np.array_equal(sample.field.cells, model.base.cells)
+        assert np.array_equal(alloy_field(sample).cells, model.base.cells)
 
     def test_single_site_plateau_value(self):
         g = dl.make_grid(1, 1, 32)
@@ -228,7 +230,7 @@ class TestAlloy:
                                dist=dl.CouplingDistribution("point", 1.0))
         sample = dl.sample_alloy(model, 0)
         assert sample.omega[0] == 1.0
-        assert sample.v(seq.centers)[0] == pytest.approx(1.0, abs=1e-14)
+        assert alloy_potential(sample)(seq.centers)[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_uniform_mean_monte_carlo(self):
         rng = np.random.default_rng(77)
@@ -260,7 +262,7 @@ class TestAlloy:
         rho = np.sqrt(((pts[:, None, :] - seq.centers[None, :, :]) ** 2).sum(axis=2))
         bumps = model.c_minus * np.clip((model.delta_plus - rho)
                                         / (model.delta_plus - model.delta_minus), 0.0, 1.0)
-        assert np.max(np.abs(sample.v(pts) - bumps @ sample.omega)) <= 1e-14
+        assert np.max(np.abs(alloy_potential(sample)(pts) - bumps @ sample.omega)) <= 1e-14
         assert np.max(np.abs(dl.single_site_sum(model)(pts) - bumps.sum(axis=1))) <= 1e-14
 
     def test_site_table_is_looked_up_once_and_gives_v_on_the_cells(self, monkeypatch):
@@ -276,8 +278,8 @@ class TestAlloy:
                             lambda *a: lookups.append(1) or lookup(*a))
         for seed in range(3):
             sample = dl.sample_alloy(model, seed)
-            v = sample.v.on_cells(g).reshape(g.cells_shape)  # the lookup at the cell centers
-            assert np.array_equal(sample.field.cells,
+            v = alloy_potential(sample).on_cells(g).reshape(g.cells_shape)  # one lookup
+            assert np.array_equal(alloy_field(sample).cells,
                                   model.base.cells + v[..., None, None] * np.eye(2))
         assert len(lookups) == 3  # once per v.on_cells above, never inside sample_alloy
 
@@ -286,7 +288,7 @@ class TestAlloy:
     def test_sample_nonnegative_and_sup_bounded(self, seed):
         model = _simple_model(n=8)
         sample = dl.sample_alloy(model, seed)
-        vals = sample.v(model.base.grid.full_node_points)
+        vals = alloy_potential(sample)(model.base.grid.full_node_points)
         assert np.all(vals >= 0.0)
         bound = model.dist.m * (2 + model.delta_plus) ** 1 * model.c_plus
         assert np.all(vals <= bound + 1e-12)
@@ -294,8 +296,11 @@ class TestAlloy:
     def test_metadata_conservative(self):
         model = _simple_model()
         sample = dl.sample_alloy(model, 5)
-        assert sample.field.theta_minus == model.base.theta_minus
-        assert sample.field.theta_plus == model.base.theta_plus + model.v_sup_bound
+        field = alloy_field(sample)
+        assert field.theta_minus == model.base.theta_minus
+        assert field.theta_plus == model.base.theta_plus + v_sup_bound(model)
+        cells = field.cells.ravel()  # d = 1: each cell matrix is its one eigenvalue
+        assert field.theta_minus <= cells.min() and cells.max() <= field.theta_plus
 
     def test_checkerboard_and_alloy_sample_skip_the_lipschitz_scan(self, monkeypatch):
         def scan(*_):
@@ -309,8 +314,8 @@ class TestAlloy:
         low = g.cell_centers[:, 1].reshape(g.cells_shape) < 0
         assert np.array_equal(cb.cells[..., 0, 0], np.where(low, 1.0, 3.0))
         assert np.array_equal(cb.cells[..., 1, 1], cb.cells[..., 0, 0])
-        sample = dl.sample_alloy(_simple_model(), 0)
-        assert sample.field.theta_lip is None
+        model = _simple_model()  # a sample's operator needs no field of its own
+        dl.alloy_operators(model.base.grid, model).at(dl.sample_alloy(model, 0).omega)
 
     def test_validation(self):
         g = dl.make_grid(1, 2, 16)

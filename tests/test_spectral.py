@@ -12,6 +12,8 @@ from divlab import spectral
 from divlab.operators import DiscreteOperator, perturbation_operator
 from divlab.spectral import EigensolveError
 
+from _alloy_oracle import alloy_field
+
 
 def _laplacian_energies(d, L, n, bc):
     """Every eigenvalue of the identity-field operator, in closed form: the sums over
@@ -72,7 +74,7 @@ def _alloy_field(base, seed):
     seq = dl.equidistributed_sequence(base.grid, 1.0, 0.2)
     model = dl.alloy_model(base, seq, c_minus=1.0, c_plus=2.0, delta_plus=0.45,
                            dist=dl.CouplingDistribution("uniform", 2.0))
-    return dl.sample_alloy(model, seed).field
+    return alloy_field(dl.sample_alloy(model, seed))
 
 
 # (d, L, n_per_side, bc, field): unknowns per axis-0 layer and per slab vary, and
@@ -558,15 +560,20 @@ class TestWindowEigenvalues:
         g = dl.make_grid(2, 1, 12)
         return dl.assemble(g, _alloy_field(_offdiag_field(g), 3))
 
-    def test_matches_full_eigensolve_in_window(self):
+    def test_matches_full_eigensolve_in_window(self, monkeypatch):
         op = self._op()
         full = dl.eigensolve(op, k=op.dim).energies
+        orders, splu = [], scipy.sparse.linalg.splu
+        monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                            lambda *a, **kw: orders.append(kw.get("permc_spec")) or splu(*a, **kw))
         for lo, hi in ((20.0, 80.0), (150.0, 160.0), (0.0, 5.0)):
             expected = dl.count_eigenvalues(op, hi) - dl.count_eigenvalues(op, lo)
             got = dl.window_eigenvalues(op, lo, hi, expected)
             want = full[(full > lo) & (full <= hi)]
             assert got.size == want.size == expected
             assert np.abs(got - want).max(initial=0.0) <= 1e-9 * max(1.0, abs(hi))
+        # each certified window solve factors H - sigma once, in the minimum-degree order
+        assert orders == ["MMD_AT_PLUS_A"] * 3
 
     def test_wrong_expected_count_raises(self):
         op = self._op()
