@@ -219,76 +219,3 @@ def c_wegner(cfg: ConstantsConfig, lifting_constant: float, delta_plus: float) -
         raise ValueError("delta_plus must be positive")
     return cfg.weyl_constant * (2.0 + delta_plus) ** cfg.d * (4.0 / lifting_constant)
 
-
-@dataclass(frozen=True)
-class ConstantEntry:
-    value: float
-    formula: str
-    provenance: str  # 'formula' | 'configured' | 'empirical'
-
-
-@dataclass(frozen=True)
-class ConstantsReport:
-    """Every named constant with its formula string and the config snapshot.
-
-    Re-evaluating from the snapshot reproduces the values bit-identically.
-    """
-
-    config: dict
-    aux: dict
-    entries: dict
-
-    def to_dict(self) -> dict:
-        return {"config": dict(self.config), "aux": dict(self.aux),
-                "entries": {k: asdict(v) for k, v in self.entries.items()}}
-
-    def recompute(self) -> "ConstantsReport":
-        return constants_report(ConstantsConfig(**self.config), **self.aux)
-
-
-def constants_report(cfg: ConstantsConfig, v_sup: float | None = None,
-                     delta_plus: float | None = None) -> ConstantsReport:
-    ucp = c_sfucp_family(cfg, v_sup=v_sup)
-    evl = c_evl_family(cfg)
-    low = kappa_family(cfg)
-    grad = c_gradient(cfg.delta, cfg.e_min, cfg.theta_plus)
-    entries: dict[str, ConstantEntry] = {
-        "delta0": ConstantEntry(delta0(cfg), "2G/(330 d e^2 te^{11/2} (te+1)^{5/3} (G lip+1))", "formula"),
-        "gradient_lower_bound": ConstantEntry(grad, "r^2 E^2/(2 t+ (8 t+ + r^2 E)), r=delta", "formula"),
-        "ucp_function": ConstantEntry(ucp.function_constant, "de^{N(1+|V|^{2/3})}", "formula"),
-        "ucp_gradient": ConstantEntry(ucp.gradient_constant, "C_grad(de) (de/2)^{N(1+E+^{2/3})}", "formula"),
-        "ucp_gradient_scaled": ConstantEntry(ucp.gradient_constant_scaled,
-                                             "C_grad(de) (de/2G)^{N(1+G^{4/3}E+^{2/3})}", "formula"),
-        "lifting_standard": ConstantEntry(evl.standard, "C_grad_T(delta) (delta/2)^{N(1+E+^{2/3})}", "formula"),
-        "lifting_bounded_w": ConstantEntry(evl.bounded_w, "same at delta/2", "formula"),
-        "lifting_low_energy": ConstantEntry(evl.low_energy,
-                                            "C_grad(delta)/2 (delta/2)^{M(1+t-^{-2/3})}", "formula"),
-        "lifting_elementary": ConstantEntry(evl.elementary_slope, "E-/(t+ + T sup w)", "formula"),
-        "lifting_scaled": ConstantEntry(evl.scaled, "C_grad_T(delta) (delta/2G)^{N(1+G^{4/3}E+^{2/3})}", "formula"),
-        "kappa_prime": ConstantEntry(low.kappa_prime, "delta^{M(1+t-^{-2/3})}/2", "formula"),
-        "kappa": ConstantEntry(low.kappa, "kappa_prime(delta/2)", "formula"),
-        "ucp_gradient_low": ConstantEntry(low.gradient_constant_low,
-                                          "C_grad(delta) kappa_prime(delta/2)", "formula"),
-        "kappa_scaled": ConstantEntry(low.kappa_scaled, "(1/2G^2)(delta/2G)^{M(1+t-^{-2/3})}", "formula"),
-        "ucp_gradient_low_scaled": ConstantEntry(low.gradient_constant_low_scaled,
-                                                 "C_grad(delta)/2 (delta/2G)^{M(1+t-^{-2/3})}", "formula"),
-        "n_exponent": ConstantEntry(cfg.n_exponent, "not theory-specified", "configured"),
-        "m_exponent": ConstantEntry(cfg.m_exponent, "not theory-specified", "configured"),
-        "weyl_constant": ConstantEntry(cfg.weyl_constant, "not theory-specified", "configured"),
-    }
-    if low.neumann_supported:
-        entries["kappa_neumann"] = ConstantEntry(low.kappa_neumann,
-                                                 "C t- (delta/2)^{d-2}", "formula")
-        entries["neumann_function"] = ConstantEntry(low.neumann_function_constant,
-                                                    "c t- delta^d [b/min(sqrt d, L/2)^2 + |log(a delta^{d-2})|]^{-2}",
-                                                    "formula")
-        entries["neumann_gradient"] = ConstantEntry(low.neumann_gradient_constant,
-                                                    "C_grad(delta) * neumann_function(delta/2)", "formula")
-    if delta_plus is not None:
-        entries["wegner"] = ConstantEntry(c_wegner(cfg, evl.bounded_w, delta_plus),
-                                          "C_weyl (2+d+)^d (4/lifting_bounded)", "formula")
-        entries["wegner_lipschitz"] = ConstantEntry(c_wegner(cfg, evl.standard, delta_plus),
-                                                    "C_weyl (2+d+)^d (4/lifting_standard)", "formula")
-    return ConstantsReport(config=cfg.snapshot(),
-                           aux={"v_sup": v_sup, "delta_plus": delta_plus},
-                           entries=entries)

@@ -18,7 +18,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -288,11 +288,9 @@ def _run_ucp_gradient(cfg: dict, **keys) -> verify.CheckReport:
 def _run_projector_ucp(cfg: dict, lam: float | None = None,
                        n_samples: int = 200) -> verify.CheckReport:
     grid, field, seq, consts = _build_balls(cfg)
-    consts = replace(consts, delta=seq.delta, d=grid.d)
-    lam = bounds.kappa_family(consts).kappa_prime if lam is None else lam
-    if n_samples < 1:  # before the solve
-        raise ValueError(f"need n_samples >= 1 for the Monte Carlo cross-check, got {n_samples}")
-    verify._projector_kappa_prime(grid, seq, lam, consts)  # before the solve
+    # the input checks, before the solve
+    consts, kp = verify._projector_kappa_prime(grid, seq, lam, consts, n_samples)
+    lam = kp if lam is None else lam
     spec = _spectrum_upto(grid, field, lam)
     return verify.projector_ucp_check(grid, field, spec, seq, lam, n_samples=n_samples,
                                       seed=_run_seed(cfg), cfg=consts)
@@ -360,19 +358,6 @@ def _run_mollification(cfg: dict, eps: float = 0.25, ells=(4, 8, 16, 32), k: int
 def _run_neumann_trend(cfg: dict, sides=(1, 2, 4), delta: float = 0.3) -> verify.CheckReport:
     grid = _build_grid(cfg)
     return verify.neumann_gradient_decay_trend(grid.d, sides, grid.n_per_side, delta=delta)
-
-
-@_experiment("constants", delta_plus=_real)
-def _run_constants(cfg: dict, **keys) -> verify.CheckReport:
-    consts = _build_constants(cfg)
-    report = bounds.constants_report(consts, **keys)
-    again = report.recompute()
-    identical = report.to_dict() == again.to_dict()
-    return verify.CheckReport(
-        name="constants", statement="formula table re-evaluates bit-identically",
-        status="pass" if identical else "fail",
-        observed={"entries": {k: v.value for k, v in report.entries.items()}},
-        inputs={"config": consts.snapshot()})
 
 
 # the keys of a run config; each nested block is checked by the builder that reads it
@@ -573,7 +558,7 @@ def suite_configs(name: str, samples: int | None = None) -> list[dict]:
     runs = []
     for key, fn in _SUITES.items():
         if name in ("all", key):
-            runs.extend(fn(samples) if key == "wegner" and samples else fn())
+            runs.extend(fn(samples) if key == "wegner" and samples is not None else fn())
     return runs
 
 

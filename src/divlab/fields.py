@@ -335,19 +335,10 @@ def single_site_sum(model: AlloyModel) -> ScalarField:
     return ScalarField(fn=fn, lip=model.bump_lip(), sup=model.c_plus * ov)
 
 
-@dataclass(frozen=True, eq=False)
-class AlloySample:
-    """One draw of the couplings omega of a model; a Wegner sample's operator is
-    `AlloyOperators.at(omega)`."""
-
-    model: AlloyModel
-    omega: np.ndarray
-
-
-def sample_alloy(model: AlloyModel, seed) -> AlloySample:
-    """Draw the couplings of one sample."""
+def sample_alloy(model: AlloyModel, seed) -> np.ndarray:
+    """Draw the couplings omega of one sample; its operator is `AlloyOperators.at(omega)`."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return AlloySample(model=model, omega=model.dist.sample(rng, len(model.seq.centers)))
+    return model.dist.sample(rng, len(model.seq.centers))
 
 
 def ball_plateau_field(seq: EquidistributedSeq, inner: float | None = None,

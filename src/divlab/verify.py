@@ -285,13 +285,16 @@ def ucp_gradient_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
     return rep
 
 
-def _projector_kappa_prime(grid: Grid, seq: EquidistributedSeq, lam: float,
-                           cfg: ConstantsConfig):
+def _projector_kappa_prime(grid: Grid, seq: EquidistributedSeq, lam: float | None,
+                           cfg: ConstantsConfig, n_samples: int):
     """The config at the sequence's delta and d and its kappa_prime; raises ValueError
-    when lam exceeds kappa_prime.  A runner calls it before the spectrum solve as well."""
+    when n_samples < 1 or lam (None: kappa_prime itself) exceeds kappa_prime.  A
+    runner calls it before the spectrum solve as well."""
+    if n_samples < 1:
+        raise ValueError(f"need n_samples >= 1 for the Monte Carlo cross-check, got {n_samples}")
     cfg = replace(cfg, delta=seq.delta, d=grid.d)
     kp = bounds.kappa_family(cfg).kappa_prime
-    if lam > kp + 1e-12:
+    if lam is not None and lam > kp + 1e-12:
         raise ValueError(f"lam = {lam} exceeds kappa_prime = {kp}")
     return cfg, kp
 
@@ -305,7 +308,7 @@ def projector_ucp_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
     mask quadratic form (independent of the sampling); n_samples >= 1 seeded
     random span elements provide the Monte Carlo cross-check.
     """
-    cfg, kp = _projector_kappa_prime(grid, seq, lam, cfg)
+    cfg, kp = _projector_kappa_prime(grid, seq, lam, cfg, n_samples)
     rep = CheckReport(
         name="projector_ucp",
         statement="min over span(E < lam) of |psi|^2_{S} >= kappa_prime",
@@ -611,8 +614,7 @@ def _wegner_samples(model: AlloyModel, grid: Grid, children, edges: np.ndarray):
     `AlloyOperators.at`, counted and solved in turn.
     """
     ops = alloy_operators(grid, model)
-    omegas = np.column_stack([sample_alloy(model, np.random.default_rng(c)).omega
-                              for c in children])
+    omegas = np.column_stack([sample_alloy(model, np.random.default_rng(c)) for c in children])
     if grid.d == 1:
         diag, off = ops.bands(omegas)
         counts = tridiagonal_counts(diag, off, edges)

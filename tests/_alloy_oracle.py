@@ -15,19 +15,19 @@ def v_sup_bound(model):
     return model.dist.m * (2.0 + model.delta_plus) ** model.base.grid.d * model.c_plus
 
 
-def alloy_potential(sample):
+def alloy_potential(model, omega):
     """V = sum_s omega_s u_s, evaluable at any points."""
     def fn(pts):
-        values, idx = _site_bumps(sample.model, pts)
-        return (values * sample.omega[idx]).sum(axis=1)
-    return dl.ScalarField(fn=fn, sup=v_sup_bound(sample.model))
+        values, idx = _site_bumps(model, pts)
+        return (values * omega[idx]).sum(axis=1)
+    return dl.ScalarField(fn=fn, sup=v_sup_bound(model))
 
 
-def alloy_field(sample):
+def alloy_field(model, omega):
     """A + V Id with conservative bounds; V at the cell centres from the model's table."""
-    model, grid = sample.model, sample.model.base.grid
+    grid = model.base.grid
     values, idx = model.cell_bumps
-    vcells = (values * sample.omega[idx]).sum(axis=1).reshape(grid.cells_shape)
+    vcells = (values * omega[idx]).sum(axis=1).reshape(grid.cells_shape)
     return dl.MatrixField(
         grid=grid, cells=model.base.cells + vcells[..., None, None] * np.eye(grid.d),
         theta_minus=model.base.theta_minus,

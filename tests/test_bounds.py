@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -203,18 +204,21 @@ class TestWegnerConstant:
         assert v2 / v1 == pytest.approx(2.5, rel=1e-14)
 
 
-class TestConstantsReport:
-    def test_recompute_bit_identical(self):
-        c = cfg(d=2, delta=0.3, e_min=0.5, e_max=7.0, theta_minus=0.7,
-                theta_plus=1.9, theta_lip=0.4, t_max=1.0, w_sup=2.0, G=2.0)
-        rep = bounds.constants_report(c, delta_plus=0.6)
-        again = rep.recompute()
-        assert rep.to_dict() == again.to_dict()
-
+class TestConstantsConfig:
     def test_all_positive(self):
-        rep = bounds.constants_report(cfg(d=3, delta=0.3, L=8.0), delta_plus=0.6)
-        for name, entry in rep.entries.items():
-            assert entry.value > 0, name
+        c = cfg(d=3, delta=0.3, L=8.0)
+        evl = bounds.c_evl_family(c)
+        values = {"delta0": bounds.delta0(c),
+                  "gradient_lower_bound": bounds.c_gradient(c.delta, c.e_min, c.theta_plus),
+                  "wegner": bounds.c_wegner(c, evl.bounded_w, 0.6),
+                  "wegner_lipschitz": bounds.c_wegner(c, evl.standard, 0.6)}
+        low = bounds.kappa_family(c)
+        assert low.neumann_supported
+        for family in (bounds.c_sfucp_family(c), evl, low):
+            values.update((f.name, getattr(family, f.name)) for f in dataclasses.fields(family)
+                          if f.name != "neumann_supported")
+        for name, value in values.items():
+            assert value > 0, name
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -147,6 +147,12 @@ class TestSuites:
         rep = cli.execute(wegner_runs[0])
         assert any("low" in n for n in rep.notes)
 
+    def test_zero_sample_override_is_a_config_error(self, tmp_path, capsys):
+        assert all(c["check"]["n_samples"] == 0
+                   for c in cli.suite_configs("wegner", samples=0) if c["experiment"] == "wegner")
+        assert cli.main(["suite", "wegner", "--samples", "0", "--out", str(tmp_path)]) == 2
+        assert "config error: wegner: need n_samples >= 2" in capsys.readouterr().err
+
     def test_scaling_suite_passes(self, tmp_path):
         assert cli.suite("scaling", tmp_path) == 0
 
@@ -253,7 +259,8 @@ class TestForwardedKeys:
         "check.w.value": _lifting_run({"kind": "constant", "value": None}, "elementary"),
         "check.dist.m": {"experiment": "pi_singular",
                          "check": {"dist": {"kind": "uniform", "m": None}}},
-        "constants.e_max": {"experiment": "constants", "constants": {"e_max": None}},
+        "constants.e_max": {"experiment": "ucp_gradient", "sequence": {"delta": 0.3},
+                            "constants": {"e_max": None}},
     }
 
     @pytest.mark.parametrize("key", sorted(_NULLS))
@@ -411,9 +418,11 @@ class TestMain:
          "check.dist.m: must be a real number, got True"),
         ({"experiment": "pi_singular", "check": {"dist": {"kind": "uniform", "m": "2"}}},
          "check.dist.m: must be a real number, got '2'"),
-        ({"experiment": "constants", "constants": {"e_min": True}},
+        ({"experiment": "ucp_gradient", "sequence": {"delta": 0.3},
+          "constants": {"e_min": True}},
          "constants.e_min: must be a real number, got True"),
-        ({"experiment": "constants", "constants": {"d": 2.0}},
+        ({"experiment": "ucp_gradient", "sequence": {"delta": 0.3},
+          "constants": {"d": 2.0}},
          "constants.d: must be an integer, got 2.0"),
         ({"experiment": "eigensolve", "grid": {"d": 1, "L": 1, "n_per_side": 16, "bc": True}},
          "grid.bc: must be a string, got True"),
@@ -465,6 +474,7 @@ class TestMain:
           "field": {"kind": "sine"}, "sequence": {"G": 1.0, "delta": 0.3},
           "constants": {"e_min": 1.0, "e_max": 30.0}},
          "ucp_function: function-level bound is stated for Dirichlet grids"),
+        ({"experiment": "constants"}, "experiment: must be one of ["),
     ], ids=["wegner-one-sample", "low-energy-above-kappa", "wegner-unknown-key",
             "lifting-unknown-key", "check-not-a-mapping", "unknown-top-level-block",
             "grid-unknown-key", "field-unknown-key", "field-key-of-another-recipe",
@@ -481,7 +491,7 @@ class TestMain:
             "neumann-scaling-zero-mode", "neumann-mollification-zero-mode",
             "neumann-trend-no-sides", "neumann-trend-one-side", "mollification-no-ells",
             "weyl-no-sides", "projector-ucp-no-samples", "projector-ucp-lam-above-kappa-prime",
-            "ucp-function-neumann-grid"])
+            "ucp-function-neumann-grid", "constants-is-not-an-experiment"])
     def test_rejected_check_input_is_a_config_error(self, tmp_path, capsys, monkeypatch,
                                                    config, message):
         # a ball-union check rejects its input before the threshold solve

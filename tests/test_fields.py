@@ -219,8 +219,8 @@ def _simple_model(n=32, L=2, dist=None, bump="plateau"):
 class TestAlloy:
     def test_point_mass_zero_reproduces_base(self):
         model = _simple_model(dist=dl.CouplingDistribution("point", 0.0))
-        sample = dl.sample_alloy(model, 0)
-        assert np.array_equal(alloy_field(sample).cells, model.base.cells)
+        omega = dl.sample_alloy(model, 0)
+        assert np.array_equal(alloy_field(model, omega).cells, model.base.cells)
 
     def test_single_site_plateau_value(self):
         g = dl.make_grid(1, 1, 32)
@@ -228,9 +228,9 @@ class TestAlloy:
         model = dl.alloy_model(dl.identity_field(g), seq, c_minus=1.0, c_plus=2.0,
                                delta_plus=0.45,
                                dist=dl.CouplingDistribution("point", 1.0))
-        sample = dl.sample_alloy(model, 0)
-        assert sample.omega[0] == 1.0
-        assert alloy_potential(sample)(seq.centers)[0] == pytest.approx(1.0, abs=1e-14)
+        omega = dl.sample_alloy(model, 0)
+        assert omega[0] == 1.0
+        assert alloy_potential(model, omega)(seq.centers)[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_uniform_mean_monte_carlo(self):
         rng = np.random.default_rng(77)
@@ -257,12 +257,12 @@ class TestAlloy:
         seq = dl.equidistributed_sequence(g, 1.0, 0.2, mode="random", seed=3)
         model = dl.alloy_model(dl.identity_field(g), seq, c_minus=1.0, c_plus=2.0,
                                delta_plus=1.2)
-        sample = dl.sample_alloy(model, 4)
+        omega = dl.sample_alloy(model, 4)
         pts = np.concatenate([g.full_node_points, g.cell_centers])
         rho = np.sqrt(((pts[:, None, :] - seq.centers[None, :, :]) ** 2).sum(axis=2))
         bumps = model.c_minus * np.clip((model.delta_plus - rho)
                                         / (model.delta_plus - model.delta_minus), 0.0, 1.0)
-        assert np.max(np.abs(alloy_potential(sample)(pts) - bumps @ sample.omega)) <= 1e-14
+        assert np.max(np.abs(alloy_potential(model, omega)(pts) - bumps @ omega)) <= 1e-14
         assert np.max(np.abs(dl.single_site_sum(model)(pts) - bumps.sum(axis=1))) <= 1e-14
 
     def test_site_table_is_looked_up_once_and_gives_v_on_the_cells(self, monkeypatch):
@@ -277,9 +277,9 @@ class TestAlloy:
         monkeypatch.setattr(fields, "site_sq_distances",
                             lambda *a: lookups.append(1) or lookup(*a))
         for seed in range(3):
-            sample = dl.sample_alloy(model, seed)
-            v = alloy_potential(sample).on_cells(g).reshape(g.cells_shape)  # one lookup
-            assert np.array_equal(alloy_field(sample).cells,
+            omega = dl.sample_alloy(model, seed)
+            v = alloy_potential(model, omega).on_cells(g).reshape(g.cells_shape)  # one lookup
+            assert np.array_equal(alloy_field(model, omega).cells,
                                   model.base.cells + v[..., None, None] * np.eye(2))
         assert len(lookups) == 3  # once per v.on_cells above, never inside sample_alloy
 
@@ -287,16 +287,16 @@ class TestAlloy:
     @settings(max_examples=25, deadline=None)
     def test_sample_nonnegative_and_sup_bounded(self, seed):
         model = _simple_model(n=8)
-        sample = dl.sample_alloy(model, seed)
-        vals = alloy_potential(sample)(model.base.grid.full_node_points)
+        omega = dl.sample_alloy(model, seed)
+        vals = alloy_potential(model, omega)(model.base.grid.full_node_points)
         assert np.all(vals >= 0.0)
         bound = model.dist.m * (2 + model.delta_plus) ** 1 * model.c_plus
         assert np.all(vals <= bound + 1e-12)
 
     def test_metadata_conservative(self):
         model = _simple_model()
-        sample = dl.sample_alloy(model, 5)
-        field = alloy_field(sample)
+        omega = dl.sample_alloy(model, 5)
+        field = alloy_field(model, omega)
         assert field.theta_minus == model.base.theta_minus
         assert field.theta_plus == model.base.theta_plus + v_sup_bound(model)
         cells = field.cells.ravel()  # d = 1: each cell matrix is its one eigenvalue
@@ -315,7 +315,7 @@ class TestAlloy:
         assert np.array_equal(cb.cells[..., 0, 0], np.where(low, 1.0, 3.0))
         assert np.array_equal(cb.cells[..., 1, 1], cb.cells[..., 0, 0])
         model = _simple_model()  # a sample's operator needs no field of its own
-        dl.alloy_operators(model.base.grid, model).at(dl.sample_alloy(model, 0).omega)
+        dl.alloy_operators(model.base.grid, model).at(dl.sample_alloy(model, 0))
 
     def test_validation(self):
         g = dl.make_grid(1, 2, 16)

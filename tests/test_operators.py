@@ -293,9 +293,9 @@ class TestAlloyOperators:
         ops = dl.alloy_operators(g, model)
         rng = np.random.default_rng(11)
         for _ in range(20):
-            sample = dl.sample_alloy(model, rng)
-            want = dl.assemble(g, alloy_field(sample))
-            got = ops.at(sample.omega)
+            omega = dl.sample_alloy(model, rng)
+            want = dl.assemble(g, alloy_field(model, omega))
+            got = ops.at(omega)
             assert np.array_equal(got.matrix.indptr, want.matrix.indptr)
             assert np.array_equal(got.matrix.indices, want.matrix.indices)
             assert abs(got.matrix - got.matrix.T).max() == 0.0

@@ -74,7 +74,7 @@ def _alloy_field(base, seed):
     seq = dl.equidistributed_sequence(base.grid, 1.0, 0.2)
     model = dl.alloy_model(base, seq, c_minus=1.0, c_plus=2.0, delta_plus=0.45,
                            dist=dl.CouplingDistribution("uniform", 2.0))
-    return alloy_field(dl.sample_alloy(model, seed))
+    return alloy_field(model, dl.sample_alloy(model, seed))
 
 
 # (d, L, n_per_side, bc, field): unknowns per axis-0 layer and per slab vary, and
@@ -479,7 +479,7 @@ def _alloy_batch(bc, law, n_samples, n_per_side=32):
     model = dl.alloy_model(dl.identity_field(g), seq, c_minus=1.0, c_plus=2.0,
                            delta_plus=0.45, dist=law)
     rng = np.random.default_rng(5)
-    omegas = np.column_stack([dl.sample_alloy(model, rng).omega for _ in range(n_samples)])
+    omegas = np.column_stack([dl.sample_alloy(model, rng) for _ in range(n_samples)])
     return dl.alloy_operators(g, model), omegas
 
 

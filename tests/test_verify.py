@@ -184,6 +184,12 @@ class TestProjectorUcp:
         with pytest.raises(ValueError, match="kappa_prime"):
             verify.projector_ucp_check(g, f, spec, seq, 10.0, 10, 0, cfg)
 
+    def test_no_samples_rejected(self):
+        g, f, seq, cfg, spec = self._low_energy_setup()
+        kp = bounds.kappa_family(cfg).kappa_prime
+        with pytest.raises(ValueError, match="need n_samples >= 1"):
+            verify.projector_ucp_check(g, f, spec, seq, kp, 0, 0, cfg)
+
     def test_vacuous_flagged(self):
         g, f, seq, cfg, spec = self._low_energy_setup(L=2)
         kp = bounds.kappa_family(cfg).kappa_prime
@@ -367,7 +373,7 @@ class TestWegner:
         ops = dl.alloy_operators(g, model)
         want = []
         for child in children:
-            op = ops.at(dl.sample_alloy(model, np.random.default_rng(child)).omega)
+            op = ops.at(dl.sample_alloy(model, np.random.default_rng(child)))
             c = dl.count_eigenvalues(op, edges)
             want.append((c, dl.window_eigenvalues(op, edges[0], edges[1], int(c[1] - c[0]))))
 
