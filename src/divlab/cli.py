@@ -256,12 +256,14 @@ def _spectrum_upto(grid, field, top: float):
     `count_eigenvalues` counts the eigenvalues <= top + tol (1e-12 relative).  An
     eigenvalue in (top, top + tol], or within the count's ambiguity radius of its
     edge, can make the solved number differ from the count, which raises
-    EigensolveError.  The solve is `certified`: above the dense cutoff its
-    shift-invert factor takes the minimum-degree order.
+    EigensolveError.  Above the dense cutoff the solve shifts to top / 2, the
+    middle of the interval [0, top] the count certifies (H is positive
+    semidefinite), and its factor takes the minimum-degree order; the count
+    edge top + tol is never that shift, so no matrix is factored by both.
     """
     op = assemble(grid, field)
     below = count_eigenvalues(op, top)
-    spec = eigensolve(op, k=min(below + 1, op.dim), certified=True)
+    spec = eigensolve(op, k=min(below + 1, op.dim), upto=top)
     found = int(np.count_nonzero(spec.energies <= top))
     if found != below:
         raise EigensolveError(f"{found} solved eigenvalues <= {top:.6g}, inertia counts {below}")
@@ -443,7 +445,7 @@ def run(configs, output_dir, workers: int = 1, seed: int | None = None,
 # curated suites (desk scale)
 # --------------------------------------------------------------------------
 
-def _suite_ucp() -> list[dict]:
+def _suite_ucp(samples: int = 300) -> list[dict]:
     runs = []
     for delta in (0.2, 0.3):
         for experiment in ("ucp_function", "ucp_gradient"):
@@ -470,7 +472,7 @@ def _suite_ucp() -> list[dict]:
                  "sequence": {"G": 1.0, "delta": 0.45},
                  "constants": {"e_min": 0.001, "e_max": 0.05, "theta_minus": 1.0,
                                "theta_plus": 2.0},
-                 "check": {"n_samples": 300}})
+                 "check": {"n_samples": samples}})
     # negative control: the Neumann zero mode has no gradient mass anywhere
     runs.append({"experiment": "ucp_gradient", "label": "neumann-zero-mode",
                  "expect": "fail",
@@ -550,6 +552,7 @@ _SUITES = {
     "scaling": _suite_scaling,
     "mollify": _suite_mollify,
 }
+_SAMPLED_SUITES = ("ucp", "wegner")  # the suites whose Monte Carlo sample count `samples` sets
 
 
 def suite_configs(name: str, samples: int | None = None) -> list[dict]:
@@ -558,7 +561,7 @@ def suite_configs(name: str, samples: int | None = None) -> list[dict]:
     runs = []
     for key, fn in _SUITES.items():
         if name in ("all", key):
-            runs.extend(fn(samples) if key == "wegner" and samples is not None else fn())
+            runs.extend(fn(samples) if key in _SAMPLED_SUITES and samples is not None else fn())
     return runs
 
 

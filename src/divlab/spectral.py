@@ -83,14 +83,22 @@ def _checked_residuals(op: DiscreteOperator, evals: np.ndarray, evecs: np.ndarra
     return _check_residuals(resid, _matrix_scale(op.matrix), evals)
 
 
-def eigensolve(op: DiscreteOperator, k: int, *, certified: bool = False) -> Spectrum:
+def eigensolve(op: DiscreteOperator, k: int, *, upto: float | None = None) -> Spectrum:
     """Lowest-k eigenpairs.
 
     Dense symmetric solve below the size cutoff, shift-invert Lanczos above,
     with a fixed start vector so results are reproducible.  Unconverged pairs
     raise instead of being returned, and eigenvector signs follow the
-    first-significant-component-positive convention.  `certified`: an inertia
-    count checks the solve, so the Lanczos path takes `_eigsh`'s MMD factor.
+    first-significant-component-positive convention.
+
+    `upto`: an inertia count certifies that the k - 1 lowest eigenvalues lie
+    in [0, upto] and the k-th above it.  The Lanczos path then shifts to the
+    middle of that interval, sigma = upto / 2, and takes `_eigsh`'s MMD
+    factor.  As H is positive semidefinite, the k eigenvalues nearest
+    upto / 2 are the k lowest: every one in [0, upto] lies within upto / 2
+    of it, every other one farther.  Without `upto` the shift is 0
+    (Dirichlet) or -0.05 (Neumann, below the zero mode) with ARPACK's own
+    factor.  The count edge upto + tol is never the shift.
     """
     dim = op.dim
     if not (1 <= k <= dim):
@@ -99,9 +107,11 @@ def eigensolve(op: DiscreteOperator, k: int, *, certified: bool = False) -> Spec
     complete = dim <= _DENSE_CUTOFF or k > dim - 2
     if complete:
         evals, evecs = scipy.linalg.eigh(op.dense())
+    elif upto is not None:
+        evals, evecs = _eigsh(op, k, sigma=0.5 * upto, certified=True)
     else:
         evals, evecs = _eigsh(op, k, sigma=0.0 if op.grid.bc == "dirichlet" else -0.05,
-                              certified=certified)
+                              certified=False)
     evals, evecs = evals[:k], evecs[:, :k]
 
     resid = _checked_residuals(op, evals, evecs)
@@ -121,7 +131,10 @@ def _mmd_inverse(mat: sp.csr_matrix, sigma: float) -> spla.LinearOperator:
 def _eigsh(op: DiscreteOperator, k: int, sigma: float, *, certified: bool):
     """The k eigenpairs nearest sigma by shift-invert Lanczos, ascending.
 
-    A `certified` solve, one that an inertia count checks, gets H - sigma
+    A `certified` solve, one that an inertia count checks, shifts to the
+    middle of the interval its count certifies: the window midpoint
+    (`window_eigenvalues`) or upto / 2 for a threshold spectrum
+    (`eigensolve`), where the wanted pairs converge first.  It gets H - sigma
     factored once by `_mmd_inverse`: on the 2D grid of dim 16129 the
     minimum-degree order leaves 0.65 million entries in L and U against 1.19
     million for the COLAMD order of ARPACK's own factor, and a solve takes
@@ -337,10 +350,11 @@ def count_eigenvalues(op: DiscreteOperator, energy):
     The count stays independent of the eigenvalues it certifies: it factors
     H - (E + tol) slab by slab, while `eigensolve` and `window_eigenvalues`
     factor H - sigma by SuperLU with partial pivoting (in the minimum-degree
-    order for the solves a count certifies, `_eigsh`), at their fixed shift or
-    at the window midpoint; an order only permutes the matrix it factors.  The
-    Wegner edges E +- 3 eps and E +- eps_j are never the midpoint E, so no
-    matrix is factored by both.  The 1D window solve takes its values from
+    order for the solves a count certifies, `_eigsh`), at a fixed shift, at the
+    window midpoint or at half a threshold; an order only permutes the matrix
+    it factors.  The Wegner edges E +- 3 eps and E +- eps_j are never the
+    midpoint E, and a threshold edge top + tol is never top / 2, so no matrix
+    is factored by both.  The 1D window solve takes its values from
     `dsterf` (root-free QL/QR, no LDL^T) and factors T - lambda in `dstein`
     only at those computed eigenvalues, with partial pivoting.
 

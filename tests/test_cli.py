@@ -153,6 +153,30 @@ class TestSuites:
         assert cli.main(["suite", "wegner", "--samples", "0", "--out", str(tmp_path)]) == 2
         assert "config error: wegner: need n_samples >= 2" in capsys.readouterr().err
 
+    def test_sample_override_sets_the_projector_samples(self):
+        def projector_samples(**kwargs):
+            return [c["check"]["n_samples"] for c in cli.suite_configs("all", **kwargs)
+                    if c["experiment"] == "projector_ucp"]
+
+        assert projector_samples() == [300]
+        assert projector_samples(samples=10) == [10]
+
+    def test_zero_projector_samples_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        projector = next(c for c in cli.suite_configs("ucp") if c["experiment"] == "projector_ucp")
+        solved, solve = [], cli._spectrum_upto
+
+        def spy(grid, field, top):
+            solved.append((grid.L, grid.n_per_side))
+            return solve(grid, field, top)
+
+        monkeypatch.setattr(cli, "_spectrum_upto", spy)
+        assert cli.main(["suite", "ucp", "--samples", "0", "--out", str(tmp_path)]) == 2
+        assert ("config error: projector_ucp: need n_samples >= 1 for the Monte Carlo "
+                "cross-check, got 0") in capsys.readouterr().err
+        # the runs before it solved; the projector run stopped before its solve
+        grid = projector["grid"]
+        assert solved and (grid["L"], grid["n_per_side"]) not in solved
+
     def test_scaling_suite_passes(self, tmp_path):
         assert cli.suite("scaling", tmp_path) == 0
 
@@ -534,18 +558,26 @@ class TestSpectrumUpto:
         op = dl.assemble(grid, field)
         top = 60.0
         orders, splu = [], scipy.sparse.linalg.splu
+        shifts, eigsh = [], scipy.sparse.linalg.eigsh
 
         def spy(*args, **kwargs):
             orders.append(kwargs.get("permc_spec"))
             return splu(*args, **kwargs)
 
+        def eigsh_spy(*args, **kwargs):
+            shifts.append(kwargs.get("sigma"))
+            return eigsh(*args, **kwargs)
+
         monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh_spy)
         spec = cli._spectrum_upto(grid, field, top)
         assert orders == ["MMD_AT_PLUS_A"]  # one minimum-degree factor for the certified solve
+        assert shifts == [top / 2]  # the middle of the counted interval [0, top]
         below = dl.count_eigenvalues(op, top)
         assert orders == ["MMD_AT_PLUS_A"]  # the count factors no sparse matrix
         plain = dl.eigensolve(op, spec.k)
         assert orders == ["MMD_AT_PLUS_A"]  # the uncertified solve keeps ARPACK's own factor
+        assert shifts == [top / 2, 0.0 if bc == "dirichlet" else -0.05]  # and its fixed shift
         assert np.abs(plain.energies - spec.energies).max() <= 1e-10
         assert not spec.complete and below > 8
         assert spec.k == below + 1
@@ -555,6 +587,17 @@ class TestSpectrumUpto:
         assert np.abs(spec.energies - dense).max() <= 1e-10
         if bc == "neumann":  # the constant zero mode is counted and returned
             assert abs(spec.energies[0]) < 1e-10
+
+    # top below the lowest eigenvalue: the count is 0 and the solve returns that one pair
+    @pytest.mark.parametrize("bc, top", [("dirichlet", 1.0), ("neumann", -1.0)])
+    def test_top_below_the_spectrum_returns_the_lowest_pair(self, bc, top):
+        grid, field = self._sine(2, 2, 20, bc)  # 1521 / 1681 unknowns: Lanczos path
+        op = dl.assemble(grid, field)
+        spec = cli._spectrum_upto(grid, field, top)
+        assert not spec.complete and dl.count_eigenvalues(op, top) == 0 and spec.k == 1
+        lowest = scipy.linalg.eigvalsh(op.dense(), subset_by_index=[0, 0])
+        assert spec.energies[0] > top
+        assert abs(spec.energies[0] - lowest[0]) <= 1e-10
 
     def test_dropped_pair_raises(self, monkeypatch):
         grid, field = self._sine(1, 2, 24)
