@@ -106,7 +106,7 @@ def eigensolve(op: DiscreteOperator, k: int, *, upto: float | None = None) -> Sp
 
     complete = dim <= _DENSE_CUTOFF or k > dim - 2
     if complete:
-        evals, evecs = scipy.linalg.eigh(op.dense())
+        evals, evecs = _dense_eigh(op)
     elif upto is not None:
         evals, evecs = _eigsh(op, k, sigma=0.5 * upto, certified=True)
     else:
@@ -117,6 +117,26 @@ def eigensolve(op: DiscreteOperator, k: int, *, upto: float | None = None) -> Sp
     resid = _checked_residuals(op, evals, evecs)
     vectors = _fix_signs(evecs / op.grid.h ** (op.grid.d / 2.0))
     return Spectrum(energies=evals, vectors=vectors, residuals=resid, complete=complete)
+
+
+def _dense_eigh(op: DiscreteOperator):
+    """Every eigenpair of H, as `scipy.linalg.eigh(op.dense())` gives them.
+
+    For d = 1 H is tridiagonal: LAPACK's MRRR (`dstemr`) runs on the bands that
+    `eigh` reads, the diagonal and the subdiagonal (`lower=True`), as `eigh`'s
+    `dsyevr` does after reducing the dense H to that same tridiagonal, and no
+    dense matrix is formed.  The pairs equal `eigh`'s bit for bit on every 1D
+    operator tried.  Where `dstemr` fails, `dsyevr` falls back to bisection and
+    inverse iteration, and this to the dense `eigh`.
+    """
+    if op.grid.d == 1:
+        diag, _ = op.tridiagonal  # raises unless H is tridiagonal
+        try:
+            return scipy.linalg.eigh_tridiagonal(diag, op.matrix.diagonal(-1),
+                                                 lapack_driver="stemr")
+        except np.linalg.LinAlgError:
+            pass
+    return scipy.linalg.eigh(op.dense())
 
 
 def _mmd_inverse(mat: sp.csr_matrix, sigma: float) -> spla.LinearOperator:
@@ -333,11 +353,16 @@ def count_eigenvalues(op: DiscreteOperator, energy):
     (Haynsworth).  For d = 1 the slabs are single nodes: one Sturm sweep at E
     (`tridiagonal_counts`) counts a pivot within tol of zero as <= E, as a sweep
     at about E + tol would, and the radius is a small multiple of eps ||H - E||
-    (Kahan: backward stable).  For d >= 2 each S_i of H - (E + tol) is factored
-    once by LAPACK's Bunch-Kaufman L D L^T (`dsytrf`) and counted by the signs
-    of D's blocks (Sylvester), and the last-layer block of its inverse
-    (`dsytri`) forms the next C S_i^{-1} C^T: elementwise, c_j c_k T_jk, when
-    every coupling C_i is diagonal (every built-in field), by BLAS otherwise.
+    (Kahan: backward stable).  For d >= 2 one sweep over the slabs carries every
+    energy (`_slab_counts`): each S_i of H - (E + tol) is factored once by
+    LAPACK's Bunch-Kaufman L D L^T (`dsytrf`) and counted by the signs of D's
+    blocks (Sylvester), and the last-layer block of its inverse (`dsytri`,
+    skipped on the last slab, whose inverse nothing reads) forms the next
+    C S_i^{-1} C^T: elementwise, c_j c_k T_jk, when every coupling C_i is
+    diagonal (every built-in field), by BLAS otherwise.  The copy of each D_i,
+    the shifts, the elementwise update and the sign counts are done once per
+    slab for all energies; per energy only the LAPACK calls (and a BLAS update)
+    remain.
     As that is backward stable, the radius around E + tol is about
     eps (||H - E|| + max_i ||C_i S_{i-1}^{-1} C_i^T||).  The second term, the
     element growth, is unbounded as E + tol nears an eigenvalue of a leading
@@ -366,34 +391,83 @@ def count_eigenvalues(op: DiscreteOperator, energy):
         counts = tridiagonal_counts(diag[:, None], off[:, None], energies)[0]
         return _as_requested(energy, counts)
     diag, coup, layer = _slab_blocks(op)
+    shifts = energies + _zero_tol(op, energies)
+    # energies per sweep: its two work slabs of 2 m size^2 entries stay within twice
+    # diag's, or 16 slab blocks when there are fewer than 8 slabs
+    step = max(8, diag.shape[0])
+    counts = np.zeros(energies.size, dtype=int)
+    for lo in range(0, energies.size, step):
+        part = slice(lo, lo + step)
+        counts[part] = _slab_counts(diag, coup, layer, op.dim, energies[part], shifts[part])
+    return _as_requested(energy, counts)
+
+
+def _slab_counts(diag: np.ndarray, coup: np.ndarray, layer: int, dim: int,
+                 energies: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """`count_eigenvalues` at each energy E from the `_slab_blocks` of H, with
+    shifts[j] = E_j + tol_j: one sweep over the slabs carries every energy.
+
+    Per slab, the copy of D_i, the shifts and an elementwise Schur update are done
+    once for all energies, and so is the sign count of every D; per energy there
+    remain the BLAS update of a coupling with off-diagonal entries, `dsytrf` and,
+    but on the last slab, whose inverse feeds nothing, `dsytri`.  Each LAPACK call
+    gets the lower triangle that a sweep of its energy alone would give, bit for
+    bit: the elementwise update is T_jk (c_j c_k) either way.
+    """
     n_slabs, size = diag.shape[:2]
     diagonals = _coupling_diagonals(coup)
-    counts = np.zeros(energies.size, dtype=int)
+    m = energies.size
+    counts = np.zeros(m, dtype=int)
+    failed = {}  # energy index -> first slab whose pivots do not count
     lapack, blas = scipy.linalg.lapack, scipy.linalg.blas
-    for j, shift in enumerate(energies + _zero_tol(op, energies)):
-        for i in range(n_slabs):
-            b = size if i + 1 < n_slabs else op.dim - i * size
-            s = diag[i, :b, :b].copy()
-            s.flat[::b + 1] -= shift
-            # tail T: S_{i-1}^{-1}'s last-layer block, current in its lower triangle only
-            if i and diagonals is not None:  # C_i = diag(c): C_i T C_i^T = c_j c_k T_jk; the
-                # stale upper triangle would compound through single-layer slabs
-                c = diagonals[i]
-                s[:layer, :layer] -= np.tril(tail) * np.multiply.outer(c, c)
-            elif i:  # scipy's BLAS alone, as alternating with numpy's own OpenBLAS threads
-                # is slow
-                s[:layer, :layer] -= blas.dgemm(1.0, coup[i],
-                                                blas.dsymm(1.0, tail, coup[i].T, lower=1))
-            ldu, piv, info = lapack.dsytrf(s, lower=1, lwork=32 * b, overwrite_a=1)  # blocked
-            # a 1x1 block of D counts by its sign; a 2x2 block [[a, b], [b, c]] (a pair of
-            # negative piv entries) has ac < b^2 by Bunch-Kaufman's choice: one negative
-            d, first = ldu.diagonal(), np.flatnonzero(piv < 0)[::2]
-            if info > 0 or np.any(d[first] * d[first + 1] >= ldu[first + 1, first] ** 2):
-                raise EigensolveError(f"slab count at E = {energies[j]:.6g}: exactly zero "
-                                      f"or unsplit pivot block in slab {i}")
-            counts[j] += np.count_nonzero(d[piv > 0] < 0) + first.size
-            tail = lapack.dsytri(ldu, piv, lower=1, overwrite_a=1)[0][-layer:, -layer:]
-    return _as_requested(energy, counts)
+    work = np.empty((2, m * size * size))  # this slab's S_i and the last slab's inverses
+    upper, cc = np.triu(np.ones((layer, layer), dtype=bool)), np.zeros((layer, layer))
+    for i in range(n_slabs):
+        b = size if i + 1 < n_slabs else dim - i * size
+        # t[j] holds S_i^T at energy j in C order, so t[j].T is S_i in Fortran order,
+        # which LAPACK factors and inverts in place: S_i's lower triangle is t[j]'s upper
+        t = work[i % 2, :m * b * b].reshape(m, b, b)
+        t[0] = diag[i, :b, :b].T
+        t[1:] = t[0]
+        t.reshape(m, -1)[:, ::b + 1] -= shifts[:, None]
+        # tail T = prev[j][-layer:, -layer:].T, the last-layer block of S_{i-1}^{-1},
+        # current in its lower triangle only
+        if i and diagonals is not None:  # C_i = diag(c): C_i T C_i^T = c_j c_k T_jk; the
+            # stale upper triangle would compound through single-layer slabs
+            c, tails = diagonals[i], prev[:, -layer:, -layer:]
+            np.multiply(c[:, None], c, out=cc, where=upper)  # 0 off T's lower triangle
+            t[:, :layer, :layer] -= np.multiply(tails, cc, out=tails)  # prev is spent
+        piv = np.empty((m, b), dtype=np.int32)
+        bad = np.empty(m, dtype=bool)
+        for j in range(m):
+            if i and diagonals is None:  # scipy's BLAS alone, as alternating with numpy's
+                # own OpenBLAS threads is slow
+                tail = prev[j, -layer:, -layer:].T
+                t[j, :layer, :layer] -= blas.dgemm(
+                    1.0, coup[i], blas.dsymm(1.0, tail, coup[i].T, lower=1)).T
+            _, piv[j], info = lapack.dsytrf(t[j].T, lower=1, lwork=32 * b,  # blocked
+                                            overwrite_a=1)
+            bad[j] = info > 0
+        # a 1x1 block of D counts by its sign; a 2x2 block [[a, b], [b, c]] (a pair of
+        # negative piv entries) has ac < b^2 by Bunch-Kaufman's choice: one negative
+        d, two = t.reshape(m, -1)[:, ::b + 1], piv < 0
+        if two.any():
+            rows, k = np.divmod(np.flatnonzero(two)[::2], b)
+            bad[rows[d[rows, k] * d[rows, k + 1] >= t[rows, k, k + 1] ** 2]] = True
+            counts += ((d < 0) & ~two).sum(axis=1) + two.sum(axis=1) // 2
+        else:
+            counts += (d < 0).sum(axis=1)
+        for j in np.flatnonzero(bad):
+            failed.setdefault(j, i)
+        if i + 1 < n_slabs:  # the last slab's inverse feeds nothing
+            for j in range(m):
+                lapack.dsytri(t[j].T, piv[j], lower=1, overwrite_a=1)
+        prev = t
+    if failed:  # the first energy in the order given, as one sweep per energy would
+        j = min(failed)
+        raise EigensolveError(f"slab count at E = {energies[j]:.6g}: exactly zero "
+                              f"or unsplit pivot block in slab {failed[j]}")
+    return counts
 
 
 def hf_derivative(grid: Grid, psi: np.ndarray, w) -> float:

@@ -288,10 +288,13 @@ def ucp_gradient_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
 def _projector_kappa_prime(grid: Grid, seq: EquidistributedSeq, lam: float | None,
                            cfg: ConstantsConfig, n_samples: int):
     """The config at the sequence's delta and d and its kappa_prime; raises ValueError
-    when n_samples < 1 or lam (None: kappa_prime itself) exceeds kappa_prime.  A
-    runner calls it before the spectrum solve as well."""
+    when n_samples < 1, lam <= 0 or lam (None: kappa_prime itself) exceeds
+    kappa_prime.  A runner calls it before the spectrum solve as well."""
     if n_samples < 1:
         raise ValueError(f"need n_samples >= 1 for the Monte Carlo cross-check, got {n_samples}")
+    if lam is not None and lam <= 0:  # no span below it, or the Neumann zero mode's alone,
+        # whose count edge lam + tol the rounding of the solved zero mode straddles
+        raise ValueError(f"lam must be positive, got {lam}")
     cfg = replace(cfg, delta=seq.delta, d=grid.d)
     kp = bounds.kappa_family(cfg).kappa_prime
     if lam is not None and lam > kp + 1e-12:

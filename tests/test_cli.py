@@ -493,6 +493,18 @@ class TestMain:
           "sequence": {"G": 1.0, "delta": 0.45}, "check": {"lam": 10.0},
           "constants": {"e_min": 0.001, "e_max": 0.05}},
          "projector_ucp: lam = 10.0 exceeds kappa_prime = "),
+        # no eigenvalue lies below lam = -1: the check would pass vacuously
+        ({"experiment": "projector_ucp", "grid": {"d": 1, "L": 4, "n_per_side": 16},
+          "sequence": {"G": 1.0, "delta": 0.45}, "check": {"lam": -1.0},
+          "constants": {"e_min": 0.001, "e_max": 0.05}},
+         "projector_ucp: lam must be positive, got -1.0"),
+        # the Neumann zero mode lies within the count tolerance above lam = 0, and the
+        # threshold solve returned it at +2.7e-13: a solver breakdown before this check
+        ({"experiment": "projector_ucp",
+          "grid": {"d": 2, "L": 2, "n_per_side": 20, "bc": "neumann"},
+          "field": {"kind": "identity"}, "sequence": {"G": 1.0, "delta": 0.45},
+          "check": {"lam": 0.0}, "constants": {"e_min": 0.001, "e_max": 0.05}},
+         "projector_ucp: lam must be positive, got 0.0"),
         ({"experiment": "ucp_function",
           "grid": {"d": 1, "L": 2, "n_per_side": 16, "bc": "neumann"},
           "field": {"kind": "sine"}, "sequence": {"G": 1.0, "delta": 0.3},
@@ -515,6 +527,7 @@ class TestMain:
             "neumann-scaling-zero-mode", "neumann-mollification-zero-mode",
             "neumann-trend-no-sides", "neumann-trend-one-side", "mollification-no-ells",
             "weyl-no-sides", "projector-ucp-no-samples", "projector-ucp-lam-above-kappa-prime",
+            "projector-ucp-negative-lam", "projector-ucp-zero-lam-neumann",
             "ucp-function-neumann-grid", "constants-is-not-an-experiment"])
     def test_rejected_check_input_is_a_config_error(self, tmp_path, capsys, monkeypatch,
                                                    config, message):

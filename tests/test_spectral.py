@@ -217,6 +217,37 @@ class TestEigensolve:
         assert np.array_equal(mat.data, data) and np.array_equal(mat.indices, indices)
         assert got == float(abs(mat).sum(axis=0 if csc else 1).max())
 
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_1d_dense_solve_reads_the_bands(self, monkeypatch, bc):
+        # MRRR on the bands gives eigh's pairs bit for bit, so every k does; a
+        # lifting_curve operator H(A + t w Id) included
+        g = dl.make_grid(1, 4, 16, bc=bc)
+        sine = dl.sampled_field(g, lambda p: 1 + 0.5 * np.sin(3 * p[:, 0]))
+        ops = [dl.assemble(g, sine), dl.assemble(g, dl.checkerboard_field(g, 1.0, 3.0))]
+        w = dl.as_scalar_field(lambda p: 1.0 + np.cos(p[:, 0]))
+        ops.append(ops[0].shifted(perturbation_operator(g, w), 0.7))
+        calls = _recording(monkeypatch, scipy.linalg, "eigh_tridiagonal")
+        for op in ops:
+            evals, evecs = spectral._dense_eigh(op)
+            want_evals, want_evecs = scipy.linalg.eigh(op.dense())
+            assert np.array_equal(evals, want_evals) and np.array_equal(evecs, want_evecs)
+        assert len(calls) == len(ops)
+
+    def test_1d_dense_solve_falls_back_to_eigh(self, monkeypatch):
+        g = dl.make_grid(1, 2, 16)
+        op = dl.assemble(g, dl.identity_field(g))
+        want = dl.eigensolve(op, k=4)
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("dstemr failed")
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", failing)
+        calls = _recording(monkeypatch, scipy.linalg, "eigh")
+        spec = dl.eigensolve(op, k=4)
+        assert calls
+        assert np.array_equal(spec.energies, want.energies)
+        assert np.array_equal(spec.vectors, want.vectors)
+
     def test_sign_convention(self):
         g = dl.make_grid(1, 1, 32)
         spec = dl.eigensolve(dl.assemble(g, dl.identity_field(g)), k=3)
@@ -339,6 +370,48 @@ class TestCountEigenvalues:
         general = dl.count_eigenvalues(op, energies)
         assert calls  # premise: the second pass took the BLAS branch
         assert general.tolist() == diagonal.tolist()
+
+    # (d, L, n, bc, field): a 2D and a 3D alloy; a constant field with off-diagonal
+    # entries, whose layer couplings are not diagonal (the BLAS update); layers of 7
+    # and 9 unknowns, below _MIN_SLAB, so a slab spans several layers and the last
+    # slab is short (49 = 2*21 + 7, 27 = 18 + 9)
+    @pytest.mark.parametrize("d, L, n, bc, kind", [
+        (2, 2, 8, "dirichlet", "alloy"), (3, 1, 6, "neumann", "alloy"),
+        (2, 2, 6, "neumann", "constant-offdiag"), (3, 1, 4, "dirichlet", "constant-offdiag"),
+        (2, 1, 8, "dirichlet", "alloy"), (3, 1, 4, "dirichlet", "alloy")])
+    def test_one_sweep_equals_the_scalar_counts(self, d, L, n, bc, kind):
+        g = dl.make_grid(d, L, n, bc=bc)
+        if kind == "alloy":
+            field = _alloy_field(dl.identity_field(g), 3)
+        else:
+            field = dl.constant_field(g, np.eye(d) + 0.3 * (np.ones((d, d)) - np.eye(d)))
+        op = dl.assemble(g, field)
+        diag, coup, layer = spectral._slab_blocks(op)
+        assert (spectral._coupling_diagonals(coup) is None) == (kind != "alloy")
+        if layer < spectral._MIN_SLAB:  # premise: several layers per slab, a short last one
+            assert diag.shape[1] > layer and op.dim % diag.shape[1]
+        exact = np.linalg.eigvalsh(op.dense())
+        picks = np.random.default_rng(d * 10 + n).uniform(0.0, 1.1 * exact[-1], size=4)
+        energies = picks[[2, 0, 3, 0, 1, 2]]  # unsorted, with repeats
+        counts = dl.count_eigenvalues(op, energies)
+        assert counts.tolist() == [dl.count_eigenvalues(op, e) for e in energies]
+        assert counts.tolist() == [int(np.count_nonzero(exact <= e)) for e in energies]
+        assert dl.count_eigenvalues(op, []).tolist() == []
+
+    def test_breakdown_names_the_first_failing_energy_and_its_slab(self, monkeypatch):
+        # with tol = 0, an energy equal to an entry of a diagonal H leaves an exactly
+        # zero pivot in that entry's slab; the error names the first failing energy in
+        # the order given and its slab, as a count of that energy alone would
+        g = dl.make_grid(2, 1, 8)  # 49 unknowns: slabs of 21, 21 and 7
+        values = np.arange(1.0, 50.0)
+        op = DiscreteOperator(grid=g, matrix=scipy.sparse.diags(values, format="csr"))
+        monkeypatch.setattr(spectral, "_zero_tol", lambda op, energies: 0.0 * energies)
+        assert dl.count_eigenvalues(op, [0.5, 20.5]).tolist() == [0, 20]
+        for energies, e, slab in (([100.0, 46.0, 4.0], 46, 2), ([4.0, 46.0], 4, 0),
+                                  ([30.0], 30, 1)):
+            with pytest.raises(EigensolveError, match=f"slab count at E = {e}: exactly zero "
+                                                      f"or unsplit pivot block in slab {slab}"):
+                dl.count_eigenvalues(op, energies)
 
     def test_energy_at_a_2d_eigenvalue_falls_back(self):
         # one alloy site at the centre: a symmetric field with the double eigenvalue
