@@ -127,12 +127,13 @@ def _dense_eigh(op: DiscreteOperator):
     `dsyevr` does after reducing the dense H to that same tridiagonal, and no
     dense matrix is formed.  The pairs equal `eigh`'s bit for bit on every 1D
     operator tried.  Where `dstemr` fails, `dsyevr` falls back to bisection and
-    inverse iteration, and this to the dense `eigh`.
+    inverse iteration, and this to the dense `eigh`, as it does for a 1D H with
+    entries below the subdiagonal.  A band entry the CSR matrix does not store
+    is a zero, as in `op.dense()`.
     """
-    if op.grid.d == 1:
-        diag, _ = op.tridiagonal  # raises unless H is tridiagonal
+    if op.grid.d == 1 and not sp.tril(op.matrix, -2).count_nonzero():
         try:
-            return scipy.linalg.eigh_tridiagonal(diag, op.matrix.diagonal(-1),
+            return scipy.linalg.eigh_tridiagonal(op.matrix.diagonal(), op.matrix.diagonal(-1),
                                                  lapack_driver="stemr")
         except np.linalg.LinAlgError:
             pass
@@ -451,12 +452,9 @@ def _slab_counts(diag: np.ndarray, coup: np.ndarray, layer: int, dim: int,
         # a 1x1 block of D counts by its sign; a 2x2 block [[a, b], [b, c]] (a pair of
         # negative piv entries) has ac < b^2 by Bunch-Kaufman's choice: one negative
         d, two = t.reshape(m, -1)[:, ::b + 1], piv < 0
-        if two.any():
-            rows, k = np.divmod(np.flatnonzero(two)[::2], b)
-            bad[rows[d[rows, k] * d[rows, k + 1] >= t[rows, k, k + 1] ** 2]] = True
-            counts += ((d < 0) & ~two).sum(axis=1) + two.sum(axis=1) // 2
-        else:
-            counts += (d < 0).sum(axis=1)
+        rows, k = np.divmod(np.flatnonzero(two)[::2], b)
+        bad[rows[d[rows, k] * d[rows, k + 1] >= t[rows, k, k + 1] ** 2]] = True
+        counts += ((d < 0) & ~two).sum(axis=1) + two.sum(axis=1) // 2
         for j in np.flatnonzero(bad):
             failed.setdefault(j, i)
         if i + 1 < n_slabs:  # the last slab's inverse feeds nothing

@@ -248,6 +248,29 @@ class TestEigensolve:
         assert np.array_equal(spec.energies, want.energies)
         assert np.array_equal(spec.vectors, want.vectors)
 
+    def test_1d_dense_solve_of_a_csr_matrix_with_bands_left_out(self, monkeypatch):
+        # a diagonal matrix stores no subdiagonal, an entry dropped after it cancelled
+        # leaves a gap in one band: both are zeros, as in op.dense(), and the banded
+        # solve still gives eigh's pairs; an entry below the subdiagonal takes eigh
+        g = dl.make_grid(1, 2, 16)
+        base = dl.assemble(g, dl.identity_field(g)).matrix
+        gap = base.tolil()
+        gap[4, 3] = gap[3, 4] = 0.0
+        wide = base.tolil()
+        wide[2, 0] = wide[0, 2] = -1.0
+        mats = [scipy.sparse.diags(np.arange(1.0, base.shape[0] + 1), format="csr"),
+                gap.tocsr(), wide.tocsr()]
+        mats[1].eliminate_zeros()
+        calls = _recording(monkeypatch, scipy.linalg, "eigh_tridiagonal")
+        for mat in mats:
+            op = DiscreteOperator(grid=g, matrix=mat)
+            spec = dl.eigensolve(op, k=4)
+            evals, evecs = scipy.linalg.eigh(op.dense())
+            assert np.array_equal(spec.energies, evals[:4])
+            assert np.array_equal(spec.vectors, spectral._fix_signs(
+                evecs[:, :4] / g.h ** 0.5))
+        assert len(calls) == 2
+
     def test_sign_convention(self):
         g = dl.make_grid(1, 1, 32)
         spec = dl.eigensolve(dl.assemble(g, dl.identity_field(g)), k=3)
@@ -412,6 +435,31 @@ class TestCountEigenvalues:
             with pytest.raises(EigensolveError, match=f"slab count at E = {e}: exactly zero "
                                                       f"or unsplit pivot block in slab {slab}"):
                 dl.count_eigenvalues(op, energies)
+
+    def test_more_energies_than_one_sweep_takes(self, monkeypatch):
+        # 20 energies on 3 slabs: sweeps of 8, 8 and 4 energies
+        g = dl.make_grid(2, 1, 8)  # 49 unknowns: slabs of 21, 21 and 7
+        op = dl.assemble(g, _alloy_field(dl.identity_field(g), 3))
+        assert spectral._slab_blocks(op)[0].shape[0] == 3
+        exact = np.linalg.eigvalsh(op.dense())
+        energies = np.random.default_rng(20).uniform(0.0, 1.1 * exact[-1], size=20)
+        counts = dl.count_eigenvalues(op, energies)
+        assert counts.tolist() == [dl.count_eigenvalues(op, e) for e in energies]
+        assert counts.tolist() == [int(np.count_nonzero(exact <= e)) for e in energies]
+        # the breakdown names the first failing energy in the order given, whichever
+        # sweep holds it (tol = 0 and a diagonal H, as above)
+        diagonal = DiscreteOperator(grid=g, matrix=scipy.sparse.diags(np.arange(1.0, 50.0),
+                                                                      format="csr"))
+        monkeypatch.setattr(spectral, "_zero_tol", lambda op, energies: 0.0 * energies)
+        energies = np.arange(20) * 2.5 + 0.25  # no entry of H
+        assert dl.count_eigenvalues(diagonal, energies).tolist() == np.floor(energies).tolist()
+        for fails, e, slab in (({10: 30.0, 17: 4.0}, 30, 1), ({18: 46.0}, 46, 2),
+                               ({3: 22.0, 12: 5.0}, 22, 1)):
+            hit = energies.copy()
+            hit[list(fails)] = list(fails.values())
+            with pytest.raises(EigensolveError, match=f"slab count at E = {e}: exactly zero "
+                                                      f"or unsplit pivot block in slab {slab}"):
+                dl.count_eigenvalues(diagonal, hit)
 
     def test_energy_at_a_2d_eigenvalue_falls_back(self):
         # one alloy site at the centre: a symmetric field with the double eigenvalue
