@@ -202,19 +202,22 @@ def _coupling(node) -> CouplingDistribution:
 # experiment dispatch
 # --------------------------------------------------------------------------
 
-_EXPERIMENTS: dict = {}  # experiment name -> (runner, the casts of the `check` keys it reads)
+_EXPERIMENTS: dict = {}  # experiment name -> (runner, blocks it reads, casts of its `check` keys)
+# the input blocks of a run config; a ball-union check reads them all (`_build_balls`)
+_BLOCKS = ("grid", "field", "sequence", "constants")
 
 
-def _experiment(name: str, **check_casts):
-    """Register a runner as experiment `name`; `execute` passes it the `check` keys a config
-    sets, each through its cast in `check_casts`, and rejects any other key."""
+def _experiment(name: str, *blocks: str, **check_casts):
+    """Register a runner as experiment `name` that reads the input `blocks`; `execute`
+    rejects a config that sets any other, and passes the runner the `check` keys a config
+    sets, each through its cast in `check_casts`, rejecting any other key."""
     def register(runner):
-        _EXPERIMENTS[name] = (runner, check_casts)
+        _EXPERIMENTS[name] = (runner, blocks, check_casts)
         return runner
     return register
 
 
-@_experiment("eigensolve", k=_int)
+@_experiment("eigensolve", "grid", "field", k=_int)
 def _run_eigensolve(cfg: dict, k: int = 3) -> verify.CheckReport:
     grid = _build_grid(cfg)
     field = _build_field(cfg, grid)
@@ -240,7 +243,7 @@ def _run_eigensolve(cfg: dict, k: int = 3) -> verify.CheckReport:
     return rep
 
 
-@_experiment("reverse_caccioppoli", index=_int, x0=_list, r=_real, e_min=_real)
+@_experiment("reverse_caccioppoli", "grid", "field", index=_int, x0=_list, r=_real, e_min=_real)
 def _run_reverse_caccioppoli(cfg: dict, index: int = 0, x0: list | None = None,
                              r: float = 0.2, e_min: float = 1.0) -> verify.CheckReport:
     grid = _build_grid(cfg)
@@ -270,7 +273,7 @@ def _spectrum_upto(grid, field, top: float):
     return spec
 
 
-@_experiment("ucp_function", clamp_delta=_bool)
+@_experiment("ucp_function", *_BLOCKS, clamp_delta=_bool)
 def _run_ucp_function(cfg: dict, **keys) -> verify.CheckReport:
     grid, field, seq, consts = _build_balls(cfg)
     verify._ucp_function_hypotheses(grid, field)  # before the solve
@@ -278,7 +281,7 @@ def _run_ucp_function(cfg: dict, **keys) -> verify.CheckReport:
     return verify.ucp_function_check(grid, field, spec, seq, consts, **keys)
 
 
-@_experiment("ucp_gradient", variant=_text, negative_control=_bool)
+@_experiment("ucp_gradient", *_BLOCKS, variant=_text, negative_control=_bool)
 def _run_ucp_gradient(cfg: dict, **keys) -> verify.CheckReport:
     grid, field, seq, consts = _build_balls(cfg)
     verify._ucp_gradient_bound(grid, field, seq, consts, **keys)  # before the solve
@@ -286,7 +289,7 @@ def _run_ucp_gradient(cfg: dict, **keys) -> verify.CheckReport:
     return verify.ucp_gradient_check(grid, field, spec, seq, consts, **keys)
 
 
-@_experiment("projector_ucp", lam=_real, n_samples=_int)
+@_experiment("projector_ucp", *_BLOCKS, lam=_real, n_samples=_int)
 def _run_projector_ucp(cfg: dict, lam: float | None = None,
                        n_samples: int = 200) -> verify.CheckReport:
     grid, field, seq, consts = _build_balls(cfg)
@@ -298,7 +301,7 @@ def _run_projector_ucp(cfg: dict, lam: float | None = None,
                                       seed=_run_seed(cfg), cfg=consts)
 
 
-@_experiment("lifting", w=lambda node: _block(node, "check.w", kind=_text, value=_real),
+@_experiment("lifting", *_BLOCKS, w=lambda node: _block(node, "check.w", kind=_text, value=_real),
              t_max=_real, t_steps=_int, indices=_list, variant=_text)
 def _run_lifting(cfg: dict, w: dict | None = None, t_max: float = 1.0, t_steps: int = 7,
                  indices=(0, 1), variant: str = "bounded_w") -> verify.CheckReport:
@@ -308,8 +311,8 @@ def _run_lifting(cfg: dict, w: dict | None = None, t_max: float = 1.0, t_steps: 
     return verify.lifting_check(curve, consts, seq, variant=variant)
 
 
-@_experiment("wegner", c_minus=_real, c_plus=_real, delta_plus=_real, bump=_text, dist=_coupling,
-             e_center=_real, eps=_real, n_samples=_int, variant=_text)
+@_experiment("wegner", *_BLOCKS, c_minus=_real, c_plus=_real, delta_plus=_real, bump=_text,
+             dist=_coupling, e_center=_real, eps=_real, n_samples=_int, variant=_text)
 def _run_wegner(cfg: dict, e_center: float | None = None, eps: float = 0.1,
                 n_samples: int = 200, **keys) -> verify.CheckReport:
     grid, field, seq, consts = _build_balls(cfg)
@@ -331,14 +334,14 @@ def _run_pi_singular(cfg: dict, dist=_coupling(None), phi: str = "linear", a: fl
     return verify.pi_singular_check(dist, fn, a=a, b=dist.m + 0.1 if b is None else b, eps=eps)
 
 
-@_experiment("weyl", sides=_list, e_plus=_real, weyl_constant=_real)
+@_experiment("weyl", "grid", "field", sides=_list, e_plus=_real, weyl_constant=_real)
 def _run_weyl(cfg: dict, sides=(1, 2, 4), e_plus: float = 100.0, **keys) -> verify.CheckReport:
     base = _build_grid(cfg)
     grids = [make_grid(base.d, L, base.n_per_side, base.bc) for L in sides]
     return verify.weyl_check(grids, lambda g: _build_field(cfg, g), e_plus=e_plus, **keys)
 
 
-@_experiment("scaling", G=_real, delta=_real, mode=_text, target_n=_int, k=_int,
+@_experiment("scaling", "grid", "field", G=_real, delta=_real, mode=_text, target_n=_int, k=_int,
              eig_rtol=_real, grad_rtol=_real)
 def _run_scaling(cfg: dict, G: float = 2.0, delta: float = 0.75, target_n: int | None = None,
                  **keys) -> verify.CheckReport:
@@ -349,14 +352,14 @@ def _run_scaling(cfg: dict, G: float = 2.0, delta: float = 0.75, target_n: int |
                                 target_n_per_side=_need(target_n, "check.target_n"), **keys)
 
 
-@_experiment("mollification", eps=_real, ells=_list, k=_int, rtol=_real)
+@_experiment("mollification", "grid", "field", eps=_real, ells=_list, k=_int, rtol=_real)
 def _run_mollification(cfg: dict, eps: float = 0.25, ells=(4, 8, 16, 32), k: int = 3,
                        **keys) -> verify.CheckReport:
     field = _build_field(cfg, _build_grid(cfg))
     return verify.mollification_convergence(field, eps=eps, ells=ells, k=k, **keys)
 
 
-@_experiment("neumann_trend", sides=_list, delta=_real)
+@_experiment("neumann_trend", "grid", sides=_list, delta=_real)
 def _run_neumann_trend(cfg: dict, sides=(1, 2, 4), delta: float = 0.3) -> verify.CheckReport:
     grid = _build_grid(cfg)
     return verify.neumann_gradient_decay_trend(grid.d, sides, grid.n_per_side, delta=delta)
@@ -372,7 +375,11 @@ def execute(config: dict) -> verify.CheckReport:
     """Run one experiment config and return its report (no files written)."""
     config = _block(config, "", **_RUN_KEYS)
     kind = _need(config.get("experiment"), "experiment")
-    runner, check_casts = _EXPERIMENTS[kind]
+    runner, blocks, check_casts = _EXPERIMENTS[kind]
+    unread = [name for name in _BLOCKS if name in config and name not in blocks]
+    if unread:
+        raise ConfigError(f"{unread[0]}: experiment {kind!r} does not read this block; "
+                          f"it reads {list(blocks)}")
     check = _block(config.get("check"), "check", **check_casts)
     t0 = time.perf_counter()
     try:

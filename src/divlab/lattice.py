@@ -290,18 +290,27 @@ def site_sq_distances(seq: EquidistributedSeq, pts, reach: float) -> tuple[np.nd
 
     The sites are those of the G-cells within m = ceil(reach / G) cells of the point's own cell
     along every axis; cells outside the cube give d2 = inf.  Each site lies inside its own cell,
-    so every site within `reach` of a point, inside the cube or not, is listed.
+    so every site within `reach` of a point, inside the cube or not, is listed.  The cell offsets
+    run row-major, and d2 sums the squared coordinate differences in axis order.
     """
     pts = np.asarray(pts, dtype=float)
+    n, d = pts.shape
     k = int(round(seq.L / seq.G))
     m = math.ceil(reach / seq.G)
     own = np.floor((pts + seq.L / 2.0) / seq.G).astype(int)
-    offsets = np.indices((2 * m + 1,) * seq.d).reshape(seq.d, -1).T - m
-    cells = own[:, None, :] + offsets[None, :, :]
-    outside = np.any((cells < 0) | (cells >= k), axis=-1)
-    idx = np.ravel_multi_index(tuple(np.moveaxis(np.clip(cells, 0, k - 1), -1, 0)), (k,) * seq.d)
-    d2 = ((pts[:, None, :] - seq.centers[idx]) ** 2).sum(axis=-1)
-    d2[outside] = np.inf
+    # axis a's cell of a (point, offset) pair varies along dimension a + 1 alone, so the
+    # cell index builds up axis by axis with no (points, offsets, d) array
+    idx, outside = 0, False
+    for a in range(d):
+        shape = (n,) + (1,) * a + (2 * m + 1,) + (1,) * (d - a - 1)
+        cell = (own[:, a, None] + np.arange(-m, m + 1)).reshape(shape)
+        outside = outside | (cell < 0) | (cell >= k)
+        idx = idx * k + np.clip(cell, 0, k - 1)
+    idx = idx.reshape(n, (2 * m + 1) ** d)
+    d2 = (pts[:, 0, None] - seq.centers[:, 0][idx]) ** 2
+    for a in range(1, d):
+        d2 += (pts[:, a, None] - seq.centers[:, a][idx]) ** 2
+    d2[outside.reshape(idx.shape)] = np.inf
     return d2, idx
 
 

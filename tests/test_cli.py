@@ -511,6 +511,16 @@ class TestMain:
           "constants": {"e_min": 1.0, "e_max": 30.0}},
          "ucp_function: function-level bound is stated for Dirichlet grids"),
         ({"experiment": "constants"}, "experiment: must be one of ["),
+        # a block the experiment never reads
+        ({"experiment": "eigensolve", "grid": {"d": 1, "L": 1, "n_per_side": 16},
+          "sequence": {"G": 1.0, "delta": 0.3}},
+         "sequence: experiment 'eigensolve' does not read this block; it reads ['grid', 'field']"),
+        ({"experiment": "eigensolve", "grid": {"d": 1, "L": 1, "n_per_side": 16},
+          "constants": {"e_min": 1.0, "e_max": 30.0}},
+         "constants: experiment 'eigensolve' does not read this block; "
+         "it reads ['grid', 'field']"),
+        ({"experiment": "pi_singular", "grid": {"d": 1, "L": 1, "n_per_side": 16}},
+         "grid: experiment 'pi_singular' does not read this block; it reads []"),
     ], ids=["wegner-one-sample", "low-energy-above-kappa", "wegner-unknown-key",
             "lifting-unknown-key", "check-not-a-mapping", "unknown-top-level-block",
             "grid-unknown-key", "field-unknown-key", "field-key-of-another-recipe",
@@ -528,7 +538,9 @@ class TestMain:
             "neumann-trend-no-sides", "neumann-trend-one-side", "mollification-no-ells",
             "weyl-no-sides", "projector-ucp-no-samples", "projector-ucp-lam-above-kappa-prime",
             "projector-ucp-negative-lam", "projector-ucp-zero-lam-neumann",
-            "ucp-function-neumann-grid", "constants-is-not-an-experiment"])
+            "ucp-function-neumann-grid", "constants-is-not-an-experiment",
+            "eigensolve-unread-sequence", "eigensolve-unread-constants",
+            "pi-singular-unread-grid"])
     def test_rejected_check_input_is_a_config_error(self, tmp_path, capsys, monkeypatch,
                                                    config, message):
         # a ball-union check rejects its input before the threshold solve

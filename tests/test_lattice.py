@@ -169,6 +169,34 @@ class TestSiteSqDistances:
             for k in range(d):
                 assert np.array_equal(mask.face_mask(k).ravel(), in_balls(g.face_points(k)))
 
+    @pytest.mark.parametrize("L, G", [(2, 1.0), (3, 1.0), (4, 2.0)])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_every_entry_is_the_distance_to_its_site(self, d, L, G):
+        # random points, half of them moved onto a G-cell face along one axis; each
+        # entry against the site of its cell, offsets row-major, summed in axis order
+        g, seq = _cell_local_seq(d, L, G, "random")
+        rng = np.random.default_rng(7 * d + L)
+        pts = rng.uniform(-L / 2 - G, L / 2 + G, size=(30, d))
+        faces = rng.integers(0, round(L / G) + 1, size=15)
+        pts[:15, 0] = -L / 2 + G * faces
+        pts[15:23, d - 1] = -L / 2 + G * faces[:8]
+        k = round(L / G)
+        for reach in (seq.delta, 1.3 * G):
+            m = math.ceil(reach / G)
+            d2, idx = site_sq_distances(seq, pts, reach)
+            for i, p in enumerate(pts):
+                own = [math.floor((x + L / 2) / G) for x in p]
+                for j, off in enumerate(np.ndindex(*(2 * m + 1,) * d)):
+                    cell = [c + o - m for c, o in zip(own, off)]
+                    site = 0
+                    for c in cell:
+                        site = site * k + min(max(c, 0), k - 1)
+                    dist = 0.0
+                    for x, z in zip(p, seq.centers[site]):
+                        dist += (x - z) ** 2
+                    assert idx[i, j] == site
+                    assert d2[i, j] == (dist if all(0 <= c < k for c in cell) else math.inf)
+
 
 class TestCutoff:
     def test_plateau_and_support(self):

@@ -142,6 +142,15 @@ def _recording(monkeypatch, module, name):
     return calls
 
 
+def _failing_dstemr(*args, **kwargs):
+    """`lapack.dstemr` returning info = 22, as it does on an exact multiplet."""
+    m, w, z, _ = _DSTEMR(*args, **kwargs)
+    return m, w, z, 22
+
+
+_DSTEMR = scipy.linalg.lapack.dstemr
+
+
 class TestEigensolve:
     def test_1d_closed_form(self):
         g = dl.make_grid(1, 1, 64)
@@ -226,22 +235,19 @@ class TestEigensolve:
         ops = [dl.assemble(g, sine), dl.assemble(g, dl.checkerboard_field(g, 1.0, 3.0))]
         w = dl.as_scalar_field(lambda p: 1.0 + np.cos(p[:, 0]))
         ops.append(ops[0].shifted(perturbation_operator(g, w), 0.7))
-        calls = _recording(monkeypatch, scipy.linalg, "eigh_tridiagonal")
+        calls = _recording(monkeypatch, scipy.linalg.lapack, "dstemr")
+        reductions = _recording(monkeypatch, scipy.linalg.lapack, "dsytrd")
         for op in ops:
-            evals, evecs = spectral._dense_eigh(op)
+            evals, evecs = spectral._dense_eigh(op, op.dim)
             want_evals, want_evecs = scipy.linalg.eigh(op.dense())
             assert np.array_equal(evals, want_evals) and np.array_equal(evecs, want_evecs)
-        assert len(calls) == len(ops)
+        assert len(calls) == len(ops) and not reductions
 
     def test_1d_dense_solve_falls_back_to_eigh(self, monkeypatch):
         g = dl.make_grid(1, 2, 16)
         op = dl.assemble(g, dl.identity_field(g))
         want = dl.eigensolve(op, k=4)
-
-        def failing(*args, **kwargs):
-            raise np.linalg.LinAlgError("dstemr failed")
-
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", failing)
+        monkeypatch.setattr(scipy.linalg.lapack, "dstemr", _failing_dstemr)
         calls = _recording(monkeypatch, scipy.linalg, "eigh")
         spec = dl.eigensolve(op, k=4)
         assert calls
@@ -251,7 +257,8 @@ class TestEigensolve:
     def test_1d_dense_solve_of_a_csr_matrix_with_bands_left_out(self, monkeypatch):
         # a diagonal matrix stores no subdiagonal, an entry dropped after it cancelled
         # leaves a gap in one band: both are zeros, as in op.dense(), and the banded
-        # solve still gives eigh's pairs; an entry below the subdiagonal takes eigh
+        # solve still gives eigh's pairs; an entry below the subdiagonal takes the
+        # reduction to a tridiagonal, as d >= 2 does
         g = dl.make_grid(1, 2, 16)
         base = dl.assemble(g, dl.identity_field(g)).matrix
         gap = base.tolil()
@@ -261,7 +268,7 @@ class TestEigensolve:
         mats = [scipy.sparse.diags(np.arange(1.0, base.shape[0] + 1), format="csr"),
                 gap.tocsr(), wide.tocsr()]
         mats[1].eliminate_zeros()
-        calls = _recording(monkeypatch, scipy.linalg, "eigh_tridiagonal")
+        calls = _recording(monkeypatch, scipy.linalg.lapack, "dsytrd")
         for mat in mats:
             op = DiscreteOperator(grid=g, matrix=mat)
             spec = dl.eigensolve(op, k=4)
@@ -269,7 +276,62 @@ class TestEigensolve:
             assert np.array_equal(spec.energies, evals[:4])
             assert np.array_equal(spec.vectors, spectral._fix_signs(
                 evecs[:, :4] / g.h ** 0.5))
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("d, L, n, bc", [(2, 1, 10, "dirichlet"), (2, 1, 12, "neumann"),
+                                             (2, 2, 8, "dirichlet"), (3, 1, 6, "neumann"),
+                                             (3, 2, 4, "dirichlet")])
+    def test_dense_solve_of_d2_d3_equals_eigh(self, monkeypatch, d, L, n, bc):
+        # every eigenvalue bit for bit; the k returned vectors, back-transformed alone,
+        # within 1e-14 of eigh's and h^d-orthonormal; sine, checkerboard and constant
+        # fields with off-diagonal entries, so every dstemr call succeeds
+        g = dl.make_grid(d, L, n, bc=bc)
+        fields = [dl.sampled_field(g, lambda p: 1 + 0.5 * np.sin(3 * p[:, 0])),
+                  dl.checkerboard_field(g, 1.0, 3.0),
+                  dl.constant_field(g, np.eye(d) + 0.3 * (np.ones((d, d)) - np.eye(d)))]
+        columns = []
+        dormqr = scipy.linalg.lapack.dormqr
+        monkeypatch.setattr(scipy.linalg.lapack, "dormqr", lambda *args: (
+            columns.append(args[4].shape[1]) or dormqr(*args)))
+        for field, k in zip(fields, (1, 3, 5)):
+            op = dl.assemble(g, field)
+            want_evals, want_evecs = scipy.linalg.eigh(op.dense())
+            evals, evecs = spectral._dense_eigh(op, k)
+            assert np.array_equal(evals, want_evals[:k])
+            assert np.abs(evecs - want_evecs[:, :k]).max() <= 1e-14
+            spec = dl.eigensolve(op, k)
+            assert np.array_equal(spec.energies, want_evals[:k])
+            gram = spec.vectors.T @ spec.vectors * g.h**d
+            assert np.abs(gram - np.eye(k)).max() <= 1e-13
+        # each back-transformation took the k returned columns alone, and none fell back
+        assert columns == [1, 1, 3, 3, 5, 5]
+
+    def test_dense_solve_of_the_whole_spectrum_is_eigh(self):
+        g = dl.make_grid(2, 1, 12)
+        op = dl.assemble(g, _offdiag_field(g))
+        evals, evecs = spectral._dense_eigh(op, op.dim)
+        want_evals, want_evecs = scipy.linalg.eigh(op.dense())
+        assert np.array_equal(evals, want_evals) and np.array_equal(evecs, want_evecs)
+
+    @pytest.mark.parametrize("d, n, bc", [(2, 10, "dirichlet"), (3, 6, "dirichlet"),
+                                          (2, 16, "neumann")])
+    def test_identity_field_multiplets_fall_back_to_eigh(self, monkeypatch, d, n, bc):
+        # the exact multiplets of the identity field's Laplacian stop dstemr, and
+        # the pairs are eigh's own, bit for bit
+        g = dl.make_grid(d, 1, n, bc=bc)
+        op = dl.assemble(g, dl.identity_field(g))
+        infos = []
+
+        def dstemr(*args):
+            out = _DSTEMR(*args)
+            infos.append(out[3])
+            return out
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dstemr", dstemr)
+        evals, evecs = spectral._dense_eigh(op, 4)
+        want_evals, want_evecs = scipy.linalg.eigh(op.dense())
+        assert infos[0] > 0
+        assert np.array_equal(evals, want_evals[:4]) and np.array_equal(evecs, want_evecs[:, :4])
 
     def test_sign_convention(self):
         g = dl.make_grid(1, 1, 32)
@@ -461,11 +523,12 @@ class TestCountEigenvalues:
                                                       f"or unsplit pivot block in slab {slab}"):
                 dl.count_eigenvalues(diagonal, hit)
 
-    def test_energy_at_a_2d_eigenvalue_falls_back(self):
+    def test_energy_at_a_2d_double_eigenvalue_counts_one_of_the_pair(self):
         # one alloy site at the centre: a symmetric field with the double eigenvalue
         # lambda_1 = lambda_2, which a combination of the pair vanishing on the middle
-        # layer shares with a leading block of slabs, so the element growth reaches
-        # 6e12 ||H - E||; there the count takes one of the pair, the dense LDL^T both
+        # layer shares with a leading block of slabs, so the element growth of the slab
+        # count reaches 6e12 ||H - E||; there it takes one of the pair, the dense LDL^T
+        # both
         g = dl.make_grid(2, 1, 10)
         op = dl.assemble(g, _alloy_field(dl.identity_field(g), 5))
         exact = np.linalg.eigvalsh(op.dense())
@@ -475,15 +538,18 @@ class TestCountEigenvalues:
         dense = [_dense_ldl_count(op, e) for e in energies]
         assert counts.tolist() == [1, 2, 11, 41] and dense == [1, 3, 11, 41]
 
-    def test_off_diagonal_pivot_falls_back(self):
-        # E = H_ff: an exactly zero first pivot in a minimum-degree order of H - E
+    def test_energy_at_a_diagonal_entry_counts_as_the_dense_ldl(self):
+        # E = H_ff, a diagonal entry of H, puts an exactly zero entry on the diagonal of
+        # H - E (f is the node a minimum-degree order eliminates first); the slab count
+        # still equals the dense LDL^T
         g = dl.make_grid(2, 1, 10)
         op = dl.assemble(g, _alloy_field(dl.identity_field(g), 5))
         e = op.matrix.diagonal()[_first_pivot(op)]
         assert dl.count_eigenvalues(op, e) == _dense_ldl_count(op, e)
 
-    def test_unstable_factorization_falls_back(self):
-        # a first pivot of relative size 1e-9 in a minimum-degree order of H - E
+    def test_energy_near_a_diagonal_entry_counts_as_the_dense_ldl(self):
+        # E within 1e-9 relative of H_ff leaves a diagonal entry of H - E that small;
+        # the slab count still equals the dense LDL^T
         g = dl.make_grid(2, 1, 10)
         op = dl.assemble(g, _alloy_field(dl.identity_field(g), 5))
         e = op.matrix.diagonal()[_first_pivot(op)] * (1 - 1e-9)
@@ -815,6 +881,18 @@ class TestWindowEigenvalues:
         got = dl.window_eigenvalues(op, 0.0, 1e3, op.dim)
         assert np.abs(got - exact).max() <= 1e-9 * exact.max()
 
+
+    def test_d2_window_of_few_unknowns_takes_the_dense_solve(self, monkeypatch):
+        # expected + 2 >= dim, which ARPACK cannot solve: eigh's values, bit for bit
+        g = dl.make_grid(2, 1, 5)
+        op = dl.assemble(g, _offdiag_field(g))
+        want = scipy.linalg.eigh(op.dense())[0]
+        reductions = _recording(monkeypatch, scipy.linalg.lapack, "dsytrd")
+        for lo, hi in ((0.0, 1e4), (want[0], 1e4)):
+            expected = dl.count_eigenvalues(op, hi) - dl.count_eigenvalues(op, lo)
+            got = dl.window_eigenvalues(op, lo, hi, expected)
+            assert np.array_equal(got, want[(want > lo) & (want <= hi)])
+        assert len(reductions) == 2
 
 class TestMonotonicity:
     def test_eigenvalues_monotone_in_field(self):
