@@ -131,7 +131,7 @@ def _dense_eigh(op: DiscreteOperator, k: int):
     workspace `dsyevr` hands each, but back-transforms the k returned vectors alone
     (`dormqr` on rows 2..n, as `dormtr` does for the lower triangle): at dim 961 that
     saves about a fifth of the solve.  The eigenvalues equal `eigh`'s bit for bit.  The
-    vectors do for k = n; for k < n they agree to about 1 ulp (5.3e-16 at most over the
+    vectors do for k = n; for k < n they agree to about 1 ulp (at most 4.9e-16 on the
     d >= 2 operators tried), as BLAS blocks a k-column product differently.  A tridiagonal
     H (d = 1, or a single unknown) skips the reduction: `dstemr` runs on its bands, and
     the pairs equal `eigh`'s bit for bit; a band entry the CSR matrix does not store is a
