@@ -1,9 +1,11 @@
 """Closed-form constants and thresholds used by the verification checks.
 
-All formulas are evaluated exactly as configured.  The absolute constants
-that the underlying estimates only assert to exist (exponent scales, the
-Neumann geometry constants, the eigenvalue-count density) default to 1 and
-are plainly labeled as configuration, not derived values.
+Each formula is written once: every gradient constant is the double-ball bound
+`c_gradient` at a radius r times (r/2)^exponent (`_gradient_ucp`).  The bounds
+are stated for (1, delta)-equidistributed sequences; only `delta0` takes the
+period G.  The absolute constants that the underlying estimates only assert to
+exist (exponent scales, the Neumann geometry constants, the eigenvalue-count
+density) default to 1 and are plainly labeled as configuration, not derived values.
 """
 from __future__ import annotations
 
@@ -19,6 +21,8 @@ class ConstantsConfig:
     and low-energy constants; neumann_a/b/c and neumann_prefactor enter the
     Neumann estimates; weyl_constant bounds eigenvalue counts per volume.
     None of these five families is pinned by theory - they are configuration.
+    Each check sets d, delta, G = 1, t_max, w_sup and w_lip from its grid, sequence
+    and lifting direction w (0 without one); a config sets only the other 13 fields.
     Construction (and `dataclasses.replace`) rejects an inconsistent set.
     """
 
@@ -41,10 +45,6 @@ class ConstantsConfig:
     neumann_c: float = 1.0
     neumann_prefactor: float = 1.0
     weyl_constant: float = 1.0
-
-    @property
-    def theta_ellip(self) -> float:
-        return max(1.0 / self.theta_minus, self.theta_plus)
 
     def __post_init__(self):
         if self.d < 1:
@@ -70,17 +70,16 @@ class ConstantsConfig:
         return asdict(self)
 
 
-def delta0(cfg: ConstantsConfig, G: float | None = None) -> float:
+def delta0(cfg: ConstantsConfig, G: float = 1.0) -> float:
     """Largest certified admissible ball radius; shrinks with ellipticity contrast.
 
     delta0 = 2G / (330 d e^2 te^{11/2} (te+1)^{5/3} (G*theta_lip + 1)),
-    te = max(1/theta_minus, theta_plus).  G defaults to the configured period.
+    te = max(1/theta_minus, theta_plus), for the period G (default 1).
     """
-    g = cfg.G if G is None else float(G)
-    te = cfg.theta_ellip
+    te = max(1.0 / cfg.theta_minus, cfg.theta_plus)
     denom = 330.0 * cfg.d * math.e**2 * te ** (11.0 / 2.0) * (te + 1.0) ** (5.0 / 3.0) \
-        * (g * cfg.theta_lip + 1.0)
-    return 2.0 * g / denom
+        * (G * cfg.theta_lip + 1.0)
+    return 2.0 * G / denom
 
 
 def c_gradient(r: float, e_min: float, theta_plus: float) -> float:
@@ -94,11 +93,19 @@ def _ucp_exponent(cfg: ConstantsConfig, v_sup: float) -> float:
     return cfg.n_exponent * (1.0 + v_sup ** (2.0 / 3.0))
 
 
+def _low_energy_exponent(cfg: ConstantsConfig) -> float:
+    return cfg.m_exponent * (1.0 + cfg.theta_minus ** (-2.0 / 3.0))
+
+
+def _gradient_ucp(r: float, e_min: float, theta_plus: float, exponent: float) -> float:
+    """The double-ball bound at radius r times (r/2)^exponent."""
+    return c_gradient(r, e_min, theta_plus) * (r / 2.0) ** exponent
+
+
 @dataclass(frozen=True)
 class UcpConstants:
     function_constant: float          # for |H psi| <= |V psi| solutions
     gradient_constant: float          # eigenfunction-gradient version
-    gradient_constant_scaled: float   # (G, delta)-equidistributed version
     delta_effective: float
     delta0: float
 
@@ -109,62 +116,39 @@ def c_sfucp_family(cfg: ConstantsConfig, v_sup: float | None = None,
 
     function_constant = de^{N (1 + |V|^{2/3})} with de = delta (or
     min(delta, delta0) when clamp_delta is set); gradient_constant multiplies
-    the double-ball bound at r = de by (de/2)^{N (1 + E_max^{2/3})}; the
-    scaled variant uses (de/2G)^{N (1 + G^{4/3} E_max^{2/3})}.
+    the double-ball bound at r = de by (de/2)^{N (1 + E_max^{2/3})}.
     """
     v = cfg.e_max if v_sup is None else float(v_sup)
-    d0 = delta0(cfg, G=1.0)
+    d0 = delta0(cfg)
     de = min(cfg.delta, d0) if clamp_delta else cfg.delta
     func = de ** _ucp_exponent(cfg, v)
-    pref = c_gradient(de, cfg.e_min, cfg.theta_plus)
-    grad = pref * (de / 2.0) ** _ucp_exponent(cfg, cfg.e_max)
-    grad_scaled = pref * (de / (2.0 * cfg.G)) ** (
-        cfg.n_exponent * (1.0 + cfg.G ** (4.0 / 3.0) * cfg.e_max ** (2.0 / 3.0)))
+    grad = _gradient_ucp(de, cfg.e_min, cfg.theta_plus, _ucp_exponent(cfg, cfg.e_max))
     return UcpConstants(function_constant=func, gradient_constant=grad,
-                        gradient_constant_scaled=grad_scaled, delta_effective=de,
-                        delta0=d0)
+                        delta_effective=de, delta0=d0)
 
 
 @dataclass(frozen=True)
 class LiftingConstants:
     standard: float          # Lipschitz w, window (e_min, e_max)
     bounded_w: float         # merely bounded w, half-radius tent route
-    low_energy: float        # window below kappa, no Lipschitz assumption
     elementary_slope: float  # w >= 1 everywhere: e_min / (theta_plus + T sup w)
-    scaled: float            # (G, delta)-equidistributed version of `standard`
 
 
 def c_evl_family(cfg: ConstantsConfig) -> LiftingConstants:
-    """Linear-in-t eigenvalue lifting slopes for each hypothesis set."""
-    dl, em, ep = cfg.delta, cfg.e_min, cfg.e_max
+    """Linear-in-t eigenvalue lifting slopes for each hypothesis set; the window
+    below kappa takes `kappa_family`'s gradient_constant_low."""
     tp_t = cfg.theta_plus + cfg.t_max * cfg.w_sup
-    exp_e = _ucp_exponent(cfg, ep)
-
-    grad_t = c_gradient(dl, em, tp_t)
-    standard = grad_t * (dl / 2.0) ** exp_e
-
-    dh = dl / 2.0
-    bounded = c_gradient(dh, em, tp_t) * (dh / 2.0) ** exp_e
-
-    low = 0.5 * c_gradient(dl, em, cfg.theta_plus) \
-        * (dl / 2.0) ** (cfg.m_exponent * (1.0 + cfg.theta_minus ** (-2.0 / 3.0)))
-
-    elementary = em / tp_t
-
-    scaled = grad_t * (dl / (2.0 * cfg.G)) ** (
-        cfg.n_exponent * (1.0 + cfg.G ** (4.0 / 3.0) * ep ** (2.0 / 3.0)))
-
-    return LiftingConstants(standard=standard, bounded_w=bounded, low_energy=low,
-                            elementary_slope=elementary, scaled=scaled)
+    exp_e = _ucp_exponent(cfg, cfg.e_max)
+    return LiftingConstants(standard=_gradient_ucp(cfg.delta, cfg.e_min, tp_t, exp_e),
+                            bounded_w=_gradient_ucp(cfg.delta / 2.0, cfg.e_min, tp_t, exp_e),
+                            elementary_slope=cfg.e_min / tp_t)
 
 
 @dataclass(frozen=True)
 class LowEnergyConstants:
     kappa_prime: float                  # projector uncertainty level and bound
     kappa: float                        # admissible window top for the gradient version
-    gradient_constant_low: float        # low-energy eigenfunction-gradient constant
-    kappa_scaled: float
-    gradient_constant_low_scaled: float
+    gradient_constant_low: float        # low-energy eigenfunction-gradient constant and slope
     neumann_supported: bool             # the Neumann family requires d >= 3
     kappa_neumann: float | None
     neumann_function_constant: float | None
@@ -172,7 +156,7 @@ class LowEnergyConstants:
 
 
 def _kappa_prime(cfg: ConstantsConfig, dl: float) -> float:
-    return 0.5 * dl ** (cfg.m_exponent * (1.0 + cfg.theta_minus ** (-2.0 / 3.0)))
+    return 0.5 * dl ** _low_energy_exponent(cfg)
 
 
 def _neumann_function_constant(cfg: ConstantsConfig, dl: float) -> float:
@@ -184,28 +168,17 @@ def _neumann_function_constant(cfg: ConstantsConfig, dl: float) -> float:
 def kappa_family(cfg: ConstantsConfig) -> LowEnergyConstants:
     """Low-energy thresholds and constants, Dirichlet and (for d >= 3) Neumann."""
     dl = cfg.delta
-    kp = _kappa_prime(cfg, dl)
-    kap = _kappa_prime(cfg, dl / 2.0)
-    m_exp = cfg.m_exponent * (1.0 + cfg.theta_minus ** (-2.0 / 3.0))
-    pref = c_gradient(dl, cfg.e_min, cfg.theta_plus)
-    grad_low = 0.5 * pref * (dl / 2.0) ** m_exp
-
-    g = cfg.G
-    kap_scaled = (0.5 / g**2) * (dl / (2.0 * g)) ** m_exp
-    grad_low_scaled = 0.5 * pref * (dl / (2.0 * g)) ** m_exp
-
-    if cfg.d >= 3:
+    grad_low = 0.5 * _gradient_ucp(dl, cfg.e_min, cfg.theta_plus, _low_energy_exponent(cfg))
+    supported = cfg.d >= 3
+    if supported:
         kn = cfg.neumann_prefactor * cfg.theta_minus * (dl / 2.0) ** (cfg.d - 2)
         nf = _neumann_function_constant(cfg, dl)
-        ng = pref * _neumann_function_constant(cfg, dl / 2.0)
-        supported = True
+        ng = c_gradient(dl, cfg.e_min, cfg.theta_plus) * _neumann_function_constant(cfg, dl / 2.0)
     else:
         kn = nf = ng = None
-        supported = False
 
-    return LowEnergyConstants(kappa_prime=kp, kappa=kap, gradient_constant_low=grad_low,
-                              kappa_scaled=kap_scaled,
-                              gradient_constant_low_scaled=grad_low_scaled,
+    return LowEnergyConstants(kappa_prime=_kappa_prime(cfg, dl), kappa=_kappa_prime(cfg, dl / 2.0),
+                              gradient_constant_low=grad_low,
                               neumann_supported=supported, kappa_neumann=kn,
                               neumann_function_constant=nf,
                               neumann_gradient_constant=ng)
@@ -218,4 +191,3 @@ def c_wegner(cfg: ConstantsConfig, lifting_constant: float, delta_plus: float) -
     if delta_plus <= 0:
         raise ValueError("delta_plus must be positive")
     return cfg.weyl_constant * (2.0 + delta_plus) ** cfg.d * (4.0 / lifting_constant)
-

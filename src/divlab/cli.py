@@ -18,7 +18,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -165,10 +164,16 @@ def _build_sequence(cfg: dict, grid):
         raise ConfigError(f"sequence: {exc}") from exc
 
 
+# the ConstantsConfig fields a run cannot work out for itself; each check sets the other
+# six (d, delta, G, t_max, w_sup, w_lip) from its grid, sequence and lifting direction
+_CONSTANTS_KEYS = ("theta_minus", "theta_plus", "theta_lip", "e_min", "e_max", "L",
+                   "n_exponent", "m_exponent", "neumann_a", "neumann_b", "neumann_c",
+                   "neumann_prefactor", "weyl_constant")
+
+
 def _build_constants(cfg: dict) -> bounds.ConstantsConfig:
-    # each field through the cast of its declared type; ConstantsConfig checks the ranges
-    casts = {f.name: _int if f.type == "int" else _real for f in fields(bounds.ConstantsConfig)}
-    keys = _block(cfg.get("constants"), "constants", **casts)
+    # ConstantsConfig checks the ranges
+    keys = _block(cfg.get("constants"), "constants", **dict.fromkeys(_CONSTANTS_KEYS, _real))
     try:
         return bounds.ConstantsConfig(**keys)
     except (TypeError, ValueError) as exc:
@@ -276,7 +281,7 @@ def _spectrum_upto(grid, field, top: float):
 @_experiment("ucp_function", *_BLOCKS, clamp_delta=_bool)
 def _run_ucp_function(cfg: dict, **keys) -> verify.CheckReport:
     grid, field, seq, consts = _build_balls(cfg)
-    verify._ucp_function_hypotheses(grid, field)  # before the solve
+    verify._ucp_function_config(grid, field, seq, consts)  # before the solve
     spec = _spectrum_upto(grid, field, consts.e_max)
     return verify.ucp_function_check(grid, field, spec, seq, consts, **keys)
 
@@ -306,8 +311,9 @@ def _run_projector_ucp(cfg: dict, lam: float | None = None,
 def _run_lifting(cfg: dict, w: dict | None = None, t_max: float = 1.0, t_steps: int = 7,
                  indices=(0, 1), variant: str = "bounded_w") -> verify.CheckReport:
     grid, field, seq, consts = _build_balls(cfg)
-    curve = lifting_curve(grid, field, _build_w(seq, **(w or {})),
-                          t_max=t_max, t_steps=t_steps, indices=indices)
+    w_field = _build_w(seq, **(w or {}))
+    verify._lifting_bound(grid, w_field, seq, consts, t_max, variant)  # before the solves
+    curve = lifting_curve(grid, field, w_field, t_max=t_max, t_steps=t_steps, indices=indices)
     return verify.lifting_check(curve, consts, seq, variant=variant)
 
 
@@ -452,7 +458,7 @@ def run(configs, output_dir, workers: int = 1, seed: int | None = None,
 # curated suites (desk scale)
 # --------------------------------------------------------------------------
 
-def _suite_ucp(samples: int = 300) -> list[dict]:
+def _suite_ucp() -> list[dict]:
     runs = []
     for delta in (0.2, 0.3):
         for experiment in ("ucp_function", "ucp_gradient"):
@@ -479,7 +485,7 @@ def _suite_ucp(samples: int = 300) -> list[dict]:
                  "sequence": {"G": 1.0, "delta": 0.45},
                  "constants": {"e_min": 0.001, "e_max": 0.05, "theta_minus": 1.0,
                                "theta_plus": 2.0},
-                 "check": {"n_samples": samples}})
+                 "check": {"n_samples": 300}})
     # negative control: the Neumann zero mode has no gradient mass anywhere
     runs.append({"experiment": "ucp_gradient", "label": "neumann-zero-mode",
                  "expect": "fail",
@@ -515,14 +521,14 @@ def _suite_lifting() -> list[dict]:
     return runs
 
 
-def _suite_wegner(samples: int = 200) -> list[dict]:
+def _suite_wegner() -> list[dict]:
     runs = []
     for L in (2, 4):
         runs.append({"experiment": "wegner", "label": f"uniform-L{L}",
                      "grid": {"d": 1, "L": L, "n_per_side": 32},
                      "field": {"kind": "identity"},
                      "sequence": {"G": 1.0, "delta": 0.2},
-                     "check": {"e_center": 12.5, "eps": 0.5, "n_samples": samples,
+                     "check": {"e_center": 12.5, "eps": 0.5, "n_samples": 200,
                                "delta_plus": 0.45,
                                "dist": {"kind": "uniform", "m": 2.0}},
                      "constants": {"e_min": 1.0, "e_max": 30.0}})
@@ -559,16 +565,17 @@ _SUITES = {
     "scaling": _suite_scaling,
     "mollify": _suite_mollify,
 }
-_SAMPLED_SUITES = ("ucp", "wegner")  # the suites whose Monte Carlo sample count `samples` sets
 
 
 def suite_configs(name: str, samples: int | None = None) -> list[dict]:
+    """The runs of suite `name`; `samples` sets `check.n_samples` wherever a run has one."""
     if name != "all" and name not in _SUITES:
         raise ConfigError(f"suite: unknown name {name!r}; valid: {sorted(_SUITES) + ['all']}")
-    runs = []
-    for key, fn in _SUITES.items():
-        if name in ("all", key):
-            runs.extend(fn(samples) if key in _SAMPLED_SUITES and samples is not None else fn())
+    runs = [config for key, fn in _SUITES.items() if name in ("all", key) for config in fn()]
+    if samples is not None:
+        for config in runs:
+            if "n_samples" in config.get("check", {}):
+                config["check"]["n_samples"] = samples
     return runs
 
 

@@ -25,7 +25,7 @@ from . import bounds
 from .bounds import ConstantsConfig
 from .fields import (AlloyModel, MatrixField, check_dir_condition, check_ellipticity,
                      identity_field, mollify, sample_alloy, single_site_sum)
-from .lattice import (EquidistributedSeq, Grid, ball, ball_mask,
+from .lattice import (EquidistributedSeq, Grid, ScalarField, ball, ball_mask,
                       discrete_gradient, equidistributed_sequence, make_grid,
                       smooth_switch, subset_norm2)
 from .operators import alloy_operators, assemble, rescale
@@ -154,12 +154,24 @@ def _require_field_hypotheses(field: MatrixField, need_lip: bool, need_dir: bool
             raise ValueError(f"off-diagonal boundary condition violated at cells {bad[:5]}")
 
 
-def _ucp_function_hypotheses(grid: Grid, field: MatrixField) -> None:
-    """Raises ValueError unless the grid and the field meet the function-level bound's
-    hypotheses; a runner calls it before the spectrum solve as well."""
+def _run_config(cfg: ConstantsConfig, grid: Grid, seq: EquidistributedSeq, *,
+                t_max: float = 0.0, w_sup: float = 0.0, w_lip: float = 0.0) -> ConstantsConfig:
+    """`cfg` with the fields a run sets itself: d from the grid, delta and G from the
+    sequence, the lifting horizon and the bounds on w (0 without lifting).  Raises
+    ValueError for G != 1, since every bound in `bounds` is stated for period 1."""
+    if seq.G != 1.0:
+        raise ValueError(f"the bounds are stated for period G = 1, got G = {seq.G}")
+    return replace(cfg, d=grid.d, delta=seq.delta, G=1.0, t_max=t_max, w_sup=w_sup, w_lip=w_lip)
+
+
+def _ucp_function_config(grid: Grid, field: MatrixField, seq: EquidistributedSeq,
+                         cfg: ConstantsConfig) -> ConstantsConfig:
+    """The config at the run's values; raises ValueError unless the grid, the field and the
+    sequence meet the bound's hypotheses.  A runner calls it before the solve as well."""
     if grid.bc != "dirichlet":
         raise ValueError("function-level bound is stated for Dirichlet grids")
     _require_field_hypotheses(field, need_lip=True, need_dir=True)
+    return _run_config(cfg, grid, seq)
 
 
 def ucp_function_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
@@ -172,8 +184,7 @@ def ucp_function_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
     admissible-radius gate delta <= delta0/2 is recorded; set clamp_delta to
     substitute min(delta, delta0) into the constant instead.
     """
-    _ucp_function_hypotheses(grid, field)
-    cfg = replace(cfg, delta=seq.delta, d=grid.d)
+    cfg = _ucp_function_config(grid, field, seq, cfg)
     consts = bounds.c_sfucp_family(cfg, clamp_delta=clamp_delta)
     mask = ball_mask(grid, seq)
     idx = [i for i in range(spectrum.k) if abs(spectrum.energies[i]) <= cfg.e_max]
@@ -208,10 +219,10 @@ def ucp_function_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
 def _ucp_gradient_bound(grid: Grid, field: MatrixField, seq: EquidistributedSeq,
                         cfg: ConstantsConfig, variant: str = "lipschitz",
                         negative_control: bool = False):
-    """The config at the sequence's delta and d, the variant's constant and its window
-    top; raises ValueError when the grid, the field or cfg.e_max breaks the variant's
+    """The config at the run's values, the variant's constant and its window top; raises
+    ValueError when the grid, the field, the sequence or cfg.e_max breaks the variant's
     hypotheses.  A runner calls it before the spectrum solve as well."""
-    cfg = replace(cfg, delta=seq.delta, d=grid.d)
+    cfg = _run_config(cfg, grid, seq)
     low = bounds.kappa_family(cfg)
     if variant == "lipschitz":
         if grid.bc != "dirichlet":
@@ -287,15 +298,15 @@ def ucp_gradient_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
 
 def _projector_kappa_prime(grid: Grid, seq: EquidistributedSeq, lam: float | None,
                            cfg: ConstantsConfig, n_samples: int):
-    """The config at the sequence's delta and d and its kappa_prime; raises ValueError
-    when n_samples < 1, lam <= 0 or lam (None: kappa_prime itself) exceeds
-    kappa_prime.  A runner calls it before the spectrum solve as well."""
+    """The config at the run's values and its kappa_prime; raises ValueError when
+    n_samples < 1, lam <= 0, the sequence's G != 1 or lam (None: kappa_prime itself)
+    exceeds kappa_prime.  A runner calls it before the spectrum solve as well."""
     if n_samples < 1:
         raise ValueError(f"need n_samples >= 1 for the Monte Carlo cross-check, got {n_samples}")
     if lam is not None and lam <= 0:  # no span below it, or the Neumann zero mode's alone,
         # whose count edge lam + tol the rounding of the solved zero mode straddles
         raise ValueError(f"lam must be positive, got {lam}")
-    cfg = replace(cfg, delta=seq.delta, d=grid.d)
+    cfg = _run_config(cfg, grid, seq)
     kp = bounds.kappa_family(cfg).kappa_prime
     if lam is not None and lam > kp + 1e-12:
         raise ValueError(f"lam = {lam} exceeds kappa_prime = {kp}")
@@ -345,22 +356,16 @@ def projector_ucp_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
 _LIFT_VARIANTS = ("standard", "bounded_w", "low_energy", "neumann", "elementary")
 
 
-def lifting_check(curve: LiftingCurve, cfg: ConstantsConfig,
-                  seq: EquidistributedSeq, *, variant: str) -> CheckReport:
-    """Every in-window eigenvalue row grows at least linearly with the variant's slope.
-
-    Also asserts row monotonicity and cross-checks the recorded form
-    derivatives against centered finite differences of the rows (Simpson
-    average, skipping samples flagged as degenerate).
-    """
+def _lifting_bound(grid: Grid, w: ScalarField, seq: EquidistributedSeq,
+                   cfg: ConstantsConfig, t_max: float, variant: str):
+    """The config at the run's values, the variant's slope and its window top; raises
+    ValueError on an unknown variant or broken hypotheses.  A runner calls it first too."""
     if variant not in _LIFT_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; pick one of {_LIFT_VARIANTS}")
-    grid = curve.grid
-    w_nodes = curve.w.on_full_nodes(grid)
-    w_sup = curve.w.sup if curve.w.sup is not None else float(np.max(w_nodes))
-    w_lip = curve.w.lip if curve.w.lip is not None else cfg.w_lip
-    cfg = replace(cfg, delta=seq.delta, d=grid.d, t_max=float(curve.ts[-1]),
-                  w_sup=float(w_sup), w_lip=float(w_lip))
+    w_nodes = w.on_full_nodes(grid)
+    cfg = _run_config(cfg, grid, seq, t_max=float(t_max),
+                      w_sup=float(w.sup if w.sup is not None else np.max(w_nodes)),
+                      w_lip=float(w.lip if w.lip is not None else 0.0))
     lift = bounds.c_evl_family(cfg)
     low = bounds.kappa_family(cfg)
     window_top = cfg.e_max
@@ -369,13 +374,13 @@ def lifting_check(curve: LiftingCurve, cfg: ConstantsConfig,
             raise ValueError("elementary slope bound needs w >= 1 on the whole cube")
         const = lift.elementary_slope
     elif variant == "standard":
-        if curve.w.lip is None:
+        if w.lip is None:
             raise ValueError("standard variant needs a certified Lipschitz bound on w")
         const = lift.standard
     elif variant == "bounded_w":
         const = lift.bounded_w
     elif variant == "low_energy":
-        const = lift.low_energy
+        const = low.gradient_constant_low
         window_top = min(window_top, low.kappa)
     else:
         if not low.neumann_supported:
@@ -390,6 +395,19 @@ def lifting_check(curve: LiftingCurve, cfg: ConstantsConfig,
         w_on_balls = w_nodes[inside]
         if w_on_balls.size and w_on_balls.min() < 1.0 - 1e-12:
             raise ValueError("w must dominate the ball-union indicator")
+    return cfg, const, window_top
+
+
+def lifting_check(curve: LiftingCurve, cfg: ConstantsConfig,
+                  seq: EquidistributedSeq, *, variant: str) -> CheckReport:
+    """Every in-window eigenvalue row grows at least linearly with the variant's slope.
+
+    Also asserts row monotonicity and cross-checks the recorded form
+    derivatives against centered finite differences of the rows (Simpson
+    average, skipping samples flagged as degenerate).
+    """
+    grid = curve.grid
+    cfg, const, window_top = _lifting_bound(grid, curve.w, seq, cfg, curve.ts[-1], variant)
 
     ts = curve.ts
     in_window, excluded = [], []
@@ -662,10 +680,9 @@ def wegner_mc(model: AlloyModel, grid: Grid, e_center: float, eps: float,
     if variant == "lipschitz" and model.bump_lip() is None:
         raise ValueError("lipschitz variant needs Lipschitz single-site bumps")
 
-    m_sup = model.dist.m
     w_all = single_site_sum(model)
-    lift_cfg = replace(cfg, d=grid.d, delta=model.delta_minus, t_max=eps + m_sup + 1.0,
-                       w_sup=w_all.sup, w_lip=w_all.lip if w_all.lip is not None else 0.0)
+    lift_cfg = _run_config(cfg, grid, model.seq, t_max=eps + model.dist.m + 1.0, w_sup=w_all.sup,
+                           w_lip=w_all.lip if w_all.lip is not None else 0.0)
     lifts = bounds.c_evl_family(lift_cfg)
     lifting_constant = lifts.bounded_w if variant == "bounded_w" else lifts.standard
     cw = bounds.c_wegner(lift_cfg, lifting_constant, model.delta_plus)

@@ -81,11 +81,6 @@ class TestUcpConstants:
             assert c1 * (delta / 2) ** (2 + x) <= got * (1 + 1e-12)
             assert got <= c2 * (delta / 2) ** x * (1 + 1e-12)
 
-    def test_scaled_reduces_at_unit_period(self):
-        c = cfg(delta=0.3, e_min=1.0, e_max=4.0, G=1.0)
-        got = bounds.c_sfucp_family(c)
-        assert got.gradient_constant_scaled == pytest.approx(got.gradient_constant, rel=1e-14)
-
     def test_clamped_delta_uses_minimum(self):
         c = cfg(delta=0.4)
         raw = bounds.c_sfucp_family(c)
@@ -128,15 +123,10 @@ class TestLiftingConstants:
     def test_low_energy_composition(self):
         # low-energy slope = half the double-ball constant times kappa-prime exponent part
         c = cfg(delta=0.4, e_min=0.01, e_max=0.02, theta_minus=1.0, theta_plus=2.0)
-        lift = bounds.c_evl_family(c)
+        low = bounds.kappa_family(c)
         pref = bounds.c_gradient(0.4, 0.01, 2.0)
         expected = 0.5 * pref * (0.2) ** (1.0 * (1.0 + 1.0))
-        assert lift.low_energy == pytest.approx(expected, rel=1e-13)
-
-    def test_scaled_reduces_at_unit_period(self):
-        c = cfg(delta=0.3, e_min=1.0, e_max=5.0, t_max=0.5, w_sup=1.0, G=1.0)
-        lift = bounds.c_evl_family(c)
-        assert lift.scaled == pytest.approx(lift.standard, rel=1e-14)
+        assert low.gradient_constant_low == pytest.approx(expected, rel=1e-13)
 
 
 class TestKappaFamily:
@@ -174,18 +164,45 @@ class TestKappaFamily:
         assert not low.neumann_supported
         assert low.kappa_neumann is None
 
-    def test_scaled_reduce_at_unit_period(self):
-        # the scaled threshold generalizes kappa = kappa_prime(delta/2)
-        c = cfg(delta=0.3, theta_minus=0.8, G=1.0)
-        low = bounds.kappa_family(c)
-        assert low.kappa_scaled == pytest.approx(low.kappa, rel=1e-14)
-        assert low.gradient_constant_low_scaled == pytest.approx(
-            low.gradient_constant_low, rel=1e-14)
 
-    def test_scaled_formula(self):
-        c = cfg(delta=0.3, theta_minus=1.0, G=2.0)
-        low = bounds.kappa_family(c)
-        assert low.kappa_scaled == pytest.approx((1 / 8) * (0.3 / 4) ** 2, rel=1e-13)
+# d = 1-3, non-default exponent scales, and a lifting horizon with t_max * w_sup > 0
+_FORMULA_CONFIGS = [
+    dict(d=1, delta=0.3, e_min=1.0, e_max=30.0, theta_minus=0.5, theta_plus=1.5),
+    dict(d=2, delta=0.45, e_min=0.005, e_max=0.0253, theta_plus=2.0, n_exponent=0.7,
+         m_exponent=1.3),
+    dict(d=3, delta=0.2, e_min=0.5, e_max=60.0, theta_minus=0.25, theta_plus=3.0, L=4.0,
+         t_max=1.0, w_sup=2.0, n_exponent=2.5),
+    dict(d=1, delta=0.4, e_min=2.0, e_max=5.0, theta_plus=1.2, t_max=0.8, w_sup=1.7,
+         m_exponent=0.4),
+    dict(d=2, delta=0.1, e_min=1.0, e_max=12.0, theta_minus=0.8, theta_plus=1.1, t_max=3.5,
+         w_sup=1.0, n_exponent=1.5, m_exponent=2.0),
+    dict(d=3, delta=0.35, e_min=0.05, e_max=0.1, theta_minus=1.0, theta_plus=2.0, L=8.0,
+         t_max=0.5, w_sup=0.3, n_exponent=0.9, m_exponent=3.0),
+]
+
+
+@pytest.mark.parametrize("kw", _FORMULA_CONFIGS, ids=[f"cfg{i}" for i in range(6)])
+def test_each_formula_keeps_its_bits(kw):
+    """Each constant equals, bit for bit, the expression it had when every bound wrote out
+    its own double-ball x (r/2)^exponent product and its own low-energy exponent."""
+    c = cfg(**kw)
+    dl, em, ep, tp = c.delta, c.e_min, c.e_max, c.theta_plus
+    exp_e = c.n_exponent * (1.0 + ep ** (2.0 / 3.0))
+    m_exp = c.m_exponent * (1.0 + c.theta_minus ** (-2.0 / 3.0))
+    tp_t = tp + c.t_max * c.w_sup
+    pref = bounds.c_gradient(dl, em, tp)
+    dh = dl / 2.0
+    ucp, lift, low = bounds.c_sfucp_family(c), bounds.c_evl_family(c), bounds.kappa_family(c)
+    assert ucp.gradient_constant == pref * (dl / 2.0) ** exp_e
+    assert lift.standard == bounds.c_gradient(dl, em, tp_t) * (dl / 2.0) ** exp_e
+    assert lift.bounded_w == bounds.c_gradient(dh, em, tp_t) * (dh / 2.0) ** exp_e
+    assert lift.elementary_slope == em / tp_t
+    assert low.gradient_constant_low == 0.5 * pref * (dl / 2.0) ** m_exp
+    assert low.kappa_prime == 0.5 * dl ** m_exp
+    assert low.kappa == 0.5 * (dl / 2.0) ** m_exp
+    if c.d >= 3:
+        half = bounds.kappa_family(dataclasses.replace(c, delta=dh))
+        assert low.neumann_gradient_constant == pref * half.neumann_function_constant
 
 
 class TestWegnerConstant:

@@ -1,4 +1,6 @@
+import dataclasses
 import importlib.util
+import inspect
 import json
 import math
 import os
@@ -13,11 +15,22 @@ import scipy.sparse.linalg
 import yaml
 
 import divlab as dl
-from divlab import cli, io, verify
+from divlab import cli, io, spectral, verify
 
 
 def _no_solve(*args, **kwargs):
     raise AssertionError("the run reached an eigensolve")
+
+
+# the 13 `constants` keys, as the unknown-key message lists them
+_CONSTANTS_VALID = ("unknown key; valid: ['L', 'e_max', 'e_min', 'm_exponent', 'n_exponent', "
+                    "'neumann_a', 'neumann_b', 'neumann_c', 'neumann_prefactor', 'theta_lip', "
+                    "'theta_minus', 'theta_plus', 'weyl_constant']")
+_SINE_BALLS = {"grid": {"d": 1, "L": 2, "n_per_side": 16}, "field": {"kind": "sine"},
+               "sequence": {"G": 1.0, "delta": 0.3}}
+_PERIOD_2_BALLS = {"grid": {"d": 1, "L": 4, "n_per_side": 16}, "field": {"kind": "sine"},
+                   "sequence": {"G": 2.0, "delta": 0.3}}
+_PERIOD_2_MESSAGE = "the bounds are stated for period G = 1, got G = 2.0"
 
 
 def _read_reports(outdir):
@@ -447,7 +460,7 @@ class TestMain:
          "constants.e_min: must be a real number, got True"),
         ({"experiment": "ucp_gradient", "sequence": {"delta": 0.3},
           "constants": {"d": 2.0}},
-         "constants.d: must be an integer, got 2.0"),
+         f"constants.d: {_CONSTANTS_VALID}"),
         ({"experiment": "eigensolve", "grid": {"d": 1, "L": 1, "n_per_side": 16, "bc": True}},
          "grid.bc: must be a string, got True"),
         ({"experiment": "pi_singular", "check": {"phi": 1}}, "check.phi: must be a string, got 1"),
@@ -521,6 +534,39 @@ class TestMain:
          "it reads ['grid', 'field']"),
         ({"experiment": "pi_singular", "grid": {"d": 1, "L": 1, "n_per_side": 16}},
          "grid: experiment 'pi_singular' does not read this block; it reads []"),
+        # a value the run works out itself: d from the grid, delta and G from the sequence,
+        # t_max, w_sup and w_lip from the lifting direction
+        ({"experiment": "ucp_gradient", **_SINE_BALLS,
+          "constants": {"e_min": 1.0, "e_max": 30.0, "d": 1}},
+         f"constants.d: {_CONSTANTS_VALID}"),
+        ({"experiment": "ucp_function", **_SINE_BALLS,
+          "constants": {"e_min": 1.0, "e_max": 30.0, "delta": 0.3}},
+         f"constants.delta: {_CONSTANTS_VALID}"),
+        ({"experiment": "projector_ucp", "grid": {"d": 1, "L": 4, "n_per_side": 16},
+          "sequence": {"G": 1.0, "delta": 0.45},
+          "constants": {"e_min": 0.001, "e_max": 0.05, "G": 2.0}},
+         f"constants.G: {_CONSTANTS_VALID}"),
+        ({"experiment": "lifting", **_SINE_BALLS, "check": {"t_steps": 3},
+          "constants": {"e_min": 1.0, "e_max": 60.0, "t_max": 1.0}},
+         f"constants.t_max: {_CONSTANTS_VALID}"),
+        ({"experiment": "wegner", "grid": {"d": 1, "L": 2, "n_per_side": 16},
+          "sequence": {"G": 1.0, "delta": 0.2},
+          "check": {"e_center": 12.5, "eps": 0.5, "n_samples": 2, "delta_plus": 0.45},
+          "constants": {"e_min": 1.0, "e_max": 30.0, "w_sup": 3.0}},
+         f"constants.w_sup: {_CONSTANTS_VALID}"),
+        ({"experiment": "lifting", **_SINE_BALLS, "check": {"t_steps": 3},
+          "constants": {"e_min": 1.0, "e_max": 60.0, "w_lip": 2.0}},
+         f"constants.w_lip: {_CONSTANTS_VALID}"),
+        # every bound is stated for (1, delta)-equidistributed sequences
+        ({"experiment": "ucp_function", **_PERIOD_2_BALLS,
+          "constants": {"e_min": 1.0, "e_max": 30.0}},
+         f"ucp_function: {_PERIOD_2_MESSAGE}"),
+        ({"experiment": "ucp_gradient", **_PERIOD_2_BALLS,
+          "constants": {"e_min": 1.0, "e_max": 30.0}},
+         f"ucp_gradient: {_PERIOD_2_MESSAGE}"),
+        ({"experiment": "projector_ucp", "grid": {"d": 1, "L": 4, "n_per_side": 16},
+          "sequence": {"G": 2.0, "delta": 0.45}, "constants": {"e_min": 0.001, "e_max": 0.05}},
+         f"projector_ucp: {_PERIOD_2_MESSAGE}"),
     ], ids=["wegner-one-sample", "low-energy-above-kappa", "wegner-unknown-key",
             "lifting-unknown-key", "check-not-a-mapping", "unknown-top-level-block",
             "grid-unknown-key", "field-unknown-key", "field-key-of-another-recipe",
@@ -540,7 +586,9 @@ class TestMain:
             "projector-ucp-negative-lam", "projector-ucp-zero-lam-neumann",
             "ucp-function-neumann-grid", "constants-is-not-an-experiment",
             "eigensolve-unread-sequence", "eigensolve-unread-constants",
-            "pi-singular-unread-grid"])
+            "pi-singular-unread-grid", "constants-d", "constants-delta", "constants-G",
+            "constants-t-max", "constants-w-sup", "constants-w-lip",
+            "ucp-function-period-2", "ucp-gradient-period-2", "projector-ucp-period-2"])
     def test_rejected_check_input_is_a_config_error(self, tmp_path, capsys, monkeypatch,
                                                    config, message):
         # a ball-union check rejects its input before the threshold solve
@@ -550,6 +598,42 @@ class TestMain:
         cfg_file.write_text(yaml.safe_dump(config))
         assert cli.main(["run", str(cfg_file), "--out", str(tmp_path / "o")]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
+
+    # none of these rejections needs a solve, so each comes before the curve's first one
+    @pytest.mark.parametrize("config, message", [
+        ({"experiment": "lifting", **_PERIOD_2_BALLS,
+          "constants": {"e_min": 1.0, "e_max": 60.0}},
+         f"lifting: {_PERIOD_2_MESSAGE}"),
+        ({"experiment": "lifting", **_SINE_BALLS, "check": {"variant": "tent"},
+          "constants": {"e_min": 1.0, "e_max": 60.0}},
+         "lifting: unknown variant 'tent'; pick one of ('standard', 'bounded_w', "),
+        ({"experiment": "lifting", **_SINE_BALLS,
+          "check": {"w": {"kind": "constant", "value": 0.5}},
+          "constants": {"e_min": 1.0, "e_max": 60.0}},
+         "lifting: w must dominate the ball-union indicator"),
+        ({"experiment": "lifting", "grid": {"d": 3, "L": 2, "n_per_side": 4},
+          "sequence": {"G": 1.0, "delta": 0.3}, "check": {"variant": "neumann"}},
+         "lifting: Neumann lifting needs a Neumann grid"),
+    ], ids=["period-2", "unknown-variant", "w-below-the-balls", "neumann-on-dirichlet"])
+    def test_lifting_rejects_before_solving(self, tmp_path, capsys, monkeypatch, config,
+                                            message):
+        solves, solve = [], spectral.eigensolve
+
+        def spy(*args, **kwargs):
+            solves.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "eigensolve", spy)
+        accepted = {"experiment": "lifting", **_SINE_BALLS, "check": {"t_steps": 3},
+                    "constants": {"e_min": 1.0, "e_max": 60.0}}
+        cli.execute(accepted)
+        assert len(solves) == 3  # the spy sees every solve of a curve
+        solves.clear()
+        cfg_file = tmp_path / "cfg.yaml"
+        cfg_file.write_text(yaml.safe_dump(config))
+        assert cli.main(["run", str(cfg_file), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert solves == []
 
     def test_readme_example_config_runs(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -567,6 +651,49 @@ class TestMain:
         cfg_file.write_text(text)
         assert cli.main(["run", str(cfg_file), "--out", str(tmp_path / "o")]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
+
+
+class TestConstantsKeys:
+    """A ConstantsConfig field is a `constants:` key or a value every check sets."""
+
+    @staticmethod
+    def _checks_taking_constants():
+        return sorted(name for name, fn in vars(verify).items()
+                      if inspect.isfunction(fn) and fn.__module__ == verify.__name__
+                      and not name.startswith("_")
+                      and any(p.annotation == "ConstantsConfig"
+                              for p in inspect.signature(fn).parameters.values()))
+
+    def test_every_field_is_a_key_or_set_by_every_check(self):
+        names = [f.name for f in dataclasses.fields(dl.ConstantsConfig)]
+        assert len(cli._CONSTANTS_KEYS) == 13 and set(cli._CONSTANTS_KEYS) <= set(names)
+        run_fields = [name for name in names if name not in cli._CONSTANTS_KEYS]
+        base = dl.ConstantsConfig(e_min=1.0, e_max=30.0, theta_minus=0.5, theta_plus=1.5)
+        # each field a check must set, at a value that no check below derives
+        odd = dataclasses.replace(base, **{name: getattr(base, name) + 7.25
+                                           for name in run_fields})
+        g = dl.make_grid(1, 2, 16)
+        f = cli._build_field({"field": {"kind": "sine"}}, g)
+        seq = dl.equidistributed_sequence(g, 1.0, 0.3)
+        spec = cli._spectrum_upto(g, f, 30.0)
+        curve = dl.lifting_curve(g, f, dl.ball_plateau_field(seq), 1.0, 3, [0])
+        model = dl.alloy_model(dl.identity_field(g), dl.equidistributed_sequence(g, 1.0, 0.2),
+                               delta_plus=0.45)
+        reports = {
+            "ucp_function_check": verify.ucp_function_check(g, f, spec, seq, odd),
+            "ucp_gradient_check": verify.ucp_gradient_check(g, f, spec, seq, odd),
+            "projector_ucp_check": verify.projector_ucp_check(g, f, spec, seq, 0.01, 2, 0, odd),
+            "lifting_check": verify.lifting_check(curve, odd, seq, variant="bounded_w"),
+            "wegner_mc": verify.wegner_mc(model, g, 12.5, 0.5, 2, 0, odd),
+        }
+        assert sorted(reports) == self._checks_taking_constants()
+        for check, rep in reports.items():
+            used = rep.inputs["config"]
+            assert used["d"] == 1 and used["G"] == 1.0, check
+            for name in run_fields:
+                assert used[name] != getattr(odd, name), (check, name)
+            for name in cli._CONSTANTS_KEYS:
+                assert used[name] == getattr(odd, name), (check, name)
 
 
 class TestSpectrumUpto:
