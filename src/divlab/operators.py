@@ -15,8 +15,10 @@ By that linearity the operator of an alloy sample A + sum_s omega_s u_s Id is
 H_0 + sum_s omega_s H_s, with H_0 the operator of A and H_s that of u_s Id;
 `alloy_operators` assembles these once per model, so a sample costs one sparse
 matrix-vector product.
-Every operator is built by one rule (`_operator`) on its stencil's CSR pattern,
-so each H_s is, entry for entry, the `perturbation_operator` of u_s.
+Every operator is built by one rule (`_operator`) on its stencil's CSR pattern;
+`alloy_operators` applies that rule to all sites at once, summing the same terms
+in the same order, so each H_s is, entry for entry, the `perturbation_operator`
+of u_s.
 """
 from __future__ import annotations
 
@@ -48,6 +50,12 @@ def edge_coefficients(grid: Grid, cells_scalar: np.ndarray, axis: int) -> np.nda
     return abar
 
 
+def _axis_weight(grid: Grid, cells_kk: np.ndarray, k: int) -> np.ndarray:
+    """h^d abar / h^2 on each axis-k face, abar the face mean of the cells' A_kk; a
+    trailing axis of `cells_kk` past the d cell axes carries separate fields."""
+    return grid.h**grid.d * edge_coefficients(grid, cells_kk, k) / (grid.h * grid.h)
+
+
 def _triplets(grid: Grid, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row, column and value of every stencil term over all (n + 1)^d nodes.
 
@@ -65,7 +73,7 @@ def _triplets(grid: Grid, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
         vals.append(np.asarray(v, dtype=float).ravel())
 
     for k in range(d):
-        w = hd * edge_coefficients(grid, cells[..., k, k], k) / (h * h)
+        w = _axis_weight(grid, cells[..., k, k], k)
         lo = [slice(None)] * d
         hi = [slice(None)] * d
         lo[k] = slice(0, n)
@@ -131,8 +139,14 @@ def _operator(grid: Grid, cells: np.ndarray, pattern=None) -> sp.csr_matrix:
     rows, cols, vals = _triplets(grid, cells)
     mat, at, transposed = _pattern(grid, rows, cols) if pattern is None else pattern
     k = np.bincount(at[:vals.size], vals, mat.nnz + 1)[:-1]
-    data = 0.5 * (k + k[transposed]) * (1.0 / grid.h**grid.d)
-    return sp.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape)
+    return sp.csr_matrix((_symmetrized(grid, k, transposed), mat.indices, mat.indptr),
+                         shape=mat.shape)
+
+
+def _symmetrized(grid: Grid, k: np.ndarray, transposed: np.ndarray) -> np.ndarray:
+    """0.5 (K + K^T) / h^d from the per-entry sums K (rows of `k`) and the entry of each
+    entry's transpose, as scipy adds, transposes and divides."""
+    return 0.5 * (k + k[transposed]) * (1.0 / grid.h**grid.d)
 
 
 def _band_positions(mat: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -225,16 +239,34 @@ class AlloyOperators:
 def alloy_operators(grid: Grid, model: AlloyModel) -> AlloyOperators:
     """H_0 = assemble(grid, model.base) and, on H_0's pattern, one H_s per site: the
     `perturbation_operator` of the site's bump at the cell centers (`model.cell_bumps`).
+
+    Every site is built in one pass: the axis-term values of all bumps, a trailing
+    site axis, summed per entry by one product with the 0/1 term -> entry matrix.
+    Its rows list their terms in `_triplets` order and a sparse product sums them
+    in that order from 0, as `_operator`'s `bincount` does, so each column is
+    H_s bit for bit.
     """
     base = assemble(grid, model.base)
-    pattern = _pattern(grid, *_triplets(grid, model.base.cells)[:2])
+    mat, at, transposed = _pattern(grid, *_triplets(grid, model.base.cells)[:2])
     values, idx = model.cell_bumps
-    columns = []
-    for s in range(len(model.seq.centers)):
-        bump = np.where(idx == s, values, 0.0).sum(axis=1)
-        h_s = _operator(grid, _scalar_cells(grid, bump), pattern)
-        columns.append(sp.csc_matrix(h_s.data[:, None]))
-    return AlloyOperators(base=base, sites=sp.hstack(columns, format="csr"))
+    n_sites, n_cells = len(model.seq.centers), idx.shape[0]
+    # bumps[c, s]: a site meets a cell at most once with a nonzero value (a repeat is a
+    # clipped cell outside the cube, value 0), so the sum is that value in any order
+    bumps = np.bincount((idx + n_sites * np.arange(n_cells)[:, None]).ravel(),
+                        values.ravel(), n_cells * n_sites).reshape(n_cells, n_sites)
+    # `_triplets`' values of every bump field u_s Id, one column per site: the axis
+    # terms, which are all of a scalar field's, in `_triplets` order
+    bumps = bumps.reshape(*grid.cells_shape, n_sites)
+    vals = []
+    for k in range(grid.d):
+        w = _axis_weight(grid, bumps, k).reshape(-1, n_sites)
+        vals += [w, w, -w, -w]
+    vals = np.concatenate(vals)
+    n_terms = vals.shape[0]
+    to_entry = sp.csr_matrix((np.ones(n_terms), (at[:n_terms], np.arange(n_terms))),
+                             shape=(mat.nnz + 1, n_terms))
+    sums = (to_entry @ vals)[:-1]
+    return AlloyOperators(base=base, sites=sp.csr_matrix(_symmetrized(grid, sums, transposed)))
 
 
 def rescale(field: MatrixField, G: float, target_n_per_side: int) -> tuple[MatrixField, float]:

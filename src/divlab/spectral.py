@@ -97,11 +97,14 @@ def eigensolve(op: DiscreteOperator, k: int, *, upto: float | None = None) -> Sp
     `upto`: an inertia count certifies that the k - 1 lowest eigenvalues lie
     in [0, upto] and the k-th above it.  The Lanczos path then shifts to the
     middle of that interval, sigma = upto / 2, and takes `_eigsh`'s MMD
-    factor.  As H is positive semidefinite, the k eigenvalues nearest
-    upto / 2 are the k lowest: every one in [0, upto] lies within upto / 2
-    of it, every other one farther.  Without `upto` the shift is 0
-    (Dirichlet) or -0.05 (Neumann, below the zero mode) with ARPACK's own
-    factor.  The count edge upto + tol is never the shift.
+    factor and stopping rule: ARPACK's tol = _RTOL / (||H||_inf + upto / 2)
+    bounds each returned residual ||H x - lambda x|| by _RTOL, within the
+    tolerance checked below, while |lambda - upto / 2| < eps^(-2/3).  As H
+    is positive semidefinite, the k eigenvalues nearest upto / 2 are the k
+    lowest: every one in [0, upto] lies within upto / 2 of it, every other
+    one farther.  Without `upto` the shift is 0 (Dirichlet) or -0.05
+    (Neumann, below the zero mode) with ARPACK's own factor and default tol,
+    machine precision.  The count edge upto + tol is never the shift.
     """
     dim = op.dim
     if not (1 <= k <= dim):
@@ -177,16 +180,30 @@ def _eigsh(op: DiscreteOperator, k: int, sigma: float, *, certified: bool):
     factored once by `_mmd_inverse`: on the 2D grid of dim 16129 the
     minimum-degree order leaves 0.65 million entries in L and U against 1.19
     million for the COLAMD order of ARPACK's own factor, and a solve takes
-    about half as long.  Any other solve keeps ARPACK's factor, so its values
-    stay bit for bit.  An exactly singular H - sigma or no convergence raises
-    EigensolveError.
+    about half as long.  It also stops at the residual its certificate
+    checks, tol = _RTOL / (||H||_inf + |sigma|), not at ARPACK's default
+    of machine precision: ARPACK accepts a Ritz pair (theta, x) of
+    T = (H - sigma)^-1 once ||T x - theta x|| <= tol |theta|, and as
+    H x - lambda x = -(H - sigma)(T x - theta x) / theta for
+    lambda = sigma + 1 / theta, its residual in H is at most
+    ||H - sigma||_2 tol <= (||H||_inf + |sigma|) tol = _RTOL, below
+    `_check_residuals`' _RTOL (1 + |lambda|) + 100 eps ||H||.  ARPACK
+    tests against max(eps^(2/3), |theta|), so the bound needs
+    |lambda - sigma| < eps^(-2/3), about 2.7e10.  On the 2D grid of dim
+    16129 this saves an implicit restart: 128 solves with the factor
+    against 160.  A fixed tol would not do: one above about 4e-12 can miss
+    _RTOL on that grid.  Any other solve keeps ARPACK's factor and
+    default tol, so its values stay bit for bit.  An exactly singular
+    H - sigma or no convergence raises EigensolveError.
     """
     rng = np.random.default_rng(_V0_SEED)
     v0 = rng.standard_normal(op.dim)
+    stop = {"tol": _RTOL / (_matrix_scale(op.matrix) + abs(sigma))} if certified else {}
     try:  # the factor too; held by no name, it is freed before the sort below
         evals, evecs = spla.eigsh(op.matrix, k=k, sigma=sigma, which="LM", v0=v0,
                                   maxiter=max(1000, 20 * k),
-                                  OPinv=_mmd_inverse(op.matrix, sigma) if certified else None)
+                                  OPinv=_mmd_inverse(op.matrix, sigma) if certified else None,
+                                  **stop)
     except RuntimeError as exc:  # no convergence, or H - sigma exactly singular
         raise EigensolveError(f"shift-invert Lanczos failed: {exc}") from exc
     order = np.argsort(evals)
@@ -218,7 +235,9 @@ def window_eigenvalues(op: DiscreteOperator, lo: float, hi: float, expected: int
 
     The `expected + 2` eigenpairs nearest the window midpoint are taken from
     shift-invert Lanczos there or, for d = 1, from the bands of the tridiagonal
-    H (`tridiagonal_window`).  The vectors serve only the certificate.  Raises
+    H (`tridiagonal_window`).  The Lanczos solve stops at ARPACK's
+    tol = _RTOL / (||H||_inf + |mid|), which bounds each residual in H by
+    _RTOL (`_eigsh`).  The vectors serve only the certificate.  Raises
     EigensolveError unless every residual meets the `eigensolve` tolerance,
     the vectors are orthonormal (so no eigenvalue is a ghost copy of another),
     and exactly `expected` of the values fall in the window; with `expected`

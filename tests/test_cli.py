@@ -710,7 +710,7 @@ class TestSpectrumUpto:
         op = dl.assemble(grid, field)
         top = 60.0
         orders, splu = [], scipy.sparse.linalg.splu
-        shifts, eigsh = [], scipy.sparse.linalg.eigsh
+        shifts, tols, eigsh = [], [], scipy.sparse.linalg.eigsh
 
         def spy(*args, **kwargs):
             orders.append(kwargs.get("permc_spec"))
@@ -718,6 +718,7 @@ class TestSpectrumUpto:
 
         def eigsh_spy(*args, **kwargs):
             shifts.append(kwargs.get("sigma"))
+            tols.append(kwargs.get("tol"))
             return eigsh(*args, **kwargs)
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
@@ -725,11 +726,15 @@ class TestSpectrumUpto:
         spec = cli._spectrum_upto(grid, field, top)
         assert orders == ["MMD_AT_PLUS_A"]  # one minimum-degree factor for the certified solve
         assert shifts == [top / 2]  # the middle of the counted interval [0, top]
+        # it stops at the residual its certificate checks: _RTOL in H
+        norm_inf = abs(op.matrix).sum(axis=1).max()
+        assert tols == [pytest.approx(spectral._RTOL / (norm_inf + top / 2), rel=1e-12)]
         below = dl.count_eigenvalues(op, top)
         assert orders == ["MMD_AT_PLUS_A"]  # the count factors no sparse matrix
         plain = dl.eigensolve(op, spec.k)
         assert orders == ["MMD_AT_PLUS_A"]  # the uncertified solve keeps ARPACK's own factor
         assert shifts == [top / 2, 0.0 if bc == "dirichlet" else -0.05]  # and its fixed shift
+        assert tols[1] is None  # and ARPACK's default tol: its values stay bit for bit
         assert np.abs(plain.energies - spec.energies).max() <= 1e-10
         assert not spec.complete and below > 8
         assert spec.k == below + 1

@@ -1,4 +1,5 @@
-"""Layer timings at fixed sizes, for d = 1, 2 and 3 (pytest-benchmark).
+"""Layer timings at fixed sizes, for d = 1, 2 and 3 (pytest-benchmark): the dense solve
+and the shift-invert Lanczos solves that an inertia count certifies.
 
 The tier-1 run skips them (`--benchmark-skip` in pyproject's addopts).  Run them with
 
@@ -23,3 +24,31 @@ def test_dense_solve_of_the_two_lowest_pairs(benchmark, grid):
     op = dl.assemble(g, field)
     evals, evecs = benchmark(spectral._dense_eigh, op, 2)
     assert evals.shape == (2,) and evecs.shape == (op.dim, 2)
+
+
+def test_certified_threshold_solve_d2_dim3969(benchmark):
+    # the shift-invert Lanczos layer of a threshold spectrum, as `divlab.cli` runs it:
+    # every pair <= top and the next one, shifted to top / 2 (`eigensolve(..., upto=)`)
+    g = dl.make_grid(2, 4, 16)
+    field = dl.sampled_field(g, lambda p: 1 + 0.5 * np.sin(3 * p[:, 0] + 2 * p[:, -1]))
+    op = dl.assemble(g, field)
+    assert op.dim == 3969
+    top = 30.0
+    below = dl.count_eigenvalues(op, top)
+    spec = benchmark(dl.eigensolve, op, below + 1, upto=top)
+    assert not spec.complete and np.count_nonzero(spec.energies <= top) == below
+
+
+def test_window_solve_d3_dim1331(benchmark):
+    # one d = 3 Wegner sample's certified window solve, on the 3D grid and alloy model
+    # of the benchmark's wegner_mc workload: window (E - 3 eps, E + 3 eps], E = 30, eps = 1
+    g = dl.make_grid(3, 2, 6)
+    seq = dl.equidistributed_sequence(g, 1.0, 0.2)
+    model = dl.alloy_model(dl.identity_field(g), seq, delta_plus=0.45,
+                           dist=dl.CouplingDistribution("uniform", 2.0))
+    op = dl.alloy_operators(g, model).at(dl.sample_alloy(model, 0))
+    assert op.dim == 1331
+    lo, hi = 27.0, 33.0
+    expected = int(np.diff(dl.count_eigenvalues(op, [lo, hi]))[0])
+    window = benchmark(spectral.window_eigenvalues, op, lo, hi, expected)
+    assert window.size == expected > 0

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divlab as dl
-from divlab import spectral
+from divlab import cli, spectral
 from divlab.operators import DiscreteOperator, perturbation_operator
 from divlab.spectral import EigensolveError
 
@@ -893,6 +893,85 @@ class TestWindowEigenvalues:
             got = dl.window_eigenvalues(op, lo, hi, expected)
             assert np.array_equal(got, want[(want > lo) & (want <= hi)])
         assert len(reductions) == 2
+
+
+class TestCertifiedStoppingRule:
+    """A count-certified Lanczos solve stops at tol = _RTOL / (||H||_inf + |sigma|), which
+    bounds every returned residual ||H x - lambda x|| by _RTOL."""
+
+    @staticmethod
+    def _solves(monkeypatch, *, tol=None):
+        """Record each `_eigsh` result and count the applications of each certified
+        solve's (H - sigma)^-1; with `tol` given, ARPACK stops there instead."""
+        results, applications = [], []
+        eigsh, mmd_inverse, solve = (scipy.sparse.linalg.eigsh, spectral._mmd_inverse,
+                                     spectral._eigsh)
+
+        def counted_inverse(mat, sigma):
+            inverse = mmd_inverse(mat, sigma)
+            applications.append(0)
+
+            def matvec(x):
+                applications[-1] += 1
+                return inverse.matvec(x)
+            return scipy.sparse.linalg.LinearOperator(mat.shape, matvec=matvec, dtype=mat.dtype)
+
+        def recorded(*args, **kwargs):
+            results.append(solve(*args, **kwargs))
+            return results[-1]
+
+        def forced(*args, **kwargs):
+            return eigsh(*args, **{**kwargs, "tol": tol})
+
+        monkeypatch.setattr(spectral, "_mmd_inverse", counted_inverse)
+        monkeypatch.setattr(spectral, "_eigsh", recorded)
+        if tol is not None:
+            monkeypatch.setattr(scipy.sparse.linalg, "eigsh", forced)
+        return results, applications
+
+    @staticmethod
+    def _assert_within_rtol(op, results):
+        for evals, evecs in results:
+            resid = np.linalg.norm(op.matrix @ evecs - evecs * evals, axis=0)
+            assert resid.max() <= spectral._RTOL
+
+    # tops at which the solve at tol = 0 takes one implicit restart more (78 against 65
+    # and 62 applications); at others both stop after the same restart
+    @pytest.mark.parametrize("bc, dim, top", [("dirichlet", 1521, 80.0),
+                                              ("neumann", 1681, 60.0)])
+    def test_threshold_solve_meets_rtol_in_fewer_applications(self, monkeypatch, bc, dim, top):
+        grid = dl.make_grid(2, 2, 20, bc)
+        field = cli._build_field({"field": {"kind": "sine"}}, grid)
+        op = dl.assemble(grid, field)
+        assert op.dim == dim
+        with monkeypatch.context() as patch:
+            results, applications = self._solves(patch)
+            spec = cli._spectrum_upto(grid, field, top)  # raises unless the count agrees
+        assert len(results) == len(applications) == 1 and not spec.complete
+        self._assert_within_rtol(op, results)
+        assert spec.residuals.max() <= spectral._RTOL
+        with monkeypatch.context() as patch:
+            _, at_zero = self._solves(patch, tol=0.0)  # ARPACK's default: machine precision
+            full = cli._spectrum_upto(grid, field, top)
+        assert applications[0] < at_zero[0]
+        assert full.k == spec.k
+        assert np.abs(full.energies - spec.energies).max() <= 1e-10
+
+    def test_3d_alloy_window_meets_rtol(self, monkeypatch):
+        # one sample of wegner_mc's 3D run: identity base, d = 3, L = 2, n = 6, window
+        # (E - 3 eps, E + 3 eps] at E = 30, eps = 1
+        g = dl.make_grid(3, 2, 6)
+        op = dl.assemble(g, _alloy_field(dl.identity_field(g), 0))
+        assert op.dim == 1331
+        lo, hi = 27.0, 33.0
+        expected = int(np.diff(dl.count_eigenvalues(op, [lo, hi]))[0])
+        results, applications = self._solves(monkeypatch)
+        window = dl.window_eigenvalues(op, lo, hi, expected)  # raises unless certified
+        assert len(results) == len(applications) == 1 and window.size == expected > 0
+        self._assert_within_rtol(op, results)
+        want = np.linalg.eigvalsh(op.dense())
+        assert np.abs(window - want[(want > lo) & (want <= hi)]).max() <= 1e-9 * hi
+
 
 class TestMonotonicity:
     def test_eigenvalues_monotone_in_field(self):
