@@ -17,6 +17,7 @@ _RTOL = 1e-9
 _ZERO_RTOL = 1e-12  # relative size at or below which an inertia pivot counts as zero
 _GAP_RTOL = 1e-8  # relative eigenvalue gap below which a lifting sample is degenerate
 _V0_SEED = 20210 + 4  # fixed Lanczos start vector seed: deterministic, symmetry-free
+_RITZ_EVERY = 3  # Lanczos steps between the Ritz tests of a certified solve
 
 
 class EigensolveError(RuntimeError):
@@ -96,15 +97,15 @@ def eigensolve(op: DiscreteOperator, k: int, *, upto: float | None = None) -> Sp
 
     `upto`: an inertia count certifies that the k - 1 lowest eigenvalues lie
     in [0, upto] and the k-th above it.  The Lanczos path then shifts to the
-    middle of that interval, sigma = upto / 2, and takes `_eigsh`'s MMD
-    factor and stopping rule: ARPACK's tol = _RTOL / (||H||_inf + upto / 2)
-    bounds each returned residual ||H x - lambda x|| by _RTOL, within the
-    tolerance checked below, while |lambda - upto / 2| < eps^(-2/3).  As H
-    is positive semidefinite, the k eigenvalues nearest upto / 2 are the k
-    lowest: every one in [0, upto] lies within upto / 2 of it, every other
-    one farther.  Without `upto` the shift is 0 (Dirichlet) or -0.05
-    (Neumann, below the zero mode) with ARPACK's own factor and default tol,
-    machine precision.  The count edge upto + tol is never the shift.
+    middle of that interval, sigma = upto / 2, and runs `_eigsh`'s own
+    Lanczos on the MMD factor: its Ritz test, tol = _RTOL / (||H||_inf +
+    upto / 2), bounds each returned residual ||H x - lambda x|| by _RTOL,
+    within the tolerance checked below.  As H is positive semidefinite, the
+    k eigenvalues nearest upto / 2 are the k lowest: every one in [0, upto]
+    lies within upto / 2 of it, every other one farther.  Without `upto` the
+    shift is 0 (Dirichlet) or -0.05 (Neumann, below the zero mode), and
+    ARPACK solves with its own factor and default tol, machine precision.
+    The count edge upto + tol is never the shift.
     """
     dim = op.dim
     if not (1 <= k <= dim):
@@ -161,13 +162,12 @@ def _dense_eigh(op: DiscreteOperator, k: int):
     return evals[:k], evecs[:, :k]
 
 
-def _mmd_inverse(mat: sp.csr_matrix, sigma: float) -> spla.LinearOperator:
-    """(H - sigma)^-1 by one SuperLU factor, partial pivoting, in the minimum-degree
+def _mmd_inverse(mat: sp.csr_matrix, sigma: float):
+    """x -> (H - sigma)^-1 x by one SuperLU factor, partial pivoting, in the minimum-degree
     order of H - sigma + (H - sigma)^T; a shifted copy of H dies with this call."""
     shifted = mat if sigma == 0 else mat - sigma * sp.identity(mat.shape[0], format="csr")
-    # the CSC view of the symmetric CSR, as ARPACK's own factor takes it
-    lu = spla.splu(shifted.T, permc_spec="MMD_AT_PLUS_A")
-    return spla.LinearOperator(mat.shape, matvec=lu.solve, dtype=mat.dtype)
+    # the CSC view of the symmetric CSR: the format SuperLU factors
+    return spla.splu(shifted.T, permc_spec="MMD_AT_PLUS_A").solve
 
 
 def _eigsh(op: DiscreteOperator, k: int, sigma: float, *, certified: bool):
@@ -176,38 +176,94 @@ def _eigsh(op: DiscreteOperator, k: int, sigma: float, *, certified: bool):
     A `certified` solve, one that an inertia count checks, shifts to the
     middle of the interval its count certifies: the window midpoint
     (`window_eigenvalues`) or upto / 2 for a threshold spectrum
-    (`eigensolve`), where the wanted pairs converge first.  It gets H - sigma
-    factored once by `_mmd_inverse`: on the 2D grid of dim 16129 the
-    minimum-degree order leaves 0.65 million entries in L and U against 1.19
-    million for the COLAMD order of ARPACK's own factor, and a solve takes
-    about half as long.  It also stops at the residual its certificate
-    checks, tol = _RTOL / (||H||_inf + |sigma|), not at ARPACK's default
-    of machine precision: ARPACK accepts a Ritz pair (theta, x) of
-    T = (H - sigma)^-1 once ||T x - theta x|| <= tol |theta|, and as
+    (`eigensolve`), where the wanted pairs converge first.  It runs
+    `_lanczos` on H - sigma factored once by `_mmd_inverse`: on the 2D grid
+    of dim 16129 the minimum-degree order leaves 0.65 million entries in L
+    and U against 1.19 million for the COLAMD order of ARPACK's own factor,
+    and a solve takes about half as long.  It stops at the residual its
+    certificate checks, tol = _RTOL / (||H||_inf + |sigma|), not at machine
+    precision: a Ritz pair (theta, x) of T = (H - sigma)^-1 is accepted once
+    ||T x - theta x|| <= tol |theta|, and as
     H x - lambda x = -(H - sigma)(T x - theta x) / theta for
     lambda = sigma + 1 / theta, its residual in H is at most
     ||H - sigma||_2 tol <= (||H||_inf + |sigma|) tol = _RTOL, below
-    `_check_residuals`' _RTOL (1 + |lambda|) + 100 eps ||H||.  ARPACK
-    tests against max(eps^(2/3), |theta|), so the bound needs
-    |lambda - sigma| < eps^(-2/3), about 2.7e10.  On the 2D grid of dim
-    16129 this saves an implicit restart: 128 solves with the factor
-    against 160.  A fixed tol would not do: one above about 4e-12 can miss
-    _RTOL on that grid.  Any other solve keeps ARPACK's factor and
-    default tol, so its values stay bit for bit.  An exactly singular
-    H - sigma or no convergence raises EigensolveError.
+    `_check_residuals`' _RTOL (1 + |lambda|) + 100 eps ||H||.  Any other
+    solve is ARPACK's (`scipy.sparse.linalg.eigsh`) with its own factor and
+    default tol, machine precision, so its values stay bit for bit.  An
+    exactly singular H - sigma or no convergence raises EigensolveError.
     """
     rng = np.random.default_rng(_V0_SEED)
     v0 = rng.standard_normal(op.dim)
-    stop = {"tol": _RTOL / (_matrix_scale(op.matrix) + abs(sigma))} if certified else {}
-    try:  # the factor too; held by no name, it is freed before the sort below
+    try:
+        if certified:
+            return _lanczos(_mmd_inverse(op.matrix, sigma), v0, k, sigma,
+                            _RTOL / (_matrix_scale(op.matrix) + abs(sigma)), rng)
         evals, evecs = spla.eigsh(op.matrix, k=k, sigma=sigma, which="LM", v0=v0,
-                                  maxiter=max(1000, 20 * k),
-                                  OPinv=_mmd_inverse(op.matrix, sigma) if certified else None,
-                                  **stop)
-    except RuntimeError as exc:  # no convergence, or H - sigma exactly singular
+                                  maxiter=max(1000, 20 * k))
+    except RuntimeError as exc:  # no convergence (also `_lanczos`'), or H - sigma singular
         raise EigensolveError(f"shift-invert Lanczos failed: {exc}") from exc
     order = np.argsort(evals)
     return evals[order], evecs[:, order]
+
+
+def _lanczos(solve, v0: np.ndarray, k: int, sigma: float, tol: float,
+             rng: np.random.Generator):
+    """The k eigenpairs of H nearest sigma, ascending, by Lanczos on T = (H - sigma)^-1
+    (`solve`) from v0, with full reorthogonalization and no restart.
+
+    Each step orthogonalizes T v_j against every stored basis vector (`_cgs2`), so no
+    Ritz value is a ghost copy of another.  Every _RITZ_EVERY steps from m = k on, it
+    takes the eigenpairs (theta, s) of the m x m tridiagonal for the k largest |theta|
+    (`_tridiagonal_pairs`, as `tridiagonal_window` does) and stops once ARPACK's Ritz
+    test holds for all k:
+    ||T x_i - theta_i x_i|| = |beta_m s_mi| <= tol |theta_i|.  The k Ritz vectors are
+    one product V_m^T S, its columns in ascending lambda = sigma + 1 / theta.  The
+    basis is allocated once, at ARPACK's bound of min(n, max(1000, 20 k)) vectors; rows
+    never written never become resident.
+
+    A single start vector meets the second copy of a multiple eigenvalue only through
+    rounding.  Where T v_j lies numerically in the basis, the Krylov space has closed
+    on one copy of each eigenvalue it holds: beta_m = 0, the walk goes on from a fresh
+    random vector orthogonal to the basis, as ARPACK's does, and the Ritz test waits
+    for the bound (all of H when n is below it).  No convergence at the bound raises
+    EigensolveError.
+    """
+    n = v0.size
+    cap = min(n, max(1000, 20 * k))
+    basis = np.empty((cap, n))
+    alpha, beta = np.zeros(cap), np.zeros(cap)
+    w, invariant = v0, False
+    for j in range(cap):
+        basis[j] = w / np.linalg.norm(w)
+        w = solve(basis[j])
+        m = j + 1
+        h, spanned = _cgs2(basis[:m], w)
+        alpha[j] = h[j]
+        if spanned:  # an invariant subspace: beta_m = 0, and a fresh start orthogonal to it
+            w, invariant = rng.standard_normal(n), True
+            _cgs2(basis[:m], w)
+        else:
+            beta[j] = np.linalg.norm(w)
+        if m == cap or (m >= k and m % _RITZ_EVERY == 0 and not invariant):
+            theta, s = _tridiagonal_pairs(alpha[:m], beta[:j], k, lambda t: -np.abs(t))
+            if np.all(np.abs(beta[j] * s[-1]) <= tol * np.abs(theta)):
+                evals = sigma + 1.0 / theta
+                order = np.argsort(evals)
+                return evals[order], (s[:, order].T @ basis[:m]).T
+    raise EigensolveError(f"{k} Ritz pairs unconverged after {cap} steps")
+
+
+def _cgs2(basis: np.ndarray, w: np.ndarray):
+    """Orthogonalize w in place against the rows of `basis` by two classical Gram-Schmidt
+    passes (CGS2).  Returns the summed coefficients and whether w lay numerically in
+    their span: the second pass cancelled most of what the first left (ARPACK's DGKS
+    test, with its 0.717)."""
+    h = basis @ w
+    w -= h @ basis
+    first = np.linalg.norm(w)
+    h2 = basis @ w
+    w -= h2 @ basis
+    return h + h2, np.linalg.norm(w) <= 0.717 * first
 
 
 def _check_window(lo: float, hi: float, expected: int) -> None:
@@ -235,9 +291,9 @@ def window_eigenvalues(op: DiscreteOperator, lo: float, hi: float, expected: int
 
     The `expected + 2` eigenpairs nearest the window midpoint are taken from
     shift-invert Lanczos there or, for d = 1, from the bands of the tridiagonal
-    H (`tridiagonal_window`).  The Lanczos solve stops at ARPACK's
-    tol = _RTOL / (||H||_inf + |mid|), which bounds each residual in H by
-    _RTOL (`_eigsh`).  The vectors serve only the certificate.  Raises
+    H (`tridiagonal_window`).  The Lanczos solve (`_eigsh`, certified) passes
+    its Ritz test at tol = _RTOL / (||H||_inf + |mid|), which bounds each
+    residual in H by _RTOL.  The vectors serve only the certificate.  Raises
     EigensolveError unless every residual meets the `eigensolve` tolerance,
     the vectors are orthonormal (so no eigenvalue is a ghost copy of another),
     and exactly `expected` of the values fall in the window; with `expected`
@@ -247,7 +303,7 @@ def window_eigenvalues(op: DiscreteOperator, lo: float, hi: float, expected: int
         return tridiagonal_window(*op.tridiagonal, lo, hi, expected)
     _check_window(lo, hi, expected)
     k, mid = expected + 2, 0.5 * (lo + hi)
-    if k >= op.dim:  # ARPACK needs k < dim
+    if k >= op.dim:  # the whole spectrum: a dense solve
         evals, evecs = _dense_eigh(op, op.dim)
     else:
         evals, evecs = _eigsh(op, k, sigma=mid, certified=True)
@@ -272,16 +328,7 @@ def tridiagonal_window(diag: np.ndarray, off: np.ndarray, lo: float, hi: float,
     """
     _check_window(lo, hi, expected)
     k, mid = expected + 2, 0.5 * (lo + hi)
-    e = off if off.size else np.zeros(1)  # the wrappers want n - 1 >= 1 entries
-    evals, info = scipy.linalg.lapack.dsterf(diag, e)
-    if info:
-        raise EigensolveError(f"dsterf failed with info = {info}")
-    evals = evals[np.sort(np.argsort(np.abs(evals - mid))[:k])]
-    n = diag.size  # one block: iblock = 1 for every value, isplit = [n]
-    evecs, info = scipy.linalg.lapack.dstein(diag, e, evals, np.ones(n, np.int32),
-                                             np.full(n, n, np.int32))
-    if info:
-        raise EigensolveError(f"dstein failed with info = {info}")
+    evals, evecs = _tridiagonal_pairs(diag, off, k, lambda values: np.abs(values - mid))
     prod = diag[:, None] * evecs
     prod[1:] += off[:, None] * evecs[:-1]
     prod[:-1] += off[:, None] * evecs[1:]
@@ -291,6 +338,23 @@ def tridiagonal_window(diag: np.ndarray, off: np.ndarray, lo: float, hi: float,
     row_sums[1:] += np.abs(off)
     _check_residuals(resid, float(row_sums.max()), evals)
     return _certified_window(evals, evecs, lo, hi, expected)
+
+
+def _tridiagonal_pairs(diag: np.ndarray, off: np.ndarray, k: int, key):
+    """The k eigenpairs, ascending, of the symmetric tridiagonal with these bands whose
+    eigenvalues have the smallest key(eigenvalue): every eigenvalue by LAPACK's root-free
+    QL/QR (`dsterf`, values only), vectors for the k alone by inverse iteration (`dstein`)."""
+    lapack = scipy.linalg.lapack
+    e = off if off.size else np.zeros(1)  # the wrappers want n - 1 >= 1 entries
+    evals, info = lapack.dsterf(diag, e)
+    if info:
+        raise EigensolveError(f"dsterf failed with info = {info}")
+    evals = evals[np.sort(np.argsort(key(evals))[:k])]
+    n = diag.size  # one block: iblock = 1 for every value, isplit = [n]
+    evecs, info = lapack.dstein(diag, e, evals, np.ones(n, np.int32), np.full(n, n, np.int32))
+    if info:
+        raise EigensolveError(f"dstein failed with info = {info}")
+    return evals, evecs
 
 
 def _zero_tol(op: DiscreteOperator, energies: np.ndarray) -> np.ndarray:

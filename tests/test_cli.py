@@ -106,6 +106,14 @@ class TestSingleRuns:
             d1.pop("walltime"), d2.pop("walltime")
             assert d1 == d2
 
+    # `run` writes resolved_config.yaml with libyaml's emitter where PyYAML has it
+    @pytest.mark.parametrize("name", sorted(cli._SUITES) + ["all"])
+    def test_resolved_config_bytes_equal_safe_dump(self, name):
+        runs = {"runs": [cli._resolve(c) for c in cli.suite_configs(name)]}
+        written = yaml.dump(runs, Dumper=cli._SAFE_DUMPER, sort_keys=True)
+        assert written == yaml.safe_dump(runs, sort_keys=True)
+        assert yaml.safe_load(written) == runs
+
     def test_random_centres_follow_the_run_seed(self):
         config = {"experiment": "ucp_gradient",
                   "grid": {"d": 1, "L": 2, "n_per_side": 24},
@@ -710,31 +718,39 @@ class TestSpectrumUpto:
         op = dl.assemble(grid, field)
         top = 60.0
         orders, splu = [], scipy.sparse.linalg.splu
-        shifts, tols, eigsh = [], [], scipy.sparse.linalg.eigsh
+        certified, lanczos = [], spectral._lanczos
+        arpack, eigsh = [], scipy.sparse.linalg.eigsh
 
         def spy(*args, **kwargs):
             orders.append(kwargs.get("permc_spec"))
             return splu(*args, **kwargs)
 
+        def lanczos_spy(solve, v0, k, sigma, tol, rng):
+            certified.append((sigma, tol))
+            return lanczos(solve, v0, k, sigma, tol, rng)
+
         def eigsh_spy(*args, **kwargs):
-            shifts.append(kwargs.get("sigma"))
-            tols.append(kwargs.get("tol"))
+            arpack.append((kwargs.get("sigma"), kwargs.get("tol")))
             return eigsh(*args, **kwargs)
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
+        monkeypatch.setattr(spectral, "_lanczos", lanczos_spy)
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh_spy)
         spec = cli._spectrum_upto(grid, field, top)
         assert orders == ["MMD_AT_PLUS_A"]  # one minimum-degree factor for the certified solve
-        assert shifts == [top / 2]  # the middle of the counted interval [0, top]
-        # it stops at the residual its certificate checks: _RTOL in H
+        assert arpack == []  # which is `_lanczos`', not ARPACK's
+        # shifted to the middle of the counted interval [0, top], and stopped at the
+        # residual its certificate checks: _RTOL in H
         norm_inf = abs(op.matrix).sum(axis=1).max()
-        assert tols == [pytest.approx(spectral._RTOL / (norm_inf + top / 2), rel=1e-12)]
+        assert certified == [(top / 2, pytest.approx(spectral._RTOL / (norm_inf + top / 2),
+                                                     rel=1e-12))]
         below = dl.count_eigenvalues(op, top)
         assert orders == ["MMD_AT_PLUS_A"]  # the count factors no sparse matrix
         plain = dl.eigensolve(op, spec.k)
         assert orders == ["MMD_AT_PLUS_A"]  # the uncertified solve keeps ARPACK's own factor
-        assert shifts == [top / 2, 0.0 if bc == "dirichlet" else -0.05]  # and its fixed shift
-        assert tols[1] is None  # and ARPACK's default tol: its values stay bit for bit
+        assert len(certified) == 1  # and is ARPACK's, at its fixed shift and with
+        # ARPACK's default tol: its values stay bit for bit
+        assert arpack == [(0.0 if bc == "dirichlet" else -0.05, None)]
         assert np.abs(plain.energies - spec.energies).max() <= 1e-10
         assert not spec.complete and below > 8
         assert spec.k == below + 1
@@ -878,13 +894,14 @@ def test_suite_all_equals_bench_reference(tmp_path):
 
 @pytest.mark.parametrize("workload", ["wegner_mc", "ucp_2d"])
 def test_d2_d3_workloads_match_bench_reference(tmp_path, workload):
-    """The seed-0 `wegner_mc` (sparse inertia counts at d = 2 and 3) and `ucp_2d`
-    (a d = 2 threshold spectrum) workload configs reproduce their reference reports.
+    """The seed-0 `wegner_mc` (slab inertia counts and certified window solves at
+    d = 2 and 3) and `ucp_2d` (a d = 2 threshold spectrum) workload configs
+    reproduce their reference reports.
 
     Compared as the bench compares them: integers and strings exactly, floats
     within `FLOAT_RTOL`.  The ucp_2d reference was written when threshold
-    spectra came from a 64-pair solve, so its energies differ from today's
-    one-solve spectrum in the last bits.
+    spectra came from a 64-pair ARPACK solve, so its energies differ from
+    today's one-solve spectrum in the last bits.
     """
     spec = importlib.util.spec_from_file_location("bench_workload", BENCH_DIR / "workload.py")
     bench_workload = importlib.util.module_from_spec(spec)

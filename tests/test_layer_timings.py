@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import divlab as dl
-from divlab import spectral
+from divlab import cli, spectral
 
 # (d, L, n_per_side) of Dirichlet grids with 255, 961 and 729 unknowns
 _DENSE_GRIDS = {"d1-dim255": (1, 4, 64), "d2-dim961": (2, 2, 16), "d3-dim729": (3, 1, 10)}
@@ -37,6 +37,18 @@ def test_certified_threshold_solve_d2_dim3969(benchmark):
     below = dl.count_eigenvalues(op, top)
     spec = benchmark(dl.eigensolve, op, below + 1, upto=top)
     assert not spec.complete and np.count_nonzero(spec.energies <= top) == below
+
+
+def test_certified_threshold_solve_d2_dim16129(benchmark):
+    # the ucp_2d workload's solve: sine field, d = 2, L = 8, n = 16, every pair <= e_max = 12
+    # and the next one
+    g = dl.make_grid(2, 8, 16)
+    op = dl.assemble(g, cli._build_field({"field": {"kind": "sine"}}, g))
+    assert op.dim == 16129
+    top = 12.0
+    below = dl.count_eigenvalues(op, top)
+    spec = benchmark(dl.eigensolve, op, below + 1, upto=top)
+    assert spec.k == 63 and np.count_nonzero(spec.energies <= top) == below
 
 
 def test_window_solve_d3_dim1331(benchmark):

@@ -881,9 +881,23 @@ class TestWindowEigenvalues:
         got = dl.window_eigenvalues(op, 0.0, 1e3, op.dim)
         assert np.abs(got - exact).max() <= 1e-9 * exact.max()
 
+    def test_d2_window_wider_than_one_krylov_space(self):
+        # the identity field on 4 x 4 nodes has 16 eigenvalues but 9 distinct ones, so a
+        # Krylov space from one start vector closes after about 9 steps; the 12 pairs
+        # nearest the midpoint need the fresh start that follows
+        g = dl.make_grid(2, 1, 5)
+        op = dl.assemble(g, dl.identity_field(g))
+        exact = _laplacian_energies(2, 1, 5, "dirichlet")
+        assert np.unique(exact.round(8)).size == 9
+        lo, hi = -1.0, 112.5
+        expected = dl.count_eigenvalues(op, hi) - dl.count_eigenvalues(op, lo)
+        assert expected == 10 and expected + 2 < op.dim  # the Lanczos path
+        got = dl.window_eigenvalues(op, lo, hi, expected)
+        assert np.abs(got - exact[:expected]).max() <= 1e-10 * hi
+
 
     def test_d2_window_of_few_unknowns_takes_the_dense_solve(self, monkeypatch):
-        # expected + 2 >= dim, which ARPACK cannot solve: eigh's values, bit for bit
+        # expected + 2 >= dim, the whole spectrum, solved densely: eigh's values, bit for bit
         g = dl.make_grid(2, 1, 5)
         op = dl.assemble(g, _offdiag_field(g))
         want = scipy.linalg.eigh(op.dense())[0]
@@ -901,32 +915,27 @@ class TestCertifiedStoppingRule:
 
     @staticmethod
     def _solves(monkeypatch, *, tol=None):
-        """Record each `_eigsh` result and count the applications of each certified
-        solve's (H - sigma)^-1; with `tol` given, ARPACK stops there instead."""
+        """Record each `_lanczos` result and count the applications of each certified
+        solve's (H - sigma)^-1; with `tol` given, the solve stops there instead."""
         results, applications = [], []
-        eigsh, mmd_inverse, solve = (scipy.sparse.linalg.eigsh, spectral._mmd_inverse,
-                                     spectral._eigsh)
+        mmd_inverse, lanczos = spectral._mmd_inverse, spectral._lanczos
 
         def counted_inverse(mat, sigma):
-            inverse = mmd_inverse(mat, sigma)
+            solve = mmd_inverse(mat, sigma)
             applications.append(0)
 
-            def matvec(x):
+            def counted(x):
                 applications[-1] += 1
-                return inverse.matvec(x)
-            return scipy.sparse.linalg.LinearOperator(mat.shape, matvec=matvec, dtype=mat.dtype)
+                return solve(x)
+            return counted
 
-        def recorded(*args, **kwargs):
-            results.append(solve(*args, **kwargs))
+        def recorded(solve, v0, k, sigma, certified_tol, rng):
+            results.append(lanczos(solve, v0, k, sigma,
+                                   certified_tol if tol is None else tol, rng))
             return results[-1]
 
-        def forced(*args, **kwargs):
-            return eigsh(*args, **{**kwargs, "tol": tol})
-
         monkeypatch.setattr(spectral, "_mmd_inverse", counted_inverse)
-        monkeypatch.setattr(spectral, "_eigsh", recorded)
-        if tol is not None:
-            monkeypatch.setattr(scipy.sparse.linalg, "eigsh", forced)
+        monkeypatch.setattr(spectral, "_lanczos", recorded)
         return results, applications
 
     @staticmethod
@@ -935,8 +944,6 @@ class TestCertifiedStoppingRule:
             resid = np.linalg.norm(op.matrix @ evecs - evecs * evals, axis=0)
             assert resid.max() <= spectral._RTOL
 
-    # tops at which the solve at tol = 0 takes one implicit restart more (78 against 65
-    # and 62 applications); at others both stop after the same restart
     @pytest.mark.parametrize("bc, dim, top", [("dirichlet", 1521, 80.0),
                                               ("neumann", 1681, 60.0)])
     def test_threshold_solve_meets_rtol_in_fewer_applications(self, monkeypatch, bc, dim, top):
@@ -951,11 +958,37 @@ class TestCertifiedStoppingRule:
         self._assert_within_rtol(op, results)
         assert spec.residuals.max() <= spectral._RTOL
         with monkeypatch.context() as patch:
-            _, at_zero = self._solves(patch, tol=0.0)  # ARPACK's default: machine precision
+            # machine precision, LAPACK's dlamch('E'), for which ARPACK's default tol = 0 stands
+            _, at_eps = self._solves(patch, tol=np.finfo(float).eps / 2)
             full = cli._spectrum_upto(grid, field, top)
-        assert applications[0] < at_zero[0]
+        assert applications[0] < at_eps[0]
         assert full.k == spec.k
         assert np.abs(full.energies - spec.energies).max() <= 1e-10
+
+    # identity fields, whose eigenvalues come in multiplets (up to 6 copies under Neumann
+    # in 3D): a single-vector Krylov space meets a second copy only through rounding
+    @pytest.mark.parametrize("d, n, bc, top", [(2, 64, "dirichlet", 100.0),
+                                               (2, 64, "dirichlet", 200.0),
+                                               (3, 16, "dirichlet", 100.0),
+                                               (3, 16, "neumann", 60.0)])
+    def test_threshold_solve_finds_every_copy_of_a_multiplet(self, d, n, bc, top):
+        grid = dl.make_grid(d, 1, n, bc)  # 3969, 3375 and 4913 unknowns: the Lanczos path
+        exact = _laplacian_energies(d, 1, n, bc)
+        below = int(np.count_nonzero(exact <= top))
+        assert np.unique(exact[:below + 1].round(8)).size < below  # multiplets in the count
+        spec = cli._spectrum_upto(grid, dl.identity_field(grid), top)  # raises unless found
+        assert not spec.complete and spec.k == below + 1
+        assert np.abs(spec.energies - exact[:spec.k]).max() <= 1e-10 * top
+
+    def test_no_convergence_at_the_bound_raises(self, monkeypatch):
+        # a Ritz test that no pair can pass (tol < 0) runs the walk to its bound: all of H
+        g = dl.make_grid(2, 1, 12)
+        op = dl.assemble(g, _offdiag_field(g))
+        assert op.dim == 121
+        monkeypatch.setattr(spectral, "_RTOL", -1.0)
+        with pytest.raises(dl.EigensolveError, match="shift-invert Lanczos failed: 3 Ritz "
+                                                     "pairs unconverged after 121 steps"):
+            spectral._eigsh(op, 3, 50.0, certified=True)
 
     def test_3d_alloy_window_meets_rtol(self, monkeypatch):
         # one sample of wegner_mc's 3D run: identity base, d = 3, L = 2, n = 6, window
