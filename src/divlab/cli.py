@@ -32,9 +32,6 @@ from .lattice import (ScalarField, as_scalar_field,
 from .operators import assemble
 from .spectral import EigensolveError, count_eigenvalues, eigensolve, lifting_curve
 
-# libyaml's emitter where PyYAML was built with it: the same bytes as SafeDumper, faster
-_SAFE_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
-
 
 class ConfigError(ValueError):
     """Validation failure with the offending field path in the message."""
@@ -426,7 +423,7 @@ def run(configs, output_dir, workers: int = 1, seed: int | None = None,
     outdir.mkdir(parents=True, exist_ok=True)
     resolved = [_resolve(c, seed, resolution_mult) for c in configs]
     with open(outdir / "resolved_config.yaml", "w") as fh:
-        yaml.dump({"runs": resolved}, fh, Dumper=_SAFE_DUMPER, sort_keys=True)
+        yaml.safe_dump({"runs": resolved}, fh, sort_keys=True)
 
     reports: list[verify.CheckReport] = []
     if workers > 1 and len(resolved) > 1:

@@ -17,11 +17,19 @@ _RTOL = 1e-9
 _ZERO_RTOL = 1e-12  # relative size at or below which an inertia pivot counts as zero
 _GAP_RTOL = 1e-8  # relative eigenvalue gap below which a lifting sample is degenerate
 _V0_SEED = 20210 + 4  # fixed Lanczos start vector seed: deterministic, symmetry-free
-_RITZ_EVERY = 3  # Lanczos steps between the Ritz tests of a certified solve
+_RITZ_EVERY = 3  # Lanczos steps between the Ritz tests of a certified solve, at least
+_NEAR_SHIFT = 1e-6  # |lambda - sigma| / (||H||_inf + |sigma|) below which a shift is moved
+# a Ritz test's time per m (m + k) over a CGS2 step's per m n: about 45 over 1.5 ns on
+# one OpenBLAS thread of a 2-core Xeon
+_RITZ_COST = 30
 
 
 class EigensolveError(RuntimeError):
     pass
+
+
+class _ShiftAtEigenvalue(EigensolveError):
+    """A Ritz value within _NEAR_SHIFT (||H||_inf + |sigma|) of a Lanczos shift sigma."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,15 +105,17 @@ def eigensolve(op: DiscreteOperator, k: int, *, upto: float | None = None) -> Sp
 
     `upto`: an inertia count certifies that the k - 1 lowest eigenvalues lie
     in [0, upto] and the k-th above it.  The Lanczos path then shifts to the
-    middle of that interval, sigma = upto / 2, and runs `_eigsh`'s own
-    Lanczos on the MMD factor: its Ritz test, tol = _RTOL / (||H||_inf +
-    upto / 2), bounds each returned residual ||H x - lambda x|| by _RTOL,
-    within the tolerance checked below.  As H is positive semidefinite, the
-    k eigenvalues nearest upto / 2 are the k lowest: every one in [0, upto]
-    lies within upto / 2 of it, every other one farther.  Without `upto` the
-    shift is 0 (Dirichlet) or -0.05 (Neumann, below the zero mode), and
-    ARPACK solves with its own factor and default tol, machine precision.
-    The count edge upto + tol is never the shift.
+    middle of that interval, sigma = upto / 2, and `_eigsh` runs our own
+    Lanczos on the MMD factor, told that k - 1 eigenvalues lie at or below
+    upto: its Ritz test, tol = _RTOL / (||H||_inf + upto / 2), aims each
+    residual ||H x - lambda x|| at _RTOL, and the tolerance checked below
+    holds it.  As H is positive semidefinite, the k eigenvalues nearest
+    upto / 2 are the k lowest: every one in [0, upto] lies within upto / 2
+    of it, every other one farther (and so for a shift moved lower, off an
+    eigenvalue).  Without `upto` the shift is 0 (Dirichlet) or -0.05
+    (Neumann, below the zero mode), and ARPACK solves with its own factor
+    and default tol, machine precision (`_arpack_eigsh`).  The count edge
+    upto + tol is never the shift.
     """
     dim = op.dim
     if not (1 <= k <= dim):
@@ -115,10 +125,9 @@ def eigensolve(op: DiscreteOperator, k: int, *, upto: float | None = None) -> Sp
     if complete:
         evals, evecs = _dense_eigh(op, k)
     elif upto is not None:
-        evals, evecs = _eigsh(op, k, sigma=0.5 * upto, certified=True)
+        evals, evecs = _eigsh(op, k, 0.5 * upto, (-np.inf, upto, k - 1))
     else:
-        evals, evecs = _eigsh(op, k, sigma=0.0 if op.grid.bc == "dirichlet" else -0.05,
-                              certified=False)
+        evals, evecs = _arpack_eigsh(op, k, 0.0 if op.grid.bc == "dirichlet" else -0.05)
 
     resid = _checked_residuals(op, evals, evecs)
     vectors = _fix_signs(evecs / op.grid.h ** (op.grid.d / 2.0))
@@ -170,87 +179,149 @@ def _mmd_inverse(mat: sp.csr_matrix, sigma: float):
     return spla.splu(shifted.T, permc_spec="MMD_AT_PLUS_A").solve
 
 
-def _eigsh(op: DiscreteOperator, k: int, sigma: float, *, certified: bool):
-    """The k eigenpairs nearest sigma by shift-invert Lanczos, ascending.
-
-    A `certified` solve, one that an inertia count checks, shifts to the
-    middle of the interval its count certifies: the window midpoint
-    (`window_eigenvalues`) or upto / 2 for a threshold spectrum
-    (`eigensolve`), where the wanted pairs converge first.  It runs
-    `_lanczos` on H - sigma factored once by `_mmd_inverse`: on the 2D grid
-    of dim 16129 the minimum-degree order leaves 0.65 million entries in L
-    and U against 1.19 million for the COLAMD order of ARPACK's own factor,
-    and a solve takes about half as long.  It stops at the residual its
-    certificate checks, tol = _RTOL / (||H||_inf + |sigma|), not at machine
-    precision: a Ritz pair (theta, x) of T = (H - sigma)^-1 is accepted once
-    ||T x - theta x|| <= tol |theta|, and as
-    H x - lambda x = -(H - sigma)(T x - theta x) / theta for
-    lambda = sigma + 1 / theta, its residual in H is at most
-    ||H - sigma||_2 tol <= (||H||_inf + |sigma|) tol = _RTOL, below
-    `_check_residuals`' _RTOL (1 + |lambda|) + 100 eps ||H||.  Any other
-    solve is ARPACK's (`scipy.sparse.linalg.eigsh`) with its own factor and
-    default tol, machine precision, so its values stay bit for bit.  An
-    exactly singular H - sigma or no convergence raises EigensolveError.
-    """
+def _start(n: int):
+    """The fixed Lanczos start vector and the generator that drew it, for any fresh starts."""
     rng = np.random.default_rng(_V0_SEED)
-    v0 = rng.standard_normal(op.dim)
+    return rng.standard_normal(n), rng
+
+
+def _arpack_eigsh(op: DiscreteOperator, k: int, sigma: float):
+    """The k eigenpairs nearest sigma, ascending, by ARPACK's shift-invert Lanczos
+    (`scipy.sparse.linalg.eigsh`) with its own factor and default tol, machine precision:
+    the uncertified lowest-k solve, whose values the references pin bit for bit.  No
+    convergence or an exactly singular H - sigma raises EigensolveError."""
+    v0, _ = _start(op.dim)
     try:
-        if certified:
-            return _lanczos(_mmd_inverse(op.matrix, sigma), v0, k, sigma,
-                            _RTOL / (_matrix_scale(op.matrix) + abs(sigma)), rng)
         evals, evecs = spla.eigsh(op.matrix, k=k, sigma=sigma, which="LM", v0=v0,
                                   maxiter=max(1000, 20 * k))
-    except RuntimeError as exc:  # no convergence (also `_lanczos`'), or H - sigma singular
+    except RuntimeError as exc:
         raise EigensolveError(f"shift-invert Lanczos failed: {exc}") from exc
     order = np.argsort(evals)
     return evals[order], evecs[:, order]
 
 
+def _eigsh(op: DiscreteOperator, k: int, sigma: float, count: tuple[float, float, int]):
+    """The k eigenpairs nearest sigma, ascending, of a solve that an inertia count
+    checks: `count` = (lo, hi, number) says H has `number` eigenvalues in (lo, hi].
+
+    It shifts to the middle of the interval its count certifies: the window midpoint
+    (`window_eigenvalues`) or upto / 2 for a threshold spectrum (`eigensolve`), where
+    the wanted pairs converge first.  It runs `_lanczos` on H - sigma factored once by
+    `_mmd_inverse`: on the 2D grid of dim 16129 the minimum-degree order leaves 0.65
+    million entries in L and U against 1.19 million for the COLAMD order of ARPACK's
+    own factor, and a solve takes about half as long.  It stops at the residual its
+    certificate checks, tol = _RTOL / (||H||_inf + |sigma|), not at machine precision:
+    a Ritz pair (theta, x) of T = (H - sigma)^-1 is accepted once its estimated
+    ||T x - theta x|| is at most tol |theta|, and as
+    H x - lambda x = -(H - sigma)(T x - theta x) / theta for lambda = sigma + 1 / theta,
+    its residual in H is then about ||H - sigma||_2 tol <= (||H||_inf + |sigma|) tol =
+    _RTOL.  The caller's `_checked_residuals` enforces _RTOL (1 + |lambda|) + 100 eps
+    ||H|| on every returned pair.
+
+    Where an eigenvalue lies within _NEAR_SHIFT (||H||_inf + |sigma|) of sigma,
+    H - sigma is singular but for rounding, and the solves' error along that
+    eigenvector, about eps ||H|| / |lambda - sigma| of the solution, swamps the other
+    pairs: `_lanczos` raises at its first Ritz test, and the solve factors once more at
+    a shift 2 _NEAR_SHIFT (||H||_inf + |sigma|) lower.  An exactly singular H - sigma,
+    no convergence, or an eigenvalue at the moved shift too raises EigensolveError.
+    """
+    scale = _matrix_scale(op.matrix)
+    for moved in (False, True):
+        v0, rng = _start(op.dim)
+        try:  # the factor too: SuperLU raises RuntimeError on an exactly singular H - sigma
+            return _lanczos(_mmd_inverse(op.matrix, sigma), v0, k, sigma,
+                            _RTOL / (scale + abs(sigma)), rng, count,
+                            _NEAR_SHIFT * (scale + abs(sigma)))
+        except _ShiftAtEigenvalue as exc:
+            if moved:
+                raise EigensolveError(f"shift-invert Lanczos failed: {exc}") from exc
+        except RuntimeError as exc:
+            raise EigensolveError(f"shift-invert Lanczos failed: {exc}") from exc
+        sigma -= 2 * _NEAR_SHIFT * (scale + abs(sigma))
+
+
 def _lanczos(solve, v0: np.ndarray, k: int, sigma: float, tol: float,
-             rng: np.random.Generator):
+             rng: np.random.Generator, count: tuple[float, float, int], near: float):
     """The k eigenpairs of H nearest sigma, ascending, by Lanczos on T = (H - sigma)^-1
-    (`solve`) from v0, with full reorthogonalization and no restart.
+    (`solve`) from v0, with full reorthogonalization; `count` = (lo, hi, number) is the
+    inertia count the result must meet.
 
     Each step orthogonalizes T v_j against every stored basis vector (`_cgs2`), so no
-    Ritz value is a ghost copy of another.  Every _RITZ_EVERY steps from m = k on, it
-    takes the eigenpairs (theta, s) of the m x m tridiagonal for the k largest |theta|
-    (`_tridiagonal_pairs`, as `tridiagonal_window` does) and stops once ARPACK's Ritz
-    test holds for all k:
-    ||T x_i - theta_i x_i|| = |beta_m s_mi| <= tol |theta_i|.  The k Ritz vectors are
-    one product V_m^T S, its columns in ascending lambda = sigma + 1 / theta.  The
-    basis is allocated once, at ARPACK's bound of min(n, max(1000, 20 k)) vectors; rows
-    never written never become resident.
+    Ritz value is a ghost copy of another.  From m = k on it takes the eigenpairs
+    (theta, s) of the tridiagonal for the k largest |theta| (`_tridiagonal_pairs`, as
+    `tridiagonal_window` does) and stops once ARPACK's Ritz test holds for all k:
+    |beta_m s_mi| <= tol |theta_i|.  In exact arithmetic |beta_m s_mi| is
+    ||T x_i - theta_i x_i||; in floating point it is an estimate, as the tridiagonal
+    leaves out the Gram-Schmidt coefficients off its bands.  The tests come every
+    _RITZ_EVERY steps, or farther apart where a test, O(m (m + k)), costs more than a
+    step's reorthogonalization, O(m n): then they cost at most about a third of the
+    reorthogonalization between them.  The k Ritz vectors are one product V_m^T S, its
+    columns in ascending lambda = sigma + 1 / theta.  The basis is allocated once, at
+    ARPACK's bound of min(n, max(1000, 20 k)) vectors; rows never written never become
+    resident.
 
     A single start vector meets the second copy of a multiple eigenvalue only through
     rounding.  Where T v_j lies numerically in the basis, the Krylov space has closed
-    on one copy of each eigenvalue it holds: beta_m = 0, the walk goes on from a fresh
-    random vector orthogonal to the basis, as ARPACK's does, and the Ritz test waits
-    for the bound (all of H when n is below it).  No convergence at the bound raises
-    EigensolveError.
+    on one copy of each eigenvalue it holds: beta = 0 and the walk goes on from a fresh
+    random vector orthogonal to the basis, as ARPACK's does.  Where the Ritz test holds
+    but fewer than `number` values fall in (lo, hi], a copy is missing: the converged
+    pairs in (lo, hi] are locked (their vectors replace the basis, their theta kept),
+    and a fresh random vector orthogonal to them starts a new walk for the other
+    k - p pairs, tested alone.  A walk that adds no value in (lo, hi] returns what it
+    has, for the caller's certificate to reject.  No convergence at the bound raises
+    EigensolveError, and a Ritz value within `near` of sigma raises
+    _ShiftAtEigenvalue.
     """
+    lo, hi, number = count
     n = v0.size
     cap = min(n, max(1000, 20 * k))
     basis = np.empty((cap, n))
     alpha, beta = np.zeros(cap), np.zeros(cap)
-    w, invariant = v0, False
-    for j in range(cap):
+    w, p, test = v0, 0, k  # p locked pairs: vectors basis[:p], theta alpha[:p]
+    j = 0
+    while j < cap:
         basis[j] = w / np.linalg.norm(w)
         w = solve(basis[j])
-        m = j + 1
+        m = j = j + 1
         h, spanned = _cgs2(basis[:m], w)
-        alpha[j] = h[j]
-        if spanned:  # an invariant subspace: beta_m = 0, and a fresh start orthogonal to it
-            w, invariant = rng.standard_normal(n), True
-            _cgs2(basis[:m], w)
-        else:
-            beta[j] = np.linalg.norm(w)
-        if m == cap or (m >= k and m % _RITZ_EVERY == 0 and not invariant):
-            theta, s = _tridiagonal_pairs(alpha[:m], beta[:j], k, lambda t: -np.abs(t))
-            if np.all(np.abs(beta[j] * s[-1]) <= tol * np.abs(theta)):
-                evals = sigma + 1.0 / theta
-                order = np.argsort(evals)
-                return evals[order], (s[:, order].T @ basis[:m]).T
-    raise EigensolveError(f"{k} Ritz pairs unconverged after {cap} steps")
+        alpha[m - 1] = h[m - 1]
+        beta[m - 1] = 0.0 if spanned else np.linalg.norm(w)
+        if spanned:  # an invariant subspace: a fresh start orthogonal to it
+            w = _fresh(rng, basis[:m])
+        if m < test and m < cap:
+            continue
+        test = m + max(_RITZ_EVERY, -(-_RITZ_EVERY * _RITZ_COST * (m + k) // n))
+        theta, s = _tridiagonal_pairs(alpha[p:m], beta[p:m - 1], k - p, lambda t: -np.abs(t))
+        if near * np.abs(theta).max() >= 1.0:
+            raise _ShiftAtEigenvalue(f"an eigenvalue within {near:.3g} of the shift {sigma:.6g}")
+        if not np.all(np.abs(beta[m - 1] * s[-1]) <= tol * np.abs(theta)):
+            continue
+        evals = sigma + 1.0 / theta
+        lock = (evals > lo) & (evals <= hi)
+        if not 0 < np.count_nonzero(lock) < number - p or m == cap:
+            break
+        # a copy is missing: lock the new pairs in (lo, hi], and walk again for the rest
+        q = p + np.count_nonzero(lock)
+        basis[p:q] = s[:, lock].T @ basis[p:m]
+        alpha[p:q] = theta[lock]
+        p = j = q
+        w, test = _fresh(rng, basis[:p]), k
+    else:
+        raise EigensolveError(f"{k} Ritz pairs unconverged after {cap} steps")
+    theta = np.concatenate([alpha[:p], theta])
+    ritz = np.zeros((m, k))  # the locked vectors as they stand, then the walk's
+    ritz[np.arange(p), np.arange(p)] = 1.0
+    ritz[p:, p:] = s
+    evals = sigma + 1.0 / theta
+    order = np.argsort(evals)
+    return evals[order], (ritz[:, order].T @ basis[:m]).T
+
+
+def _fresh(rng: np.random.Generator, basis: np.ndarray) -> np.ndarray:
+    """A random vector orthogonal to the rows of `basis`."""
+    w = rng.standard_normal(basis.shape[1])
+    _cgs2(basis, w)
+    return w
 
 
 def _cgs2(basis: np.ndarray, w: np.ndarray):
@@ -291,9 +362,9 @@ def window_eigenvalues(op: DiscreteOperator, lo: float, hi: float, expected: int
 
     The `expected + 2` eigenpairs nearest the window midpoint are taken from
     shift-invert Lanczos there or, for d = 1, from the bands of the tridiagonal
-    H (`tridiagonal_window`).  The Lanczos solve (`_eigsh`, certified) passes
-    its Ritz test at tol = _RTOL / (||H||_inf + |mid|), which bounds each
-    residual in H by _RTOL.  The vectors serve only the certificate.  Raises
+    H (`tridiagonal_window`).  The Lanczos solve (`_eigsh`), told the count,
+    passes its Ritz test at tol = _RTOL / (||H||_inf + |mid|), which aims each
+    residual in H at _RTOL.  The vectors serve only the certificate.  Raises
     EigensolveError unless every residual meets the `eigensolve` tolerance,
     the vectors are orthonormal (so no eigenvalue is a ghost copy of another),
     and exactly `expected` of the values fall in the window; with `expected`
@@ -306,7 +377,7 @@ def window_eigenvalues(op: DiscreteOperator, lo: float, hi: float, expected: int
     if k >= op.dim:  # the whole spectrum: a dense solve
         evals, evecs = _dense_eigh(op, op.dim)
     else:
-        evals, evecs = _eigsh(op, k, sigma=mid, certified=True)
+        evals, evecs = _eigsh(op, k, mid, (lo, hi, expected))
     _checked_residuals(op, evals, evecs)
     return _certified_window(evals, evecs, lo, hi, expected)
 

@@ -51,6 +51,18 @@ def test_certified_threshold_solve_d2_dim16129(benchmark):
     assert spec.k == 63 and np.count_nonzero(spec.energies <= top) == below
 
 
+def test_certified_threshold_solve_of_many_pairs_d2_dim3969(benchmark):
+    # many pairs of a small matrix, where Ritz tests, O(m (m + k)) each, cost more than
+    # the steps between them: the identity field, d = 2, L = 4, n = 16, top 150 (184 pairs)
+    g = dl.make_grid(2, 4, 16)
+    op = dl.assemble(g, dl.identity_field(g))
+    assert op.dim == 3969
+    top = 150.0
+    below = dl.count_eigenvalues(op, top)
+    spec = benchmark(dl.eigensolve, op, below + 1, upto=top)
+    assert spec.k == 184 and np.count_nonzero(spec.energies <= top) == below
+
+
 def test_window_solve_d3_dim1331(benchmark):
     # one d = 3 Wegner sample's certified window solve, on the 3D grid and alloy model
     # of the benchmark's wegner_mc workload: window (E - 3 eps, E + 3 eps], E = 30, eps = 1

@@ -929,9 +929,9 @@ class TestCertifiedStoppingRule:
                 return solve(x)
             return counted
 
-        def recorded(solve, v0, k, sigma, certified_tol, rng):
+        def recorded(solve, v0, k, sigma, certified_tol, *rest):
             results.append(lanczos(solve, v0, k, sigma,
-                                   certified_tol if tol is None else tol, rng))
+                                   certified_tol if tol is None else tol, *rest))
             return results[-1]
 
         monkeypatch.setattr(spectral, "_mmd_inverse", counted_inverse)
@@ -966,14 +966,17 @@ class TestCertifiedStoppingRule:
         assert np.abs(full.energies - spec.energies).max() <= 1e-10
 
     # identity fields, whose eigenvalues come in multiplets (up to 6 copies under Neumann
-    # in 3D): a single-vector Krylov space meets a second copy only through rounding
-    @pytest.mark.parametrize("d, n, bc, top", [(2, 64, "dirichlet", 100.0),
-                                               (2, 64, "dirichlet", 200.0),
-                                               (3, 16, "dirichlet", 100.0),
-                                               (3, 16, "neumann", 60.0)])
-    def test_threshold_solve_finds_every_copy_of_a_multiplet(self, d, n, bc, top):
-        grid = dl.make_grid(d, 1, n, bc)  # 3969, 3375 and 4913 unknowns: the Lanczos path
-        exact = _laplacian_energies(d, 1, n, bc)
+    # in 3D): a single-vector Krylov space meets a second copy only through rounding.  At
+    # d = 3, L = 2, n = 8 the first walk converges with a copy missing, and the walk that
+    # starts again orthogonal to the pairs it locked finds it
+    @pytest.mark.parametrize("d, L, n, bc, top", [(2, 1, 64, "dirichlet", 100.0),
+                                                  (2, 1, 64, "dirichlet", 200.0),
+                                                  (3, 1, 16, "dirichlet", 100.0),
+                                                  (3, 1, 16, "neumann", 60.0),
+                                                  (3, 2, 8, "dirichlet", 60.0)])
+    def test_threshold_solve_finds_every_copy_of_a_multiplet(self, d, L, n, bc, top):
+        grid = dl.make_grid(d, L, n, bc)  # 3969, 3375 and 4913 unknowns: the Lanczos path
+        exact = _laplacian_energies(d, L, n, bc)
         below = int(np.count_nonzero(exact <= top))
         assert np.unique(exact[:below + 1].round(8)).size < below  # multiplets in the count
         spec = cli._spectrum_upto(grid, dl.identity_field(grid), top)  # raises unless found
@@ -985,10 +988,28 @@ class TestCertifiedStoppingRule:
         g = dl.make_grid(2, 1, 12)
         op = dl.assemble(g, _offdiag_field(g))
         assert op.dim == 121
+        count = (0.0, 100.0, int(np.diff(dl.count_eigenvalues(op, [0.0, 100.0]))[0]))
         monkeypatch.setattr(spectral, "_RTOL", -1.0)
         with pytest.raises(dl.EigensolveError, match="shift-invert Lanczos failed: 3 Ritz "
                                                      "pairs unconverged after 121 steps"):
-            spectral._eigsh(op, 3, 50.0, certified=True)
+            spectral._eigsh(op, 3, 50.0, count)
+
+    def test_window_midpoint_at_a_double_eigenvalue_moves_the_shift(self, monkeypatch):
+        # the window (31.6, 56.6] of the identity field on 4 x 4 nodes has its midpoint at
+        # the double eigenvalue 44.098: H - mid is singular but for rounding, which the
+        # solves then spread over the other pairs.  The walk stops at its first Ritz
+        # test, and a second factor at a shift just below takes the window
+        g = dl.make_grid(2, 1, 5)
+        op = dl.assemble(g, dl.identity_field(g))
+        exact = _laplacian_energies(2, 1, 5, "dirichlet")
+        lo, hi = 0.5 * (exact[0] + exact[1]), 0.5 * (exact[2] + exact[3])
+        mid = 0.5 * (lo + hi)
+        assert exact[1] == pytest.approx(exact[2]) == pytest.approx(mid, rel=1e-14)
+        results, applications = self._solves(monkeypatch)
+        got = dl.window_eigenvalues(op, lo, hi, 2)
+        assert len(applications) == 2 and len(results) == 1 and applications[0] == 4
+        self._assert_within_rtol(op, results)
+        assert np.abs(got - exact[1:3]).max() <= 1e-12 * hi
 
     def test_3d_alloy_window_meets_rtol(self, monkeypatch):
         # one sample of wegner_mc's 3D run: identity base, d = 3, L = 2, n = 6, window
