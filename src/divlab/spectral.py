@@ -19,8 +19,8 @@ _GAP_RTOL = 1e-8  # relative eigenvalue gap below which a lifting sample is dege
 _V0_SEED = 20210 + 4  # fixed Lanczos start vector seed: deterministic, symmetry-free
 _RITZ_EVERY = 3  # Lanczos steps between the Ritz tests of a certified solve, at least
 _NEAR_SHIFT = 1e-6  # |lambda - sigma| / (||H||_inf + |sigma|) below which a shift is moved
-# a Ritz test's time per m (m + k) over a CGS2 step's per m n: about 45 over 1.5 ns on
-# one OpenBLAS thread of a 2-core Xeon
+# a Ritz test's time per m (m + k) over a step's two Gram-Schmidt passes' per m n: about
+# 45 over 1.5 ns on one OpenBLAS thread of a 2-core Xeon (a step now takes one pass)
 _RITZ_COST = 30
 
 
@@ -130,8 +130,9 @@ def eigensolve(op: DiscreteOperator, k: int, *, upto: float | None = None) -> Sp
         evals, evecs = _arpack_eigsh(op, k, 0.0 if op.grid.bc == "dirichlet" else -0.05)
 
     resid = _checked_residuals(op, evals, evecs)
-    vectors = _fix_signs(evecs / op.grid.h ** (op.grid.d / 2.0))
-    return Spectrum(energies=evals, vectors=vectors, residuals=resid, complete=complete)
+    evecs /= op.grid.h ** (op.grid.d / 2.0)  # in place: no second dim x k array
+    return Spectrum(energies=evals, vectors=_fix_signs(evecs), residuals=resid,
+                    complete=complete)
 
 
 def _dense_eigh(op: DiscreteOperator, k: int):
@@ -197,6 +198,8 @@ def _arpack_eigsh(op: DiscreteOperator, k: int, sigma: float):
     except RuntimeError as exc:
         raise EigensolveError(f"shift-invert Lanczos failed: {exc}") from exc
     order = np.argsort(evals)
+    if np.array_equal(order, np.arange(k)):  # already ascending: no dim x k copy
+        return evals, evecs
     return evals[order], evecs[:, order]
 
 
@@ -221,9 +224,11 @@ def _eigsh(op: DiscreteOperator, k: int, sigma: float, count: tuple[float, float
     Where an eigenvalue lies within _NEAR_SHIFT (||H||_inf + |sigma|) of sigma,
     H - sigma is singular but for rounding, and the solves' error along that
     eigenvector, about eps ||H|| / |lambda - sigma| of the solution, swamps the other
-    pairs: `_lanczos` raises at its first Ritz test, and the solve factors once more at
-    a shift 2 _NEAR_SHIFT (||H||_inf + |sigma|) lower.  An exactly singular H - sigma,
-    no convergence, or an eigenvalue at the moved shift too raises EigensolveError.
+    pairs: `_lanczos` raises at its first Ritz test.  Where sigma is an eigenvalue to
+    the last bit, SuperLU finds H - sigma exactly singular and raises as it factors.
+    Either way the solve factors once more at a shift 2 _NEAR_SHIFT (||H||_inf + |sigma|)
+    lower.  No convergence, or an eigenvalue at the moved shift too, raises
+    EigensolveError.
     """
     scale = _matrix_scale(op.matrix)
     for moved in (False, True):
@@ -232,11 +237,9 @@ def _eigsh(op: DiscreteOperator, k: int, sigma: float, count: tuple[float, float
             return _lanczos(_mmd_inverse(op.matrix, sigma), v0, k, sigma,
                             _RTOL / (scale + abs(sigma)), rng, count,
                             _NEAR_SHIFT * (scale + abs(sigma)))
-        except _ShiftAtEigenvalue as exc:
-            if moved:
+        except RuntimeError as exc:  # _ShiftAtEigenvalue or SuperLU's singular factor
+            if moved or type(exc) is EigensolveError:  # no convergence moves no shift
                 raise EigensolveError(f"shift-invert Lanczos failed: {exc}") from exc
-        except RuntimeError as exc:
-            raise EigensolveError(f"shift-invert Lanczos failed: {exc}") from exc
         sigma -= 2 * _NEAR_SHIFT * (scale + abs(sigma))
 
 
@@ -246,31 +249,36 @@ def _lanczos(solve, v0: np.ndarray, k: int, sigma: float, tol: float,
     (`solve`) from v0, with full reorthogonalization; `count` = (lo, hi, number) is the
     inertia count the result must meet.
 
-    Each step orthogonalizes T v_j against every stored basis vector (`_cgs2`), so no
-    Ritz value is a ghost copy of another.  From m = k on it takes the eigenpairs
-    (theta, s) of the tridiagonal for the k largest |theta| (`_tridiagonal_pairs`, as
-    `tridiagonal_window` does) and stops once ARPACK's Ritz test holds for all k:
-    |beta_m s_mi| <= tol |theta_i|.  In exact arithmetic |beta_m s_mi| is
-    ||T x_i - theta_i x_i||; in floating point it is an estimate, as the tridiagonal
-    leaves out the Gram-Schmidt coefficients off its bands.  The tests come every
-    _RITZ_EVERY steps, or farther apart where a test, O(m (m + k)), costs more than a
-    step's reorthogonalization, O(m n): then they cost at most about a third of the
-    reorthogonalization between them.  The k Ritz vectors are one product V_m^T S, its
-    columns in ascending lambda = sigma + 1 / theta.  The basis is allocated once, at
-    ARPACK's bound of min(n, max(1000, 20 k)) vectors; rows never written never become
-    resident.
+    Each step takes the three-term recurrence, w = T v_j - a v_j - beta_{j-1} v_{j-1}
+    with a = v_j^T T v_j (no beta term on a walk's first step), then one classical
+    Gram-Schmidt pass against every stored basis vector, the locked ones too, and a
+    second only where the first cancelled (`_cgs2`, ARPACK's DGKS test): no Ritz value
+    is a ghost copy of another, and as the recurrence leaves little but rounding for the
+    pass, a step sweeps the basis once, not twice (no second pass in the 123 steps of
+    the ucp_2d solve).  alpha_j is a plus the passes' coefficients on v_j.  From m = k on
+    it takes the eigenpairs (theta, s) of the tridiagonal for the k largest |theta|
+    (`_tridiagonal_pairs`, as `tridiagonal_window` does) and stops once ARPACK's Ritz
+    test holds for all k: |beta_m s_mi| <= tol |theta_i|.  In exact arithmetic
+    |beta_m s_mi| is ||T x_i - theta_i x_i||; in floating point it is an estimate, as
+    the tridiagonal leaves out the Gram-Schmidt coefficients off its bands.  The tests
+    come every _RITZ_EVERY steps, or farther apart where a test, O(m (m + k)), costs
+    more than a step's reorthogonalization, O(m n): then they cost at most about two
+    thirds of the one-pass reorthogonalization between them (a third of the two passes
+    _RITZ_COST was measured on).  The k Ritz vectors are one product V_m^T S, its columns
+    in ascending lambda = sigma + 1 / theta.  The basis is allocated once, at ARPACK's
+    bound of min(n, max(1000, 20 k)) vectors; rows never written never become resident.
 
     A single start vector meets the second copy of a multiple eigenvalue only through
-    rounding.  Where T v_j lies numerically in the basis, the Krylov space has closed
-    on one copy of each eigenvalue it holds: beta = 0 and the walk goes on from a fresh
-    random vector orthogonal to the basis, as ARPACK's does.  Where the Ritz test holds
-    but fewer than `number` values fall in (lo, hi], a copy is missing: the converged
-    pairs in (lo, hi] are locked (their vectors replace the basis, their theta kept),
-    and a fresh random vector orthogonal to them starts a new walk for the other
-    k - p pairs, tested alone.  A walk that adds no value in (lo, hi] returns what it
-    has, for the caller's certificate to reject.  No convergence at the bound raises
-    EigensolveError, and a Ritz value within `near` of sigma raises
-    _ShiftAtEigenvalue.
+    rounding.  Where the second pass cancels again, T v_j lies numerically in the
+    basis: the Krylov space has closed on one copy of each eigenvalue it holds, beta = 0
+    and the walk goes on from a fresh random vector orthogonal to the basis, as ARPACK's
+    does.  Where the Ritz test holds but fewer than `number` values fall in (lo, hi], a
+    copy is missing: the converged pairs in (lo, hi] are locked (their vectors replace
+    the basis, their theta kept), and a fresh random vector orthogonal to them starts a
+    new walk for the other k - p pairs, tested alone.  A walk that adds no value in
+    (lo, hi] returns what it has, for the caller's certificate to reject.  No
+    convergence at the bound raises EigensolveError, and a Ritz value within `near` of
+    sigma raises _ShiftAtEigenvalue.
     """
     lo, hi, number = count
     n = v0.size
@@ -282,9 +290,13 @@ def _lanczos(solve, v0: np.ndarray, k: int, sigma: float, tol: float,
     while j < cap:
         basis[j] = w / np.linalg.norm(w)
         w = solve(basis[j])
+        a = basis[j] @ w  # the three-term recurrence, then one global pass (or two)
+        w -= a * basis[j]
+        if j > p:  # not on a walk's first step, where beta[p - 1] is an ended walk's
+            w -= beta[j - 1] * basis[j - 1]
         m = j = j + 1
         h, spanned = _cgs2(basis[:m], w)
-        alpha[m - 1] = h[m - 1]
+        alpha[m - 1] = a + h[m - 1]
         beta[m - 1] = 0.0 if spanned else np.linalg.norm(w)
         if spanned:  # an invariant subspace: a fresh start orthogonal to it
             w = _fresh(rng, basis[:m])
@@ -318,23 +330,31 @@ def _lanczos(solve, v0: np.ndarray, k: int, sigma: float, tol: float,
 
 
 def _fresh(rng: np.random.Generator, basis: np.ndarray) -> np.ndarray:
-    """A random vector orthogonal to the rows of `basis`."""
+    """A random vector orthogonal to the rows of `basis`, by two Gram-Schmidt passes."""
     w = rng.standard_normal(basis.shape[1])
-    _cgs2(basis, w)
+    _cgs(basis, w)
+    _cgs(basis, w)
     return w
 
 
-def _cgs2(basis: np.ndarray, w: np.ndarray):
-    """Orthogonalize w in place against the rows of `basis` by two classical Gram-Schmidt
-    passes (CGS2).  Returns the summed coefficients and whether w lay numerically in
-    their span: the second pass cancelled most of what the first left (ARPACK's DGKS
-    test, with its 0.717)."""
+def _cgs(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """One classical Gram-Schmidt pass, w -= basis^T (basis w) in place; returns basis w."""
     h = basis @ w
     w -= h @ basis
+    return h
+
+
+def _cgs2(basis: np.ndarray, w: np.ndarray):
+    """Orthogonalize w in place against the rows of `basis` by one classical Gram-Schmidt
+    pass, and a second only where the first cancelled: where it left at most 0.717 of
+    ||w|| (ARPACK's DGKS test).  Returns the summed coefficients and whether w lay
+    numerically in their span: the second pass cancelled by the same ratio again."""
+    before = np.linalg.norm(w)
+    h = _cgs(basis, w)
     first = np.linalg.norm(w)
-    h2 = basis @ w
-    w -= h2 @ basis
-    return h + h2, np.linalg.norm(w) <= 0.717 * first
+    if first > 0.717 * before:
+        return h, False
+    return h + _cgs(basis, w), np.linalg.norm(w) <= 0.717 * first
 
 
 def _check_window(lo: float, hi: float, expected: int) -> None:

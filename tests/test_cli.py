@@ -807,15 +807,16 @@ class TestSpectrumUpto:
         assert err.startswith("solver breakdown: slab count at E = 12:")
         assert "Traceback" not in err
 
-    # the minimum-degree factor is built inside `_eigsh`'s try: a singular H - sigma is
-    # a solver breakdown (exit status 3, or an excluded Wegner sample), not a traceback
-    @pytest.mark.parametrize("solve", ["threshold", "window"])
-    def test_singular_factor_is_a_solver_breakdown(self, tmp_path, capsys, monkeypatch, solve):
+    @staticmethod
+    def _run_with_singular_factors(tmp_path, monkeypatch, solve, singular_factors):
+        """`cli.main(["run", ...])` of a threshold or a window config whose first
+        `singular_factors` minimum-degree factors SuperLU finds exactly singular; returns
+        the exit status and the number of factors tried."""
         calls, splu = [], scipy.sparse.linalg.splu
 
         def singular(*args, **kwargs):
             calls.append(1)
-            if len(calls) == 1:
+            if len(calls) <= singular_factors:
                 raise RuntimeError("Factor is exactly singular")
             return splu(*args, **kwargs)
 
@@ -832,17 +833,37 @@ class TestSpectrumUpto:
                       "constants": {"e_min": 1.0, "e_max": 33.0}}
         cfg_file = tmp_path / "cfg.yaml"
         cfg_file.write_text(yaml.safe_dump(config))
-        status = cli.main(["run", str(cfg_file), "--out", str(tmp_path / "o")])
+        return cli.main(["run", str(cfg_file), "--out", str(tmp_path / "o")]), len(calls)
+
+    # the minimum-degree factor is built inside `_eigsh`'s try: an exactly singular
+    # H - sigma moves the shift once, and a singular factor at the moved shift too is a
+    # solver breakdown (exit status 3, or an excluded Wegner sample), not a traceback
+    @pytest.mark.parametrize("solve", ["threshold", "window"])
+    def test_singular_factor_is_a_solver_breakdown(self, tmp_path, capsys, monkeypatch, solve):
+        status, factors = self._run_with_singular_factors(tmp_path, monkeypatch, solve, 2)
         err = capsys.readouterr().err
         assert "Traceback" not in err
         if solve == "threshold":
-            assert status == 3
+            assert status == 3 and factors == 2
             assert err.startswith("solver breakdown: shift-invert Lanczos failed: "
                                   "Factor is exactly singular")
         else:  # the first sample is excluded, the other two are solved
             rep = _read_reports(tmp_path / "o")["wegner_mc[bounded_w]"]
             assert status == 1 and rep["status"] == "fail"
-            assert rep["observed"]["failures"] == 1 and len(calls) == 3
+            assert rep["observed"]["failures"] == 1 and factors == 4
+
+    @pytest.mark.parametrize("solve", ["threshold", "window"])
+    def test_one_singular_factor_is_solved_at_the_moved_shift(self, tmp_path, capsys,
+                                                              monkeypatch, solve):
+        status, factors = self._run_with_singular_factors(tmp_path, monkeypatch, solve, 1)
+        assert not capsys.readouterr().err
+        if solve == "threshold":
+            reports = _read_reports(tmp_path / "o").values()
+            assert status == 0 and factors == 2
+            assert all(r["status"] == "pass" for r in reports)
+        else:  # one factor per sample, and a second at the first sample's moved shift
+            rep = _read_reports(tmp_path / "o")["wegner_mc[bounded_w]"]
+            assert rep["observed"]["failures"] == 0 and factors == 4
 
     def test_top_above_the_spectrum_returns_every_pair(self):
         grid, field = self._sine(1, 2, 24)

@@ -1011,6 +1011,80 @@ class TestCertifiedStoppingRule:
         self._assert_within_rtol(op, results)
         assert np.abs(got - exact[1:3]).max() <= 1e-12 * hi
 
+    # the identity field on n x n cells: the window midpoint 144 (n = 6, Neumann) or 324
+    # (n = 9, Dirichlet) is an eigenvalue to the last bit, so SuperLU finds H - mid
+    # exactly singular; a second factor at a shift just below takes the window
+    @pytest.mark.parametrize("n, bc, mid", [(6, "neumann", 144.0), (9, "dirichlet", 324.0)])
+    def test_window_midpoint_exactly_at_an_eigenvalue_moves_the_shift(self, monkeypatch,
+                                                                       n, bc, mid):
+        g = dl.make_grid(2, 1, n, bc)
+        op = dl.assemble(g, dl.identity_field(g))
+        exact = _laplacian_energies(2, 1, n, bc)
+        distinct = np.unique(exact.round(8))
+        a, b = np.searchsorted(distinct, [0.72 * mid, 1.28 * mid])
+        lo, hi = 0.5 * (distinct[a - 1:a + 1].sum()), 0.5 * (distinct[b - 1:b + 1].sum())
+        assert 0.5 * (lo + hi) == mid and mid in exact
+        expected = int(np.diff(dl.count_eigenvalues(op, [lo, hi]))[0])
+        factors = _recording(monkeypatch, scipy.sparse.linalg, "splu")
+        got = dl.window_eigenvalues(op, lo, hi, expected)
+        assert len(factors) == 2
+        assert np.abs(got - exact[(exact > lo) & (exact <= hi)]).max() <= 1e-10 * hi
+
+    @staticmethod
+    def _passes_per_step(monkeypatch):
+        """Record the Gram-Schmidt passes `_cgs2` takes at each Lanczos step: 1, or 2 where
+        the first cancelled.  `_fresh`'s passes are not counted."""
+        steps, in_step = [], [False]
+        cgs, cgs2 = spectral._cgs, spectral._cgs2
+
+        def counted_pass(basis, w):
+            if in_step[0]:
+                steps[-1] += 1
+            return cgs(basis, w)
+
+        def step(basis, w):
+            steps.append(0)
+            in_step[0] = True
+            try:
+                return cgs2(basis, w)
+            finally:
+                in_step[0] = False
+
+        monkeypatch.setattr(spectral, "_cgs", counted_pass)
+        monkeypatch.setattr(spectral, "_cgs2", step)
+        return steps
+
+    def test_a_step_takes_one_pass_where_none_cancels(self, monkeypatch):
+        # a sine-field threshold solve above the dense cutoff: after the three-term
+        # recurrence one global pass leaves the basis orthonormal to rounding
+        grid = dl.make_grid(2, 2, 20)
+        field = cli._build_field({"field": {"kind": "sine"}}, grid)
+        op = dl.assemble(grid, field)
+        assert op.dim == 1521
+        steps = self._passes_per_step(monkeypatch)
+        spec = cli._spectrum_upto(grid, field, 80.0)
+        assert not spec.complete and spec.k > 20
+        assert len(steps) > spec.k and set(steps) == {1}
+        gram = grid.h ** grid.d * spec.vectors.T @ spec.vectors  # the Ritz vectors' Gram matrix
+        assert np.abs(gram - np.eye(spec.k)).max() <= 1e-10
+        dense = scipy.linalg.eigvalsh(op.dense())[:spec.k]
+        assert np.abs(spec.energies - dense).max() <= 1e-10 * dense.max()
+
+    # the identity field on 4 x 4 nodes: the Krylov spaces close, and the window at the
+    # double eigenvalue 44.098 also takes a nearly singular factor first
+    @pytest.mark.parametrize("window", ["double-eigenvalue", "wide"])
+    def test_closed_krylov_space_takes_the_second_pass(self, monkeypatch, window):
+        g = dl.make_grid(2, 1, 5)
+        op = dl.assemble(g, dl.identity_field(g))
+        exact = _laplacian_energies(2, 1, 5, "dirichlet")
+        lo, hi = ((0.5 * (exact[0] + exact[1]), 0.5 * (exact[2] + exact[3]))
+                  if window == "double-eigenvalue" else (-1.0, 112.5))
+        expected = int(np.diff(dl.count_eigenvalues(op, [lo, hi]))[0])
+        steps = self._passes_per_step(monkeypatch)
+        got = dl.window_eigenvalues(op, lo, hi, expected)
+        assert 2 in steps and set(steps) == {1, 2}
+        assert np.abs(got - exact[(exact > lo) & (exact <= hi)]).max() <= 1e-10 * hi
+
     def test_3d_alloy_window_meets_rtol(self, monkeypatch):
         # one sample of wegner_mc's 3D run: identity base, d = 3, L = 2, n = 6, window
         # (E - 3 eps, E + 3 eps] at E = 30, eps = 1
