@@ -19,8 +19,8 @@ _GAP_RTOL = 1e-8  # relative eigenvalue gap below which a lifting sample is dege
 _V0_SEED = 20210 + 4  # fixed Lanczos start vector seed: deterministic, symmetry-free
 _RITZ_EVERY = 3  # Lanczos steps between the Ritz tests of a certified solve, at least
 _NEAR_SHIFT = 1e-6  # |lambda - sigma| / (||H||_inf + |sigma|) below which a shift is moved
-# a Ritz test's time per m (m + k) over a step's two Gram-Schmidt passes' per m n: about
-# 45 over 1.5 ns on one OpenBLAS thread of a 2-core Xeon (a step now takes one pass)
+# a Ritz test's time per m (m + k) over two Gram-Schmidt passes' per m n: about 45 over
+# 1.5 ns on one OpenBLAS thread of a 2-core Xeon
 _RITZ_COST = 30
 
 
@@ -224,11 +224,10 @@ def _eigsh(op: DiscreteOperator, k: int, sigma: float, count: tuple[float, float
     Where an eigenvalue lies within _NEAR_SHIFT (||H||_inf + |sigma|) of sigma,
     H - sigma is singular but for rounding, and the solves' error along that
     eigenvector, about eps ||H|| / |lambda - sigma| of the solution, swamps the other
-    pairs: `_lanczos` raises at its first Ritz test.  Where sigma is an eigenvalue to
-    the last bit, SuperLU finds H - sigma exactly singular and raises as it factors.
-    Either way the solve factors once more at a shift 2 _NEAR_SHIFT (||H||_inf + |sigma|)
-    lower.  No convergence, or an eigenvalue at the moved shift too, raises
-    EigensolveError.
+    pairs: `_lanczos` raises at its first Ritz test, or SuperLU as it factors where sigma
+    is an eigenvalue to the last bit.  Either way the solve factors once more at a shift
+    2 _NEAR_SHIFT (||H||_inf + |sigma|) lower; no convergence, or an eigenvalue at the
+    moved shift too, raises EigensolveError.
     """
     scale = _matrix_scale(op.matrix)
     for moved in (False, True):
