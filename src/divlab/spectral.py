@@ -19,8 +19,10 @@ _GAP_RTOL = 1e-8  # relative eigenvalue gap below which a lifting sample is dege
 _V0_SEED = 20210 + 4  # fixed Lanczos start vector seed: deterministic, symmetry-free
 _RITZ_EVERY = 3  # Lanczos steps between the Ritz tests of a certified solve, at least
 _NEAR_SHIFT = 1e-6  # |lambda - sigma| / (||H||_inf + |sigma|) below which a shift is moved
-# a Ritz test's time per m (m + k) over two Gram-Schmidt passes' per m n: about 45 over
-# 1.5 ns on one OpenBLAS thread of a 2-core Xeon
+# a Ritz test's time per m (m + k) over a step's reorthogonalization time per m n, set
+# against two Gram-Schmidt passes (45 over 1.5 ns).  On one OpenBLAS thread of a 2-core
+# Xeon at n >= 3969 a test now takes 60-70 ns and the one-pass step 0.8: a ratio of about
+# 80.  It stays 30, so that every solve tests, and takes its steps, as before.
 _RITZ_COST = 30
 
 
@@ -130,9 +132,8 @@ def eigensolve(op: DiscreteOperator, k: int, *, upto: float | None = None) -> Sp
         evals, evecs = _arpack_eigsh(op, k, 0.0 if op.grid.bc == "dirichlet" else -0.05)
 
     resid = _checked_residuals(op, evals, evecs)
-    evecs /= op.grid.h ** (op.grid.d / 2.0)  # in place: no second dim x k array
-    return Spectrum(energies=evals, vectors=_fix_signs(evecs), residuals=resid,
-                    complete=complete)
+    vectors = _fix_signs(evecs / op.grid.h ** (op.grid.d / 2.0))
+    return Spectrum(energies=evals, vectors=vectors, residuals=resid, complete=complete)
 
 
 def _dense_eigh(op: DiscreteOperator, k: int):
@@ -198,8 +199,6 @@ def _arpack_eigsh(op: DiscreteOperator, k: int, sigma: float):
     except RuntimeError as exc:
         raise EigensolveError(f"shift-invert Lanczos failed: {exc}") from exc
     order = np.argsort(evals)
-    if np.array_equal(order, np.arange(k)):  # already ascending: no dim x k copy
-        return evals, evecs
     return evals[order], evecs[:, order]
 
 
@@ -226,19 +225,24 @@ def _eigsh(op: DiscreteOperator, k: int, sigma: float, count: tuple[float, float
     eigenvector, about eps ||H|| / |lambda - sigma| of the solution, swamps the other
     pairs: `_lanczos` raises at its first Ritz test, or SuperLU as it factors where sigma
     is an eigenvalue to the last bit.  Either way the solve factors once more at a shift
-    2 _NEAR_SHIFT (||H||_inf + |sigma|) lower; no convergence, or an eigenvalue at the
-    moved shift too, raises EigensolveError.
+    2 _NEAR_SHIFT (||H||_inf + |sigma|) lower.  An eigenvalue at the moved shift too, no
+    convergence, or any other failure raises EigensolveError.
     """
     scale = _matrix_scale(op.matrix)
     for moved in (False, True):
         v0, rng = _start(op.dim)
-        try:  # the factor too: SuperLU raises RuntimeError on an exactly singular H - sigma
-            return _lanczos(_mmd_inverse(op.matrix, sigma), v0, k, sigma,
-                            _RTOL / (scale + abs(sigma)), rng, count,
+        try:
+            try:
+                solve = _mmd_inverse(op.matrix, sigma)
+            except RuntimeError as exc:  # SuperLU: H - sigma exactly singular
+                raise _ShiftAtEigenvalue(exc) from exc
+            return _lanczos(solve, v0, k, sigma, _RTOL / (scale + abs(sigma)), rng, count,
                             _NEAR_SHIFT * (scale + abs(sigma)))
-        except RuntimeError as exc:  # _ShiftAtEigenvalue or SuperLU's singular factor
-            if moved or type(exc) is EigensolveError:  # no convergence moves no shift
+        except _ShiftAtEigenvalue as exc:
+            if moved:
                 raise EigensolveError(f"shift-invert Lanczos failed: {exc}") from exc
+        except RuntimeError as exc:
+            raise EigensolveError(f"shift-invert Lanczos failed: {exc}") from exc
         sigma -= 2 * _NEAR_SHIFT * (scale + abs(sigma))
 
 
@@ -261,11 +265,11 @@ def _lanczos(solve, v0: np.ndarray, k: int, sigma: float, tol: float,
     |beta_m s_mi| is ||T x_i - theta_i x_i||; in floating point it is an estimate, as
     the tridiagonal leaves out the Gram-Schmidt coefficients off its bands.  The tests
     come every _RITZ_EVERY steps, or farther apart where a test, O(m (m + k)), costs
-    more than a step's reorthogonalization, O(m n): then they cost at most about two
-    thirds of the one-pass reorthogonalization between them (a third of the two passes
-    _RITZ_COST was measured on).  The k Ritz vectors are one product V_m^T S, its columns
-    in ascending lambda = sigma + 1 / theta.  The basis is allocated once, at ARPACK's
-    bound of min(n, max(1000, 20 k)) vectors; rows never written never become resident.
+    more than a step's reorthogonalization, O(m n): then they cost about as much as the
+    one-pass reorthogonalization between them (see _RITZ_COST).  The k Ritz vectors are
+    one product V_m^T S, its columns in ascending lambda = sigma + 1 / theta.  The basis
+    is allocated once, at ARPACK's bound of min(n, max(1000, 20 k)) vectors; rows never
+    written never become resident.
 
     A single start vector meets the second copy of a multiple eigenvalue only through
     rounding.  Where the second pass cancels again, T v_j lies numerically in the

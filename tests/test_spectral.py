@@ -313,6 +313,15 @@ class TestEigensolve:
         want_evals, want_evecs = scipy.linalg.eigh(op.dense())
         assert np.array_equal(evals, want_evals) and np.array_equal(evecs, want_evecs)
 
+    @pytest.mark.parametrize("d, n", [(1, 64), (2, 12)])
+    def test_dense_solve_keeps_no_n_by_n_array(self, d, n):
+        # dstemr returns all n vectors: the spectrum's k columns are an array of their
+        # own, not a view that keeps the n x n one alive
+        g = dl.make_grid(d, 1, n)
+        spec = dl.eigensolve(dl.assemble(g, dl.sampled_field(
+            g, lambda p: 1 + 0.5 * np.sin(3 * p[:, 0]))), k=3)
+        assert spec.complete and spec.vectors.base is None
+
     @pytest.mark.parametrize("d, n, bc", [(2, 10, "dirichlet"), (3, 6, "dirichlet"),
                                           (2, 16, "neumann")])
     def test_identity_field_multiplets_fall_back_to_eigh(self, monkeypatch, d, n, bc):
@@ -930,10 +939,9 @@ class TestCertifiedStoppingRule:
             return counted
 
         def recorded(solve, v0, k, sigma, certified_tol, *rest):
-            evals, evecs = lanczos(solve, v0, k, sigma,
-                                   certified_tol if tol is None else tol, *rest)
-            results.append((evals, evecs.copy()))  # `eigensolve` scales its own in place
-            return evals, evecs
+            results.append(lanczos(solve, v0, k, sigma,
+                                   certified_tol if tol is None else tol, *rest))
+            return results[-1]
 
         monkeypatch.setattr(spectral, "_mmd_inverse", counted_inverse)
         monkeypatch.setattr(spectral, "_lanczos", recorded)
@@ -991,9 +999,11 @@ class TestCertifiedStoppingRule:
         assert op.dim == 121
         count = (0.0, 100.0, int(np.diff(dl.count_eigenvalues(op, [0.0, 100.0]))[0]))
         monkeypatch.setattr(spectral, "_RTOL", -1.0)
+        factors = _recording(monkeypatch, scipy.sparse.linalg, "splu")
         with pytest.raises(dl.EigensolveError, match="shift-invert Lanczos failed: 3 Ritz "
                                                      "pairs unconverged after 121 steps"):
             spectral._eigsh(op, 3, 50.0, count)
+        assert len(factors) == 1  # only a shift at an eigenvalue is moved
 
     def test_window_midpoint_at_a_double_eigenvalue_moves_the_shift(self, monkeypatch):
         # the window (31.6, 56.6] of the identity field on 4 x 4 nodes has its midpoint at
