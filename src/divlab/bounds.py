@@ -89,8 +89,8 @@ def c_gradient(r: float, e_min: float, theta_plus: float) -> float:
     return r * r * e_min**2 / (2.0 * theta_plus * (8.0 * theta_plus + r * r * e_min))
 
 
-def _ucp_exponent(cfg: ConstantsConfig, v_sup: float) -> float:
-    return cfg.n_exponent * (1.0 + v_sup ** (2.0 / 3.0))
+def _ucp_exponent(cfg: ConstantsConfig) -> float:
+    return cfg.n_exponent * (1.0 + cfg.e_max ** (2.0 / 3.0))
 
 
 def _low_energy_exponent(cfg: ConstantsConfig) -> float:
@@ -110,19 +110,18 @@ class UcpConstants:
     delta0: float
 
 
-def c_sfucp_family(cfg: ConstantsConfig, v_sup: float | None = None,
-                   clamp_delta: bool = False) -> UcpConstants:
+def c_sfucp_family(cfg: ConstantsConfig, clamp_delta: bool = False) -> UcpConstants:
     """Unique-continuation constants for the configured window.
 
-    function_constant = de^{N (1 + |V|^{2/3})} with de = delta (or
-    min(delta, delta0) when clamp_delta is set); gradient_constant multiplies
-    the double-ball bound at r = de by (de/2)^{N (1 + E_max^{2/3})}.
+    function_constant = de^{N (1 + E_max^{2/3})} with de = delta (or
+    min(delta, delta0) when clamp_delta is set), e_max bounding the potential
+    |V|; gradient_constant multiplies the double-ball bound at r = de by
+    (de/2)^{N (1 + E_max^{2/3})}.
     """
-    v = cfg.e_max if v_sup is None else float(v_sup)
     d0 = delta0(cfg)
     de = min(cfg.delta, d0) if clamp_delta else cfg.delta
-    func = de ** _ucp_exponent(cfg, v)
-    grad = _gradient_ucp(de, cfg.e_min, cfg.theta_plus, _ucp_exponent(cfg, cfg.e_max))
+    func = de ** _ucp_exponent(cfg)
+    grad = _gradient_ucp(de, cfg.e_min, cfg.theta_plus, _ucp_exponent(cfg))
     return UcpConstants(function_constant=func, gradient_constant=grad,
                         delta_effective=de, delta0=d0)
 
@@ -138,7 +137,7 @@ def c_evl_family(cfg: ConstantsConfig) -> LiftingConstants:
     """Linear-in-t eigenvalue lifting slopes for each hypothesis set; the window
     below kappa takes `kappa_family`'s gradient_constant_low."""
     tp_t = cfg.theta_plus + cfg.t_max * cfg.w_sup
-    exp_e = _ucp_exponent(cfg, cfg.e_max)
+    exp_e = _ucp_exponent(cfg)
     return LiftingConstants(standard=_gradient_ucp(cfg.delta, cfg.e_min, tp_t, exp_e),
                             bounded_w=_gradient_ucp(cfg.delta / 2.0, cfg.e_min, tp_t, exp_e),
                             elementary_slope=cfg.e_min / tp_t)

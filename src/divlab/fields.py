@@ -28,8 +28,8 @@ class MatrixField:
     """Cell-sampled symmetric coefficient field with its bounds.
 
     theta_minus / theta_plus bound the cell-matrix eigenvalues from below and
-    above.  theta_lip is None when the field has no Lipschitz constant; each
-    constructor says whether its value is exact or an adjacent-difference estimate.
+    above.  theta_lip is a certified Lipschitz constant, or None when no
+    constructor certifies one.
     """
 
     grid: Grid
@@ -53,21 +53,6 @@ def _eig_range(cells: np.ndarray, d: int) -> tuple[float, float, int, int]:
     mins = evals[:, 0]
     maxs = evals[:, -1]
     return float(mins.min()), float(maxs.max()), int(mins.argmin()), int(maxs.argmax())
-
-
-def _lipschitz_estimate(grid: Grid, cells: np.ndarray) -> float:
-    """Max over adjacent cell pairs of entrywise max |A(x)-A(y)| / h.
-
-    A lower bound for the true constant; diverges like 1/h for jumps.
-    """
-    est = 0.0
-    for axis in range(grid.d):
-        if cells.shape[axis] < 2:
-            continue
-        lead = np.moveaxis(cells, axis, 0)
-        diff = np.abs(lead[1:] - lead[:-1]).max()
-        est = max(est, float(diff) / grid.h)
-    return est
 
 
 def _dir_violations(grid: Grid, cells: np.ndarray) -> list[tuple[int, ...]]:
@@ -119,8 +104,8 @@ def sampled_field(grid: Grid, generator: Callable, theta_lip: float | None = Non
 
     The generator maps a point array (m, d) to matrices (m, d, d) or to
     scalars (m,), the latter meaning a(x) * Id.  Asymmetric output is rejected
-    at the first offending cell.  Unless the caller certifies theta_lip, an
-    empirical adjacent-difference estimate is stored.
+    at the first offending cell.  theta_lip is stored as given: the caller's
+    certified Lipschitz constant of the generator, or None.
     """
     pts = grid.cell_centers
     out = np.asarray(generator(pts), dtype=float)
@@ -137,9 +122,7 @@ def sampled_field(grid: Grid, generator: Callable, theta_lip: float | None = Non
         idx = np.unravel_index(flat, grid.cells_shape)
         raise ValueError(f"generator output is asymmetric at cell {idx}")
     cells = mats.reshape(grid.cells_shape + (grid.d, grid.d))
-    if theta_lip is None:
-        return _build(grid, cells, theta_lip=_lipschitz_estimate(grid, cells))
-    return _build(grid, cells, theta_lip=float(theta_lip))
+    return _build(grid, cells, theta_lip=None if theta_lip is None else float(theta_lip))
 
 
 def checkerboard_field(grid: Grid, low: float = 1.0, high: float = 2.0, axis: int = 0) -> MatrixField:
@@ -199,7 +182,8 @@ def mollify(field: MatrixField, ell: int, eps: float) -> MatrixField:
     Splits A = B + (A - B) with B = (theta_minus - eps) * Id, extends A - B by
     zero outside the cube and convolves it with a normalized radial bump of
     support radius 1/ell.  The result has cellwise eigenvalues in
-    [theta_minus - eps, theta_plus] and is Lipschitz with constant O(ell^{d+1}).
+    [theta_minus - eps, theta_plus]; its Lipschitz constant, O(ell^{d+1}), is
+    not certified, so theta_lip is None.
     """
     if not (0 < eps < field.theta_minus):
         raise ValueError(f"need 0 < eps < theta_minus={field.theta_minus}, got eps={eps}")
@@ -219,7 +203,7 @@ def mollify(field: MatrixField, ell: int, eps: float) -> MatrixField:
     cells = out + base
     # the bounds are certified by construction and tighter than a scan of the cells
     return MatrixField(grid=grid, cells=cells, theta_minus=field.theta_minus - eps,
-                       theta_plus=field.theta_plus, theta_lip=_lipschitz_estimate(grid, cells))
+                       theta_plus=field.theta_plus, theta_lip=None)
 
 
 @dataclass(frozen=True)

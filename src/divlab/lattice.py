@@ -314,17 +314,11 @@ def site_sq_distances(seq: EquidistributedSeq, pts, reach: float) -> tuple[np.nd
     return d2, idx
 
 
-def ball_mask(grid: Grid, seq: EquidistributedSeq, radius: float | None = None) -> SubsetMask:
-    """Mask of the ball union of `seq` intersected with the cube.
-
-    `radius` overrides seq.delta (the same centers are also (G, r)-equidistributed
-    for any r <= delta, which the half-radius arguments use).
-    """
+def ball_mask(grid: Grid, seq: EquidistributedSeq) -> SubsetMask:
+    """Mask of the union of the balls B(z_j, seq.delta) intersected with the cube."""
     if seq.d != grid.d or seq.L != grid.L:
         raise ValueError("sequence and grid live on different cubes")
-    r = seq.delta if radius is None else float(radius)
-    if not (0 < r <= seq.delta):
-        raise ValueError(f"radius must lie in (0, {seq.delta}], got {r}")
+    r = seq.delta
     return SubsetMask(grid=grid, fn=lambda pts: site_sq_distances(seq, pts, r)[0].min(axis=1) < r * r)
 
 

@@ -51,7 +51,7 @@ class CheckReport:
 
     name: str
     statement: str
-    status: str                    # 'pass' | 'fail' | 'skipped' | 'error' (no comparison made)
+    status: str                    # 'pass' | 'fail' | 'error' (no comparison made)
     lhs: float | None = None
     rhs: float | None = None
     expected_failure: bool = False
@@ -74,12 +74,8 @@ class CheckReport:
 
     @property
     def ok(self) -> bool:
-        """Pass, or fail exactly where failure was declared expected."""
-        if self.status == "skipped":
-            return True
-        if self.expected_failure:
-            return self.status == "fail"
-        return self.status == "pass"
+        """Pass, or fail exactly where failure was declared expected; never an error."""
+        return self.status == ("fail" if self.expected_failure else "pass")
 
     def to_dict(self, with_walltime: bool = True) -> dict:
         out = {
@@ -131,7 +127,7 @@ def reverse_caccioppoli_check(grid: Grid, field: MatrixField, energy: float,
     rep = CheckReport(
         name="reverse_caccioppoli",
         statement="|grad psi|^2_{B(x0,2r)} >= C_grad(r) |psi|^2_{B(x0,r)}",
-        status="skipped", inputs=inputs)
+        status="error", inputs=inputs)
     if energy <= e_min:
         rep.notes.append(f"eigenvalue {energy} <= e_min {e_min}: hypothesis not met, skipped")
         return rep
@@ -191,13 +187,12 @@ def ucp_function_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
     rep = CheckReport(
         name="ucp_function",
         statement="|psi|^2_{S} >= C_ucp |psi|^2 for eigenfunctions with |E| <= sup V",
-        status="skipped",
+        status="error",
         inputs={"grid": _grid_info(grid), "field": field.content_hash(),
                 "seq": _seq_info(seq), "v_bound": cfg.e_max, "config": cfg.snapshot(),
                 "clamp_delta": clamp_delta})
     if not idx:
         rep.notes.append("no eigenvalues within the potential bound: vacuous")
-        rep.status = "pass"
         return rep
     masses = np.array([subset_norm2(spectrum.vectors[:, i], mask) for i in idx])
     rep.lhs = float(masses.min())
@@ -273,13 +268,12 @@ def ucp_gradient_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
     rep = CheckReport(
         name=f"ucp_gradient[{variant}]",
         statement="|grad psi|^2_{S} >= C |psi|^2 for in-window eigenfunctions",
-        status="skipped", expected_failure=negative_control,
+        status="error", expected_failure=negative_control,
         inputs={"grid": _grid_info(grid), "field": field.content_hash(),
                 "seq": _seq_info(seq), "variant": variant, "config": cfg.snapshot(),
                 "negative_control": negative_control})
     if not idx:
         rep.notes.append("no eigenvalues in the window: vacuous")
-        rep.status = "pass"
         return rep
     mask = ball_mask(grid, seq)
     masses = np.array([subset_norm2(discrete_gradient(grid, spectrum.vectors[:, i]), mask)
@@ -326,14 +320,13 @@ def projector_ucp_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
     rep = CheckReport(
         name="projector_ucp",
         statement="min over span(E < lam) of |psi|^2_{S} >= kappa_prime",
-        status="skipped",
+        status="error",
         inputs={"grid": _grid_info(grid), "field": field.content_hash(),
                 "seq": _seq_info(seq), "lam": lam, "n_samples": n_samples,
                 "seed": seed, "config": cfg.snapshot()})
     idx = np.nonzero(spectrum.energies < lam)[0]
     if idx.size == 0:
         rep.notes.append("no eigenvalues below lam: vacuous (flagged)")
-        rep.status = "pass"
         rep.observed = {"kappa_prime": kp, "span_dim": 0}
         return rep
     mask = ball_mask(grid, seq)
@@ -421,7 +414,7 @@ def lifting_check(curve: LiftingCurve, cfg: ConstantsConfig,
     rep = CheckReport(
         name=f"lifting[{variant}]",
         statement="E_n(t) >= E_n(0) + t * C for in-window rows; rows non-decreasing",
-        status="skipped",
+        status="error",
         inputs={"grid": _grid_info(grid), "field": curve.field_hash,
                 "seq": _seq_info(seq), "variant": variant, "config": cfg.snapshot(),
                 "indices": list(curve.indices)})
@@ -429,7 +422,6 @@ def lifting_check(curve: LiftingCurve, cfg: ConstantsConfig,
     rep.observed["constant"] = float(const)
     if not in_window:
         rep.notes.append("no rows stay inside the window on [0, T]: vacuous")
-        rep.status = "pass"
         return rep
 
     margins, mono_ok, slope_ok, hf_devs = [], True, True, []

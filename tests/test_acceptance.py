@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings.  Every tolerance is pinned here; the runtime budgets are
 asserted, not just reported.
 """
+import dataclasses
 import math
 import time
 
@@ -293,7 +294,8 @@ def test_criterion_06_eigenvalue_lifting():
             # tent sandwich nodewise on every configuration
             tent = dl.tent_minorant(w, seq, g)
             pts = g.full_node_points
-            half = dl.ball_mask(g, seq, radius=seq.delta / 2).full_node_mask.ravel()
+            half = dl.ball_mask(g, dataclasses.replace(seq, delta=seq.delta / 2))
+            half = half.full_node_mask.ravel()
             tv = tent(pts)
             assert np.all(w(pts) >= tv - 1e-12)
             assert np.all(tv[half] >= 1.0 - 1e-12)
@@ -380,9 +382,8 @@ def test_criterion_10_constants():
         assert bounds.delta0(c0) == pytest.approx(
             2.0 / (330.0 * math.e**2 * 2.0 ** (5 / 3)), rel=1e-12)
         assert bounds.c_gradient(1.0, 1.0, 1.0) == pytest.approx(1 / 18, rel=1e-12)
-        got = bounds.c_sfucp_family(ConstantsConfig(delta=0.5, e_min=1.0, e_max=1.0),
-                                    v_sup=0.0)
-        assert got.function_constant == pytest.approx(0.5, rel=1e-12)
+        got = bounds.c_sfucp_family(ConstantsConfig(delta=0.5, e_min=1.0, e_max=1.0))
+        assert got.function_constant == pytest.approx(0.25, rel=1e-12)
         assert got.gradient_constant == pytest.approx((0.25 / 16.5) * 0.0625, rel=1e-12)
         low = bounds.kappa_family(ConstantsConfig(delta=0.25))
         assert low.kappa_prime == pytest.approx(0.03125, rel=1e-12)

@@ -57,9 +57,10 @@ class TestGradientConstant:
 
 class TestUcpConstants:
     def test_function_constant_reference(self):
-        c = cfg(delta=0.5, n_exponent=1.0)
-        got = bounds.c_sfucp_family(c, v_sup=0.0)
-        assert got.function_constant == pytest.approx(0.5, rel=1e-14)
+        # V = e_max = 1: delta^{N (1 + 1)} = 0.5^2
+        c = cfg(delta=0.5, n_exponent=1.0, e_min=1.0, e_max=1.0)
+        got = bounds.c_sfucp_family(c)
+        assert got.function_constant == pytest.approx(0.25, rel=1e-14)
 
     def test_gradient_constant_reference(self):
         c = cfg(delta=0.5, n_exponent=1.0, e_min=1.0, e_max=1.0, theta_plus=1.0)

@@ -635,6 +635,43 @@ class TestMain:
         assert f"config error: {message}" in capsys.readouterr().err
         assert solves == []
 
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_empty_window_is_an_error(self, tmp_path, capsys, n):
+        # the d = 2 twin of the suite's checkerboard-low-energy run: no eigenvalue lies
+        # below its window top 0.0253, so the check makes no comparison
+        config = next(c for c in cli.suite_configs("ucp")
+                      if c.get("label") == "checkerboard-low-energy")
+        config["grid"] = {**config["grid"], "d": 2, "n_per_side": n}
+        rep = cli.execute(config)
+        assert rep.status == "error" and not rep.ok
+        assert rep.lhs is None and "no eigenvalues in the window: vacuous" in rep.notes
+        cfg_file = tmp_path / "cfg.yaml"
+        cfg_file.write_text(yaml.safe_dump(config))
+        assert cli.main(["run", str(cfg_file), "--out", str(tmp_path / "o")]) == 1
+        assert "[BAD] ucp_gradient[low_energy]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", ["step", "checkerboard"])
+    def test_uncertified_step_is_a_config_error_under_lipschitz(self, tmp_path, capsys,
+                                                                monkeypatch, kind):
+        # the checkerboard's own step, sampled with no certified Lipschitz constant
+        def step_field(grid):
+            return dl.sampled_field(grid, lambda p: np.where(p[:, 0] < 0, 1.0, 2.0))
+
+        monkeypatch.setitem(cli._FIELDS, "step", (step_field, {}))
+        monkeypatch.setattr(cli, "_spectrum_upto", _no_solve)
+        grid = dl.make_grid(1, 2, 24)
+        assert step_field(grid).theta_lip is None
+        assert np.array_equal(step_field(grid).cells, dl.checkerboard_field(grid).cells)
+        cfg_file = tmp_path / "cfg.yaml"
+        cfg_file.write_text(yaml.safe_dump({
+            "experiment": "ucp_gradient", "grid": {"d": 1, "L": 2, "n_per_side": 24},
+            "field": {"kind": kind}, "sequence": {"G": 1.0, "delta": 0.3},
+            "check": {"variant": "lipschitz"},
+            "constants": {"e_min": 1.0, "e_max": 12.0, "theta_plus": 2.0}}))
+        assert cli.main(["run", str(cfg_file), "--out", str(tmp_path / "o")]) == 2
+        assert ("config error: ucp_gradient: field carries no Lipschitz constant"
+                in capsys.readouterr().err)
+
     def test_readme_example_config_runs(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         example = readme.split("```yaml\n", 1)[1].split("```", 1)[0]

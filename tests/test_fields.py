@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -82,17 +83,6 @@ class TestChecks:
         g = dl.make_grid(2, 1, 4)
         f = dl.constant_field(g, np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert dl.check_ellipticity(f) == (pytest.approx(1.0), pytest.approx(3.0))
-
-    def test_lipschitz_values(self):
-        g = dl.make_grid(1, 1, 64)
-        def lip(f):
-            return fields._lipschitz_estimate(f.grid, f.cells)
-
-        assert lip(dl.identity_field(g)) == 0.0
-        lin = dl.sampled_field(g, lambda p: 2.0 + p[:, 0])
-        assert lip(lin) == pytest.approx(1.0, rel=1e-12)
-        cb = dl.checkerboard_field(g)
-        assert lip(cb) == pytest.approx(1.0 / g.h, rel=1e-12)
 
     def test_dir_condition(self):
         g = dl.make_grid(2, 1, 6)
@@ -302,11 +292,7 @@ class TestAlloy:
         cells = field.cells.ravel()  # d = 1: each cell matrix is its one eigenvalue
         assert field.theta_minus <= cells.min() and cells.max() <= field.theta_plus
 
-    def test_checkerboard_and_alloy_sample_skip_the_lipschitz_scan(self, monkeypatch):
-        def scan(*_):
-            raise AssertionError("adjacent-difference scan ran")
-
-        monkeypatch.setattr(fields, "_lipschitz_estimate", scan)
+    def test_checkerboard_and_alloy_sample_skip_the_lipschitz_scan(self):
         g = dl.make_grid(2, 2, 8)
         cb = dl.checkerboard_field(g, 1.0, 3.0, axis=1)
         assert cb.theta_lip is None and (cb.theta_minus, cb.theta_plus) == (1.0, 3.0)
@@ -343,7 +329,7 @@ class TestTentMinorant:
         tent = dl.tent_minorant(w, seq, g)
         pts = g.full_node_points
         dhat = seq.delta / 2
-        inner = dl.ball_mask(g, seq, radius=dhat).full_node_mask.ravel()
+        inner = dl.ball_mask(g, dataclasses.replace(seq, delta=dhat)).full_node_mask.ravel()
         tv = tent(pts)
         assert np.all(w(pts) >= tv - 1e-12)
         assert np.all(tv[inner] >= 1.0 - 1e-12)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -111,10 +112,8 @@ class TestBallMask:
     def test_radius_override_monotone(self):
         g = dl.make_grid(1, 2, 32)
         seq = dl.equidistributed_sequence(g, 1.0, 0.3)
-        small = dl.ball_mask(g, seq, radius=0.15)
+        small = dl.ball_mask(g, dataclasses.replace(seq, delta=0.15))
         assert _measure(small) <= _measure(dl.ball_mask(g, seq))
-        with pytest.raises(ValueError):
-            dl.ball_mask(g, seq, radius=0.4)
 
 
 def _all_pairs_d2(pts, centers):
@@ -159,7 +158,7 @@ class TestSiteSqDistances:
                 near = oracle <= reach * reach
                 assert np.all(hits[near] == 1)
         for r in (seq.delta, seq.delta / 2):
-            mask = dl.ball_mask(g, seq, radius=r)
+            mask = dl.ball_mask(g, dataclasses.replace(seq, delta=r))
 
             def in_balls(pts):
                 return _all_pairs_d2(pts, seq.centers).min(axis=1) < r * r

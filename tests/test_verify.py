@@ -12,11 +12,20 @@ from divlab.spectral import EigensolveError
 
 def _sine_setup(n=48, L=2, delta=0.25):
     g = dl.make_grid(1, L, n)
-    f = dl.sampled_field(g, lambda p: 1 + 0.5 * np.sin(np.pi * p[:, 0]))
+    f = dl.sampled_field(g, lambda p: 1 + 0.5 * np.sin(np.pi * p[:, 0]), theta_lip=0.5 * np.pi)
     seq = dl.equidistributed_sequence(g, 1.0, delta)
     spec = dl.eigensolve(dl.assemble(g, f), k=8)
     cfg = ConstantsConfig(e_min=1.0, e_max=30.0, theta_minus=0.5, theta_plus=1.5)
     return g, f, seq, spec, cfg
+
+
+@pytest.mark.parametrize("expected_failure", [False, True])
+@pytest.mark.parametrize("status", ["pass", "fail", "error"])
+def test_ok_is_the_expected_comparison_outcome(status, expected_failure):
+    rep = verify.CheckReport(name="c", statement="s", status=status,
+                             expected_failure=expected_failure)
+    ok = {("pass", False), ("fail", True)}  # an error is never ok
+    assert rep.ok == ((status, expected_failure) in ok)
 
 
 def test_fixed_slack_boundary():
@@ -38,7 +47,7 @@ class TestReverseCaccioppoli:
         g, f, _, spec, _ = _sine_setup()
         e, psi = spec.pair(0)
         rep = verify.reverse_caccioppoli_check(g, f, e, psi, [0.0], 0.2, e_min=e + 1.0)
-        assert rep.status == "skipped" and rep.ok
+        assert rep.status == "error" and not rep.ok and rep.lhs is None
 
     def test_tiny_radius_trivial_pass(self):
         g, f, _, spec, _ = _sine_setup(n=64)
@@ -70,7 +79,7 @@ class TestUcpFunction:
         g, f, seq, spec, cfg = _sine_setup()
         cfg = ConstantsConfig(e_min=0.001, e_max=0.01, theta_minus=0.5, theta_plus=1.5)
         rep = verify.ucp_function_check(g, f, spec, seq, cfg)
-        assert rep.status == "pass" and "vacuous" in rep.notes[0]
+        assert rep.status == "error" and not rep.ok and "vacuous" in rep.notes[0]
 
     def test_needs_lipschitz_certificate(self):
         g, f, seq, spec, cfg = _sine_setup()
@@ -194,7 +203,7 @@ class TestProjectorUcp:
         g, f, seq, cfg, spec = self._low_energy_setup(L=2)
         kp = bounds.kappa_family(cfg).kappa_prime
         rep = verify.projector_ucp_check(g, f, spec, seq, kp, 10, 0, cfg)
-        assert rep.status == "pass" and rep.observed["span_dim"] == 0
+        assert rep.status == "error" and not rep.ok and rep.observed["span_dim"] == 0
 
     def test_full_domain_mask_gives_unit_minimum(self):
         g = dl.make_grid(1, 20, 16)
@@ -240,6 +249,17 @@ class TestLifting:
         cfg = ConstantsConfig(e_min=1.0, e_max=3.0, theta_minus=0.5, theta_plus=1.5)
         rep = verify.lifting_check(curve, cfg, seq, variant="bounded_w")
         assert len(rep.observed["excluded_indices"]) >= 1
+
+    def test_no_row_in_window_is_an_error(self):
+        g, f, seq, _, _ = _sine_setup()
+        w = dl.ball_plateau_field(seq)
+        curve = dl.lifting_curve(g, f, w, 1.0, 5, [0, 1])
+        # both rows start below e_min
+        cfg = ConstantsConfig(e_min=40.0, e_max=60.0, theta_minus=0.5, theta_plus=1.5)
+        rep = verify.lifting_check(curve, cfg, seq, variant="bounded_w")
+        assert rep.status == "error" and not rep.ok and rep.lhs is None
+        assert rep.observed["excluded_indices"] == [0, 1]
+        assert "no rows stay inside the window on [0, T]: vacuous" in rep.notes
 
 
 class TestWegner:
