@@ -312,7 +312,7 @@ def _run_lifting(cfg: dict, w: dict | None = None, t_max: float = 1.0, t_steps: 
                  indices=(0, 1), variant: str = "bounded_w") -> verify.CheckReport:
     grid, field, seq, consts = _build_balls(cfg)
     w_field = _build_w(seq, **(w or {}))
-    verify._lifting_bound(grid, w_field, seq, consts, t_max, variant)  # before the solves
+    verify._lifting_bound(grid, field, w_field, seq, consts, t_max, variant)  # before the solves
     curve = lifting_curve(grid, field, w_field, t_max=t_max, t_steps=t_steps, indices=indices)
     return verify.lifting_check(curve, consts, seq, variant=variant)
 

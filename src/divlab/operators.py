@@ -15,10 +15,11 @@ By that linearity the operator of an alloy sample A + sum_s omega_s u_s Id is
 H_0 + sum_s omega_s H_s, with H_0 the operator of A and H_s that of u_s Id;
 `alloy_operators` assembles these once per model, so a sample costs one sparse
 matrix-vector product.
-Every operator is built by one rule (`_operator`) on its stencil's CSR pattern;
-`alloy_operators` applies that rule to all sites at once, summing the same terms
-in the same order, so each H_s is, entry for entry, the `perturbation_operator`
-of u_s.
+Every operator runs the same code, `_operator`: `_triplets` lists the stencil
+terms of one field or of several on a field axis, and one 0/1 product sums them
+per entry of a CSR pattern.  `alloy_operators` runs it once on all the u_s Id
+together, on H_0's pattern, so each H_s is, entry for entry, the
+`perturbation_operator` of u_s.
 """
 from __future__ import annotations
 
@@ -57,20 +58,24 @@ def _axis_weight(grid: Grid, cells_kk: np.ndarray, k: int) -> np.ndarray:
 
 
 def _triplets(grid: Grid, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row, column and value of every stencil term over all (n + 1)^d nodes.
+    """Row, column and values of every stencil term over all (n + 1)^d nodes.
 
-    The values are linear in `cells`; the rows and columns depend only on the
-    grid and on which off-diagonal entries of `cells` are nonzero anywhere.
+    `cells` holds a d x d matrix per cell, optionally for several fields on an axis
+    before the matrix axes; the values have one column per field (one without that
+    axis).  They are linear in `cells`; the rows and columns depend only on the grid
+    and on which off-diagonal entries of `cells` are nonzero anywhere.
     """
     d, h, n = grid.d, grid.h, grid.cells_per_side
+    if cells.ndim == d + 2:
+        cells = cells[..., None, :, :]
     lin = np.arange((n + 1) ** d).reshape(grid.full_shape)
     hd = h**d
     rows, cols, vals = [], [], []
 
     def add(r, c, v):
-        rows.append(np.broadcast_to(r, v.shape).ravel())
-        cols.append(np.broadcast_to(c, v.shape).ravel())
-        vals.append(np.asarray(v, dtype=float).ravel())
+        rows.append(r.ravel())
+        cols.append(c.ravel())
+        vals.append(np.asarray(v, dtype=float).reshape(r.size, -1))
 
     for k in range(d):
         w = _axis_weight(grid, cells[..., k, k], k)
@@ -111,42 +116,47 @@ def _triplets(grid: Grid, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
-def _pattern(grid: Grid, rows: np.ndarray, cols: np.ndarray):
-    """The stencil's CSR pattern between the unknowns, for terms with these full-node
-    rows and columns: a matrix whose data number its entries, the entry of each term
-    (nnz for a term with a boundary node), and the entry of each entry's transpose."""
-    # each full node's index among the unknowns, -1 on a Dirichlet boundary
+def _entry_sums(grid: Grid, cells: np.ndarray, pattern: sp.csr_matrix | None):
+    """The CSR `pattern` (by default the stencil pattern of `cells`), the per-entry
+    sums K of the stencil terms between unknowns, one column per field, and the entry
+    of each entry's transpose.  One product with the 0/1 term -> entry matrix, whose
+    columns list the terms in `_triplets` order, sums each entry in that order from 0."""
+    r, c, vals = _triplets(grid, cells)
+    n_terms = vals.shape[0]
+    # each term's row and column among the unknowns, -1 for a Dirichlet boundary node
     unknown = grid.embed(np.arange(1, grid.n_nodes + 1)).ravel().astype(np.int32) - 1
-    r, c = unknown[rows], unknown[cols]
+    r, c = unknown[r], unknown[c]
     kept = (r >= 0) & (c >= 0)
     r, c = r[kept], c[kept]
-    pattern = sp.csr_matrix((np.ones(r.size, dtype=bool), (r, c)), shape=(grid.n_nodes,) * 2)
-    pattern.data = np.arange(pattern.nnz)
-    at = np.full(rows.size, pattern.nnz)
-    at[kept] = np.asarray(pattern[r, c]).ravel()
+    if pattern is None:
+        pattern = sp.csr_matrix((np.ones(r.size, dtype=bool), (r, c)), shape=(grid.n_nodes,) * 2)
+    entry = sp.csr_matrix((np.arange(pattern.nnz), pattern.indices, pattern.indptr),
+                          shape=pattern.shape)
+    # each term's entry, nnz for a term with a boundary node; int32, as scipy would
+    # otherwise copy the indices down to int32
+    at = np.full(n_terms, pattern.nnz, dtype=np.int32)
+    at[kept] = np.asarray(entry[r, c]).ravel()
+    to_entry = sp.csc_matrix((np.ones(n_terms), at, np.arange(n_terms + 1, dtype=np.int32)),
+                             shape=(pattern.nnz + 1, n_terms))
     # the pattern is symmetric, so its transpose lists the same entries
-    return pattern, at, pattern.T.tocsr().data
+    return pattern, (to_entry @ vals)[:-1], entry.T.tocsr().data
 
 
-def _operator(grid: Grid, cells: np.ndarray, pattern=None) -> sp.csr_matrix:
-    """H = K / h^d of the cell matrices `cells` on `pattern`, by default their stencil's.
+def _operator(grid: Grid, cells: np.ndarray, pattern: sp.csr_matrix | None = None):
+    """H = K / h^d of the cell matrices `cells` on the CSR `pattern`, by default their
+    stencil's; with a field axis in `cells` (see `_triplets`), each field's entries of
+    H on `pattern`, one column per field, as a sparse (nnz, fields) matrix.
 
-    The stencil terms are summed per entry in `_triplets` order, then symmetrized
-    as 0.5 (K + K^T) and scaled by 1 / h^d, as scipy adds, transposes and divides.
-    A scalar field's terms are the axis terms, which `_triplets` lists first, so
-    they land where the first terms of any field's pattern on the grid do.
+    The per-entry sums K come from `_entry_sums`, so every term is freed before K is
+    symmetrized as 0.5 (K + K^T) and scaled by 1 / h^d, as scipy adds, transposes and
+    divides.  A scalar field's terms are the axis terms, which lie on the stencil
+    pattern of any field on the grid.
     """
-    rows, cols, vals = _triplets(grid, cells)
-    mat, at, transposed = _pattern(grid, rows, cols) if pattern is None else pattern
-    k = np.bincount(at[:vals.size], vals, mat.nnz + 1)[:-1]
-    return sp.csr_matrix((_symmetrized(grid, k, transposed), mat.indices, mat.indptr),
-                         shape=mat.shape)
-
-
-def _symmetrized(grid: Grid, k: np.ndarray, transposed: np.ndarray) -> np.ndarray:
-    """0.5 (K + K^T) / h^d from the per-entry sums K (rows of `k`) and the entry of each
-    entry's transpose, as scipy adds, transposes and divides."""
-    return 0.5 * (k + k[transposed]) * (1.0 / grid.h**grid.d)
+    pattern, k, transposed = _entry_sums(grid, cells, pattern)
+    hk = 0.5 * (k + k[transposed]) * (1.0 / grid.h**grid.d)
+    if cells.ndim > grid.d + 2:
+        return sp.csr_matrix(hk)
+    return sp.csr_matrix((hk[:, 0], pattern.indices, pattern.indptr), shape=pattern.shape)
 
 
 def _band_positions(mat: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -194,8 +204,9 @@ def assemble(grid: Grid, field: MatrixField) -> DiscreteOperator:
 
 
 def _scalar_cells(grid: Grid, wc: np.ndarray) -> np.ndarray:
-    """The cell matrices of the field w * Id from the cell values of w."""
-    return wc.reshape(grid.cells_shape)[..., None, None] * np.eye(grid.d)
+    """The cell matrices of the field w * Id from the cell values of w; a trailing
+    axis of `wc` past the cell axis carries separate fields."""
+    return wc.reshape(*grid.cells_shape, *wc.shape[1:])[..., None, None] * np.eye(grid.d)
 
 
 def perturbation_operator(grid: Grid, w) -> sp.csr_matrix:
@@ -240,33 +251,17 @@ def alloy_operators(grid: Grid, model: AlloyModel) -> AlloyOperators:
     """H_0 = assemble(grid, model.base) and, on H_0's pattern, one H_s per site: the
     `perturbation_operator` of the site's bump at the cell centers (`model.cell_bumps`).
 
-    Every site is built in one pass: the axis-term values of all bumps, a trailing
-    site axis, summed per entry by one product with the 0/1 term -> entry matrix.
-    Its rows list their terms in `_triplets` order and a sparse product sums them
-    in that order from 0, as `_operator`'s `bincount` does, so each column is
-    H_s bit for bit.
+    Every site is built by one `_operator` call on the bump fields u_s Id, a site
+    axis before the matrix axes, so each column is H_s bit for bit.
     """
     base = assemble(grid, model.base)
-    mat, at, transposed = _pattern(grid, *_triplets(grid, model.base.cells)[:2])
     values, idx = model.cell_bumps
-    n_sites, n_cells = len(model.seq.centers), idx.shape[0]
     # bumps[c, s]: a site meets a cell at most once with a nonzero value (a repeat is a
-    # clipped cell outside the cube, value 0), so the sum is that value in any order
-    bumps = np.bincount((idx + n_sites * np.arange(n_cells)[:, None]).ravel(),
-                        values.ravel(), n_cells * n_sites).reshape(n_cells, n_sites)
-    # `_triplets`' values of every bump field u_s Id, one column per site: the axis
-    # terms, which are all of a scalar field's, in `_triplets` order
-    bumps = bumps.reshape(*grid.cells_shape, n_sites)
-    vals = []
-    for k in range(grid.d):
-        w = _axis_weight(grid, bumps, k).reshape(-1, n_sites)
-        vals += [w, w, -w, -w]
-    vals = np.concatenate(vals)
-    n_terms = vals.shape[0]
-    to_entry = sp.csr_matrix((np.ones(n_terms), (at[:n_terms], np.arange(n_terms))),
-                             shape=(mat.nnz + 1, n_terms))
-    sums = (to_entry @ vals)[:-1]
-    return AlloyOperators(base=base, sites=sp.csr_matrix(_symmetrized(grid, sums, transposed)))
+    # clipped cell outside the cube, value 0), so placing the nonzero values fills it
+    cell, near = np.nonzero(values)
+    bumps = np.zeros((idx.shape[0], len(model.seq.centers)))
+    bumps[cell, idx[cell, near]] = values[cell, near]
+    return AlloyOperators(base=base, sites=_operator(grid, _scalar_cells(grid, bumps), base.matrix))
 
 
 def rescale(field: MatrixField, G: float, target_n_per_side: int) -> tuple[MatrixField, float]:

@@ -8,6 +8,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .fields import MatrixField
 from .lattice import Grid, ScalarField, as_scalar_field, discrete_gradient
 from .operators import DiscreteOperator, assemble, edge_coefficients, perturbation_operator
 
@@ -698,7 +699,7 @@ class LiftingCurve:
     hf_values: np.ndarray     # same shape; exact form derivative at each sample
     degenerate: np.ndarray    # bool, same shape
     w: ScalarField
-    field_hash: str
+    field: MatrixField
 
 
 def lifting_curve(grid: Grid, field, w, t_max: float, t_steps: int, indices) -> LiftingCurve:
@@ -739,7 +740,7 @@ def lifting_curve(grid: Grid, field, w, t_max: float, t_steps: int, indices) -> 
 
     return LiftingCurve(grid=grid, ts=ts, indices=indices, energies=energies,
                         hf_values=hf_values, degenerate=degenerate,
-                        w=w, field_hash=field.content_hash())
+                        w=w, field=field)
 
 
 def projector_sample(spectrum: Spectrum, interval: tuple[float, float], seed,

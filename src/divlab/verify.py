@@ -150,6 +150,14 @@ def _require_field_hypotheses(field: MatrixField, need_lip: bool, need_dir: bool
             raise ValueError(f"off-diagonal boundary condition violated at cells {bad[:5]}")
 
 
+def _require_sfucp_hypotheses(grid: Grid, field: MatrixField, bound: str) -> None:
+    """Raise ValueError unless the grid is Dirichlet and the field elliptic, certified
+    Lipschitz and dir: the hypotheses of `bounds.c_sfucp_family` and `c_evl_family`."""
+    if grid.bc != "dirichlet":
+        raise ValueError(f"{bound} is stated for Dirichlet grids")
+    _require_field_hypotheses(field, need_lip=True, need_dir=True)
+
+
 def _run_config(cfg: ConstantsConfig, grid: Grid, seq: EquidistributedSeq, *,
                 t_max: float = 0.0, w_sup: float = 0.0, w_lip: float = 0.0) -> ConstantsConfig:
     """`cfg` with the fields a run sets itself: d from the grid, delta and G from the
@@ -164,9 +172,7 @@ def _ucp_function_config(grid: Grid, field: MatrixField, seq: EquidistributedSeq
                          cfg: ConstantsConfig) -> ConstantsConfig:
     """The config at the run's values; raises ValueError unless the grid, the field and the
     sequence meet the bound's hypotheses.  A runner calls it before the solve as well."""
-    if grid.bc != "dirichlet":
-        raise ValueError("function-level bound is stated for Dirichlet grids")
-    _require_field_hypotheses(field, need_lip=True, need_dir=True)
+    _require_sfucp_hypotheses(grid, field, "function-level bound")
     return _run_config(cfg, grid, seq)
 
 
@@ -220,9 +226,7 @@ def _ucp_gradient_bound(grid: Grid, field: MatrixField, seq: EquidistributedSeq,
     cfg = _run_config(cfg, grid, seq)
     low = bounds.kappa_family(cfg)
     if variant == "lipschitz":
-        if grid.bc != "dirichlet":
-            raise ValueError("the Lipschitz-field variant is stated for Dirichlet grids")
-        _require_field_hypotheses(field, need_lip=True, need_dir=True)
+        _require_sfucp_hypotheses(grid, field, "the Lipschitz-field variant")
         rhs = bounds.c_sfucp_family(cfg).gradient_constant
         window_top = cfg.e_max
     elif variant == "low_energy":
@@ -349,12 +353,14 @@ def projector_ucp_check(grid: Grid, field: MatrixField, spectrum: Spectrum,
 _LIFT_VARIANTS = ("standard", "bounded_w", "low_energy", "neumann", "elementary")
 
 
-def _lifting_bound(grid: Grid, w: ScalarField, seq: EquidistributedSeq,
+def _lifting_bound(grid: Grid, field: MatrixField, w: ScalarField, seq: EquidistributedSeq,
                    cfg: ConstantsConfig, t_max: float, variant: str):
     """The config at the run's values, the variant's slope and its window top; raises
     ValueError on an unknown variant or broken hypotheses.  A runner calls it first too."""
     if variant not in _LIFT_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; pick one of {_LIFT_VARIANTS}")
+    if variant in ("standard", "bounded_w"):
+        _require_sfucp_hypotheses(grid, field, f"the {variant} lifting slope")
     w_nodes = w.on_full_nodes(grid)
     cfg = _run_config(cfg, grid, seq, t_max=float(t_max),
                       w_sup=float(w.sup if w.sup is not None else np.max(w_nodes)),
@@ -399,10 +405,9 @@ def lifting_check(curve: LiftingCurve, cfg: ConstantsConfig,
     derivatives against centered finite differences of the rows (Simpson
     average, skipping samples flagged as degenerate).
     """
-    grid = curve.grid
-    cfg, const, window_top = _lifting_bound(grid, curve.w, seq, cfg, curve.ts[-1], variant)
+    grid, ts = curve.grid, curve.ts
+    cfg, const, window_top = _lifting_bound(grid, curve.field, curve.w, seq, cfg, ts[-1], variant)
 
-    ts = curve.ts
     in_window, excluded = [], []
     for row, n in enumerate(curve.indices):
         e0, eT = curve.energies[row, 0], curve.energies[row, -1]
@@ -415,7 +420,7 @@ def lifting_check(curve: LiftingCurve, cfg: ConstantsConfig,
         name=f"lifting[{variant}]",
         statement="E_n(t) >= E_n(0) + t * C for in-window rows; rows non-decreasing",
         status="error",
-        inputs={"grid": _grid_info(grid), "field": curve.field_hash,
+        inputs={"grid": _grid_info(grid), "field": curve.field.content_hash(),
                 "seq": _seq_info(seq), "variant": variant, "config": cfg.snapshot(),
                 "indices": list(curve.indices)})
     rep.observed["excluded_indices"] = excluded
@@ -658,7 +663,9 @@ def wegner_mc(model: AlloyModel, grid: Grid, e_center: float, eps: float,
     cross-check on every sample.  Also reports the fitted scaling exponent of
     the mean over the eps sweep.  Each sample draws its couplings with
     `sample_alloy`; its operator H_0 + sum_s omega_s H_s comes from the model's
-    `alloy_operators`, assembled once per call (`_wegner_samples`).
+    `alloy_operators`, assembled once per call (`_wegner_samples`).  The lifting
+    slope of the bound carries the hypotheses of the Lipschitz UCP variant, which
+    the base field and the grid must meet before any sample is drawn.
     """
     if variant not in ("bounded_w", "lipschitz"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -671,6 +678,7 @@ def wegner_mc(model: AlloyModel, grid: Grid, e_center: float, eps: float,
                          "dominates the ball-union indicator")
     if variant == "lipschitz" and model.bump_lip() is None:
         raise ValueError("lipschitz variant needs Lipschitz single-site bumps")
+    _require_sfucp_hypotheses(grid, model.base, "the lifting slope of the Wegner bound")
 
     w_all = single_site_sum(model)
     lift_cfg = _run_config(cfg, grid, model.seq, t_max=eps + model.dist.m + 1.0, w_sup=w_all.sup,

@@ -614,7 +614,12 @@ class TestMain:
         ({"experiment": "lifting", "grid": {"d": 3, "L": 2, "n_per_side": 4},
           "sequence": {"G": 1.0, "delta": 0.3}, "check": {"variant": "neumann"}},
          "lifting: Neumann lifting needs a Neumann grid"),
-    ], ids=["period-2", "unknown-variant", "w-below-the-balls", "neumann-on-dirichlet"])
+        ({"experiment": "lifting", **_SINE_BALLS,
+          "grid": {**_SINE_BALLS["grid"], "bc": "neumann"},
+          "constants": {"e_min": 1.0, "e_max": 60.0}},
+         "lifting: the bounded_w lifting slope is stated for Dirichlet grids"),
+    ], ids=["period-2", "unknown-variant", "w-below-the-balls", "neumann-on-dirichlet",
+            "bounded-w-on-neumann"])
     def test_lifting_rejects_before_solving(self, tmp_path, capsys, monkeypatch, config,
                                             message):
         solves, solve = [], spectral.eigensolve
@@ -670,6 +675,27 @@ class TestMain:
             "constants": {"e_min": 1.0, "e_max": 12.0, "theta_plus": 2.0}}))
         assert cli.main(["run", str(cfg_file), "--out", str(tmp_path / "o")]) == 2
         assert ("config error: ucp_gradient: field carries no Lipschitz constant"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("experiment, check", [
+        ("lifting", {"variant": "standard"}),
+        ("lifting", {"variant": "bounded_w"}),
+        ("wegner", {"e_center": 20.0, "eps": 0.5, "n_samples": 20}),
+    ], ids=["lifting-standard", "lifting-bounded-w", "wegner"])
+    def test_lifting_slopes_carry_the_lipschitz_hypotheses(self, tmp_path, capsys, monkeypatch,
+                                                           experiment, check):
+        # the lifting slopes of `bounds.c_evl_family` are the UCP gradient bound of the
+        # Lipschitz variant, so the checkerboard it rejects (above) is rejected by every
+        # run taking them, before the first solve
+        monkeypatch.setattr(spectral, "eigensolve", _no_solve)
+        monkeypatch.setattr(verify, "alloy_operators", _no_solve)
+        cfg_file = tmp_path / "cfg.yaml"
+        cfg_file.write_text(yaml.safe_dump({
+            "experiment": experiment, "grid": {"d": 1, "L": 2, "n_per_side": 48},
+            "field": {"kind": "checkerboard"}, "sequence": {"G": 1.0, "delta": 0.3},
+            "check": check, "constants": {"e_min": 1.0, "e_max": 60.0}}))
+        assert cli.main(["run", str(cfg_file), "--out", str(tmp_path / "o")]) == 2
+        assert (f"config error: {experiment}: field carries no Lipschitz constant"
                 in capsys.readouterr().err)
 
     def test_readme_example_config_runs(self):
@@ -912,6 +938,30 @@ class TestSpectrumUpto:
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 
+def _cli_reports(out, cli_args, threads=1):
+    """Run `python -m divlab.cli *cli_args --out out` with BLAS on `threads` threads;
+    return its manifest and every report, minus `walltime`."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("DIVLAB_")}
+    env.update({f"{lib}_NUM_THREADS": str(threads) for lib in ("OPENBLAS", "OMP", "MKL")})
+    src = str(Path(dl.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    subprocess.run([sys.executable, "-m", "divlab.cli", *cli_args, "--out", str(out)],
+                   env=env, check=True, capture_output=True)
+    manifest = json.loads((out / "manifest.json").read_text())
+    reports = [json.loads((out / m["file"]).read_text()) for m in manifest]
+    for rep in reports:
+        del rep["walltime"]
+    return manifest, reports
+
+
+def _bench_workload():
+    """`bench/workload.py`, read and not changed."""
+    spec = importlib.util.spec_from_file_location("bench_workload", BENCH_DIR / "workload.py")
+    bench_workload = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_workload)
+    return bench_workload
+
+
 def _reports_and_bench_reference(tmp_path, workload, cli_args):
     """Run `python -m divlab.cli *cli_args --out tmp_path` with BLAS on one thread and
     pair every report, minus `walltime`, with its entry in `bench/reference/<workload>.json`.
@@ -920,19 +970,24 @@ def _reports_and_bench_reference(tmp_path, workload, cli_args):
     check's eigenvalue error does).  The reference file is only read.
     """
     reference = json.loads((BENCH_DIR / "reference" / f"{workload}.json").read_text())
-    env = {k: v for k, v in os.environ.items() if not k.startswith("DIVLAB_")}
-    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    src = str(Path(dl.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    subprocess.run([sys.executable, "-m", "divlab.cli", *cli_args, "--out", str(tmp_path)],
-                   env=env, check=True, capture_output=True)
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest, reports = _cli_reports(tmp_path, cli_args)
     assert reference["seed"] == 0
     assert [m["name"] for m in manifest] == [r["name"] for r in reference["reports"]]
-    reports = [json.loads((tmp_path / m["file"]).read_text()) for m in manifest]
-    for rep in reports:
-        del rep["walltime"]
     return list(zip(reports, reference["reports"]))
+
+
+def test_reports_agree_across_blas_thread_counts(tmp_path):
+    """`divlab suite scaling --seed 0` at 1 and at 2 BLAS threads gives equal statuses
+    and reports that agree as the bench compares them (floats within `FLOAT_RTOL`).
+    Bits are reproducible only at a fixed thread count: G2-d2's last bits move."""
+    runs = [_cli_reports(tmp_path / str(threads), ["suite", "scaling", "--seed", "0"], threads)
+            for threads in (1, 2)]
+    (manifest_1, reports_1), (manifest_2, reports_2) = runs
+    assert ([(m["name"], m["status"]) for m in manifest_1]
+            == [(m["name"], m["status"]) for m in manifest_2])
+    compare = _bench_workload().compare
+    for rep_1, rep_2 in zip(reports_1, reports_2):
+        assert compare(rep_2, rep_1) == [], rep_1["name"]
 
 
 def test_suite_all_equals_bench_reference(tmp_path):
@@ -953,9 +1008,7 @@ def test_d2_d3_workloads_match_bench_reference(tmp_path, workload):
     spectra came from a 64-pair ARPACK solve, so its energies differ from
     today's one-solve spectrum in the last bits.
     """
-    spec = importlib.util.spec_from_file_location("bench_workload", BENCH_DIR / "workload.py")
-    bench_workload = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_workload)
+    bench_workload = _bench_workload()
     config = tmp_path / "runs.yaml"
     config.write_text(yaml.safe_dump({"runs": bench_workload.WORKLOADS[workload](0)}))
     for rep, ref in _reports_and_bench_reference(tmp_path / "out", workload,

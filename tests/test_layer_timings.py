@@ -1,5 +1,6 @@
-"""Layer timings at fixed sizes, for d = 1, 2 and 3 (pytest-benchmark): the dense solve
-and the shift-invert Lanczos solves that an inertia count certifies.
+"""Layer timings at fixed sizes, for d = 1, 2 and 3 (pytest-benchmark): assembly, the
+alloy operator map, the dense solve and the shift-invert Lanczos solves that an
+inertia count certifies.
 
 The tier-1 run skips them (`--benchmark-skip` in pyproject's addopts).  Run them with
 
@@ -13,6 +14,40 @@ from divlab import cli, spectral
 
 # (d, L, n_per_side) of Dirichlet grids with 255, 961 and 729 unknowns
 _DENSE_GRIDS = {"d1-dim255": (1, 4, 64), "d2-dim961": (2, 2, 16), "d3-dim729": (3, 1, 10)}
+
+# (d, L, n_per_side) of the benchmark's Wegner runs: suite_all's d = 1 run at L = 4 and
+# wegner_mc's d = 2 and d = 3 runs
+_ALLOY_GRIDS = {"d1-L4-n32": (1, 4, 32), "d2-L2-n16": (2, 2, 16), "d3-L2-n6": (3, 2, 6)}
+
+
+def _alloy_model(g):
+    seq = dl.equidistributed_sequence(g, 1.0, 0.2)
+    return dl.alloy_model(dl.identity_field(g), seq, delta_plus=0.45,
+                          dist=dl.CouplingDistribution("uniform", 2.0))
+
+
+@pytest.mark.parametrize("grid", list(_ALLOY_GRIDS))
+def test_assemble(benchmark, grid):
+    g = dl.make_grid(*_ALLOY_GRIDS[grid])
+    op = benchmark(dl.assemble, g, dl.identity_field(g))
+    assert op.dim == g.n_nodes
+
+
+@pytest.mark.parametrize("grid", list(_ALLOY_GRIDS))
+def test_alloy_operators(benchmark, grid):
+    # H_0 and every site's H_s, as one Wegner run builds them; the bump lookup at the
+    # cell centres is cached on the model (`AlloyModel.cell_bumps`), so it is timed once
+    g = dl.make_grid(*_ALLOY_GRIDS[grid])
+    model = _alloy_model(g)
+    ops = benchmark(dl.alloy_operators, g, model)
+    assert ops.sites.shape == (ops.base.matrix.nnz, len(model.seq.centers))
+
+
+def test_assemble_d2_dim16129(benchmark):
+    # the ucp_2d workload's operator: sine field, d = 2, L = 8, n = 16
+    g = dl.make_grid(2, 8, 16)
+    op = benchmark(dl.assemble, g, cli._build_field({"field": {"kind": "sine"}}, g))
+    assert op.dim == 16129
 
 
 @pytest.mark.parametrize("grid", list(_DENSE_GRIDS))
@@ -66,10 +101,8 @@ def test_certified_threshold_solve_of_many_pairs_d2_dim3969(benchmark):
 def test_window_solve_d3_dim1331(benchmark):
     # one d = 3 Wegner sample's certified window solve, on the 3D grid and alloy model
     # of the benchmark's wegner_mc workload: window (E - 3 eps, E + 3 eps], E = 30, eps = 1
-    g = dl.make_grid(3, 2, 6)
-    seq = dl.equidistributed_sequence(g, 1.0, 0.2)
-    model = dl.alloy_model(dl.identity_field(g), seq, delta_plus=0.45,
-                           dist=dl.CouplingDistribution("uniform", 2.0))
+    g = dl.make_grid(*_ALLOY_GRIDS["d3-L2-n6"])
+    model = _alloy_model(g)
     op = dl.alloy_operators(g, model).at(dl.sample_alloy(model, 0))
     assert op.dim == 1331
     lo, hi = 27.0, 33.0

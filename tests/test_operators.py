@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divlab as dl
+from divlab import operators
 from divlab.fields import EllipticityError
 from divlab.operators import _triplets, perturbation_operator
 
@@ -151,7 +152,7 @@ def _reference_matrix(grid, cells):
     """The stencil operator through scipy: sum the terms, symmetrize, restrict, divide."""
     rows, cols, vals = _triplets(grid, cells)
     size = (grid.cells_per_side + 1) ** grid.d
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
+    mat = sp.coo_matrix((vals[:, 0], (rows, cols)), shape=(size, size)).tocsr()
     mat = 0.5 * (mat + mat.T)
     if grid.bc == "dirichlet":
         keep = grid.restrict(np.arange(size).reshape(grid.full_shape)).astype(int)
@@ -347,6 +348,23 @@ class TestAlloyOperators:
                 on_pattern.data = ops.sites[:, [s]].toarray().ravel()
                 assert abs(on_pattern - h_s).max() == 0.0
                 assert abs(on_pattern - on_pattern.T).max() == 0.0  # exactly symmetric
+
+    def test_one_stencil_pass_over_the_base_field(self, monkeypatch):
+        # `assemble` reads A once; the sites are the bump fields u_s Id, one field axis,
+        # placed on the pattern that `assemble` returned
+        model = _alloy_case(2, "dirichlet", "offdiagonal", "plateau", "uniform")
+        g = model.base.grid
+        seen, triplets = [], operators._triplets
+
+        def spy(grid, cells):
+            seen.append(cells)
+            return triplets(grid, cells)
+
+        monkeypatch.setattr(operators, "_triplets", spy)
+        dl.alloy_operators(g, model)
+        assert len(seen) == 2 and seen[0] is model.base.cells
+        bumps = _site_bump_table(model).reshape(*g.cells_shape, -1)
+        assert np.array_equal(seen[1], bumps[..., None, None] * np.eye(g.d))
 
     def test_bands_need_a_tridiagonal_base(self):
         model = _alloy_case(2, "dirichlet", "identity", "plateau", "uniform")
