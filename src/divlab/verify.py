@@ -16,10 +16,6 @@ import math
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
-# Imported eagerly: deferring it would move its load time, the largest of divlab's
-# imports, into the first pi_singular check rather than remove it, and that check's
-# `quad` result is pinned bit for bit by the suite reference.
-import scipy.integrate
 
 from . import bounds
 from .bounds import ConstantsConfig
@@ -39,6 +35,25 @@ _HF_RTOL = 1e-3  # form derivative vs centered finite difference, relative
 _PHI_GRID_POINTS = 4001  # monotonicity probe of phi on [a, b + eps]
 _EPS_FACTORS = (1.0, 0.5, 0.25)  # Wegner eps sweep, as multiples of eps
 _EXPONENT_BAND = (0.7, 1.3)  # accepted fitted exponent of the mean count in eps
+_QUAD_LIMIT = 200  # panels of the uniform-law average (`_qags`), as `quad(..., limit=200)`
+_QUAD_TOL = 1.49e-8  # its absolute and relative tolerance, `quad`'s defaults
+# QUADPACK's 21-point Gauss-Kronrod rule (`dqk21`), as scipy's `_quadrature_gk21` lists
+# it: the Kronrod abscissae x_1 > ... > x_10 > 0 (x_2, x_4, ..., x_10 are the 10-point
+# Gauss ones), their Kronrod weights and the centre's, and the Gauss weights
+_XGK = np.array([0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+                 0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+                 0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+                 0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+                 0.294392862701460198131126603103866, 0.148874338981631210884826001129720])
+_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068)
+_WGK_CENTRE = 0.149445554002916905664936468389821
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
 
 
 @dataclass
@@ -469,6 +484,79 @@ def lifting_check(curve: LiftingCurve, cfg: ConstantsConfig,
     return rep
 
 
+def _qk21(f, a: float, b: float):
+    """QUADPACK's `dqk21` on [a, b]: the Kronrod value, its error estimate and the
+    integral of |f - mean| (resasc).  f takes the 21 nodes as one array; the sums
+    run in `dqk21`'s order, the centre first, then the Gauss pairs, then the Kronrod-only
+    pairs, so each value is that of `scipy.integrate.quad` bit for bit."""
+    centr, hlgth = 0.5 * (a + b), 0.5 * (b - a)
+    absc = hlgth * _XGK
+    fv = np.asarray(f(np.concatenate(([centr], centr - absc, centr + absc))), dtype=float)
+    fc, fv1, fv2 = float(fv[0]), fv[1:11].tolist(), fv[11:].tolist()
+    resg, resk = 0.0, _WGK_CENTRE * fc
+    resabs = abs(resk)
+    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):
+        fsum = fv1[j] + fv2[j]
+        if j % 2:
+            resg += _WG[j // 2] * fsum
+        resk += _WGK[j] * fsum
+        resabs += _WGK[j] * (abs(fv1[j]) + abs(fv2[j]))
+    reskh = resk * 0.5
+    resasc = _WGK_CENTRE * abs(fc - reskh)
+    for j in range(10):
+        resasc += _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+    dhlgth = abs(hlgth)
+    resabs *= dhlgth
+    resasc *= dhlgth
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
+    eps = np.finfo(float).eps
+    if resabs > np.finfo(float).tiny / (50.0 * eps):
+        abserr = max(50.0 * eps * resabs, abserr)
+    return resk * hlgth, abserr, resasc
+
+
+def _qags(f, a: float, b: float, limit: int = _QUAD_LIMIT) -> float:
+    """The integral of f over [a, b] by QUADPACK's globally adaptive `dqagse`, as
+    `scipy.integrate.quad(f, a, b, limit=limit)` runs it, without its epsilon-algorithm
+    extrapolation.
+
+    A first `_qk21` panel is accepted when its error estimate is 0, or at most
+    max(_QUAD_TOL, _QUAD_TOL |result|) and unequal to resasc.  Otherwise the panel with
+    the largest error is bisected: the half with the larger error takes its slot, the
+    other is appended, and the running sums of values and errors are updated as
+    `dqagse` updates them, until the error sum meets the tolerance on the running value.
+    The result is then the panels' values summed in storage order.  Where `quad` needs
+    at most one bisection this is its result bit for bit; where it would extrapolate
+    the two agree within the tolerance.  A tolerance not met in `limit` panels raises
+    ValueError (`quad` only warns).
+    """
+    result, abserr, resasc = _qk21(f, a, b)
+    if abserr == 0.0 or (abserr <= max(_QUAD_TOL, _QUAD_TOL * abs(result))
+                         and abserr != resasc):
+        return result
+    panels = [(a, b, result, abserr)]  # (left, right, value, error)
+    area, errsum = result, abserr
+    while len(panels) < limit:
+        i = max(range(len(panels)), key=lambda p: panels[p][3])
+        a1, b2, value, error = panels[i]
+        b1 = 0.5 * (a1 + b2)
+        left, right = (a1, b1, *_qk21(f, a1, b1)[:2]), (b1, b2, *_qk21(f, b1, b2)[:2])
+        errsum = errsum + (left[3] + right[3]) - error
+        area = area + (left[2] + right[2]) - value
+        if right[3] > left[3]:
+            left, right = right, left
+        panels[i] = left
+        panels.append(right)
+        if errsum <= max(_QUAD_TOL, _QUAD_TOL * abs(area)):
+            total = 0.0
+            for panel in panels:
+                total += panel[2]
+            return total
+    raise ValueError(f"the integral over [{a}, {b}] missed its tolerance in {limit} panels")
+
+
 def pi_singular_check(dist, phi, a: float, b: float, eps: float) -> CheckReport:
     """Averaged increment of a smooth monotone function under the coupling law
     stays below the modulus of continuity times the total increment."""
@@ -481,8 +569,7 @@ def pi_singular_check(dist, phi, a: float, b: float, eps: float) -> CheckReport:
     if np.any(np.diff(vals) < -1e-12 * max(1.0, np.abs(vals).max())):
         raise ValueError("phi must be non-decreasing on [a, b + eps]")
     if dist.kind == "uniform":
-        lhs = scipy.integrate.quad(lambda lam: (phi(lam + eps) - phi(lam)) / dist.m,
-                                   0.0, dist.m, limit=200)[0]
+        lhs = _qags(lambda lam: (phi(lam + eps) - phi(lam)) / dist.m, 0.0, dist.m)
     elif dist.kind == "bernoulli":
         atoms = [(0.0, 1.0 - dist.p), (dist.m, dist.p)]
         lhs = sum(p * (phi(x + eps) - phi(x)) for x, p in atoms)

@@ -1041,6 +1041,49 @@ class TestCertifiedStoppingRule:
         assert len(factors) == 2
         assert np.abs(got - exact[(exact > lo) & (exact <= hi)]).max() <= 1e-10 * hi
 
+    # a d = 2 Wegner sample (uniform-L4 of `suite wegner` at n = 32, run seed 0, sample
+    # 9): ||H||_inf is 24482, so a shift within 0.0245 of an eigenvalue moves.  The window
+    # midpoint 12.5 lies 0.0041 above 12.49588, and 2 * 0.0245 below it lies 0.0133
+    # above 12.43766; the retry clears both, 10 * 0.0245 above the upper one
+    def test_shift_moves_clear_of_the_eigenvalues_it_located(self, monkeypatch):
+        g = dl.make_grid(2, 4, 32)
+        model = dl.alloy_model(dl.identity_field(g), dl.equidistributed_sequence(g, 1.0, 0.2),
+                               delta_plus=0.45, dist=dl.CouplingDistribution("uniform", 2.0))
+        op = dl.alloy_operators(g, model).at(np.array([
+            0.9997684386034078, 1.7664344266045686, 1.3692560994381635, 1.7543515210925353,
+            1.2875808782541756, 1.3420236472809215, 1.5426467106100028, 1.5591307942082866,
+            1.190775029876258, 1.0507212836920818, 0.8998551295984745, 1.8469622736444162,
+            0.5122100808487196, 0.7998842007935199, 1.2322575351017138, 1.9885768493511846]))
+        assert op.dim == 16129
+        lo, hi = 11.0, 14.0
+        expected = int(np.diff(dl.count_eigenvalues(op, [lo, hi]))[0])
+        assert expected == 3
+        shifts = []
+        mmd_inverse = spectral._mmd_inverse
+        monkeypatch.setattr(spectral, "_mmd_inverse",
+                            lambda mat, sigma: shifts.append(sigma) or mmd_inverse(mat, sigma))
+        got = dl.window_eigenvalues(op, lo, hi, expected)
+        assert shifts[0] == 12.5 and shifts[1] == pytest.approx(12.7408, abs=1e-4)
+        assert got == pytest.approx([11.01429791, 12.43765999, 12.49588255], abs=1e-8)
+
+    # the constant field diag(1, 1.001) on 64 x 64 cells: the pair of eigenvalues
+    # mu_1 + 1.001 mu_2 and mu_2 + 1.001 mu_1 lies 0.0296 apart, and ||H||_inf = 32784
+    # moves a shift within 0.0328 of either.  The window's midpoint lies 0.01 above the
+    # upper one, and 2 * 0.0328 below the midpoint lies 0.026 below the lower one: the
+    # pair is one cluster, and the retry lies 10 * 0.0328 above it
+    def test_shift_moves_clear_of_a_close_pair(self, monkeypatch):
+        g = dl.make_grid(2, 1, 64)
+        op = dl.assemble(g, dl.constant_field(g, np.diag([1.0, 1.001])))
+        mu = (2 - 2 * np.cos(np.pi * np.arange(1, 3) / 64)) * 64**2
+        pair = np.sort([mu[0] + 1.001 * mu[1], mu[1] + 1.001 * mu[0]])
+        assert np.diff(pair)[0] == pytest.approx(0.0296, abs=1e-4)
+        lo, hi = pair[1] + 0.01 - 5.0, pair[1] + 0.01 + 5.0
+        assert int(np.diff(dl.count_eigenvalues(op, [lo, hi]))[0]) == 2
+        factors = _recording(monkeypatch, scipy.sparse.linalg, "splu")
+        got = dl.window_eigenvalues(op, lo, hi, 2)
+        assert len(factors) == 2
+        assert np.abs(got - pair).max() <= 1e-9 * hi
+
     @staticmethod
     def _passes_per_step(monkeypatch):
         """Record the Gram-Schmidt passes `_cgs2` takes at each Lanczos step: 1, or 2 where

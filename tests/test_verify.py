@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate  # the oracle of `verify._qags`; divlab itself does not load it
 import scipy.linalg
 
 import divlab as dl
@@ -499,6 +504,45 @@ class TestPiSingular:
             verify.pi_singular_check(dist, lambda x: np.asarray(x, float), 0.0, 1.0, 0.1)
         with pytest.raises(ValueError, match="non-decreasing"):
             verify.pi_singular_check(dist, lambda x: -np.asarray(x, float), -0.1, 1.1, 0.1)
+
+    _PHIS = {"linear": lambda x: np.asarray(x, float),
+             "softplus": lambda x: np.logaddexp(0.0, np.asarray(x, float)),
+             "tanh": lambda x: np.tanh(3 * np.asarray(x, float)),
+             "arctan": lambda x: np.arctan(10 * np.asarray(x, float) - 3),
+             "arctan-steep": lambda x: np.arctan(300 * np.asarray(x, float) - 90)}
+
+    # the uniform-law average of `pi_singular_check`, integrand and all, against
+    # `quad(..., limit=200)`: bit for bit where quad bisects at most once (neval <= 63),
+    # before its extrapolation can run; elsewhere within quad's tolerance
+    @pytest.mark.parametrize("phi", sorted(_PHIS))
+    def test_quadrature_is_quad(self, phi):
+        phi = self._PHIS[phi]
+        for m in (0.25, 0.5, 1.0, 2.0, 3.0):
+            for eps in (1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.25, 0.5):
+                f = lambda lam: (phi(lam + eps) - phi(lam)) / m
+                quad = scipy.integrate.quad(f, 0.0, m, limit=200, full_output=1)
+                assert len(quad) == 3  # no warning message: quad met its tolerance
+                got = verify._qags(f, 0.0, m)
+                if quad[2]["neval"] <= 63:
+                    assert got == quad[0]
+                else:
+                    assert abs(got - quad[0]) <= 1.49e-8 * max(1.0, abs(quad[0]))
+
+    def test_unmet_panel_budget_raises(self):
+        f = lambda lam: np.arctan(300 * lam - 60) - np.arctan(300 * lam - 90)
+        assert verify._qags(f, 0.0, 1.0) == pytest.approx(0.3123626990326353, rel=1e-8)
+        with pytest.raises(ValueError, match=r"over \[0.0, 1.0\] missed its tolerance "
+                                             "in 8 panels"):
+            verify._qags(f, 0.0, 1.0, limit=8)
+
+    def test_import_leaves_integrate_unloaded(self):
+        code = ("import sys, divlab, divlab.cli, divlab.verify; "
+                "loaded = {'scipy.integrate', 'scipy.optimize'} & set(sys.modules); "
+                "assert not loaded, f'{sorted(loaded)} imported'")
+        src = str(Path(dl.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestWeyl:
