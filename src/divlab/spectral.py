@@ -239,17 +239,17 @@ def _eigsh(op: DiscreteOperator, k: int, sigma: float, count: tuple[float, float
     scale = _matrix_scale(op.matrix)
     for moved in (False, True):
         v0, rng = _start(op.dim)
+        near = _NEAR_SHIFT * (scale + abs(sigma))
         try:
             try:
                 solve = _mmd_inverse(op.matrix, sigma)
             except RuntimeError as exc:  # SuperLU: H - sigma exactly singular
                 raise _ShiftAtEigenvalue(exc, np.array([sigma])) from exc
-            return _lanczos(solve, v0, k, sigma, _RTOL / (scale + abs(sigma)), rng, count,
-                            _NEAR_SHIFT * (scale + abs(sigma)))
+            return _lanczos(solve, v0, k, sigma, _RTOL / (scale + abs(sigma)), rng, count, near)
         except _ShiftAtEigenvalue as exc:
             if moved:
                 raise EigensolveError(f"shift-invert Lanczos failed: {exc}") from exc
-            sigma = _retry_shift(sigma, exc.ritz, count, _NEAR_SHIFT * (scale + abs(sigma)))
+            sigma = _retry_shift(sigma, exc.ritz, count, near)
         except RuntimeError as exc:
             raise EigensolveError(f"shift-invert Lanczos failed: {exc}") from exc
 
@@ -261,8 +261,8 @@ def _retry_shift(sigma: float, ritz: np.ndarray, count: tuple[float, float, int]
     interval its count certifies: the window (lo, hi), or for a threshold spectrum (lo =
     -inf) below sigma = hi / 2, as a lower shift keeps the eigenvalues of the positive
     semidefinite H in [0, hi] nearer than any above hi.  The least move keeps the wanted
-    pairs the nearest ones; the midpoint of the widest gap between the values, tried
-    first, let some wanted pairs fall out of the k nearest.  Values at most
+    pairs the nearest ones: a farther one, as to the midpoint of the widest gap between
+    the values, lets wanted pairs fall out of the k nearest.  Values at most
     2 _RETRY_CLEAR near apart form one cluster, whose clear points lie _RETRY_CLEAR near
     below its first value and above its last; with sigma alone located, the shift moves
     down by that much."""

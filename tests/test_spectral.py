@@ -1083,6 +1083,11 @@ class TestCertifiedStoppingRule:
         got = dl.window_eigenvalues(op, lo, hi, 2)
         assert len(factors) == 2
         assert np.abs(got - pair).max() <= 1e-9 * hi
+        # a window narrower than the clearance around the pair leaves no point to move to
+        with pytest.raises(EigensolveError, match="no shift in .* lies 0.328 from the "
+                                                  "eigenvalues near"):
+            dl.window_eigenvalues(op, pair[1] - 0.1, pair[1] + 0.1, 2)
+        assert len(factors) == 3
 
     @staticmethod
     def _passes_per_step(monkeypatch):
