@@ -32,10 +32,9 @@ from .lattice import (ScalarField, as_scalar_field,
 from .operators import assemble
 from .spectral import EigensolveError, count_eigenvalues, eigensolve, lifting_curve
 
-# libyaml's emitter and parser where PyYAML has them: the safe dialect's bytes, in about
-# a fifth of the pure-Python time
+# libyaml's emitter where PyYAML has it: the safe dialect's bytes, in about a fifth of
+# the pure-Python time
 _YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class ConfigError(ValueError):
@@ -619,7 +618,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             with open(args.config) as fh:
-                loaded = yaml.load(fh, Loader=_YAML_LOADER)
+                loaded = yaml.safe_load(fh)
             if isinstance(loaded, dict) and "runs" in loaded:
                 loaded = _block(loaded, "", runs=_list).get("runs")
             return run(loaded if isinstance(loaded, list) else [loaded], args.out, **flags)

@@ -20,7 +20,6 @@ _GAP_RTOL = 1e-8  # relative eigenvalue gap below which a lifting sample is dege
 _V0_SEED = 20210 + 4  # fixed Lanczos start vector seed: deterministic, symmetry-free
 _RITZ_EVERY = 3  # Lanczos steps between the Ritz tests of a certified solve, at least
 _NEAR_SHIFT = 1e-6  # |lambda - sigma| / (||H||_inf + |sigma|) below which a shift is moved
-_RETRY_CLEAR = 10  # a moved shift's least distance from the eigenvalues near the first, in radii
 # a Ritz test's time per m (m + k) over a step's reorthogonalization time per m n, set
 # against two Gram-Schmidt passes (45 over 1.5 ns).  On one OpenBLAS thread of a 2-core
 # Xeon at n >= 3969 a test now takes 60-70 ns and the one-pass step 0.8: a ratio of about
@@ -33,12 +32,7 @@ class EigensolveError(RuntimeError):
 
 
 class _ShiftAtEigenvalue(EigensolveError):
-    """A Ritz value within _NEAR_SHIFT (||H||_inf + |sigma|) of a Lanczos shift sigma;
-    `ritz` holds the eigenvalues of H the walk had located near sigma."""
-
-    def __init__(self, message, ritz: np.ndarray):
-        super().__init__(message)
-        self.ritz = ritz
+    """A Ritz value within _NEAR_SHIFT (||H||_inf + |sigma|) of a Lanczos shift sigma."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,55 +224,30 @@ def _eigsh(op: DiscreteOperator, k: int, sigma: float, count: tuple[float, float
     Where an eigenvalue lies within _NEAR_SHIFT (||H||_inf + |sigma|) of sigma,
     H - sigma is singular but for rounding, and the solves' error along that
     eigenvector, about eps ||H|| / |lambda - sigma| of the solution, swamps the other
-    pairs: `_lanczos` raises at its first Ritz test, with the Ritz values its
-    tridiagonal holds, or SuperLU as it factors where sigma is an eigenvalue to the last
-    bit.  Either way the solve factors once more, at the shift nearest sigma that clears
-    the eigenvalues so located (`_retry_shift`).  An eigenvalue at the moved shift too,
-    no convergence, or any other failure raises EigensolveError.
+    pairs: `_lanczos` raises at its first Ritz test, or SuperLU as it factors where sigma
+    is an eigenvalue to the last bit.  Either way the solve factors once more at a shift
+    10 _NEAR_SHIFT (||H||_inf + |sigma|) lower, which clears a close pair or multiplet
+    around sigma (2 such radii did not).  The moved shift may leave a narrow window, as
+    the certificate needs only the window's eigenvalues among the k nearest.  An
+    eigenvalue at the moved shift too, no convergence, or any other failure raises
+    EigensolveError.
     """
     scale = _matrix_scale(op.matrix)
     for moved in (False, True):
         v0, rng = _start(op.dim)
-        near = _NEAR_SHIFT * (scale + abs(sigma))
         try:
             try:
                 solve = _mmd_inverse(op.matrix, sigma)
             except RuntimeError as exc:  # SuperLU: H - sigma exactly singular
-                raise _ShiftAtEigenvalue(exc, np.array([sigma])) from exc
-            return _lanczos(solve, v0, k, sigma, _RTOL / (scale + abs(sigma)), rng, count, near)
+                raise _ShiftAtEigenvalue(exc) from exc
+            return _lanczos(solve, v0, k, sigma, _RTOL / (scale + abs(sigma)), rng, count,
+                            _NEAR_SHIFT * (scale + abs(sigma)))
         except _ShiftAtEigenvalue as exc:
             if moved:
                 raise EigensolveError(f"shift-invert Lanczos failed: {exc}") from exc
-            sigma = _retry_shift(sigma, exc.ritz, count, near)
         except RuntimeError as exc:
             raise EigensolveError(f"shift-invert Lanczos failed: {exc}") from exc
-
-
-def _retry_shift(sigma: float, ritz: np.ndarray, count: tuple[float, float, int],
-                 near: float) -> float:
-    """The point nearest sigma, a shift within `near` of an eigenvalue, that lies
-    _RETRY_CLEAR near or more from every eigenvalue located near it (`ritz`), inside the
-    interval its count certifies: the window (lo, hi), or for a threshold spectrum (lo =
-    -inf) below sigma = hi / 2, as a lower shift keeps the eigenvalues of the positive
-    semidefinite H in [0, hi] nearer than any above hi.  The least move keeps the wanted
-    pairs the nearest ones: a farther one, as to the midpoint of the widest gap between
-    the values, lets wanted pairs fall out of the k nearest.  Values at most
-    2 _RETRY_CLEAR near apart form one cluster, whose clear points lie _RETRY_CLEAR near
-    below its first value and above its last; with sigma alone located, the shift moves
-    down by that much."""
-    lo, hi, _ = count
-    if np.isinf(lo):
-        hi = sigma
-    values, clear = np.sort(ritz), _RETRY_CLEAR * near
-    first = np.flatnonzero(np.diff(values, prepend=-np.inf) > 2 * clear)
-    last = np.append(first[1:], values.size) - 1
-    points = np.concatenate([values[first] - clear, values[last] + clear])
-    points = points[(points > lo) & (points < hi)]
-    if not points.size:
-        raise EigensolveError(f"shift-invert Lanczos failed: no shift in ({lo:.6g}, "
-                              f"{hi:.6g}) lies {clear:.3g} from the eigenvalues near "
-                              f"{sigma:.6g}")
-    return float(points[np.argmin(np.abs(points - sigma))])
+        sigma -= 10 * _NEAR_SHIFT * (scale + abs(sigma))
 
 
 def _lanczos(solve, v0: np.ndarray, k: int, sigma: float, tol: float,
@@ -316,8 +285,7 @@ def _lanczos(solve, v0: np.ndarray, k: int, sigma: float, tol: float,
     new walk for the other k - p pairs, tested alone.  A walk that adds no value in
     (lo, hi] returns what it has, for the caller's certificate to reject.  No
     convergence at the bound raises EigensolveError, and a Ritz value within `near` of
-    sigma raises _ShiftAtEigenvalue, which carries the eigenvalues sigma + 1 / theta of
-    the locked pairs and of the walk's k - p.
+    sigma raises _ShiftAtEigenvalue.
     """
     lo, hi, number = count
     n = v0.size
@@ -344,8 +312,7 @@ def _lanczos(solve, v0: np.ndarray, k: int, sigma: float, tol: float,
         test = m + max(_RITZ_EVERY, -(-_RITZ_EVERY * _RITZ_COST * (m + k) // n))
         theta, s = _tridiagonal_pairs(alpha[p:m], beta[p:m - 1], k - p, lambda t: -np.abs(t))
         if near * np.abs(theta).max() >= 1.0:
-            raise _ShiftAtEigenvalue(f"an eigenvalue within {near:.3g} of the shift {sigma:.6g}",
-                                     sigma + 1.0 / np.concatenate([alpha[:p], theta]))
+            raise _ShiftAtEigenvalue(f"an eigenvalue within {near:.3g} of the shift {sigma:.6g}")
         if not np.all(np.abs(beta[m - 1] * s[-1]) <= tol * np.abs(theta)):
             continue
         evals = sigma + 1.0 / theta

@@ -517,9 +517,9 @@ def _qk21(f, a: float, b: float):
     return resk * hlgth, abserr, resasc
 
 
-def _qags(f, a: float, b: float, limit: int = _QUAD_LIMIT) -> float:
+def _qags(f, a: float, b: float) -> float:
     """The integral of f over [a, b] by QUADPACK's globally adaptive `dqagse`, as
-    `scipy.integrate.quad(f, a, b, limit=limit)` runs it, without its epsilon-algorithm
+    `scipy.integrate.quad(f, a, b, limit=_QUAD_LIMIT)` runs it, without its epsilon-algorithm
     extrapolation.
 
     A first `_qk21` panel is accepted when its error estimate is 0, or at most
@@ -529,7 +529,7 @@ def _qags(f, a: float, b: float, limit: int = _QUAD_LIMIT) -> float:
     `dqagse` updates them, until the error sum meets the tolerance on the running value.
     The result is then the panels' values summed in storage order.  Where `quad` needs
     at most one bisection this is its result bit for bit; where it would extrapolate
-    the two agree within the tolerance.  A tolerance not met in `limit` panels raises
+    the two agree within the tolerance.  A tolerance not met in _QUAD_LIMIT panels raises
     ValueError (`quad` only warns).
     """
     result, abserr, resasc = _qk21(f, a, b)
@@ -538,7 +538,7 @@ def _qags(f, a: float, b: float, limit: int = _QUAD_LIMIT) -> float:
         return result
     panels = [(a, b, result, abserr)]  # (left, right, value, error)
     area, errsum = result, abserr
-    while len(panels) < limit:
+    while len(panels) < _QUAD_LIMIT:
         i = max(range(len(panels)), key=lambda p: panels[p][3])
         a1, b2, value, error = panels[i]
         b1 = 0.5 * (a1 + b2)
@@ -554,7 +554,7 @@ def _qags(f, a: float, b: float, limit: int = _QUAD_LIMIT) -> float:
             for panel in panels:
                 total += panel[2]
             return total
-    raise ValueError(f"the integral over [{a}, {b}] missed its tolerance in {limit} panels")
+    raise ValueError(f"the integral over [{a}, {b}] missed its tolerance in {_QUAD_LIMIT} panels")
 
 
 def pi_singular_check(dist, phi, a: float, b: float, eps: float) -> CheckReport:

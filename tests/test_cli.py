@@ -106,14 +106,14 @@ class TestSingleRuns:
             d1.pop("walltime"), d2.pop("walltime")
             assert d1 == d2
 
-    # `run` writes and reads YAML with libyaml where PyYAML has it: the bytes and the
-    # values are those of the pure-Python safe dialect
+    # `run` writes YAML with libyaml where PyYAML has it: the bytes are those of the
+    # pure-Python safe dialect, and they load back as the configs
     @pytest.mark.parametrize("name", sorted(cli._SUITES) + ["all"])
     def test_resolved_config_is_the_safe_dialect(self, name):
         runs = {"runs": [cli._resolve(c) for c in cli.suite_configs(name)]}
         text = yaml.dump(runs, Dumper=cli._YAML_DUMPER, sort_keys=True)
         assert text == yaml.dump(runs, Dumper=yaml.SafeDumper, sort_keys=True)
-        assert yaml.load(text, Loader=cli._YAML_LOADER) == yaml.safe_load(text) == runs
+        assert yaml.safe_load(text) == runs
 
     def test_random_centres_follow_the_run_seed(self):
         config = {"experiment": "ucp_gradient",

@@ -528,12 +528,13 @@ class TestPiSingular:
                 else:
                     assert abs(got - quad[0]) <= 1.49e-8 * max(1.0, abs(quad[0]))
 
-    def test_unmet_panel_budget_raises(self):
+    def test_unmet_panel_budget_raises(self, monkeypatch):
         f = lambda lam: np.arctan(300 * lam - 60) - np.arctan(300 * lam - 90)
         assert verify._qags(f, 0.0, 1.0) == pytest.approx(0.3123626990326353, rel=1e-8)
+        monkeypatch.setattr(verify, "_QUAD_LIMIT", 8)
         with pytest.raises(ValueError, match=r"over \[0.0, 1.0\] missed its tolerance "
                                              "in 8 panels"):
-            verify._qags(f, 0.0, 1.0, limit=8)
+            verify._qags(f, 0.0, 1.0)
 
     def test_import_leaves_integrate_unloaded(self):
         code = ("import sys, divlab, divlab.cli, divlab.verify; "
