@@ -159,12 +159,34 @@ def _operator(grid: Grid, cells: np.ndarray, pattern: sp.csr_matrix | None = Non
     return sp.csr_matrix((hk[:, 0], pattern.indices, pattern.indptr), shape=pattern.shape)
 
 
+def _canonical(mat: sp.csr_matrix | sp.csc_matrix):
+    """`mat`, or a copy with sorted indices and summed duplicates when it lacks them."""
+    if not mat.has_canonical_format:  # a duplicate entry counts by its sum
+        mat = mat.copy()
+        mat.sum_duplicates()
+    return mat
+
+
+def _band_offsets(mat: sp.csr_matrix) -> np.ndarray:
+    """Column minus row of each entry stored in `mat.data`."""
+    return mat.indices - np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+
+
+def _off_band(mat: sp.csr_matrix) -> bool:
+    """Whether `mat` has a nonzero entry, duplicates summed, more than one place off the
+    diagonal; a stored zero is no entry.  The one band rule: of the 1D band reads
+    (`_band_positions`) and of the dense solve's choice of the bands over a reduction
+    (`spectral._dense_eigh`)."""
+    mat = _canonical(mat)
+    return bool(np.any((np.abs(_band_offsets(mat)) > 1) & (mat.data != 0)))
+
+
 def _band_positions(mat: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     """The positions in `mat.data` of the diagonal and of the first superdiagonal;
-    raises unless `mat` is tridiagonal and stores each band entry exactly once."""
-    offset = mat.indices - np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-    if np.any((np.abs(offset) > 1) & (mat.data != 0)):
+    raises unless `mat` is tridiagonal (`_off_band`) and stores each band entry exactly once."""
+    if _off_band(mat):
         raise ValueError("operator has entries off the three central diagonals")
+    offset = _band_offsets(mat)
     diag, sup = np.flatnonzero(offset == 0), np.flatnonzero(offset == 1)
     if diag.size != mat.shape[0] or sup.size != mat.shape[0] - 1:
         raise ValueError("operator does not store each band entry exactly once")

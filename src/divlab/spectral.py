@@ -10,7 +10,8 @@ import scipy.sparse.linalg as spla
 
 from .fields import MatrixField
 from .lattice import Grid, ScalarField, as_scalar_field, discrete_gradient
-from .operators import DiscreteOperator, assemble, edge_coefficients, perturbation_operator
+from .operators import (DiscreteOperator, _canonical, _off_band, assemble, edge_coefficients,
+                        perturbation_operator)
 
 _DENSE_CUTOFF = 1400
 _MIN_SLAB = 16  # unknowns per inertia slab of a d >= 2 grid whose axis-0 layers are small
@@ -61,14 +62,6 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return np.negative(vectors, out=vectors, where=flip)
 
 
-def _canonical(mat: sp.csr_matrix | sp.csc_matrix):
-    """`mat`, or a copy with sorted indices and summed duplicates when it lacks them."""
-    if not mat.has_canonical_format:  # a duplicate entry counts by its sum
-        mat = mat.copy()
-        mat.sum_duplicates()
-    return mat
-
-
 def _matrix_scale(mat: sp.csr_matrix | sp.csc_matrix) -> float:
     """max_i sum_j |mat_ij| over the compressed axis (||H||_inf of a CSR matrix),
     read from the compressed arrays: `abs(mat).sum(axis=1).max()` without a new matrix."""
@@ -77,22 +70,30 @@ def _matrix_scale(mat: sp.csr_matrix | sp.csc_matrix) -> float:
     return float(np.add.reduceat(np.abs(mat.data), mat.indptr[nonempty]).max(initial=0.0))
 
 
-def _check_residuals(resid: np.ndarray, scale: float, evals: np.ndarray) -> np.ndarray:
-    """`resid`, unless a residual misses _RTOL (1 + |E|) + 100 eps ||H|| (then raises)."""
-    tol = _RTOL * (1.0 + np.abs(evals)) + 100 * np.finfo(float).eps * scale
-    bad = resid > tol
-    if np.any(bad):
-        worst = int(np.argmax(resid / tol))
-        raise EigensolveError(
-            f"{int(bad.sum())} eigenpairs unconverged; worst residual {resid[worst]:.3e} "
-            f"for eigenvalue {evals[worst]:.6g} (tolerance {tol[worst]:.3e})")
-    return resid
+def _residual_tol(evals: np.ndarray, scale) -> np.ndarray:
+    """_RTOL (1 + |E|) + 100 eps ||H||, the tolerance of every returned pair's residual."""
+    return _RTOL * (1.0 + np.abs(evals)) + 100 * np.finfo(float).eps * scale
+
+
+def _unconverged(resid: np.ndarray, tol: np.ndarray, evals: np.ndarray) -> str:
+    """Why pairs whose residuals exceed `tol` fail: how many, and the worst."""
+    worst = int(np.argmax(resid / tol))
+    return (f"{int(np.count_nonzero(resid > tol))} eigenpairs unconverged; worst residual "
+            f"{resid[worst]:.3e} for eigenvalue {evals[worst]:.6g} (tolerance {tol[worst]:.3e})")
+
+
+def _residuals(op: DiscreteOperator, evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
+    """||H x - E x|| of each pair (E, x), x a column of `evecs`."""
+    return np.linalg.norm(op.matrix @ evecs - evecs * evals[None, :], axis=0)
 
 
 def _checked_residuals(op: DiscreteOperator, evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
     """Residual norms of the pairs; raises when one misses _RTOL (1 + |E|) + 100 eps ||H||."""
-    resid = np.linalg.norm(op.matrix @ evecs - evecs * evals[None, :], axis=0)
-    return _check_residuals(resid, _matrix_scale(op.matrix), evals)
+    resid = _residuals(op, evals, evecs)
+    tol = _residual_tol(evals, _matrix_scale(op.matrix))
+    if np.any(resid > tol):
+        raise EigensolveError(_unconverged(resid, tol, evals))
+    return resid
 
 
 def eigensolve(op: DiscreteOperator, k: int, *, upto: float | None = None) -> Spectrum:
@@ -156,7 +157,7 @@ def _dense_eigh(op: DiscreteOperator, k: int):
     iteration, and this to `eigh` itself.
     """
     n, lapack = op.dim, scipy.linalg.lapack
-    banded = not sp.tril(op.matrix, -2).count_nonzero()  # d = 1, or a single unknown
+    banded = not _off_band(op.matrix)  # d = 1, or a single unknown
     if banded:
         diag, off = op.matrix.diagonal(), op.matrix.diagonal(-1)
     else:
@@ -264,7 +265,7 @@ def _lanczos(solve, v0: np.ndarray, k: int, sigma: float, tol: float,
     pass, a step sweeps the basis once, not twice (no second pass in the 123 steps of
     the ucp_2d solve).  alpha_j is a plus the passes' coefficients on v_j.  From m = k on
     it takes the eigenpairs (theta, s) of the tridiagonal for the k largest |theta|
-    (`_tridiagonal_pairs`, as `tridiagonal_window` does) and stops once ARPACK's Ritz
+    (`_tridiagonal_pairs`, as `tridiagonal_windows` does) and stops once ARPACK's Ritz
     test holds for all k: |beta_m s_mi| <= tol |theta_i|.  In exact arithmetic
     |beta_m s_mi| is ||T x_i - theta_i x_i||; in floating point it is an estimate, as
     the tridiagonal leaves out the Gram-Schmidt coefficients off its bands.  The tests
@@ -364,24 +365,50 @@ def _cgs2(basis: np.ndarray, w: np.ndarray):
     return h + _cgs(basis, w), np.linalg.norm(w) <= 0.717 * first
 
 
-def _check_window(lo: float, hi: float, expected: int) -> None:
+def _check_window(lo: float, hi: float, expected) -> None:
     if not lo < hi:
         raise ValueError(f"empty window ({lo}, {hi}]")
-    if expected < 0:
-        raise ValueError(f"expected must be nonnegative, got {expected}")
+    if np.min(expected, initial=0) < 0:
+        raise ValueError(f"expected must be nonnegative, got {np.min(expected)}")
 
 
-def _certified_window(evals: np.ndarray, evecs: np.ndarray, lo: float, hi: float,
-                      expected: int) -> np.ndarray:
-    """The values in (lo, hi] of residual-checked pairs, unless the vectors are not
-    orthonormal or the window holds other than `expected` values (then raises)."""
-    if np.abs(evecs.T @ evecs - np.eye(evals.size)).max() > 1e-8:
-        raise EigensolveError("Ritz vectors are not orthonormal: ghost eigenvalue copies")
-    inside = evals[(evals > lo) & (evals <= hi)]
-    if inside.size != expected:
-        raise EigensolveError(f"{inside.size} Ritz values in ({lo:.6g}, {hi:.6g}], "
-                              f"inertia counts {expected}")
-    return inside
+def _certified_windows(evals: np.ndarray, vectors: np.ndarray, resid: np.ndarray, scale,
+                       lo: float, hi: float, expected: np.ndarray, failures: list):
+    """The windows of a batch of solves that pass the certificate, and why the others fail.
+
+    Row j of `evals` (samples, k) holds solve j's values ascending, then NaN past its
+    pairs (all NaN where failures[j] already says why it failed); `vectors` (samples, k, n)
+    their unit vectors, zero past them; `resid` their residual norms and `scale[j]` the
+    ||H||_inf of its matrix.  A row is certified unless a residual misses
+    _RTOL (1 + |E|) + 100 eps ||H||, the vectors are not orthonormal to 1e-8 (so no
+    eigenvalue is a ghost copy of another), or other than expected[j] values fall in
+    (lo, hi]: each test runs on every row at once, and a row keeps the first it fails.
+    Returns the windows (samples, max expected), row j's values in (lo, hi] ascending,
+    then NaN (all NaN for a failed row), and the failures, None for a certified row.
+    """
+    tol = _residual_tol(evals, np.asarray(scale)[..., None])
+    unconverged = resid > tol  # False past a row's pairs, where both are NaN
+    gram = vectors @ vectors.transpose(0, 2, 1)
+    k = np.arange(evals.shape[1])
+    gram[:, k, k] -= ~np.isnan(evals)
+    ghosts = np.abs(gram).max(axis=(1, 2), initial=0.0) > 1e-8
+    inside = (evals > lo) & (evals <= hi)
+    found = np.count_nonzero(inside, axis=1)
+    failures = list(failures)
+    for j in np.flatnonzero(unconverged.any(axis=1) | ghosts | (found != expected)):
+        if failures[j] is not None:
+            continue
+        if unconverged[j].any():
+            pairs = ~np.isnan(evals[j])
+            failures[j] = _unconverged(resid[j, pairs], tol[j, pairs], evals[j, pairs])
+        elif ghosts[j]:
+            failures[j] = "Ritz vectors are not orthonormal: ghost eigenvalue copies"
+        else:
+            failures[j] = (f"{found[j]} Ritz values in ({lo:.6g}, {hi:.6g}], "
+                           f"inertia counts {expected[j]}")
+    inside &= np.array([f is None for f in failures])[:, None]
+    windows = np.sort(np.where(inside, evals, np.nan), axis=1)  # NaN sorts last
+    return windows[:, :np.max(expected, initial=0)], failures
 
 
 def window_eigenvalues(op: DiscreteOperator, lo: float, hi: float, expected: int) -> np.ndarray:
@@ -389,53 +416,81 @@ def window_eigenvalues(op: DiscreteOperator, lo: float, hi: float, expected: int
 
     The `expected + 2` eigenpairs nearest the window midpoint are taken from
     shift-invert Lanczos there or, for d = 1, from the bands of the tridiagonal
-    H (`tridiagonal_window`).  The Lanczos solve (`_eigsh`), told the count,
-    passes its Ritz test at tol = _RTOL / (||H||_inf + |mid|), which aims each
-    residual in H at _RTOL.  The vectors serve only the certificate.  Raises
-    EigensolveError unless every residual meets the `eigensolve` tolerance,
-    the vectors are orthonormal (so no eigenvalue is a ghost copy of another),
-    and exactly `expected` of the values fall in the window; with `expected`
-    taken from `count_eigenvalues`, a missed or spurious eigenvalue cannot pass.
+    H (`tridiagonal_windows` on one column).  The Lanczos solve (`_eigsh`), told
+    the count, passes its Ritz test at tol = _RTOL / (||H||_inf + |mid|), which
+    aims each residual in H at _RTOL.  The vectors serve only the certificate
+    (`_certified_windows`).  Raises EigensolveError, with the reason, unless every
+    residual meets the `eigensolve` tolerance, the vectors are orthonormal (so no
+    eigenvalue is a ghost copy of another), and exactly `expected` of the values
+    fall in the window; with `expected` taken from `count_eigenvalues`, a missed
+    or spurious eigenvalue cannot pass.
     """
     if op.grid.d == 1:
-        return tridiagonal_window(*op.tridiagonal, lo, hi, expected)
-    _check_window(lo, hi, expected)
-    k, mid = expected + 2, 0.5 * (lo + hi)
-    if k >= op.dim:  # the whole spectrum: a dense solve
-        evals, evecs = _dense_eigh(op, op.dim)
+        diag, off = op.tridiagonal
+        windows, failures = tridiagonal_windows(diag[:, None], off[:, None], lo, hi, [expected])
     else:
-        evals, evecs = _eigsh(op, k, mid, (lo, hi, expected))
-    _checked_residuals(op, evals, evecs)
-    return _certified_window(evals, evecs, lo, hi, expected)
+        _check_window(lo, hi, expected)
+        k, mid = expected + 2, 0.5 * (lo + hi)
+        if k >= op.dim:  # the whole spectrum: a dense solve
+            evals, evecs = _dense_eigh(op, op.dim)
+        else:
+            evals, evecs = _eigsh(op, k, mid, (lo, hi, expected))
+        windows, failures = _certified_windows(
+            evals[None], evecs.T[None], _residuals(op, evals, evecs)[None],
+            _matrix_scale(op.matrix), lo, hi, np.array([expected]), [None])
+    if failures[0] is not None:
+        raise EigensolveError(failures[0])
+    return windows[0]
 
 
-def tridiagonal_window(diag: np.ndarray, off: np.ndarray, lo: float, hi: float,
-                       expected: int) -> np.ndarray:
-    """`window_eigenvalues` of the symmetric tridiagonal H with these bands.
+def tridiagonal_windows(diag: np.ndarray, off: np.ndarray, lo: float, hi: float,
+                        expected) -> tuple[np.ndarray, list]:
+    """`window_eigenvalues` of a batch of symmetric tridiagonal matrices: column j of
+    `diag` (n, samples) and of `off` (n - 1, samples) holds the bands of matrix j, whose
+    eigenvalues in (lo, hi] its inertia count expected[j] must certify.
 
-    Every eigenvalue comes from LAPACK's root-free QL/QR (`dsterf`, values
-    only), then vectors for the `expected + 2` values nearest the window
-    midpoint alone by inverse iteration (`dstein`), so a window stores
-    n (expected + 2) vector entries, not n^2.  The residuals, the scale
-    ||H||_inf and so the three certificates are those of `window_eigenvalues`
-    on the CSR operator, bit for bit: the band product sums each row's terms
-    in CSR column order, and the row sums of |H| group as `np.add.reduceat`
-    does.  The window shares no factorization with the count:
-    `dsterf` forms no LDL^T, and `dstein` factors T - lambda with partial
+    Per matrix, one call to LAPACK's root-free QL/QR (`dsterf`, values only) takes every
+    eigenvalue, and one to inverse iteration (`dstein`) vectors for the expected[j] + 2
+    values nearest the window midpoint alone, so a matrix stores n (expected[j] + 2)
+    vector entries, not n^2.  They fill arrays padded to the largest such k, and the
+    certificate runs on every matrix at once (`_certified_windows`).  The residuals, the
+    scale ||H||_inf and so each matrix's certificate are those of the CSR operator's, bit
+    for bit: the band product sums each row's terms in CSR column order, and the row sums
+    of |H| group as `np.add.reduceat` does.  The window shares no factorization with the
+    count: `dsterf` forms no LDL^T, and `dstein` factors T - lambda with partial
     pivoting only at computed eigenvalues, never at a count edge.
+
+    Returns the windows (samples, max expected), row j's certified values ascending,
+    then NaN, and per matrix None or why it failed (its row then all NaN): a LAPACK
+    failure ("dsterf", "dstein") or a certificate's.  A bad window raises ValueError.
     """
+    expected = np.asarray(expected)
     _check_window(lo, hi, expected)
-    k, mid = expected + 2, 0.5 * (lo + hi)
-    evals, evecs = _tridiagonal_pairs(diag, off, k, lambda values: np.abs(values - mid))
-    prod = diag[:, None] * evecs
-    prod[1:] += off[:, None] * evecs[:-1]
-    prod[:-1] += off[:, None] * evecs[1:]
-    resid = np.linalg.norm(prod - evecs * evals[None, :], axis=0)
+    n, m = diag.shape
+    mid = 0.5 * (lo + hi)
+    ks = np.minimum(expected + 2, n)
+    evals = np.full((m, ks.max(initial=0)), np.nan)
+    vectors = np.zeros((*evals.shape, n))
+    failures = [None] * m
+    for j in range(m):
+        try:
+            values, vecs = _tridiagonal_pairs(diag[:, j], off[:, j], ks[j],
+                                              lambda v: np.abs(v - mid))
+        except EigensolveError as exc:  # this matrix fails, the others go on
+            failures[j] = str(exc)
+            continue
+        evals[j, :ks[j]] = values
+        vectors[j, :ks[j]] = vecs.T
+    bands, sides = diag.T[:, None, :], off.T[:, None, :]  # node axis last, as in `vectors`
+    prod = bands * vectors
+    prod[..., 1:] += sides * vectors[..., :-1]
+    prod[..., :-1] += sides * vectors[..., 1:]
+    prod -= vectors * evals[..., None]
     row_sums = np.abs(diag)  # |H_{i,i-1}| + (|H_ii| + |H_{i,i+1}|), as in `_matrix_scale`
     row_sums[:-1] += np.abs(off)
     row_sums[1:] += np.abs(off)
-    _check_residuals(resid, float(row_sums.max()), evals)
-    return _certified_window(evals, evecs, lo, hi, expected)
+    return _certified_windows(evals, vectors, np.linalg.norm(prod, axis=2),
+                              row_sums.max(axis=0), lo, hi, expected, failures)
 
 
 def _tridiagonal_pairs(diag: np.ndarray, off: np.ndarray, k: int, key):
@@ -676,13 +731,24 @@ def hf_derivative(grid: Grid, psi: np.ndarray, w) -> float:
     averaged from cells to faces exactly as the assembly does: the exact slope
     of the affine-in-t quadratic form.  It reads neither A nor t.
     """
-    wc = as_scalar_field(w).on_cells(grid).reshape(grid.cells_shape)
+    return _hf_value(grid, psi, _face_weights(grid, as_scalar_field(w).on_cells(grid)))
+
+
+def _face_weights(grid: Grid, wc: np.ndarray) -> list[np.ndarray]:
+    """w on each axis's faces from its cell values `wc`, averaged as the assembly
+    averages; raises ValueError where w is negative."""
+    wc = wc.reshape(grid.cells_shape)
     if np.any(wc < -1e-12):
         raise ValueError("w must be nonnegative")
+    return [edge_coefficients(grid, wc, k) for k in range(grid.d)]
+
+
+def _hf_value(grid: Grid, psi: np.ndarray, weights: list[np.ndarray]) -> float:
+    """`hf_derivative` from w's `_face_weights`."""
     g = discrete_gradient(grid, psi)
     total = 0.0
     for k in range(grid.d):
-        total += float(np.sum(edge_coefficients(grid, wc, k) * g.comps[k] ** 2))
+        total += float(np.sum(weights[k] * g.comps[k] ** 2))
     return grid.h**grid.d * total
 
 
@@ -706,7 +772,8 @@ class LiftingCurve:
 
 
 def lifting_curve(grid: Grid, field, w, t_max: float, t_steps: int, indices) -> LiftingCurve:
-    """Eigensolve along an equispaced t grid and record each pair's `hf_derivative`."""
+    """Eigensolve along an equispaced t grid and record each pair's `hf_derivative`,
+    from w's face weights, computed once per curve."""
     if t_max <= 0:
         raise ValueError("t_max must be positive")
     if t_steps < 2:
@@ -719,6 +786,7 @@ def lifting_curve(grid: Grid, field, w, t_max: float, t_steps: int, indices) -> 
     w = as_scalar_field(w)
     base = assemble(grid, field)
     pert = perturbation_operator(grid, w)
+    weights = _face_weights(grid, w.on_cells(grid))
 
     k = min(max(indices) + 2, base.dim)
     ts = np.linspace(0.0, t_max, t_steps)
@@ -733,7 +801,7 @@ def lifting_curve(grid: Grid, field, w, t_max: float, t_steps: int, indices) -> 
                 raise ValueError(f"index {n} out of range for spectrum of size {spec.k}")
             e, psi = spec.pair(n)
             energies[row, it] = e
-            hf_values[row, it] = hf_derivative(grid, psi, w)
+            hf_values[row, it] = _hf_value(grid, psi, weights)
             gap = np.inf
             if n > 0:
                 gap = min(gap, e - spec.energies[n - 1])

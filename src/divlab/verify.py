@@ -27,7 +27,7 @@ from .lattice import (EquidistributedSeq, Grid, ScalarField, ball, ball_mask,
 from .operators import alloy_operators, assemble, rescale
 from .spectral import (EigensolveError, LiftingCurve, Spectrum, count_eigenvalues,
                        eigensolve, projector_sample, tridiagonal_counts,
-                       tridiagonal_window, window_eigenvalues)
+                       tridiagonal_windows, window_eigenvalues)
 
 DEFAULT_TOL = 1e-6
 DEFAULT_DISC_SLACK = 10.0  # multiplies h in the relative slack term
@@ -708,35 +708,41 @@ def mollification_convergence(field: MatrixField, eps: float, ells, k: int, *,
 # ---------------------------------------------------------------------------
 
 def _wegner_samples(model: AlloyModel, grid: Grid, children, edges: np.ndarray):
-    """Per sample, its inertia counts at `edges` and its eigenvalues in (edges[0],
-    edges[1]] from a window solve certified against the count of that window, or
-    None when a solver breaks down (the sample is then excluded).
+    """Every sample's inertia counts at `edges` (samples, edges), its eigenvalues in
+    (edges[0], edges[1]] from a window solve certified against the count of that window
+    (samples, widest window; a row's values ascending, then NaN), and per sample None or
+    why a solver broke down (the sample is then excluded, its row all NaN).
 
     Every sample draws its couplings first (`sample_alloy`, one child seed each).
     For d = 1, one product gives every sample's bands (`AlloyOperators.bands`),
-    one Sturm sweep counts every (sample, edge) pair and each window is solved
-    from the sample's bands.  For d >= 2, each sample's operator is
-    `AlloyOperators.at`, counted and solved in turn.
+    one Sturm sweep counts every (sample, edge) pair and `tridiagonal_windows`
+    solves and certifies every window.  For d >= 2, each sample's operator is
+    `AlloyOperators.at`, counted and solved in turn, into the same arrays.
     """
     ops = alloy_operators(grid, model)
     omegas = np.column_stack([sample_alloy(model, np.random.default_rng(c)) for c in children])
     if grid.d == 1:
         diag, off = ops.bands(omegas)
         counts = tridiagonal_counts(diag, off, edges)
+        windows, failures = tridiagonal_windows(diag, off, edges[0], edges[1],
+                                                counts[:, 1] - counts[:, 0])
+        return counts, windows, failures
+    counts = np.zeros((len(children), edges.size), dtype=int)
+    solved, failures = [], []
     for i in range(len(children)):
+        op = ops.at(omegas[:, i])
         try:
-            if grid.d == 1:
-                c = counts[i]
-                window = tridiagonal_window(diag[:, i], off[:, i], edges[0], edges[1],
-                                            int(c[1] - c[0]))
-            else:
-                op = ops.at(omegas[:, i])
-                c = count_eigenvalues(op, edges)
-                window = window_eigenvalues(op, edges[0], edges[1], int(c[1] - c[0]))
-        except (EigensolveError, np.linalg.LinAlgError):  # solver breakdown: exclusion
-            yield None
-            continue
-        yield c, window
+            counts[i] = count_eigenvalues(op, edges)
+            window = window_eigenvalues(op, edges[0], edges[1], int(counts[i, 1] - counts[i, 0]))
+            failure = None
+        except (EigensolveError, np.linalg.LinAlgError) as exc:  # solver breakdown
+            window, failure = np.empty(0), str(exc)
+        solved.append(window)
+        failures.append(failure)
+    windows = np.full((len(children), max(w.size for w in solved)), np.nan)
+    for i, window in enumerate(solved):
+        windows[i, :window.size] = window
+    return counts, windows, failures
 
 
 def wegner_mc(model: AlloyModel, grid: Grid, e_center: float, eps: float,
@@ -782,29 +788,17 @@ def wegner_mc(model: AlloyModel, grid: Grid, e_center: float, eps: float,
     edges = np.array([e_center - 3 * eps, e_center + 3 * eps,
                       *[x for e in eps_levels for x in (e_center - e, e_center + e)]])
     children = np.random.SeedSequence(seed).spawn(n_samples)
-    counts = np.zeros((n_samples, len(eps_levels)), dtype=int)
-    valid = np.zeros(n_samples, dtype=bool)
-    smear_ok = 0
-    cross_ok = 0
-    failures = 0
-    for i, sample in enumerate(_wegner_samples(model, grid, children, edges)):
-        if sample is None:
-            failures += 1
-            continue
-        c, energies = sample
-        cs = c[3::2] - c[2::2]
-        counts[i] = cs
-        valid[i] = True
-        # per-sample smearing chain at the base eps:
-        # indicator of [E-eps, E+eps] <= switch(. - (E-2eps)) - switch(. - (E+2eps))
-        smear = smooth_switch(energies, eps, shift=e_center - 2 * eps) \
-            - smooth_switch(energies, eps, shift=e_center + 2 * eps)
-        if cs[0] <= float(np.sum(smear)) + 1e-9:
-            smear_ok += 1
-        direct = int(np.count_nonzero(
-            (energies >= e_center - eps) & (energies <= e_center + eps)))
-        if direct == cs[0]:
-            cross_ok += 1
+    c, windows, reasons = _wegner_samples(model, grid, children, edges)
+    valid = np.array([r is None for r in reasons])
+    failures = int(n_samples - valid.sum())
+    counts = c[:, 3::2] - c[:, 2::2]
+    # per-sample smearing chain at the base eps, on each window's values:
+    # indicator of [E-eps, E+eps] <= switch(. - (E-2eps)) - switch(. - (E+2eps))
+    smear = smooth_switch(windows, eps, shift=e_center - 2 * eps) \
+        - smooth_switch(windows, eps, shift=e_center + 2 * eps)
+    smear_ok = int(np.count_nonzero(valid & (counts[:, 0] <= np.nansum(smear, axis=1) + 1e-9)))
+    direct = np.count_nonzero((windows >= e_center - eps) & (windows <= e_center + eps), axis=1)
+    cross_ok = int(np.count_nonzero(valid & (direct == counts[:, 0])))
 
     good = int(valid.sum())
     rep = CheckReport(

@@ -1,6 +1,6 @@
 """Layer timings at fixed sizes, for d = 1, 2 and 3 (pytest-benchmark): assembly, the
-alloy operator map, the dense solve and the shift-invert Lanczos solves that an
-inertia count certifies.
+alloy operator map, the dense solve, the shift-invert Lanczos solves that an
+inertia count certifies, and one 1D Wegner run.
 
 The tier-1 run skips them (`--benchmark-skip` in pyproject's addopts).  Run them with
 
@@ -109,3 +109,12 @@ def test_window_solve_d3_dim1331(benchmark):
     expected = int(np.diff(dl.count_eigenvalues(op, [lo, hi]))[0])
     window = benchmark(spectral.window_eigenvalues, op, lo, hi, expected)
     assert window.size == expected > 0
+
+
+def test_wegner_run_d1_L4(benchmark):
+    # one of `divlab suite all`'s two 1D Wegner runs, as it runs it: the uniform-L4 config
+    # (d = 1, L = 4, n = 32, 127 unknowns), 200 samples counted by one Sturm sweep and
+    # their windows solved and certified by `tridiagonal_windows`, seed 0
+    config = next(c for c in cli.suite_configs("wegner") if c["label"] == "uniform-L4")
+    rep = benchmark(cli.execute, {**config, "seed": 0})
+    assert rep.ok and rep.inputs["n_samples"] == 200 and rep.observed["failures"] == 0

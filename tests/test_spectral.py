@@ -257,7 +257,9 @@ class TestEigensolve:
     def test_1d_dense_solve_of_a_csr_matrix_with_bands_left_out(self, monkeypatch):
         # a diagonal matrix stores no subdiagonal, an entry dropped after it cancelled
         # leaves a gap in one band: both are zeros, as in op.dense(), and the banded
-        # solve still gives eigh's pairs; an entry below the subdiagonal takes the
+        # solve still gives eigh's pairs; so are a zero stored below the subdiagonal and
+        # two duplicate entries there that cancel, by the band rule of the 1D count,
+        # which reads their bands too; an entry below the subdiagonal takes the
         # reduction to a tridiagonal, as d >= 2 does
         g = dl.make_grid(1, 2, 16)
         base = dl.assemble(g, dl.identity_field(g)).matrix
@@ -265,8 +267,20 @@ class TestEigensolve:
         gap[4, 3] = gap[3, 4] = 0.0
         wide = base.tolil()
         wide[2, 0] = wide[0, 2] = -1.0
+        coo = base.tocoo()
+
+        def listed(rows, cols, vals):  # base and these entries, duplicates left unsummed
+            r, c = np.r_[coo.row, rows], np.r_[coo.col, cols]
+            order = np.argsort(r, kind="stable")
+            indptr = np.r_[0, np.cumsum(np.bincount(r, minlength=base.shape[0]))]
+            return scipy.sparse.csr_matrix((np.r_[coo.data, vals][order], c[order], indptr),
+                                           shape=base.shape)
+
+        stored_zero = listed([5, 2], [2, 5], [0.0, 0.0])
+        cancelled = listed([7, 7, 0, 0], [0, 0, 7, 7], [1.5, -1.5, 1.5, -1.5])
+        assert stored_zero.nnz == base.nnz + 2 and not cancelled.has_canonical_format
         mats = [scipy.sparse.diags(np.arange(1.0, base.shape[0] + 1), format="csr"),
-                gap.tocsr(), wide.tocsr()]
+                gap.tocsr(), stored_zero, cancelled, wide.tocsr()]
         mats[1].eliminate_zeros()
         calls = _recording(monkeypatch, scipy.linalg.lapack, "dsytrd")
         for mat in mats:
@@ -276,6 +290,8 @@ class TestEigensolve:
             assert np.array_equal(spec.energies, evals[:4])
             assert np.array_equal(spec.vectors, spectral._fix_signs(
                 evecs[:, :4] / g.h ** 0.5))
+            if mat is stored_zero or mat is cancelled:
+                assert dl.count_eigenvalues(op, evals[3] + 1e-6) == 4
         assert len(calls) == 1
 
     @pytest.mark.parametrize("d, L, n, bc", [(2, 1, 10, "dirichlet"), (2, 1, 12, "neumann"),
@@ -1201,6 +1217,19 @@ class TestLiftingCurve:
             spec = dl.eigensolve(base.shifted(pert, float(t)), k=4)
             for row, n in enumerate(curve.indices):
                 assert curve.hf_values[row, it] == dl.hf_derivative(g, spec.pair(n)[1], w)
+
+    def test_evaluates_w_twice_per_curve(self):
+        # once for the perturbation operator and once for the face weights of every form
+        # derivative, not once per derivative (test_records_hf_derivative holds each
+        # derivative to hf_derivative's, bit for bit)
+        g = dl.make_grid(1, 2, 32)
+        f = dl.sampled_field(g, lambda p: 1 + 0.4 * np.sin(np.pi * p[:, 0]))
+        tent = dl.ball_plateau_field(dl.equidistributed_sequence(g, 1.0, 0.3))
+        points = []
+        spy = dl.ScalarField(fn=lambda p: points.append(len(p)) or tent.fn(p),
+                             lip=tent.lip, sup=tent.sup)
+        dl.lifting_curve(g, f, spy, 1.0, 5, [0, 1, 2])
+        assert points == [g.cells_per_side] * 2
 
     @pytest.mark.parametrize("indices", [[1.5, 0.2], [True, 1], ["1"]])
     def test_non_integer_indices_rejected(self, indices):

@@ -307,7 +307,8 @@ class TestWegner:
         def misconfigured(*args, **kwargs):
             raise ValueError("misconfigured window")
 
-        monkeypatch.setattr(verify, "tridiagonal_window", misconfigured)
+        # the per-sample LAPACK pair of the batched 1D window solve
+        monkeypatch.setattr(spectral, "_tridiagonal_pairs", misconfigured)
         with pytest.raises(ValueError, match="misconfigured window"):
             verify.wegner_mc(model, g, 12.5, 0.5, 5, 0, cfg)
 
@@ -315,15 +316,15 @@ class TestWegner:
         g, model = self._model(dl.CouplingDistribution("uniform", 2.0))
         cfg = ConstantsConfig(e_min=1.0, e_max=30.0)
         calls = []
-        window = verify.tridiagonal_window
+        pairs = spectral._tridiagonal_pairs
 
         def first_call_breaks(*args, **kwargs):
             calls.append(1)
             if len(calls) == 1:
                 raise EigensolveError("shift-invert Lanczos failed")
-            return window(*args, **kwargs)
+            return pairs(*args, **kwargs)
 
-        monkeypatch.setattr(verify, "tridiagonal_window", first_call_breaks)
+        monkeypatch.setattr(spectral, "_tridiagonal_pairs", first_call_breaks)
         rep = verify.wegner_mc(model, g, 12.5, 0.5, 20, 0, cfg)
         assert rep.observed["failures"] == 1
         assert rep.observed["crosscheck_agreement"] == 1.0
@@ -336,20 +337,52 @@ class TestWegner:
         g, model = self._model(dl.CouplingDistribution("uniform", 2.0))
         cfg = ConstantsConfig(e_min=1.0, e_max=30.0)
         calls = []
-        window = verify.tridiagonal_window
+        pairs = spectral._tridiagonal_pairs
 
         def breaks(*args, **kwargs):
             calls.append(1)
             if len(calls) <= n_broken:
                 raise EigensolveError("shift-invert Lanczos failed")
-            return window(*args, **kwargs)
+            return pairs(*args, **kwargs)
 
-        monkeypatch.setattr(verify, "tridiagonal_window", breaks)
+        monkeypatch.setattr(spectral, "_tridiagonal_pairs", breaks)
         rep = verify.wegner_mc(model, g, 12.5, 0.5, 20, 0, cfg)
         assert rep.status == "error" and not rep.ok
         assert rep.lhs is None and rep.margin is None
         assert rep.observed["failures"] == n_broken
         assert f"{20 - n_broken} valid samples: a mean and its standard error need 2" in rep.notes
+
+    @pytest.mark.parametrize("routine", ["dsterf", "dstein"])
+    def test_lapack_failure_excludes_that_sample_only(self, monkeypatch, routine):
+        # a nonzero info from one sample's LAPACK call, sample 7 of 12: that sample is
+        # excluded and every other one keeps the counts and window of an unbroken run
+        g, model = self._model(dl.CouplingDistribution("uniform", 2.0))
+        edges = np.array([11.0, 14.0, 12.0, 13.0])
+        children = np.random.SeedSequence(2).spawn(12)
+        want_counts, want_windows, want_failures = verify._wegner_samples(
+            model, g, children, edges)
+        assert want_failures == [None] * 12
+        calls = []
+        lapack = getattr(scipy.linalg.lapack, routine)
+
+        def fails_at_sample_7(*args):
+            calls.append(1)
+            out = lapack(*args)
+            return (*out[:-1], 1 if len(calls) == 8 else out[-1])
+
+        monkeypatch.setattr(scipy.linalg.lapack, routine, fails_at_sample_7)
+        counts, windows, failures = verify._wegner_samples(model, g, children, edges)
+        assert len(calls) == 12
+        assert [i for i, f in enumerate(failures) if f is not None] == [7]
+        assert f"{routine} failed with info = 1" in failures[7]
+        assert np.isnan(windows[7]).all()
+        keep = np.arange(12) != 7
+        assert np.array_equal(counts, want_counts)
+        assert np.array_equal(windows[keep], want_windows[keep], equal_nan=True)
+        calls.clear()
+        rep = verify.wegner_mc(model, g, 12.5, 0.5, 12, 2, ConstantsConfig(e_min=1.0, e_max=30.0))
+        assert rep.observed["failures"] == 1
+        assert rep.observed["crosscheck_agreement"] == rep.observed["smear_chain_fraction"] == 1.0
 
     def test_1d_samples_need_neither_lanczos_nor_dense_eigh(self, monkeypatch):
         # d = 1 samples are counted by scalar pivots and solved by dsterf + dstein,
@@ -408,11 +441,14 @@ class TestWegner:
         monkeypatch.setattr(operators.AlloyOperators, "at", forbidden)
         for name in ("count_eigenvalues", "window_eigenvalues"):
             monkeypatch.setattr(verify, name, forbidden)
-        got = list(verify._wegner_samples(model, g, children, edges))
-        assert len(got) == len(want)
-        for (c, window), (c_want, window_want) in zip(got, want):
+        counts, windows, failures = verify._wegner_samples(model, g, children, edges)
+        assert len(counts) == len(windows) == len(failures) == len(want)
+        assert failures == [None] * len(want)
+        for c, window, (c_want, window_want) in zip(counts, windows, want):
             assert np.array_equal(c, c_want)
-            assert np.array_equal(window, window_want)
+            # the window's values, then NaN up to the widest window
+            assert np.array_equal(window[:window_want.size], window_want)
+            assert np.isnan(window[window_want.size:]).all()
         rep = verify.wegner_mc(model, g, 12.5, 0.5, 20, 0, ConstantsConfig(e_min=1.0, e_max=30.0))
         assert rep.status == "pass" and rep.observed["failures"] == 0
 
@@ -432,7 +468,7 @@ class TestWegner:
             raise AssertionError("a 2D Wegner sample went through the 1D band path")
 
         monkeypatch.setattr(operators.AlloyOperators, "at", counted)
-        for name in ("tridiagonal_counts", "tridiagonal_window"):
+        for name in ("tridiagonal_counts", "tridiagonal_windows"):
             monkeypatch.setattr(verify, name, forbidden)
         rep = verify.wegner_mc(model, g, 12.5, 0.5, 4, 0, ConstantsConfig(e_min=1.0, e_max=30.0))
         assert rep.observed["failures"] == 0
