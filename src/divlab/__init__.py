@@ -11,8 +11,8 @@ from .fields import (AlloyModel, CouplingDistribution, MatrixField,
 from .operators import (AlloyOperators, DiscreteOperator, alloy_operators, assemble,
                         perturbation_operator, rescale)
 from .spectral import (EigensolveError, LiftingCurve, Spectrum, count_eigenvalues,
-                       eigensolve, hf_derivative, lifting_curve, projector_sample,
-                       window_eigenvalues)
+                       eigenpairs, eigensolve, hf_derivative, lifting_curve,
+                       projector_sample, window_eigenvalues)
 from .bounds import (ConstantsConfig, c_evl_family, c_gradient, c_sfucp_family,
                      c_wegner, delta0, kappa_family)
 

@@ -30,7 +30,8 @@ from .fields import (CouplingDistribution, alloy_model, ball_plateau_field,
 from .lattice import (ScalarField, as_scalar_field,
                       equidistributed_sequence, make_grid)
 from .operators import assemble
-from .spectral import EigensolveError, count_eigenvalues, eigensolve, lifting_curve
+from .spectral import (EigensolveError, count_eigenvalues, eigenpairs, eigensolve,
+                       lifting_curve)
 
 # libyaml's emitter where PyYAML has it: the safe dialect's bytes, in about a fifth of
 # the pure-Python time
@@ -263,23 +264,15 @@ def _run_reverse_caccioppoli(cfg: dict, index: int = 0, x0: list | None = None,
 
 
 def _spectrum_upto(grid, field, top: float):
-    """Every eigenpair <= top and the next one; the inertia count sizes and certifies the solve.
+    """Every eigenpair <= top and the next one: `eigenpairs` on (-inf, top], sized and
+    certified by the inertia count of the eigenvalues <= top + tol (1e-12 relative).
 
-    `count_eigenvalues` counts the eigenvalues <= top + tol (1e-12 relative).  An
-    eigenvalue in (top, top + tol], or within the count's ambiguity radius of its
+    An eigenvalue in (top, top + tol], or within the count's ambiguity radius of its
     edge, can make the solved number differ from the count, which raises
-    EigensolveError.  Above the dense cutoff the solve shifts to top / 2, the
-    middle of the interval [0, top] the count certifies (H is positive
-    semidefinite), and its factor takes the minimum-degree order; the count
-    edge top + tol is never that shift, so no matrix is factored by both.
+    EigensolveError.
     """
     op = assemble(grid, field)
-    below = count_eigenvalues(op, top)
-    spec = eigensolve(op, k=min(below + 1, op.dim), upto=top)
-    found = int(np.count_nonzero(spec.energies <= top))
-    if found != below:
-        raise EigensolveError(f"{found} solved eigenvalues <= {top:.6g}, inertia counts {below}")
-    return spec
+    return eigenpairs(op, -math.inf, top, count_eigenvalues(op, top))
 
 
 @_experiment("ucp_function", *_BLOCKS, clamp_delta=_bool)

@@ -87,53 +87,62 @@ def _residuals(op: DiscreteOperator, evals: np.ndarray, evecs: np.ndarray) -> np
     return np.linalg.norm(op.matrix @ evecs - evecs * evals[None, :], axis=0)
 
 
-def _checked_residuals(op: DiscreteOperator, evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
-    """Residual norms of the pairs; raises when one misses _RTOL (1 + |E|) + 100 eps ||H||."""
-    resid = _residuals(op, evals, evecs)
-    tol = _residual_tol(evals, _matrix_scale(op.matrix))
-    if np.any(resid > tol):
-        raise EigensolveError(_unconverged(resid, tol, evals))
-    return resid
+def eigensolve(op: DiscreteOperator, k: int) -> Spectrum:
+    """Lowest-k eigenpairs, with no count to certify them complete.
 
-
-def eigensolve(op: DiscreteOperator, k: int, *, upto: float | None = None) -> Spectrum:
-    """Lowest-k eigenpairs.
-
-    Dense symmetric solve below the size cutoff, shift-invert Lanczos above,
-    with a fixed start vector so results are reproducible.  Unconverged pairs
-    raise instead of being returned, and eigenvector signs follow the
-    first-significant-component-positive convention.  The dense solve
-    (`_dense_eigh`) computes every eigenvalue, bit for bit as
-    `scipy.linalg.eigh` does, and back-transforms only the k vectors it
-    returns; for d >= 2 these match `eigh`'s to about 1 ulp.
-
-    `upto`: an inertia count certifies that the k - 1 lowest eigenvalues lie
-    in [0, upto] and the k-th above it.  The Lanczos path then shifts to the
-    middle of that interval, sigma = upto / 2, and `_eigsh` runs our own
-    Lanczos on the MMD factor, told that k - 1 eigenvalues lie at or below
-    upto: its Ritz test, tol = _RTOL / (||H||_inf + upto / 2), aims each
-    residual ||H x - lambda x|| at _RTOL, and the tolerance checked below
-    holds it.  As H is positive semidefinite, the k eigenvalues nearest
-    upto / 2 are the k lowest: every one in [0, upto] lies within upto / 2
-    of it, every other one farther (and so for a shift moved lower, off an
-    eigenvalue).  Without `upto` the shift is 0 (Dirichlet) or -0.05
-    (Neumann, below the zero mode), and ARPACK solves with its own factor
-    and default tol, machine precision (`_arpack_eigsh`).  The count edge
-    upto + tol is never the shift.
+    Dense symmetric solve below the size cutoff (`_dense_eigh`: every eigenvalue,
+    bit for bit as `scipy.linalg.eigh` computes it, and the k vectors alone,
+    which for d >= 2 match `eigh`'s to about 1 ulp); above it ARPACK's
+    shift-invert Lanczos at the shift 0 (Dirichlet) or -0.05 (Neumann, below the
+    zero mode), with its own factor, default tol and a fixed start vector
+    (`_arpack_eigsh`).  The pairs pass the certificate of `eigenpairs` on
+    (-inf, inf] with k expected, so unconverged or non-orthonormal pairs raise.
     """
-    dim = op.dim
-    if not (1 <= k <= dim):
-        raise ValueError(f"k must lie in 1..{dim}, got {k}")
-
-    complete = dim <= _DENSE_CUTOFF or k > dim - 2
+    if not (1 <= k <= op.dim):
+        raise ValueError(f"k must lie in 1..{op.dim}, got {k}")
+    complete = op.dim <= _DENSE_CUTOFF or k > op.dim - 2
     if complete:
         evals, evecs = _dense_eigh(op, k)
-    elif upto is not None:
-        evals, evecs = _eigsh(op, k, 0.5 * upto, (-np.inf, upto, k - 1))
     else:
         evals, evecs = _arpack_eigsh(op, k, 0.0 if op.grid.bc == "dirichlet" else -0.05)
+    return _certified(op, evals, evecs, -np.inf, np.inf, k, complete)
 
-    resid = _checked_residuals(op, evals, evecs)
+
+def eigenpairs(op: DiscreteOperator, lo: float, hi: float, expected: int) -> Spectrum:
+    """Every eigenpair in (lo, hi], certified complete by `expected`, the inertia count
+    of the eigenvalues in (lo, hi] (`count_eigenvalues`).
+
+    The solve takes the k = expected + 1 + [lo > -inf] pairs (at most dim) nearest
+    sigma, the midpoint of the counted interval, lo = -inf read as 0 (H is positive
+    semidefinite): every eigenvalue in (lo, hi] lies within (hi - lo) / 2 of sigma,
+    and the wanted pairs converge first.  A 1D operator up to the dense cutoff, or
+    k > dim - 2, takes the dense solve (`_dense_eigh`): the lowest k pairs for
+    lo = -inf, else every pair.  Otherwise `_eigsh` runs Lanczos at sigma, told the
+    count.  The pairs pass `_certified_windows`, or EigensolveError names the reason:
+    every residual meets _RTOL (1 + |E|) + 100 eps ||H||_inf, the vectors are
+    orthonormal to 1e-8 (no eigenvalue is a ghost copy of another), and exactly
+    `expected` values fall in (lo, hi], so a missed or spurious eigenvalue cannot pass.
+    """
+    _check_window(lo, hi, expected)
+    k = min(expected + 1 + (lo > -np.inf), op.dim)
+    dense = (op.grid.d == 1 and op.dim <= _DENSE_CUTOFF) or k > op.dim - 2
+    if dense:
+        evals, evecs = _dense_eigh(op, k if lo == -np.inf else op.dim)
+    else:
+        sigma = 0.5 * ((0.0 if lo == -np.inf else lo) + hi)
+        evals, evecs = _eigsh(op, k, sigma, (lo, hi, expected))
+    return _certified(op, evals, evecs, lo, hi, expected, dense)
+
+
+def _certified(op: DiscreteOperator, evals: np.ndarray, evecs: np.ndarray, lo: float,
+               hi: float, expected: int, complete: bool) -> Spectrum:
+    """The Spectrum of a solve's unit pairs, h^d-normalized and sign-fixed, once
+    `_certified_windows` passes them with `expected` values in (lo, hi]."""
+    resid = _residuals(op, evals, evecs)
+    _, failures = _certified_windows(evals[None], evecs.T[None], resid[None],
+                                     _matrix_scale(op.matrix), lo, hi, [expected], [None])
+    if failures[0] is not None:
+        raise EigensolveError(failures[0])
     vectors = _fix_signs(evecs / op.grid.h ** (op.grid.d / 2.0))
     return Spectrum(energies=evals, vectors=vectors, residuals=resid, complete=complete)
 
@@ -208,9 +217,9 @@ def _eigsh(op: DiscreteOperator, k: int, sigma: float, count: tuple[float, float
     """The k eigenpairs nearest sigma, ascending, of a solve that an inertia count
     checks: `count` = (lo, hi, number) says H has `number` eigenvalues in (lo, hi].
 
-    It shifts to the middle of the interval its count certifies: the window midpoint
-    (`window_eigenvalues`) or upto / 2 for a threshold spectrum (`eigensolve`), where
-    the wanted pairs converge first.  It runs `_lanczos` on H - sigma factored once by
+    `eigenpairs` shifts it to the middle of the interval its count certifies: the window
+    midpoint, or top / 2 for a threshold spectrum (-inf, top], where the wanted pairs
+    converge first.  It runs `_lanczos` on H - sigma factored once by
     `_mmd_inverse`: on the 2D grid of dim 16129 the minimum-degree order leaves 0.65
     million entries in L and U against 1.19 million for the COLAMD order of ARPACK's
     own factor, and a solve takes about half as long.  It stops at the residual its
@@ -219,8 +228,8 @@ def _eigsh(op: DiscreteOperator, k: int, sigma: float, count: tuple[float, float
     ||T x - theta x|| is at most tol |theta|, and as
     H x - lambda x = -(H - sigma)(T x - theta x) / theta for lambda = sigma + 1 / theta,
     its residual in H is then about ||H - sigma||_2 tol <= (||H||_inf + |sigma|) tol =
-    _RTOL.  The caller's `_checked_residuals` enforces _RTOL (1 + |lambda|) + 100 eps
-    ||H|| on every returned pair.
+    _RTOL.  The caller's certificate (`_certified_windows`) enforces
+    _RTOL (1 + |lambda|) + 100 eps ||H|| on every returned pair.
 
     Where an eigenvalue lies within _NEAR_SHIFT (||H||_inf + |sigma|) of sigma,
     H - sigma is singular but for rounding, and the solves' error along that
@@ -412,32 +421,19 @@ def _certified_windows(evals: np.ndarray, vectors: np.ndarray, resid: np.ndarray
 
 
 def window_eigenvalues(op: DiscreteOperator, lo: float, hi: float, expected: int) -> np.ndarray:
-    """Eigenvalues in (lo, hi], certified complete by an inertia count.
+    """Eigenvalues in (lo, hi], certified complete by an inertia count `expected`.
 
-    The `expected + 2` eigenpairs nearest the window midpoint are taken from
-    shift-invert Lanczos there or, for d = 1, from the bands of the tridiagonal
-    H (`tridiagonal_windows` on one column).  The Lanczos solve (`_eigsh`), told
-    the count, passes its Ritz test at tol = _RTOL / (||H||_inf + |mid|), which
-    aims each residual in H at _RTOL.  The vectors serve only the certificate
-    (`_certified_windows`).  Raises EigensolveError, with the reason, unless every
-    residual meets the `eigensolve` tolerance, the vectors are orthonormal (so no
-    eigenvalue is a ghost copy of another), and exactly `expected` of the values
-    fall in the window; with `expected` taken from `count_eigenvalues`, a missed
-    or spurious eigenvalue cannot pass.
+    For d >= 2 these are the in-window values of `eigenpairs`.  For d = 1 the
+    `expected + 2` pairs nearest the window midpoint come from the bands of the
+    tridiagonal H (`tridiagonal_windows` on one column), whose vectors serve only the
+    same certificate (`_certified_windows`).  Raises EigensolveError, with the reason,
+    unless the certificate passes.
     """
-    if op.grid.d == 1:
-        diag, off = op.tridiagonal
-        windows, failures = tridiagonal_windows(diag[:, None], off[:, None], lo, hi, [expected])
-    else:
-        _check_window(lo, hi, expected)
-        k, mid = expected + 2, 0.5 * (lo + hi)
-        if k >= op.dim:  # the whole spectrum: a dense solve
-            evals, evecs = _dense_eigh(op, op.dim)
-        else:
-            evals, evecs = _eigsh(op, k, mid, (lo, hi, expected))
-        windows, failures = _certified_windows(
-            evals[None], evecs.T[None], _residuals(op, evals, evecs)[None],
-            _matrix_scale(op.matrix), lo, hi, np.array([expected]), [None])
+    if op.grid.d > 1:
+        energies = eigenpairs(op, lo, hi, expected).energies
+        return energies[(energies > lo) & (energies <= hi)]
+    diag, off = op.tridiagonal
+    windows, failures = tridiagonal_windows(diag[:, None], off[:, None], lo, hi, [expected])
     if failures[0] is not None:
         raise EigensolveError(failures[0])
     return windows[0]
@@ -628,13 +624,13 @@ def count_eigenvalues(op: DiscreteOperator, energy):
     EigensolveError.
 
     The count stays independent of the eigenvalues it certifies: it factors
-    H - (E + tol) slab by slab, while `eigensolve` and `window_eigenvalues`
-    factor H - sigma by SuperLU with partial pivoting (in the minimum-degree
-    order for the solves a count certifies, `_eigsh`), at a fixed shift, at the
-    window midpoint or at half a threshold; an order only permutes the matrix
-    it factors.  The Wegner edges E +- 3 eps and E +- eps_j are never the
-    midpoint E, and a threshold edge top + tol is never top / 2, so no matrix
-    is factored by both.  The 1D window solve takes its values from
+    H - (E + tol) slab by slab, while the solves factor H - sigma by SuperLU
+    with partial pivoting: `eigenpairs` in the minimum-degree order (`_eigsh`)
+    at the midpoint of the interval it certifies, a window's or [0, top]'s, and
+    the uncertified `eigensolve` in ARPACK's at a fixed shift; an order only
+    permutes the matrix it factors.  The Wegner edges E +- 3 eps and E +- eps_j
+    are never the midpoint E, and a threshold edge top + tol is never top / 2,
+    so no matrix is factored by both.  The 1D window solve takes its values from
     `dsterf` (root-free QL/QR, no LDL^T) and factors T - lambda in `dstein`
     only at those computed eigenvalues, with partial pivoting.
 
@@ -788,6 +784,8 @@ def lifting_curve(grid: Grid, field, w, t_max: float, t_steps: int, indices) -> 
     pert = perturbation_operator(grid, w)
     weights = _face_weights(grid, w.on_cells(grid))
 
+    if max(indices) >= base.dim:  # before any solve
+        raise ValueError(f"index {max(indices)} out of range for spectrum of size {base.dim}")
     k = min(max(indices) + 2, base.dim)
     ts = np.linspace(0.0, t_max, t_steps)
     energies = np.empty((len(indices), t_steps))
@@ -797,8 +795,6 @@ def lifting_curve(grid: Grid, field, w, t_max: float, t_steps: int, indices) -> 
     for it, t in enumerate(ts):
         spec = eigensolve(base.shifted(pert, float(t)), k=k)
         for row, n in enumerate(indices):
-            if n >= spec.k:
-                raise ValueError(f"index {n} out of range for spectrum of size {spec.k}")
             e, psi = spec.pair(n)
             energies[row, it] = e
             hf_values[row, it] = _hf_value(grid, psi, weights)

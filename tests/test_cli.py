@@ -836,17 +836,58 @@ class TestSpectrumUpto:
         assert spec.energies[0] > top
         assert abs(spec.energies[0] - lowest[0]) <= 1e-10
 
+    def test_window_solve_shifts_to_its_midpoint(self, monkeypatch):
+        # the threshold rule above, sigma = top / 2 and k = count + 1, beside the window
+        # rule: sigma = (lo + hi) / 2 and k = count + 2, one solve each
+        grid, field = self._sine(2, 2, 12)
+        op = dl.assemble(grid, field)
+        assert op.dim == 529
+        solves, eigsh = [], spectral._eigsh
+
+        def spy(op, k, sigma, count):
+            solves.append((k, sigma, count))
+            return eigsh(op, k, sigma, count)
+
+        monkeypatch.setattr(spectral, "_eigsh", spy)
+        top, lo, hi = 60.0, 40.0, 100.0
+        below = dl.count_eigenvalues(op, top)
+        expected = int(np.diff(dl.count_eigenvalues(op, [lo, hi]))[0])
+        spec = cli._spectrum_upto(grid, field, top)
+        window = dl.eigenpairs(op, lo, hi, expected)
+        assert solves == [(below + 1, top / 2, (-np.inf, top, below)),
+                          (expected + 2, (lo + hi) / 2, (lo, hi, expected))]
+        assert spec.k == below + 1 and window.k == expected + 2 and expected > 2
+        dense = scipy.linalg.eigvalsh(op.dense())
+        assert np.abs(spec.energies - dense[:spec.k]).max() <= 1e-10 * top
+        inside = (window.energies > lo) & (window.energies <= hi)
+        assert np.abs(window.energies[inside] - dense[(dense > lo) & (dense <= hi)]).max() \
+            <= 1e-10 * hi
+
     def test_dropped_pair_raises(self, monkeypatch):
         grid, field = self._sine(1, 2, 24)
-        solve = cli.eigensolve
+        dense_eigh = spectral._dense_eigh
 
-        def drop_first(op, k, **kwargs):
-            spec = solve(op, k, **kwargs)
-            return dl.Spectrum(energies=spec.energies[1:], vectors=spec.vectors[:, 1:],
-                               residuals=spec.residuals[1:], complete=spec.complete)
+        def drop_first(op, k):
+            evals, evecs = dense_eigh(op, k)
+            return evals[1:], evecs[:, 1:]
 
-        monkeypatch.setattr(cli, "eigensolve", drop_first)
+        monkeypatch.setattr(spectral, "_dense_eigh", drop_first)
         with pytest.raises(dl.EigensolveError, match="inertia counts"):
+            cli._spectrum_upto(grid, field, 30.0)
+
+    def test_ghost_copy_raises(self, monkeypatch):
+        # the second pair returned as a copy of the first: the residuals and the count
+        # both look right, and only orthonormality catches it
+        grid, field = self._sine(1, 2, 24)
+        dense_eigh = spectral._dense_eigh
+
+        def ghost(op, k):
+            evals, evecs = dense_eigh(op, k)
+            evals[1], evecs[:, 1] = evals[0], evecs[:, 0]
+            return evals, evecs
+
+        monkeypatch.setattr(spectral, "_dense_eigh", ghost)
+        with pytest.raises(dl.EigensolveError, match="not orthonormal"):
             cli._spectrum_upto(grid, field, 30.0)
 
     # Bunch-Kaufman never leaves an exactly zero 1x1 pivot or a 2x2 block with
@@ -865,7 +906,7 @@ class TestSpectrumUpto:
             return ldu, piv, info
 
         monkeypatch.setattr(scipy.linalg.lapack, "dsytrf", broken)
-        monkeypatch.setattr(cli, "eigensolve", _no_solve)  # the count fails first
+        monkeypatch.setattr(cli, "eigenpairs", _no_solve)  # the count fails first
         config = {"experiment": "ucp_gradient", "grid": {"d": 2, "L": 2, "n_per_side": 6},
                   "sequence": {"G": 1.0, "delta": 0.3}, "check": {"variant": "lipschitz"},
                   "constants": {"e_min": 1.0, "e_max": 12.0}}
@@ -1004,6 +1045,18 @@ def test_suite_all_equals_bench_reference(tmp_path):
     for rep, ref in _reports_and_bench_reference(tmp_path, "suite_all",
                                                  ["suite", "all", "--seed", "0"]):
         assert rep == ref, rep["name"]
+
+
+def test_suite_all_at_another_seed_passes_the_bench_output_check(tmp_path):
+    """`divlab suite all --seed 7` passes the bench's output check against the committed
+    seed-0 reference: every check ok, every Monte Carlo sample kept, and every field
+    outside `seed_dependent` equal as `compare` compares them."""
+    bench_workload = _bench_workload()
+    reference = json.loads((BENCH_DIR / "reference" / "suite_all.json").read_text())
+    manifest, reports = _cli_reports(tmp_path, ["suite", "all", "--seed", "7"])
+    attempted, failed, problems = bench_workload.check_reports("suite_all", 7, reports,
+                                                               manifest, reference)
+    assert (attempted, failed, problems) == (420, 0, [])
 
 
 @pytest.mark.parametrize("workload", ["wegner_mc", "ucp_2d"])

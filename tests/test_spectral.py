@@ -207,6 +207,23 @@ class TestEigensolve:
         with pytest.raises(ValueError):
             dl.eigensolve(op, k=100)
 
+    def test_ghost_copy_raises(self, monkeypatch):
+        # an uncertified solve passes the same certificate on (-inf, inf]: the second
+        # pair returned as a copy of the first has a small residual, and only
+        # orthonormality catches it
+        g = dl.make_grid(1, 2, 24)
+        op = dl.assemble(g, dl.identity_field(g))
+        dense_eigh = spectral._dense_eigh
+
+        def ghost(op, k):
+            evals, evecs = dense_eigh(op, k)
+            evals[1], evecs[:, 1] = evals[0], evecs[:, 0]
+            return evals, evecs
+
+        monkeypatch.setattr(spectral, "_dense_eigh", ghost)
+        with pytest.raises(EigensolveError, match="not orthonormal"):
+            dl.eigensolve(op, k=4)
+
     @given(st.integers(1, 6), st.integers(1, 6), st.booleans(),
            st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.floats(-1e3, 1e3)),
                     max_size=24))
@@ -1230,6 +1247,17 @@ class TestLiftingCurve:
                              lip=tent.lip, sup=tent.sup)
         dl.lifting_curve(g, f, spy, 1.0, 5, [0, 1, 2])
         assert points == [g.cells_per_side] * 2
+
+    def test_index_beyond_the_dimension_raises_before_solving(self, monkeypatch):
+        g = dl.make_grid(1, 1, 4)  # 3 unknowns
+        solves, solve = [], spectral.eigensolve
+        monkeypatch.setattr(spectral, "eigensolve",
+                            lambda *a, **kw: solves.append(1) or solve(*a, **kw))
+        with pytest.raises(ValueError, match="index 3 out of range for spectrum of size 3"):
+            dl.lifting_curve(g, dl.identity_field(g), 1.0, 1.0, 3, [0, 3])
+        assert solves == []
+        dl.lifting_curve(g, dl.identity_field(g), 1.0, 1.0, 3, [0, 2])
+        assert len(solves) == 3  # the spy sees every solve of a curve
 
     @pytest.mark.parametrize("indices", [[1.5, 0.2], [True, 1], ["1"]])
     def test_non_integer_indices_rejected(self, indices):
