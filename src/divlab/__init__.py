@@ -12,7 +12,7 @@ from .operators import (AlloyOperators, DiscreteOperator, alloy_operators, assem
                         perturbation_operator, rescale)
 from .spectral import (EigensolveError, LiftingCurve, Spectrum, count_eigenvalues,
                        eigenpairs, eigensolve, hf_derivative, lifting_curve,
-                       projector_sample, window_eigenvalues)
+                       projector_sample)
 from .bounds import (ConstantsConfig, c_evl_family, c_gradient, c_sfucp_family,
                      c_wegner, delta0, kappa_family)
 

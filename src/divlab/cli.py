@@ -83,6 +83,8 @@ _list = _only(lambda v: type(v) is list, "a list")
 _expect = _only(lambda v: v in ("pass", "fail"), "'pass' or 'fail'")
 _raw = _only(lambda v: True, "")  # a nested block, or a value its callee checks
 _number = _only(lambda v: type(v) in (int, float), "a real number")
+_count = _only(lambda v: _int(v) >= 1, "at least 1")  # a number of eigenpairs
+_index = _only(lambda v: _int(v) >= 0, "at least 0")  # an eigenpair's index
 
 
 def _real(value) -> float:
@@ -227,7 +229,7 @@ def _experiment(name: str, *blocks: str, **check_casts):
     return register
 
 
-@_experiment("eigensolve", "grid", "field", k=_int)
+@_experiment("eigensolve", "grid", "field", k=_count)
 def _run_eigensolve(cfg: dict, k: int = 3) -> verify.CheckReport:
     grid = _build_grid(cfg)
     field = _build_field(cfg, grid)
@@ -253,7 +255,7 @@ def _run_eigensolve(cfg: dict, k: int = 3) -> verify.CheckReport:
     return rep
 
 
-@_experiment("reverse_caccioppoli", "grid", "field", index=_int, x0=_list, r=_real, e_min=_real)
+@_experiment("reverse_caccioppoli", "grid", "field", index=_index, x0=_list, r=_real, e_min=_real)
 def _run_reverse_caccioppoli(cfg: dict, index: int = 0, x0: list | None = None,
                              r: float = 0.2, e_min: float = 1.0) -> verify.CheckReport:
     grid = _build_grid(cfg)
@@ -264,7 +266,7 @@ def _run_reverse_caccioppoli(cfg: dict, index: int = 0, x0: list | None = None,
 
 
 def _spectrum_upto(grid, field, top: float):
-    """Every eigenpair <= top and the next one: `eigenpairs` on (-inf, top], sized and
+    """Every eigenpair <= top, and no other: `eigenpairs` on (-inf, top], sized and
     certified by the inertia count of the eigenvalues <= top + tol (1e-12 relative).
 
     An eigenvalue in (top, top + tol], or within the count's ambiguity radius of its
@@ -344,8 +346,8 @@ def _run_weyl(cfg: dict, sides=(1, 2, 4), e_plus: float = 100.0, **keys) -> veri
     return verify.weyl_check(grids, lambda g: _build_field(cfg, g), e_plus=e_plus, **keys)
 
 
-@_experiment("scaling", "grid", "field", G=_real, delta=_real, mode=_text, target_n=_int, k=_int,
-             eig_rtol=_real, grad_rtol=_real)
+@_experiment("scaling", "grid", "field", G=_real, delta=_real, mode=_text, target_n=_int,
+             k=_count, eig_rtol=_real, grad_rtol=_real)
 def _run_scaling(cfg: dict, G: float = 2.0, delta: float = 0.75, target_n: int | None = None,
                  **keys) -> verify.CheckReport:
     grid = _build_grid(cfg)  # source grid, side G*L
@@ -355,7 +357,7 @@ def _run_scaling(cfg: dict, G: float = 2.0, delta: float = 0.75, target_n: int |
                                 target_n_per_side=_need(target_n, "check.target_n"), **keys)
 
 
-@_experiment("mollification", "grid", "field", eps=_real, ells=_list, k=_int, rtol=_real)
+@_experiment("mollification", "grid", "field", eps=_real, ells=_list, k=_count, rtol=_real)
 def _run_mollification(cfg: dict, eps: float = 0.25, ells=(4, 8, 16, 32), k: int = 3,
                        **keys) -> verify.CheckReport:
     field = _build_field(cfg, _build_grid(cfg))
@@ -410,6 +412,10 @@ def _resolve(config: dict, seed: int | None = None, resolution_mult: float = 1.0
     if resolution_mult != 1 and "grid" in out:
         n_per_side = int(_build_grid(out).n_per_side * resolution_mult)
         out["grid"] = {**out["grid"], "n_per_side": n_per_side}
+        check = out.get("check") if out.get("experiment") == "scaling" else None
+        if isinstance(check, dict) and type(check.get("target_n")) is int:
+            # the target grid refines with the source: G n_src / n_tgt stays as written
+            out["check"] = {**check, "target_n": int(check["target_n"] * resolution_mult)}
     return out
 
 

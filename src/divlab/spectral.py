@@ -109,41 +109,48 @@ def eigensolve(op: DiscreteOperator, k: int) -> Spectrum:
 
 
 def eigenpairs(op: DiscreteOperator, lo: float, hi: float, expected: int) -> Spectrum:
-    """Every eigenpair in (lo, hi], certified complete by `expected`, the inertia count
-    of the eigenvalues in (lo, hi] (`count_eigenvalues`).
+    """The `expected` eigenpairs in (lo, hi], ascending: `expected` is the inertia count
+    of the eigenvalues in (lo, hi] (`count_eigenvalues`), which certifies them complete.
 
-    The solve takes the k = expected + 1 + [lo > -inf] pairs (at most dim) nearest
-    sigma, the midpoint of the counted interval, lo = -inf read as 0 (H is positive
-    semidefinite): every eigenvalue in (lo, hi] lies within (hi - lo) / 2 of sigma,
-    and the wanted pairs converge first.  A 1D operator up to the dense cutoff, or
-    k > dim - 2, takes the dense solve (`_dense_eigh`): the lowest k pairs for
-    lo = -inf, else every pair.  Otherwise `_eigsh` runs Lanczos at sigma, told the
-    count.  The pairs pass `_certified_windows`, or EigensolveError names the reason:
-    every residual meets _RTOL (1 + |E|) + 100 eps ||H||_inf, the vectors are
-    orthonormal to 1e-8 (no eigenvalue is a ghost copy of another), and exactly
-    `expected` values fall in (lo, hi], so a missed or spurious eigenvalue cannot pass.
+    The solve takes the k = expected + 1 + [lo > -inf] pairs (at most dim) nearest sigma,
+    the midpoint of the counted interval, lo = -inf read as 0 (H is positive semidefinite):
+    every eigenvalue in (lo, hi] lies within (hi - lo) / 2 of sigma, and the wanted pairs
+    converge first.  A 1D window takes them from the bands (`_tridiagonal_pairs`, as
+    `tridiagonal_windows` does).  A 1D threshold spectrum up to the dense cutoff, or
+    k > dim - 2, takes the dense solve (`_dense_eigh`, the one `complete` route): the
+    lowest k pairs for lo = -inf, else every pair.  Otherwise `_eigsh` runs Lanczos at
+    sigma, told the count.  All k pass `_certified_windows`, or EigensolveError names the
+    reason: every residual meets _RTOL (1 + |E|) + 100 eps ||H||_inf, the vectors are
+    orthonormal to 1e-8 (no ghost copies), and exactly `expected` values fall in (lo, hi].
     """
     _check_window(lo, hi, expected)
     k = min(expected + 1 + (lo > -np.inf), op.dim)
-    dense = (op.grid.d == 1 and op.dim <= _DENSE_CUTOFF) or k > op.dim - 2
-    if dense:
+    sigma = 0.5 * ((0.0 if lo == -np.inf else lo) + hi)
+    window_1d = op.grid.d == 1 and lo > -np.inf
+    dense = not window_1d and ((op.grid.d == 1 and op.dim <= _DENSE_CUTOFF) or k > op.dim - 2)
+    if window_1d:
+        evals, evecs = _tridiagonal_pairs(*op.tridiagonal, k, lambda v: np.abs(v - sigma))
+    elif dense:
         evals, evecs = _dense_eigh(op, k if lo == -np.inf else op.dim)
     else:
-        sigma = 0.5 * ((0.0 if lo == -np.inf else lo) + hi)
         evals, evecs = _eigsh(op, k, sigma, (lo, hi, expected))
     return _certified(op, evals, evecs, lo, hi, expected, dense)
 
 
 def _certified(op: DiscreteOperator, evals: np.ndarray, evecs: np.ndarray, lo: float,
                hi: float, expected: int, complete: bool) -> Spectrum:
-    """The Spectrum of a solve's unit pairs, h^d-normalized and sign-fixed, once
-    `_certified_windows` passes them with `expected` values in (lo, hi]."""
+    """The Spectrum of the `expected` pairs in (lo, hi], h^d-normalized and sign-fixed, once
+    `_certified_windows` passes all of a solve's ascending unit pairs: a view of them."""
     resid = _residuals(op, evals, evecs)
     _, failures = _certified_windows(evals[None], evecs.T[None], resid[None],
                                      _matrix_scale(op.matrix), lo, hi, [expected], [None])
     if failures[0] is not None:
         raise EigensolveError(failures[0])
     vectors = _fix_signs(evecs / op.grid.h ** (op.grid.d / 2.0))
+    if evals.size > expected:  # the certificate counted `expected` values in (lo, hi]
+        first = int(np.searchsorted(evals, lo, side="right"))
+        keep = slice(first, first + expected)
+        evals, vectors, resid = evals[keep], vectors[:, keep], resid[keep]
     return Spectrum(energies=evals, vectors=vectors, residuals=resid, complete=complete)
 
 
@@ -420,41 +427,23 @@ def _certified_windows(evals: np.ndarray, vectors: np.ndarray, resid: np.ndarray
     return windows[:, :np.max(expected, initial=0)], failures
 
 
-def window_eigenvalues(op: DiscreteOperator, lo: float, hi: float, expected: int) -> np.ndarray:
-    """Eigenvalues in (lo, hi], certified complete by an inertia count `expected`.
-
-    For d >= 2 these are the in-window values of `eigenpairs`.  For d = 1 the
-    `expected + 2` pairs nearest the window midpoint come from the bands of the
-    tridiagonal H (`tridiagonal_windows` on one column), whose vectors serve only the
-    same certificate (`_certified_windows`).  Raises EigensolveError, with the reason,
-    unless the certificate passes.
-    """
-    if op.grid.d > 1:
-        energies = eigenpairs(op, lo, hi, expected).energies
-        return energies[(energies > lo) & (energies <= hi)]
-    diag, off = op.tridiagonal
-    windows, failures = tridiagonal_windows(diag[:, None], off[:, None], lo, hi, [expected])
-    if failures[0] is not None:
-        raise EigensolveError(failures[0])
-    return windows[0]
-
-
 def tridiagonal_windows(diag: np.ndarray, off: np.ndarray, lo: float, hi: float,
                         expected) -> tuple[np.ndarray, list]:
-    """`window_eigenvalues` of a batch of symmetric tridiagonal matrices: column j of
-    `diag` (n, samples) and of `off` (n - 1, samples) holds the bands of matrix j, whose
-    eigenvalues in (lo, hi] its inertia count expected[j] must certify.
+    """The energies of `eigenpairs` on a 1D window, for a batch of symmetric tridiagonal
+    matrices: column j of `diag` (n, samples) and of `off` (n - 1, samples) holds the
+    bands of matrix j, whose eigenvalues in (lo, hi] its inertia count expected[j] must
+    certify.
 
-    Per matrix, one call to LAPACK's root-free QL/QR (`dsterf`, values only) takes every
-    eigenvalue, and one to inverse iteration (`dstein`) vectors for the expected[j] + 2
-    values nearest the window midpoint alone, so a matrix stores n (expected[j] + 2)
-    vector entries, not n^2.  They fill arrays padded to the largest such k, and the
-    certificate runs on every matrix at once (`_certified_windows`).  The residuals, the
-    scale ||H||_inf and so each matrix's certificate are those of the CSR operator's, bit
-    for bit: the band product sums each row's terms in CSR column order, and the row sums
-    of |H| group as `np.add.reduceat` does.  The window shares no factorization with the
-    count: `dsterf` forms no LDL^T, and `dstein` factors T - lambda with partial
-    pivoting only at computed eigenvalues, never at a count edge.
+    Per matrix, `_tridiagonal_pairs` takes the expected[j] + 2 pairs nearest the window
+    midpoint, as `eigenpairs` does: every eigenvalue by LAPACK's root-free QL/QR
+    (`dsterf`), and inverse iteration (`dstein`) for the kept vectors alone, so a matrix
+    stores n (expected[j] + 2) vector entries, not n^2.  They fill arrays padded to the
+    largest such k, and the certificate runs on every matrix at once (`_certified_windows`).
+    The residuals, the scale ||H||_inf and so each matrix's certificate are those of the
+    CSR operator's, bit for bit: the band product sums each row's terms in CSR column
+    order, and the row sums of |H| group as `np.add.reduceat` does.  The window shares no
+    factorization with the count: `dsterf` forms no LDL^T, and `dstein` factors
+    T - lambda with partial pivoting only at computed eigenvalues, never at a count edge.
 
     Returns the windows (samples, max expected), row j's certified values ascending,
     then NaN, and per matrix None or why it failed (its row then all NaN): a LAPACK

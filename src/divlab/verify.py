@@ -26,8 +26,8 @@ from .lattice import (EquidistributedSeq, Grid, ScalarField, ball, ball_mask,
                       smooth_switch, subset_norm2)
 from .operators import alloy_operators, assemble, rescale
 from .spectral import (EigensolveError, LiftingCurve, Spectrum, count_eigenvalues,
-                       eigensolve, projector_sample, tridiagonal_counts,
-                       tridiagonal_windows, window_eigenvalues)
+                       eigenpairs, eigensolve, projector_sample, tridiagonal_counts,
+                       tridiagonal_windows)
 
 DEFAULT_TOL = 1e-6
 DEFAULT_DISC_SLACK = 10.0  # multiplies h in the relative slack term
@@ -733,7 +733,7 @@ def _wegner_samples(model: AlloyModel, grid: Grid, children, edges: np.ndarray):
         op = ops.at(omegas[:, i])
         try:
             counts[i] = count_eigenvalues(op, edges)
-            window = window_eigenvalues(op, edges[0], edges[1], int(counts[i, 1] - counts[i, 0]))
+            window = eigenpairs(op, *edges[:2], int(counts[i, 1] - counts[i, 0])).energies
             failure = None
         except (EigensolveError, np.linalg.LinAlgError) as exc:  # solver breakdown
             window, failure = np.empty(0), str(exc)

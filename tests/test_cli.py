@@ -344,6 +344,32 @@ class TestMain:
                          "--resolution-mult", "2"]) == 0
         resolved = yaml.safe_load((out / "resolved_config.yaml").read_text())
         assert resolved["runs"][0]["grid"]["n_per_side"] == 32
+        # a scaling run refines its target grid with its source, so G n_src / n_tgt
+        # stays an odd integer
+        cfg_file.write_text(yaml.safe_dump(
+            next(c for c in cli.suite_configs("scaling") if c["label"] == "G2-d1")))
+        assert cli.main(["run", str(cfg_file), "--out", str(out),
+                         "--resolution-mult", "2"]) == 0
+        resolved = yaml.safe_load((out / "resolved_config.yaml").read_text())["runs"][0]
+        assert resolved["grid"]["n_per_side"] == 96 and resolved["check"]["target_n"] == 64
+
+    # every curated run, resolved at each multiplier, builds its inputs without a solve: a
+    # recipe that leaves a resolution key unscaled fails here
+    @pytest.mark.parametrize("mult", [1, 2, 3])
+    def test_every_suite_run_builds_at_each_resolution(self, mult):
+        for config in cli.suite_configs("all"):
+            resolved = cli._resolve(config, resolution_mult=mult)
+            if "grid" not in config:  # pi_singular reads no grid
+                continue
+            grid = cli._build_grid(resolved)
+            assert grid.n_per_side == config["grid"]["n_per_side"] * mult
+            field = cli._build_field(resolved, grid)
+            if "sequence" in resolved:
+                cli._build_sequence(resolved, grid)
+            if resolved["experiment"] == "scaling":
+                check = resolved["check"]
+                dl.equidistributed_sequence(grid, check["G"], check["delta"])
+                dl.rescale(field, check["G"], check["target_n"])
 
     @pytest.mark.parametrize("mult", ["0", "-1"])
     def test_nonpositive_resolution_multiplier_rejected(self, tmp_path, mult):
@@ -576,6 +602,18 @@ class TestMain:
         ({"experiment": "projector_ucp", "grid": {"d": 1, "L": 4, "n_per_side": 16},
           "sequence": {"G": 2.0, "delta": 0.45}, "constants": {"e_min": 0.001, "e_max": 0.05}},
          f"projector_ucp: {_PERIOD_2_MESSAGE}"),
+        # a pair count or index out of range, named by its key before any assembly
+        ({"experiment": "scaling", "grid": {"d": 1, "L": 4, "n_per_side": 48},
+          "check": {"target_n": 32, "k": 0}}, "check.k: must be at least 1, got 0"),
+        ({"experiment": "scaling", "grid": {"d": 1, "L": 4, "n_per_side": 48},
+          "check": {"target_n": 32, "k": -1}}, "check.k: must be at least 1, got -1"),
+        ({"experiment": "reverse_caccioppoli", "grid": {"d": 1, "L": 2, "n_per_side": 64},
+          "check": {"index": -1}}, "check.index: must be at least 0, got -1"),
+        ({"experiment": "eigensolve", "grid": {"d": 1, "L": 1, "n_per_side": 16},
+          "check": {"k": 0}}, "check.k: must be at least 1, got 0"),
+        ({"experiment": "mollification", "grid": {"d": 1, "L": 1, "n_per_side": 64},
+          "field": {"kind": "checkerboard"}, "check": {"k": 0}},
+         "check.k: must be at least 1, got 0"),
     ], ids=["wegner-one-sample", "low-energy-above-kappa", "wegner-unknown-key",
             "lifting-unknown-key", "check-not-a-mapping", "unknown-top-level-block",
             "grid-unknown-key", "field-unknown-key", "field-key-of-another-recipe",
@@ -597,12 +635,17 @@ class TestMain:
             "eigensolve-unread-sequence", "eigensolve-unread-constants",
             "pi-singular-unread-grid", "constants-d", "constants-delta", "constants-G",
             "constants-t-max", "constants-w-sup", "constants-w-lip",
-            "ucp-function-period-2", "ucp-gradient-period-2", "projector-ucp-period-2"])
+            "ucp-function-period-2", "ucp-gradient-period-2", "projector-ucp-period-2",
+            "scaling-zero-k", "scaling-negative-k", "reverse-caccioppoli-negative-index",
+            "eigensolve-zero-k", "mollification-zero-k"])
     def test_rejected_check_input_is_a_config_error(self, tmp_path, capsys, monkeypatch,
                                                    config, message):
-        # a ball-union check rejects its input before the threshold solve
+        # every input is rejected before the solve: a ball-union check's threshold
+        # solve, or any lowest-k one
         if config["experiment"] in ("ucp_function", "ucp_gradient", "projector_ucp"):
             monkeypatch.setattr(cli, "_spectrum_upto", _no_solve)
+        for module in (cli, verify):
+            monkeypatch.setattr(module, "eigensolve", _no_solve)
         cfg_file = tmp_path / "cfg.yaml"
         cfg_file.write_text(yaml.safe_dump(config))
         assert cli.main(["run", str(cfg_file), "--out", str(tmp_path / "o")]) == 2
@@ -810,31 +853,42 @@ class TestSpectrumUpto:
                                                      rel=1e-12))]
         below = dl.count_eigenvalues(op, top)
         assert orders == ["MMD_AT_PLUS_A"]  # the count factors no sparse matrix
-        plain = dl.eigensolve(op, spec.k)
+        plain = dl.eigensolve(op, below + 1)  # the counted pairs and the next one
         assert orders == ["MMD_AT_PLUS_A"]  # the uncertified solve keeps ARPACK's own factor
         assert len(certified) == 1  # and is ARPACK's, at its fixed shift and with
         # ARPACK's default tol: its values stay bit for bit
         assert arpack == [(0.0 if bc == "dirichlet" else -0.05, None)]
-        assert np.abs(plain.energies - spec.energies).max() <= 1e-10
+        assert np.abs(plain.energies[:below] - spec.energies).max() <= 1e-10
         assert not spec.complete and below > 8
-        assert spec.k == below + 1
+        assert spec.k == below  # the counted pairs alone
         assert np.count_nonzero(spec.energies <= top) == below
-        assert spec.energies[-1] > top
+        assert plain.energies[below] > top
         dense = scipy.linalg.eigvalsh(op.dense())[:spec.k]
         assert np.abs(spec.energies - dense).max() <= 1e-10
         if bc == "neumann":  # the constant zero mode is counted and returned
             assert abs(spec.energies[0]) < 1e-10
 
-    # top below the lowest eigenvalue: the count is 0 and the solve returns that one pair
+    # top below the lowest eigenvalue: the count is 0, and the solve of the one pair
+    # nearest top / 2, the lowest, certifies that none lies at or below top
     @pytest.mark.parametrize("bc, top", [("dirichlet", 1.0), ("neumann", -1.0)])
-    def test_top_below_the_spectrum_returns_the_lowest_pair(self, bc, top):
+    def test_top_below_the_spectrum_returns_no_pair(self, monkeypatch, bc, top):
         grid, field = self._sine(2, 2, 20, bc)  # 1521 / 1681 unknowns: Lanczos path
         op = dl.assemble(grid, field)
+        solves, eigsh = [], spectral._eigsh
+
+        def spy(op, k, sigma, count):
+            out = eigsh(op, k, sigma, count)
+            solves.append((k, sigma, out[0]))
+            return out
+
+        monkeypatch.setattr(spectral, "_eigsh", spy)
         spec = cli._spectrum_upto(grid, field, top)
-        assert not spec.complete and dl.count_eigenvalues(op, top) == 0 and spec.k == 1
+        assert not spec.complete and dl.count_eigenvalues(op, top) == 0 and spec.k == 0
+        assert spec.vectors.shape == (op.dim, 0) and spec.residuals.shape == (0,)
+        [(k, sigma, solved)] = solves
+        assert k == 1 and sigma == top / 2 and solved[0] > top
         lowest = scipy.linalg.eigvalsh(op.dense(), subset_by_index=[0, 0])
-        assert spec.energies[0] > top
-        assert abs(spec.energies[0] - lowest[0]) <= 1e-10
+        assert abs(solved[0] - lowest[0]) <= 1e-10
 
     def test_window_solve_shifts_to_its_midpoint(self, monkeypatch):
         # the threshold rule above, sigma = top / 2 and k = count + 1, beside the window
@@ -856,11 +910,11 @@ class TestSpectrumUpto:
         window = dl.eigenpairs(op, lo, hi, expected)
         assert solves == [(below + 1, top / 2, (-np.inf, top, below)),
                           (expected + 2, (lo + hi) / 2, (lo, hi, expected))]
-        assert spec.k == below + 1 and window.k == expected + 2 and expected > 2
+        # each returns the counted pairs alone
+        assert spec.k == below and window.k == expected > 2
         dense = scipy.linalg.eigvalsh(op.dense())
-        assert np.abs(spec.energies - dense[:spec.k]).max() <= 1e-10 * top
-        inside = (window.energies > lo) & (window.energies <= hi)
-        assert np.abs(window.energies[inside] - dense[(dense > lo) & (dense <= hi)]).max() \
+        assert np.abs(spec.energies - dense[:below]).max() <= 1e-10 * top
+        assert np.abs(window.energies - dense[(dense > lo) & (dense <= hi)]).max() \
             <= 1e-10 * hi
 
     def test_dropped_pair_raises(self, monkeypatch):

@@ -309,8 +309,8 @@ class TestAlloyOperators:
             counts = dl.count_eigenvalues(got, edges)
             assert np.array_equal(counts, dl.count_eigenvalues(want, edges))
             expected = int(counts[2] - counts[0])
-            np.testing.assert_allclose(dl.window_eigenvalues(got, lo, hi, expected),
-                                       dl.window_eigenvalues(want, lo, hi, expected),
+            np.testing.assert_allclose(dl.eigenpairs(got, lo, hi, expected).energies,
+                                       dl.eigenpairs(want, lo, hi, expected).energies,
                                        rtol=1e-12, atol=0)
 
     def test_the_pattern_is_the_base_pattern_for_every_draw(self):

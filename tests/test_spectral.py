@@ -15,6 +15,11 @@ from divlab.spectral import EigensolveError
 from _alloy_oracle import alloy_field
 
 
+def _window(op, lo, hi, expected):
+    """The certified eigenvalues in (lo, hi]: the energies of `eigenpairs`."""
+    return dl.eigenpairs(op, lo, hi, expected).energies
+
+
 def _laplacian_energies(d, L, n, bc):
     """Every eigenvalue of the identity-field operator, in closed form: the sums over
     axes of (2 - 2 cos(pi j / M)) / h^2, with j = 1..N-1 and M = N under Dirichlet
@@ -639,7 +644,7 @@ class TestCountEigenvalues:
         with pytest.raises(ValueError, match="three central diagonals"):
             dl.count_eigenvalues(op, 10.0)
         with pytest.raises(ValueError, match="three central diagonals"):
-            dl.window_eigenvalues(op, 0.0, 100.0, 1)
+            _window(op, 0.0, 100.0, 1)
 
     def test_a_1d_sample_reads_its_bands_once(self, monkeypatch):
         # the count and the window of one operator share one tridiagonal extraction
@@ -650,7 +655,7 @@ class TestCountEigenvalues:
         read = prop.func
         monkeypatch.setattr(prop, "func", lambda self: calls.append(1) or read(self))
         c = dl.count_eigenvalues(op, [5.0, 40.0])
-        dl.window_eigenvalues(op, 5.0, 40.0, int(c[1] - c[0]))
+        _window(op, 5.0, 40.0, int(c[1] - c[0]))
         assert len(calls) == 1
 
     def test_zero_tolerance_reads_the_csr_arrays(self):
@@ -797,7 +802,7 @@ class TestWindowEigenvalues:
                             lambda *a, **kw: orders.append(kw.get("permc_spec")) or splu(*a, **kw))
         for lo, hi in ((20.0, 80.0), (150.0, 160.0), (0.0, 5.0)):
             expected = dl.count_eigenvalues(op, hi) - dl.count_eigenvalues(op, lo)
-            got = dl.window_eigenvalues(op, lo, hi, expected)
+            got = _window(op, lo, hi, expected)
             want = full[(full > lo) & (full <= hi)]
             assert got.size == want.size == expected
             assert np.abs(got - want).max(initial=0.0) <= 1e-9 * max(1.0, abs(hi))
@@ -811,7 +816,7 @@ class TestWindowEigenvalues:
         assert expected > 0
         for wrong in (expected - 1, expected + 1):
             with pytest.raises(EigensolveError, match="Ritz values"):
-                dl.window_eigenvalues(op, lo, hi, wrong)
+                _window(op, lo, hi, wrong)
 
     def test_ghost_copy_raises(self, monkeypatch):
         # a Lanczos ghost: one window eigenpair returned twice, another one missed,
@@ -824,7 +829,7 @@ class TestWindowEigenvalues:
         pick = np.r_[inside[0], inside[0], inside[2:], inside[-1] + 1, inside[-1] + 2]
         monkeypatch.setattr(spectral, "_eigsh", lambda *a, **kw: (evals[pick], evecs[:, pick]))
         with pytest.raises(EigensolveError, match="orthonormal"):
-            dl.window_eigenvalues(op, lo, hi, inside.size)
+            _window(op, lo, hi, inside.size)
 
     def _op_1d(self):
         g = dl.make_grid(1, 2, 32)
@@ -835,7 +840,7 @@ class TestWindowEigenvalues:
         full = np.linalg.eigvalsh(op.dense())
         for lo, hi in ((20.0, 200.0), (3000.0, 3100.0), (0.0, 5.0), (0.0, 1e5)):
             expected = dl.count_eigenvalues(op, hi) - dl.count_eigenvalues(op, lo)
-            got = dl.window_eigenvalues(op, lo, hi, expected)
+            got = _window(op, lo, hi, expected)
             want = full[(full > lo) & (full <= hi)]
             assert got.size == want.size == expected
             assert np.abs(got - want).max(initial=0.0) <= 1e-9 * max(1.0, abs(hi))
@@ -847,21 +852,21 @@ class TestWindowEigenvalues:
         assert expected > 0
         for wrong in (expected - 1, expected + 1):
             with pytest.raises(EigensolveError, match="Ritz values"):
-                dl.window_eigenvalues(op, lo, hi, wrong)
+                _window(op, lo, hi, wrong)
 
     def test_1d_solver_failure_raises(self, monkeypatch):
         op = self._op_1d()
         dsterf = scipy.linalg.lapack.dsterf
         monkeypatch.setattr(scipy.linalg.lapack, "dsterf", lambda d, e: (dsterf(d, e)[0], 3))
         with pytest.raises(EigensolveError, match="dsterf"):
-            dl.window_eigenvalues(op, 20.0, 200.0, 2)
+            _window(op, 20.0, 200.0, 2)
 
     def test_1d_inverse_iteration_failure_raises(self, monkeypatch):
         op = self._op_1d()
         dstein = scipy.linalg.lapack.dstein
         monkeypatch.setattr(scipy.linalg.lapack, "dstein", lambda *a: (dstein(*a)[0], 1))
         with pytest.raises(EigensolveError, match="dstein"):
-            dl.window_eigenvalues(op, 20.0, 200.0, 2)
+            _window(op, 20.0, 200.0, 2)
 
     def test_1d_ghost_copy_raises(self, monkeypatch):
         # one window eigenpair in place of its neighbour: residuals and the count
@@ -884,7 +889,7 @@ class TestWindowEigenvalues:
         monkeypatch.setattr(lapack, "dsterf", lambda d, e: (evals.copy(), 0))
         monkeypatch.setattr(lapack, "dstein", ghost)
         with pytest.raises(EigensolveError, match="orthonormal"):
-            dl.window_eigenvalues(op, lo, hi, expected)
+            _window(op, lo, hi, expected)
 
     def test_1d_above_the_dense_cutoff(self, monkeypatch):
         # one 1D route at every size: 2047 unknowns, no Lanczos
@@ -898,7 +903,7 @@ class TestWindowEigenvalues:
         full = np.linalg.eigvalsh(op.dense())
         for lo, hi in ((20.0, 200.0), (1e5, 1.02e5)):
             expected = dl.count_eigenvalues(op, hi) - dl.count_eigenvalues(op, lo)
-            got = dl.window_eigenvalues(op, lo, hi, expected)
+            got = _window(op, lo, hi, expected)
             want = full[(full > lo) & (full <= hi)]
             assert got.size == want.size == expected > 0
             assert np.abs(got - want).max() <= 1e-12 * hi
@@ -912,7 +917,7 @@ class TestWindowEigenvalues:
         exact = _laplacian_energies(1, 1, n, "dirichlet")
         assert op.dim == n - 1
         for lo, hi, want in ((0.0, 1e3, exact), (0.0, 1.5 * exact[0], exact[:1])):
-            got = dl.window_eigenvalues(op, lo, hi, want.size)
+            got = _window(op, lo, hi, want.size)
             assert got.size == want.size
             assert np.abs(got - want).max() <= 1e-12 * exact.max()
 
@@ -920,7 +925,7 @@ class TestWindowEigenvalues:
         g = dl.make_grid(1, 1, 6)
         op = dl.assemble(g, dl.identity_field(g))
         exact = _laplacian_energies(1, 1, 6, "dirichlet")
-        got = dl.window_eigenvalues(op, 0.0, 1e3, op.dim)
+        got = _window(op, 0.0, 1e3, op.dim)
         assert np.abs(got - exact).max() <= 1e-9 * exact.max()
 
     def test_d2_window_wider_than_one_krylov_space(self):
@@ -934,7 +939,7 @@ class TestWindowEigenvalues:
         lo, hi = -1.0, 112.5
         expected = dl.count_eigenvalues(op, hi) - dl.count_eigenvalues(op, lo)
         assert expected == 10 and expected + 2 < op.dim  # the Lanczos path
-        got = dl.window_eigenvalues(op, lo, hi, expected)
+        got = _window(op, lo, hi, expected)
         assert np.abs(got - exact[:expected]).max() <= 1e-10 * hi
 
 
@@ -946,9 +951,75 @@ class TestWindowEigenvalues:
         reductions = _recording(monkeypatch, scipy.linalg.lapack, "dsytrd")
         for lo, hi in ((0.0, 1e4), (want[0], 1e4)):
             expected = dl.count_eigenvalues(op, hi) - dl.count_eigenvalues(op, lo)
-            got = dl.window_eigenvalues(op, lo, hi, expected)
+            got = _window(op, lo, hi, expected)
             assert np.array_equal(got, want[(want > lo) & (want <= hi)])
         assert len(reductions) == 2
+
+
+class TestEigenpairsContract:
+    """`eigenpairs(op, lo, hi, expected)` returns the `expected` counted pairs in (lo, hi]
+    and no other, ascending, on every route; only the dense solve is `complete`."""
+
+    @staticmethod
+    def _op(d):
+        # a sine field that no swap of axes maps to itself: dims 63, 529 and 343, so
+        # d = 1 thresholds take the dense solve and d >= 2 solves take Lanczos
+        g = dl.make_grid(*{1: (1, 2, 32), 2: (2, 2, 12), 3: (3, 2, 4)}[d])
+        return dl.assemble(g, dl.sampled_field(
+            g, lambda p: 1 + 0.5 * np.sin(3 * p[:, 0] + 2 * p[:, -1])))
+
+    @pytest.mark.parametrize("kind", ["threshold", "window", "empty-threshold",
+                                      "empty-window"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_returns_exactly_the_counted_pairs(self, d, kind):
+        op = self._op(d)
+        ev = np.linalg.eigvalsh(op.dense())
+        gap = ev[6] - ev[5]
+        assert gap > 1e-6 * ev[6]
+        lo, hi = {"threshold": (-np.inf, 0.5 * (ev[9] + ev[10])),
+                  "window": (0.5 * (ev[4] + ev[5]), 0.5 * (ev[11] + ev[12])),
+                  "empty-threshold": (-np.inf, 0.5 * ev[0]),
+                  "empty-window": (ev[5] + 0.25 * gap, ev[5] + 0.75 * gap)}[kind]
+        below_lo = 0 if lo == -np.inf else dl.count_eigenvalues(op, lo)
+        expected = dl.count_eigenvalues(op, hi) - below_lo
+        want = ev[(ev > lo) & (ev <= hi)]
+        assert expected == want.size == {"threshold": 10, "window": 7}.get(kind, 0)
+        spec = dl.eigenpairs(op, lo, hi, expected)
+        assert spec.k == expected and spec.energies.shape == spec.residuals.shape == (expected,)
+        assert spec.vectors.shape == (op.dim, expected)
+        assert np.all((spec.energies > lo) & (spec.energies <= hi))
+        assert np.all(np.diff(spec.energies) > 0)
+        assert np.abs(spec.energies - want).max(initial=0.0) <= 1e-9 * abs(hi)
+        gram = spec.vectors.T @ spec.vectors * op.grid.h ** d
+        assert np.abs(gram - np.eye(expected)).max(initial=0.0) <= 1e-8
+        assert spec.complete == (d == 1 and lo == -np.inf)
+
+    # one route for a 1D window at every size: 63 and 2047 unknowns, either side of
+    # the dense cutoff
+    @pytest.mark.parametrize("L, n", [(2, 32), (8, 256)])
+    def test_1d_window_solves_from_the_bands(self, monkeypatch, L, n):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a 1D window left the bands")
+
+        keys, pairs = [], spectral._tridiagonal_pairs
+
+        def spy(diag, off, k, key):
+            keys.append((k, key(np.array([lo, hi]))))
+            return pairs(diag, off, k, key)
+
+        monkeypatch.setattr(spectral, "_tridiagonal_pairs", spy)
+        monkeypatch.setattr(spectral, "_dense_eigh", forbidden)
+        monkeypatch.setattr(spectral, "_eigsh", forbidden)
+        g = dl.make_grid(1, L, n)
+        op = dl.assemble(g, _alloy_field(dl.identity_field(g), 3))
+        assert (op.dim > spectral._DENSE_CUTOFF) == (n == 256)
+        lo, hi = 20.0, 200.0
+        expected = int(np.diff(dl.count_eigenvalues(op, [lo, hi]))[0])
+        spec = dl.eigenpairs(op, lo, hi, expected)
+        # the expected + 2 pairs nearest the window midpoint, as `tridiagonal_windows` takes
+        [(k, edges)] = keys
+        assert k == expected + 2 and np.array_equal(edges, [0.5 * (hi - lo)] * 2)
+        assert spec.k == expected > 0 and not spec.complete
 
 
 class TestCertifiedStoppingRule:
@@ -1022,8 +1093,8 @@ class TestCertifiedStoppingRule:
         below = int(np.count_nonzero(exact <= top))
         assert np.unique(exact[:below + 1].round(8)).size < below  # multiplets in the count
         spec = cli._spectrum_upto(grid, dl.identity_field(grid), top)  # raises unless found
-        assert not spec.complete and spec.k == below + 1
-        assert np.abs(spec.energies - exact[:spec.k]).max() <= 1e-10 * top
+        assert not spec.complete and spec.k == below
+        assert np.abs(spec.energies - exact[:below]).max() <= 1e-10 * top
 
     def test_no_convergence_at_the_bound_raises(self, monkeypatch):
         # a Ritz test that no pair can pass (tol < 0) runs the walk to its bound: all of H
@@ -1050,7 +1121,7 @@ class TestCertifiedStoppingRule:
         mid = 0.5 * (lo + hi)
         assert exact[1] == pytest.approx(exact[2]) == pytest.approx(mid, rel=1e-14)
         results, applications = self._solves(monkeypatch)
-        got = dl.window_eigenvalues(op, lo, hi, 2)
+        got = _window(op, lo, hi, 2)
         assert len(applications) == 2 and len(results) == 1 and applications[0] == 4
         self._assert_within_rtol(op, results)
         assert np.abs(got - exact[1:3]).max() <= 1e-12 * hi
@@ -1070,7 +1141,7 @@ class TestCertifiedStoppingRule:
         assert 0.5 * (lo + hi) == mid and mid in exact
         expected = int(np.diff(dl.count_eigenvalues(op, [lo, hi]))[0])
         factors = _recording(monkeypatch, scipy.sparse.linalg, "splu")
-        got = dl.window_eigenvalues(op, lo, hi, expected)
+        got = _window(op, lo, hi, expected)
         assert len(factors) == 2
         assert np.abs(got - exact[(exact > lo) & (exact <= hi)]).max() <= 1e-10 * hi
 
@@ -1095,7 +1166,7 @@ class TestCertifiedStoppingRule:
         mmd_inverse = spectral._mmd_inverse
         monkeypatch.setattr(spectral, "_mmd_inverse",
                             lambda mat, sigma: shifts.append(sigma) or mmd_inverse(mat, sigma))
-        got = dl.window_eigenvalues(op, lo, hi, expected)
+        got = _window(op, lo, hi, expected)
         assert shifts[0] == 12.5 and shifts[1] == pytest.approx(12.2551, abs=1e-4)
         assert got == pytest.approx([11.01429791, 12.43765999, 12.49588255], abs=1e-8)
 
@@ -1113,12 +1184,12 @@ class TestCertifiedStoppingRule:
         lo, hi = pair[1] + 0.01 - 5.0, pair[1] + 0.01 + 5.0
         assert int(np.diff(dl.count_eigenvalues(op, [lo, hi]))[0]) == 2
         factors = _recording(monkeypatch, scipy.sparse.linalg, "splu")
-        got = dl.window_eigenvalues(op, lo, hi, 2)
+        got = _window(op, lo, hi, 2)
         assert len(factors) == 2
         assert np.abs(got - pair).max() <= 1e-9 * hi
         # a window narrower than the step: the moved shift lies below it, and the pair
         # is still among the k = 4 pairs nearest that shift
-        got = dl.window_eigenvalues(op, pair[1] - 0.1, pair[1] + 0.1, 2)
+        got = _window(op, pair[1] - 0.1, pair[1] + 0.1, 2)
         assert len(factors) == 4
         assert np.abs(got - pair).max() <= 1e-9 * hi
 
@@ -1171,7 +1242,7 @@ class TestCertifiedStoppingRule:
         exact = _laplacian_energies(2, 1, 5, "dirichlet")
         lo, hi = 0.5 * (exact[0] + exact[1]), 0.5 * (exact[2] + exact[3])
         steps = self._passes_per_step(monkeypatch)
-        got = dl.window_eigenvalues(op, lo, hi, 2)
+        got = _window(op, lo, hi, 2)
         assert set(steps) == {1, 2}
         assert np.abs(got - exact[1:3]).max() <= 1e-12 * hi
 
@@ -1184,7 +1255,7 @@ class TestCertifiedStoppingRule:
         lo, hi = 27.0, 33.0
         expected = int(np.diff(dl.count_eigenvalues(op, [lo, hi]))[0])
         results, applications = self._solves(monkeypatch)
-        window = dl.window_eigenvalues(op, lo, hi, expected)  # raises unless certified
+        window = _window(op, lo, hi, expected)  # raises unless certified
         assert len(results) == len(applications) == 1 and window.size == expected > 0
         self._assert_within_rtol(op, results)
         want = np.linalg.eigvalsh(op.dense())

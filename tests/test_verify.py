@@ -433,13 +433,13 @@ class TestWegner:
         for child in children:
             op = ops.at(dl.sample_alloy(model, np.random.default_rng(child)))
             c = dl.count_eigenvalues(op, edges)
-            want.append((c, dl.window_eigenvalues(op, edges[0], edges[1], int(c[1] - c[0]))))
+            want.append((c, dl.eigenpairs(op, edges[0], edges[1], int(c[1] - c[0])).energies))
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a 1D Wegner sample went through the per-operator path")
 
         monkeypatch.setattr(operators.AlloyOperators, "at", forbidden)
-        for name in ("count_eigenvalues", "window_eigenvalues"):
+        for name in ("count_eigenvalues", "eigenpairs"):
             monkeypatch.setattr(verify, name, forbidden)
         counts, windows, failures = verify._wegner_samples(model, g, children, edges)
         assert len(counts) == len(windows) == len(failures) == len(want)
