@@ -409,9 +409,11 @@ def _resolve(config: dict, seed: int | None = None, resolution_mult: float = 1.0
         out["seed"] = seed
     if not resolution_mult > 0:
         raise ConfigError(f"--resolution-mult: must be positive, got {resolution_mult}")
-    if resolution_mult != 1 and "grid" in out:
+    # a run without a grid block refines the default grid, if its experiment reads one
+    blocks = _EXPERIMENTS[out["experiment"]][1] if "experiment" in out else ()
+    if resolution_mult != 1 and ("grid" in out or "grid" in blocks):
         n_per_side = int(_build_grid(out).n_per_side * resolution_mult)
-        out["grid"] = {**out["grid"], "n_per_side": n_per_side}
+        out["grid"] = {**out.get("grid", {}), "n_per_side": n_per_side}
         check = out.get("check") if out.get("experiment") == "scaling" else None
         if isinstance(check, dict) and type(check.get("target_n")) is int:
             # the target grid refines with the source: G n_src / n_tgt stays as written

@@ -20,6 +20,7 @@ _ZERO_RTOL = 1e-12  # relative size at or below which an inertia pivot counts as
 _GAP_RTOL = 1e-8  # relative eigenvalue gap below which a lifting sample is degenerate
 _V0_SEED = 20210 + 4  # fixed Lanczos start vector seed: deterministic, symmetry-free
 _RITZ_EVERY = 3  # Lanczos steps between the Ritz tests of a certified solve, at least
+_WINDOW_STEPS = 64  # a 1D window batch's first basis capacity; its solves take 13-35 steps
 _NEAR_SHIFT = 1e-6  # |lambda - sigma| / (||H||_inf + |sigma|) below which a shift is moved
 # a Ritz test's time per m (m + k) over a step's reorthogonalization time per m n, set
 # against two Gram-Schmidt passes (45 over 1.5 ns).  On one OpenBLAS thread of a 2-core
@@ -115,13 +116,15 @@ def eigenpairs(op: DiscreteOperator, lo: float, hi: float, expected: int) -> Spe
     The solve takes the k = expected + 1 + [lo > -inf] pairs (at most dim) nearest sigma,
     the midpoint of the counted interval, lo = -inf read as 0 (H is positive semidefinite):
     every eigenvalue in (lo, hi] lies within (hi - lo) / 2 of sigma, and the wanted pairs
-    converge first.  A 1D window takes them from the bands (`_tridiagonal_pairs`, as
-    `tridiagonal_windows` does).  A 1D threshold spectrum up to the dense cutoff, or
-    k > dim - 2, takes the dense solve (`_dense_eigh`, the one `complete` route): the
-    lowest k pairs for lo = -inf, else every pair.  Otherwise `_eigsh` runs Lanczos at
-    sigma, told the count.  All k pass `_certified_windows`, or EigensolveError names the
-    reason: every residual meets _RTOL (1 + |E|) + 100 eps ||H||_inf, the vectors are
-    orthonormal to 1e-8 (no ghost copies), and exactly `expected` values fall in (lo, hi].
+    converge first.  A 1D window takes them from the bands by the shift-invert Lanczos
+    solve of `tridiagonal_windows` on a batch of one (`_window_pairs`), so a 1D Wegner
+    sample's window is its own, bit for bit.  A 1D threshold spectrum up to the dense
+    cutoff, or k > dim - 2, takes the dense solve (`_dense_eigh`, the one `complete`
+    route): the lowest k pairs for lo = -inf, else every pair.  Otherwise `_eigsh` runs
+    Lanczos at sigma, told the count.  All k pass `_certified_windows`, or EigensolveError
+    names the reason: every residual meets _RTOL (1 + |E|) + 100 eps ||H||_inf, the
+    vectors are orthonormal to 1e-8 (no ghost copies), and exactly `expected` values fall
+    in (lo, hi].
     """
     _check_window(lo, hi, expected)
     k = min(expected + 1 + (lo > -np.inf), op.dim)
@@ -129,7 +132,12 @@ def eigenpairs(op: DiscreteOperator, lo: float, hi: float, expected: int) -> Spe
     window_1d = op.grid.d == 1 and lo > -np.inf
     dense = not window_1d and ((op.grid.d == 1 and op.dim <= _DENSE_CUTOFF) or k > op.dim - 2)
     if window_1d:
-        evals, evecs = _tridiagonal_pairs(*op.tridiagonal, k, lambda v: np.abs(v - sigma))
+        bands, sides = (band[None] for band in op.tridiagonal)
+        evals, evecs, _, failures = _window_pairs(bands, sides, _band_scale(bands, sides),
+                                                  sigma, np.array([k]))
+        if failures[0] is not None:
+            raise EigensolveError(failures[0])
+        evals, evecs = evals[0], evecs[0].T
     elif dense:
         evals, evecs = _dense_eigh(op, k if lo == -np.inf else op.dim)
     else:
@@ -281,7 +289,7 @@ def _lanczos(solve, v0: np.ndarray, k: int, sigma: float, tol: float,
     pass, a step sweeps the basis once, not twice (no second pass in the 123 steps of
     the ucp_2d solve).  alpha_j is a plus the passes' coefficients on v_j.  From m = k on
     it takes the eigenpairs (theta, s) of the tridiagonal for the k largest |theta|
-    (`_tridiagonal_pairs`, as `tridiagonal_windows` does) and stops once ARPACK's Ritz
+    (`_tridiagonal_pairs`) and stops once ARPACK's Ritz
     test holds for all k: |beta_m s_mi| <= tol |theta_i|.  In exact arithmetic
     |beta_m s_mi| is ||T x_i - theta_i x_i||; in floating point it is an estimate, as
     the tridiagonal leaves out the Gram-Schmidt coefficients off its bands.  The tests
@@ -434,54 +442,249 @@ def tridiagonal_windows(diag: np.ndarray, off: np.ndarray, lo: float, hi: float,
     bands of matrix j, whose eigenvalues in (lo, hi] its inertia count expected[j] must
     certify.
 
-    Per matrix, `_tridiagonal_pairs` takes the expected[j] + 2 pairs nearest the window
-    midpoint, as `eigenpairs` does: every eigenvalue by LAPACK's root-free QL/QR
-    (`dsterf`), and inverse iteration (`dstein`) for the kept vectors alone, so a matrix
-    stores n (expected[j] + 2) vector entries, not n^2.  They fill arrays padded to the
-    largest such k, and the certificate runs on every matrix at once (`_certified_windows`).
-    The residuals, the scale ||H||_inf and so each matrix's certificate are those of the
-    CSR operator's, bit for bit: the band product sums each row's terms in CSR column
-    order, and the row sums of |H| group as `np.add.reduceat` does.  The window shares no
-    factorization with the count: `dsterf` forms no LDL^T, and `dstein` factors
-    T - lambda with partial pivoting only at computed eigenvalues, never at a count edge.
+    One shift-invert Lanczos solve runs on every matrix at once (`_window_pairs`), as
+    `eigenpairs` runs it on one: the k = expected[j] + 2 pairs (at most n) nearest the
+    window midpoint sigma, by Rayleigh-Ritz with T itself, each matrix's pairs accepted
+    on their band residuals.  The certificate then runs on every matrix at once
+    (`_certified_windows`).  The residuals, the scale ||H||_inf and so each matrix's
+    certificate are those of the CSR operator's, bit for bit: the band product sums each
+    row's terms in CSR column order, and the row sums of |H| group as `np.add.reduceat`
+    does.  The window shares no factorization with the count: it factors T - sigma only
+    at the midpoint (or 10 _NEAR_SHIFT radii below it), never at a count edge, and it
+    takes its eigenvalues from Rayleigh-Ritz, not from a count; their number in (lo, hi]
+    is then compared with the inertia count.
 
     Returns the windows (samples, max expected), row j's certified values ascending,
-    then NaN, and per matrix None or why it failed (its row then all NaN): a LAPACK
-    failure ("dsterf", "dstein") or a certificate's.  A bad window raises ValueError.
+    then NaN, and per matrix None or why it failed (its row then all NaN): the solve's
+    (a pivot at both shifts, no convergence in n steps, a solve that is not finite) or
+    the certificate's.  A bad window raises ValueError.
     """
     expected = np.asarray(expected)
     _check_window(lo, hi, expected)
-    n, m = diag.shape
-    mid = 0.5 * (lo + hi)
-    ks = np.minimum(expected + 2, n)
-    evals = np.full((m, ks.max(initial=0)), np.nan)
-    vectors = np.zeros((*evals.shape, n))
+    bands, sides = np.ascontiguousarray(diag.T), np.ascontiguousarray(off.T)
+    scale = _band_scale(bands, sides)
+    evals, vectors, resid, failures = _window_pairs(bands, sides, scale, 0.5 * (lo + hi),
+                                                    np.minimum(expected + 2, diag.shape[0]))
+    return _certified_windows(evals, vectors, resid, scale, lo, hi, expected, failures)
+
+
+def _band_scale(bands: np.ndarray, sides: np.ndarray) -> np.ndarray:
+    """||T||_inf of each matrix: row j of `bands` (m, n) and `sides` (m, n - 1) holds the
+    bands of matrix j."""
+    row_sums = np.abs(bands)  # |H_{i,i-1}| + (|H_ii| + |H_{i,i+1}|), as in `_matrix_scale`
+    row_sums[:, :-1] += np.abs(sides)
+    row_sums[:, 1:] += np.abs(sides)
+    return row_sums.max(axis=1)
+
+
+def _band_product(bands: np.ndarray, sides: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """T x for each matrix: row j of x (m, n), or (m, k, n), holds vectors of matrix j."""
+    if x.ndim == 3:
+        bands, sides = bands[:, None], sides[:, None]
+    prod = bands * x
+    prod[..., 1:] += sides * x[..., :-1]
+    prod[..., :-1] += sides * x[..., 1:]
+    return prod
+
+
+def _band_lu(bands: np.ndarray, sides: np.ndarray, sigma: np.ndarray):
+    """x (m, n) -> (T_j - sigma_j)^-1 x_j for every matrix j, and the pivots (m, n).
+
+    One LAPACK LU with partial pivoting (`dgttrf`) factors a tridiagonal holding every
+    T_j - sigma_j as an uncoupled diagonal block, then three unit entries (the wrapper
+    wants n >= 3), and one substitution (`dgttrs`) solves it.  A zero coupling keeps
+    each block's elimination and substitution to its own entries, so a matrix's bits do
+    not depend on the batch; a NaN in one block's right-hand side would cross it.
+    """
+    m, n = bands.shape
+    lapack = scipy.linalg.lapack
+    coupling = np.zeros((m, n))
+    coupling[:, :-1] = sides
+    coupling = np.append(coupling, [0.0, 0.0])
+    dl, d, du, du2, ipiv, _ = lapack.dgttrf(
+        coupling, np.append(bands - sigma[:, None], [1.0, 1.0, 1.0]), coupling)
+
+    def solve(x: np.ndarray) -> np.ndarray:
+        return lapack.dgttrs(dl, d, du, du2, ipiv, np.append(x, [0.0, 0.0, 0.0]))[0]\
+            [:m * n].reshape(m, n)
+    return solve, d[:m * n].reshape(m, n).copy()
+
+
+def _window_pairs(bands: np.ndarray, sides: np.ndarray, scale: np.ndarray, sigma: float,
+                  ks: np.ndarray):
+    """The ks[j] eigenpairs nearest sigma of each symmetric tridiagonal T_j, ascending, by
+    one shift-invert Lanczos run on every matrix at once: row j of `bands` (m, n) and
+    `sides` (m, n - 1) holds the bands of T_j, scale[j] its ||T_j||_inf.
+
+    T_j - sigma is factored once for all matrices, with partial pivoting (`_band_lu`).
+    A pivot within _NEAR_SHIFT (||T_j||_inf + |sigma|) of zero, where sigma is an
+    eigenvalue of T_j but for rounding, moves that matrix's shift 10 such radii down and
+    factors again, as `_eigsh` moves its shift; a small pivot there too fails the
+    matrix.  (An eigenvalue of a leading block zeroes no pivot: partial pivoting takes
+    the off-diagonal entry.  Without pivoting it would, and the multipliers next to a
+    pivot just outside that radius stalled Lanczos at n = 511.)  Lanczos then runs on
+    every matrix together from the fixed start vector: each step applies
+    (T_j - sigma_j)^-1, takes the three-term recurrence, and orthogonalizes against
+    every basis vector by one classical Gram-Schmidt pass, and a second where the first
+    cancelled (ARPACK's DGKS test, as `_cgs2`); where the second cancels again the
+    Krylov space is invariant and the walk goes on from a fresh random vector.  The
+    projected matrix V^T T V gains a column per step.  A matrix is first tested at
+    step 2 k_j + _RITZ_EVERY, then as its worst ratio of residual to half its
+    tolerance falls: the next test comes once that ratio's decades, at the rate they
+    fell since the last test, would be gone (1 to 2 _RITZ_EVERY steps on, _RITZ_EVERY
+    after a first or stalled test).  A test takes the k_j eigenpairs of V^T T V nearest
+    sigma_j (Rayleigh-Ritz with T) and accepts them once every band residual
+    ||T x - theta x|| is within half the certificate's tolerance,
+    _RTOL (1 + |theta|) + 100 eps ||T||.  A matrix's tests depend on its own residuals
+    alone, and every product runs along the node axis of one matrix at a time, so its
+    pairs do not depend on the batch.  The basis is step-major, in one array of
+    _WINDOW_STEPS steps (at most n), twice as many whenever a matrix needs more: steps
+    never taken never become resident, and a batch of many long chains does not ask
+    for n^2 m entries of address space at once.
+
+    Returns the values (m, max k), ascending then NaN; their unit vectors (m, max k, n),
+    zero past them; their band residuals, NaN past them; and per matrix None or why it
+    failed (its rows then NaN and zero): a pivot at both shifts, a solve that is not
+    finite, or no acceptance by step n, where the basis spans R^n.
+    """
+    m, n = bands.shape
+    kmax = int(ks.max(initial=0))
+    evals, resid = np.full((m, kmax), np.nan), np.full((m, kmax), np.nan)
+    vectors = np.zeros((m, kmax, n))
     failures = [None] * m
-    for j in range(m):
-        try:
-            values, vecs = _tridiagonal_pairs(diag[:, j], off[:, j], ks[j],
-                                              lambda v: np.abs(v - mid))
-        except EigensolveError as exc:  # this matrix fails, the others go on
-            failures[j] = str(exc)
-            continue
-        evals[j, :ks[j]] = values
-        vectors[j, :ks[j]] = vecs.T
-    bands, sides = diag.T[:, None, :], off.T[:, None, :]  # node axis last, as in `vectors`
-    prod = bands * vectors
-    prod[..., 1:] += sides * vectors[..., :-1]
-    prod[..., :-1] += sides * vectors[..., 1:]
-    prod -= vectors * evals[..., None]
-    row_sums = np.abs(diag)  # |H_{i,i-1}| + (|H_ii| + |H_{i,i+1}|), as in `_matrix_scale`
-    row_sums[:-1] += np.abs(off)
-    row_sums[1:] += np.abs(off)
-    return _certified_windows(evals, vectors, np.linalg.norm(prod, axis=2),
-                              row_sums.max(axis=0), lo, hi, expected, failures)
+    sigma = np.full(m, float(sigma))
+    near = _NEAR_SHIFT * (scale + np.abs(sigma))
+    solve, pivots = _band_lu(bands, sides, sigma)
+    small = ~(np.abs(pivots) > near[:, None]).all(axis=1)  # NaN counts as small
+    if small.any():
+        first = sigma.copy()
+        sigma[small] -= 10 * near[small]
+        near = _NEAR_SHIFT * (scale + np.abs(sigma))
+        solve, pivots = _band_lu(bands, sides, sigma)
+        small = ~(np.abs(pivots) > near[:, None]).all(axis=1)
+        for j in np.flatnonzero(small):
+            failures[j] = (f"shift-invert Lanczos failed: T - sigma has a pivot within "
+                           f"{near[j]:.3g} of zero at sigma = {first[j]:.6g} and at the "
+                           f"moved shift {sigma[j]:.6g}")
+        if small.any():  # the failed matrices solve with the identity
+            solve, _ = _band_lu(np.where(small[:, None], sigma[:, None] + 1.0, bands),
+                                 np.where(small[:, None], 0.0, sides), sigma)
+    active = ~small
+    basis = np.empty((min(n, _WINDOW_STEPS), m, n))
+    columns = []  # column j of V^T T V, its rows :j + 1 (m, j + 1), from step j
+    start = _start(n)[0]
+    w = np.tile(start, (m, 1))
+    beta = np.zeros(m)
+    due = 2 * ks + _RITZ_EVERY  # the step of each matrix's next test
+    last_step, last_decades = np.full(m, -1), np.zeros(m)
+    for j in range(n):
+        s = j + 1
+        if j == len(basis):  # a slow matrix: twice the steps, up to n
+            basis = np.concatenate([basis, np.empty((min(j, n - j), m, n))])
+        v = np.divide(w, np.sqrt(np.einsum("mn,mn->m", w, w))[:, None], out=basis[j])
+        columns.append(_project(basis[:s], _band_product(bands, sides, v)))
+        tested = np.flatnonzero(active & ((due <= s) | (s == n)))
+        if tested.size:
+            theta, x, r, worst = _ritz_test(bands, sides, scale, sigma, ks, columns,
+                                            basis[:s], tested)
+            ok = worst <= 1.0
+            done, k = tested[ok], theta.shape[1]
+            evals[done, :k], vectors[done, :k], resid[done, :k] = theta[ok], x[ok], r[ok]
+            active[done] = False
+            more, decades = tested[~ok], np.log10(worst[~ok])
+            rate = (last_decades[more] - decades) / (s - last_step[more])
+            falls = (last_step[more] >= 0) & (rate > 0)
+            steps = np.full(more.size, _RITZ_EVERY)
+            steps[falls] = np.clip(np.ceil(decades[falls] / rate[falls]), 1, 2 * _RITZ_EVERY)
+            due[more] = s + steps
+            last_step[more], last_decades[more] = s, decades
+        if not active.any() or s == n:
+            break
+        w = solve(v)
+        a = np.einsum("mn,mn->m", v, w)
+        w -= a[:, None] * v
+        if j:
+            w -= beta[:, None] * basis[j - 1]
+        beta = _batch_cgs2(basis[:s], w, s)
+        broken = ~np.isfinite(beta)
+        if broken.any():  # a NaN would cross the zero couplings of the batched solve
+            for i in np.flatnonzero(broken & active):
+                failures[i] = (f"shift-invert Lanczos failed: a solve with T - sigma at "
+                               f"step {s} is not finite")
+            active &= ~broken
+            w[broken], beta[broken] = start, 0.0
+    for j in np.flatnonzero(active):
+        failures[j] = (f"shift-invert Lanczos failed: {ks[j]} Ritz pairs unconverged "
+                       f"after {n} steps")
+    return evals, vectors, resid, failures
+
+
+def _project(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """V_j^T x_j for each matrix j: basis (steps, m, n), x (m, n); returns (m, steps).
+    One BLAS product per matrix, along its node axis, so a matrix's bits do not depend
+    on the batch."""
+    return np.matmul(basis.transpose(1, 0, 2), x[..., None])[..., 0]
+
+
+def _batch_cgs2(basis: np.ndarray, w: np.ndarray, step: int) -> np.ndarray:
+    """Orthogonalize each row j of w (m, n) in place against row j of every basis vector
+    (steps, m, n) by `_cgs2`'s passes, and return each row's norm; a row that lay in its
+    basis' span becomes a fresh random vector orthogonal to it (drawn per `step`, the
+    same for every matrix), its norm 0."""
+    def cgs(basis, w):  # w_j -= V_j (V_j^T w_j), one BLAS product per matrix
+        w -= np.matmul(_project(basis, w)[:, None], basis.transpose(1, 0, 2))[:, 0]
+
+    before = np.sqrt(np.einsum("mn,mn->m", w, w))
+    cgs(basis, w)
+    norm = np.sqrt(np.einsum("mn,mn->m", w, w))
+    again = np.flatnonzero(norm <= 0.717 * before)
+    if again.size:
+        part = w[again]
+        cgs(basis[:, again], part)
+        first, norm[again] = norm[again], np.sqrt(np.einsum("mn,mn->m", part, part))
+        w[again] = part
+        for i in again[norm[again] <= 0.717 * first]:
+            fresh = np.random.default_rng([_V0_SEED, step]).standard_normal((1, w.shape[1]))
+            cgs(basis[:, i:i + 1], fresh)
+            cgs(basis[:, i:i + 1], fresh)
+            w[i], norm[i] = fresh[0], 0.0
+    return norm
+
+
+def _ritz_test(bands, sides, scale, sigma, ks, columns, basis, tested):
+    """Rayleigh-Ritz with T on the Lanczos basis (steps, m, n) of each tested matrix: the
+    ks[j] eigenpairs of its V^T T V (`columns`, column i holding rows :i + 1) nearest
+    sigma[j], ascending, padded with NaN values and zero vectors; their band residuals;
+    and the worst ratio of residual to half the certificate's tolerance: at most 1 where
+    every pair is accepted, NaN where a residual is."""
+    s, t, kmax = basis.shape[0], tested.size, int(ks[tested].max())
+    projected = np.zeros((t, s, s))  # eigh reads the lower triangle: row i, column j <= i
+    for i, column in enumerate(columns):
+        projected[:, i, :i + 1] = column[tested]
+    theta, y = np.linalg.eigh(projected)
+    nearest = np.argsort(np.abs(theta - sigma[tested, None]), axis=1, kind="stable")
+    nearest = nearest[:, :kmax]
+    kept = np.arange(nearest.shape[1]) < ks[tested, None]
+    pick = np.sort(np.where(kept, nearest, s), axis=1)  # ascending values, the rest last
+    kept = pick < s
+    pick = np.minimum(pick, s - 1)
+    theta = np.where(kept, np.take_along_axis(theta, pick, axis=1), np.nan)
+    coeffs = np.zeros((bands.shape[0], pick.shape[1], s))  # the untested matrices' are 0
+    coeffs[tested] = (np.take_along_axis(y, pick[:, None], axis=2) * kept[:, None])\
+        .transpose(0, 2, 1)
+    x = np.matmul(coeffs, basis.transpose(1, 0, 2))[tested]
+    prod = _band_product(bands[tested], sides[tested], x)
+    prod -= x * theta[..., None]
+    resid = np.linalg.norm(prod, axis=2)
+    ratio = resid / (0.5 * _residual_tol(theta, scale[tested, None]))
+    return theta, x, resid, np.where(kept, ratio, 0.0).max(axis=1)
 
 
 def _tridiagonal_pairs(diag: np.ndarray, off: np.ndarray, k: int, key):
     """The k eigenpairs, ascending, of the symmetric tridiagonal with these bands whose
     eigenvalues have the smallest key(eigenvalue): every eigenvalue by LAPACK's root-free
-    QL/QR (`dsterf`, values only), vectors for the k alone by inverse iteration (`dstein`)."""
+    QL/QR (`dsterf`, values only), vectors for the k alone by inverse iteration (`dstein`).
+    It serves `_lanczos`' Ritz tests, on the small Lanczos tridiagonal."""
     lapack = scipy.linalg.lapack
     e = off if off.size else np.zeros(1)  # the wrappers want n - 1 >= 1 entries
     evals, info = lapack.dsterf(diag, e)
@@ -619,9 +822,12 @@ def count_eigenvalues(op: DiscreteOperator, energy):
     the uncertified `eigensolve` in ARPACK's at a fixed shift; an order only
     permutes the matrix it factors.  The Wegner edges E +- 3 eps and E +- eps_j
     are never the midpoint E, and a threshold edge top + tol is never top / 2,
-    so no matrix is factored by both.  The 1D window solve takes its values from
-    `dsterf` (root-free QL/QR, no LDL^T) and factors T - lambda in `dstein`
-    only at those computed eigenvalues, with partial pivoting.
+    so no matrix is factored by both.  The 1D window solve (`tridiagonal_windows`)
+    factors T - sigma, with partial pivoting, only at the window midpoint (or 10
+    _NEAR_SHIFT radii below it); it takes its eigenvalues from Rayleigh-Ritz with T,
+    accepts them on their band residuals, and then compares their number in the window
+    with this count.  That is not bisection, which would locate the eigenvalues by this
+    count's own Sturm sweeps.
 
     `energy` may be a scalar (an int count) or a sequence (an int array).
     """

@@ -622,6 +622,8 @@ def scaling_check(field_src: MatrixField, G: float, seq: EquidistributedSeq,
     """Pull a cube of side G*L back to side L and verify the three scaling facts:
     eigenvalues match after multiplying by G^2, masked gradient norms match
     through the G^{d-2} identity, and the mapped centers stay equidistributed."""
+    if k < 1:  # before any grid is built or solved
+        raise ValueError(f"k must be at least 1, got {k}")
     src = field_src.grid
     _require_no_zero_mode(src)
     if seq.G != G or seq.L != src.L:

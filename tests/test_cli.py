@@ -353,6 +353,18 @@ class TestMain:
         resolved = yaml.safe_load((out / "resolved_config.yaml").read_text())["runs"][0]
         assert resolved["grid"]["n_per_side"] == 96 and resolved["check"]["target_n"] == 64
 
+    def test_resolution_multiplier_refines_the_default_grid(self):
+        # a run without a grid block builds make_grid's default, n_per_side 32, which the
+        # multiplier refines as it refines a written one; a run that reads no grid gets none
+        assert cli._build_grid(cli._resolve({"experiment": "eigensolve"})).n_per_side == 32
+        for mult, n_per_side in ((1, 32), (2, 64), (1.5, 48)):
+            resolved = cli._resolve({"experiment": "eigensolve"}, resolution_mult=mult)
+            assert cli._build_grid(resolved).n_per_side == n_per_side
+        assert "grid" not in cli._resolve({"experiment": "eigensolve"})
+        pi = {"experiment": "pi_singular", "check": {"dist": {"kind": "uniform", "m": 1.0}}}
+        assert "grid" not in cli._resolve(pi, resolution_mult=2)
+        assert cli.execute(cli._resolve(pi, resolution_mult=2)).ok
+
     # every curated run, resolved at each multiplier, builds its inputs without a solve: a
     # recipe that leaves a resolution key unscaled fails here
     @pytest.mark.parametrize("mult", [1, 2, 3])

@@ -1,6 +1,6 @@
 """Layer timings at fixed sizes, for d = 1, 2 and 3 (pytest-benchmark): assembly, the
 alloy operator map, the dense solve, the shift-invert Lanczos solves that an
-inertia count certifies, and one 1D Wegner run.
+inertia count certifies, the 1D Wegner window batch, and one 1D Wegner run.
 
 The tier-1 run runs each body once, untimed (`--benchmark-disable` in pyproject's
 addopts), so a timing whose code has moved fails there.  Time them with
@@ -112,6 +112,27 @@ def test_window_solve_d3_dim1331(benchmark):
     expected = int(np.diff(dl.count_eigenvalues(op, [lo, hi]))[0])
     spec = benchmark(dl.eigenpairs, op, lo, hi, expected)
     assert spec.k == expected > 0
+
+
+# (L, n_per_side) of 1D grids with 127 and 511 unknowns: the suite's uniform-L4 Wegner
+# grid, and the same cube at four times its resolution
+_WINDOW_GRIDS = {"n127": (4, 32), "n511": (4, 128)}
+
+
+@pytest.mark.parametrize("grid", list(_WINDOW_GRIDS))
+def test_window_batch_d1(benchmark, grid):
+    # the window solve of a 1D Wegner run: 200 samples' windows (E - 3 eps, E + 3 eps],
+    # E = 12.5, eps = 0.5, solved and certified by one `tridiagonal_windows` call
+    g = dl.make_grid(1, *_WINDOW_GRIDS[grid])
+    model = _alloy_model(g)
+    rng = np.random.default_rng(0)
+    omegas = np.column_stack([dl.sample_alloy(model, rng) for _ in range(200)])
+    diag, off = dl.alloy_operators(g, model).bands(omegas)
+    lo, hi = 11.0, 14.0
+    expected = np.diff(spectral.tridiagonal_counts(diag, off, [lo, hi]), axis=1)[:, 0]
+    windows, failures = benchmark(spectral.tridiagonal_windows, diag, off, lo, hi, expected)
+    assert g.n_nodes == int(grid[1:]) and failures == [None] * 200
+    assert np.array_equal(np.count_nonzero(~np.isnan(windows), axis=1), expected)
 
 
 def test_wegner_run_d1_L4(benchmark):

@@ -855,18 +855,31 @@ class TestWindowEigenvalues:
                 _window(op, lo, hi, wrong)
 
     def test_1d_solver_failure_raises(self, monkeypatch):
+        # a pivot of T - sigma at zero, at the midpoint and at the moved shift alike
         op = self._op_1d()
-        dsterf = scipy.linalg.lapack.dsterf
-        monkeypatch.setattr(scipy.linalg.lapack, "dsterf", lambda d, e: (dsterf(d, e)[0], 3))
-        with pytest.raises(EigensolveError, match="dsterf"):
+        lu = spectral._band_lu
+
+        def singular(bands, sides, sigma):
+            solve, pivots = lu(bands, sides, sigma)
+            pivots[:, -1] = 0.0
+            return solve, pivots
+
+        monkeypatch.setattr(spectral, "_band_lu", singular)
+        with pytest.raises(EigensolveError, match="pivot within .* of zero"):
             _window(op, 20.0, 200.0, 2)
 
     def test_1d_inverse_iteration_failure_raises(self, monkeypatch):
-        op = self._op_1d()
-        dstein = scipy.linalg.lapack.dstein
-        monkeypatch.setattr(scipy.linalg.lapack, "dstein", lambda *a: (dstein(*a)[0], 1))
-        with pytest.raises(EigensolveError, match="dstein"):
-            _window(op, 20.0, 200.0, 2)
+        # shift-invert Lanczos that never meets its tolerance: after n steps the basis
+        # spans R^n, and the solve names its failure; 63 steps fit the first basis, 127
+        # take it past _WINDOW_STEPS
+        monkeypatch.setattr(spectral, "_residual_tol",
+                            lambda evals, scale: np.full_like(evals, 1e-300))
+        for n_per_side in (32, 64):
+            g = dl.make_grid(1, 2, n_per_side)
+            op = dl.assemble(g, _alloy_field(dl.identity_field(g), 3))
+            with pytest.raises(EigensolveError, match=f"unconverged after {op.dim} steps"):
+                _window(op, 20.0, 200.0, 2)
+        assert op.dim > spectral._WINDOW_STEPS
 
     def test_1d_ghost_copy_raises(self, monkeypatch):
         # one window eigenpair in place of its neighbour: residuals and the count
@@ -874,22 +887,87 @@ class TestWindowEigenvalues:
         op = self._op_1d()
         lo, hi = 20.0, 200.0
         expected = dl.count_eigenvalues(op, hi) - dl.count_eigenvalues(op, lo)
-        lapack = scipy.linalg.lapack
-        dstein = lapack.dstein
-        evals, _ = lapack.dsterf(op.matrix.diagonal(), op.matrix.diagonal(1))
-        inside = np.nonzero((evals > lo) & (evals <= hi))[0]
-        assert inside.size == expected >= 2
-        evals[inside[1]] = evals[inside[0]]
+        assert expected >= 2
+        ritz_test = spectral._ritz_test
 
-        def ghost(d, e, w, iblock, isplit):  # both copies of the value get its one vector
-            values, copy_of = np.unique(w, return_inverse=True)
-            z, info = dstein(d, e, values, iblock, isplit)
-            return z[:, copy_of], info
+        def ghost(*args):  # both copies of the first value in (lo, hi] get its one vector
+            theta, x, resid, worst = ritz_test(*args)
+            inside = np.flatnonzero((theta[0] > lo) & (theta[0] <= hi))
+            assert inside.size == expected
+            for a in (theta, x, resid):
+                a[0, inside[1]] = a[0, inside[0]]
+            return theta, x, resid, worst
 
-        monkeypatch.setattr(lapack, "dsterf", lambda d, e: (evals.copy(), 0))
-        monkeypatch.setattr(lapack, "dstein", ghost)
+        monkeypatch.setattr(spectral, "_ritz_test", ghost)
         with pytest.raises(EigensolveError, match="orthonormal"):
             _window(op, lo, hi, expected)
+
+    def test_1d_batch_column_equals_its_one_column_solve(self):
+        # every reduction runs along one matrix's node axis: a matrix's window, pairs
+        # and failure do not depend on the batch it is solved in
+        ops, omegas = _alloy_batch("dirichlet", _LAWS["uniform"], n_samples=12)
+        diag, off = ops.bands(omegas)
+        lo, hi = 11.0, 14.0
+        expected = np.diff(spectral.tridiagonal_counts(diag, off, [lo, hi]), axis=1)[:, 0]
+        assert expected.max() > 0
+        windows, failures = spectral.tridiagonal_windows(diag, off, lo, hi, expected)
+        assert failures == [None] * 12
+        bands, sides = np.ascontiguousarray(diag.T), np.ascontiguousarray(off.T)
+        ks = np.minimum(expected + 2, diag.shape[0])
+        batch = spectral._window_pairs(bands, sides, spectral._band_scale(bands, sides),
+                                       0.5 * (lo + hi), ks)
+        for j in range(12):
+            one, why = spectral.tridiagonal_windows(diag[:, j:j + 1], off[:, j:j + 1], lo, hi,
+                                                    expected[j:j + 1])
+            assert why == [None]
+            assert np.array_equal(one[0], windows[j, :one.shape[1]], equal_nan=True)
+            single = spectral._window_pairs(bands[j:j + 1], sides[j:j + 1],
+                                            spectral._band_scale(bands[j:j + 1],
+                                                                 sides[j:j + 1]),
+                                            0.5 * (lo + hi), ks[j:j + 1])
+            for got, want in zip(single[:3], batch[:3]):
+                assert np.array_equal(got[0], want[j, :got.shape[1]], equal_nan=True)
+
+    def _shifts(self, monkeypatch):
+        """The shifts of every factorization of the window solve's T - sigma."""
+        shifts, lu = [], spectral._band_lu
+
+        def recorded(bands, sides, sigma):
+            shifts.append(sigma.tolist())
+            return lu(bands, sides, sigma)
+
+        monkeypatch.setattr(spectral, "_band_lu", recorded)
+        return shifts
+
+    def _certifies(self, op, lo, hi):
+        expected = int(np.diff(dl.count_eigenvalues(op, [lo, hi]))[0])
+        assert expected > 0
+        got = _window(op, lo, hi, expected)
+        full = np.linalg.eigvalsh(op.dense())
+        want = full[(full > lo) & (full <= hi)]
+        assert got.size == want.size == expected
+        assert np.abs(got - want).max() <= 1e-9 * hi
+
+    def test_1d_midpoint_at_an_eigenvalue_moves_the_shift(self, monkeypatch):
+        # T - sigma singular but for rounding: its last pivot is within _NEAR_SHIFT
+        # (||T||_inf + |sigma|) of zero, so the shift moves 10 such radii down, and the
+        # window certifies from the second factor
+        op = self._op_1d()
+        mid = float(np.linalg.eigvalsh(op.dense())[5])
+        shifts = self._shifts(monkeypatch)
+        self._certifies(op, mid - 40.0, mid + 40.0)
+        scale = spectral._matrix_scale(op.matrix)
+        assert shifts == [[mid], [mid - 10 * spectral._NEAR_SHIFT * (scale + abs(mid))]]
+
+    def test_1d_midpoint_at_a_leading_block_eigenvalue_certifies(self, monkeypatch):
+        # H_00, the eigenvalue of the leading 1 x 1 block, zeroes the first pivot of an
+        # LU without pivoting; partial pivoting takes the off-diagonal entry instead, so
+        # the window certifies from the one factor at the midpoint
+        op = self._op_1d()
+        mid = float(op.tridiagonal[0][0])
+        shifts = self._shifts(monkeypatch)
+        self._certifies(op, mid - 40.0, mid + 40.0)
+        assert shifts == [[mid]]
 
     def test_1d_above_the_dense_cutoff(self, monkeypatch):
         # one 1D route at every size: 2047 unknowns, no Lanczos
@@ -900,7 +978,11 @@ class TestWindowEigenvalues:
         g = dl.make_grid(1, 8, 256)
         op = dl.assemble(g, _alloy_field(dl.identity_field(g), 3))
         assert op.dim == 2047 > spectral._DENSE_CUTOFF
-        full = np.linalg.eigvalsh(op.dense())
+        # every eigenvalue by bisection (`dstebz`) to the smallest tolerance: QL's values
+        # (`eigvalsh`) lie up to 2e-10 = 1e-12 hi from it in (20, 200], the window's 1.2e-11
+        _, full, _, _, info = scipy.linalg.lapack.dstebz(*op.tridiagonal, 0, 0.0, 0.0, 0, 0,
+                                                         np.finfo(float).tiny, "E")
+        assert info == 0
         for lo, hi in ((20.0, 200.0), (1e5, 1.02e5)):
             expected = dl.count_eigenvalues(op, hi) - dl.count_eigenvalues(op, lo)
             got = _window(op, lo, hi, expected)
@@ -1001,24 +1083,26 @@ class TestEigenpairsContract:
         def forbidden(*args, **kwargs):
             raise AssertionError("a 1D window left the bands")
 
-        keys, pairs = [], spectral._tridiagonal_pairs
+        solves, window_pairs = [], spectral._window_pairs
 
-        def spy(diag, off, k, key):
-            keys.append((k, key(np.array([lo, hi]))))
-            return pairs(diag, off, k, key)
+        def spy(bands, sides, scale, sigma, ks):
+            solves.append((bands.shape, sigma, ks.tolist()))
+            return window_pairs(bands, sides, scale, sigma, ks)
 
-        monkeypatch.setattr(spectral, "_tridiagonal_pairs", spy)
-        monkeypatch.setattr(spectral, "_dense_eigh", forbidden)
-        monkeypatch.setattr(spectral, "_eigsh", forbidden)
+        monkeypatch.setattr(spectral, "_window_pairs", spy)
+        for name in ("_dense_eigh", "_eigsh", "_tridiagonal_pairs"):
+            monkeypatch.setattr(spectral, name, forbidden)
+        for name in ("dsterf", "dstein"):
+            monkeypatch.setattr(scipy.linalg.lapack, name, forbidden)
         g = dl.make_grid(1, L, n)
         op = dl.assemble(g, _alloy_field(dl.identity_field(g), 3))
         assert (op.dim > spectral._DENSE_CUTOFF) == (n == 256)
         lo, hi = 20.0, 200.0
         expected = int(np.diff(dl.count_eigenvalues(op, [lo, hi]))[0])
         spec = dl.eigenpairs(op, lo, hi, expected)
-        # the expected + 2 pairs nearest the window midpoint, as `tridiagonal_windows` takes
-        [(k, edges)] = keys
-        assert k == expected + 2 and np.array_equal(edges, [0.5 * (hi - lo)] * 2)
+        # the batched window solve on one matrix: the expected + 2 pairs nearest the
+        # window midpoint, as `tridiagonal_windows` takes them
+        assert solves == [((1, op.dim), 0.5 * (lo + hi), [expected + 2])]
         assert spec.k == expected > 0 and not spec.complete
 
 

@@ -10,7 +10,7 @@ import scipy.integrate  # the oracle of `verify._qags`; divlab itself does not l
 import scipy.linalg
 
 import divlab as dl
-from divlab import bounds, operators, spectral, verify
+from divlab import bounds, cli, operators, spectral, verify
 from divlab.bounds import ConstantsConfig
 from divlab.spectral import EigensolveError
 
@@ -307,24 +307,28 @@ class TestWegner:
         def misconfigured(*args, **kwargs):
             raise ValueError("misconfigured window")
 
-        # the per-sample LAPACK pair of the batched 1D window solve
-        monkeypatch.setattr(spectral, "_tridiagonal_pairs", misconfigured)
+        # the batched 1D window solve
+        monkeypatch.setattr(spectral, "_window_pairs", misconfigured)
         with pytest.raises(ValueError, match="misconfigured window"):
             verify.wegner_mc(model, g, 12.5, 0.5, 5, 0, cfg)
+
+    @staticmethod
+    def _singular_samples(monkeypatch, samples):
+        """Give the window solve's T - sigma of each sample in `samples` a zero pivot, at
+        the midpoint and at the moved shift alike: those samples' solves fail."""
+        lu = spectral._band_lu
+
+        def singular(bands, sides, sigma):
+            solve, pivots = lu(bands, sides, sigma)
+            pivots[samples, -1] = 0.0
+            return solve, pivots
+
+        monkeypatch.setattr(spectral, "_band_lu", singular)
 
     def test_solver_breakdown_is_an_exclusion(self, monkeypatch):
         g, model = self._model(dl.CouplingDistribution("uniform", 2.0))
         cfg = ConstantsConfig(e_min=1.0, e_max=30.0)
-        calls = []
-        pairs = spectral._tridiagonal_pairs
-
-        def first_call_breaks(*args, **kwargs):
-            calls.append(1)
-            if len(calls) == 1:
-                raise EigensolveError("shift-invert Lanczos failed")
-            return pairs(*args, **kwargs)
-
-        monkeypatch.setattr(spectral, "_tridiagonal_pairs", first_call_breaks)
+        self._singular_samples(monkeypatch, [0])
         rep = verify.wegner_mc(model, g, 12.5, 0.5, 20, 0, cfg)
         assert rep.observed["failures"] == 1
         assert rep.observed["crosscheck_agreement"] == 1.0
@@ -336,45 +340,45 @@ class TestWegner:
         # pytest errors on RuntimeWarning, so no mean of an empty slice is taken
         g, model = self._model(dl.CouplingDistribution("uniform", 2.0))
         cfg = ConstantsConfig(e_min=1.0, e_max=30.0)
-        calls = []
-        pairs = spectral._tridiagonal_pairs
-
-        def breaks(*args, **kwargs):
-            calls.append(1)
-            if len(calls) <= n_broken:
-                raise EigensolveError("shift-invert Lanczos failed")
-            return pairs(*args, **kwargs)
-
-        monkeypatch.setattr(spectral, "_tridiagonal_pairs", breaks)
+        self._singular_samples(monkeypatch, list(range(n_broken)))
         rep = verify.wegner_mc(model, g, 12.5, 0.5, 20, 0, cfg)
         assert rep.status == "error" and not rep.ok
         assert rep.lhs is None and rep.margin is None
         assert rep.observed["failures"] == n_broken
         assert f"{20 - n_broken} valid samples: a mean and its standard error need 2" in rep.notes
 
-    @pytest.mark.parametrize("routine", ["dsterf", "dstein"])
-    def test_lapack_failure_excludes_that_sample_only(self, monkeypatch, routine):
-        # a nonzero info from one sample's LAPACK call, sample 7 of 12: that sample is
-        # excluded and every other one keeps the counts and window of an unbroken run
+    @pytest.mark.parametrize("fault", ["pivot", "solve"])
+    def test_window_solve_failure_excludes_that_sample_only(self, monkeypatch, fault):
+        # sample 7 of 12 fails its window solve: a zero pivot of its T - sigma, or a
+        # substitution that returns NaN in its block of the batched LAPACK solve; that
+        # sample is excluded and every other one keeps the counts and window of an
+        # unbroken run, bit for bit
         g, model = self._model(dl.CouplingDistribution("uniform", 2.0))
         edges = np.array([11.0, 14.0, 12.0, 13.0])
         children = np.random.SeedSequence(2).spawn(12)
         want_counts, want_windows, want_failures = verify._wegner_samples(
             model, g, children, edges)
         assert want_failures == [None] * 12
-        calls = []
-        lapack = getattr(scipy.linalg.lapack, routine)
+        calls, n = [], g.n_nodes
+        if fault == "pivot":
+            self._singular_samples(monkeypatch, [7])
+            message = "pivot within"
+        else:
+            dgttrs = scipy.linalg.lapack.dgttrs
 
-        def fails_at_sample_7(*args):
-            calls.append(1)
-            out = lapack(*args)
-            return (*out[:-1], 1 if len(calls) == 8 else out[-1])
+            def nan_in_sample_7(*args):
+                calls.append(args[-1].size)
+                x, info = dgttrs(*args)
+                x[7 * n:8 * n] = np.nan
+                return x, info
 
-        monkeypatch.setattr(scipy.linalg.lapack, routine, fails_at_sample_7)
+            monkeypatch.setattr(scipy.linalg.lapack, "dgttrs", nan_in_sample_7)
+            message = "is not finite"
         counts, windows, failures = verify._wegner_samples(model, g, children, edges)
-        assert len(calls) == 12
+        # one batched substitution per Lanczos step, every sample's block in it
+        assert set(calls) <= {12 * n + 3} and (fault == "pivot" or calls)
         assert [i for i, f in enumerate(failures) if f is not None] == [7]
-        assert f"{routine} failed with info = 1" in failures[7]
+        assert message in failures[7]
         assert np.isnan(windows[7]).all()
         keep = np.arange(12) != 7
         assert np.array_equal(counts, want_counts)
@@ -385,20 +389,42 @@ class TestWegner:
         assert rep.observed["crosscheck_agreement"] == rep.observed["smear_chain_fraction"] == 1.0
 
     def test_1d_samples_need_neither_lanczos_nor_dense_eigh(self, monkeypatch):
-        # d = 1 samples are counted by scalar pivots and solved by dsterf + dstein,
-        # which never build the full eigenvector set
+        # d = 1 samples are counted by scalar pivots and solved by the batched
+        # shift-invert Lanczos on their bands: no full eigenvector set, no per-sample QL
+        # or inverse iteration, and no eigensolve of a matrix of the operator's size
+        g, model = self._model(dl.CouplingDistribution("uniform", 2.0))
+        dim, sizes, eigh = g.n_nodes, [], np.linalg.eigh
+
         def forbidden(*args, **kwargs):
             raise AssertionError("a 1D Wegner sample called a d >= 2 or full-spectrum solver")
 
+        def small_eigh(a, *args, **kwargs):
+            sizes.append(a.shape[-1])
+            if a.shape[-1] >= dim:
+                raise AssertionError(f"an eigensolve of size {a.shape[-1]} >= dim {dim}")
+            return eigh(a, *args, **kwargs)
+
         monkeypatch.setattr(spectral, "_eigsh", forbidden)
-        monkeypatch.setattr(np.linalg, "eigh", forbidden)
-        monkeypatch.setattr(scipy.linalg.lapack, "dstevd", forbidden)
-        g, model = self._model(dl.CouplingDistribution("uniform", 2.0))
+        monkeypatch.setattr(np.linalg, "eigh", small_eigh)
+        for name in ("dstevd", "dsterf", "dstein"):
+            monkeypatch.setattr(scipy.linalg.lapack, name, forbidden)
         cfg = ConstantsConfig(e_min=1.0, e_max=30.0)
         rep = verify.wegner_mc(model, g, 12.5, 0.5, 10, 0, cfg)
         assert rep.observed["failures"] == 0
         assert rep.observed["crosscheck_agreement"] == 1.0
         assert rep.status == "pass"
+        assert sizes and max(sizes) < dim
+
+    @pytest.mark.parametrize("label", ["uniform-L2", "uniform-L4"])
+    def test_suite_1d_wegner_runs_exclude_no_sample(self, label):
+        # the suite's two 1D Wegner configs, 200 samples each, at seeds 0-9: every
+        # sample's window solve is certified
+        config = next(c for c in cli.suite_configs("wegner") if c["label"] == label)
+        for seed in range(10):
+            rep = cli.execute({**config, "seed": seed})
+            assert rep.ok and rep.inputs["n_samples"] == 200
+            assert rep.observed["failures"] == 0, seed
+            assert rep.observed["crosscheck_agreement"] == 1.0
 
     def test_one_assembly_per_model_and_one_draw_per_sample(self, monkeypatch):
         # each sample's operator is H_0 + sum_s omega_s H_s: no per-sample assembly
@@ -642,6 +668,23 @@ class TestScaling:
             vals[n_t] = max(rep.observed["grad_rel"])
         assert vals[32] < 0.05 and vals[64] < 0.02
         assert vals[64] < 0.5 * vals[32]
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_nonpositive_k_rejected_before_any_assembly(self, monkeypatch, k):
+        g = dl.make_grid(1, 2, 32)
+        seq = dl.equidistributed_sequence(g, 1.0, 0.25)
+        assembled = []
+
+        def spy(*args, **kwargs):
+            assembled.append(1)
+            return dl.assemble(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "assemble", spy)
+        with pytest.raises(ValueError, match=f"k must be at least 1, got {k}"):
+            verify.scaling_check(dl.identity_field(g), 1.0, seq, 32, k=k)
+        assert assembled == []
+        assert verify.scaling_check(dl.identity_field(g), 1.0, seq, 32, k=1).ok
+        assert assembled == [1, 1]
 
     def test_incompatible_resolution(self):
         g = dl.make_grid(1, 4, 32)
