@@ -207,10 +207,9 @@ def _mmd_inverse(mat: sp.csr_matrix, sigma: float):
     return spla.splu(shifted.T, permc_spec="MMD_AT_PLUS_A").solve
 
 
-def _start(n: int):
-    """The fixed Lanczos start vector and the generator that drew it, for any fresh starts."""
-    rng = np.random.default_rng(_V0_SEED)
-    return rng.standard_normal(n), rng
+def _start(n: int) -> np.ndarray:
+    """The fixed Lanczos start vector."""
+    return np.random.default_rng(_V0_SEED).standard_normal(n)
 
 
 def _arpack_eigsh(op: DiscreteOperator, k: int, sigma: float):
@@ -218,7 +217,7 @@ def _arpack_eigsh(op: DiscreteOperator, k: int, sigma: float):
     (`scipy.sparse.linalg.eigsh`) with its own factor and default tol, machine precision:
     the uncertified lowest-k solve, whose values the references pin bit for bit.  No
     convergence or an exactly singular H - sigma raises EigensolveError."""
-    v0, _ = _start(op.dim)
+    v0 = _start(op.dim)
     try:
         evals, evecs = spla.eigsh(op.matrix, k=k, sigma=sigma, which="LM", v0=v0,
                                   maxiter=max(1000, 20 * k))
@@ -234,7 +233,8 @@ def _eigsh(op: DiscreteOperator, k: int, sigma: float, count: tuple[float, float
 
     `eigenpairs` shifts it to the middle of the interval its count certifies: the window
     midpoint, or top / 2 for a threshold spectrum (-inf, top], where the wanted pairs
-    converge first.  It runs `_lanczos` on H - sigma factored once by
+    converge first.  It runs `_lanczos`, with the Gram-Schmidt step and fresh-start rule
+    of `_window_pairs` (`_batch_cgs2`, `_fresh`), on H - sigma factored once by
     `_mmd_inverse`: on the 2D grid of dim 16129 the minimum-degree order leaves 0.65
     million entries in L and U against 1.19 million for the COLAMD order of ARPACK's
     own factor, and a solve takes about half as long.  It stops at the residual its
@@ -257,15 +257,14 @@ def _eigsh(op: DiscreteOperator, k: int, sigma: float, count: tuple[float, float
     eigenvalue at the moved shift too, no convergence, or any other failure raises
     EigensolveError.
     """
-    scale = _matrix_scale(op.matrix)
+    scale, v0 = _matrix_scale(op.matrix), _start(op.dim)
     for moved in (False, True):
-        v0, rng = _start(op.dim)
         try:
             try:
                 solve = _mmd_inverse(op.matrix, sigma)
             except RuntimeError as exc:  # SuperLU: H - sigma exactly singular
                 raise _ShiftAtEigenvalue(exc) from exc
-            return _lanczos(solve, v0, k, sigma, _RTOL / (scale + abs(sigma)), rng, count,
+            return _lanczos(solve, v0, k, sigma, _RTOL / (scale + abs(sigma)), count,
                             _NEAR_SHIFT * (scale + abs(sigma)))
         except _ShiftAtEigenvalue as exc:
             if moved:
@@ -276,41 +275,41 @@ def _eigsh(op: DiscreteOperator, k: int, sigma: float, count: tuple[float, float
 
 
 def _lanczos(solve, v0: np.ndarray, k: int, sigma: float, tol: float,
-             rng: np.random.Generator, count: tuple[float, float, int], near: float):
+             count: tuple[float, float, int], near: float):
     """The k eigenpairs of H nearest sigma, ascending, by Lanczos on T = (H - sigma)^-1
     (`solve`) from v0, with full reorthogonalization; `count` = (lo, hi, number) is the
     inertia count the result must meet.
 
     Each step takes the three-term recurrence, w = T v_j - a v_j - beta_{j-1} v_{j-1}
-    with a = v_j^T T v_j (no beta term on a walk's first step), then one classical
-    Gram-Schmidt pass against every stored basis vector, the locked ones too, and a
-    second only where the first cancelled (`_cgs2`, ARPACK's DGKS test): no Ritz value
-    is a ghost copy of another, and as the recurrence leaves little but rounding for the
-    pass, a step sweeps the basis once, not twice (no second pass in the 123 steps of
-    the ucp_2d solve).  alpha_j is a plus the passes' coefficients on v_j.  From m = k on
-    it takes the eigenpairs (theta, s) of the tridiagonal for the k largest |theta|
-    (`_tridiagonal_pairs`) and stops once ARPACK's Ritz
-    test holds for all k: |beta_m s_mi| <= tol |theta_i|.  In exact arithmetic
-    |beta_m s_mi| is ||T x_i - theta_i x_i||; in floating point it is an estimate, as
-    the tridiagonal leaves out the Gram-Schmidt coefficients off its bands.  The tests
-    come every _RITZ_EVERY steps, or farther apart where a test, O(m (m + k)), costs
-    more than a step's reorthogonalization, O(m n): then they cost about as much as the
-    one-pass reorthogonalization between them (see _RITZ_COST).  The k Ritz vectors are
-    one product V_m^T S, its columns in ascending lambda = sigma + 1 / theta.  The basis
-    is allocated once, at ARPACK's bound of min(n, max(1000, 20 k)) vectors; rows never
-    written never become resident.
+    with a = v_j^T T v_j (no beta term on a walk's first step), then `_window_pairs`'
+    Gram-Schmidt step on a batch of one matrix (`_batch_cgs2`): one classical pass
+    against every stored basis vector, the locked ones too, and a second only where the
+    first cancelled (ARPACK's DGKS test).  No Ritz value is a ghost copy of another, and
+    as the recurrence leaves little but rounding for the pass, a step sweeps the basis
+    once, not twice (no second pass in the 123 steps of the ucp_2d solve).  alpha_j is
+    a plus the passes' coefficients on v_j.  From m = k on it takes the eigenpairs
+    (theta, s) of the tridiagonal for the k largest |theta| (`_tridiagonal_pairs`) and
+    stops once ARPACK's Ritz test holds for all k: |beta_m s_mi| <= tol |theta_i|.  In
+    exact arithmetic |beta_m s_mi| is ||T x_i - theta_i x_i||; in floating point it is
+    an estimate, as the tridiagonal leaves out the Gram-Schmidt coefficients off its
+    bands.  The tests come every _RITZ_EVERY steps, or farther apart where a test,
+    O(m (m + k)), costs more than a step's reorthogonalization, O(m n): then they cost
+    about as much as the one-pass reorthogonalization between them (see _RITZ_COST).
+    The k Ritz vectors are one product V_m^T S, its columns in ascending
+    lambda = sigma + 1 / theta.  The basis is allocated once, at ARPACK's bound of
+    min(n, max(1000, 20 k)) vectors; rows never written never become resident.
 
     A single start vector meets the second copy of a multiple eigenvalue only through
     rounding.  Where the second pass cancels again, T v_j lies numerically in the
     basis: the Krylov space has closed on one copy of each eigenvalue it holds, beta = 0
-    and the walk goes on from a fresh random vector orthogonal to the basis, as ARPACK's
-    does.  Where the Ritz test holds but fewer than `number` values fall in (lo, hi], a
-    copy is missing: the converged pairs in (lo, hi] are locked (their vectors replace
-    the basis, their theta kept), and a fresh random vector orthogonal to them starts a
-    new walk for the other k - p pairs, tested alone.  A walk that adds no value in
-    (lo, hi] returns what it has, for the caller's certificate to reject.  No
-    convergence at the bound raises EigensolveError, and a Ritz value within `near` of
-    sigma raises _ShiftAtEigenvalue.
+    and the walk goes on from `_fresh`'s random vector for m, orthogonal to the basis,
+    as ARPACK's does.  Where the Ritz test holds but fewer than `number` values fall in
+    (lo, hi], a copy is missing: the converged pairs in (lo, hi] are locked (their
+    vectors replace the basis, their theta kept), and `_fresh`'s vector for p,
+    orthogonal to them, starts a new walk for the other k - p pairs, tested alone.  A
+    walk that adds no value in (lo, hi] returns what it has, for the caller's
+    certificate to reject.  No convergence at the bound raises EigensolveError, and a
+    Ritz value within `near` of sigma raises _ShiftAtEigenvalue.
     """
     lo, hi, number = count
     n = v0.size
@@ -327,11 +326,8 @@ def _lanczos(solve, v0: np.ndarray, k: int, sigma: float, tol: float,
         if j > p:  # not on a walk's first step, where beta[p - 1] is an ended walk's
             w -= beta[j - 1] * basis[j - 1]
         m = j = j + 1
-        h, spanned = _cgs2(basis[:m], w)
-        alpha[m - 1] = a + h[m - 1]
-        beta[m - 1] = 0.0 if spanned else np.linalg.norm(w)
-        if spanned:  # an invariant subspace: a fresh start orthogonal to it
-            w = _fresh(rng, basis[:m])
+        h, norm = _batch_cgs2(basis[:m, None], w[None], m)  # a batch of one matrix
+        alpha[m - 1], beta[m - 1] = a + h[0, m - 1], norm[0]
         if m < test and m < cap:
             continue
         test = m + max(_RITZ_EVERY, -(-_RITZ_EVERY * _RITZ_COST * (m + k) // n))
@@ -349,7 +345,7 @@ def _lanczos(solve, v0: np.ndarray, k: int, sigma: float, tol: float,
         basis[p:q] = s[:, lock].T @ basis[p:m]
         alpha[p:q] = theta[lock]
         p = j = q
-        w, test = _fresh(rng, basis[:p]), k
+        w, test = _fresh(basis[:p, None], p)[0], k
     else:
         raise EigensolveError(f"{k} Ritz pairs unconverged after {cap} steps")
     theta = np.concatenate([alpha[:p], theta])
@@ -359,34 +355,6 @@ def _lanczos(solve, v0: np.ndarray, k: int, sigma: float, tol: float,
     evals = sigma + 1.0 / theta
     order = np.argsort(evals)
     return evals[order], (ritz[:, order].T @ basis[:m]).T
-
-
-def _fresh(rng: np.random.Generator, basis: np.ndarray) -> np.ndarray:
-    """A random vector orthogonal to the rows of `basis`, by two Gram-Schmidt passes."""
-    w = rng.standard_normal(basis.shape[1])
-    _cgs(basis, w)
-    _cgs(basis, w)
-    return w
-
-
-def _cgs(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """One classical Gram-Schmidt pass, w -= basis^T (basis w) in place; returns basis w."""
-    h = basis @ w
-    w -= h @ basis
-    return h
-
-
-def _cgs2(basis: np.ndarray, w: np.ndarray):
-    """Orthogonalize w in place against the rows of `basis` by one classical Gram-Schmidt
-    pass, and a second only where the first cancelled: where it left at most 0.717 of
-    ||w|| (ARPACK's DGKS test).  Returns the summed coefficients and whether w lay
-    numerically in their span: the second pass cancelled by the same ratio again."""
-    before = np.linalg.norm(w)
-    h = _cgs(basis, w)
-    first = np.linalg.norm(w)
-    if first > 0.717 * before:
-        return h, False
-    return h + _cgs(basis, w), np.linalg.norm(w) <= 0.717 * first
 
 
 def _check_window(lo: float, hi: float, expected) -> None:
@@ -430,7 +398,7 @@ def _certified_windows(evals: np.ndarray, vectors: np.ndarray, resid: np.ndarray
         else:
             failures[j] = (f"{found[j]} Ritz values in ({lo:.6g}, {hi:.6g}], "
                            f"inertia counts {expected[j]}")
-    inside &= np.array([f is None for f in failures])[:, None]
+    inside &= np.array([f is None for f in failures], dtype=bool)[:, None]
     windows = np.sort(np.where(inside, evals, np.nan), axis=1)  # NaN sorts last
     return windows[:, :np.max(expected, initial=0)], failures
 
@@ -525,22 +493,22 @@ def _window_pairs(bands: np.ndarray, sides: np.ndarray, scale: np.ndarray, sigma
     pivot just outside that radius stalled Lanczos at n = 511.)  Lanczos then runs on
     every matrix together from the fixed start vector: each step applies
     (T_j - sigma_j)^-1, takes the three-term recurrence, and orthogonalizes against
-    every basis vector by one classical Gram-Schmidt pass, and a second where the first
-    cancelled (ARPACK's DGKS test, as `_cgs2`); where the second cancels again the
-    Krylov space is invariant and the walk goes on from a fresh random vector.  The
-    projected matrix V^T T V gains a column per step.  A matrix is first tested at
-    step 2 k_j + _RITZ_EVERY, then as its worst ratio of residual to half its
-    tolerance falls: the next test comes once that ratio's decades, at the rate they
-    fell since the last test, would be gone (1 to 2 _RITZ_EVERY steps on, _RITZ_EVERY
-    after a first or stalled test).  A test takes the k_j eigenpairs of V^T T V nearest
-    sigma_j (Rayleigh-Ritz with T) and accepts them once every band residual
-    ||T x - theta x|| is within half the certificate's tolerance,
-    _RTOL (1 + |theta|) + 100 eps ||T||.  A matrix's tests depend on its own residuals
-    alone, and every product runs along the node axis of one matrix at a time, so its
-    pairs do not depend on the batch.  The basis is step-major, in one array of
-    _WINDOW_STEPS steps (at most n), twice as many whenever a matrix needs more: steps
-    never taken never become resident, and a batch of many long chains does not ask
-    for n^2 m entries of address space at once.
+    every basis vector by `_lanczos`' Gram-Schmidt step (`_batch_cgs2`): one classical
+    pass, and a second where the first cancelled (ARPACK's DGKS test); where the second
+    cancels again the Krylov space is invariant and the walk goes on from `_fresh`'s
+    random vector for the step.  The projected matrix V^T T V gains a column per step.
+    A matrix is first tested at step 2 k_j + _RITZ_EVERY, then as its worst ratio of
+    residual to half its tolerance falls: the next test comes once that ratio's
+    decades, at the rate they fell since the last test, would be gone (1 to 2
+    _RITZ_EVERY steps on, _RITZ_EVERY after a first or stalled test).  A test takes the
+    k_j eigenpairs of V^T T V nearest sigma_j (Rayleigh-Ritz with T) and accepts them
+    once every band residual ||T x - theta x|| is within half the certificate's
+    tolerance, _RTOL (1 + |theta|) + 100 eps ||T||.  A matrix's tests depend on its own
+    residuals alone, and every product runs along the node axis of one matrix at a
+    time, so its pairs do not depend on the batch.  The basis is step-major, in one
+    array of _WINDOW_STEPS steps (at most n), twice as many whenever a matrix needs
+    more: steps never taken never become resident, and a batch of many long chains
+    does not ask for n^2 m entries of address space at once.
 
     Returns the values (m, max k), ascending then NaN; their unit vectors (m, max k, n),
     zero past them; their band residuals, NaN past them; and per matrix None or why it
@@ -572,7 +540,7 @@ def _window_pairs(bands: np.ndarray, sides: np.ndarray, scale: np.ndarray, sigma
     active = ~small
     basis = np.empty((min(n, _WINDOW_STEPS), m, n))
     columns = []  # column j of V^T T V, its rows :j + 1 (m, j + 1), from step j
-    start = _start(n)[0]
+    start = _start(n)
     w = np.tile(start, (m, 1))
     beta = np.zeros(m)
     due = 2 * ks + _RITZ_EVERY  # the step of each matrix's next test
@@ -605,7 +573,7 @@ def _window_pairs(bands: np.ndarray, sides: np.ndarray, scale: np.ndarray, sigma
         w -= a[:, None] * v
         if j:
             w -= beta[:, None] * basis[j - 1]
-        beta = _batch_cgs2(basis[:s], w, s)
+        beta = _batch_cgs2(basis[:s], w, s)[1]
         broken = ~np.isfinite(beta)
         if broken.any():  # a NaN would cross the zero couplings of the batched solve
             for i in np.flatnonzero(broken & active):
@@ -626,29 +594,47 @@ def _project(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(basis.transpose(1, 0, 2), x[..., None])[..., 0]
 
 
-def _batch_cgs2(basis: np.ndarray, w: np.ndarray, step: int) -> np.ndarray:
-    """Orthogonalize each row j of w (m, n) in place against row j of every basis vector
-    (steps, m, n) by `_cgs2`'s passes, and return each row's norm; a row that lay in its
-    basis' span becomes a fresh random vector orthogonal to it (drawn per `step`, the
-    same for every matrix), its norm 0."""
-    def cgs(basis, w):  # w_j -= V_j (V_j^T w_j), one BLAS product per matrix
-        w -= np.matmul(_project(basis, w)[:, None], basis.transpose(1, 0, 2))[:, 0]
+def _cgs_pass(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """One classical Gram-Schmidt pass on each row j of w (m, n) in place against row j
+    of every basis vector (steps, m, n): w_j -= V_j h_j for h_j = V_j^T w_j, one BLAS
+    product per matrix.  Returns h (m, steps)."""
+    h = _project(basis, w)
+    w -= np.matmul(h[:, None], basis.transpose(1, 0, 2))[:, 0]
+    return h
 
+
+def _batch_cgs2(basis: np.ndarray, w: np.ndarray, step: int):
+    """The Gram-Schmidt step of both Lanczos solvers: orthogonalize each row j of w (m, n)
+    in place against row j of every basis vector (steps, m, n) by one classical pass,
+    and a second only where the first cancelled, leaving at most 0.717 of ||w_j||
+    (ARPACK's DGKS test).  A row whose second pass cancelled by that ratio again lay
+    numerically in its basis' span: it becomes `_fresh`'s vector for `step`, its norm 0.
+    Returns each row's summed coefficients (m, steps) and its norm (m,)."""
     before = np.sqrt(np.einsum("mn,mn->m", w, w))
-    cgs(basis, w)
+    h = _cgs_pass(basis, w)
     norm = np.sqrt(np.einsum("mn,mn->m", w, w))
     again = np.flatnonzero(norm <= 0.717 * before)
     if again.size:
         part = w[again]
-        cgs(basis[:, again], part)
+        h[again] += _cgs_pass(basis[:, again], part)
         first, norm[again] = norm[again], np.sqrt(np.einsum("mn,mn->m", part, part))
         w[again] = part
-        for i in again[norm[again] <= 0.717 * first]:
-            fresh = np.random.default_rng([_V0_SEED, step]).standard_normal((1, w.shape[1]))
-            cgs(basis[:, i:i + 1], fresh)
-            cgs(basis[:, i:i + 1], fresh)
-            w[i], norm[i] = fresh[0], 0.0
-    return norm
+        spanned = again[norm[again] <= 0.717 * first]
+        if spanned.size:
+            w[spanned], norm[spanned] = _fresh(basis[:, spanned], step), 0.0
+    return h, norm
+
+
+def _fresh(basis: np.ndarray, step: int) -> np.ndarray:
+    """The fresh start of both Lanczos solvers, wherever a walk begins anew: for each
+    matrix j of a basis (steps, m, n), one random vector drawn from `step` alone, the
+    same for every matrix, made orthogonal to V_j by two classical Gram-Schmidt passes.
+    Returns them (m, n)."""
+    w = np.random.default_rng([_V0_SEED, step]).standard_normal(basis.shape[2])
+    w = np.tile(w, (basis.shape[1], 1))
+    _cgs_pass(basis, w)
+    _cgs_pass(basis, w)
+    return w
 
 
 def _ritz_test(bands, sides, scale, sigma, ks, columns, basis, tested):

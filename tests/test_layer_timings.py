@@ -1,6 +1,7 @@
 """Layer timings at fixed sizes, for d = 1, 2 and 3 (pytest-benchmark): assembly, the
 alloy operator map, the dense solve, the shift-invert Lanczos solves that an
-inertia count certifies, the 1D Wegner window batch, and one 1D Wegner run.
+inertia count certifies, a d >= 2 Wegner sample's inertia count, the 1D Wegner window
+batch, and one 1D Wegner run.
 
 The tier-1 run runs each body once, untimed (`--benchmark-disable` in pyproject's
 addopts), so a timing whose code has moved fails there.  Time them with
@@ -101,12 +102,43 @@ def test_certified_threshold_solve_of_many_pairs_d2_dim3969(benchmark):
     assert spec.k == below == 183 and spec.energies.max() <= top
 
 
+# the 8 count edges of a wegner_mc sample, in the check's order: E -+ 3 eps, -+ eps,
+# -+ eps / 2 and -+ eps / 4 at E = 30, eps = 1
+_WEGNER_EDGES = 30.0 + np.array([-3.0, 3.0, -1.0, 1.0, -0.5, 0.5, -0.25, 0.25])
+
+
+def _wegner_sample(grid):
+    """Sample 0 of the benchmark's wegner_mc alloy model on one of its grids."""
+    g = dl.make_grid(*_ALLOY_GRIDS[grid])
+    model = _alloy_model(g)
+    return dl.alloy_operators(g, model).at(dl.sample_alloy(model, 0))
+
+
+@pytest.mark.parametrize("grid, dim", [("d2-L2-n16", 961), ("d3-L2-n6", 1331)])
+def test_wegner_count_at_eight_edges(benchmark, grid, dim):
+    # one wegner_mc sample's inertia counts at its 8 edges, one slab LDL^T sweep per edge
+    op = _wegner_sample(grid)
+    assert op.dim == dim
+    counts = benchmark(dl.count_eigenvalues, op, _WEGNER_EDGES)
+    inside = counts[1::2] - counts[::2]  # the counts in the four nested windows
+    assert counts.shape == (8,) and inside[0] > 0 and np.all(np.diff(inside) <= 0)
+
+
+def test_window_solve_d2_dim961(benchmark):
+    # one d = 2 Wegner sample's certified window solve, on wegner_mc's 2D grid and alloy
+    # model: window (E - 3 eps, E + 3 eps], E = 30, eps = 1
+    op = _wegner_sample("d2-L2-n16")
+    assert op.dim == 961
+    lo, hi = 27.0, 33.0
+    expected = int(np.diff(dl.count_eigenvalues(op, [lo, hi]))[0])
+    spec = benchmark(dl.eigenpairs, op, lo, hi, expected)
+    assert spec.k == expected > 0
+
+
 def test_window_solve_d3_dim1331(benchmark):
     # one d = 3 Wegner sample's certified window solve, on the 3D grid and alloy model
     # of the benchmark's wegner_mc workload: window (E - 3 eps, E + 3 eps], E = 30, eps = 1
-    g = dl.make_grid(*_ALLOY_GRIDS["d3-L2-n6"])
-    model = _alloy_model(g)
-    op = dl.alloy_operators(g, model).at(dl.sample_alloy(model, 0))
+    op = _wegner_sample("d3-L2-n6")
     assert op.dim == 1331
     lo, hi = 27.0, 33.0
     expected = int(np.diff(dl.count_eigenvalues(op, [lo, hi]))[0])

@@ -928,6 +928,12 @@ class TestWindowEigenvalues:
             for got, want in zip(single[:3], batch[:3]):
                 assert np.array_equal(got[0], want[j, :got.shape[1]], equal_nan=True)
 
+    def test_1d_empty_batch_returns_no_windows(self):
+        # no matrix to solve: an empty (0, 0) window array and an empty failure list
+        windows, failures = spectral.tridiagonal_windows(np.zeros((5, 0)), np.zeros((4, 0)),
+                                                         0.0, 1.0, np.zeros(0, int))
+        assert windows.shape == (0, 0) and failures == []
+
     def _shifts(self, monkeypatch):
         """The shifts of every factorization of the window solve's T - sigma."""
         shifts, lu = [], spectral._band_lu
@@ -1180,6 +1186,26 @@ class TestCertifiedStoppingRule:
         assert not spec.complete and spec.k == below
         assert np.abs(spec.energies - exact[:below]).max() <= 1e-10 * top
 
+    def test_fresh_start_after_locking_is_deterministic(self, monkeypatch):
+        # the d = 3 multiplet case above: its first walk converges with a copy missing, and
+        # the walk after locking starts from `_fresh`'s vector, a draw from the basis size
+        # alone, so a second call returns the same pairs bit for bit
+        grid = dl.make_grid(3, 2, 8)
+        field = dl.identity_field(grid)
+        exact = _laplacian_energies(3, 2, 8, "dirichlet")
+        fresh = _recording(monkeypatch, spectral, "_fresh")
+        first = cli._spectrum_upto(grid, field, 60.0)  # raises unless certified
+        assert len(fresh) == 1
+        again = cli._spectrum_upto(grid, field, 60.0)
+        assert len(fresh) == 2
+        assert np.array_equal(first.energies, again.energies)
+        assert np.array_equal(first.vectors, again.vectors)
+        assert np.array_equal(first.residuals, again.residuals)
+        scale = spectral._matrix_scale(dl.assemble(grid, field).matrix)
+        assert np.all(first.residuals <= spectral._residual_tol(first.energies, scale))
+        assert first.k == int(np.count_nonzero(exact <= 60.0))
+        assert np.abs(first.energies - exact[:first.k]).max() <= 1e-10 * 60.0
+
     def test_no_convergence_at_the_bound_raises(self, monkeypatch):
         # a Ritz test that no pair can pass (tol < 0) runs the walk to its bound: all of H
         g = dl.make_grid(2, 1, 12)
@@ -1279,26 +1305,34 @@ class TestCertifiedStoppingRule:
 
     @staticmethod
     def _passes_per_step(monkeypatch):
-        """Record the Gram-Schmidt passes `_cgs2` takes at each Lanczos step: 1, or 2 where
-        the first cancelled.  `_fresh`'s passes are not counted."""
+        """Record the Gram-Schmidt passes `_batch_cgs2` takes at each Lanczos step: 1, or 2
+        where the first cancelled.  `_fresh`'s passes are not counted."""
         steps, in_step = [], [False]
-        cgs, cgs2 = spectral._cgs, spectral._cgs2
+        cgs_pass, cgs2, fresh = spectral._cgs_pass, spectral._batch_cgs2, spectral._fresh
 
         def counted_pass(basis, w):
             if in_step[0]:
                 steps[-1] += 1
-            return cgs(basis, w)
+            return cgs_pass(basis, w)
 
-        def step(basis, w):
+        def step(basis, w, m):
             steps.append(0)
             in_step[0] = True
             try:
-                return cgs2(basis, w)
+                return cgs2(basis, w, m)
             finally:
                 in_step[0] = False
 
-        monkeypatch.setattr(spectral, "_cgs", counted_pass)
-        monkeypatch.setattr(spectral, "_cgs2", step)
+        def uncounted(basis, m):
+            counting, in_step[0] = in_step[0], False
+            try:
+                return fresh(basis, m)
+            finally:
+                in_step[0] = counting
+
+        monkeypatch.setattr(spectral, "_cgs_pass", counted_pass)
+        monkeypatch.setattr(spectral, "_batch_cgs2", step)
+        monkeypatch.setattr(spectral, "_fresh", uncounted)
         return steps
 
     def test_a_step_takes_one_pass_where_none_cancels(self, monkeypatch):
